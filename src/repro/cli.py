@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro._version import __version__
 from repro.experiments.environment import environment_rows
@@ -61,6 +61,17 @@ from repro.experiments.scenarios import (
     fig_zoo,
 )
 from repro.tpcw.population import PopulationScale
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
 
 
 def _population(args: argparse.Namespace) -> PopulationScale:
@@ -301,9 +312,30 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0 if scenario.rolling_wins() else 1
 
 
-def _cmd_canary(args: argparse.Namespace) -> int:
+def _check_streamed_ledger(path: str, ledger: Dict[str, int]) -> int:
+    """Exit code of the streamed-plane check: the final JSONL record's
+    counters must equal the run's post-hoc ledger (0), else 2."""
     import json
 
+    with open(path, encoding="utf-8") as handle:
+        lines = [line for line in handle.read().splitlines() if line]
+    streamed = json.loads(lines[-1])["counters"]
+    if streamed != ledger:
+        print(
+            "error: streamed final counters disagree with the post-hoc "
+            f"ledger\n  stream: {streamed}\n  ledger: {ledger}",
+            file=sys.stderr,
+        )
+        return 2
+    print(
+        f"\nstreamed {len(lines)} metrics records to {path}; "
+        "final counters match the post-hoc ledger "
+        f"(replay the rulings with: repro replay {path})"
+    )
+    return 0
+
+
+def _cmd_canary(args: argparse.Namespace) -> int:
     scenario = fig_canary(
         duration_scale=args.duration_scale,
         seed=args.seed,
@@ -313,30 +345,14 @@ def _cmd_canary(args: argparse.Namespace) -> int:
         stream_metrics=args.stream_metrics,
     )
     print(canary_report(scenario))
-    if args.stream_metrics:
-        # The streamed plane must agree with the post-hoc report: the final
-        # JSONL record's counters are the same ledger the report asserts.
-        with open(args.stream_metrics, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line]
-        streamed = json.loads(lines[-1])["counters"]
-        ledger = dict(scenario.results["canary"].accounting)
-        if streamed != ledger:
-            print(
-                "error: streamed final counters disagree with the post-hoc "
-                f"ledger\n  stream: {streamed}\n  ledger: {ledger}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"\nstreamed {len(lines)} metrics records to {args.stream_metrics}; "
-            "final counters match the post-hoc ledger"
-        )
+    if args.stream_metrics and _check_streamed_ledger(
+        args.stream_metrics, dict(scenario.results["canary"].accounting)
+    ):
+        return 2
     return 0 if scenario.canary_wins() else 1
 
 
 def _cmd_rollout(args: argparse.Namespace) -> int:
-    import json
-
     scenario = fig_rollout(
         duration_scale=args.duration_scale,
         seed=args.seed,
@@ -346,26 +362,10 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
         stream_metrics=args.stream_metrics,
     )
     print(rollout_report(scenario))
-    if args.stream_metrics:
-        # The streamed plane must agree with the post-hoc report: the final
-        # JSONL record's counters are the same ledger the report asserts.
-        with open(args.stream_metrics, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line]
-        streamed = json.loads(lines[-1])["counters"]
-        ledger = dict(scenario.results["staged"].accounting)
-        if streamed != ledger:
-            print(
-                "error: streamed final counters disagree with the post-hoc "
-                f"ledger\n  stream: {streamed}\n  ledger: {ledger}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"\nstreamed {len(lines)} metrics records to {args.stream_metrics}; "
-            "final counters match the post-hoc ledger "
-            "(replay the rulings with: repro replay "
-            f"{args.stream_metrics})"
-        )
+    if args.stream_metrics and _check_streamed_ledger(
+        args.stream_metrics, dict(scenario.results["staged"].accounting)
+    ):
+        return 2
     return 0 if scenario.staged_wins() else 1
 
 
@@ -585,29 +585,42 @@ def _fleet_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _canary_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=3, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--stream-metrics",
-        metavar="PATH",
-        default=None,
-        help="stream observability snapshots of the canary run to a JSONL file",
-    )
+def _deploy_shards(text: str) -> int:
+    """``--shards`` of the deploy comparisons: the deployed stage needs at
+    least two baseline shards to be ruled against."""
+    try:
+        shards = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if shards < 3:
+        raise argparse.ArgumentTypeError(
+            f"a deploy comparison needs at least 3 shards "
+            f"(a deployed stage + >=2 baselines), got {shards}"
+        )
+    return shards
 
 
-def _rollout_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=4, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--stream-metrics",
-        metavar="PATH",
-        default=None,
-        help="stream observability snapshots of the staged run to a JSONL "
-        "file (replayable with `repro replay`)",
-    )
+def _deploy_args(
+    default_shards: int, streamed_run: str
+) -> Callable[[argparse.ArgumentParser], None]:
+    """The shared argument builder of the deploy comparisons."""
+
+    def add(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--shards",
+            type=_deploy_shards,
+            default=default_shards,
+            help="application-server instances behind the balancer (>= 3)",
+        )
+        sub.add_argument(
+            "--stream-metrics",
+            metavar="PATH",
+            default=None,
+            help=f"stream observability snapshots of the {streamed_run} run to "
+            "a JSONL file (replayable with `repro replay`)",
+        )
+
+    return add
 
 
 def _scale_args(sub: argparse.ArgumentParser) -> None:
@@ -640,8 +653,8 @@ SCENARIO_COMMANDS: List[ScenarioCommand] = [
     ScenarioCommand("zoo", "fault zoo: five degradation modes + cascade-aware attribution verdicts", _cmd_zoo),
     ScenarioCommand("storm", "retry storm: naive immediate retries vs. backoff + circuit breaker", _cmd_storm),
     ScenarioCommand("fleet", "sharded fleet: rolling vs. simultaneous vs. no-action rejuvenation", _cmd_fleet, extra_args=_fleet_args),
-    ScenarioCommand("canary", "canary deploy of a leaky build: catch + rollback vs. blind rollout", _cmd_canary, extra_args=_canary_args),
-    ScenarioCommand("rollout", "progressive delivery: staged ladder + alert-driven rollback vs. single canary vs. blind", _cmd_rollout, extra_args=_rollout_args),
+    ScenarioCommand("canary", "canary deploy of a leaky build: catch + rollback vs. blind rollout", _cmd_canary, extra_args=_deploy_args(3, "canary")),
+    ScenarioCommand("rollout", "progressive delivery: staged ladder + alert-driven rollback vs. single canary vs. blind", _cmd_rollout, extra_args=_deploy_args(4, "staged")),
     ScenarioCommand("scale", "hybrid fluid/discrete engine: 1x validation bands + scaled population", _cmd_scale, extra_args=_scale_args),
 ]
 
@@ -667,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=42, help="master random seed")
         sub.add_argument(
             "--duration-scale",
-            type=float,
+            type=_positive_float,
             default=0.1,
             help="scale of the paper's one-hour experiments (1.0 = full length)",
         )

@@ -1,25 +1,31 @@
 """Rolling deploys, canary analysis, staged rollouts and automated rollback.
 
-The continuous-delivery scenario family the sharded cluster makes possible:
-a :class:`DeploymentController` swaps a per-shard :class:`ComponentVersion`
-inside the same outage-window machinery rejuvenation uses (a deploy *is* a
-micro-reboot that comes back up running different code), a
-:class:`CanaryAnalyzer` compares the deployed shards' monitored series
-against the baseline shards (Mann–Kendall trend + growth ratio + an
-SLA-burn delta), and a failed verdict rolls the deployed shards back before
-the rest of the fleet is exposed.
+The continuous-delivery scenario family the sharded cluster makes possible.
+One :class:`RolloutController` executes a :class:`RolloutPlan`: it swaps a
+per-shard :class:`ComponentVersion` inside the same outage-window machinery
+rejuvenation uses (a deploy *is* a micro-reboot that comes back up running
+different code) and walks a cumulative stage ladder.  Each non-final stage
+deploys, bakes, and is ruled by a :class:`CanaryAnalyzer`, which compares the
+deployed shards' monitored series against the not-yet-deployed baseline
+shards (Mann–Kendall trend + growth ratio + an SLA-burn delta); a failed
+ruling rolls back *only the deployed shards* (partial rollback), and with
+``alert_rollback`` the manager's aging-suspect notification for the deployed
+component can trigger the ruling mid-bake instead of waiting for the fixed
+deadline (alert-driven rollback).  The final stage has no baselines left to
+rule against and logs a trailing ``complete`` event.
 
-Two rollout shapes share the deploy machinery:
+Every rollout shape the scenarios compare is a ladder over an N-shard fleet:
 
-- :class:`DeploymentController` executes a :class:`DeploymentPlan` — the
-  classic one-canary-then-fleet pipeline (or a blind staggered rollout).
-- :class:`RolloutController` executes a :class:`RolloutPlan` — progressive
-  delivery over an explicit stage ladder (default 1 → ⌈N/2⌉ → N shards):
-  each stage deploys, bakes, and is ruled by the analyzer against the
-  not-yet-deployed shards; a failed stage rolls back *only the deployed
-  shards* (partial rollback), and the manager's aging-suspect notification
-  for the deployed component can trigger the ruling mid-bake instead of
-  waiting for the fixed deadline (alert-driven rollback).
+- the default ``(1, ⌈N/2⌉, N)`` is progressive delivery;
+- ``(1, N)`` with ``alert_rollback=False`` is the classic canary: one shard
+  bakes to its deadline, then the rest of the fleet follows or the canary
+  rolls back;
+- ``(N,)`` is the blind staggered rollout, which rules nothing (and so runs
+  on an unmonitored fleet too).
+
+Shards deploy in ascending index order rotated so the first stage lands on
+the top ``ladder[0]`` shards: the canary is the last shard, and the rest of
+the fleet follows in ascending order.
 
 Version semantics in the simulation: the servlet *object* stays, what a
 version changes is its fault load — a ``ComponentVersion`` carries the
@@ -36,7 +42,7 @@ identical ruling code path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.trend import mann_kendall
@@ -86,44 +92,6 @@ class ComponentVersion:
                     f"fault spec targets {spec.component!r} but the version "
                     f"deploys {self.component!r}"
                 )
-
-
-@dataclass
-class DeploymentPlan:
-    """How a :class:`ComponentVersion` rolls across the fleet."""
-
-    version: ComponentVersion
-    #: Absolute sim time of the first deploy.
-    start_time: float
-    #: Gap between consecutive shard deploys of a rolling/full rollout.
-    stagger_seconds: float = 60.0
-    #: Outage-window length of each per-shard swap.
-    deploy_downtime_seconds: float = 5.0
-    #: Canary mode: deploy one shard, bake, analyse, then promote or roll
-    #: back.  ``False`` is the blind full rollout.
-    canary: bool = True
-    canary_shard: int = 0
-    #: Seconds the canary bakes before the analyzer rules.
-    bake_seconds: float = 300.0
-
-    def __post_init__(self) -> None:
-        if self.start_time < 0:
-            raise ValueError(f"start_time must be >= 0, got {self.start_time}")
-        if self.stagger_seconds < 0:
-            raise ValueError(f"stagger_seconds must be >= 0, got {self.stagger_seconds}")
-        if self.deploy_downtime_seconds <= 0:
-            raise ValueError(
-                f"deploy_downtime_seconds must be positive, got {self.deploy_downtime_seconds}"
-            )
-        if self.canary and self.bake_seconds <= 0:
-            raise ValueError(f"bake_seconds must be positive, got {self.bake_seconds}")
-        # A negative index would silently wrap to the last shard via
-        # ``cluster.shards[canary_shard]``; the upper bound is checked at
-        # install time, when the shard count is known.
-        if self.canary and self.canary_shard < 0:
-            raise ValueError(
-                f"canary_shard must be >= 0, got {self.canary_shard}"
-            )
 
 
 def default_stage_ladder(shard_count: int) -> Tuple[int, ...]:
@@ -350,29 +318,6 @@ class CanaryAnalyzer:
         )
         return self.cost_model.score(observation)
 
-    def analyze(
-        self,
-        cluster: "SimulatedCluster",
-        component: str,
-        canary_shard: int,
-        deploy_time: float,
-        now: float,
-    ) -> CanaryVerdict:
-        """Rule on one canary shard baked over ``[deploy_time, now]``."""
-        if not 0 <= canary_shard < len(cluster.shards):
-            raise ValueError(
-                f"canary shard {canary_shard} outside the cluster "
-                f"(shards: {len(cluster.shards)})"
-            )
-        baselines = [s.index for s in cluster.shards if s.index != canary_shard]
-        return self.analyze_stage(
-            LiveClusterSource(cluster),
-            component,
-            [(canary_shard, deploy_time)],
-            baselines,
-            now,
-        )
-
     def analyze_stage(
         self,
         source,
@@ -499,52 +444,16 @@ class CanaryAnalyzer:
         )
 
 
-def max_concurrent_deploys(events: Sequence[Dict[str, object]]) -> int:
-    """Most shards simultaneously on a non-baseline version, per the event log."""
-    on_version: set = set()
-    peak = 0
-    for event in events:
-        if event["action"] == "deploy":
-            on_version.add(event["shard"])
-        elif event["action"] == "rollback":
-            on_version.discard(event["shard"])
-        peak = max(peak, len(on_version))
-    return peak
-
-
 @dataclass
-class DeploymentReport:
+class RolloutReport:
     """Summary of one rollout (for results and reports)."""
 
     version: str
     component: str
-    canary: bool
     events: List[Dict[str, object]]
     rolled_back: bool
     outage_seconds: float
     #: Final shard -> version-label map, in shard order.
-    versions: Dict[int, str]
-    verdict: Optional[CanaryVerdict] = None
-
-    def event_rows(self) -> List[Dict[str, object]]:
-        """The event log as printable rows."""
-        return [dict(event) for event in self.events]
-
-    def max_concurrent_deploys(self) -> int:
-        """Most shards simultaneously on the new version."""
-        return max_concurrent_deploys(self.events)
-
-
-@dataclass
-class RolloutReport:
-    """Summary of one staged rollout (field-compatible with
-    :class:`DeploymentReport` where scenario accounting reads them)."""
-
-    version: str
-    component: str
-    events: List[Dict[str, object]]
-    rolled_back: bool
-    outage_seconds: float
     versions: Dict[int, str]
     #: The resolved cumulative stage ladder.
     ladder: Tuple[int, ...]
@@ -554,37 +463,55 @@ class RolloutReport:
     verdicts: List[CanaryVerdict]
     #: Whether the final stage deployed (the build reached the whole fleet).
     completed: bool
-    canary: bool = True
 
     @property
     def verdict(self) -> Optional[CanaryVerdict]:
         """The last stage ruling (None before any stage was ruled)."""
         return self.verdicts[-1] if self.verdicts else None
 
-    def event_rows(self) -> List[Dict[str, object]]:
-        """The event log as printable rows."""
-        return [dict(event) for event in self.events]
-
     def max_concurrent_deploys(self) -> int:
         """Most shards simultaneously on the new version (the blast radius)."""
-        return max_concurrent_deploys(self.events)
+        on_version: set = set()
+        peak = 0
+        for event in self.events:
+            if event["action"] == "deploy":
+                on_version.add(event["shard"])
+            elif event["action"] == "rollback":
+                on_version.discard(event["shard"])
+            peak = max(peak, len(on_version))
+        return peak
 
 
-class _DeployMachinery:
-    """Shared per-shard swap mechanics of both rollout controllers.
+class RolloutController:
+    """Executes a :class:`RolloutPlan`: progressive delivery over a ladder.
 
-    Each swap reuses the micro-reboot machinery: a component-scoped outage
-    window, the component's retained state cleared and its owned heap
+    Each per-shard swap reuses the micro-reboot machinery: a component-scoped
+    outage window, the component's retained state cleared and its owned heap
     reclaimed, then the new version's fault load attached (or detached on
     rollback).  Every event is appended to :attr:`events` and published to
     the metrics registry when one is attached.
+
+    Shards deploy in ascending index order rotated so that the first stage
+    lands on the top ``ladder[0]`` shards: ``(1, N)`` deploys shard ``N-1``
+    and then ``0 … N-2``, ``(N,)`` deploys ``0 … N-1``.  Deploys whose slot
+    falls at or past the run end are skipped.  Each non-final stage bakes
+    after its last deploy, then the analyzer rules the stage's shards
+    against the not-yet-deployed shards; a failed ruling rolls back *every
+    deployed shard* (the current stage and all promoted ones — partial
+    rollback, the baselines are never touched) at the ruling tick.  With
+    ``alert_rollback`` the deployed shards' managers' aging-suspect
+    notifications for the deployed component trigger the ruling mid-bake;
+    an alert ruling that finds fewer than :data:`MIN_RULING_SAMPLES`
+    samples is ignored (the deadline ruling still happens).  The final
+    stage has no baselines left to rule against and records completion
+    instead.
     """
 
     def __init__(
         self,
         cluster: "SimulatedCluster",
         engine: "SimulationEngine",
-        plan,
+        plan: RolloutPlan,
         registry: Optional["MetricsRegistry"] = None,
         analyzer: Optional[CanaryAnalyzer] = None,
     ) -> None:
@@ -594,12 +521,29 @@ class _DeployMachinery:
         self.registry = registry
         self.analyzer = analyzer or CanaryAnalyzer()
         self.source = LiveClusterSource(cluster)
+        self.ladder = plan.ladder(len(cluster.shards))
+        indices = [shard.index for shard in cluster.shards]
+        split = len(indices) - self.ladder[0]
+        order = indices[split:] + indices[:split]
+        self._stage_shards: List[List[int]] = [
+            order[low:high] for low, high in zip((0,) + self.ladder, self.ladder)
+        ]
         self.events: List[Dict[str, object]] = []
-        self.versions: Dict[int, str] = {
-            shard.index: BASELINE_VERSION for shard in cluster.shards
-        }
+        self.versions: Dict[int, str] = {index: BASELINE_VERSION for index in indices}
         self.rolled_back = False
         self.outage_seconds = 0.0
+        self.verdicts: List[CanaryVerdict] = []
+        self.stage_rows: List[Dict[str, object]] = []
+        self.completed = False
+        self.aborted = False
+        self._duration = 0.0
+        self._current_stage = -1
+        self._ruled_stages: set = set()
+        #: stage -> (deadline, truncated) of the pending deadline ruling.
+        self._stage_deadline: Dict[int, Tuple[float, bool]] = {}
+        #: stage -> time its last shard deployed (alerts earlier are ignored).
+        self._stage_deployed_at: Dict[int, float] = {}
+        self._listened_shards: set = set()
         self._attached_faults: Dict[int, List[object]] = {}
         self._deploy_times: Dict[int, float] = {}
 
@@ -607,6 +551,22 @@ class _DeployMachinery:
     def component(self) -> str:
         """The deployed component (read by the metrics registry)."""
         return self.plan.version.component
+
+    # ------------------------------------------------------------------ #
+    def schedule(self, duration: float) -> None:
+        """Schedule the rollout over a run of ``duration`` seconds."""
+        plan = self.plan
+        if plan.start_time >= duration:
+            raise ValueError(
+                f"rollout starts at {plan.start_time} but the run ends at {duration}"
+            )
+        self._duration = float(duration)
+        self.engine.schedule_at(
+            plan.start_time,
+            lambda when=plan.start_time: self._start_stage(0, when),
+            priority=DEPLOY_PRIORITY,
+            name="rollout.stage",
+        )
 
     # ------------------------------------------------------------------ #
     def _record(self, event: Dict[str, object]) -> None:
@@ -623,271 +583,6 @@ class _DeployMachinery:
         shard.deployment.servlet(component).instance_root.clear_references()
         return shard.deployment.runtime.reclaim_owned(component)
 
-    def _deploy(
-        self, shard_index: int, when: float, extra: Optional[Dict[str, object]] = None
-    ) -> None:
-        shard = self.cluster.shards[shard_index]
-        version = self.plan.version
-        objects, reclaimed = self._swap(shard, when)
-        servlet = shard.deployment.servlet(version.component)
-        attached: List[object] = []
-        for spec in version.faults:
-            fault = spec.build(shard.deployment.streams)
-            servlet.attach_fault(fault)
-            attached.append(fault)
-        self._attached_faults[shard_index] = attached
-        self._deploy_times[shard_index] = when
-        self.versions[shard_index] = version.version
-        event: Dict[str, object] = {
-            "time_s": round(when, 6),
-            "shard": shard_index,
-            "action": "deploy",
-            "version": version.version,
-            "component": version.component,
-            "downtime_s": self.plan.deploy_downtime_seconds,
-            "detail": f"reclaimed {reclaimed} B / {objects} objects from the old build",
-        }
-        if extra:
-            event.update(extra)
-        self._record(event)
-
-    def _rollback(
-        self,
-        shard_index: int,
-        when: float,
-        reason: str,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> None:
-        shard = self.cluster.shards[shard_index]
-        component = self.plan.version.component
-        servlet = shard.deployment.servlet(component)
-        for fault in self._attached_faults.pop(shard_index, []):
-            servlet.detach_fault(fault)
-        objects, reclaimed = self._swap(shard, when)
-        self._deploy_times.pop(shard_index, None)
-        self.versions[shard_index] = BASELINE_VERSION
-        self.rolled_back = True
-        event: Dict[str, object] = {
-            "time_s": round(when, 6),
-            "shard": shard_index,
-            "action": "rollback",
-            "version": BASELINE_VERSION,
-            "component": component,
-            "downtime_s": self.plan.deploy_downtime_seconds,
-            "detail": f"{reason}; reclaimed {reclaimed} B / {objects} objects",
-        }
-        if extra:
-            event.update(extra)
-        self._record(event)
-
-    def _analysis_payload(
-        self,
-        deployed: Sequence[Tuple[int, float]],
-        baselines: Sequence[int],
-        when: float,
-        trigger: str,
-        verdict: CanaryVerdict,
-    ) -> Dict[str, object]:
-        """Everything an offline replay needs to re-run this exact ruling."""
-        return {
-            "deployed": [[int(index), round(float(t), 6)] for index, t in deployed],
-            "baselines": [int(index) for index in baselines],
-            "ruled_at": round(when, 6),
-            "trigger": trigger,
-            "truncated_bake": bool(verdict.truncated_bake),
-            "thresholds": self.analyzer.thresholds(),
-            "verdict": asdict(verdict),
-        }
-
-
-class DeploymentController(_DeployMachinery):
-    """Executes a :class:`DeploymentPlan` against a running cluster."""
-
-    def __init__(
-        self,
-        cluster: "SimulatedCluster",
-        engine: "SimulationEngine",
-        plan: DeploymentPlan,
-        registry: Optional["MetricsRegistry"] = None,
-        analyzer: Optional[CanaryAnalyzer] = None,
-    ) -> None:
-        if plan.canary and not 0 <= plan.canary_shard < len(cluster.shards):
-            raise ValueError(
-                f"canary shard {plan.canary_shard} outside the cluster "
-                f"(shards: {len(cluster.shards)})"
-            )
-        super().__init__(cluster, engine, plan, registry=registry, analyzer=analyzer)
-        self.verdict: Optional[CanaryVerdict] = None
-        self._truncated_bake = False
-
-    # ------------------------------------------------------------------ #
-    def schedule(self, duration: float) -> None:
-        """Schedule the rollout's events over a run of ``duration`` seconds."""
-        plan = self.plan
-        if plan.start_time >= duration:
-            raise ValueError(
-                f"rollout starts at {plan.start_time} but the run ends at {duration}"
-            )
-        if plan.canary:
-            self.engine.schedule_at(
-                plan.start_time,
-                lambda when=plan.start_time: self._deploy(plan.canary_shard, when),
-                priority=DEPLOY_PRIORITY,
-                name="deploy.canary",
-            )
-            analyze_at = plan.start_time + plan.bake_seconds
-            if analyze_at > duration:
-                # A bake window extending past the run end used to leave the
-                # canary deployed with no verdict at all; rule at end-of-run
-                # on whatever baked, flagged as truncated.
-                analyze_at = duration
-                self._truncated_bake = True
-            self.engine.schedule_at(
-                analyze_at,
-                lambda when=analyze_at: self._analyze(when),
-                priority=ANALYZE_PRIORITY,
-                name="deploy.analyze",
-            )
-        else:
-            for offset, shard in enumerate(self.cluster.shards):
-                at = plan.start_time + offset * plan.stagger_seconds
-                if at >= duration:
-                    break
-                self.engine.schedule_at(
-                    at,
-                    lambda when=at, index=shard.index: self._deploy(index, when),
-                    priority=DEPLOY_PRIORITY,
-                    name="deploy.rollout",
-                )
-
-    # ------------------------------------------------------------------ #
-    def _analyze(self, when: float) -> None:
-        plan = self.plan
-        deploy_time = self._deploy_times[plan.canary_shard]
-        verdict = self.analyzer.analyze(
-            self.cluster,
-            plan.version.component,
-            plan.canary_shard,
-            deploy_time,
-            when,
-        )
-        if self._truncated_bake:
-            verdict = replace(verdict, truncated_bake=True)
-        self.verdict = verdict
-        baselines = [
-            s.index for s in self.cluster.shards if s.index != plan.canary_shard
-        ]
-        payload = self._analysis_payload(
-            [(plan.canary_shard, deploy_time)], baselines, when, "deadline", verdict
-        )
-        if verdict.promote:
-            self._record(
-                {
-                    "time_s": round(when, 6),
-                    "shard": plan.canary_shard,
-                    "action": "promote",
-                    "version": plan.version.version,
-                    "component": plan.version.component,
-                    "downtime_s": 0.0,
-                    "detail": verdict.reason,
-                    "analysis": payload,
-                }
-            )
-            offset = 1
-            for shard in self.cluster.shards:
-                if shard.index == plan.canary_shard:
-                    continue
-                at = when + offset * plan.stagger_seconds
-                self.engine.schedule_at(
-                    at,
-                    lambda when=at, index=shard.index: self._deploy(index, when),
-                    priority=DEPLOY_PRIORITY,
-                    name="deploy.promote",
-                )
-                offset += 1
-        else:
-            self._rollback(
-                plan.canary_shard, when, verdict.reason, extra={"analysis": payload}
-            )
-
-    # ------------------------------------------------------------------ #
-    def report(self) -> DeploymentReport:
-        """Summarise the rollout."""
-        return DeploymentReport(
-            version=self.plan.version.version,
-            component=self.plan.version.component,
-            canary=self.plan.canary,
-            events=[dict(event) for event in self.events],
-            rolled_back=self.rolled_back,
-            outage_seconds=self.outage_seconds,
-            versions=dict(self.versions),
-            verdict=self.verdict,
-        )
-
-
-class RolloutController(_DeployMachinery):
-    """Executes a :class:`RolloutPlan`: progressive delivery over a ladder.
-
-    Stages deploy from the highest shard index downward (stage 1 of the
-    default ladder is the last shard — the same shard ``fig_canary`` uses
-    as its canary).  Each non-final stage bakes after its last deploy, then
-    the analyzer rules the stage's shards against the not-yet-deployed
-    shards; a failed ruling rolls back *every deployed shard* (the current
-    stage and all promoted ones — partial rollback, the baselines are never
-    touched) at the ruling tick.  With ``alert_rollback`` the deployed
-    shards' managers' aging-suspect notifications for the deployed
-    component trigger the ruling mid-bake; an alert ruling that finds fewer
-    than :data:`MIN_RULING_SAMPLES` samples is ignored (the deadline ruling
-    still happens).  The final stage has no baselines left to rule against
-    and records completion instead.
-    """
-
-    def __init__(
-        self,
-        cluster: "SimulatedCluster",
-        engine: "SimulationEngine",
-        plan: RolloutPlan,
-        registry: Optional["MetricsRegistry"] = None,
-        analyzer: Optional[CanaryAnalyzer] = None,
-    ) -> None:
-        super().__init__(cluster, engine, plan, registry=registry, analyzer=analyzer)
-        self.ladder = plan.ladder(len(cluster.shards))
-        order = [shard.index for shard in reversed(cluster.shards)]
-        self._stage_shards: List[List[int]] = []
-        previous = 0
-        for size in self.ladder:
-            self._stage_shards.append(order[previous:size])
-            previous = size
-        self.verdicts: List[CanaryVerdict] = []
-        self.stage_rows: List[Dict[str, object]] = []
-        self.completed = False
-        self.aborted = False
-        self._duration = 0.0
-        self._current_stage = -1
-        self._ruled_stages: set = set()
-        #: stage -> (deadline, truncated) of the pending deadline ruling.
-        self._stage_deadline: Dict[int, Tuple[float, bool]] = {}
-        #: stage -> time its last shard deployed (alerts earlier are ignored).
-        self._stage_deployed_at: Dict[int, float] = {}
-        self._listened_shards: set = set()
-
-    # ------------------------------------------------------------------ #
-    def schedule(self, duration: float) -> None:
-        """Schedule the staged rollout over a run of ``duration`` seconds."""
-        plan = self.plan
-        if plan.start_time >= duration:
-            raise ValueError(
-                f"rollout starts at {plan.start_time} but the run ends at {duration}"
-            )
-        self._duration = float(duration)
-        self.engine.schedule_at(
-            plan.start_time,
-            lambda when=plan.start_time: self._start_stage(0, when),
-            priority=DEPLOY_PRIORITY,
-            name="rollout.stage",
-        )
-
-    # ------------------------------------------------------------------ #
     def _start_stage(self, stage: int, when: float) -> None:
         if self.aborted:
             return
@@ -896,20 +591,24 @@ class RolloutController(_DeployMachinery):
         deploys: List[Tuple[int, float]] = []
         for offset, index in enumerate(self._stage_shards[stage]):
             at = when + offset * plan.stagger_seconds
-            if at > self._duration:
+            if at >= self._duration:
+                # A swap at the run end would charge its whole outage window
+                # to a run that is already over.
                 break
             deploys.append((index, at))
         for index, at in deploys:
             if at <= when + 1e-12:
-                self._deploy_stage_shard(stage, index, when)
+                self._deploy(stage, index, when)
             else:
                 self.engine.schedule_at(
                     at,
-                    lambda when=at, i=index, k=stage: self._deploy_stage_shard(k, i, when),
+                    lambda when=at, i=index, k=stage: self._deploy(k, i, when),
                     priority=DEPLOY_PRIORITY,
                     name="rollout.deploy",
                 )
-        last_at = deploys[-1][1] if deploys else when
+        # Stages start strictly before the run end, so the first deploy
+        # always fits.
+        last_at = deploys[-1][1]
         self._stage_deployed_at[stage] = last_at
         self.stage_rows.append(
             {
@@ -920,13 +619,16 @@ class RolloutController(_DeployMachinery):
             }
         )
         if stage == len(self.ladder) - 1:
-            # Fully rolled out: no baselines are left to rule against.
-            self.engine.schedule_at(
-                last_at,
-                lambda when=last_at: self._complete(when),
-                priority=ANALYZE_PRIORITY,
-                name="rollout.complete",
-            )
+            # No baselines are left to rule against; the rollout completes
+            # once the last shard is on the new build (unless the run end
+            # cut the stage short).
+            if len(deploys) == len(self._stage_shards[stage]):
+                self.engine.schedule_at(
+                    last_at,
+                    lambda when=last_at: self._complete(when),
+                    priority=ANALYZE_PRIORITY,
+                    name="rollout.complete",
+                )
             return
         deadline = last_at + plan.stage_bake_seconds
         truncated = deadline > self._duration + 1e-9
@@ -942,12 +644,59 @@ class RolloutController(_DeployMachinery):
             name="rollout.analyze",
         )
 
-    def _deploy_stage_shard(self, stage: int, index: int, when: float) -> None:
+    def _deploy(self, stage: int, index: int, when: float) -> None:
         if self.aborted:
             return
-        self._deploy(index, when, extra={"stage": stage})
+        shard = self.cluster.shards[index]
+        version = self.plan.version
+        objects, reclaimed = self._swap(shard, when)
+        servlet = shard.deployment.servlet(version.component)
+        attached: List[object] = []
+        for spec in version.faults:
+            fault = spec.build(shard.deployment.streams)
+            servlet.attach_fault(fault)
+            attached.append(fault)
+        self._attached_faults[index] = attached
+        self._deploy_times[index] = when
+        self.versions[index] = version.version
+        self._record(
+            {
+                "time_s": round(when, 6),
+                "shard": index,
+                "action": "deploy",
+                "version": version.version,
+                "component": version.component,
+                "downtime_s": self.plan.deploy_downtime_seconds,
+                "detail": f"reclaimed {reclaimed} B / {objects} objects from the old build",
+                "stage": stage,
+            }
+        )
         if self.plan.alert_rollback:
             self._install_alert_listener(index)
+
+    def _rollback(
+        self, index: int, when: float, reason: str, extra: Dict[str, object]
+    ) -> None:
+        shard = self.cluster.shards[index]
+        component = self.plan.version.component
+        servlet = shard.deployment.servlet(component)
+        for fault in self._attached_faults.pop(index, []):
+            servlet.detach_fault(fault)
+        objects, reclaimed = self._swap(shard, when)
+        self._deploy_times.pop(index, None)
+        self.versions[index] = BASELINE_VERSION
+        self.rolled_back = True
+        event: Dict[str, object] = {
+            "time_s": round(when, 6),
+            "shard": index,
+            "action": "rollback",
+            "version": BASELINE_VERSION,
+            "component": component,
+            "downtime_s": self.plan.deploy_downtime_seconds,
+            "detail": f"{reason}; reclaimed {reclaimed} B / {objects} objects",
+        }
+        event.update(extra)
+        self._record(event)
 
     def _install_alert_listener(self, index: int) -> None:
         shard = self.cluster.shards[index]
@@ -1019,7 +768,16 @@ class RolloutController(_DeployMachinery):
             verdict = replace(verdict, truncated_bake=True)
         self._ruled_stages.add(stage)
         self.verdicts.append(verdict)
-        payload = self._analysis_payload(deployed, baselines, when, trigger, verdict)
+        # Everything an offline replay needs to re-run this exact ruling.
+        payload = {
+            "deployed": [[int(index), round(float(t), 6)] for index, t in deployed],
+            "baselines": [int(index) for index in baselines],
+            "ruled_at": round(when, 6),
+            "trigger": trigger,
+            "truncated_bake": bool(verdict.truncated_bake),
+            "thresholds": self.analyzer.thresholds(),
+            "verdict": asdict(verdict),
+        }
         self.stage_rows[-1].update(
             {
                 "ruled_at": round(when, 6),
@@ -1032,7 +790,7 @@ class RolloutController(_DeployMachinery):
             self._record(
                 {
                     "time_s": round(when, 6),
-                    "shard": deployed[0][0] if deployed else -1,
+                    "shard": deployed[0][0],
                     "action": "promote",
                     "version": plan.version.version,
                     "component": plan.version.component,
@@ -1044,7 +802,7 @@ class RolloutController(_DeployMachinery):
                 }
             )
             next_at = when + plan.stagger_seconds
-            if next_at <= self._duration:
+            if next_at < self._duration:
                 self.engine.schedule_at(
                     next_at,
                     lambda t=next_at, k=stage + 1: self._start_stage(k, t),
@@ -1062,7 +820,7 @@ class RolloutController(_DeployMachinery):
             extra: Dict[str, object] = {"stage": stage, "trigger": trigger}
             if position == 0:
                 extra["analysis"] = payload
-            self._rollback(index, when, verdict.reason, extra=extra)
+            self._rollback(index, when, verdict.reason, extra)
 
     def _complete(self, when: float) -> None:
         if self.aborted:
@@ -1073,7 +831,7 @@ class RolloutController(_DeployMachinery):
         self._record(
             {
                 "time_s": round(when, 6),
-                "shard": self._stage_shards[-1][-1] if self._stage_shards[-1] else -1,
+                "shard": self._stage_shards[-1][-1],
                 "action": "complete",
                 "version": plan.version.version,
                 "component": plan.version.component,
@@ -1088,7 +846,7 @@ class RolloutController(_DeployMachinery):
 
     # ------------------------------------------------------------------ #
     def report(self) -> RolloutReport:
-        """Summarise the staged rollout."""
+        """Summarise the rollout."""
         return RolloutReport(
             version=self.plan.version.version,
             component=self.plan.version.component,

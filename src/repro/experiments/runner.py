@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.baselines.blackbox import BlackBoxMonitor
 from repro.baselines.pinpoint import PinpointAnalyzer
@@ -38,14 +38,7 @@ from repro.experiments.cluster import (
     SimulatedCluster,
     build_cluster,
 )
-from repro.experiments.deploy import (
-    DeploymentController,
-    DeploymentPlan,
-    DeploymentReport,
-    RolloutController,
-    RolloutPlan,
-    RolloutReport,
-)
+from repro.experiments.deploy import RolloutController, RolloutPlan, RolloutReport
 from repro.faults.injector import FaultInjector, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.transports import JsonlMetricsStream
@@ -150,12 +143,11 @@ class ExperimentConfig:
     #: exists to localise.
     shard_faults: Optional[Dict[int, List[FaultSpec]]] = None
     #: Mid-run rollout of a :class:`~repro.experiments.deploy.ComponentVersion`
-    #: across the fleet: a :class:`~repro.experiments.deploy.DeploymentPlan`
-    #: (canary or blind) or a :class:`~repro.experiments.deploy.RolloutPlan`
-    #: (staged progressive delivery); ``None`` deploys nothing.  Analysed
-    #: plans require ``monitored`` — the analyzer reads the per-shard
-    #: manager series.
-    rollout: Optional[Union[DeploymentPlan, RolloutPlan]] = None
+    #: across the fleet over a :class:`~repro.experiments.deploy.RolloutPlan`
+    #: stage ladder (staged, canary or blind); ``None`` deploys nothing.  A
+    #: ladder with a ruled stage requires ``monitored`` — the analyzer reads
+    #: the per-shard manager series.
+    rollout: Optional[RolloutPlan] = None
     #: Aging-alert threshold (bytes of per-component consumption) handed to
     #: every shard's :class:`~repro.core.framework.FrameworkConfig`;
     #: ``None`` keeps the framework default.  Staged rollouts lower it so
@@ -238,9 +230,8 @@ class ExperimentResult:
     #: single-shard runs.
     fleet: Optional[FleetReport] = None
     #: Rollout summary when the run deployed a component version
-    #: (``deployment`` was already taken by the TPC-W handle below);
-    #: a :class:`~repro.experiments.deploy.RolloutReport` for staged plans.
-    rollout: Optional[Union[DeploymentReport, RolloutReport]] = None
+    #: (``deployment`` was already taken by the TPC-W handle below).
+    rollout: Optional[RolloutReport] = None
     #: The observability registry that watched this run, when one was
     #: attached — still readable post-run (its snapshot reflects the end
     #: state).
@@ -449,25 +440,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if registry is None and config.stream_metrics is not None:
         registry = MetricsRegistry()
 
-    deploy_controller: Optional[Union[DeploymentController, RolloutController]] = None
+    deploy_controller: Optional[RolloutController] = None
     if config.rollout is not None:
-        if isinstance(config.rollout, RolloutPlan):
-            if not config.monitored:
-                raise ValueError(
-                    "a staged rollout requires monitored=True (the analyzer "
-                    "reads the per-shard manager series)"
-                )
-            deploy_controller = RolloutController(
-                cluster, engine, config.rollout, registry=registry
-            )
-        else:
-            if config.rollout.canary and not config.monitored:
-                raise ValueError(
-                    "a canary rollout requires monitored=True (the analyzer reads "
-                    "the per-shard manager series)"
-                )
-            deploy_controller = DeploymentController(
-                cluster, engine, config.rollout, registry=registry
+        deploy_controller = RolloutController(
+            cluster, engine, config.rollout, registry=registry
+        )
+        if len(deploy_controller.ladder) > 1 and not config.monitored:
+            raise ValueError(
+                "a rollout with a ruled stage requires monitored=True (the "
+                "analyzer reads the per-shard manager series)"
             )
         deploy_controller.schedule(config.duration)
 

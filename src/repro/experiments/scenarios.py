@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.rejuvenation import (
@@ -37,7 +37,6 @@ from repro.experiments.deploy import (
     BASELINE_VERSION,
     CanaryVerdict,
     ComponentVersion,
-    DeploymentPlan,
     RolloutPlan,
     RolloutReport,
 )
@@ -1966,7 +1965,7 @@ def fig_fleet(
 
 
 # --------------------------------------------------------------------------- #
-# Canary deployment comparison (tentpole of ISSUE 8)
+# Deploy-strategy comparisons: canary deploy and progressive delivery
 # --------------------------------------------------------------------------- #
 #: Shard count of the canary comparison.
 CANARY_SHARDS = 3
@@ -1988,18 +1987,14 @@ CANARY_VERSION = "v2-leaky"
 
 
 @dataclass
-class CanaryScenarioResult:
-    """Outcome of the three-strategy deployment comparison.
+class DeployComparisonResult:
+    """Shared SLA accounting of the same-seed deploy-strategy comparisons.
 
-    All three runs drive the same seeded workload through the same sharded
-    cluster; only the rollout strategy for the (secretly leaky) v2 build of
-    component A differs: *no-deploy* keeps the baseline everywhere (a
-    control — no feature shipped, no cost), *canary* deploys to one shard,
-    bakes, and lets the :class:`~repro.experiments.deploy.CanaryAnalyzer`
-    decide from the observability plane's shard-level series, *blind* rolls
-    the build to every shard on a stagger with no analysis.  SLA accounting
-    mirrors the fleet scenario: deploy-outage downtime is capacity-weighted,
-    exposure sums each shard's time above the heap danger line.
+    Every run drives the same seeded workload through the same sharded
+    cluster; only the :class:`~repro.experiments.deploy.RolloutPlan` for the
+    (secretly leaky) v2 build of component A differs.  SLA accounting mirrors
+    the fleet scenario: deploy-outage downtime is capacity-weighted, exposure
+    sums each shard's time above the heap danger line.
     """
 
     #: Mode -> full experiment result, in comparison order.
@@ -2013,11 +2008,6 @@ class CanaryScenarioResult:
     def result(self, mode: str) -> ExperimentResult:
         """The run executed under ``mode``."""
         return self.results[mode]
-
-    def verdict(self) -> Optional[CanaryVerdict]:
-        """The canary run's analyzer verdict (None only if analysis never ran)."""
-        rollout = self.results["canary"].rollout
-        return rollout.verdict if rollout is not None else None
 
     def deploy_downtime(self, mode: str) -> float:
         """Capacity-weighted deploy-outage seconds (outage time / shards)."""
@@ -2060,6 +2050,59 @@ class CanaryScenarioResult:
         model = cost_model or SlaCostModel()
         return model.score(self.sla_observation(mode))
 
+    def _outcome_columns(self, mode: str) -> Dict[str, object]:
+        """Scenario-specific summary columns after the rollout outcome."""
+        return {}
+
+    def summary_rows(self) -> List[Dict[str, object]]:
+        """One row per mode: rollout outcome, downtime, exposure, SLA cost."""
+        cost_model = SlaCostModel()
+        rows: List[Dict[str, object]] = []
+        for mode, result in self.results.items():
+            rollout = result.rollout
+            observation = self.sla_observation(mode)
+            row: Dict[str, object] = {
+                "mode": mode,
+                "completed": result.completed_requests,
+                "errors": result.error_count,
+                "refused": result.refused_requests,
+                "deploys": (
+                    sum(1 for e in rollout.events if e["action"] == "deploy")
+                    if rollout is not None
+                    else 0
+                ),
+                "rolled_back": rollout.rolled_back if rollout is not None else False,
+            }
+            row.update(self._outcome_columns(mode))
+            row.update(
+                {
+                    "leaky_shards": self.leaky_shards(mode),
+                    "downtime_s": round(self.deploy_downtime(mode), 2),
+                    "exposure_s": round(self.exposure(mode), 1),
+                    "budget_burn": round(cost_model.budget_burn(observation), 2),
+                    "sla_cost": round(cost_model.score(observation), 1),
+                }
+            )
+            rows.append(row)
+        return rows
+
+
+@dataclass
+class CanaryScenarioResult(DeployComparisonResult):
+    """Outcome of the three-strategy deployment comparison.
+
+    *no-deploy* keeps the baseline everywhere (a control — no feature
+    shipped, no cost), *canary* deploys to one shard, bakes, and lets the
+    :class:`~repro.experiments.deploy.CanaryAnalyzer` decide from the
+    observability plane's shard-level series, *blind* rolls the build to
+    every shard on a stagger with no analysis.
+    """
+
+    def verdict(self) -> Optional[CanaryVerdict]:
+        """The canary run's analyzer verdict (None only if analysis never ran)."""
+        rollout = self.results["canary"].rollout
+        return rollout.verdict if rollout is not None else None
+
     def canary_wins(self) -> bool:
         """Whether canary-then-rollback strictly beats the blind rollout.
 
@@ -2070,34 +2113,6 @@ class CanaryScenarioResult:
         downtime whenever ``shards >= 3``.
         """
         return self.sla_cost("canary") < self.sla_cost("blind")
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: rollout outcome, downtime, exposure, SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            rollout = result.rollout
-            observation = self.sla_observation(mode)
-            rows.append(
-                {
-                    "mode": mode,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "refused": result.refused_requests,
-                    "deploys": (
-                        sum(1 for e in rollout.events if e["action"] == "deploy")
-                        if rollout is not None
-                        else 0
-                    ),
-                    "rolled_back": rollout.rolled_back if rollout is not None else False,
-                    "leaky_shards": self.leaky_shards(mode),
-                    "downtime_s": round(self.deploy_downtime(mode), 2),
-                    "exposure_s": round(self.exposure(mode), 1),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
-                }
-            )
-        return rows
 
 
 def fig_canary(
@@ -2115,13 +2130,14 @@ def fig_canary(
     The build under test is a *leaky* v2 of component A (its fault spec
     rides on the :class:`~repro.experiments.deploy.ComponentVersion`).  The
     baseline fleet runs clean; the deployment starts a quarter into the run.
-    The canary strategy deploys v2 to the last shard only, bakes while the
-    observability plane accumulates shard-level object-size series, and the
-    analyzer compares the canary's component-A growth (Mann–Kendall trend +
-    growth ratio vs the baseline shards + SLA-burn delta) to decide; a
-    rejected canary is rolled back before any other shard is exposed.  The
-    blind strategy staggers v2 across every shard with no analysis.  Every
-    run gets a fresh :class:`~repro.obs.registry.MetricsRegistry`;
+    The canary strategy is the ``(1, N)`` ladder without alert rollback: it
+    deploys v2 to the last shard only, bakes while the observability plane
+    accumulates shard-level object-size series, and the analyzer compares
+    the canary's component-A growth (Mann–Kendall trend + growth ratio vs
+    the baseline shards + SLA-burn delta) to decide; a rejected canary is
+    rolled back before any other shard is exposed.  The blind strategy is
+    the ``(N,)`` ladder: v2 staggers across every shard with no analysis.
+    Every run gets a fresh :class:`~repro.obs.registry.MetricsRegistry`;
     ``stream_metrics`` additionally streams the canary run's snapshots to a
     JSONL file.
     """
@@ -2157,19 +2173,22 @@ def fig_canary(
             ),
         ),
     )
+    canary = RolloutPlan(
+        version=version,
+        start_time=deploy_start,
+        stage_sizes=(1, shards),
+        stage_bake_seconds=bake,
+        stagger_seconds=stagger,
+        deploy_downtime_seconds=deploy_downtime,
+        alert_rollback=False,
+    )
+    plans = {
+        "no-deploy": None,
+        "canary": canary,
+        "blind": replace(canary, stage_sizes=(shards,)),
+    }
     results: Dict[str, ExperimentResult] = {}
     for mode in CANARY_MODES:
-        rollout: Optional[DeploymentPlan] = None
-        if mode != "no-deploy":
-            rollout = DeploymentPlan(
-                version=version,
-                start_time=deploy_start,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                canary=(mode == "canary"),
-                canary_shard=shards - 1,
-                bake_seconds=bake,
-            )
         config = ExperimentConfig(
             name=f"fig-canary-{mode}",
             seed=seed,
@@ -2183,7 +2202,7 @@ def fig_canary(
             server_config=ServerConfig(heap_bytes=heap_bytes),
             shards=shards,
             balancer_policy="sticky",
-            rollout=rollout,
+            rollout=plans[mode],
             metrics_registry=MetricsRegistry(),
             stream_metrics=stream_metrics if mode == "canary" else None,
         )
@@ -2198,9 +2217,6 @@ def fig_canary(
     )
 
 
-# --------------------------------------------------------------------------- #
-# Progressive delivery comparison (tentpole of ISSUE 10)
-# --------------------------------------------------------------------------- #
 #: Shard count of the staged-rollout comparison (the default ladder resolves
 #: to 1 → 2 → 4 shards).
 ROLLOUT_SHARDS = 4
@@ -2216,39 +2232,21 @@ ROLLOUT_ALERT_BAKE_FRACTION = 0.5
 
 
 @dataclass
-class RolloutScenarioResult:
+class RolloutScenarioResult(DeployComparisonResult):
     """Outcome of the three-strategy progressive-delivery comparison.
 
-    All three runs drive the same seeded workload through the same sharded
-    cluster; only the rollout strategy for the (secretly leaky) v2 build of
-    component A differs: *staged* walks the
-    :class:`~repro.experiments.deploy.RolloutPlan` ladder with per-stage
-    analysis and alert-driven rollback, *single-canary* is PR 8's
-    one-canary-then-fleet :class:`~repro.experiments.deploy.DeploymentPlan`,
-    *blind* staggers the build across every shard with no analysis.  SLA
-    accounting mirrors the canary scenario: deploy-outage downtime is
-    capacity-weighted, exposure sums each shard's time above the heap danger
-    line.
+    *staged* walks the default stage ladder with per-stage analysis and
+    alert-driven rollback, *single-canary* is the ``(1, N)`` ladder without
+    alert rollback (the canary scenario's strategy), *blind* staggers the
+    build across every shard with no analysis.
     """
 
-    #: Mode -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    duration: float
-    shards: int
-    component: str
-    version: str
+    #: The staged run's resolved stage ladder.
     ladder: Tuple[int, ...]
-
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
 
     def staged_report(self) -> RolloutReport:
         """The staged run's rollout report."""
-        rollout = self.results["staged"].rollout
-        assert isinstance(rollout, RolloutReport)
-        return rollout
+        return self.results["staged"].rollout
 
     def ruling_trigger(self) -> Optional[str]:
         """What fired the staged run's first ruling (``"alert"``/``"deadline"``)."""
@@ -2266,16 +2264,10 @@ class RolloutScenarioResult:
 
     def deadline_at(self) -> Optional[float]:
         """When the staged run's first stage deadline would have ruled."""
-        report = self.staged_report()
-        stages = report.stages
+        stages = self.staged_report().stages
         if not stages:
             return None
-        bake = None
-        config = self.results["staged"].config
-        if isinstance(config.rollout, RolloutPlan):
-            bake = config.rollout.stage_bake_seconds
-        if bake is None:
-            return None
+        bake = self.results["staged"].config.rollout.stage_bake_seconds
         return float(stages[0]["deployed_at"]) + bake
 
     def max_exposed_shards(self, mode: str = "staged") -> int:
@@ -2283,46 +2275,8 @@ class RolloutScenarioResult:
         rollout = self.results[mode].rollout
         return rollout.max_concurrent_deploys() if rollout is not None else 0
 
-    def deploy_downtime(self, mode: str) -> float:
-        """Capacity-weighted deploy-outage seconds (outage time / shards)."""
-        rollout = self.results[mode].rollout
-        if rollout is None:
-            return 0.0
-        return rollout.outage_seconds / self.shards
-
-    def leaky_shards(self, mode: str) -> int:
-        """Shards still running the leaky build at the end of the run."""
-        rollout = self.results[mode].rollout
-        if rollout is None:
-            return 0
-        return sum(1 for v in rollout.versions.values() if v != BASELINE_VERSION)
-
-    def exposure(self, mode: str) -> float:
-        """Summed per-shard seconds above 90 % heap occupancy."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        return sum(
-            exposure_seconds(
-                shard.heap_series(), self.heap_capacity, window_end=self.duration
-            )
-            for shard in result.cluster.shards
-        )
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """The raw fleet-level availability currencies of one mode."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=self.deploy_downtime(mode),
-            exposure_seconds=self.exposure(mode),
-            failed_requests=result.error_count,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar fleet SLA cost of one mode (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
+    def _outcome_columns(self, mode: str) -> Dict[str, object]:
+        return {"max_exposed": self.max_exposed_shards(mode)}
 
     def blast_radius_ok(self) -> bool:
         """Whether the staged run never exposed more than the active stage.
@@ -2345,35 +2299,6 @@ class RolloutScenarioResult:
         single = self.sla_cost("single-canary")
         blind = self.sla_cost("blind")
         return staged <= single <= blind and staged < blind and self.blast_radius_ok()
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: rollout outcome, blast radius, downtime, SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            rollout = result.rollout
-            observation = self.sla_observation(mode)
-            rows.append(
-                {
-                    "mode": mode,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "refused": result.refused_requests,
-                    "deploys": (
-                        sum(1 for e in rollout.events if e["action"] == "deploy")
-                        if rollout is not None
-                        else 0
-                    ),
-                    "rolled_back": rollout.rolled_back if rollout is not None else False,
-                    "max_exposed": self.max_exposed_shards(mode),
-                    "leaky_shards": self.leaky_shards(mode),
-                    "downtime_s": round(self.deploy_downtime(mode), 2),
-                    "exposure_s": round(self.exposure(mode), 1),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
-                }
-            )
-        return rows
 
 
 def fig_rollout(
@@ -2432,37 +2357,21 @@ def fig_rollout(
             ),
         ),
     )
-    ladder = RolloutPlan(version=version, start_time=deploy_start).ladder(shards)
+    staged = RolloutPlan(
+        version=version,
+        start_time=deploy_start,
+        stage_bake_seconds=bake,
+        stagger_seconds=stagger,
+        deploy_downtime_seconds=deploy_downtime,
+        alert_rollback=True,
+    )
+    plans = {
+        "staged": staged,
+        "single-canary": replace(staged, stage_sizes=(1, shards), alert_rollback=False),
+    }
+    plans["blind"] = replace(plans["single-canary"], stage_sizes=(shards,))
     results: Dict[str, ExperimentResult] = {}
     for mode in ROLLOUT_MODES:
-        rollout: Optional[object] = None
-        if mode == "staged":
-            rollout = RolloutPlan(
-                version=version,
-                start_time=deploy_start,
-                stage_bake_seconds=bake,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                alert_rollback=True,
-            )
-        elif mode == "single-canary":
-            rollout = DeploymentPlan(
-                version=version,
-                start_time=deploy_start,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                canary=True,
-                canary_shard=shards - 1,
-                bake_seconds=bake,
-            )
-        else:
-            rollout = DeploymentPlan(
-                version=version,
-                start_time=deploy_start,
-                stagger_seconds=stagger,
-                deploy_downtime_seconds=deploy_downtime,
-                canary=False,
-            )
         config = ExperimentConfig(
             name=f"fig-rollout-{mode}",
             seed=seed,
@@ -2476,7 +2385,7 @@ def fig_rollout(
             server_config=ServerConfig(heap_bytes=heap_bytes),
             shards=shards,
             balancer_policy="sticky",
-            rollout=rollout,
+            rollout=plans[mode],
             # Every mode runs the same framework settings so the runs differ
             # only in rollout strategy; the lowered alert threshold changes
             # behaviour only where a listener acts on it (the staged run).
@@ -2492,7 +2401,7 @@ def fig_rollout(
         shards=shards,
         component=COMPONENT_A,
         version=CANARY_VERSION,
-        ladder=ladder,
+        ladder=staged.ladder(shards),
     )
 
 

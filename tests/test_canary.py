@@ -1,5 +1,6 @@
-"""Tests for the deployment controller, canary analyzer and the fig_canary
-scenario (catch + rollback vs. blind rollout)."""
+"""Tests for the canary and blind ladders of the rollout controller, the
+canary analyzer and the fig_canary scenario (catch + rollback vs. blind
+rollout)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from repro.experiments.deploy import (
     BASELINE_VERSION,
     CanaryAnalyzer,
     ComponentVersion,
-    DeploymentPlan,
+    RolloutPlan,
 )
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import (
@@ -36,31 +37,56 @@ class TestPlanValidation:
     def test_plan_rejects_bad_parameters(self):
         version = ComponentVersion(component="home", version="v2")
         with pytest.raises(ValueError, match="start_time"):
-            DeploymentPlan(version=version, start_time=-1.0)
+            RolloutPlan(version=version, start_time=-1.0, stage_sizes=(1, 3))
         with pytest.raises(ValueError, match="deploy_downtime_seconds"):
-            DeploymentPlan(version=version, start_time=0.0, deploy_downtime_seconds=0.0)
-        with pytest.raises(ValueError, match="bake_seconds"):
-            DeploymentPlan(version=version, start_time=0.0, bake_seconds=0.0)
+            RolloutPlan(
+                version=version,
+                start_time=0.0,
+                stage_sizes=(1, 3),
+                deploy_downtime_seconds=0.0,
+            )
+        with pytest.raises(ValueError, match="stage_bake_seconds"):
+            RolloutPlan(
+                version=version, start_time=0.0, stage_sizes=(1, 3), stage_bake_seconds=0.0
+            )
 
     def test_analyzer_rejects_trivial_ratio_threshold(self):
         with pytest.raises(ValueError, match="growth_ratio_threshold"):
             CanaryAnalyzer(growth_ratio_threshold=1.0)
 
+    def _unmonitored(self, stage_sizes):
+        return ExperimentConfig(
+            name="unmonitored-rollout",
+            seed=1,
+            scale=PopulationScale.tiny(),
+            constant_ebs=10,
+            duration=30.0,
+            monitored=False,
+            shards=2,
+            rollout=RolloutPlan(
+                version=ComponentVersion(component="home", version="v2"),
+                start_time=5.0,
+                stage_sizes=stage_sizes,
+                stage_bake_seconds=10.0,
+                stagger_seconds=5.0,
+                deploy_downtime_seconds=1.0,
+            ),
+        )
+
     def test_canary_rollout_requires_monitoring(self):
-        version = ComponentVersion(component="home", version="v2")
         with pytest.raises(ValueError, match="monitored"):
-            run_experiment(
-                ExperimentConfig(
-                    name="unmonitored-canary",
-                    seed=1,
-                    scale=PopulationScale.tiny(),
-                    constant_ebs=10,
-                    duration=30.0,
-                    monitored=False,
-                    shards=2,
-                    rollout=DeploymentPlan(version=version, start_time=5.0, bake_seconds=10.0),
-                )
-            )
+            run_experiment(self._unmonitored((1, 2)))
+
+    def test_blind_rollout_runs_on_an_unmonitored_fleet(self):
+        """A single-stage ladder rules nothing, so it needs no manager series."""
+        rollout = run_experiment(self._unmonitored((2,))).rollout
+        assert rollout.verdict is None
+        assert set(rollout.versions.values()) == {"v2"}
+        assert [event["action"] for event in rollout.events] == [
+            "deploy",
+            "deploy",
+            "complete",
+        ]
 
 
 class TestHealthyPromotion:
@@ -77,14 +103,14 @@ class TestHealthyPromotion:
             monitored=True,
             shards=3,
             snapshot_interval=5.0,
-            rollout=DeploymentPlan(
+            rollout=RolloutPlan(
                 version=version,
                 start_time=20.0,
+                stage_sizes=(1, 3),
+                stage_bake_seconds=30.0,
                 stagger_seconds=10.0,
                 deploy_downtime_seconds=1.0,
-                canary=True,
-                canary_shard=2,
-                bake_seconds=30.0,
+                alert_rollback=False,
             ),
         )
         result = run_experiment(config)
@@ -96,6 +122,7 @@ class TestHealthyPromotion:
         actions = [event["action"] for event in rollout.events]
         assert actions.count("deploy") == 3
         assert "promote" in actions and "rollback" not in actions
+        assert actions[-1] == "complete"
 
 
 class TestFigCanary:
@@ -168,18 +195,15 @@ class TestFigCanary:
 
 
 class TestCanaryEdgeCases:
-    """Regression tests for the three canary edge-case fixes."""
+    """Regression tests for the canary ladder's edge cases."""
 
     def _config(self, **rollout_kwargs):
-        version = rollout_kwargs.pop(
-            "version", ComponentVersion(component="home", version="v2-clean")
-        )
         defaults = dict(
-            version=version,
+            version=ComponentVersion(component="home", version="v2-clean"),
             start_time=20.0,
-            canary=True,
-            canary_shard=2,
+            stage_sizes=(1, 3),
             deploy_downtime_seconds=1.0,
+            alert_rollback=False,
         )
         defaults.update(rollout_kwargs)
         return ExperimentConfig(
@@ -191,22 +215,12 @@ class TestCanaryEdgeCases:
             monitored=True,
             shards=3,
             snapshot_interval=5.0,
-            rollout=DeploymentPlan(**defaults),
+            rollout=RolloutPlan(**defaults),
         )
-
-    def test_negative_canary_shard_is_rejected_at_plan_construction(self):
-        """A negative index used to wrap silently onto the last shard."""
-        version = ComponentVersion(component="home", version="v2")
-        with pytest.raises(ValueError, match="canary_shard must be >= 0"):
-            DeploymentPlan(version=version, start_time=0.0, canary=True, canary_shard=-1)
-
-    def test_out_of_range_canary_shard_names_the_shard_count(self):
-        with pytest.raises(ValueError, match=r"canary shard 5 outside the cluster \(shards: 3\)"):
-            run_experiment(self._config(canary_shard=5))
 
     def test_bake_past_run_end_rules_at_end_of_run_as_truncated(self):
         """A bake window past the run end used to leave the canary unruled."""
-        result = run_experiment(self._config(bake_seconds=500.0))
+        result = run_experiment(self._config(stage_bake_seconds=500.0))
         rollout = result.rollout
         assert rollout.verdict is not None
         assert rollout.verdict.truncated_bake
@@ -216,7 +230,7 @@ class TestCanaryEdgeCases:
 
     def test_starved_bake_window_refuses_to_rule_and_rolls_back(self):
         """Fewer than two samples used to promote on no evidence at all."""
-        config = self._config(bake_seconds=4.0)
+        config = self._config(stage_bake_seconds=4.0)
         config.snapshot_interval = 15.0
         result = run_experiment(config)
         rollout = result.rollout
@@ -247,3 +261,6 @@ class TestCanaryCli:
         assert "True" in out
         assert "final counters match the post-hoc ledger" in out
         assert stream.exists()
+
+        assert main(["replay", str(stream)]) == 0
+        assert "byte-identical" in capsys.readouterr().out

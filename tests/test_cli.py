@@ -236,6 +236,25 @@ class TestScenarioRegistry:
         assert defaults.shards == 3
         assert defaults.stream_metrics is None
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["canary", "--shards", "2"], "at least 3 shards"),
+            (["rollout", "--shards", "two"], "invalid int value"),
+            (["rollout", "--duration-scale", "0"], "must be a positive number"),
+            (["fig4", "--duration-scale", "-0.5"], "must be a positive number"),
+            (["canary", "--duration-scale", "nan"], "must be a positive number"),
+        ],
+    )
+    def test_bad_scenario_arguments_exit_2_with_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and message in error_lines[0]
+
 
 class TestUnknownCommand:
     def test_unknown_command_prints_registry_table(self, capsys):

@@ -20,10 +20,11 @@ from repro.experiments.reporting import (
     canary_report_artifacts,
     fleet_report,
     fleet_report_artifacts,
+    rollout_report_artifacts,
     rows_to_csv,
     rows_to_markdown,
 )
-from repro.experiments.scenarios import fig_canary, fig_fleet
+from repro.experiments.scenarios import fig_canary, fig_fleet, fig_rollout
 from repro.tpcw.population import PopulationScale
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -68,6 +69,7 @@ class TestGoldenSnapshots:
 
         fleet  = fig_fleet(duration_scale=0.02, seed=42, scale=tiny, shards=2)
         canary = fig_canary(duration_scale=0.02, seed=42, scale=tiny)
+        rollout = fig_rollout(duration_scale=0.02, seed=42, scale=tiny)
     """
 
     @pytest.fixture(scope="class")
@@ -80,6 +82,10 @@ class TestGoldenSnapshots:
     def canary(self):
         return fig_canary(duration_scale=0.02, seed=42, scale=PopulationScale.tiny())
 
+    @pytest.fixture(scope="class")
+    def rollout(self):
+        return fig_rollout(duration_scale=0.02, seed=42, scale=PopulationScale.tiny())
+
     def test_fleet_artifacts_match_golden(self, fleet):
         artifacts = fleet_report_artifacts(fleet)
         assert artifacts["markdown"] == (GOLDEN_DIR / "fleet_summary.md").read_text()
@@ -89,6 +95,11 @@ class TestGoldenSnapshots:
         artifacts = canary_report_artifacts(canary)
         assert artifacts["markdown"] == (GOLDEN_DIR / "canary_summary.md").read_text()
         assert artifacts["csv"] == (GOLDEN_DIR / "canary_summary.csv").read_text()
+
+    def test_rollout_artifacts_match_golden(self, rollout):
+        artifacts = rollout_report_artifacts(rollout)
+        assert artifacts["markdown"] == (GOLDEN_DIR / "rollout_summary.md").read_text()
+        assert artifacts["csv"] == (GOLDEN_DIR / "rollout_summary.csv").read_text()
 
     def test_fleet_report_renders_over_the_same_run(self, fleet):
         text = fleet_report(fleet)

@@ -55,6 +55,63 @@ class TestLadderAndPlanValidation:
             plan.ladder(5)
 
 
+def _clean_run(shards, stage_sizes, duration, start_time, bake=30.0, seed=9):
+    return run_experiment(
+        ExperimentConfig(
+            name="ladder-shape",
+            seed=seed,
+            scale=PopulationScale.tiny(),
+            constant_ebs=30,
+            duration=duration,
+            monitored=True,
+            shards=shards,
+            snapshot_interval=5.0,
+            rollout=RolloutPlan(
+                version=CLEAN,
+                start_time=start_time,
+                stage_sizes=stage_sizes,
+                stage_bake_seconds=bake,
+                stagger_seconds=10.0,
+                deploy_downtime_seconds=1.0,
+                alert_rollback=False,
+            ),
+        )
+    ).rollout
+
+
+class TestDeployOrderAndRunEnd:
+    @pytest.mark.parametrize(
+        "stage_sizes, order", [((1, 4), [3, 0, 1, 2]), ((4,), [0, 1, 2, 3])]
+    )
+    def test_first_stage_takes_the_top_shards_then_the_rest_ascend(
+        self, stage_sizes, order
+    ):
+        report = _clean_run(4, stage_sizes, duration=120.0, start_time=20.0)
+        assert report.completed
+        deployed = [event["shard"] for event in report.events if event["action"] == "deploy"]
+        assert deployed == order
+
+    def test_no_deploy_lands_at_the_run_end(self):
+        """Slots at 40 / 50 / 60 s of a 60 s run: the last one is skipped."""
+        report = _clean_run(3, (3,), duration=60.0, start_time=40.0)
+        assert [(e["time_s"], e["action"]) for e in report.events] == [
+            (40.0, "deploy"),
+            (50.0, "deploy"),
+        ]
+        assert report.outage_seconds == pytest.approx(2.0)
+        assert not report.completed
+
+    def test_no_stage_starts_at_the_run_end(self):
+        """Ruled at 50 s with a 10 s stagger: the next stage would start at 60 s."""
+        report = _clean_run(3, (1, 3), duration=60.0, start_time=20.0)
+        assert [(e["time_s"], e["action"]) for e in report.events] == [
+            (20.0, "deploy"),
+            (50.0, "promote"),
+        ]
+        assert [row["stage"] for row in report.stages] == [0]
+        assert report.outage_seconds == pytest.approx(1.0)
+
+
 class TestHealthyStagedRollout:
     @pytest.fixture(scope="class")
     def report(self):
