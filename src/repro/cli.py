@@ -23,42 +23,24 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._version import __version__
 from repro.experiments.environment import environment_rows
 from repro.experiments.reporting import (
-    adaptive_report,
-    canary_report,
+    comparison_report,
     fig3_report,
     fig6_report,
-    fleet_report,
     format_table,
     leak_scenario_report,
-    learning_report,
-    mixed_report,
-    rejuvenation_report,
-    retry_storm_report,
-    rollout_report,
-    scale_report,
-    zoo_report,
 )
 from repro.experiments.scenarios import (
+    COMPARISONS,
     fig3_overhead,
     fig4_single_leak,
     fig5_multi_leak,
     fig6_manager_map,
     fig7_injection_sizes,
-    fig_adaptive,
-    fig_canary,
-    fig_fleet,
-    fig_learning,
-    fig_mixed,
-    fig_rejuvenation,
-    fig_retry_storm,
-    fig_rollout,
-    fig_scale,
-    fig_zoo,
 )
 from repro.tpcw.population import PopulationScale
 
@@ -71,6 +53,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of an int > 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
@@ -242,76 +235,6 @@ def _cmd_bench_compare(old_path: str, new_path: str) -> int:
     return 0
 
 
-def _cmd_rejuvenation(args: argparse.Namespace) -> int:
-    scenario = fig_rejuvenation(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(rejuvenation_report(scenario))
-    return 0
-
-
-def _cmd_adaptive(args: argparse.Namespace) -> int:
-    scenario = fig_adaptive(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(adaptive_report(scenario))
-    return 0
-
-
-def _cmd_mixed(args: argparse.Namespace) -> int:
-    scenario = fig_mixed(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        dual_leak=args.dual,
-    )
-    print(mixed_report(scenario))
-    return 0
-
-
-def _cmd_learning(args: argparse.Namespace) -> int:
-    scenario = fig_learning(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        runs=args.runs,
-        store_path=args.store,
-    )
-    print(learning_report(scenario))
-    return 0
-
-
-def _cmd_zoo(args: argparse.Namespace) -> int:
-    scenario = fig_zoo(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(zoo_report(scenario))
-    return 0
-
-
-def _cmd_storm(args: argparse.Namespace) -> int:
-    scenario = fig_retry_storm(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(retry_storm_report(scenario))
-    return 0 if scenario.cost_delta() > 0 else 1
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    scenario = fig_fleet(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        balancer_policy=args.balancer,
-    )
-    print(fleet_report(scenario))
-    return 0 if scenario.rolling_wins() else 1
-
-
 def _check_streamed_ledger(path: str, ledger: Dict[str, int]) -> int:
     """Exit code of the streamed-plane check: the final JSONL record's
     counters must equal the run's post-hoc ledger (0), else 2."""
@@ -333,40 +256,6 @@ def _check_streamed_ledger(path: str, ledger: Dict[str, int]) -> int:
         f"(replay the rulings with: repro replay {path})"
     )
     return 0
-
-
-def _cmd_canary(args: argparse.Namespace) -> int:
-    scenario = fig_canary(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        stream_metrics=args.stream_metrics,
-    )
-    print(canary_report(scenario))
-    if args.stream_metrics and _check_streamed_ledger(
-        args.stream_metrics, dict(scenario.results["canary"].accounting)
-    ):
-        return 2
-    return 0 if scenario.canary_wins() else 1
-
-
-def _cmd_rollout(args: argparse.Namespace) -> int:
-    scenario = fig_rollout(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        stream_metrics=args.stream_metrics,
-    )
-    print(rollout_report(scenario))
-    if args.stream_metrics and _check_streamed_ledger(
-        args.stream_metrics, dict(scenario.results["staged"].accounting)
-    ):
-        return 2
-    return 0 if scenario.staged_wins() else 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -457,20 +346,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    scenario = fig_scale(
-        duration_scale=args.duration_scale,
-        seed=args.seed,
-        scale=_population(args),
-        ebs=args.ebs,
-        shards=args.shards,
-        population_factor=args.population_factor,
-        tracer_fraction=args.tracer_fraction,
-    )
-    print(scale_report(scenario))
-    return 0 if scenario.within_bands() else 1
-
-
 def _cmd_ablate(args: argparse.Namespace) -> int:
     from repro.experiments.ablation import (
         AblationManifest,
@@ -534,136 +409,190 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_comparison(args: argparse.Namespace) -> int:
+    """Build the subcommand's comparison, run it and print its report.
+
+    The comparison is built before anything runs, so a builder's
+    ``ValueError`` (bad shard count, too few runs, ...) exits 2 with one
+    line.  A failed claim exits 1; a streamed run whose final JSONL record
+    disagrees with the post-hoc ledger exits 2.
+    """
+    try:
+        comparison = COMPARISONS[args.command](
+            duration_scale=args.duration_scale,
+            seed=args.seed,
+            scale=_population(args),
+            ebs=args.ebs,
+            **{dest: getattr(args, dest) for dest in args.options},
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    scenario = comparison.run()
+    print(comparison_report(scenario))
+    for result in scenario.results.values():
+        path = result.config.stream_metrics
+        if path and _check_streamed_ledger(path, dict(result.accounting)):
+            return 2
+    return 0 if scenario.holds() else 1
+
+
 # --------------------------------------------------------------------------- #
 # Scenario registry
 # --------------------------------------------------------------------------- #
+#: One subcommand-specific argument: ``(flag, add_argument kwargs)``.
+Option = Tuple[str, Dict[str, object]]
+
+#: Help of the sharded comparisons' ``--shards``.
+_SHARDS_HELP = "application-server instances behind the balancer"
+
+
 @dataclass(frozen=True)
 class ScenarioCommand:
-    """One scenario subcommand: parser shape + handler, in one row.
+    """One subcommand: parser shape + handler, in one row.
 
-    New scenarios plug in by appending a row to :data:`SCENARIO_COMMANDS`
-    (or calling :func:`register_scenario`); the parser builder and the
-    dispatcher never change.
+    New subcommands plug in by appending a row to :data:`SCENARIO_COMMANDS`
+    (or :data:`UTILITY_COMMANDS`); the parser builder and the dispatcher
+    never change.  A comparison command (the default handler) builds
+    ``COMPARISONS[name]`` from the shared knobs plus every option, passed as
+    the keyword argument named by the option's ``dest``.
     """
 
     name: str
     help: str
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[argparse.Namespace], int] = _cmd_comparison
+    #: Whether the subcommand takes the shared ``--seed``,
+    #: ``--duration-scale`` and ``--tiny`` knobs.
+    common: bool = True
     #: Whether the subcommand takes the shared ``--ebs`` knob.
     include_ebs: bool = True
-    #: Hook adding subcommand-specific arguments to its subparser.
-    extra_args: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    #: Subcommand-specific arguments.
+    options: Tuple[Option, ...] = ()
 
 
-def _mixed_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--dual",
-        action="store_true",
-        help="dual-leak variant: the same component leaks heap AND connections",
-    )
-
-
-def _learning_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--runs", type=int, default=4, help="repeated runs per mode (cold/warm)")
-    sub.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="calibration store JSON path (default: a fresh temporary file)",
-    )
-
-
-def _fleet_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=4, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--balancer",
-        choices=["sticky", "round-robin", "least-occupancy"],
-        default="sticky",
-        help="load-balancer policy",
-    )
-
-
-def _deploy_shards(text: str) -> int:
-    """``--shards`` of the deploy comparisons: the deployed stage needs at
-    least two baseline shards to be ruled against."""
-    try:
-        shards = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if shards < 3:
-        raise argparse.ArgumentTypeError(
-            f"a deploy comparison needs at least 3 shards "
-            f"(a deployed stage + >=2 baselines), got {shards}"
-        )
-    return shards
-
-
-def _deploy_args(
-    default_shards: int, streamed_run: str
-) -> Callable[[argparse.ArgumentParser], None]:
-    """The shared argument builder of the deploy comparisons."""
-
-    def add(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--shards",
-            type=_deploy_shards,
-            default=default_shards,
-            help="application-server instances behind the balancer (>= 3)",
-        )
-        sub.add_argument(
+def _deploy_options(default_shards: int, streamed_run: str) -> Tuple[Option, ...]:
+    """The shared arguments of the deploy comparisons."""
+    return (
+        ("--shards", dict(type=int, default=default_shards, help=f"{_SHARDS_HELP} (>= 3)")),
+        (
             "--stream-metrics",
-            metavar="PATH",
-            default=None,
-            help=f"stream observability snapshots of the {streamed_run} run to "
-            "a JSONL file (replayable with `repro replay`)",
-        )
-
-    return add
-
-
-def _scale_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--shards", type=int, default=2, help="application-server instances behind the balancer"
-    )
-    sub.add_argument(
-        "--population-factor",
-        type=int,
-        default=100,
-        help="bulk-population multiplier of the scaled hybrid run",
-    )
-    sub.add_argument(
-        "--tracer-fraction",
-        type=float,
-        default=0.02,
-        help="fraction of EBs kept on the discrete servlet/SQL path",
+            dict(
+                metavar="PATH",
+                default=None,
+                help=f"stream observability snapshots of the {streamed_run} run to "
+                "a JSONL file (replayable with `repro replay`)",
+            ),
+        ),
     )
 
+
+UTILITY_COMMANDS: List[ScenarioCommand] = [
+    ScenarioCommand("environment", "print Table I (paper vs. reproduction)", _cmd_environment, common=False),
+    ScenarioCommand(
+        "quickstart",
+        "install the framework, inject a leak, diagnose",
+        _cmd_quickstart,
+        options=(
+            ("--component", dict(default="home", help="component to inject the leak into")),
+            ("--leak-kb", dict(type=int, default=100, help="leak size in KB")),
+            ("--period-n", dict(type=int, default=20, help="injection countdown parameter N")),
+        ),
+    ),
+    ScenarioCommand(
+        "bench",
+        "run the perf microbenchmarks (speedups vs. the seed baseline)",
+        _cmd_bench,
+        common=False,
+        options=(
+            ("--json", dict(metavar="PATH", help="write a BENCH_perf.json artifact")),
+            ("--only", dict(metavar="NAMES", help="comma-separated benchmark names")),
+            ("--list", dict(action="store_true", help="list benchmark names and exit")),
+            ("--seed", dict(type=int, default=None, help="override REPRO_BENCH_SEED")),
+            ("--duration-scale", dict(type=_positive_float, default=None, help="override REPRO_BENCH_DURATION_SCALE")),
+            ("--tiny", dict(action="store_true", help="tiny iteration counts (CI smoke; REPRO_BENCH_TINY=1)")),
+            (
+                "--compare",
+                dict(
+                    nargs=2,
+                    metavar=("OLD.json", "NEW.json"),
+                    help="compare two bench artifacts per (name, options); exit non-zero "
+                    "on a >10%% speedup regression of any previously-passing bench",
+                ),
+            ),
+        ),
+    ),
+    ScenarioCommand(
+        "ablate",
+        "run the policy × fault × mechanism × seed ablation matrix and "
+        "write ranked importance/regret reports",
+        _cmd_ablate,
+        common=False,
+        options=(
+            ("--manifest", dict(metavar="PATH", default=None, help="manifest JSON path")),
+            ("--preset", dict(choices=["default", "smoke"], default="default", help="built-in manifest to run when --manifest is not given")),
+            ("--out", dict(metavar="DIR", default="benchmarks/results", help="directory the ablation_<name>.{json,csv,md} artifacts go to")),
+            ("--duration-scale", dict(type=_positive_float, default=None, help="override the manifest's duration scale")),
+            ("--tiny", dict(action="store_true", help="force the small test database population")),
+            ("--jobs", dict(type=int, default=1, help="worker processes for matrix cells (1 = serial; reports are byte-identical either way)")),
+        ),
+    ),
+    ScenarioCommand(
+        "replay",
+        "feed a recorded JSONL metrics stream back through the canary "
+        "analyzer offline (verify byte-identity, or tune thresholds)",
+        _cmd_replay,
+        common=False,
+        options=(
+            ("stream", dict(metavar="STREAM.jsonl", help="stream recorded with --stream-metrics")),
+            ("--growth-ratio-threshold", dict(type=float, default=None, help="re-rule under this growth-ratio threshold instead of the recorded one")),
+            ("--alpha", dict(type=float, default=None, help="re-rule under this Mann-Kendall significance level")),
+            ("--burn-delta-threshold", dict(type=float, default=None, help="re-rule under this SLA-burn delta threshold")),
+        ),
+    ),
+]
 
 SCENARIO_COMMANDS: List[ScenarioCommand] = [
     ScenarioCommand("fig3", "overhead experiment (monitored vs. unmonitored throughput)", _cmd_fig3, include_ebs=False),
     ScenarioCommand("fig4", "single-leak experiment", _cmd_fig4),
     ScenarioCommand("fig5", "four identical leaks (+ the Fig. 6 map)", _cmd_fig5),
     ScenarioCommand("fig7", "heterogeneous leak sizes", _cmd_fig7),
-    ScenarioCommand("rejuvenation", "live rejuvenation: no action vs. restarts vs. micro-reboots", _cmd_rejuvenation),
-    ScenarioCommand("adaptive", "adaptive rejuvenation & SLA comparison over memory/thread/connection leaks", _cmd_adaptive),
-    ScenarioCommand("mixed", "mixed faults: concurrent heap + connection leaks in different components", _cmd_mixed, extra_args=_mixed_args),
-    ScenarioCommand("learning", "cross-run calibration learning: cold vs. warm-started adaptive", _cmd_learning, extra_args=_learning_args),
-    ScenarioCommand("zoo", "fault zoo: five degradation modes + cascade-aware attribution verdicts", _cmd_zoo),
-    ScenarioCommand("storm", "retry storm: naive immediate retries vs. backoff + circuit breaker", _cmd_storm),
-    ScenarioCommand("fleet", "sharded fleet: rolling vs. simultaneous vs. no-action rejuvenation", _cmd_fleet, extra_args=_fleet_args),
-    ScenarioCommand("canary", "canary deploy of a leaky build: catch + rollback vs. blind rollout", _cmd_canary, extra_args=_deploy_args(3, "canary")),
-    ScenarioCommand("rollout", "progressive delivery: staged ladder + alert-driven rollback vs. single canary vs. blind", _cmd_rollout, extra_args=_deploy_args(4, "staged")),
-    ScenarioCommand("scale", "hybrid fluid/discrete engine: 1x validation bands + scaled population", _cmd_scale, extra_args=_scale_args),
+    ScenarioCommand("rejuvenation", "live rejuvenation: no action vs. restarts vs. micro-reboots"),
+    ScenarioCommand("adaptive", "adaptive rejuvenation & SLA comparison over memory/thread/connection leaks"),
+    ScenarioCommand(
+        "mixed",
+        "mixed faults: concurrent heap + connection leaks in different components",
+        options=(("--dual", dict(dest="dual_leak", action="store_true", help="dual-leak variant: the same component leaks heap AND connections")),),
+    ),
+    ScenarioCommand(
+        "learning",
+        "cross-run calibration learning: cold vs. warm-started adaptive",
+        options=(
+            ("--runs", dict(type=int, default=4, help="repeated runs per mode (cold/warm)")),
+            ("--store", dict(dest="store_path", metavar="PATH", default=None, help="calibration store JSON path (default: a fresh temporary file)")),
+        ),
+    ),
+    ScenarioCommand("zoo", "fault zoo: five degradation modes + cascade-aware attribution verdicts"),
+    ScenarioCommand("storm", "retry storm: naive immediate retries vs. backoff + circuit breaker"),
+    ScenarioCommand(
+        "fleet",
+        "sharded fleet: rolling vs. simultaneous vs. no-action rejuvenation",
+        options=(
+            ("--shards", dict(type=int, default=4, help=_SHARDS_HELP)),
+            ("--balancer", dict(dest="balancer_policy", choices=["sticky", "round-robin", "least-occupancy"], default="sticky", help="load-balancer policy")),
+        ),
+    ),
+    ScenarioCommand("canary", "canary deploy of a leaky build: catch + rollback vs. blind rollout", options=_deploy_options(3, "canary")),
+    ScenarioCommand("rollout", "progressive delivery: staged ladder + alert-driven rollback vs. single canary vs. blind", options=_deploy_options(4, "staged")),
+    ScenarioCommand(
+        "scale",
+        "hybrid fluid/discrete engine: 1x validation bands + scaled population",
+        options=(
+            ("--shards", dict(type=int, default=2, help=_SHARDS_HELP)),
+            ("--population-factor", dict(type=int, default=100, help="bulk-population multiplier of the scaled hybrid run")),
+            ("--tracer-fraction", dict(type=float, default=0.02, help="fraction of EBs kept on the discrete servlet/SQL path")),
+        ),
+    ),
 ]
-
-
-def register_scenario(command: ScenarioCommand) -> None:
-    """Add a scenario subcommand to the registry (idempotent by name)."""
-    if any(existing.name == command.name for existing in SCENARIO_COMMANDS):
-        raise ValueError(f"scenario command {command.name!r} is already registered")
-    SCENARIO_COMMANDS.append(command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,169 +602,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Software-aging root-cause determination (Alonso et al. 2010) — reproduction CLI",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser, include_ebs: bool = True) -> None:
-        sub.add_argument("--seed", type=int, default=42, help="master random seed")
-        sub.add_argument(
-            "--duration-scale",
-            type=_positive_float,
-            default=0.1,
-            help="scale of the paper's one-hour experiments (1.0 = full length)",
-        )
-        sub.add_argument("--tiny", action="store_true", help="use the small test database population")
-        if include_ebs:
-            sub.add_argument("--ebs", type=int, default=100, help="number of Emulated Browsers")
-
-    environment_parser = subparsers.add_parser("environment", help="print Table I (paper vs. reproduction)")
-    environment_parser.set_defaults(handler=_cmd_environment)
-
-    quickstart_parser = subparsers.add_parser("quickstart", help="install the framework, inject a leak, diagnose")
-    add_common(quickstart_parser)
-    quickstart_parser.add_argument("--component", default="home", help="component to inject the leak into")
-    quickstart_parser.add_argument("--leak-kb", type=int, default=100, help="leak size in KB")
-    quickstart_parser.add_argument("--period-n", type=int, default=20, help="injection countdown parameter N")
-    quickstart_parser.set_defaults(handler=_cmd_quickstart)
-
-    for command in SCENARIO_COMMANDS:
+    for command in UTILITY_COMMANDS + SCENARIO_COMMANDS:
         sub = subparsers.add_parser(command.name, help=command.help)
-        add_common(sub, include_ebs=command.include_ebs)
-        if command.extra_args is not None:
-            command.extra_args(sub)
-        sub.set_defaults(handler=command.handler)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the perf microbenchmarks (speedups vs. the seed baseline)"
-    )
-    bench_parser.add_argument("--json", metavar="PATH", help="write a BENCH_perf.json artifact")
-    bench_parser.add_argument("--only", metavar="NAMES", help="comma-separated benchmark names")
-    bench_parser.add_argument("--list", action="store_true", help="list benchmark names and exit")
-    bench_parser.add_argument("--seed", type=int, default=None, help="override REPRO_BENCH_SEED")
-    bench_parser.add_argument(
-        "--duration-scale", type=float, default=None, help="override REPRO_BENCH_DURATION_SCALE"
-    )
-    bench_parser.add_argument(
-        "--tiny", action="store_true", help="tiny iteration counts (CI smoke; REPRO_BENCH_TINY=1)"
-    )
-    bench_parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD.json", "NEW.json"),
-        help="compare two bench artifacts per (name, options); exit non-zero "
-        "on a >10%% speedup regression of any previously-passing bench",
-    )
-    bench_parser.set_defaults(handler=_cmd_bench)
-
-    ablate_parser = subparsers.add_parser(
-        "ablate",
-        help="run the policy × fault × mechanism × seed ablation matrix and "
-        "write ranked importance/regret reports",
-    )
-    ablate_parser.add_argument(
-        "--manifest", metavar="PATH", default=None, help="manifest JSON path"
-    )
-    ablate_parser.add_argument(
-        "--preset",
-        choices=["default", "smoke"],
-        default="default",
-        help="built-in manifest to run when --manifest is not given",
-    )
-    ablate_parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default="benchmarks/results",
-        help="directory the ablation_<name>.{json,csv,md} artifacts go to",
-    )
-    ablate_parser.add_argument(
-        "--duration-scale",
-        type=float,
-        default=None,
-        help="override the manifest's duration scale",
-    )
-    ablate_parser.add_argument(
-        "--tiny", action="store_true", help="force the small test database population"
-    )
-    ablate_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for matrix cells (1 = serial; reports are "
-        "byte-identical either way)",
-    )
-    ablate_parser.set_defaults(handler=_cmd_ablate)
-
-    replay_parser = subparsers.add_parser(
-        "replay",
-        help="feed a recorded JSONL metrics stream back through the canary "
-        "analyzer offline (verify byte-identity, or tune thresholds)",
-    )
-    replay_parser.add_argument(
-        "stream", metavar="STREAM.jsonl", help="stream recorded with --stream-metrics"
-    )
-    replay_parser.add_argument(
-        "--growth-ratio-threshold",
-        type=float,
-        default=None,
-        help="re-rule under this growth-ratio threshold instead of the recorded one",
-    )
-    replay_parser.add_argument(
-        "--alpha",
-        type=float,
-        default=None,
-        help="re-rule under this Mann-Kendall significance level",
-    )
-    replay_parser.add_argument(
-        "--burn-delta-threshold",
-        type=float,
-        default=None,
-        help="re-rule under this SLA-burn delta threshold",
-    )
-    replay_parser.set_defaults(handler=_cmd_replay)
-
+        if command.common:
+            sub.add_argument("--seed", type=int, default=42, help="master random seed")
+            sub.add_argument(
+                "--duration-scale",
+                type=_positive_float,
+                default=0.1,
+                help="scale of the paper's one-hour experiments (1.0 = full length)",
+            )
+            sub.add_argument("--tiny", action="store_true", help="use the small test database population")
+        if command.common and command.include_ebs:
+            sub.add_argument("--ebs", type=_positive_int, default=100, help="number of Emulated Browsers")
+        options = [sub.add_argument(flag, **spec).dest for flag, spec in command.options]
+        sub.set_defaults(handler=command.handler, options=options)
     return parser
-
-
-#: Non-scenario subcommands and their one-line help, for the registry table.
-_UTILITY_COMMANDS = [
-    ("environment", "print Table I (paper vs. reproduction)"),
-    ("quickstart", "install the framework, inject a leak, diagnose"),
-    ("bench", "run the perf microbenchmarks (speedups vs. the seed baseline)"),
-    ("ablate", "run the policy × fault × mechanism × seed ablation matrix"),
-    ("replay", "replay a recorded metrics stream through the canary analyzer offline"),
-]
-
-
-def _registry_table() -> str:
-    """The full command registry as a table (shown on unknown commands)."""
-    rows = [
-        {"command": name, "what it runs": help_text}
-        for name, help_text in _UTILITY_COMMANDS
-    ]
-    rows += [
-        {"command": command.name, "what it runs": command.help}
-        for command in SCENARIO_COMMANDS
-    ]
-    return format_table(rows, ["command", "what it runs"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     arguments = list(sys.argv[1:] if argv is None else argv)
-    # A wrong or missing subcommand prints the scenario registry instead of
+    # A wrong or missing subcommand prints the command registry instead of
     # argparse's bare "invalid choice" error.  The only pre-subcommand flags
     # (-h/--help/--version) take no value, so the first non-flag argument is
     # the attempted command.
     command = next((arg for arg in arguments if not arg.startswith("-")), None)
-    known = {name for name, _ in _UTILITY_COMMANDS}
-    known.update(command_row.name for command_row in SCENARIO_COMMANDS)
+    commands = UTILITY_COMMANDS + SCENARIO_COMMANDS
     wants_help = any(arg in ("-h", "--help", "--version") for arg in arguments)
-    if (command is None and not wants_help) or (command is not None and command not in known):
+    if (command is None and not wants_help) or (
+        command is not None and command not in {row.name for row in commands}
+    ):
         if command is not None:
             print(f"error: unknown command {command!r}", file=sys.stderr)
         print("available commands:", file=sys.stderr)
-        print(_registry_table(), file=sys.stderr)
+        rows = [{"command": row.name, "what it runs": row.help} for row in commands]
+        print(format_table(rows, ["command", "what it runs"]), file=sys.stderr)
         return 2
     args = parser.parse_args(arguments)
     return args.handler(args)

@@ -7,7 +7,9 @@
   workload, and collect every series the figures need.
 * :mod:`repro.experiments.scenarios`   -- one function per figure
   (Fig. 3 overhead, Fig. 4 single leak, Fig. 5/6 multi leak + map,
-  Fig. 7 heterogeneous injection sizes) plus the ablation scenarios.
+  Fig. 7 heterogeneous injection sizes), the multi-run comparisons as
+  :class:`~repro.experiments.scenarios.Comparison` specs, and the ablation
+  scenarios.
 * :mod:`repro.experiments.reporting`   -- text rendering of results and
   paper-vs-measured comparisons.
 """
@@ -17,9 +19,11 @@ from __future__ import annotations
 from repro.experiments.environment import PAPER_TESTBED, simulated_environment
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
 from repro.experiments.scenarios import (
+    COMPARISONS,
+    Comparison,
+    ComparisonResult,
     Fig3Result,
     LeakScenarioResult,
-    RejuvenationScenarioResult,
     fig3_overhead,
     fig4_single_leak,
     fig5_multi_leak,
@@ -36,9 +40,11 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
+    "COMPARISONS",
+    "Comparison",
+    "ComparisonResult",
     "Fig3Result",
     "LeakScenarioResult",
-    "RejuvenationScenarioResult",
     "fig3_overhead",
     "fig4_single_leak",
     "fig5_multi_leak",

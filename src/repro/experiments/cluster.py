@@ -495,6 +495,21 @@ class FleetRejuvenationReport:
     #: Per-shard controller reports, in shard order.
     per_shard: List[RejuvenationReport] = field(default_factory=list)
 
+    def capacity_profile(self, duration: float) -> List[Tuple[float, float, float]]:
+        """Piecewise-constant ``(start, end, available_fraction)`` over
+        ``[0, duration]``: the share of shards not inside an outage window."""
+        shard_count = len(self.per_shard)
+        points = sorted(
+            {0.0, duration}
+            | {min(t, duration) for _, start, end in self.windows for t in (start, end)}
+        )
+        profile: List[Tuple[float, float, float]] = []
+        for left, right in zip(points, points[1:]):
+            midpoint = (left + right) / 2.0
+            down = sum(1 for _, start, end in self.windows if start <= midpoint < end)
+            profile.append((left, right, (shard_count - down) / shard_count))
+        return profile
+
 
 class FleetRejuvenationController:
     """Coordinates per-shard rejuvenation controllers into a fleet policy.
@@ -593,35 +608,6 @@ class FleetRejuvenationController:
                     out.append((index, event.time, event.ends_at))
         out.sort(key=lambda row: (row[1], row[0]))
         return out
-
-    def _capacity_profile(self, duration: float) -> List[Tuple[float, float, float]]:
-        """Piecewise-constant ``(start, end, available_fraction)`` over the run."""
-        shard_count = len(self.cluster.shards)
-        windows = self.windows()
-        boundaries = {0.0, duration}
-        for _, start, end in windows:
-            boundaries.add(min(start, duration))
-            boundaries.add(min(end, duration))
-        points = sorted(boundaries)
-        profile: List[Tuple[float, float, float]] = []
-        for left, right in zip(points, points[1:]):
-            midpoint = (left + right) / 2.0
-            down = sum(1 for _, start, end in windows if start <= midpoint < end)
-            profile.append((left, right, (shard_count - down) / shard_count))
-        return profile
-
-    def min_available_fraction(self, duration: float) -> float:
-        """The lowest fraction of shards simultaneously serving during the run."""
-        profile = self._capacity_profile(duration)
-        return min((fraction for _, _, fraction in profile), default=1.0)
-
-    def below_floor_seconds(self, floor: float, duration: float) -> float:
-        """Seconds the fleet's available fraction spent *below* ``floor``."""
-        return sum(
-            right - left
-            for left, right, fraction in self._capacity_profile(duration)
-            if fraction < floor - 1e-12
-        )
 
     def report(self) -> FleetRejuvenationReport:
         """Summarise the fleet controller's activity."""

@@ -1,11 +1,12 @@
-"""The paper's experiments (Figs. 3-7) plus ablation scenarios.
+"""The paper's experiments (Figs. 3-7), the multi-run comparisons and ablations.
 
 Every scenario takes a ``duration_scale`` so that benchmarks and tests can
 run a faithful-but-shorter version of the paper's one-hour experiments; the
 full-length runs use ``duration_scale=1.0``.  Component naming follows the
 paper: *A* and *B* are the two heavily (and similarly) used components, *C*
 a moderately used one, and *D* the rarely used one whose injected leak never
-fires.
+fires.  The multi-run comparisons (rejuvenation ... scale) are data: each
+builder returns a :class:`Comparison`, and :data:`COMPARISONS` lists them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.rejuvenation import (
     NoActionPolicy,
@@ -35,21 +37,22 @@ from repro.core.rootcause import (
 )
 from repro.experiments.deploy import (
     BASELINE_VERSION,
-    CanaryVerdict,
     ComponentVersion,
     RolloutPlan,
     RolloutReport,
 )
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
 from repro.faults.injector import FaultSpec
-from repro.obs.registry import MetricsRegistry
 from repro.faults.memory_leak import KB, MB
+from repro.obs.registry import MetricsRegistry
+from repro.sim.metrics import TimeSeries
 from repro.slo.adaptive_policy import AdaptiveRejuvenationPolicy
 from repro.slo.analytic import (
     HYBRID_DECISION_COUNT_SLACK,
     HYBRID_DECISION_TIME_FACTOR,
     HYBRID_THROUGHPUT_TOLERANCE,
     HYBRID_TTE_TOLERANCE_FACTOR,
+    TTE_TOLERANCE_FACTOR,
     LeakWorkloadModel,
     extrapolated_exhaustion_time,
     mmc_metrics,
@@ -348,26 +351,183 @@ def fig7_injection_sizes(
     )
 
 
-def run_sla_observation(
-    result: ExperimentResult, duration: float, exposure_seconds: float
-) -> SlaObservation:
-    """Fold one policy run's availability currencies into an :class:`SlaObservation`.
+# --------------------------------------------------------------------------- #
+# Multi-run comparisons as data
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Table:
+    """One extra report table of a comparison (the report skips it when empty)."""
+
+    caption: str
+    rows: List[Dict[str, object]]
+    #: Column order; ``None`` keeps the first row's keys.
+    columns: Optional[List[str]] = None
+    #: Free-text lines printed under the table.
+    notes: Tuple[str, ...] = ()
+
+
+@dataclass
+class Comparison:
+    """N same-seed runs that differ in a few config fields, scored alike.
+
+    Every comparison builder in :data:`COMPARISONS` does its sizing math and
+    returns one of these without running anything: the ordered
+    ``mode -> config`` map plus the per-scenario pieces that score,
+    tabulate and judge the runs.  :meth:`run` executes the configs in order;
+    one result type, one report renderer
+    (:func:`repro.experiments.reporting.comparison_report`) and one CLI
+    handler serve every comparison.
+    """
+
+    title: str
+    expectation: str
+    #: Context lines under the expectation (sizing, run length, ...).
+    context: List[str]
+    #: Mode -> the run's config, in execution order.
+    configs: Dict[str, ExperimentConfig]
+    #: One run's availability currencies; reads duration, capacities and
+    #: shard count off the run's own config.
+    observe: Callable[[ExperimentResult], SlaObservation]
+    #: Caption of the per-mode summary table.
+    caption: str
+    #: The summary table's columns, in order (keys of :data:`SUMMARY_COLUMNS`).
+    columns: Tuple[str, ...]
+    #: Extra report tables by key, in print order.
+    tables: Optional[Callable[["ComparisonResult"], Dict[str, Table]]] = None
+    #: ``(claim, predicate)``: the predicate's verdict sets the CLI exit code;
+    #: ``None`` for comparisons that report verdicts without gating on them.
+    claim: Optional[Tuple[str, Callable[["ComparisonResult"], bool]]] = None
+    cost_model: SlaCostModel = field(default_factory=SlaCostModel)
+
+    def run(self) -> "ComparisonResult":
+        """Execute every config, in order."""
+        return ComparisonResult(
+            self, {mode: run_experiment(config) for mode, config in self.configs.items()}
+        )
+
+
+@dataclass
+class ComparisonResult:
+    """The executed runs of one :class:`Comparison`."""
+
+    comparison: Comparison
+    #: Mode -> full experiment result, in execution order.
+    results: Dict[str, ExperimentResult]
+
+    def result(self, mode: str) -> ExperimentResult:
+        """The run executed under ``mode``."""
+        return self.results[mode]
+
+    def sla_observation(self, mode: str) -> SlaObservation:
+        """The raw availability currencies of one run."""
+        return self.comparison.observe(self.results[mode])
+
+    def sla_cost(self, mode: str) -> float:
+        """Scalar SLA cost of one run (see :mod:`repro.slo.cost_model`)."""
+        return self.comparison.cost_model.score(self.sla_observation(mode))
+
+    def summary_rows(self) -> List[Dict[str, object]]:
+        """One summary row per mode, in execution order."""
+        columns = self.comparison.columns
+        return [{name: SUMMARY_COLUMNS[name](self, mode) for name in columns} for mode in self.results]
+
+    def tables(self) -> Dict[str, Table]:
+        """The comparison's extra report tables."""
+        tables = self.comparison.tables
+        return tables(self) if tables is not None else {}
+
+    def claim_row(self) -> Optional[Dict[str, object]]:
+        """The claim and whether it holds (``None`` without a claim)."""
+        if self.comparison.claim is None:
+            return None
+        text, predicate = self.comparison.claim
+        return {"claim": text, "holds": predicate(self)}
+
+    def holds(self) -> bool:
+        """Whether the claim holds (vacuously true without one)."""
+        row = self.claim_row()
+        return row is None or bool(row["holds"])
+
+
+def _actions(result: ExperimentResult) -> int:
+    """Executed rejuvenation actions of one run, summed over its shards."""
+    return sum(
+        shard.controller.action_count
+        for shard in result.cluster.shards
+        if shard.controller is not None
+    )
+
+
+#: Rejuvenation channel -> (the ``"<jvm>"`` series it watches, the
+#: :class:`ServerConfig` field bounding that resource).
+_CHANNELS = {
+    "heap": ("heap_used", "heap_bytes"),
+    "threads": ("threads_total", "thread_capacity"),
+    "connections": ("connections_active", "pool_size"),
+}
+
+
+def watched_series(result: ExperimentResult) -> Tuple[TimeSeries, float]:
+    """A monitored run's series of its first rejuvenation channel (the heap
+    by default) and the configured capacity that series exhausts against."""
+    metric, bound = _CHANNELS[(result.config.rejuvenation_channels or ["heap"])[0]]
+    series = result.framework.manager.map.series("<jvm>", metric)
+    return series, float(getattr(result.config.server_config, bound))
+
+
+def rejuvenation_observation(result: ExperimentResult) -> SlaObservation:
+    """One single-server run's availability currencies.
 
     Shared by every rejuvenation comparison so downtime/refusal accounting
     can never diverge between reports: downtime and refusals come from the
     controller's report (zero without one), failures from the workload's
-    error count, exposure from the caller's resource-specific measurement.
+    error count, exposure from the seconds the watched series spent above
+    90 % of its capacity.
     """
-    rejuvenation = result.rejuvenation
+    series, capacity = watched_series(result)
+    report = result.rejuvenation
     return SlaObservation(
-        duration_seconds=duration,
-        downtime_seconds=(
-            rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
-        ),
-        exposure_seconds=exposure_seconds,
+        duration_seconds=result.config.duration,
+        downtime_seconds=report.total_downtime_seconds if report is not None else 0.0,
+        exposure_seconds=exposure_seconds(series, capacity, window_end=result.config.duration),
         failed_requests=result.error_count,
-        refused_requests=rejuvenation.refused_requests if rejuvenation is not None else 0,
+        refused_requests=report.refused_requests if report is not None else 0,
     )
+
+
+def client_observation(result: ExperimentResult) -> SlaObservation:
+    """Availability currencies as the clients see them: a timeout is a failed
+    page view, a breaker/shed refusal is paid refused load."""
+    return SlaObservation(
+        duration_seconds=result.config.duration,
+        downtime_seconds=0.0,
+        exposure_seconds=0.0,
+        failed_requests=result.error_count + result.client_timeouts,
+        refused_requests=result.refused_requests,
+    )
+
+
+def _base_config(
+    duration_scale: float, seed: int, scale: Optional[PopulationScale], ebs: int, **fields: object
+) -> ExperimentConfig:
+    """The shape every monitored comparison run shares: ``ebs`` constant EBs
+    under the shopping mix for ``3600 * duration_scale`` seconds, sampled
+    every ``max(2, 30 * duration_scale)`` seconds."""
+    return ExperimentConfig(
+        seed=seed,
+        scale=scale,
+        constant_ebs=ebs,
+        duration=3600.0 * duration_scale,
+        snapshot_interval=max(2.0, 30.0 * duration_scale),
+        **fields,
+    )
+
+
+def _run_length(duration_scale: float) -> float:
+    """Seconds of a comparison run: ``duration_scale`` of the paper's hour."""
+    if duration_scale <= 0:
+        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    return 3600.0 * duration_scale
 
 
 # --------------------------------------------------------------------------- #
@@ -390,17 +550,44 @@ _REQUESTS_PER_SECOND = 14.2
 #: with OOMs *near* the wall — the GC needs headroom — so both the analytic
 #: prediction and the realized crossing are read at this fraction.
 _HEAP_EXHAUSTION_FRACTION = 0.95
+#: Baseline live bytes of a freshly deployed TPC-W instance (sessions,
+#: instance state) — measured, not derived.
+_BASELINE_LIVE_BYTES = 2 * MB
+#: Leak fill of the fast-burning memory workload ``fig_adaptive``,
+#: ``fig_mixed`` and ``fig_learning`` share: the no-action wall arrives about
+#: a third of the way through the run (one definition, so their workload
+#: signatures stay comparable by construction).
+_FAST_LEAK_FILL = 0.35
 
 
-def _fast_leak_heap_bytes(visit_rate: float, duration: float) -> int:
-    """Heap sized so the fast-burning leak's no-action wall arrives about a
-    third of the way through the run — the shared memory workload of
-    ``fig_adaptive``, ``fig_mixed`` and ``fig_learning`` (one definition,
-    so their workload signatures stay comparable by construction)."""
-    expected_leak = (
-        visit_rate / REJUVENATION_PERIOD_N * REJUVENATION_LEAK_BYTES * duration
+def _leak_heap_bytes(
+    ebs: int,
+    window: float,
+    fill: float,
+    leak_bytes: int = REJUVENATION_LEAK_BYTES,
+    period_n: int = REJUVENATION_PERIOD_N,
+    shards: int = 1,
+    factor: int = 1,
+) -> int:
+    """Heap sized so ``fill`` of the component-A leak expected over
+    ``window`` seconds reaches its 92 % mark.  Each shard sees its balancer
+    share of the measured visit rate, which scales roughly linearly with
+    the number of browsers (closed-loop load); ``factor`` multiplies the
+    population."""
+    visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS / shards
+    expected_leak = visit_rate / period_n * leak_bytes * window
+    return int((_BASELINE_LIVE_BYTES + fill * expected_leak * factor) / 0.92)
+
+
+def _memory_leak(
+    leak_bytes: int = REJUVENATION_LEAK_BYTES, period_n: int = REJUVENATION_PERIOD_N
+) -> FaultSpec:
+    """Component A's memory leak (the rejuvenation scenarios' rate by default)."""
+    return FaultSpec(
+        component=COMPONENT_A,
+        kind="memory-leak",
+        params={"leak_bytes": leak_bytes, "period_n": period_n},
     )
-    return int((_BASELINE_LIVE_BYTES + 0.35 * expected_leak) / 0.92)
 
 
 def _tuned_adaptive_policy(
@@ -416,99 +603,63 @@ def _tuned_adaptive_policy(
         max_horizon=duration,
         microreboot_downtime=microreboot_downtime,
     )
-#: Baseline live bytes of a freshly deployed TPC-W instance (sessions,
-#: instance state) — measured, not derived.
-_BASELINE_LIVE_BYTES = 2 * MB
 
 
-@dataclass
-class RejuvenationScenarioResult:
-    """Outcome of the three-policy live rejuvenation comparison."""
+def _policy_set(duration: float, duration_scale: float) -> List[RejuvenationPolicy]:
+    """Fresh instances of the four single-server policies the rejuvenation
+    comparisons draw from: no action, time-based full restarts, proactive
+    and adaptive micro-reboots."""
+    microreboot_downtime = max(0.25, 2.0 * duration_scale)
+    return [
+        NoActionPolicy(),
+        TimeBasedRejuvenationPolicy(
+            interval=duration / 3.0, restart_downtime=max(2.0, 120.0 * duration_scale)
+        ),
+        ProactiveRejuvenationPolicy(
+            horizon=duration / 4.0, microreboot_downtime=microreboot_downtime, min_samples=4
+        ),
+        _tuned_adaptive_policy(duration, microreboot_downtime),
+    ]
 
-    #: Policy name -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    duration: float
-    injected_components: Dict[str, int]
 
-    def result(self, policy: str) -> ExperimentResult:
-        """The run executed under ``policy``."""
-        return self.results[policy]
+def _action_table(scenario: ComparisonResult, columns: List[str]) -> Table:
+    """Every executed rejuvenation action, one row per (policy, event)."""
+    rows = [
+        {
+            "policy": mode,
+            "time_s": round(event.time, 1),
+            "resource": event.resource,
+            "action": event.kind,
+            "component": event.component or "(whole server)",
+            "downtime_s": round(event.downtime_seconds, 2),
+            "reclaimed_threads": event.reclaimed_threads,
+            "reclaimed_connections": event.reclaimed_connections,
+            "reclaimed_kb": round(event.reclaimed_bytes / 1024.0, 1),
+            "reason": event.reason,
+        }
+        for mode, result in scenario.results.items()
+        if result.rejuvenation is not None
+        for event in result.rejuvenation.events
+    ]
+    return Table("executed actions", rows, ["policy", "time_s", *columns])
 
-    def downtime_seconds(self, policy: str) -> float:
-        """Total downtime the controller paid under ``policy``."""
-        rejuvenation = self.results[policy].rejuvenation
-        return rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
 
-    def exposure(self, policy: str) -> float:
-        """Seconds the run spent above 90 % heap occupancy."""
-        return exposure_seconds(
-            self.results[policy].heap_series, self.heap_capacity, window_end=self.duration
-        )
-
-    def sla_observation(self, policy: str) -> SlaObservation:
-        """The raw availability currencies of one policy run."""
-        return run_sla_observation(
-            self.results[policy], self.duration, self.exposure(policy)
-        )
-
-    def sla_cost(self, policy: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar SLA cost of one policy run (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(policy))
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per policy: availability, downtime, exposure and SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for name, result in self.results.items():
-            rejuvenation = result.rejuvenation
-            heap_series = result.heap_series
-            observation = self.sla_observation(name)
+def _heap_rows(scenario: ComparisonResult, points: int = 16) -> List[Dict[str, float]]:
+    """Down-sampled heap-occupancy curves, one row per (policy, time)."""
+    rows: List[Dict[str, float]] = []
+    for name, result in scenario.results.items():
+        series, capacity = watched_series(result)
+        stride = max(1, len(series) // points)
+        for time, value in zip(series.times[::stride], series.values[::stride]):
             rows.append(
                 {
                     "policy": name,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "mean_rps": round(result.mean_throughput(), 3),
-                    "actions": rejuvenation.actions if rejuvenation is not None else 0,
-                    "downtime_s": round(
-                        rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0, 2
-                    ),
-                    "refused": rejuvenation.refused_requests if rejuvenation is not None else 0,
-                    "reclaimed_mb": round(
-                        (rejuvenation.reclaimed_bytes if rejuvenation is not None else 0) / MB, 2
-                    ),
-                    "exposure_s": round(self.exposure(name), 1),
-                    "final_heap_mb": round(
-                        float(heap_series.values[-1]) / MB if len(heap_series) else 0.0, 2
-                    ),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
+                    "time_s": round(float(time), 1),
+                    "heap_used_mb": round(float(value) / MB, 2),
+                    "occupancy_pct": round(100.0 * float(value) / capacity, 1),
                 }
             )
-        return rows
-
-    def heap_rows(self, points: int = 16) -> List[Dict[str, float]]:
-        """Down-sampled heap-occupancy curves, one row per (policy, time)."""
-        rows: List[Dict[str, float]] = []
-        for name, result in self.results.items():
-            series = result.heap_series
-            if len(series) == 0:
-                continue
-            times = series.times
-            values = series.values
-            stride = max(1, len(times) // points)
-            for index in range(0, len(times), stride):
-                rows.append(
-                    {
-                        "policy": name,
-                        "time_s": round(float(times[index]), 1),
-                        "heap_used_mb": round(float(values[index]) / MB, 2),
-                        "occupancy_pct": round(100.0 * float(values[index]) / self.heap_capacity, 1),
-                    }
-                )
-        return rows
+    return rows
 
 
 def fig_rejuvenation(
@@ -519,7 +670,7 @@ def fig_rejuvenation(
     leak_bytes: int = REJUVENATION_LEAK_BYTES,
     period_n: int = REJUVENATION_PERIOD_N,
     heap_bytes: Optional[int] = None,
-) -> RejuvenationScenarioResult:
+) -> Comparison:
     """Three same-seed runs of a Fig. 5-style leak under live rejuvenation.
 
     The leak (component A, aggressive rate) is sized against the heap so the
@@ -531,61 +682,45 @@ def fig_rejuvenation(
     paper's rejuvenation argument in numbers: micro-reboots buy the same
     heap protection for a fraction of the downtime.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
+    duration = _run_length(duration_scale)
     if heap_bytes is None:
         # Size the wall so ~75 % of the expected leak fills it (see above).
-        # The measured visit rate is for the default EB population; closed-
-        # loop load scales roughly linearly with the number of browsers.
-        visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS
-        expected_leak = visit_rate / period_n * leak_bytes * duration
-        heap_bytes = int((_BASELINE_LIVE_BYTES + 0.75 * expected_leak) / 0.92)
-    policies: List[RejuvenationPolicy] = [
-        NoActionPolicy(),
-        TimeBasedRejuvenationPolicy(
-            interval=duration / 3.0,
-            restart_downtime=max(2.0, 120.0 * duration_scale),
+        heap_bytes = _leak_heap_bytes(ebs, duration, 0.75, leak_bytes, period_n)
+    base = _base_config(
+        duration_scale, seed, scale, ebs,
+        faults=[_memory_leak(leak_bytes, period_n)],
+        server_config=ServerConfig(heap_bytes=heap_bytes),
+    )
+    return Comparison(
+        title="Live rejuvenation: no action vs. full restarts vs. micro-reboots",
+        expectation="micro-reboots of the root-cause component buy the same "
+        "heap protection as full restarts for a fraction of the downtime "
+        "(Candea et al.'s micro-reboot argument)",
+        context=[
+            f"heap capacity: {heap_bytes / MB:.2f} MB, run length: {duration:.0f} s, "
+            f"leak: {COMPONENT_A} ({leak_bytes} B)"
+        ],
+        configs={
+            policy.name: replace(base, name=f"fig-rejuvenation-{policy.name}", rejuvenation=policy)
+            for policy in _policy_set(duration, duration_scale)[:3]
+        },
+        observe=rejuvenation_observation,
+        caption="per-policy availability",
+        columns=(
+            "policy", "completed", "errors", "mean_rps", "actions", "downtime_s", "refused",
+            "reclaimed_mb", "exposure_s", "final_heap_mb", "budget_burn", "sla_cost",
         ),
-        ProactiveRejuvenationPolicy(
-            horizon=duration / 4.0,
-            microreboot_downtime=max(0.25, 2.0 * duration_scale),
-            min_samples=4,
-        ),
-    ]
-    results: Dict[str, ExperimentResult] = {}
-    for policy in policies:
-        config = ExperimentConfig(
-            name=f"fig-rejuvenation-{policy.name}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=[
-                FaultSpec(
-                    component=COMPONENT_A,
-                    kind="memory-leak",
-                    params={"leak_bytes": leak_bytes, "period_n": period_n},
-                )
-            ],
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(heap_bytes=heap_bytes),
-            rejuvenation=policy,
-        )
-        results[policy.name] = run_experiment(config)
-    return RejuvenationScenarioResult(
-        results=results,
-        heap_capacity=float(heap_bytes),
-        duration=duration,
-        injected_components={COMPONENT_A: leak_bytes},
+        tables=lambda scenario: {
+            "heap": Table("heap occupancy curves (MB)", _heap_rows(scenario, points=12)),
+            "actions": _action_table(
+                scenario, ["action", "component", "downtime_s", "reclaimed_kb", "reason"]
+            ),
+        },
     )
 
 
 # --------------------------------------------------------------------------- #
-# Adaptive rejuvenation & SLA comparison (tentpole of ISSUE 3)
+# Adaptive rejuvenation & SLA comparison
 # --------------------------------------------------------------------------- #
 #: Workload keys of the adaptive comparison.
 ADAPTIVE_WORKLOADS = ("memory", "threads", "connections")
@@ -599,181 +734,39 @@ ADAPTIVE_STACK_BYTES = 256 * KB
 _BASELINE_THREADS = 150
 
 
-@dataclass
-class AdaptiveScenarioResult:
-    """Outcome of the four-policy, three-workload adaptive comparison."""
-
-    #: workload -> policy name -> full experiment result.
-    results: Dict[str, Dict[str, ExperimentResult]]
-    #: workload -> capacity the monitored series exhausts against.
-    capacities: Dict[str, float]
-    #: workload -> the ``"<jvm>"`` metric the channel extrapolates.
-    metrics: Dict[str, str]
-    duration: float
-    cost_model: SlaCostModel
-    #: workload -> the adaptive policy instance that ran it (predictor stats).
-    adaptive_policies: Dict[str, AdaptiveRejuvenationPolicy] = field(default_factory=dict)
-    #: workload -> the analytic no-action model derived from the same sizing
-    #: the scenario ran (see :mod:`repro.slo.analytic`).
-    analytic_models: Dict[str, LeakWorkloadModel] = field(default_factory=dict)
-    #: Arrival rate λ (requests/s) the M/M/c cross-check offers the server.
-    request_rate: float = 0.0
-    #: workload -> the JVM thread capacity c of the M/M/c service model.
-    thread_capacities: Dict[str, int] = field(default_factory=dict)
-    #: Service rate μ (requests/s per thread) from the sizing's CPU demand.
-    service_rate: float = 0.0
-
-    # ------------------------------------------------------------------ #
-    def result(self, workload: str, policy: str) -> ExperimentResult:
-        """The run of ``policy`` on ``workload``."""
-        return self.results[workload][policy]
-
-    def monitored_series(self, workload: str, policy: str):
-        """The monitored exhaustion series of one run."""
-        result = self.result(workload, policy)
-        if workload == "memory":
-            return result.heap_series
-        assert result.framework is not None
-        return result.framework.manager.map.series("<jvm>", self.metrics[workload])
-
-    def exposure(self, workload: str, policy: str) -> float:
-        """Seconds the run spent above 90 % of the resource's capacity."""
-        return exposure_seconds(
-            self.monitored_series(workload, policy),
-            self.capacities[workload],
-            window_end=self.duration,
-        )
-
-    def sla_observation(self, workload: str, policy: str) -> SlaObservation:
-        """The raw availability currencies of one run."""
-        return run_sla_observation(
-            self.result(workload, policy), self.duration, self.exposure(workload, policy)
-        )
-
-    def sla_cost(self, workload: str, policy: str) -> float:
-        """The scalar SLA cost of one run (lower is better)."""
-        return self.cost_model.score(self.sla_observation(workload, policy))
-
-    def best_fixed_cost(self, workload: str) -> float:
-        """The best (lowest) SLA cost among the non-adaptive policies."""
-        return min(
-            self.sla_cost(workload, policy)
-            for policy in self.results[workload]
-            if policy != AdaptiveRejuvenationPolicy.name
-        )
-
-    # ------------------------------------------------------------------ #
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per (workload, policy): availability plus the SLA scalar."""
-        rows: List[Dict[str, object]] = []
-        for workload, by_policy in self.results.items():
-            for policy, result in by_policy.items():
-                rejuvenation = result.rejuvenation
-                observation = self.sla_observation(workload, policy)
-                rows.append(
-                    {
-                        "workload": workload,
-                        "policy": policy,
-                        "completed": result.completed_requests,
-                        "errors": result.error_count,
-                        "actions": rejuvenation.actions if rejuvenation is not None else 0,
-                        "downtime_s": round(observation.downtime_seconds, 2),
-                        "exposure_s": round(observation.exposure_seconds, 1),
-                        "refused": observation.refused_requests,
-                        "budget_burn": round(self.cost_model.budget_burn(observation), 2),
-                        "sla_cost": round(self.cost_model.score(observation), 1),
-                    }
-                )
-        return rows
-
-    def predictor_rows(self) -> List[Dict[str, object]]:
-        """Prediction-error statistics of the adaptive runs."""
-        rows: List[Dict[str, object]] = []
-        for workload, policy in self.adaptive_policies.items():
-            for row in policy.predictor_rows():
-                rows.append({"workload": workload, **row})
-        return rows
-
-    # ------------------------------------------------------------------ #
-    def realized_exhaustion(self, workload: str) -> Optional[float]:
-        """When the *no-action* run's monitored series first crossed the
-        workload's exhaustion threshold (``None``: it never did)."""
-        model = self.analytic_models.get(workload)
-        fraction = model.exhaustion_fraction if model is not None else 1.0
-        return realized_exhaustion_time(
-            self.monitored_series(workload, "no-action"),
-            self.capacities[workload],
-            fraction,
-        )
-
-    def analytic_rows(self) -> List[Dict[str, object]]:
-        """The M/M/c + leak-model cross-check, one row per workload.
-
-        Analytic predictions are derived from the workload *configuration*
-        alone (visit rates, leak rates, sizing); the realized columns come
-        from the executed no-action run.  ``tte_ok`` applies the stated
-        tolerance (:data:`repro.slo.analytic.TTE_TOLERANCE_FACTOR`).
-        """
-        rows: List[Dict[str, object]] = []
-        for workload, model in self.analytic_models.items():
-            analytic_tte = model.time_to_exhaustion()
-            realized_tte = self.realized_exhaustion(workload)
-            observation = self.sla_observation(workload, "no-action")
-            queueing = mmc_metrics(
-                self.request_rate,
-                self.service_rate,
-                self.thread_capacities.get(workload, 1),
-            )
-            rows.append(
-                {
-                    "workload": workload,
-                    "analytic_tte_s": round(analytic_tte, 1) if analytic_tte is not None else None,
-                    "realized_tte_s": round(realized_tte, 1) if realized_tte is not None else None,
-                    "tte_ratio": (
-                        round(analytic_tte / realized_tte, 2)
-                        if analytic_tte is not None and realized_tte
-                        else None
-                    ),
-                    "tte_ok": within_tolerance(analytic_tte, realized_tte),
-                    "analytic_failed": round(
-                        model.predicted_failed_requests(self.duration)
-                    ),
-                    "realized_failed": observation.failed_requests,
-                    "analytic_unavailable_s": round(
-                        model.predicted_unavailable_seconds(
-                            self.duration,
-                            self.cost_model.failure_downtime_equivalent_seconds,
-                        ),
-                        1,
-                    ),
-                    "realized_unavailable_s": round(
-                        self.cost_model.unavailable_seconds(observation), 1
-                    ),
-                    "mmc_utilization": round(queueing.utilization, 4),
-                    "mmc_wait_probability": round(queueing.wait_probability, 6),
-                }
-            )
-        return rows
+def best_fixed_cost(scenario: ComparisonResult, workload: str) -> float:
+    """The best (lowest) SLA cost among the non-adaptive policies of one
+    ``fig_adaptive`` workload."""
+    return min(
+        scenario.sla_cost(mode)
+        for mode in scenario.results
+        if mode.startswith(f"{workload}/") and mode != f"{workload}/adaptive"
+    )
 
 
-def _adaptive_policy_set(
-    duration: float, duration_scale: float
-) -> List[RejuvenationPolicy]:
-    """Fresh policy instances for one workload of the adaptive comparison."""
-    microreboot_downtime = max(0.25, 2.0 * duration_scale)
-    return [
-        NoActionPolicy(),
-        TimeBasedRejuvenationPolicy(
-            interval=duration / 3.0,
-            restart_downtime=max(2.0, 120.0 * duration_scale),
-        ),
-        ProactiveRejuvenationPolicy(
-            horizon=duration / 4.0,
-            microreboot_downtime=microreboot_downtime,
-            min_samples=4,
-        ),
-        _tuned_adaptive_policy(duration, microreboot_downtime),
+def _adaptive_verdicts(scenario: ComparisonResult) -> List[Dict[str, object]]:
+    adaptive_cost = scenario.sla_cost("memory/adaptive")
+    best_fixed = best_fixed_cost(scenario, "memory")
+    verdicts: List[Dict[str, object]] = [
+        {
+            "claim": "memory: adaptive <= best fixed policy",
+            "adaptive": round(adaptive_cost, 1),
+            "best_fixed": round(best_fixed, 1),
+            "holds": adaptive_cost <= best_fixed,
+        }
     ]
+    for workload in ("threads", "connections"):
+        no_action = scenario.result(f"{workload}/no-action").error_count
+        adaptive = scenario.result(f"{workload}/adaptive").error_count
+        verdicts.append(
+            {
+                "claim": f"{workload}: rejuvenation eliminates error spike",
+                "adaptive": adaptive,
+                "best_fixed": no_action,
+                "holds": no_action > 0 and adaptive == 0,
+            }
+        )
+    return verdicts
 
 
 def fig_adaptive(
@@ -782,25 +775,28 @@ def fig_adaptive(
     scale: Optional[PopulationScale] = None,
     ebs: int = LEAK_EXPERIMENT_EBS,
     cost_model: Optional[SlaCostModel] = None,
-) -> AdaptiveScenarioResult:
-    """The adaptive rejuvenation & SLA comparison (ISSUE 3 tentpole).
+) -> Comparison:
+    """The adaptive rejuvenation & SLA comparison.
 
-    Twelve same-seed runs: {no action, time-based restarts, proactive
-    micro-reboots, adaptive micro-reboots} x {memory leak, thread leak,
-    connection leak}, each workload sized so the *no-action* run exhausts
-    its resource roughly two thirds through — the heap hits the OOM wall,
-    the JVM hits its thread capacity ("unable to create new native
-    thread"), the connection pool refuses every borrow.  Every run reduces
-    to one scalar through the :class:`~repro.slo.cost_model.SlaCostModel`,
-    so the claim under test is crisp: the adaptive policy's scalar on the
-    memory workload is no worse than the best fixed policy's, and
-    rejuvenation eliminates the error spikes of the thread/connection
-    no-action runs.
+    Twelve same-seed runs, one per ``workload/policy`` mode: {no action,
+    time-based restarts, proactive micro-reboots, adaptive micro-reboots} x
+    {memory leak, thread leak, connection leak}, each workload sized so the
+    *no-action* run exhausts its resource roughly two thirds through — the
+    heap hits the OOM wall, the JVM hits its thread capacity ("unable to
+    create new native thread"), the connection pool refuses every borrow.
+    Every run reduces to one scalar through the
+    :class:`~repro.slo.cost_model.SlaCostModel`, so the claim under test is
+    crisp: the adaptive policy's scalar on the memory workload is no worse
+    than the best fixed policy's, and rejuvenation eliminates the error
+    spikes of the thread/connection no-action runs.
+
+    Where the memory verdict holds: at tiny / seed 42 it holds at
+    ``duration_scale=0.05`` but not at 0.02, where adaptive costs 714.3
+    against the best fixed policy's 713.8.  The verdicts are therefore a
+    report table (it prints ``holds: False``, the exit code stays 0), not an
+    exit-code claim.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
+    duration = _run_length(duration_scale)
     visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS
     cost_model = cost_model or SlaCostModel()
 
@@ -810,7 +806,7 @@ def fig_adaptive(
     # matters: a fixed horizon chosen for slow leaks recycles far too often
     # on a fast one, while the adaptive policy shrinks its margin as its
     # predictor earns trust and saves whole recycle cycles.
-    heap_bytes = _fast_leak_heap_bytes(visit_rate, duration)
+    heap_bytes = _leak_heap_bytes(ebs, duration, _FAST_LEAK_FILL)
 
     # Thread workload: the JVM's thread capacity is sized so the leak
     # (period N=10, one pinned 256 KB stack each) reaches it ~2/3 through.
@@ -863,173 +859,148 @@ def fig_adaptive(
         ),
     }
 
-    workload_specs: Dict[str, Dict[str, object]] = {
-        "memory": dict(
-            fault=FaultSpec(
-                component=COMPONENT_A,
-                kind="memory-leak",
-                params={
-                    "leak_bytes": REJUVENATION_LEAK_BYTES,
-                    "period_n": REJUVENATION_PERIOD_N,
-                },
-            ),
-            server_config=ServerConfig(heap_bytes=heap_bytes),
-            channels=["heap"],
-            capacity=float(heap_bytes),
-            metric="heap_live",
-        ),
-        "threads": dict(
-            fault=FaultSpec(
+    # workload -> (fault, server sizing, the channel it exhausts)
+    workloads = {
+        "memory": (_memory_leak(), ServerConfig(heap_bytes=heap_bytes), "heap"),
+        "threads": (
+            FaultSpec(
                 component=COMPONENT_A,
                 kind="thread-leak",
-                params={
-                    "period_n": ADAPTIVE_EXTENSION_PERIOD_N,
-                    "stack_bytes": ADAPTIVE_STACK_BYTES,
-                },
+                params={"period_n": ADAPTIVE_EXTENSION_PERIOD_N, "stack_bytes": ADAPTIVE_STACK_BYTES},
             ),
-            server_config=ServerConfig(thread_capacity=thread_capacity),
-            channels=["threads"],
-            capacity=float(thread_capacity),
-            metric="threads_total",
+            ServerConfig(thread_capacity=thread_capacity),
+            "threads",
         ),
-        "connections": dict(
-            fault=FaultSpec(
+        "connections": (
+            FaultSpec(
                 component=COMPONENT_A,
                 kind="connection-leak",
                 params={"period_n": ADAPTIVE_EXTENSION_PERIOD_N},
             ),
-            server_config=ServerConfig(pool_size=pool_size),
-            channels=["connections"],
-            capacity=float(pool_size),
-            metric="connections_active",
+            ServerConfig(pool_size=pool_size),
+            "connections",
         ),
     }
-
-    results: Dict[str, Dict[str, ExperimentResult]] = {}
-    adaptive_policies: Dict[str, AdaptiveRejuvenationPolicy] = {}
-    for workload, spec in workload_specs.items():
-        results[workload] = {}
-        for policy in _adaptive_policy_set(duration, duration_scale):
-            config = ExperimentConfig(
-                name=f"fig-adaptive-{workload}-{policy.name}",
-                seed=seed,
-                scale=scale,
-                constant_ebs=ebs,
-                duration=duration,
-                mix_name="shopping",
-                monitored=True,
-                faults=[spec["fault"]],
-                snapshot_interval=snapshot_interval,
-                server_config=spec["server_config"],
-                rejuvenation=policy,
-                rejuvenation_channels=list(spec["channels"]),
+    configs: Dict[str, ExperimentConfig] = {}
+    for workload, (fault, server_config, channel) in workloads.items():
+        base = _base_config(
+            duration_scale, seed, scale, ebs,
+            faults=[fault], server_config=server_config, rejuvenation_channels=[channel],
+        )
+        for policy in _policy_set(duration, duration_scale):
+            configs[f"{workload}/{policy.name}"] = replace(
+                base, name=f"fig-adaptive-{workload}-{policy.name}", rejuvenation=policy
             )
-            results[workload][policy.name] = run_experiment(config)
-            if isinstance(policy, AdaptiveRejuvenationPolicy):
-                adaptive_policies[workload] = policy
-    default_thread_capacity = ServerConfig().thread_capacity or 1
-    return AdaptiveScenarioResult(
-        results=results,
-        capacities={w: float(spec["capacity"]) for w, spec in workload_specs.items()},
-        metrics={w: str(spec["metric"]) for w, spec in workload_specs.items()},
-        duration=duration,
-        cost_model=cost_model,
-        adaptive_policies=adaptive_policies,
-        analytic_models=analytic_models,
-        request_rate=request_rate,
-        thread_capacities={
-            "memory": default_thread_capacity,
-            "threads": thread_capacity,
-            "connections": default_thread_capacity,
+
+    def analytic_rows(scenario: ComparisonResult) -> List[Dict[str, object]]:
+        """The M/M/c + leak-model cross-check, one row per workload.
+
+        Analytic predictions are derived from the workload *configuration*
+        alone (visit rates, leak rates, sizing); the realized columns come
+        from the executed no-action run.  ``tte_ok`` applies the stated
+        tolerance (:data:`repro.slo.analytic.TTE_TOLERANCE_FACTOR`).
+        """
+        rows: List[Dict[str, object]] = []
+        for workload, model in analytic_models.items():
+            no_action = scenario.result(f"{workload}/no-action")
+            server = no_action.config.server_config
+            analytic_tte = model.time_to_exhaustion()
+            realized_tte = realized_exhaustion_time(
+                *watched_series(no_action), model.exhaustion_fraction
+            )
+            observation = scenario.sla_observation(f"{workload}/no-action")
+            queueing = mmc_metrics(
+                request_rate, 1.0 / server.default_cpu_demand, server.thread_capacity or 1
+            )
+            rows.append(
+                {
+                    "workload": workload,
+                    "analytic_tte_s": round(analytic_tte, 1) if analytic_tte is not None else None,
+                    "realized_tte_s": round(realized_tte, 1) if realized_tte is not None else None,
+                    "tte_ratio": (
+                        round(analytic_tte / realized_tte, 2)
+                        if analytic_tte is not None and realized_tte
+                        else None
+                    ),
+                    "tte_ok": within_tolerance(analytic_tte, realized_tte),
+                    "analytic_failed": round(model.predicted_failed_requests(duration)),
+                    "realized_failed": observation.failed_requests,
+                    "analytic_unavailable_s": round(
+                        model.predicted_unavailable_seconds(
+                            duration, cost_model.failure_downtime_equivalent_seconds
+                        ),
+                        1,
+                    ),
+                    "realized_unavailable_s": round(cost_model.unavailable_seconds(observation), 1),
+                    "mmc_utilization": round(queueing.utilization, 4),
+                    "mmc_wait_probability": round(queueing.wait_probability, 6),
+                }
+            )
+        return rows
+
+    return Comparison(
+        title="Adaptive rejuvenation & SLA comparison",
+        expectation="the adaptive policy's SLA cost matches or beats the best "
+        "fixed policy on the memory leak, and rejuvenation eliminates the "
+        "error spikes of the thread/connection no-action runs",
+        context=[
+            f"SLA target: {cost_model.target_availability:.3%} availability "
+            f"(error budget {cost_model.error_budget_seconds(duration):.1f} s "
+            f"over {duration:.0f} s); scalar = "
+            f"{cost_model.downtime_weight:g}*downtime_s + "
+            f"{cost_model.exposure_weight:g}*exposure_s "
+            f"+ {cost_model.failed_request_weight:g}*failed + "
+            f"{cost_model.refused_request_weight:g}*refused + "
+            f"{cost_model.burn_weight:g}*max(0, burn-1)"
+        ],
+        configs=configs,
+        observe=rejuvenation_observation,
+        caption="per-(workload, policy) availability and SLA cost",
+        columns=(
+            "workload", "policy", "completed", "errors", "actions", "downtime_s", "exposure_s",
+            "refused", "budget_burn", "sla_cost",
+        ),
+        tables=lambda scenario: {
+            "predictor": Table(
+                "adaptive predictor error statistics (per resource)",
+                [
+                    {"workload": workload, **row}
+                    for workload in workloads
+                    for row in scenario.result(f"{workload}/adaptive")
+                    .config.rejuvenation.predictor_rows()
+                ],
+            ),
+            "analytic": Table(
+                "analytic M/M/c cross-check of the no-action runs (predicted from "
+                "the workload configuration alone; tte_ok = within a factor of "
+                f"{TTE_TOLERANCE_FACTOR:g} of the realized exhaustion time)",
+                analytic_rows(scenario),
+            ),
+            "verdicts": Table("verdicts", _adaptive_verdicts(scenario)),
         },
-        service_rate=1.0 / ServerConfig().default_cpu_demand,
+        cost_model=cost_model,
     )
 
 
 # --------------------------------------------------------------------------- #
 # Mixed-fault comparison (two components, two resources at once)
 # --------------------------------------------------------------------------- #
-@dataclass
-class MixedScenarioResult:
-    """Outcome of the mixed-fault comparison (heap leak + connection leak).
+def recycles(result: ExperimentResult) -> Dict[str, Dict[str, int]]:
+    """``resource -> component -> executed micro-reboot count`` of one run."""
+    out: Dict[str, Dict[str, int]] = {}
+    for event in result.rejuvenation.events if result.rejuvenation is not None else []:
+        by_component = out.setdefault(event.resource, {})
+        component = event.component or "(whole server)"
+        by_component[component] = by_component.get(component, 0) + 1
+    return out
 
-    The point under test is *attribution under concurrent faults*: the heap
-    channel must keep blaming the memory-leaking component via the
-    root-cause analysis while the connection channel independently blames
-    the connection-leaking component via pool-ownership accounting — the
-    two must disagree, and each micro-reboot must recycle its own culprit.
-    """
 
-    #: Policy name -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    pool_size: int
-    duration: float
-    #: component -> leaked resource kind.
-    injected: Dict[str, str] = field(default_factory=dict)
-
-    def result(self, policy: str) -> ExperimentResult:
-        """The run executed under ``policy``."""
-        return self.results[policy]
-
-    def recycles(self, policy: str) -> Dict[str, Dict[str, int]]:
-        """``resource -> component -> executed micro-reboot count``."""
-        out: Dict[str, Dict[str, int]] = {}
-        rejuvenation = self.results[policy].rejuvenation
-        if rejuvenation is None:
-            return out
-        for event in rejuvenation.events:
-            component = event.component or "(whole server)"
-            by_component = out.setdefault(event.resource, {})
-            by_component[component] = by_component.get(component, 0) + 1
-        return out
-
-    def exposure(self, policy: str) -> float:
-        """Seconds the run spent above 90 % heap occupancy."""
-        return exposure_seconds(
-            self.results[policy].heap_series, self.heap_capacity, window_end=self.duration
-        )
-
-    def sla_observation(self, policy: str) -> SlaObservation:
-        """The raw availability currencies of one policy run."""
-        return run_sla_observation(
-            self.results[policy], self.duration, self.exposure(policy)
-        )
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per policy: errors, actions and per-resource attribution."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for name, result in self.results.items():
-            rejuvenation = result.rejuvenation
-            recycles = self.recycles(name)
-            rows.append(
-                {
-                    "policy": name,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "actions": rejuvenation.actions if rejuvenation is not None else 0,
-                    "heap_recycles": ", ".join(
-                        f"{component} x{count}"
-                        for component, count in sorted(recycles.get("heap", {}).items())
-                    )
-                    or "-",
-                    "connection_recycles": ", ".join(
-                        f"{component} x{count}"
-                        for component, count in sorted(
-                            recycles.get("connections", {}).items()
-                        )
-                    )
-                    or "-",
-                    "downtime_s": round(
-                        rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0,
-                        2,
-                    ),
-                    "exposure_s": round(self.exposure(name), 1),
-                    "sla_cost": round(cost_model.score(self.sla_observation(name)), 1),
-                }
-            )
-        return rows
+def injected_kinds(faults: List[FaultSpec]) -> Dict[str, str]:
+    """``component -> "+"-joined fault kinds`` of a fault plan, in plan order."""
+    out: Dict[str, str] = {}
+    for spec in faults:
+        out[spec.component] = "+".join(filter(None, [out.get(spec.component), spec.kind]))
+    return out
 
 
 def fig_mixed(
@@ -1038,7 +1009,7 @@ def fig_mixed(
     scale: Optional[PopulationScale] = None,
     ebs: int = LEAK_EXPERIMENT_EBS,
     dual_leak: bool = False,
-) -> MixedScenarioResult:
+) -> Comparison:
     """Concurrent heap + connection leaks, in two components or in one.
 
     Default (``dual_leak=False``): component A leaks heap (the paper's case
@@ -1057,78 +1028,66 @@ def fig_mixed(
     analysis, the connection channel via pool ownership), and each recycle
     of A must reclaim both its retained heap and its held connections.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
-    microreboot_downtime = max(0.25, 2.0 * duration_scale)
+    duration = _run_length(duration_scale)
     visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS
 
     # Heap sized like the adaptive memory workload (fast-burning: the wall is
     # reached about a third of the way through a no-action run).
-    heap_bytes = _fast_leak_heap_bytes(visit_rate, duration)
+    heap_bytes = _leak_heap_bytes(ebs, duration, _FAST_LEAK_FILL)
     # Pool bound sized so the connection leak exhausts it ~2/3 through (A's
     # and B's visit rates are comparable under the shopping mix).
     pool_size = max(8, int(0.65 * visit_rate / ADAPTIVE_EXTENSION_PERIOD_N * duration))
 
-    connection_leaker = COMPONENT_A if dual_leak else COMPONENT_B
     faults = [
+        _memory_leak(),
         FaultSpec(
-            component=COMPONENT_A,
-            kind="memory-leak",
-            params={
-                "leak_bytes": REJUVENATION_LEAK_BYTES,
-                "period_n": REJUVENATION_PERIOD_N,
-            },
-        ),
-        FaultSpec(
-            component=connection_leaker,
+            component=COMPONENT_A if dual_leak else COMPONENT_B,
             kind="connection-leak",
             params={"period_n": ADAPTIVE_EXTENSION_PERIOD_N},
         ),
     ]
-    policies: List[RejuvenationPolicy] = [
-        NoActionPolicy(),
-        ProactiveRejuvenationPolicy(
-            horizon=duration / 4.0,
-            microreboot_downtime=microreboot_downtime,
-            min_samples=4,
-        ),
-        _tuned_adaptive_policy(duration, microreboot_downtime),
-    ]
+    base = _base_config(
+        duration_scale, seed, scale, ebs,
+        faults=faults,
+        server_config=ServerConfig(heap_bytes=heap_bytes, pool_size=pool_size),
+        rejuvenation_channels=["heap", "connections"],
+    )
     variant = "dual" if dual_leak else "mixed"
-    results: Dict[str, ExperimentResult] = {}
-    for policy in policies:
-        config = ExperimentConfig(
-            name=f"fig-{variant}-{policy.name}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=list(faults),
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(heap_bytes=heap_bytes, pool_size=pool_size),
-            rejuvenation=policy,
-            rejuvenation_channels=["heap", "connections"],
-        )
-        results[policy.name] = run_experiment(config)
-    injected: Dict[str, str] = {COMPONENT_A: "memory-leak"}
-    injected[connection_leaker] = (
-        injected.get(connection_leaker, "") + "+connection-leak"
-    ).lstrip("+")
-    return MixedScenarioResult(
-        results=results,
-        heap_capacity=float(heap_bytes),
-        pool_size=pool_size,
-        duration=duration,
-        injected=injected,
+    injected = ", ".join(f"{component} ({kind})" for component, kind in injected_kinds(faults).items())
+    return Comparison(
+        title="Mixed faults: concurrent heap leak and connection leak",
+        expectation="the recycling policies (proactive and adaptive) recycle "
+        "the right component per resource — the heap channel blames the memory "
+        "leaker via root-cause analysis, the connection channel blames the "
+        "connection leaker via pool ownership (the same component, when it "
+        "leaks both) — while no action pays with OOM and pool-refusal errors",
+        context=[
+            f"heap capacity: {heap_bytes / MB:.2f} MB, pool bound: {pool_size} connections, "
+            f"run length: {duration:.0f} s, injected: {injected}"
+        ],
+        configs={
+            policy.name: replace(base, name=f"fig-{variant}-{policy.name}", rejuvenation=policy)
+            for policy in _policy_set(duration, duration_scale)
+            if policy.name != TimeBasedRejuvenationPolicy.name
+        },
+        observe=rejuvenation_observation,
+        caption="per-policy outcome and attribution",
+        columns=(
+            "policy", "completed", "errors", "actions", "heap_recycles", "connection_recycles",
+            "downtime_s", "exposure_s", "sla_cost",
+        ),
+        tables=lambda scenario: {
+            "actions": _action_table(
+                scenario,
+                ["resource", "action", "component", "reclaimed_threads",
+                 "reclaimed_connections", "reclaimed_kb"],
+            )
+        },
     )
 
 
 # --------------------------------------------------------------------------- #
-# Cross-run calibration learning (ISSUE 5 tentpole)
+# Cross-run calibration learning
 # --------------------------------------------------------------------------- #
 #: Repeated runs per mode of the learning comparison.
 LEARNING_RUNS = 4
@@ -1136,113 +1095,33 @@ LEARNING_RUNS = 4
 LEARNING_MODES = ("cold", "warm")
 
 
-@dataclass
-class LearningScenarioResult:
-    """Outcome of the cross-run calibration learning comparison.
+def cumulative_sla_cost(scenario: ComparisonResult, mode: str) -> float:
+    """Summed SLA cost of every ``mode/runN`` run — the learning headline."""
+    return sum(scenario.sla_cost(key) for key in scenario.results if key.startswith(f"{mode}/"))
 
-    The same fast-memory-leak workload is run ``runs`` times per mode with
-    varying seeds (run *k* uses ``seed + k`` in both modes, so the pairs see
-    identical workload draws).  ``cold`` builds a fresh adaptive policy per
-    run — every run re-pays the conservative ``base_horizon``; ``warm``
-    persists each run's calibration in a :class:`CalibrationStore` keyed by
-    the workload signature and warm-starts the next run from it.
-    """
 
-    #: mode -> one experiment result per run (run order).
-    results: Dict[str, List[ExperimentResult]]
-    #: mode -> the adaptive policy instance of each run.
-    policies: Dict[str, List[AdaptiveRejuvenationPolicy]]
-    heap_capacity: float
-    duration: float
-    runs: int
-    seed: int
-    signature: str
-    store_path: str
-    cost_model: SlaCostModel
+def total_recycles(scenario: ComparisonResult, mode: str) -> int:
+    """Summed recycle count of every ``mode/runN`` run."""
+    return sum(_actions(scenario.result(key)) for key in scenario.results if key.startswith(f"{mode}/"))
 
-    # ------------------------------------------------------------------ #
-    def exposure(self, mode: str, run: int) -> float:
-        """Seconds run ``run`` of ``mode`` spent above 90 % heap occupancy."""
-        return exposure_seconds(
-            self.results[mode][run].heap_series,
-            self.heap_capacity,
-            window_end=self.duration,
-        )
 
-    def sla_observation(self, mode: str, run: int) -> SlaObservation:
-        """The raw availability currencies of one run."""
-        return run_sla_observation(
-            self.results[mode][run], self.duration, self.exposure(mode, run)
-        )
-
-    def sla_cost(self, mode: str, run: int) -> float:
-        """The scalar SLA cost of one run (lower is better)."""
-        return self.cost_model.score(self.sla_observation(mode, run))
-
-    def cumulative_sla_cost(self, mode: str) -> float:
-        """Summed SLA cost of ``mode`` over all runs — the headline number."""
-        return sum(self.sla_cost(mode, run) for run in range(self.runs))
-
-    def recycles(self, mode: str, run: int) -> int:
-        """Executed rejuvenation actions of one run."""
-        rejuvenation = self.results[mode][run].rejuvenation
-        return rejuvenation.actions if rejuvenation is not None else 0
-
-    def total_recycles(self, mode: str) -> int:
-        """Summed recycle count of ``mode`` over all runs."""
-        return sum(self.recycles(mode, run) for run in range(self.runs))
-
-    def opening_horizon(self, mode: str, run: int) -> float:
-        """The heap horizon run ``run`` opened at (base unless warm-started)."""
-        return self.policies[mode][run].opening_horizon("heap")
-
-    # ------------------------------------------------------------------ #
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per (mode, run): recycles, horizons and the SLA scalar."""
-        rows: List[Dict[str, object]] = []
-        for mode in LEARNING_MODES:
-            for run in range(self.runs):
-                result = self.results[mode][run]
-                policy = self.policies[mode][run]
-                observation = self.sla_observation(mode, run)
-                predictor = (
-                    policy.predictor("heap") if "heap" in policy.calibrated_resources() else None
-                )
-                rows.append(
-                    {
-                        "mode": mode,
-                        "run": run,
-                        "seed": result.config.seed,
-                        "warm_started": policy.warm_started,
-                        "completed": result.completed_requests,
-                        "errors": result.error_count,
-                        "recycles": self.recycles(mode, run),
-                        "downtime_s": round(observation.downtime_seconds, 2),
-                        "exposure_s": round(observation.exposure_seconds, 1),
-                        "opening_horizon_s": round(self.opening_horizon(mode, run), 1),
-                        "final_horizon_s": round(policy.horizon("heap"), 1),
-                        "predictions": predictor.stats.count if predictor is not None else 0,
-                        "sla_cost": round(self.sla_cost(mode, run), 1),
-                    }
-                )
-        return rows
-
-    def verdict_rows(self) -> List[Dict[str, object]]:
-        """The headline claims: warm learning beats cold re-learning."""
-        return [
-            {
-                "claim": "cumulative SLA cost: warm < cold",
-                "warm": round(self.cumulative_sla_cost("warm"), 1),
-                "cold": round(self.cumulative_sla_cost("cold"), 1),
-                "holds": self.cumulative_sla_cost("warm") < self.cumulative_sla_cost("cold"),
-            },
-            {
-                "claim": "total recycles: warm <= cold",
-                "warm": self.total_recycles("warm"),
-                "cold": self.total_recycles("cold"),
-                "holds": self.total_recycles("warm") <= self.total_recycles("cold"),
-            },
-        ]
+def _learning_verdicts(scenario: ComparisonResult) -> List[Dict[str, object]]:
+    warm_cost, cold_cost = (cumulative_sla_cost(scenario, mode) for mode in ("warm", "cold"))
+    warm_recycles, cold_recycles = (total_recycles(scenario, mode) for mode in ("warm", "cold"))
+    return [
+        {
+            "claim": "cumulative SLA cost: warm < cold",
+            "warm": round(warm_cost, 1),
+            "cold": round(cold_cost, 1),
+            "holds": warm_cost < cold_cost,
+        },
+        {
+            "claim": "total recycles: warm <= cold",
+            "warm": warm_recycles,
+            "cold": cold_recycles,
+            "holds": warm_recycles <= cold_recycles,
+        },
+    ]
 
 
 def fig_learning(
@@ -1253,15 +1132,16 @@ def fig_learning(
     runs: int = LEARNING_RUNS,
     store_path: Optional[str] = None,
     cost_model: Optional[SlaCostModel] = None,
-) -> LearningScenarioResult:
-    """Cross-run calibration learning on the fast memory leak (ISSUE 5).
+) -> Comparison:
+    """Cross-run calibration learning on the fast memory leak.
 
     ``2 × runs`` experiment runs of the :func:`fig_adaptive` memory
     workload (component A, aggressive leak, heap sized so the no-action
-    wall would arrive a third of the way through): run *k* uses seed
-    ``seed + k`` in both modes.  *Cold* re-learns the safety horizon from
-    scratch every run; *warm* persists each run's converged calibration in
-    a :class:`~repro.slo.calibration.CalibrationStore` (at ``store_path``)
+    wall would arrive a third of the way through), as ``cold/runN`` then
+    ``warm/runN`` modes: run *k* uses seed ``seed + k`` in both modes.
+    *Cold* re-learns the safety horizon from scratch every run; *warm*
+    persists each run's converged calibration in a
+    :class:`~repro.slo.calibration.CalibrationStore` (at ``store_path``)
     and warm-starts the next run from it.  When ``store_path`` is omitted a
     fresh file under a new temporary directory is used and *deliberately
     left on disk*: the store is an output artifact of the comparison — the
@@ -1272,97 +1152,69 @@ def fig_learning(
     N+1 skips the conservative early recycles run N already paid to learn
     past.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    duration = _run_length(duration_scale)
     if runs < 2:
         raise ValueError(f"the learning comparison needs >= 2 runs, got {runs}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
     microreboot_downtime = max(0.25, 2.0 * duration_scale)
-    visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS
-    cost_model = cost_model or SlaCostModel()
 
     # The fig_adaptive memory sizing: a fast-burning leak whose no-action
     # wall arrives about a third of the way through the run.
-    heap_bytes = _fast_leak_heap_bytes(visit_rate, duration)
+    heap_bytes = _leak_heap_bytes(ebs, duration, _FAST_LEAK_FILL)
 
     if store_path is None:
-        store_path = os.path.join(
-            tempfile.mkdtemp(prefix="repro-learning-"), "calibration.json"
-        )
+        store_path = os.path.join(tempfile.mkdtemp(prefix="repro-learning-"), "calibration.json")
     store = CalibrationStore(store_path)
 
-    def make_policy() -> AdaptiveRejuvenationPolicy:
-        return AdaptiveRejuvenationPolicy(
-            predictor_factory=lambda: TheilSenPredictor(min_samples=4),
-            base_horizon=duration / 4.0,
-            min_horizon=duration / 16.0,
-            max_horizon=duration,
-            microreboot_downtime=microreboot_downtime,
-        )
-
-    # One shared workload spec feeds both the per-run configs and the
-    # signature template, so the signature can never drift away from the
-    # workload that is actually run.
-    def workload_kwargs() -> Dict[str, object]:
-        return dict(
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=[
-                FaultSpec(
-                    component=COMPONENT_A,
-                    kind="memory-leak",
-                    params={
-                        "leak_bytes": REJUVENATION_LEAK_BYTES,
-                        "period_n": REJUVENATION_PERIOD_N,
-                    },
-                )
-            ],
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(heap_bytes=heap_bytes),
-            rejuvenation_channels=["heap"],
-        )
-
-    # The signature is seed-independent by construction: the template's
-    # name and seed never enter it (an explicit scenario label replaces the
+    # One template feeds both the per-run configs and the signature, so the
+    # signature can never drift away from the workload that is actually run.
+    # The signature is seed-independent by construction: the template's name
+    # and seed never enter it (an explicit scenario label replaces the
     # per-run names).
-    signature = workload_signature(
-        ExperimentConfig(name="fig-learning", seed=seed, **workload_kwargs()),
-        scenario="fig-learning-memory",
+    template = _base_config(
+        duration_scale, seed, scale, ebs,
+        name="fig-learning",
+        faults=[_memory_leak()],
+        server_config=ServerConfig(heap_bytes=heap_bytes),
+        rejuvenation_channels=["heap"],
     )
-
-    def make_config(mode: str, run: int, policy: AdaptiveRejuvenationPolicy) -> ExperimentConfig:
-        return ExperimentConfig(
+    signature = workload_signature(template, scenario="fig-learning-memory")
+    # Mode-major: every cold run, then every warm run.  Cold runs never touch
+    # the store, so the warm sequence sees the store history it would see
+    # interleaved.
+    configs = {
+        f"{mode}/run{run}": replace(
+            template,
             name=f"fig-learning-{mode}-run{run}",
             seed=seed + run,
-            rejuvenation=policy,
+            rejuvenation=_tuned_adaptive_policy(duration, microreboot_downtime),
             calibration_store=store if mode == "warm" else None,
             calibration_signature=signature if mode == "warm" else None,
-            **workload_kwargs(),
         )
-
-    results: Dict[str, List[ExperimentResult]] = {mode: [] for mode in LEARNING_MODES}
-    policies: Dict[str, List[AdaptiveRejuvenationPolicy]] = {
-        mode: [] for mode in LEARNING_MODES
+        for mode in LEARNING_MODES
+        for run in range(runs)
     }
-    for run in range(runs):
-        for mode in LEARNING_MODES:
-            policy = make_policy()
-            results[mode].append(run_experiment(make_config(mode, run, policy)))
-            policies[mode].append(policy)
-    return LearningScenarioResult(
-        results=results,
-        policies=policies,
-        heap_capacity=float(heap_bytes),
-        duration=duration,
-        runs=runs,
-        seed=seed,
-        signature=signature,
-        store_path=store_path,
-        cost_model=cost_model,
+    return Comparison(
+        title="Cross-run calibration learning: cold vs. warm-started adaptive",
+        expectation="persisting the adaptive policy's converged calibration "
+        "per workload signature lets run N+1 open at run N's horizon, "
+        "skipping the conservative early recycles cold re-learning pays — "
+        "cumulative SLA cost falls run over run",
+        context=[
+            f"workload: fast memory leak (heap capacity {heap_bytes / MB:.2f} MB), "
+            f"{runs} runs per mode, seeds {seed}...{seed + runs - 1}, "
+            f"run length {duration:.0f} s",
+            f"calibration store: {store_path}",
+            f"workload signature: {signature}",
+        ],
+        configs=configs,
+        observe=rejuvenation_observation,
+        caption="per-(mode, run) outcome",
+        columns=(
+            "mode", "run", "seed", "warm_started", "completed", "errors", "recycles", "downtime_s",
+            "exposure_s", "opening_horizon_s", "final_horizon_s", "predictions", "sla_cost",
+        ),
+        tables=lambda scenario: {"verdicts": Table("verdicts", _learning_verdicts(scenario))},
+        cost_model=cost_model or SlaCostModel(),
     )
 
 
@@ -1497,68 +1349,6 @@ def zoo_fault_spec(kind: str, period_n: int = 10, victim: str = COMPONENT_B) -> 
     return FaultSpec(component=COMPONENT_A, kind=kind, params=params)
 
 
-@dataclass
-class RetryStormResult:
-    """Outcome of the naive-retry vs. backoff+breaker comparison.
-
-    Both runs see the same seed and the same slow-downstream fault; the only
-    difference is the client stack.  The claim under test: immediate
-    retries against a degrading dependency amplify their own damage (every
-    retry is another slow call holding a worker thread), while jittered
-    backoff plus a circuit breaker converts expensive failed requests into
-    cheap, fast client-side refusals — a strictly lower SLA cost.
-    """
-
-    #: Mode name ("naive" / "resilient") -> full experiment result.
-    results: Dict[str, ExperimentResult]
-    duration: float
-    timeout_seconds: float
-
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """Availability currencies of one mode: a client timeout is a failed
-        page view, a breaker/shed refusal is paid refused load."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=0.0,
-            exposure_seconds=0.0,
-            failed_requests=result.error_count + result.client_timeouts,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar SLA cost of one mode."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
-
-    def cost_delta(self) -> float:
-        """``cost(naive) - cost(resilient)`` — positive when resilience pays."""
-        return self.sla_cost("naive") - self.sla_cost("resilient")
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: ledger, retry behaviour and SLA cost."""
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            rows.append(
-                {
-                    "mode": mode,
-                    "issued": result.issued_requests,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "timeouts": result.client_timeouts,
-                    "retries": result.retry_attempts,
-                    "refused": result.refused_requests,
-                    "breaker_refusals": result.accounting.get("breaker_refusals", 0),
-                    "mean_rt_s": round(result.mean_response_time, 3),
-                    "sla_cost": round(self.sla_cost(mode), 1),
-                }
-            )
-        return rows
-
 
 def fig_retry_storm(
     duration_scale: float = 1.0,
@@ -1568,7 +1358,7 @@ def fig_retry_storm(
     period_n: int = RETRY_STORM_PERIOD_N,
     timeout_seconds: float = RETRY_STORM_TIMEOUT_SECONDS,
     max_attempts: int = 3,
-) -> RetryStormResult:
+) -> Comparison:
     """Same-seed naive-retry vs. backoff+breaker runs under a degrading DB.
 
     A slow-downstream fault on component A inflates its JDBC latency a
@@ -1577,19 +1367,13 @@ def fig_retry_storm(
     the *resilient* client uses jittered exponential backoff plus a
     per-component circuit breaker.  Both are deterministic per seed.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    duration = 3600.0 * duration_scale
+    duration = _run_length(duration_scale)
     fault = FaultSpec(
         component=COMPONENT_A,
         kind="slow-downstream",
-        params={
-            "period_n": period_n,
-            "latency_step_seconds": 0.1,
-            "max_extra_seconds": 10.0,
-        },
+        params={"period_n": period_n, "latency_step_seconds": 0.1, "max_extra_seconds": 10.0},
     )
-    modes: Dict[str, "ResilienceConfig"] = {
+    resilience = {
         "naive": ResilienceConfig.naive_retries(
             timeout_seconds=timeout_seconds, max_attempts=max_attempts
         ),
@@ -1600,92 +1384,70 @@ def fig_retry_storm(
             breaker_recovery_seconds=30.0,
         ),
     }
-    results: Dict[str, ExperimentResult] = {}
-    for mode, resilience in modes.items():
-        config = ExperimentConfig(
-            name=f"fig-retry-storm-{mode}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=False,
-            collect_blackbox_samples=False,
-            faults=[fault],
-            resilience=resilience,
-        )
-        results[mode] = run_experiment(config)
-    return RetryStormResult(
-        results=results, duration=duration, timeout_seconds=timeout_seconds
+    return Comparison(
+        title="Retry storm: naive immediate retries vs. backoff + circuit breaker",
+        expectation="against a degrading dependency, immediate retries amplify "
+        "their own damage (timeouts breed retries breed load); jittered backoff "
+        "plus a per-component breaker converts expensive failed pages into "
+        "cheap fast refusals — a strictly lower SLA cost",
+        context=[f"client timeout: {timeout_seconds:g} s, run length: {duration:.0f} s"],
+        configs={
+            mode: ExperimentConfig(
+                name=f"fig-retry-storm-{mode}",
+                seed=seed,
+                scale=scale,
+                constant_ebs=ebs,
+                duration=duration,
+                monitored=False,
+                collect_blackbox_samples=False,
+                faults=[fault],
+                resilience=resilience[mode],
+            )
+            for mode in RETRY_STORM_MODES
+        },
+        observe=client_observation,
+        caption="per-mode ledger and SLA cost",
+        columns=(
+            "mode", "issued", "completed", "errors", "timeouts", "retries", "refused",
+            "breaker_refusals", "mean_rt_s", "sla_cost",
+        ),
+        claim=(
+            "resilient SLA cost < naive SLA cost",
+            lambda scenario: scenario.sla_cost("naive") - scenario.sla_cost("resilient") > 0,
+        ),
     )
 
 
-@dataclass
-class ZooResult:
-    """Outcome of the fault-zoo sweep: one monitored run per fault kind.
+def zoo_attribution(result: ExperimentResult) -> RootCauseReport:
+    """The post-hoc cascade-aware root-cause report of one zoo run."""
+    return CascadeAwareStrategy(result.component_latency).analyze(result.framework.manager.map)
 
-    Each run records per-component latency so the post-hoc cascade-aware
-    strategy can attribute latency-mode faults (which the resource map
-    alone cannot see); the cascade fault additionally checks that the
-    *leaking* component A outranks its merely-slowed victim B.
-    """
 
-    #: Fault kind -> full experiment result, in :data:`ZOO_FAULT_KINDS` order.
-    results: Dict[str, ExperimentResult]
-    #: Fault kind -> post-hoc cascade-aware root-cause report.
-    attributions: Dict[str, RootCauseReport]
-    injected_component: str
-    cascade_victim: str
-    duration: float
+def _blamed(report: RootCauseReport) -> str:
+    top = report.top()
+    return top.component if top is not None else ""
 
-    def result(self, kind: str) -> ExperimentResult:
-        """The run executed under fault ``kind``."""
-        return self.results[kind]
 
-    def top_component(self, kind: str) -> str:
-        """The component the attribution blames for fault ``kind``."""
-        top = self.attributions[kind].top()
-        return top.component if top is not None else ""
-
-    def verdict_rows(self) -> List[Dict[str, object]]:
-        """Per-fault attribution verdicts (expected: component A, not B)."""
-        rows: List[Dict[str, object]] = []
-        for kind in self.results:
-            report = self.attributions[kind]
-            top = self.top_component(kind)
-            claim = f"{kind}: blamed component is {self.injected_component}"
-            if kind == "correlated-cascade":
-                claim += f" (not victim {self.cascade_victim})"
-            rows.append(
-                {
-                    "claim": claim,
-                    "blamed": top or "(none)",
-                    "victim_rank": (
-                        report.ranking().index(self.cascade_victim) + 1
-                        if kind == "correlated-cascade"
-                        and self.cascade_victim in report.ranking()
-                        else ""
-                    ),
-                    "holds": top == self.injected_component,
-                }
-            )
-        return rows
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per fault: load outcome and the fault's own counters."""
-        rows: List[Dict[str, object]] = []
-        for kind, result in self.results.items():
-            rows.append(
-                {
-                    "fault": kind,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "mean_rt_s": round(result.mean_response_time, 3),
-                    "blamed": self.top_component(kind),
-                    "description": "; ".join(result.fault_descriptions),
-                }
-            )
-        return rows
+def _zoo_verdicts(scenario: ComparisonResult) -> List[Dict[str, object]]:
+    """Per-fault attribution verdicts (expected: component A, not B)."""
+    rows: List[Dict[str, object]] = []
+    for kind, result in scenario.results.items():
+        report = zoo_attribution(result)
+        cascade = kind == "correlated-cascade"
+        rows.append(
+            {
+                "claim": f"{kind}: blamed component is {COMPONENT_A}"
+                + (f" (not victim {COMPONENT_B})" if cascade else ""),
+                "blamed": _blamed(report) or "(none)",
+                "victim_rank": (
+                    report.ranking().index(COMPONENT_B) + 1
+                    if cascade and COMPONENT_B in report.ranking()
+                    else ""
+                ),
+                "holds": _blamed(report) == COMPONENT_A,
+            }
+        )
+    return rows
 
 
 def fig_zoo(
@@ -1695,7 +1457,7 @@ def fig_zoo(
     ebs: int = LEAK_EXPERIMENT_EBS,
     period_n: int = 10,
     kinds: Optional[List[str]] = None,
-) -> ZooResult:
+) -> Comparison:
     """Run the fault zoo: one monitored, latency-tracked run per fault.
 
     Every run injects a single zoo fault into component A (the cascade also
@@ -1703,42 +1465,92 @@ def fig_zoo(
     is to blame.  Latency-mode faults exercise the latency-trend signal the
     resource map cannot provide; the cascade exercises attribution *under*
     correlated degradation.
+
+    Where the verdicts hold, at tiny / seed 42: at ``duration_scale=0.05``
+    with 25 EBs every fault is blamed on A, but with the default 100 EBs
+    lock-convoy is not; at 0.02 with 25 EBs gc-pause-storm is blamed on the
+    wrong component, and with 100 EBs four of the five faults are.  The
+    verdicts are therefore a report table (it prints ``holds: False``, the
+    exit code stays 0), not an exit-code claim.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
-    results: Dict[str, ExperimentResult] = {}
-    attributions: Dict[str, RootCauseReport] = {}
-    for kind in kinds if kinds is not None else list(ZOO_FAULT_KINDS):
-        config = ExperimentConfig(
-            name=f"fig-zoo-{kind}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            collect_blackbox_samples=False,
-            snapshot_interval=snapshot_interval,
-            faults=[zoo_fault_spec(kind, period_n=period_n)],
-            track_component_latency=True,
-        )
-        result = run_experiment(config)
-        results[kind] = result
-        strategy = CascadeAwareStrategy(result.component_latency)
-        attributions[kind] = strategy.analyze(result.framework.manager.map)
-    return ZooResult(
-        results=results,
-        attributions=attributions,
-        injected_component=COMPONENT_A,
-        cascade_victim=COMPONENT_B,
-        duration=duration,
+    duration = _run_length(duration_scale)
+    return Comparison(
+        title="Fault zoo: five degradation modes, one attribution question",
+        expectation="the cascade-aware strategy blames the faulted component "
+        f"({COMPONENT_A}) for every fault — including the latency-mode faults the "
+        "resource map cannot see, and the correlated cascade whose victim "
+        f"({COMPONENT_B}) merely slows down",
+        context=[f"run length per fault: {duration:.0f} s"],
+        configs={
+            kind: _base_config(
+                duration_scale, seed, scale, ebs,
+                name=f"fig-zoo-{kind}",
+                collect_blackbox_samples=False,
+                faults=[zoo_fault_spec(kind, period_n=period_n)],
+                track_component_latency=True,
+            )
+            for kind in (kinds if kinds is not None else ZOO_FAULT_KINDS)
+        },
+        observe=client_observation,
+        caption="per-fault outcome",
+        columns=("fault", "completed", "errors", "mean_rt_s", "blamed", "description"),
+        tables=lambda scenario: {
+            "verdicts": Table("attribution verdicts", _zoo_verdicts(scenario))
+        },
     )
 
 
 # --------------------------------------------------------------------------- #
-# Fleet rejuvenation comparison (tentpole of ISSUE 7)
+# Fleet-level SLA accounting (fleet, deploy and scale comparisons)
+# --------------------------------------------------------------------------- #
+def capacity_profile(result: ExperimentResult) -> List[Tuple[float, float, float]]:
+    """The fleet rejuvenation's ``(start, end, available_fraction)`` profile
+    over the run (empty without fleet rejuvenation)."""
+    fleet = result.fleet
+    if fleet is None or fleet.rejuvenation is None:
+        return []
+    return fleet.rejuvenation.capacity_profile(result.config.duration)
+
+
+def below_floor_seconds(result: ExperimentResult) -> float:
+    """Seconds the fleet's available capacity spent below its SLA floor
+    ``(N-1)/N`` (one shard may be down at a time, never two)."""
+    floor = (result.config.shards - 1) / result.config.shards
+    profile = capacity_profile(result)
+    return sum((right - left for left, right, f in profile if f < floor - 1e-12), 0.0)
+
+
+def min_capacity_fraction(result: ExperimentResult) -> float:
+    """The lowest fraction of shards simultaneously serving."""
+    return min((fraction for _, _, fraction in capacity_profile(result)), default=1.0)
+
+
+def fleet_observation(result: ExperimentResult) -> SlaObservation:
+    """Fleet-level availability currencies of one sharded run.
+
+    *Downtime* is capacity-weighted: the seconds aggregate capacity spent
+    below the SLA floor (a rolling recycle never gets there, a simultaneous
+    restart parks the whole fleet below it) plus deploy-outage seconds over
+    the shard count.  *Exposure* sums each shard's time above the heap
+    danger line; failures and refusals are the fleet-wide counters.
+    """
+    config = result.config
+    capacity = float(config.server_config.heap_bytes)
+    outage = result.rollout.outage_seconds / config.shards if result.rollout is not None else 0.0
+    return SlaObservation(
+        duration_seconds=config.duration,
+        downtime_seconds=below_floor_seconds(result) + outage,
+        exposure_seconds=sum(
+            exposure_seconds(shard.heap_series(), capacity, window_end=config.duration)
+            for shard in result.cluster.shards
+        ),
+        failed_requests=result.error_count,
+        refused_requests=result.refused_requests,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Fleet rejuvenation comparison
 # --------------------------------------------------------------------------- #
 #: Shard count of the fleet comparison.
 FLEET_SHARDS = 4
@@ -1747,141 +1559,47 @@ FLEET_SHARDS = 4
 FLEET_MODES = ("no-action", "simultaneous", "rolling")
 
 
-@dataclass
-class FleetScenarioResult:
-    """Outcome of the three-mode fleet rejuvenation comparison.
-
-    All three runs drive the same seeded workload through the same sharded
-    cluster; only the fleet coordination of the per-shard restart policy
-    differs.  SLA accounting is fleet-level: *downtime* is the seconds the
-    fleet's available capacity fraction spent below the SLA floor (a rolling
-    recycle never gets there, a simultaneous restart parks the whole fleet
-    below it), *exposure* sums each shard's time above the heap danger line,
-    and failures/refusals are the workload's fleet-wide counters.
-    """
-
-    #: Mode -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    duration: float
-    shards: int
-    #: Capacity fraction the fleet must keep serving (``(N-1)/N``: one shard
-    #: may be down at a time, never two).
-    sla_floor: float
-
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
-
-    def below_floor_seconds(self, mode: str) -> float:
-        """Seconds the fleet spent below the SLA capacity floor."""
-        fleet = self.results[mode].fleet
-        if fleet is None or fleet.rejuvenation is None:
-            return 0.0
-        windows = fleet.rejuvenation.windows
-        if not windows:
-            return 0.0
-        boundaries = sorted(
-            {0.0, self.duration}
-            | {min(t, self.duration) for _, start, end in windows for t in (start, end)}
-        )
-        below = 0.0
-        for left, right in zip(boundaries, boundaries[1:]):
-            midpoint = (left + right) / 2.0
-            down = sum(1 for _, start, end in windows if start <= midpoint < end)
-            if (self.shards - down) / self.shards < self.sla_floor - 1e-12:
-                below += right - left
-        return below
-
-    def min_capacity_fraction(self, mode: str) -> float:
-        """The lowest fraction of shards simultaneously serving."""
-        fleet = self.results[mode].fleet
-        if fleet is None or fleet.rejuvenation is None:
-            return 1.0
-        windows = fleet.rejuvenation.windows
-        lowest = 1.0
-        for _, start, _end in windows:
-            midpoint = start + 1e-6
-            down = sum(1 for _, s, e in windows if s <= midpoint < e)
-            lowest = min(lowest, (self.shards - down) / self.shards)
-        return lowest
-
-    def exposure(self, mode: str) -> float:
-        """Summed per-shard seconds above 90 % heap occupancy."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        return sum(
-            exposure_seconds(
-                shard.heap_series(), self.heap_capacity, window_end=self.duration
-            )
-            for shard in result.cluster.shards
-        )
-
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """The raw fleet-level availability currencies of one mode."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=self.below_floor_seconds(mode),
-            exposure_seconds=self.exposure(mode),
-            failed_requests=result.error_count,
-            refused_requests=result.refused_requests,
-        )
-
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar fleet SLA cost of one mode (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
-
-    def rolling_wins(self) -> bool:
-        """Whether rolling rejuvenation wins on fleet SLA cost.
-
-        Rolling must cost no more than *every* alternative and strictly less
-        than at least one.  On full-length runs both comparisons are strict
-        (no-action pays exposure/errors, simultaneous pays the blackout);
-        on very short smoke runs no-action may not have aged into any cost
-        yet, and a 0.0 == 0.0 tie there is not a loss.
-        """
-        rolling = self.sla_cost("rolling")
-        others = [self.sla_cost("simultaneous"), self.sla_cost("no-action")]
-        return all(rolling <= cost for cost in others) and any(
-            rolling < cost for cost in others
-        )
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: fleet capacity, downtime, exposure and SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            fleet = result.fleet
-            rejuvenation = fleet.rejuvenation if fleet is not None else None
-            observation = self.sla_observation(mode)
-            rows.append(
+def _fleet_tables(scenario: ComparisonResult) -> Dict[str, Table]:
+    rolling = scenario.result("rolling").fleet.rejuvenation
+    return {
+        "schedule": Table(
+            "rolling recycle schedule (one shard at a time)",
+            [
+                {"shard": shard, "outage_start_s": round(start, 1), "outage_end_s": round(end, 1)}
+                for shard, start, end in (rolling.windows if rolling is not None else [])
+            ],
+        ),
+        "aging": Table(
+            "cross-shard aging (fleet manager, no-action run; fastest-aging first)",
+            list(scenario.result("no-action").fleet.root_cause_rows),
+        ),
+        "balancer": Table(
+            "balancer routing and fleet ledger (served == issued)",
+            [
                 {
                     "mode": mode,
-                    "completed": result.completed_requests,
-                    "errors": result.error_count,
-                    "refused": result.refused_requests,
-                    "actions": rejuvenation.actions if rejuvenation is not None else 0,
-                    "deferred": (
-                        rejuvenation.deferred_checks if rejuvenation is not None else 0
-                    ),
-                    "min_capacity_pct": round(100.0 * self.min_capacity_fraction(mode), 1),
-                    "below_floor_s": round(self.below_floor_seconds(mode), 2),
-                    "exposure_s": round(self.exposure(mode), 1),
-                    "failovers": (
-                        fleet.balancer["failovers"] if fleet is not None else 0
-                    ),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
+                    "policy": result.fleet.balancer["policy"],
+                    "routed": "/".join(str(count) for count in result.fleet.balancer["routed"]),
+                    "failovers": result.fleet.balancer["failovers"],
+                    "sticky_bindings": result.fleet.balancer["sticky_bindings"],
+                    "issued": result.fleet.ledger["issued"],
+                    "served": result.fleet.ledger["served"],
                 }
-            )
-        return rows
+                for mode, result in scenario.results.items()
+            ],
+        ),
+    }
 
-    def root_cause_rows(self, mode: str = "no-action") -> List[Dict[str, object]]:
-        """The fleet manager's ranked (instance, component) aging rows."""
-        fleet = self.results[mode].fleet
-        return list(fleet.root_cause_rows) if fleet is not None else []
+
+def _rolling_wins(scenario: ComparisonResult) -> bool:
+    # Rolling must cost no more than *every* alternative and strictly less
+    # than at least one.  On full-length runs both comparisons are strict
+    # (no-action pays exposure/errors, simultaneous pays the blackout); on
+    # very short smoke runs no-action may not have aged into any cost yet,
+    # and a 0.0 == 0.0 tie there is not a loss.
+    rolling = scenario.sla_cost("rolling")
+    others = (scenario.sla_cost("simultaneous"), scenario.sla_cost("no-action"))
+    return all(rolling <= cost for cost in others) and any(rolling < cost for cost in others)
 
 
 def fig_fleet(
@@ -1893,7 +1611,7 @@ def fig_fleet(
     balancer_policy: str = "sticky",
     leak_bytes: int = REJUVENATION_LEAK_BYTES,
     period_n: int = REJUVENATION_PERIOD_N,
-) -> FleetScenarioResult:
+) -> Comparison:
     """Three same-seed fleet runs: rolling vs simultaneous vs no action.
 
     Every shard of the fleet serves its balancer share of the EB population
@@ -1906,61 +1624,61 @@ def fig_fleet(
     time, the balancer failing sticky sessions over to the survivors).  The
     restart interval is sized so each shard recycles exactly once.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    duration = _run_length(duration_scale)
     if shards < 2:
         raise ValueError(f"a fleet comparison needs at least 2 shards, got {shards}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
     # Per-shard sizing: the balancer splits the EB population, so each shard
     # sees ~1/shards of the measured component-A visit rate.  The fill target
     # is tighter than the single-server scenario's 0.75 because sticky
     # balancing splits sessions unevenly — the slower-leaking shards must
     # still reach the wall within the run for no-action to pay its exposure.
-    visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS / shards
-    expected_leak = visit_rate / period_n * leak_bytes * duration
-    heap_bytes = int((_BASELINE_LIVE_BYTES + 0.55 * expected_leak) / 0.92)
+    heap_bytes = _leak_heap_bytes(ebs, duration, 0.55, leak_bytes, period_n, shards)
     restart_downtime = max(2.0, 120.0 * duration_scale)
-    results: Dict[str, ExperimentResult] = {}
+    base = _base_config(
+        duration_scale, seed, scale, ebs,
+        faults=[_memory_leak(leak_bytes, period_n)],
+        server_config=ServerConfig(heap_bytes=heap_bytes),
+        shards=shards,
+        balancer_policy=balancer_policy,
+    )
+    configs: Dict[str, ExperimentConfig] = {}
     for mode in FLEET_MODES:
-        rejuvenation: Optional[RejuvenationPolicy] = None
-        fleet_mode: Optional[str] = None
-        if mode != "no-action":
-            # One restart per shard: a second trigger would land past the end
-            # of the run.
-            rejuvenation = TimeBasedRejuvenationPolicy(
+        # One restart per shard: a second trigger would land past the end of
+        # the run.
+        policy = (
+            None
+            if mode == "no-action"
+            else TimeBasedRejuvenationPolicy(
                 interval=0.6 * duration, restart_downtime=restart_downtime
             )
-            fleet_mode = mode
-        config = ExperimentConfig(
-            name=f"fig-fleet-{mode}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=[
-                FaultSpec(
-                    component=COMPONENT_A,
-                    kind="memory-leak",
-                    params={"leak_bytes": leak_bytes, "period_n": period_n},
-                )
-            ],
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(heap_bytes=heap_bytes),
-            shards=shards,
-            balancer_policy=balancer_policy,
-            rejuvenation=rejuvenation,
-            fleet_rejuvenation=fleet_mode,
         )
-        results[mode] = run_experiment(config)
-    return FleetScenarioResult(
-        results=results,
-        heap_capacity=float(heap_bytes),
-        duration=duration,
-        shards=shards,
-        sla_floor=(shards - 1) / shards,
+        configs[mode] = replace(
+            base,
+            name=f"fig-fleet-{mode}",
+            rejuvenation=policy,
+            fleet_rejuvenation=None if policy is None else mode,
+        )
+    sla_floor = (shards - 1) / shards
+    return Comparison(
+        title=f"Fleet rejuvenation at {shards} shards: rolling vs. simultaneous vs. no action",
+        expectation="rolling recycles keep aggregate capacity at "
+        f"{sla_floor:.0%} or better (one shard down at a time, sticky "
+        "sessions failing over to the survivors), simultaneous restarts park "
+        "the whole fleet below the SLA floor, and no action runs every "
+        "shard's heap into the wall — rolling wins on fleet SLA cost",
+        context=[
+            f"per-shard heap capacity: {heap_bytes / MB:.2f} MB, "
+            f"run length: {duration:.0f} s, SLA capacity floor: {sla_floor:.0%}"
+        ],
+        configs=configs,
+        observe=fleet_observation,
+        caption="per-mode fleet availability and SLA cost",
+        columns=(
+            "mode", "completed", "errors", "refused", "actions", "deferred", "min_capacity_pct",
+            "below_floor_s", "exposure_s", "failovers", "budget_burn", "sla_cost",
+        ),
+        tables=_fleet_tables,
+        claim=("rolling SLA cost < simultaneous and < no-action", _rolling_wins),
     )
 
 
@@ -1985,134 +1703,188 @@ CANARY_LEAK_BYTES = 128 * KB
 #: Version label of the leaky release under test.
 CANARY_VERSION = "v2-leaky"
 
+#: Shard count of the staged-rollout comparison (the default ladder resolves
+#: to 1 → 2 → 4 shards).
+ROLLOUT_SHARDS = 4
 
-@dataclass
-class DeployComparisonResult:
-    """Shared SLA accounting of the same-seed deploy-strategy comparisons.
+#: Rollout strategy labels, in comparison order.
+ROLLOUT_MODES = ("staged", "single-canary", "blind")
 
-    Every run drives the same seeded workload through the same sharded
-    cluster; only the :class:`~repro.experiments.deploy.RolloutPlan` for the
-    (secretly leaky) v2 build of component A differs.  SLA accounting mirrors
-    the fleet scenario: deploy-outage downtime is capacity-weighted, exposure
-    sums each shard's time above the heap danger line.
-    """
+#: Fraction of the leak the bake window is expected to accumulate before the
+#: aging alert fires: the per-shard alert threshold is this fraction of the
+#: leak growth one full bake window produces, so the alert-driven ruling
+#: lands mid-bake (ahead of the deadline) at any duration scale.
+ROLLOUT_ALERT_BAKE_FRACTION = 0.5
 
-    #: Mode -> full experiment result, in comparison order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    duration: float
-    shards: int
-    component: str
-    version: str
 
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
+#: Summary columns of the deploy comparisons (rollout adds ``max_exposed``).
+_DEPLOY_COLUMNS = (
+    "mode", "completed", "errors", "refused", "deploys", "rolled_back", "leaky_shards",
+    "downtime_s", "exposure_s", "budget_burn", "sla_cost",
+)
 
-    def deploy_downtime(self, mode: str) -> float:
-        """Capacity-weighted deploy-outage seconds (outage time / shards)."""
-        rollout = self.results[mode].rollout
-        if rollout is None:
-            return 0.0
-        return rollout.outage_seconds / self.shards
 
-    def leaky_shards(self, mode: str) -> int:
-        """Shards still running the leaky build at the end of the run."""
-        rollout = self.results[mode].rollout
-        if rollout is None:
-            return 0
-        return sum(1 for v in rollout.versions.values() if v != BASELINE_VERSION)
+def max_exposed_shards(result: ExperimentResult) -> int:
+    """Most shards simultaneously on the new build during one run."""
+    return result.rollout.max_concurrent_deploys() if result.rollout is not None else 0
 
-    def exposure(self, mode: str) -> float:
-        """Summed per-shard seconds above 90 % heap occupancy."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        return sum(
-            exposure_seconds(
-                shard.heap_series(), self.heap_capacity, window_end=self.duration
-            )
-            for shard in result.cluster.shards
-        )
 
-    def sla_observation(self, mode: str) -> SlaObservation:
-        """The raw fleet-level availability currencies of one mode."""
-        result = self.results[mode]
-        return SlaObservation(
-            duration_seconds=self.duration,
-            downtime_seconds=self.deploy_downtime(mode),
-            exposure_seconds=self.exposure(mode),
-            failed_requests=result.error_count,
-            refused_requests=result.refused_requests,
-        )
+def first_ruling(report: RolloutReport) -> Optional[Dict[str, object]]:
+    """The stage row of a rollout's first analyzer ruling (``None``: never
+    ruled); it carries ``ruled_at`` and the ``trigger`` that fired it."""
+    return next((stage for stage in report.stages if "ruled_at" in stage), None)
 
-    def sla_cost(self, mode: str, cost_model: Optional[SlaCostModel] = None) -> float:
-        """Scalar fleet SLA cost of one mode (see :mod:`repro.slo.cost_model`)."""
-        model = cost_model or SlaCostModel()
-        return model.score(self.sla_observation(mode))
 
-    def _outcome_columns(self, mode: str) -> Dict[str, object]:
-        """Scenario-specific summary columns after the rollout outcome."""
-        return {}
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per mode: rollout outcome, downtime, exposure, SLA cost."""
-        cost_model = SlaCostModel()
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            rollout = result.rollout
-            observation = self.sla_observation(mode)
-            row: Dict[str, object] = {
-                "mode": mode,
-                "completed": result.completed_requests,
-                "errors": result.error_count,
-                "refused": result.refused_requests,
-                "deploys": (
-                    sum(1 for e in rollout.events if e["action"] == "deploy")
-                    if rollout is not None
-                    else 0
-                ),
-                "rolled_back": rollout.rolled_back if rollout is not None else False,
-            }
-            row.update(self._outcome_columns(mode))
-            row.update(
+def _deploy_tables(scenario: ComparisonResult, analyzed: str) -> Dict[str, Table]:
+    """Every run's deployment events, plus the ``analyzed`` run's stage
+    ladder and its last analyzer verdict."""
+    run = scenario.result(analyzed)
+    report = run.rollout
+    tables = {
+        "events": Table(
+            "deployment events",
+            [
                 {
-                    "leaky_shards": self.leaky_shards(mode),
-                    "downtime_s": round(self.deploy_downtime(mode), 2),
-                    "exposure_s": round(self.exposure(mode), 1),
-                    "budget_burn": round(cost_model.budget_burn(observation), 2),
-                    "sla_cost": round(cost_model.score(observation), 1),
+                    "strategy": mode,
+                    "time_s": round(float(event["time_s"]), 1),
+                    "shard": event["shard"],
+                    "action": event["action"],
+                    "version": event["version"],
+                    "downtime_s": round(float(event["downtime_s"]), 2),
                 }
+                for mode, result in scenario.results.items()
+                if result.rollout is not None
+                for event in result.rollout.events
+            ],
+        ),
+        "stages": Table(
+            f"{analyzed} run's stage ladder",
+            [
+                {
+                    "stage": stage["stage"],
+                    "size": stage["size"],
+                    "shards": ",".join(str(index) for index in stage["shards"]),
+                    "deployed_at_s": round(float(stage["deployed_at"]), 1),
+                    "ruled_at_s": round(float(stage["ruled_at"]), 1) if "ruled_at" in stage else "-",
+                    "trigger": stage.get("trigger", "-"),
+                    "promote": stage.get("promote", "-"),
+                }
+                for stage in report.stages
+            ],
+        ),
+    }
+    verdict = report.verdict
+    if verdict is not None:
+        notes = [f"reason: {verdict.reason}"]
+        ruling = first_ruling(report)
+        if ruling is not None and ruling["trigger"] == "alert":
+            ruled_at = float(ruling["ruled_at"])
+            bake = run.config.rollout.stage_bake_seconds
+            deadline_at = float(report.stages[0]["deployed_at"]) + bake
+            notes.append(
+                f"alert-driven: ruled at {ruled_at:.1f} s, "
+                f"{deadline_at - ruled_at:.1f} s ahead of the bake deadline"
             )
-            rows.append(row)
-        return rows
+        tables["verdict"] = Table(
+            f"{analyzed} analyzer verdict",
+            [
+                {
+                    "promote": verdict.promote,
+                    "growth_ratio": round(verdict.growth_ratio, 1),
+                    "p_value": round(verdict.p_value, 4),
+                    "samples": verdict.canary_samples,
+                    "trending_up": verdict.trending_up,
+                    "insufficient_data": verdict.insufficient_data,
+                    "truncated_bake": verdict.truncated_bake,
+                    "canary_growth_kb": round(verdict.canary_growth_bytes / KB, 1),
+                    "baseline_growth_kb": round(verdict.baseline_growth_bytes / KB, 1),
+                }
+            ],
+            notes=tuple(notes),
+        )
+    return tables
 
 
-@dataclass
-class CanaryScenarioResult(DeployComparisonResult):
-    """Outcome of the three-strategy deployment comparison.
+def _deploy_comparison(
+    label: str,
+    strategies: Dict[str, Optional[Dict[str, object]]],
+    analyzed: str,
+    duration_scale: float,
+    seed: int,
+    scale: Optional[PopulationScale],
+    shards: int,
+    ebs: int,
+    leak_bytes: int,
+    period_n: int,
+    stream_metrics: Optional[str],
+    alert_bake_fraction: Optional[float] = None,
+    **spec: object,
+) -> Comparison:
+    """The comparison body both deploy builders share: same-seed runs of one
+    sharded fleet that differ only in how the leaky v2 build of component A
+    rolls out.
 
-    *no-deploy* keeps the baseline everywhere (a control — no feature
-    shipped, no cost), *canary* deploys to one shard, bakes, and lets the
-    :class:`~repro.experiments.deploy.CanaryAnalyzer` decide from the
-    observability plane's shard-level series, *blind* rolls the build to
-    every shard on a stagger with no analysis.
+    ``strategies`` maps each mode to its :class:`RolloutPlan` overrides
+    (``None``: deploy nothing).  Every plan deploys a quarter into the run.
+    Heap sizing mirrors fig_fleet, over the post-deploy window: a rollout
+    that ships the leak to every shard must reach the wall within the run,
+    so it pays exposure/errors, while a caught canary (leaking on one shard
+    for only the bake window, ~a fifth of the deployed time) stays safe.
+    ``alert_bake_fraction`` lowers every shard's aging-alert threshold to
+    that fraction of one bake window's expected leak on a deployed shard.
+    Every run gets a fresh :class:`~repro.obs.registry.MetricsRegistry`;
+    ``stream_metrics`` streams the ``analyzed`` mode's snapshots to a JSONL
+    file.
     """
-
-    def verdict(self) -> Optional[CanaryVerdict]:
-        """The canary run's analyzer verdict (None only if analysis never ran)."""
-        rollout = self.results["canary"].rollout
-        return rollout.verdict if rollout is not None else None
-
-    def canary_wins(self) -> bool:
-        """Whether canary-then-rollback strictly beats the blind rollout.
-
-        Strict, at any duration scale: even if the run is too short for the
-        leak to cost exposure or errors, the blind rollout pays a deploy
-        outage on *every* shard while the caught canary pays only two
-        (deploy + rollback) on one shard — ``2/shards < 1`` of the blind
-        downtime whenever ``shards >= 3``.
-        """
-        return self.sla_cost("canary") < self.sla_cost("blind")
+    duration = 3600.0 * duration_scale
+    deploy_start = 0.25 * duration
+    heap_bytes = _leak_heap_bytes(ebs, duration - deploy_start, 0.55, leak_bytes, period_n, shards)
+    leaky = RolloutPlan(
+        version=ComponentVersion(
+            component=COMPONENT_A,
+            version=CANARY_VERSION,
+            faults=(_memory_leak(leak_bytes, period_n),),
+        ),
+        start_time=deploy_start,
+        stage_bake_seconds=0.15 * duration,
+        stagger_seconds=0.05 * duration,
+        deploy_downtime_seconds=max(1.0, 30.0 * duration_scale),
+    )
+    fields: Dict[str, object] = {}
+    if alert_bake_fraction is not None:
+        leak_rate = (
+            _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS / shards / period_n * leak_bytes
+        )
+        fields["alert_growth_bytes"] = alert_bake_fraction * leak_rate * leaky.stage_bake_seconds
+    base = _base_config(
+        duration_scale, seed, scale, ebs,
+        server_config=ServerConfig(heap_bytes=heap_bytes), shards=shards, **fields,
+    )
+    plans = {
+        mode: replace(leaky, **overrides) if overrides is not None else None
+        for mode, overrides in strategies.items()
+    }
+    ladder = " -> ".join(str(size) for size in plans[analyzed].ladder(shards))
+    return Comparison(
+        context=[
+            f"stage ladder: {ladder} shards, "
+            f"per-shard heap capacity: {heap_bytes / MB:.2f} MB, run length: {duration:.0f} s"
+        ],
+        configs={
+            mode: replace(
+                base,
+                name=f"fig-{label}-{mode}",
+                rollout=plan,
+                metrics_registry=MetricsRegistry(),
+                stream_metrics=stream_metrics if mode == analyzed else None,
+            )
+            for mode, plan in plans.items()
+        },
+        observe=fleet_observation,
+        caption="per-strategy rollout outcome and SLA cost",
+        tables=partial(_deploy_tables, analyzed=analyzed),
+        **spec,
+    )
 
 
 def fig_canary(
@@ -2124,7 +1896,7 @@ def fig_canary(
     leak_bytes: int = CANARY_LEAK_BYTES,
     period_n: int = CANARY_PERIOD_N,
     stream_metrics: Optional[str] = None,
-) -> CanaryScenarioResult:
+) -> Comparison:
     """Three same-seed deploy runs: no-deploy vs canary vs blind rollout.
 
     The build under test is a *leaky* v2 of component A (its fault spec
@@ -2141,164 +1913,55 @@ def fig_canary(
     ``stream_metrics`` additionally streams the canary run's snapshots to a
     JSONL file.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    _run_length(duration_scale)
     if shards < 3:
         raise ValueError(
             f"a canary comparison needs at least 3 shards "
             f"(canary + >=2 baselines), got {shards}"
         )
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
-    deploy_start = 0.25 * duration
-    bake = 0.15 * duration
-    stagger = 0.05 * duration
-    deploy_downtime = max(1.0, 30.0 * duration_scale)
-    # Heap sizing mirrors fig_fleet, over the post-deploy window: the blind
-    # rollout's per-shard leak must reach the wall within the run so blind
-    # pays exposure/errors, while the caught canary (leaking on one shard for
-    # only the bake window, ~a fifth of the deployed time) stays safe.
-    visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS / shards
-    leak_window = duration - deploy_start
-    expected_leak = visit_rate / period_n * leak_bytes * leak_window
-    heap_bytes = int((_BASELINE_LIVE_BYTES + 0.55 * expected_leak) / 0.92)
-    version = ComponentVersion(
-        component=COMPONENT_A,
-        version=CANARY_VERSION,
-        faults=(
-            FaultSpec(
-                component=COMPONENT_A,
-                kind="memory-leak",
-                params={"leak_bytes": leak_bytes, "period_n": period_n},
-            ),
+    return _deploy_comparison(
+        "canary",
+        {
+            "no-deploy": None,
+            "canary": dict(stage_sizes=(1, shards), alert_rollback=False),
+            "blind": dict(stage_sizes=(shards,), alert_rollback=False),
+        },
+        "canary",
+        duration_scale, seed, scale, shards, ebs, leak_bytes, period_n, stream_metrics,
+        title=f"Canary deployment at {shards} shards: "
+        "no-deploy vs. canary+rollback vs. blind rollout",
+        expectation=f"the '{CANARY_VERSION}' build of {COMPONENT_A} "
+        "leaks; the canary strategy catches the leak from the observability "
+        "plane's shard-level object-size series during the bake window and "
+        "rolls back before any other shard is exposed, while the blind "
+        "rollout ships the leak fleet-wide — canary wins on fleet SLA cost",
+        columns=_DEPLOY_COLUMNS,
+        # Strict at any duration scale: even if the run is too short for the
+        # leak to cost exposure or errors, the blind rollout pays a deploy
+        # outage on *every* shard while the caught canary pays only two
+        # (deploy + rollback) on one shard — ``2/shards < 1`` of the blind
+        # downtime whenever ``shards >= 3``.
+        claim=(
+            "canary+rollback SLA cost < blind rollout",
+            lambda scenario: scenario.sla_cost("canary") < scenario.sla_cost("blind"),
         ),
     )
-    canary = RolloutPlan(
-        version=version,
-        start_time=deploy_start,
-        stage_sizes=(1, shards),
-        stage_bake_seconds=bake,
-        stagger_seconds=stagger,
-        deploy_downtime_seconds=deploy_downtime,
-        alert_rollback=False,
+
+
+def _staged_wins(scenario: ComparisonResult) -> bool:
+    # The staged pipeline pays at most the single-canary's price (same
+    # first-stage blast radius, and the alert ruling can only shorten the
+    # bad build's residence time) while the blind rollout pays a deploy
+    # outage *and* the leak on every shard.  The bad build must be caught
+    # while only stage 1's shards carry it: the staged run's peak concurrent
+    # deployment is bounded by the first rung of the ladder.
+    staged, single, blind = (scenario.sla_cost(mode) for mode in ROLLOUT_MODES)
+    staged_run = scenario.result("staged")
+    return (
+        staged <= single <= blind
+        and staged < blind
+        and max_exposed_shards(staged_run) <= staged_run.rollout.ladder[0]
     )
-    plans = {
-        "no-deploy": None,
-        "canary": canary,
-        "blind": replace(canary, stage_sizes=(shards,)),
-    }
-    results: Dict[str, ExperimentResult] = {}
-    for mode in CANARY_MODES:
-        config = ExperimentConfig(
-            name=f"fig-canary-{mode}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=[],
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(heap_bytes=heap_bytes),
-            shards=shards,
-            balancer_policy="sticky",
-            rollout=plans[mode],
-            metrics_registry=MetricsRegistry(),
-            stream_metrics=stream_metrics if mode == "canary" else None,
-        )
-        results[mode] = run_experiment(config)
-    return CanaryScenarioResult(
-        results=results,
-        heap_capacity=float(heap_bytes),
-        duration=duration,
-        shards=shards,
-        component=COMPONENT_A,
-        version=CANARY_VERSION,
-    )
-
-
-#: Shard count of the staged-rollout comparison (the default ladder resolves
-#: to 1 → 2 → 4 shards).
-ROLLOUT_SHARDS = 4
-
-#: Rollout strategy labels, in comparison order.
-ROLLOUT_MODES = ("staged", "single-canary", "blind")
-
-#: Fraction of the leak the bake window is expected to accumulate before the
-#: aging alert fires: the per-shard alert threshold is this fraction of the
-#: leak growth one full bake window produces, so the alert-driven ruling
-#: lands mid-bake (ahead of the deadline) at any duration scale.
-ROLLOUT_ALERT_BAKE_FRACTION = 0.5
-
-
-@dataclass
-class RolloutScenarioResult(DeployComparisonResult):
-    """Outcome of the three-strategy progressive-delivery comparison.
-
-    *staged* walks the default stage ladder with per-stage analysis and
-    alert-driven rollback, *single-canary* is the ``(1, N)`` ladder without
-    alert rollback (the canary scenario's strategy), *blind* staggers the
-    build across every shard with no analysis.
-    """
-
-    #: The staged run's resolved stage ladder.
-    ladder: Tuple[int, ...]
-
-    def staged_report(self) -> RolloutReport:
-        """The staged run's rollout report."""
-        return self.results["staged"].rollout
-
-    def ruling_trigger(self) -> Optional[str]:
-        """What fired the staged run's first ruling (``"alert"``/``"deadline"``)."""
-        for stage in self.staged_report().stages:
-            if "trigger" in stage:
-                return str(stage["trigger"])
-        return None
-
-    def ruled_at(self) -> Optional[float]:
-        """Sim time of the staged run's first ruling."""
-        for stage in self.staged_report().stages:
-            if "ruled_at" in stage:
-                return float(stage["ruled_at"])
-        return None
-
-    def deadline_at(self) -> Optional[float]:
-        """When the staged run's first stage deadline would have ruled."""
-        stages = self.staged_report().stages
-        if not stages:
-            return None
-        bake = self.results["staged"].config.rollout.stage_bake_seconds
-        return float(stages[0]["deployed_at"]) + bake
-
-    def max_exposed_shards(self, mode: str = "staged") -> int:
-        """Most shards simultaneously on the new build under ``mode``."""
-        rollout = self.results[mode].rollout
-        return rollout.max_concurrent_deploys() if rollout is not None else 0
-
-    def _outcome_columns(self, mode: str) -> Dict[str, object]:
-        return {"max_exposed": self.max_exposed_shards(mode)}
-
-    def blast_radius_ok(self) -> bool:
-        """Whether the staged run never exposed more than the active stage.
-
-        The bad build must be caught while only stage 1's shards carry it,
-        so the peak concurrent deployment of the staged run is bounded by
-        the first rung of the ladder.
-        """
-        return self.max_exposed_shards("staged") <= self.ladder[0]
-
-    def staged_wins(self) -> bool:
-        """staged <= single-canary <= blind on SLA cost, staged strictly best.
-
-        The staged pipeline pays at most the single-canary's price (same
-        first-stage blast radius, and the alert ruling can only shorten the
-        bad build's residence time) while the blind rollout pays a deploy
-        outage *and* the leak on every shard.
-        """
-        staged = self.sla_cost("staged")
-        single = self.sla_cost("single-canary")
-        blind = self.sla_cost("blind")
-        return staged <= single <= blind and staged < blind and self.blast_radius_ok()
 
 
 def fig_rollout(
@@ -2310,7 +1973,7 @@ def fig_rollout(
     leak_bytes: int = CANARY_LEAK_BYTES,
     period_n: int = CANARY_PERIOD_N,
     stream_metrics: Optional[str] = None,
-) -> RolloutScenarioResult:
+) -> Comparison:
     """Three same-seed deploy runs: staged ladder vs single canary vs blind.
 
     The build under test is the same leaky v2 of component A the canary
@@ -2324,89 +1987,40 @@ def fig_rollout(
     run's snapshots (including the ``rollout_series`` replay block) to a
     JSONL file for `repro replay`.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    _run_length(duration_scale)
     if shards < 3:
         raise ValueError(
             f"a staged-rollout comparison needs at least 3 shards "
             f"(a stage + >=2 baselines), got {shards}"
         )
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
-    deploy_start = 0.25 * duration
-    bake = 0.15 * duration
-    stagger = 0.05 * duration
-    deploy_downtime = max(1.0, 30.0 * duration_scale)
-    # Heap and leak sizing mirror fig_canary at this shard count.
-    visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS / shards
-    leak_window = duration - deploy_start
-    expected_leak = visit_rate / period_n * leak_bytes * leak_window
-    heap_bytes = int((_BASELINE_LIVE_BYTES + 0.55 * expected_leak) / 0.92)
-    # One bake window's worth of leak on the deployed shard, scaled down so
-    # the alert fires while the stage is still baking.
-    leak_rate = visit_rate / period_n * leak_bytes
-    alert_bytes = ROLLOUT_ALERT_BAKE_FRACTION * leak_rate * bake
-    version = ComponentVersion(
-        component=COMPONENT_A,
-        version=CANARY_VERSION,
-        faults=(
-            FaultSpec(
-                component=COMPONENT_A,
-                kind="memory-leak",
-                params={"leak_bytes": leak_bytes, "period_n": period_n},
-            ),
-        ),
-    )
-    staged = RolloutPlan(
-        version=version,
-        start_time=deploy_start,
-        stage_bake_seconds=bake,
-        stagger_seconds=stagger,
-        deploy_downtime_seconds=deploy_downtime,
-        alert_rollback=True,
-    )
-    plans = {
-        "staged": staged,
-        "single-canary": replace(staged, stage_sizes=(1, shards), alert_rollback=False),
-    }
-    plans["blind"] = replace(plans["single-canary"], stage_sizes=(shards,))
-    results: Dict[str, ExperimentResult] = {}
-    for mode in ROLLOUT_MODES:
-        config = ExperimentConfig(
-            name=f"fig-rollout-{mode}",
-            seed=seed,
-            scale=scale,
-            constant_ebs=ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=[],
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(heap_bytes=heap_bytes),
-            shards=shards,
-            balancer_policy="sticky",
-            rollout=plans[mode],
-            # Every mode runs the same framework settings so the runs differ
-            # only in rollout strategy; the lowered alert threshold changes
-            # behaviour only where a listener acts on it (the staged run).
-            alert_growth_bytes=alert_bytes,
-            metrics_registry=MetricsRegistry(),
-            stream_metrics=stream_metrics if mode == "staged" else None,
-        )
-        results[mode] = run_experiment(config)
-    return RolloutScenarioResult(
-        results=results,
-        heap_capacity=float(heap_bytes),
-        duration=duration,
-        shards=shards,
-        component=COMPONENT_A,
-        version=CANARY_VERSION,
-        ladder=staged.ladder(shards),
+    return _deploy_comparison(
+        "rollout",
+        {
+            "staged": {},
+            "single-canary": dict(stage_sizes=(1, shards), alert_rollback=False),
+            "blind": dict(stage_sizes=(shards,), alert_rollback=False),
+        },
+        "staged",
+        duration_scale, seed, scale, shards, ebs, leak_bytes, period_n, stream_metrics,
+        # Every mode runs the same framework settings so the runs differ only
+        # in rollout strategy; the lowered alert threshold changes behaviour
+        # only where a listener acts on it (the staged run).
+        alert_bake_fraction=ROLLOUT_ALERT_BAKE_FRACTION,
+        title=f"Progressive delivery at {shards} shards: "
+        "staged ladder vs. single canary vs. blind rollout",
+        expectation=f"the '{CANARY_VERSION}' build of {COMPONENT_A} "
+        "leaks; the staged pipeline catches it during stage 1's bake — the "
+        "deployed shard's aging alert triggers the analyzer ruling mid-bake "
+        "— and partial rollback reverts only the deployed shards, so no "
+        "more than the active stage is ever exposed; the blind rollout "
+        "ships the leak fleet-wide",
+        columns=_DEPLOY_COLUMNS[:6] + ("max_exposed",) + _DEPLOY_COLUMNS[6:],
+        claim=("staged <= single-canary <= blind SLA cost, staged < blind", _staged_wins),
     )
 
 
 # --------------------------------------------------------------------------- #
-# Hybrid fluid/discrete scale validation (tentpole of ISSUE 9)
+# Hybrid fluid/discrete scale validation
 # --------------------------------------------------------------------------- #
 #: Shard count of the scale comparison (two shards exercise the balancer and
 #: per-shard fluid feeds without inflating the discrete reference run).
@@ -2428,181 +2042,99 @@ SCALE_TRACER_FRACTION = 0.02
 SCALE_EVENT_REDUCTION_TARGET = 20.0
 
 
-@dataclass
-class ScaleScenarioResult:
-    """Outcome of the three-run hybrid scale validation.
+def rejuvenation_action_times(result: ExperimentResult) -> List[float]:
+    """Sorted action times across every shard's controller."""
+    return sorted(
+        event.time
+        for shard in result.cluster.shards
+        if shard.controller is not None
+        for event in shard.controller.report().events
+    )
 
-    The *discrete* and *hybrid* runs drive the identical seeded workload at
-    1x population; their agreement (throughput, heap exhaustion trend,
-    rejuvenation decisions) is what licenses the *hybrid-scaled* run, which
-    multiplies the bulk population by :data:`SCALE_POPULATION_FACTOR` while
-    only the tracer slice flows through the discrete servlet/SQL path.  The
-    scaled run's claim is an event-count one: it must execute at least
-    :data:`SCALE_EVENT_REDUCTION_TARGET` times fewer discrete events than a
-    full-discrete run at the same population would (extrapolated linearly
-    from the measured 1x event count — discrete event volume is dominated by
-    per-request events and scales with the EB population).
+
+def throughput_rel_diff(scenario: ComparisonResult) -> float:
+    """Relative 1x throughput disagreement, ``|hybrid - discrete| / discrete``."""
+    reference = scenario.result("discrete").mean_throughput()
+    if reference <= 0.0:
+        return 0.0
+    return abs(scenario.result("hybrid").mean_throughput() - reference) / reference
+
+
+def _exhaustion_time(result: ExperimentResult) -> Optional[float]:
+    """Earliest per-shard (realized or extrapolated) heap exhaustion time."""
+    capacity = float(result.config.server_config.heap_bytes)
+    times = [extrapolated_exhaustion_time(s.heap_series(), capacity) for s in result.cluster.shards]
+    return min((t for t in times if t is not None), default=None)
+
+
+def population_factor(scenario: ComparisonResult) -> int:
+    """The scaled run's population multiplier."""
+    ebs = [scenario.result(mode).config.constant_ebs for mode in ("hybrid-scaled", "discrete")]
+    return ebs[0] // ebs[1]
+
+
+def event_reduction(scenario: ComparisonResult) -> float:
+    """Extrapolated discrete-event reduction of the scaled hybrid run."""
+    scaled_events = scenario.result("hybrid-scaled").executed_events
+    if scaled_events <= 0:
+        return 0.0
+    extrapolated = scenario.result("discrete").executed_events * population_factor(scenario)
+    return extrapolated / scaled_events
+
+
+def scale_bands(scenario: ComparisonResult) -> List[Dict[str, object]]:
+    """One row per hybrid validation band: measured value, bound, verdict.
+
+    The exhaustion band is vacuously true when *neither* 1x run shows an
+    exhaustion trend (a smoke run may end before the leak produces a usable
+    slope); a trend visible in exactly one of the two runs is a
+    disagreement.  The decisions band allows a count slack and bounds the
+    first-action time ratio.
     """
-
-    #: Mode -> full experiment result, in :data:`SCALE_MODES` order.
-    results: Dict[str, ExperimentResult]
-    heap_capacity: float
-    scaled_heap_capacity: float
-    duration: float
-    shards: int
-    ebs: int
-    population_factor: int
-
-    def result(self, mode: str) -> ExperimentResult:
-        """The run executed under ``mode``."""
-        return self.results[mode]
-
-    def rejuvenation_action_times(self, mode: str) -> List[float]:
-        """Sorted action times across every shard's controller."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        times: List[float] = []
-        for shard in result.cluster.shards:
-            if shard.controller is None:
-                continue
-            times.extend(event.time for event in shard.controller.report().events)
-        return sorted(times)
-
-    def throughput_rel_diff(self) -> float:
-        """Relative 1x throughput disagreement, ``|hybrid - discrete| / discrete``."""
-        reference = self.results["discrete"].mean_throughput()
-        if reference <= 0.0:
-            return 0.0
-        return abs(self.results["hybrid"].mean_throughput() - reference) / reference
-
-    def exhaustion_time(self, mode: str) -> Optional[float]:
-        """Earliest per-shard (realized or extrapolated) heap exhaustion time."""
-        result = self.results[mode]
-        assert result.cluster is not None
-        capacity = (
-            self.scaled_heap_capacity if mode == "hybrid-scaled" else self.heap_capacity
-        )
-        times = [
-            extrapolated_exhaustion_time(shard.heap_series(), capacity)
-            for shard in result.cluster.shards
-        ]
-        times = [t for t in times if t is not None]
-        return min(times) if times else None
-
-    def event_reduction(self) -> float:
-        """Extrapolated discrete-event reduction of the scaled hybrid run."""
-        scaled_events = self.results["hybrid-scaled"].executed_events
-        if scaled_events <= 0:
-            return 0.0
-        extrapolated = self.results["discrete"].executed_events * self.population_factor
-        return extrapolated / scaled_events
-
-    # -- tolerance bands ---------------------------------------------------- #
-    def throughput_within_band(self) -> bool:
-        """1x throughput agreement within :data:`HYBRID_THROUGHPUT_TOLERANCE`."""
-        return self.throughput_rel_diff() <= HYBRID_THROUGHPUT_TOLERANCE
-
-    def exhaustion_within_band(self) -> bool:
-        """1x exhaustion-trend agreement within the factor-of-two band.
-
-        Vacuously true when *neither* run shows an exhaustion trend (a smoke
-        run may end before the leak produces a usable slope); a trend visible
-        in exactly one of the two runs is a disagreement.
-        """
-        discrete = self.exhaustion_time("discrete")
-        hybrid = self.exhaustion_time("hybrid")
-        if discrete is None and hybrid is None:
-            return True
-        if discrete is None or hybrid is None:
-            return False
-        return within_tolerance(discrete, hybrid, HYBRID_TTE_TOLERANCE_FACTOR)
-
-    def decisions_within_band(self) -> bool:
-        """1x rejuvenation-decision agreement (count slack + first-action time)."""
-        discrete = self.rejuvenation_action_times("discrete")
-        hybrid = self.rejuvenation_action_times("hybrid")
-        if abs(len(discrete) - len(hybrid)) > HYBRID_DECISION_COUNT_SLACK:
-            return False
-        if discrete and hybrid:
-            return within_tolerance(
-                discrete[0], hybrid[0], HYBRID_DECISION_TIME_FACTOR
-            )
-        return True
-
-    def reduction_within_band(self) -> bool:
-        """Scaled-run event reduction meets :data:`SCALE_EVENT_REDUCTION_TARGET`."""
-        return self.event_reduction() >= SCALE_EVENT_REDUCTION_TARGET
-
-    def within_bands(self) -> bool:
-        """Every validation band at once (the CI gate)."""
-        return (
-            self.throughput_within_band()
-            and self.exhaustion_within_band()
-            and self.decisions_within_band()
-            and self.reduction_within_band()
-        )
-
-    def band_rows(self) -> List[Dict[str, object]]:
-        """One row per validation band: measured value, bound, verdict."""
-        discrete_tte = self.exhaustion_time("discrete")
-        hybrid_tte = self.exhaustion_time("hybrid")
-        discrete_actions = self.rejuvenation_action_times("discrete")
-        hybrid_actions = self.rejuvenation_action_times("hybrid")
-        return [
-            {
-                "band": "throughput",
-                "measured": round(self.throughput_rel_diff(), 4),
-                "bound": f"rel diff <= {HYBRID_THROUGHPUT_TOLERANCE}",
-                "ok": self.throughput_within_band(),
-            },
-            {
-                "band": "exhaustion",
-                "measured": (
-                    f"discrete={discrete_tte and round(discrete_tte, 1)} "
-                    f"hybrid={hybrid_tte and round(hybrid_tte, 1)}"
-                ),
-                "bound": f"factor <= {HYBRID_TTE_TOLERANCE_FACTOR}",
-                "ok": self.exhaustion_within_band(),
-            },
-            {
-                "band": "decisions",
-                "measured": (
-                    f"discrete={len(discrete_actions)} hybrid={len(hybrid_actions)}"
-                ),
-                "bound": (
-                    f"count +-{HYBRID_DECISION_COUNT_SLACK}, "
-                    f"first-action factor <= {HYBRID_DECISION_TIME_FACTOR}"
-                ),
-                "ok": self.decisions_within_band(),
-            },
-            {
-                "band": "event-reduction",
-                "measured": round(self.event_reduction(), 1),
-                "bound": f">= {SCALE_EVENT_REDUCTION_TARGET}x",
-                "ok": self.reduction_within_band(),
-            },
-        ]
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per run: population, events, throughput, fluid activity."""
-        rows: List[Dict[str, object]] = []
-        for mode, result in self.results.items():
-            fluid = result.fluid
-            rows.append(
-                {
-                    "mode": mode,
-                    "ebs": result.config.constant_ebs,
-                    "completed": result.completed_requests,
-                    "executed_events": result.executed_events,
-                    "throughput_rps": round(result.mean_throughput(), 3),
-                    "actions": len(self.rejuvenation_action_times(mode)),
-                    "bulk_completions": (
-                        round(fluid.bulk_completions, 1) if fluid is not None else 0.0
-                    ),
-                    "fluid_updates": fluid.updates if fluid is not None else 0,
-                }
-            )
-        return rows
+    rel_diff = throughput_rel_diff(scenario)
+    discrete_tte, hybrid_tte = (
+        _exhaustion_time(scenario.result(mode)) for mode in ("discrete", "hybrid")
+    )
+    if discrete_tte is None or hybrid_tte is None:
+        exhaustion_ok = discrete_tte is None and hybrid_tte is None
+    else:
+        exhaustion_ok = within_tolerance(discrete_tte, hybrid_tte, HYBRID_TTE_TOLERANCE_FACTOR)
+    discrete, hybrid = (
+        rejuvenation_action_times(scenario.result(mode)) for mode in ("discrete", "hybrid")
+    )
+    decisions_ok = abs(len(discrete) - len(hybrid)) <= HYBRID_DECISION_COUNT_SLACK and (
+        not (discrete and hybrid)
+        or within_tolerance(discrete[0], hybrid[0], HYBRID_DECISION_TIME_FACTOR)
+    )
+    reduction = event_reduction(scenario)
+    return [
+        {
+            "band": "throughput",
+            "measured": round(rel_diff, 4),
+            "bound": f"rel diff <= {HYBRID_THROUGHPUT_TOLERANCE}",
+            "ok": rel_diff <= HYBRID_THROUGHPUT_TOLERANCE,
+        },
+        {
+            "band": "exhaustion",
+            "measured": f"discrete={discrete_tte and round(discrete_tte, 1)} "
+            f"hybrid={hybrid_tte and round(hybrid_tte, 1)}",
+            "bound": f"factor <= {HYBRID_TTE_TOLERANCE_FACTOR}",
+            "ok": exhaustion_ok,
+        },
+        {
+            "band": "decisions",
+            "measured": f"discrete={len(discrete)} hybrid={len(hybrid)}",
+            "bound": f"count +-{HYBRID_DECISION_COUNT_SLACK}, "
+            f"first-action factor <= {HYBRID_DECISION_TIME_FACTOR}",
+            "ok": decisions_ok,
+        },
+        {
+            "band": "event-reduction",
+            "measured": round(reduction, 1),
+            "bound": f">= {SCALE_EVENT_REDUCTION_TARGET}x",
+            "ok": reduction >= SCALE_EVENT_REDUCTION_TARGET,
+        },
+    ]
 
 
 def fig_scale(
@@ -2615,7 +2147,7 @@ def fig_scale(
     tracer_fraction: float = SCALE_TRACER_FRACTION,
     leak_bytes: int = REJUVENATION_LEAK_BYTES,
     period_n: int = REJUVENATION_PERIOD_N,
-) -> ScaleScenarioResult:
+) -> Comparison:
     """Three same-seed runs validating the hybrid engine, then scaling it.
 
     The first two runs are the 1x cross-check: a full-discrete fleet and a
@@ -2625,63 +2157,184 @@ def fig_scale(
     run multiplies the hybrid population by ``population_factor`` (heap
     scaled with it, so exhaustion dynamics stay comparable) — a population
     no practical full-discrete run could serve, which is exactly the claim
-    the event-reduction band quantifies.
+    the event-reduction band quantifies: the scaled run must execute at
+    least :data:`SCALE_EVENT_REDUCTION_TARGET` times fewer discrete events
+    than a full-discrete run at the same population would (extrapolated
+    linearly from the measured 1x event count).
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    duration = _run_length(duration_scale)
     if shards < 2:
         raise ValueError(f"the scale comparison needs at least 2 shards, got {shards}")
     if population_factor < 2:
         raise ValueError(f"population_factor must be >= 2, got {population_factor}")
-    duration = 3600.0 * duration_scale
-    snapshot_interval = max(2.0, 30.0 * duration_scale)
+    if not 0.0 < tracer_fraction <= 1.0:
+        raise ValueError(f"tracer_fraction must be in (0, 1], got {tracer_fraction}")
     # Heap sizing mirrors fig_fleet: each shard's balancer share of the
     # component-A visit rate leaks toward the wall late in the run, so the
     # proactive policy has a real trend to act on in every mode.
-    visit_rate = _LEAK_VISITS_PER_SECOND * ebs / LEAK_EXPERIMENT_EBS / shards
-    expected_leak = visit_rate / period_n * leak_bytes * duration
-    heap_bytes = int((_BASELINE_LIVE_BYTES + 0.55 * expected_leak) / 0.92)
-    scaled_heap_bytes = int(
-        (_BASELINE_LIVE_BYTES + 0.55 * expected_leak * population_factor) / 0.92
+    heap_bytes, scaled_heap_bytes = (
+        _leak_heap_bytes(ebs, duration, 0.55, leak_bytes, period_n, shards, factor)
+        for factor in (1, population_factor)
     )
-    results: Dict[str, ExperimentResult] = {}
+    base = _base_config(
+        duration_scale, seed, scale, ebs,
+        faults=[_memory_leak(leak_bytes, period_n)],
+        shards=shards,
+        tracer_fraction=tracer_fraction,
+    )
+    configs: Dict[str, ExperimentConfig] = {}
     for mode in SCALE_MODES:
         scaled = mode == "hybrid-scaled"
-        config = ExperimentConfig(
+        configs[mode] = replace(
+            base,
             name=f"fig-scale-{mode}",
-            seed=seed,
-            scale=scale,
             constant_ebs=ebs * population_factor if scaled else ebs,
-            duration=duration,
-            mix_name="shopping",
-            monitored=True,
-            faults=[
-                FaultSpec(
-                    component=COMPONENT_A,
-                    kind="memory-leak",
-                    params={"leak_bytes": leak_bytes, "period_n": period_n},
-                )
-            ],
-            snapshot_interval=snapshot_interval,
-            server_config=ServerConfig(
-                heap_bytes=scaled_heap_bytes if scaled else heap_bytes
-            ),
-            shards=shards,
-            balancer_policy="sticky",
+            server_config=ServerConfig(heap_bytes=scaled_heap_bytes if scaled else heap_bytes),
             rejuvenation=ProactiveRejuvenationPolicy(
-                horizon=0.5 * duration,
-                microreboot_downtime=max(0.5, 2.0 * duration_scale),
+                horizon=0.5 * duration, microreboot_downtime=max(0.5, 2.0 * duration_scale)
             ),
             simulation_mode="discrete" if mode == "discrete" else "hybrid",
-            tracer_fraction=tracer_fraction,
         )
-        results[mode] = run_experiment(config)
-    return ScaleScenarioResult(
-        results=results,
-        heap_capacity=float(heap_bytes),
-        scaled_heap_capacity=float(scaled_heap_bytes),
-        duration=duration,
-        shards=shards,
-        ebs=ebs,
-        population_factor=population_factor,
+    return Comparison(
+        title=f"Hybrid scale validation at {shards} shards: discrete vs. hybrid vs. "
+        f"hybrid at {population_factor}x population",
+        expectation="the hybrid engine (bulk population as a mean-field "
+        "fluid process, a small tracer slice on the real servlet/SQL path) "
+        "reproduces the discrete run's throughput, heap-exhaustion trend and "
+        "rejuvenation decisions at 1x, then serves a population a "
+        "full-discrete run could not — with the extrapolated discrete-event "
+        "count cut by the reduction factor below",
+        context=[
+            f"1x population: {ebs} EBs, per-shard heap capacity: "
+            f"{heap_bytes / MB:.2f} MB ({scaled_heap_bytes / MB:.2f} MB scaled), "
+            f"run length: {duration:.0f} s"
+        ],
+        configs=configs,
+        observe=fleet_observation,
+        caption="per-run outcome",
+        columns=(
+            "mode", "ebs", "completed", "executed_events", "throughput_rps", "actions",
+            "bulk_completions", "fluid_updates",
+        ),
+        tables=lambda scenario: {
+            "bands": Table(
+                "validation bands (1x cross-check + scaled event reduction)", scale_bands(scenario)
+            )
+        },
+        claim=(
+            "hybrid within every band",
+            lambda scenario: all(row["ok"] for row in scale_bands(scenario)),
+        ),
     )
+
+
+# --------------------------------------------------------------------------- #
+# Registries: summary columns and comparisons
+# --------------------------------------------------------------------------- #
+def _recycle_listing(result: ExperimentResult, resource: str) -> str:
+    """``component xN`` recycles of one resource channel (``-`` for none)."""
+    by_component = sorted(recycles(result).get(resource, {}).items())
+    return ", ".join(f"{component} x{count}" for component, count in by_component) or "-"
+
+
+def _heap_predictions(result: ExperimentResult) -> int:
+    """Settled predictions of an adaptive run's heap predictor."""
+    policy = result.config.rejuvenation
+    return policy.predictor("heap").stats.count if "heap" in policy.calibrated_resources() else 0
+
+
+_Column = Callable[["ComparisonResult", str], object]
+
+
+def _of_run(read: Callable[[ExperimentResult], object]) -> _Column:
+    """A summary column that reads only the mode's run."""
+    return lambda scenario, mode: read(scenario.result(mode))
+
+
+def _observed(name: str, digits: int) -> _Column:
+    """A summary column reading one field of the mode's :class:`SlaObservation`."""
+    return lambda scenario, mode: round(getattr(scenario.sla_observation(mode), name), digits)
+
+
+#: Summary columns by name: each maps (comparison result, mode) to that
+#: mode's value.  The mode-key columns split the mode name
+#: (``workload/policy``, ``mode/runN``).
+SUMMARY_COLUMNS: Dict[str, _Column] = {
+    "policy": lambda scenario, mode: mode.split("/")[-1],
+    "workload": lambda scenario, mode: mode.split("/")[0],
+    "mode": lambda scenario, mode: mode.split("/run")[0],
+    "run": lambda scenario, mode: int(mode.split("/run")[1]),
+    "fault": lambda scenario, mode: mode,
+    "seed": _of_run(lambda r: r.config.seed),
+    "ebs": _of_run(lambda r: r.config.constant_ebs),
+    "issued": _of_run(lambda r: r.issued_requests),
+    "completed": _of_run(lambda r: r.completed_requests),
+    "errors": _of_run(lambda r: r.error_count),
+    "timeouts": _of_run(lambda r: r.client_timeouts),
+    "retries": _of_run(lambda r: r.retry_attempts),
+    "breaker_refusals": _of_run(lambda r: r.accounting.get("breaker_refusals", 0)),
+    "executed_events": _of_run(lambda r: r.executed_events),
+    "mean_rps": _of_run(lambda r: round(r.mean_throughput(), 3)),
+    "throughput_rps": _of_run(lambda r: round(r.mean_throughput(), 3)),
+    "mean_rt_s": _of_run(lambda r: round(r.mean_response_time, 3)),
+    "actions": _of_run(_actions),
+    "recycles": _of_run(_actions),
+    "refused": lambda scenario, mode: scenario.sla_observation(mode).refused_requests,
+    "downtime_s": _observed("downtime_seconds", 2),
+    "below_floor_s": _observed("downtime_seconds", 2),
+    "exposure_s": _observed("exposure_seconds", 1),
+    "budget_burn": lambda scenario, mode: round(
+        scenario.comparison.cost_model.budget_burn(scenario.sla_observation(mode)), 2
+    ),
+    "sla_cost": lambda scenario, mode: round(scenario.sla_cost(mode), 1),
+    # Rejuvenation and calibration.
+    "reclaimed_mb": _of_run(
+        lambda r: round((r.rejuvenation.reclaimed_bytes if r.rejuvenation else 0) / MB, 2)
+    ),
+    "final_heap_mb": _of_run(
+        lambda r: round(float(r.heap_series.values[-1]) / MB if len(r.heap_series) else 0.0, 2)
+    ),
+    "heap_recycles": _of_run(lambda r: _recycle_listing(r, "heap")),
+    "connection_recycles": _of_run(lambda r: _recycle_listing(r, "connections")),
+    "warm_started": _of_run(lambda r: r.config.rejuvenation.warm_started),
+    "opening_horizon_s": _of_run(lambda r: round(r.config.rejuvenation.opening_horizon("heap"), 1)),
+    "final_horizon_s": _of_run(lambda r: round(r.config.rejuvenation.horizon("heap"), 1)),
+    "predictions": _of_run(_heap_predictions),
+    # Fault attribution.
+    "blamed": _of_run(lambda r: _blamed(zoo_attribution(r))),
+    "description": _of_run(lambda r: "; ".join(r.fault_descriptions)),
+    # Fleets.
+    "deferred": _of_run(
+        lambda r: r.fleet.rejuvenation.deferred_checks if r.fleet.rejuvenation else 0
+    ),
+    "min_capacity_pct": _of_run(lambda r: round(100.0 * min_capacity_fraction(r), 1)),
+    "failovers": _of_run(lambda r: r.fleet.balancer["failovers"]),
+    "bulk_completions": _of_run(lambda r: round(r.fluid.bulk_completions, 1) if r.fluid else 0.0),
+    "fluid_updates": _of_run(lambda r: r.fluid.updates if r.fluid else 0),
+    # Deploys.
+    "deploys": _of_run(
+        lambda r: sum(e["action"] == "deploy" for e in r.rollout.events) if r.rollout else 0
+    ),
+    "rolled_back": _of_run(lambda r: r.rollout.rolled_back if r.rollout else False),
+    "max_exposed": _of_run(max_exposed_shards),
+    "leaky_shards": _of_run(
+        lambda r: sum(v != BASELINE_VERSION for v in r.rollout.versions.values())
+        if r.rollout
+        else 0
+    ),
+}
+
+
+#: Every multi-run comparison builder, by CLI name.
+COMPARISONS: Dict[str, Callable[..., Comparison]] = {
+    "rejuvenation": fig_rejuvenation,
+    "adaptive": fig_adaptive,
+    "mixed": fig_mixed,
+    "learning": fig_learning,
+    "zoo": fig_zoo,
+    "storm": fig_retry_storm,
+    "fleet": fig_fleet,
+    "canary": fig_canary,
+    "rollout": fig_rollout,
+    "scale": fig_scale,
+}

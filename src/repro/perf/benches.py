@@ -425,16 +425,16 @@ def bench_rejuvenation_e2e(options: BenchOptions) -> BenchResult:
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
-        )
+        ).run()
+        full = scenario.sla_observation("time-based")
+        micro = scenario.sla_observation("proactive-microreboot")
         return {
-            "full_restart_downtime_s": round(scenario.downtime_seconds("time-based"), 2),
-            "microreboot_downtime_s": round(
-                scenario.downtime_seconds("proactive-microreboot"), 2
+            "full_restart_downtime_s": round(full.downtime_seconds, 2),
+            "microreboot_downtime_s": round(micro.downtime_seconds, 2),
+            "no_action_exposure_s": round(
+                scenario.sla_observation("no-action").exposure_seconds, 1
             ),
-            "no_action_exposure_s": round(scenario.exposure("no-action"), 1),
-            "microreboot_exposure_s": round(
-                scenario.exposure("proactive-microreboot"), 1
-            ),
+            "microreboot_exposure_s": round(micro.exposure_seconds, 1),
             "no_action_errors": scenario.results["no-action"].error_count,
         }
 
@@ -681,7 +681,7 @@ def bench_timeseries_store(options: BenchOptions) -> BenchResult:
 @microbench("adaptive_e2e")
 def bench_adaptive_e2e(options: BenchOptions) -> BenchResult:
     """Wall-clock + headline verdicts of the adaptive SLA comparison."""
-    from repro.experiments.scenarios import fig_adaptive
+    from repro.experiments.scenarios import best_fixed_cost, fig_adaptive
     from repro.tpcw.population import PopulationScale
 
     def runner() -> Dict[str, object]:
@@ -689,17 +689,17 @@ def bench_adaptive_e2e(options: BenchOptions) -> BenchResult:
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
-        )
+        ).run()
         return {
-            "memory_adaptive_sla_cost": round(scenario.sla_cost("memory", "adaptive"), 1),
-            "memory_best_fixed_sla_cost": round(scenario.best_fixed_cost("memory"), 1),
-            "threads_no_action_errors": scenario.result("threads", "no-action").error_count,
-            "threads_adaptive_errors": scenario.result("threads", "adaptive").error_count,
+            "memory_adaptive_sla_cost": round(scenario.sla_cost("memory/adaptive"), 1),
+            "memory_best_fixed_sla_cost": round(best_fixed_cost(scenario, "memory"), 1),
+            "threads_no_action_errors": scenario.result("threads/no-action").error_count,
+            "threads_adaptive_errors": scenario.result("threads/adaptive").error_count,
             "connections_no_action_errors": scenario.result(
-                "connections", "no-action"
+                "connections/no-action"
             ).error_count,
             "connections_adaptive_errors": scenario.result(
-                "connections", "adaptive"
+                "connections/adaptive"
             ).error_count,
         }
 
@@ -712,7 +712,11 @@ def bench_learning_e2e(options: BenchOptions) -> BenchResult:
     import os
     import tempfile
 
-    from repro.experiments.scenarios import fig_learning
+    from repro.experiments.scenarios import (
+        cumulative_sla_cost,
+        fig_learning,
+        total_recycles,
+    )
     from repro.tpcw.population import PopulationScale
 
     # Each timed repeat gets its own store file (the warm mode must open
@@ -729,13 +733,13 @@ def bench_learning_e2e(options: BenchOptions) -> BenchResult:
                 seed=options.seed,
                 scale=PopulationScale.tiny(),
                 store_path=os.path.join(scratch, f"calibration-{repeat[0]}.json"),
-            )
+            ).run()
             return {
-                "runs_per_mode": scenario.runs,
-                "cold_cumulative_sla_cost": round(scenario.cumulative_sla_cost("cold"), 1),
-                "warm_cumulative_sla_cost": round(scenario.cumulative_sla_cost("warm"), 1),
-                "cold_total_recycles": scenario.total_recycles("cold"),
-                "warm_total_recycles": scenario.total_recycles("warm"),
+                "runs_per_mode": len(scenario.results) // 2,
+                "cold_cumulative_sla_cost": round(cumulative_sla_cost(scenario, "cold"), 1),
+                "warm_cumulative_sla_cost": round(cumulative_sla_cost(scenario, "warm"), 1),
+                "cold_total_recycles": total_recycles(scenario, "cold"),
+                "warm_total_recycles": total_recycles(scenario, "warm"),
             }
 
         return _run_e2e("learning_e2e", runner, options)
@@ -765,7 +769,7 @@ def bench_fig4_e2e(options: BenchOptions) -> BenchResult:
 @microbench("fleet_e2e")
 def bench_fleet_e2e(options: BenchOptions) -> BenchResult:
     """Wall-clock + headline verdicts of the sharded-fleet rejuvenation scenario."""
-    from repro.experiments.scenarios import fig_fleet
+    from repro.experiments.scenarios import fig_fleet, min_capacity_fraction
     from repro.tpcw.population import PopulationScale
 
     def runner() -> Dict[str, object]:
@@ -773,16 +777,16 @@ def bench_fleet_e2e(options: BenchOptions) -> BenchResult:
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
-        )
+        ).run()
         return {
-            "shards": scenario.shards,
+            "shards": scenario.result("rolling").config.shards,
             "rolling_sla_cost": round(scenario.sla_cost("rolling"), 1),
             "simultaneous_sla_cost": round(scenario.sla_cost("simultaneous"), 1),
             "no_action_sla_cost": round(scenario.sla_cost("no-action"), 1),
             "rolling_min_capacity_pct": round(
-                100.0 * scenario.min_capacity_fraction("rolling"), 1
+                100.0 * min_capacity_fraction(scenario.result("rolling")), 1
             ),
-            "rolling_wins": scenario.rolling_wins(),
+            "rolling_wins": scenario.holds(),
         }
 
     return _run_e2e("fleet_e2e", runner, options)
@@ -996,7 +1000,10 @@ def bench_hybrid_e2e(options: BenchOptions) -> BenchResult:
     """
     from repro.experiments.scenarios import (
         SCALE_EVENT_REDUCTION_TARGET,
+        event_reduction,
         fig_scale,
+        population_factor,
+        throughput_rel_diff,
     )
     from repro.tpcw.population import PopulationScale
 
@@ -1007,23 +1014,23 @@ def bench_hybrid_e2e(options: BenchOptions) -> BenchResult:
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
-        )
+        ).run()
         last["scenario"] = scenario
 
     stats = measure_seconds(runner, repeats=1, warmup=False)
     scenario = last["scenario"]
-    reduction = scenario.event_reduction()
+    reduction = event_reduction(scenario)
     return BenchResult(
         name="hybrid_e2e",
         metrics={
             "wall_clock_seconds": float(stats["best_seconds"]),
             "event_reduction": reduction,
-            "population_factor": scenario.population_factor,
+            "population_factor": population_factor(scenario),
             "discrete_1x_events": scenario.results["discrete"].executed_events,
             "hybrid_1x_events": scenario.results["hybrid"].executed_events,
             "hybrid_scaled_events": scenario.results["hybrid-scaled"].executed_events,
-            "throughput_rel_diff": round(scenario.throughput_rel_diff(), 4),
-            "within_bands": scenario.within_bands(),
+            "throughput_rel_diff": round(throughput_rel_diff(scenario), 4),
+            "within_bands": scenario.holds(),
         },
         speedup_vs_seed=reduction,
         target_speedup=SCALE_EVENT_REDUCTION_TARGET,

@@ -35,8 +35,8 @@ Two classical pieces:
   the run converts into SLA-comparable unavailable seconds exactly the way
   :class:`~repro.slo.cost_model.SlaCostModel` converts measured failures.
 
-The predicted and realized numbers are compared per workload in
-``adaptive_report`` (see ``AdaptiveScenarioResult.analytic_rows``); the
+The predicted and realized numbers are compared per workload in the
+``analytic`` report table of ``fig_adaptive``; the
 stated acceptance tolerance is a factor of :data:`TTE_TOLERANCE_FACTOR` —
 the leak injections are bursty (a handful of large random-countdown jumps),
 so exhaustion-time realizations scatter around the fluid-limit prediction.

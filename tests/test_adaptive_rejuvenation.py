@@ -274,52 +274,59 @@ class TestFaultErrorSurfacing:
 def adaptive_scenario():
     from repro.experiments.scenarios import fig_adaptive
 
-    return fig_adaptive(duration_scale=DS, seed=42, scale=TINY)
+    return fig_adaptive(duration_scale=DS, seed=42, scale=TINY).run()
 
 
 class TestFigAdaptive:
     def test_adaptive_beats_or_matches_best_fixed_on_memory(self, adaptive_scenario):
-        adaptive = adaptive_scenario.sla_cost("memory", "adaptive")
-        best_fixed = adaptive_scenario.best_fixed_cost("memory")
+        from repro.experiments.scenarios import best_fixed_cost
+
+        adaptive = adaptive_scenario.sla_cost("memory/adaptive")
+        best_fixed = best_fixed_cost(adaptive_scenario, "memory")
         assert adaptive <= best_fixed
 
     @pytest.mark.parametrize("workload", ["threads", "connections"])
     def test_rejuvenation_eliminates_error_spikes(self, adaptive_scenario, workload):
-        no_action = adaptive_scenario.result(workload, "no-action")
-        adaptive = adaptive_scenario.result(workload, "adaptive")
+        no_action = adaptive_scenario.result(f"{workload}/no-action")
+        adaptive = adaptive_scenario.result(f"{workload}/adaptive")
         assert no_action.error_count > 0, "no-action run must exhibit the spike"
         assert adaptive.error_count == 0
-        assert adaptive_scenario.result(workload, "proactive-microreboot").error_count == 0
+        assert adaptive_scenario.result(f"{workload}/proactive-microreboot").error_count == 0
 
     def test_all_policies_on_all_workloads(self, adaptive_scenario):
         for workload in ("memory", "threads", "connections"):
-            assert sorted(adaptive_scenario.results[workload]) == sorted(
+            policies = [
+                mode.split("/")[1]
+                for mode in adaptive_scenario.results
+                if mode.startswith(f"{workload}/")
+            ]
+            assert sorted(policies) == sorted(
                 ["no-action", "time-based", "proactive-microreboot", "adaptive"]
             )
 
     def test_exposure_and_downtime_enter_the_scalar(self, adaptive_scenario):
         # The no-action memory run pays exposure + errors but no downtime;
         # recycling policies pay downtime but eliminate both.
-        observation = adaptive_scenario.sla_observation("memory", "no-action")
+        observation = adaptive_scenario.sla_observation("memory/no-action")
         assert observation.downtime_seconds == 0.0
         assert observation.exposure_seconds > 0.0
         assert observation.failed_requests > 0
-        recycled = adaptive_scenario.sla_observation("memory", "adaptive")
+        recycled = adaptive_scenario.sla_observation("memory/adaptive")
         assert recycled.downtime_seconds > 0.0
         assert recycled.exposure_seconds == 0.0
         assert recycled.failed_requests == 0
 
     def test_predictor_rows_present_for_each_workload(self, adaptive_scenario):
-        rows = adaptive_scenario.predictor_rows()
+        rows = adaptive_scenario.tables()["predictor"].rows
         workloads = {row["workload"] for row in rows}
         assert workloads == {"memory", "threads", "connections"}
         for row in rows:
             assert row["predictions"] > 0
 
     def test_adaptive_report_renders(self, adaptive_scenario):
-        from repro.experiments.reporting import adaptive_report
+        from repro.experiments.reporting import comparison_report
 
-        text = adaptive_report(adaptive_scenario)
+        text = comparison_report(adaptive_scenario)
         assert "sla_cost" in text
         assert "verdicts:" in text
         assert "True" in text
@@ -327,7 +334,7 @@ class TestFigAdaptive:
     def test_deterministic_per_seed(self, adaptive_scenario):
         from repro.experiments.scenarios import fig_adaptive
 
-        repeat = fig_adaptive(duration_scale=DS, seed=42, scale=TINY)
+        repeat = fig_adaptive(duration_scale=DS, seed=42, scale=TINY).run()
         assert repeat.summary_rows() == adaptive_scenario.summary_rows()
 
 
@@ -335,7 +342,7 @@ class TestAnalyticCrossCheck:
     """The M/M/c + leak-model cross-check of the no-action runs (ISSUE 5)."""
 
     def test_rows_cover_every_workload(self, adaptive_scenario):
-        rows = {row["workload"]: row for row in adaptive_scenario.analytic_rows()}
+        rows = {row["workload"]: row for row in adaptive_scenario.tables()["analytic"].rows}
         assert set(rows) == {"memory", "threads", "connections"}
 
     def test_analytic_tte_within_stated_tolerance_of_realized(self, adaptive_scenario):
@@ -343,7 +350,7 @@ class TestAnalyticCrossCheck:
         # in repro.slo.analytic) must hold for every workload at the pinned
         # seed/scale: the fluid-limit prediction from the configuration
         # alone lands in the band around the realized exhaustion time.
-        for row in adaptive_scenario.analytic_rows():
+        for row in adaptive_scenario.tables()["analytic"].rows:
             assert row["realized_tte_s"] is not None, row["workload"]
             assert row["analytic_tte_s"] is not None, row["workload"]
             assert row["tte_ok"] is True, row
@@ -351,7 +358,7 @@ class TestAnalyticCrossCheck:
     def test_predicted_failures_track_realized(self, adaptive_scenario):
         # Order-of-magnitude agreement on the failure side too: the model
         # knows which requests an exhausted resource fails.
-        for row in adaptive_scenario.analytic_rows():
+        for row in adaptive_scenario.tables()["analytic"].rows:
             assert row["realized_failed"] > 0, row["workload"]
             assert (
                 0.5 * row["realized_failed"]
@@ -363,27 +370,28 @@ class TestAnalyticCrossCheck:
         # The M/M/c side of the check: at the configured arrival/service
         # rates the server is deep in the stable regime, so the model
         # attributes the no-action errors to exhaustion, not queueing.
-        for row in adaptive_scenario.analytic_rows():
+        for row in adaptive_scenario.tables()["analytic"].rows:
             assert row["mmc_utilization"] < 0.5
             assert row["mmc_wait_probability"] < 0.01
 
     def test_realized_exhaustion_matches_monitored_series(self, adaptive_scenario):
+        from repro.experiments.scenarios import watched_series
         from repro.slo.analytic import realized_exhaustion_time
 
-        model = adaptive_scenario.analytic_models["threads"]
-        series = adaptive_scenario.monitored_series("threads", "no-action")
-        assert adaptive_scenario.realized_exhaustion("threads") == (
-            realized_exhaustion_time(
-                series,
-                adaptive_scenario.capacities["threads"],
-                model.exhaustion_fraction,
-            )
+        no_action = adaptive_scenario.result("threads/no-action")
+        series, capacity = watched_series(no_action)
+        assert series is no_action.framework.manager.map.series("<jvm>", "threads_total")
+        assert capacity == float(no_action.config.server_config.thread_capacity)
+        rows = {row["workload"]: row for row in adaptive_scenario.tables()["analytic"].rows}
+        # The threads model reads exhaustion at the bound itself (fraction 1).
+        assert rows["threads"]["realized_tte_s"] == round(
+            realized_exhaustion_time(series, capacity, 1.0), 1
         )
 
     def test_report_includes_cross_check_table(self, adaptive_scenario):
-        from repro.experiments.reporting import adaptive_report
+        from repro.experiments.reporting import comparison_report
 
-        text = adaptive_report(adaptive_scenario)
+        text = comparison_report(adaptive_scenario)
         assert "analytic M/M/c cross-check" in text
         assert "analytic_tte_s" in text
         assert "tte_ok" in text

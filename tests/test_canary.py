@@ -125,6 +125,11 @@ class TestHealthyPromotion:
         assert actions[-1] == "complete"
 
 
+def _row(result, mode):
+    """The summary row of one mode."""
+    return {row["mode"]: row for row in result.summary_rows()}[mode]
+
+
 class TestFigCanary:
     @pytest.fixture(scope="class")
     def scenario(self, tmp_path_factory):
@@ -134,7 +139,7 @@ class TestFigCanary:
             seed=42,
             scale=PopulationScale.tiny(),
             stream_metrics=str(stream),
-        )
+        ).run()
         return result, stream
 
     def test_modes_and_validation(self, scenario):
@@ -147,7 +152,7 @@ class TestFigCanary:
 
     def test_canary_is_caught_and_rolled_back(self, scenario):
         result, _ = scenario
-        verdict = result.verdict()
+        verdict = result.result("canary").rollout.verdict
         assert verdict is not None
         assert not verdict.promote
         assert verdict.trending_up
@@ -157,38 +162,44 @@ class TestFigCanary:
         # Only the canary shard ever saw the leaky build, and it is back on
         # baseline by the end of the run.
         assert set(rollout.versions.values()) == {BASELINE_VERSION}
+        shards = result.result("canary").config.shards
         touched = {event["shard"] for event in rollout.events}
-        assert touched == {result.shards - 1}
-        assert result.leaky_shards("canary") == 0
+        assert touched == {shards - 1}
+        assert _row(result, "canary")["leaky_shards"] == 0
 
     def test_blind_rollout_ships_the_leak_fleet_wide(self, scenario):
         result, _ = scenario
         rollout = result.results["blind"].rollout
+        shards = result.result("blind").config.shards
         assert not rollout.rolled_back
-        assert result.leaky_shards("blind") == result.shards
-        assert sum(1 for e in rollout.events if e["action"] == "deploy") == result.shards
+        assert _row(result, "blind")["leaky_shards"] == shards
+        assert sum(1 for e in rollout.events if e["action"] == "deploy") == shards
 
     def test_canary_strictly_beats_blind_on_sla_cost(self, scenario):
         result, _ = scenario
-        assert result.canary_wins()
+        assert result.holds()
         assert result.sla_cost("canary") < result.sla_cost("blind")
         # The caught canary pays two outage windows on one shard; the blind
         # rollout pays one on every shard.
-        assert result.deploy_downtime("canary") < result.deploy_downtime("blind")
+        assert (
+            result.sla_observation("canary").downtime_seconds
+            < result.sla_observation("blind").downtime_seconds
+        )
 
     def test_scenario_is_deterministic_per_seed(self, scenario):
         result, _ = scenario
-        rerun = fig_canary(duration_scale=0.05, seed=42, scale=PopulationScale.tiny())
+        rerun = fig_canary(duration_scale=0.05, seed=42, scale=PopulationScale.tiny()).run()
         assert rerun.summary_rows() == result.summary_rows()
-        first = result.results["canary"].metrics.snapshot_json(at=result.duration)
-        second = rerun.results["canary"].metrics.snapshot_json(at=rerun.duration)
+        duration = result.result("canary").config.duration
+        first = result.results["canary"].metrics.snapshot_json(at=duration)
+        second = rerun.results["canary"].metrics.snapshot_json(at=duration)
         assert first == second
 
     def test_stream_final_record_matches_post_hoc_ledger(self, scenario):
         result, stream = scenario
         records = [json.loads(line) for line in stream.read_text().splitlines() if line]
         assert len(records) > 1
-        assert records[-1]["time_s"] == pytest.approx(result.duration)
+        assert records[-1]["time_s"] == pytest.approx(result.result("canary").config.duration)
         assert records[-1]["counters"] == dict(result.results["canary"].accounting)
         deploys = records[-1]["deploys"]
         assert [event["action"] for event in deploys] == ["deploy", "rollback"]

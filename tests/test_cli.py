@@ -198,27 +198,18 @@ class TestScenarioRegistry:
             assert args.seed == 42
             assert hasattr(args, "ebs") == command.include_ebs
 
-    def test_register_scenario_rejects_duplicate_names(self):
-        from repro.cli import SCENARIO_COMMANDS, ScenarioCommand, register_scenario
-
-        existing = SCENARIO_COMMANDS[0]
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(
-                ScenarioCommand(existing.name, "dup", handler=existing.handler)
-            )
-
     def test_fleet_command_options(self):
         args = build_parser().parse_args(
             ["fleet", "--shards", "2", "--balancer", "round-robin", "--tiny"]
         )
         assert args.shards == 2
-        assert args.balancer == "round-robin"
+        assert args.balancer_policy == "round-robin"
         assert args.tiny
 
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
         assert args.shards == 4
-        assert args.balancer == "sticky"
+        assert args.balancer_policy == "sticky"
 
     def test_ablate_jobs_option(self):
         args = build_parser().parse_args(["ablate", "--jobs", "3"])
@@ -240,19 +231,34 @@ class TestScenarioRegistry:
         "argv, message",
         [
             (["canary", "--shards", "2"], "at least 3 shards"),
+            (["rollout", "--shards", "2"], "at least 3 shards"),
             (["rollout", "--shards", "two"], "invalid int value"),
             (["rollout", "--duration-scale", "0"], "must be a positive number"),
             (["fig4", "--duration-scale", "-0.5"], "must be a positive number"),
             (["canary", "--duration-scale", "nan"], "must be a positive number"),
+            (["learning", "--runs", "1"], "needs >= 2 runs"),
+            (["fleet", "--shards", "1"], "at least 2 shards"),
+            (["scale", "--shards", "1"], "at least 2 shards"),
+            (["scale", "--population-factor", "1"], "population_factor must be >= 2"),
+            (["scale", "--tracer-fraction", "0"], "tracer_fraction must be in (0, 1]"),
+            (["scale", "--tracer-fraction", "1.5"], "tracer_fraction must be in (0, 1]"),
+            (["storm", "--ebs", "-3"], "must be a positive integer"),
+            (["bench", "--duration-scale", "0"], "must be a positive number"),
+            (["ablate", "--duration-scale", "0"], "must be a positive number"),
         ],
     )
     def test_bad_scenario_arguments_exit_2_with_one_line(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        error_lines = [line for line in err.splitlines() if "error:" in line]
+        # Argument types fail in argparse (SystemExit); builder checks fail
+        # in the comparison handler before anything runs (return code).
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error_lines = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(error_lines) == 1 and message in error_lines[0]
 
 

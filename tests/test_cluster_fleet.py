@@ -29,9 +29,11 @@ from repro.experiments.cluster import (
 )
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import (
+    below_floor_seconds,
     fig4_single_leak,
     fig_fleet,
     fig_rejuvenation,
+    min_capacity_fraction,
 )
 from repro.sim.engine import SimulationEngine
 from repro.tpcw.population import PopulationScale
@@ -88,7 +90,7 @@ class TestSingleShardEquivalence:
         assert got == FIG4_GOLDEN
 
     def test_fig_rejuvenation_bit_identical_to_pre_cluster_harness(self):
-        scenario = fig_rejuvenation(duration_scale=0.05, seed=42, scale=TINY)
+        scenario = fig_rejuvenation(duration_scale=0.05, seed=42, scale=TINY).run()
         assert set(scenario.results) == set(REJUVENATION_GOLDEN)
         for name, result in scenario.results.items():
             report = result.rejuvenation
@@ -257,40 +259,55 @@ class TestLedgerConservation:
 @pytest.fixture(scope="module")
 def fleet_scenario():
     """The acceptance-scale fleet comparison (tiny, 0.05, seed 42, 4 shards)."""
-    return fig_fleet(duration_scale=0.05, seed=42, scale=TINY)
+    return fig_fleet(duration_scale=0.05, seed=42, scale=TINY).run()
 
 
 class TestRollingRejuvenation:
     def test_rolling_keeps_capacity_at_or_above_sla_floor(self, fleet_scenario):
-        s = fleet_scenario
-        assert s.sla_floor == pytest.approx((s.shards - 1) / s.shards)
-        assert s.min_capacity_fraction("rolling") >= s.sla_floor - 1e-12
-        assert s.below_floor_seconds("rolling") == 0.0
+        rolling = fleet_scenario.result("rolling")
+        shards = rolling.config.shards
+        sla_floor = (shards - 1) / shards
+        assert min_capacity_fraction(rolling) >= sla_floor - 1e-12
+        assert below_floor_seconds(rolling) == 0.0
+        assert fleet_scenario.sla_observation("rolling").downtime_seconds == 0.0
 
     def test_rolling_recycles_each_shard_exactly_once(self, fleet_scenario):
         fleet = fleet_scenario.results["rolling"].fleet
         assert fleet is not None and fleet.rejuvenation is not None
         windows = fleet.rejuvenation.windows
-        assert sorted(shard for shard, _, _ in windows) == list(range(fleet_scenario.shards))
+        shards = fleet_scenario.result("rolling").config.shards
+        assert sorted(shard for shard, _, _ in windows) == list(range(shards))
         # One at a time: windows must not overlap.
         ordered = sorted(windows, key=lambda w: w[1])
         for (_, _, prev_end), (_, next_start, _) in zip(ordered, ordered[1:]):
             assert next_start >= prev_end - 1e-9
 
     def test_simultaneous_mode_blacks_out_the_fleet(self, fleet_scenario):
-        s = fleet_scenario
-        assert s.min_capacity_fraction("simultaneous") == 0.0
-        assert s.below_floor_seconds("simultaneous") > 0.0
+        simultaneous = fleet_scenario.result("simultaneous")
+        assert min_capacity_fraction(simultaneous) == 0.0
+        assert below_floor_seconds(simultaneous) > 0.0
+
+    def test_capacity_profile_covers_the_run(self, fleet_scenario):
+        # One profile over the fleet report's outage windows: contiguous
+        # segments spanning [0, duration], each at a whole-shard fraction.
+        result = fleet_scenario.result("simultaneous")
+        duration = result.config.duration
+        profile = result.fleet.rejuvenation.capacity_profile(duration)
+        assert profile[0][0] == 0.0 and profile[-1][1] == duration
+        for (_, end, _), (start, _, _) in zip(profile, profile[1:]):
+            assert end == start
+        shards = result.config.shards
+        assert {round(f * shards, 9) % 1 for _, _, f in profile} == {0.0}
 
     def test_rolling_wins_on_fleet_sla_cost(self, fleet_scenario):
         s = fleet_scenario
-        assert s.rolling_wins()
+        assert s.holds()
         assert s.sla_cost("rolling") < s.sla_cost("simultaneous")
         assert s.sla_cost("rolling") < s.sla_cost("no-action")
 
     def test_fleet_manager_ranks_cross_shard_aging(self, fleet_scenario):
-        rows = fleet_scenario.root_cause_rows("no-action")
-        assert len(rows) == fleet_scenario.shards
+        rows = fleet_scenario.result("no-action").fleet.root_cause_rows
+        assert len(rows) == fleet_scenario.result("no-action").config.shards
         growths = [float(row["heap_growth_mb"]) for row in rows]
         assert growths == sorted(growths, reverse=True)
         assert all(row["component"] == "product_detail" for row in rows)

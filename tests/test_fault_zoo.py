@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import (
-    accounting_sanity_check,
-    retry_storm_report,
-    zoo_report,
-)
+from repro.experiments.reporting import accounting_sanity_check, comparison_report
 from repro.experiments.scenarios import (
     COMPONENT_A,
     COMPONENT_B,
     ZOO_FAULT_KINDS,
     fig_retry_storm,
     fig_zoo,
+    zoo_attribution,
     zoo_fault_spec,
 )
 from repro.faults.cache_stampede import CacheStampedeFault
@@ -259,14 +256,14 @@ class TestZooFaultSpec:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def storm():
-    return fig_retry_storm(duration_scale=0.05, seed=42, scale=TINY, ebs=30)
+    return fig_retry_storm(duration_scale=0.05, seed=42, scale=TINY, ebs=30).run()
 
 
 class TestRetryStormScenario:
     def test_backoff_plus_breaker_strictly_cheaper(self, storm):
         naive, resilient = storm.sla_cost("naive"), storm.sla_cost("resilient")
         assert naive > resilient
-        assert storm.cost_delta() > 0
+        assert storm.holds()
 
     def test_breaker_converts_timeouts_into_refusals(self, storm):
         naive = storm.results["naive"]
@@ -280,15 +277,16 @@ class TestRetryStormScenario:
             accounting_sanity_check(result)
 
     def test_report_renders_and_claim_holds(self, storm):
-        report = retry_storm_report(storm)
+        report = comparison_report(storm)
         assert "resilient SLA cost < naive SLA cost" in report
         assert "holds" in report
 
     def test_deterministic_per_seed(self):
-        first = fig_retry_storm(duration_scale=0.02, seed=42, scale=TINY, ebs=25)
-        second = fig_retry_storm(duration_scale=0.02, seed=42, scale=TINY, ebs=25)
+        first = fig_retry_storm(duration_scale=0.02, seed=42, scale=TINY, ebs=25).run()
+        second = fig_retry_storm(duration_scale=0.02, seed=42, scale=TINY, ebs=25).run()
         assert first.summary_rows() == second.summary_rows()
-        assert first.cost_delta() == pytest.approx(second.cost_delta())
+        for mode in ("naive", "resilient"):
+            assert first.sla_cost(mode) == pytest.approx(second.sla_cost(mode))
 
 
 class TestZooScenario:
@@ -302,20 +300,21 @@ class TestZooScenario:
             scale=TINY,
             ebs=30,
             kinds=["slow-downstream", "correlated-cascade"],
-        )
+        ).run()
 
     def test_attribution_blames_the_faulty_component(self, zoo):
-        for row in zoo.verdict_rows():
+        for row in zoo.tables()["verdicts"].rows:
             assert row["holds"], row
-        assert zoo.top_component("slow-downstream") == COMPONENT_A
+        assert zoo_attribution(zoo.result("slow-downstream")).top().component == COMPONENT_A
 
     def test_cascade_blames_source_not_victim(self, zoo):
-        assert zoo.top_component("correlated-cascade") == COMPONENT_A
-        ranked = zoo.attributions["correlated-cascade"].ranking()
+        report = zoo_attribution(zoo.result("correlated-cascade"))
+        assert report.top().component == COMPONENT_A
+        ranked = report.ranking()
         assert COMPONENT_B in ranked  # the victim is visible, just not first
         assert ranked.index(COMPONENT_B) > 0
 
     def test_report_renders(self, zoo):
-        report = zoo_report(zoo)
+        report = comparison_report(zoo)
         assert "slow-downstream" in report
         assert "correlated-cascade" in report

@@ -25,7 +25,7 @@ from repro.baselines.rejuvenation import (
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.core.rejuvenation import RejuvenationController
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.experiments.reporting import rejuvenation_report
+from repro.experiments.reporting import comparison_report
 from repro.experiments.scenarios import COMPONENT_A, fig_rejuvenation
 from repro.sim.engine import SimulationEngine
 from repro.tpcw.application import build_deployment
@@ -240,22 +240,26 @@ class TestNoopControllerIdentity:
 class TestRejuvenationScenario:
     @pytest.fixture(scope="class")
     def scenario(self):
-        return fig_rejuvenation(duration_scale=0.02, seed=42, scale=TINY)
+        return fig_rejuvenation(duration_scale=0.02, seed=42, scale=TINY).run()
 
     def test_microreboot_downtime_beats_full_restart(self, scenario):
-        micro = scenario.downtime_seconds("proactive-microreboot")
-        full = scenario.downtime_seconds("time-based")
+        micro = scenario.sla_observation("proactive-microreboot").downtime_seconds
+        full = scenario.sla_observation("time-based").downtime_seconds
         assert scenario.results["time-based"].rejuvenation.actions >= 1
         assert scenario.results["proactive-microreboot"].rejuvenation.actions >= 1
         assert micro < full
 
     def test_rejuvenation_removes_heap_exposure(self, scenario):
-        assert scenario.exposure("no-action") > 0.0
-        assert scenario.exposure("time-based") <= scenario.exposure("no-action")
-        assert scenario.exposure("proactive-microreboot") <= scenario.exposure("no-action")
+        def exposure(policy):
+            return scenario.sla_observation(policy).exposure_seconds
+
+        duration = scenario.result("no-action").config.duration
+        assert exposure("no-action") > 0.0
+        assert exposure("time-based") <= exposure("no-action")
+        assert exposure("proactive-microreboot") <= exposure("no-action")
         # Micro-reboots protect the heap as well as full restarts do.
-        assert scenario.exposure("proactive-microreboot") == pytest.approx(
-            scenario.exposure("time-based"), abs=scenario.duration * 0.1
+        assert exposure("proactive-microreboot") == pytest.approx(
+            exposure("time-based"), abs=duration * 0.1
         )
 
     def test_microreboots_target_the_leaking_component(self, scenario):
@@ -272,11 +276,11 @@ class TestRejuvenationScenario:
         assert all(event.component is None for event in events)
 
     def test_scenario_is_deterministic(self, scenario):
-        again = fig_rejuvenation(duration_scale=0.02, seed=42, scale=TINY)
+        again = fig_rejuvenation(duration_scale=0.02, seed=42, scale=TINY).run()
         assert again.summary_rows() == scenario.summary_rows()
 
     def test_report_renders(self, scenario):
-        text = rejuvenation_report(scenario)
+        text = comparison_report(scenario)
         assert "per-policy availability" in text
         assert "no-action" in text
         assert "proactive-microreboot" in text

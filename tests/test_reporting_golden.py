@@ -4,9 +4,9 @@ The Markdown/CSV artifacts must be byte-stable per (scenario, seed): floats
 are fixed to 6 decimal places and default columns are the sorted union of
 row keys, so regenerating an artifact from the same run produces the same
 bytes.  The checked-in goldens under ``tests/golden/`` pin both the
-formatting discipline and the scenarios' summary numbers at the CI smoke
-scale; an intentional change regenerates them (see the module docstring of
-each golden's generator below).
+formatting discipline and every comparison's summary numbers at the CI
+smoke scale; one parametrized test drives them all from the comparison
+registry (:data:`GOLDEN_RUNS`).
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.reporting import (
-    canary_report,
-    canary_report_artifacts,
-    fleet_report,
-    fleet_report_artifacts,
-    rollout_report_artifacts,
+    comparison_artifacts,
+    comparison_report,
     rows_to_csv,
     rows_to_markdown,
 )
-from repro.experiments.scenarios import fig_canary, fig_fleet, fig_rollout
+from repro.experiments.scenarios import COMPARISONS
 from repro.tpcw.population import PopulationScale
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -62,52 +59,70 @@ class TestArtifactFormatting:
         assert rows_to_csv([]) == "\n"
 
 
+#: golden name -> (registry name, builder overrides, pinned extra tables).
+#: Every comparison runs at tiny / seed 42 / duration_scale 0.02 (the CI
+#: smoke scale); the fleet golden runs 2 shards, like its CI step.
+GOLDEN_RUNS = {
+    **{name: (name, {}, ()) for name in COMPARISONS},
+    "adaptive": ("adaptive", {}, ("analytic", "predictor")),
+    "learning": ("learning", {}, ("verdicts",)),
+    "zoo": ("zoo", {}, ("verdicts",)),
+    "scale": ("scale", {}, ("bands",)),
+    "fleet": ("fleet", {"shards": 2}, ()),
+    "mixed_dual": ("mixed", {"dual_leak": True}, ()),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Run each golden comparison once per module (lazily, cached)."""
+    cache = {}
+
+    def run(golden):
+        if golden not in cache:
+            name, overrides, _ = GOLDEN_RUNS[golden]
+            if name == "learning":
+                store = tmp_path_factory.mktemp("learning") / "calibration.json"
+                overrides = {**overrides, "store_path": str(store)}
+            cache[golden] = COMPARISONS[name](
+                duration_scale=0.02, seed=42, scale=PopulationScale.tiny(), **overrides
+            ).run()
+        return cache[golden]
+
+    return run
+
+
 class TestGoldenSnapshots:
     """Regenerate the smoke-scale artifacts and compare byte-for-byte.
 
-    Goldens were generated with::
-
-        fleet  = fig_fleet(duration_scale=0.02, seed=42, scale=tiny, shards=2)
-        canary = fig_canary(duration_scale=0.02, seed=42, scale=tiny)
-        rollout = fig_rollout(duration_scale=0.02, seed=42, scale=tiny)
+    ``tests/golden/<golden>_summary.{md,csv}`` pins every comparison's
+    summary rows (and so their int-versus-float types: ``0`` and ``0.0``
+    render differently); ``<golden>_<table>.{md,csv}`` pins the extra
+    tables named in :data:`GOLDEN_RUNS`.  An intentional change regenerates
+    them from the same runs.
     """
 
-    @pytest.fixture(scope="class")
-    def fleet(self):
-        return fig_fleet(
-            duration_scale=0.02, seed=42, scale=PopulationScale.tiny(), shards=2
-        )
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+    def test_artifacts_match_golden(self, golden, golden_run):
+        scenario = golden_run(golden)
+        artifacts = comparison_artifacts(scenario)
+        assert artifacts["markdown"] == (GOLDEN_DIR / f"{golden}_summary.md").read_text()
+        assert artifacts["csv"] == (GOLDEN_DIR / f"{golden}_summary.csv").read_text()
+        tables = scenario.tables()
+        for key in GOLDEN_RUNS[golden][2]:
+            rows = tables[key].rows
+            assert rows_to_markdown(rows) == (GOLDEN_DIR / f"{golden}_{key}.md").read_text()
+            assert rows_to_csv(rows) == (GOLDEN_DIR / f"{golden}_{key}.csv").read_text()
+        # The report renders over the same run (and re-checks every ledger).
+        assert comparison_report(scenario).startswith(f"== {scenario.comparison.title} ==")
 
-    @pytest.fixture(scope="class")
-    def canary(self):
-        return fig_canary(duration_scale=0.02, seed=42, scale=PopulationScale.tiny())
-
-    @pytest.fixture(scope="class")
-    def rollout(self):
-        return fig_rollout(duration_scale=0.02, seed=42, scale=PopulationScale.tiny())
-
-    def test_fleet_artifacts_match_golden(self, fleet):
-        artifacts = fleet_report_artifacts(fleet)
-        assert artifacts["markdown"] == (GOLDEN_DIR / "fleet_summary.md").read_text()
-        assert artifacts["csv"] == (GOLDEN_DIR / "fleet_summary.csv").read_text()
-
-    def test_canary_artifacts_match_golden(self, canary):
-        artifacts = canary_report_artifacts(canary)
-        assert artifacts["markdown"] == (GOLDEN_DIR / "canary_summary.md").read_text()
-        assert artifacts["csv"] == (GOLDEN_DIR / "canary_summary.csv").read_text()
-
-    def test_rollout_artifacts_match_golden(self, rollout):
-        artifacts = rollout_report_artifacts(rollout)
-        assert artifacts["markdown"] == (GOLDEN_DIR / "rollout_summary.md").read_text()
-        assert artifacts["csv"] == (GOLDEN_DIR / "rollout_summary.csv").read_text()
-
-    def test_fleet_report_renders_over_the_same_run(self, fleet):
-        text = fleet_report(fleet)
+    def test_fleet_report_renders_over_the_same_run(self, golden_run):
+        text = comparison_report(golden_run("fleet"))
         assert "Fleet rejuvenation at 2 shards" in text
         assert "rolling" in text and "holds" in text
 
-    def test_canary_report_renders_over_the_same_run(self, canary):
-        text = canary_report(canary)
+    def test_canary_report_renders_over_the_same_run(self, golden_run):
+        text = comparison_report(golden_run("canary"))
         assert "Canary deployment at 3 shards" in text
         assert "canary analyzer verdict" in text
         assert "canary+rollback SLA cost < blind rollout" in text

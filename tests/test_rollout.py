@@ -15,7 +15,12 @@ from repro.experiments.deploy import (
     default_stage_ladder,
 )
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.experiments.scenarios import ROLLOUT_MODES, fig_rollout
+from repro.experiments.scenarios import (
+    ROLLOUT_MODES,
+    fig_rollout,
+    first_ruling,
+    max_exposed_shards,
+)
 from repro.obs.transports import (
     ReplaySource,
     load_stream,
@@ -170,7 +175,7 @@ class TestFigRollout:
             seed=42,
             scale=PopulationScale.tiny(),
             stream_metrics=str(stream),
-        )
+        ).run()
         return result, stream
 
     def test_modes_and_validation(self, scenario):
@@ -183,12 +188,17 @@ class TestFigRollout:
 
     def test_alert_rules_the_stage_before_the_bake_deadline(self, scenario):
         result, _ = scenario
-        assert result.ruling_trigger() == "alert"
-        assert result.ruled_at() < result.deadline_at()
+        staged = result.result("staged")
+        ruling = first_ruling(staged.rollout)
+        assert ruling["trigger"] == "alert"
+        deadline_at = (
+            staged.rollout.stages[0]["deployed_at"] + staged.config.rollout.stage_bake_seconds
+        )
+        assert ruling["ruled_at"] < deadline_at
 
     def test_partial_rollback_restores_exactly_the_deployed_shards(self, scenario):
         result, _ = scenario
-        report = result.staged_report()
+        report = result.result("staged").rollout
         assert report.rolled_back and not report.completed
         # Stage 0 of the default ladder is the last shard; nothing else was
         # ever deployed, and it is back on baseline at the end of the run.
@@ -198,17 +208,18 @@ class TestFigRollout:
         assert touched == set(stage0["shards"])
         assert set(report.versions.values()) == {BASELINE_VERSION}
         assert report.max_concurrent_deploys() == 1
-        assert result.leaky_shards("staged") == 0
+        assert {row["mode"]: row for row in result.summary_rows()}["staged"]["leaky_shards"] == 0
 
     def test_blast_radius_never_exceeds_the_active_stage(self, scenario):
         result, _ = scenario
-        assert result.blast_radius_ok()
-        assert result.max_exposed_shards("staged") == result.ladder[0]
-        assert result.max_exposed_shards("blind") == result.shards
+        staged, blind = result.result("staged"), result.result("blind")
+        assert max_exposed_shards(staged) <= staged.rollout.ladder[0]
+        assert max_exposed_shards(staged) == staged.rollout.ladder[0]
+        assert max_exposed_shards(blind) == blind.config.shards
 
     def test_staged_wins_on_sla_cost(self, scenario):
         result, _ = scenario
-        assert result.staged_wins()
+        assert result.holds()
         assert result.sla_cost("staged") <= result.sla_cost("single-canary")
         assert result.sla_cost("single-canary") <= result.sla_cost("blind")
         assert result.sla_cost("staged") < result.sla_cost("blind")
