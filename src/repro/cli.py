@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._version import __version__
@@ -349,48 +349,33 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     from repro.experiments.ablation import (
         AblationManifest,
-        default_manifest,
-        run_ablation,
+        ablation_comparison,
         smoke_manifest,
         write_reports,
     )
-    from repro.experiments.reporting import format_table as _table
 
-    if args.manifest is not None:
-        try:
+    try:
+        if args.manifest is not None:
             manifest = AblationManifest.from_file(args.manifest)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif args.preset == "smoke":
-        manifest = smoke_manifest()
-    else:
-        manifest = default_manifest()
-    if args.tiny:
-        manifest.tiny = True
-    duration_scale = args.duration_scale
-
+        else:
+            manifest = smoke_manifest() if args.preset == "smoke" else AblationManifest()
+        manifest = replace(
+            manifest,
+            tiny=manifest.tiny or args.tiny,
+            duration_scale=args.duration_scale or manifest.duration_scale,
+        )
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    comparison = ablation_comparison(manifest)
     print(
-        f"== repro ablate: {manifest.name} "
-        f"({manifest.cell_count()} cells, duration_scale="
-        f"{duration_scale if duration_scale is not None else manifest.duration_scale:g}) =="
+        f"== repro ablate: {manifest.name} ({len(comparison.configs)} cells, "
+        f"duration_scale={manifest.duration_scale:g}) =="
     )
-    result = run_ablation(
-        manifest,
-        duration_scale=duration_scale,
-        progress=lambda label: print(f"-- running {label} ..."),
-        jobs=args.jobs,
-    )
+    scenario = comparison.run(jobs=args.jobs, progress=lambda mode: print(f"-- running {mode} ..."))
     print()
-    print("mechanism importance (SLA cost removed vs. baseline):")
-    print(_table(result.mechanism_importance()))
-    print()
-    print("policy regret (mean excess SLA cost over per-cell best):")
-    print(_table(result.policy_regret()))
-    print()
-    print("fault severity (mean SLA cost):")
-    print(_table(result.fault_severity()))
-    for path in write_reports(result, args.out):
+    print(comparison_report(scenario))
+    for path in write_reports(manifest, scenario, args.out):
         print(f"wrote {path}")
     return 0
 
@@ -533,7 +518,7 @@ UTILITY_COMMANDS: List[ScenarioCommand] = [
             ("--out", dict(metavar="DIR", default="benchmarks/results", help="directory the ablation_<name>.{json,csv,md} artifacts go to")),
             ("--duration-scale", dict(type=_positive_float, default=None, help="override the manifest's duration scale")),
             ("--tiny", dict(action="store_true", help="force the small test database population")),
-            ("--jobs", dict(type=int, default=1, help="worker processes for matrix cells (1 = serial; reports are byte-identical either way)")),
+            ("--jobs", dict(type=_positive_int, default=1, help="worker processes for matrix cells (1 = serial; reports are byte-identical either way)")),
         ),
     ),
     ScenarioCommand(

@@ -1,17 +1,10 @@
 """Manifest-driven ablation matrix: policy × fault × mechanism × seed.
 
-``repro ablate`` runs the full cross product a manifest describes, scores
-every cell with the SLA cost model, and emits three ranked reports:
-
-* **mechanism importance** — how much SLA cost each resilience mechanism
-  removes versus the baseline mechanism, averaged over matching
-  (policy, fault, seed) cells and ranked descending (the classic
-  ablate-one reading: big positive delta = the mechanism carries weight);
-* **policy regret** — per policy, the mean excess SLA cost over the best
-  policy of each (fault, mechanism, seed) cell, ranked ascending;
-* **fault severity** — mean SLA cost per fault, ranked descending.
-
-Artifacts are written as JSON + CSV + Markdown under
+``repro ablate`` turns a manifest into one
+:class:`~repro.experiments.scenarios.Comparison` whose modes are the matrix
+cells, scores every cell with the shared client-side SLA observation, and
+ranks the cells three ways: mechanism importance, policy regret and fault
+severity.  Artifacts are written as JSON + CSV + Markdown under
 ``benchmarks/results/ablation_<name>.*``.  Everything is deterministic for
 a fixed manifest + seed — keys sorted, fixed column order, fixed float
 formatting, no wall-clock timestamps — so regenerated artifacts are
@@ -21,7 +14,10 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import asdict, dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -31,14 +27,19 @@ from repro.baselines.rejuvenation import (
     TimeBasedRejuvenationPolicy,
 )
 from repro.container.resilience import ResilienceConfig
-from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.reporting import rows_to_csv, rows_to_markdown
 from repro.experiments.scenarios import (
     RETRY_STORM_TIMEOUT_SECONDS,
     ZOO_FAULT_KINDS,
+    Comparison,
+    ComparisonResult,
+    Table,
+    _base_config,
+    _memory_leak,
+    client_observation,
     zoo_fault_spec,
 )
 from repro.faults.injector import FaultSpec
-from repro.slo.cost_model import SlaCostModel, SlaObservation
 from repro.tpcw.mixes import PAGE_PRIORITIES
 from repro.tpcw.population import PopulationScale
 
@@ -48,23 +49,9 @@ ABLATION_EBS = 30
 #: Injection countdown used by every matrix fault.
 ABLATION_PERIOD_N = 10
 
-
-def _memory_leak_spec(period_n: int) -> FaultSpec:
-    from repro.experiments.scenarios import (
-        COMPONENT_A,
-        REJUVENATION_LEAK_BYTES,
-    )
-
-    return FaultSpec(
-        component=COMPONENT_A,
-        kind="memory-leak",
-        params={"leak_bytes": REJUVENATION_LEAK_BYTES, "period_n": period_n},
-    )
-
-
 #: Fault registry: name -> FaultSpec builder (period_n -> spec).
 FAULTS: Dict[str, Callable[[int], FaultSpec]] = {
-    "memory-leak": _memory_leak_spec,
+    "memory-leak": lambda period_n: _memory_leak(period_n=period_n),
     **{
         kind: (lambda period_n, kind=kind: zoo_fault_spec(kind, period_n=period_n))
         for kind in ZOO_FAULT_KINDS
@@ -103,9 +90,36 @@ POLICIES: Dict[str, Callable[[float], Optional[RejuvenationPolicy]]] = {
 }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+#: Scalar manifest fields: name -> (validity check, what a valid value is).
+_SCALAR_FIELDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "name": (
+        lambda value: isinstance(value, str) and re.fullmatch(r"[A-Za-z0-9._-]+", value) is not None,
+        "a file-name stem (letters, digits, '.', '_', '-')",
+    ),
+    "duration_scale": (_is_positive, "a positive number"),
+    "timeout_seconds": (_is_positive, "a positive number"),
+    "ebs": (lambda value: _is_int(value) and value > 0, "a positive integer"),
+    "period_n": (lambda value: _is_int(value) and value > 0, "a positive integer"),
+    "tiny": (lambda value: isinstance(value, bool), "true or false"),
+}
+
+
 @dataclass
 class AblationManifest:
-    """Declarative description of one ablation matrix."""
+    """Declarative description of one ablation matrix (the defaults are the
+    matrix ``repro ablate`` runs without ``--manifest``).
+
+    Every field's type and range is checked at construction (``ValueError``
+    naming the field), so a bad manifest fails before any cell runs.
+    """
 
     name: str = "default"
     policies: List[str] = field(default_factory=lambda: ["no-action"])
@@ -123,62 +137,46 @@ class AblationManifest:
     tiny: bool = True
 
     def __post_init__(self) -> None:
-        for label, chosen, registry in (
-            ("policy", self.policies, POLICIES),
-            ("fault", self.faults, FAULTS),
-            ("mechanism", self.mechanisms, MECHANISMS),
+        for label, (valid, expected) in _SCALAR_FIELDS.items():
+            value = getattr(self, label)
+            if not valid(value):
+                raise ValueError(f"{label} must be {expected}, got {value!r}")
+        for label, registry in (
+            ("policies", POLICIES),
+            ("faults", FAULTS),
+            ("mechanisms", MECHANISMS),
+            ("seeds", None),
         ):
-            if not chosen:
-                raise ValueError(f"manifest needs at least one {label}")
-            unknown = sorted(set(chosen) - set(registry))
-            if unknown:
-                raise ValueError(
-                    f"unknown {label}(s) {unknown} (known {label}s: {sorted(registry)})"
-                )
-        if not self.seeds:
-            raise ValueError("manifest needs at least one seed")
-        if self.duration_scale <= 0:
-            raise ValueError(
-                f"duration_scale must be positive, got {self.duration_scale}"
-            )
+            chosen = getattr(self, label)
+            if not isinstance(chosen, list) or not chosen:
+                raise ValueError(f"{label} must be a non-empty list, got {chosen!r}")
+            if registry is None:
+                bad = [seed for seed in chosen if not (_is_int(seed) and seed >= 0)]
+                if bad:
+                    raise ValueError(f"seeds must be non-negative integers, got {bad}")
+            else:
+                unknown = [item for item in chosen if not isinstance(item, str) or item not in registry]
+                if unknown:
+                    raise ValueError(f"unknown {label} {unknown} (known: {sorted(registry)})")
+            if len(set(chosen)) != len(chosen):
+                raise ValueError(f"{label} repeat an entry: {chosen}")
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AblationManifest":
+    def from_dict(cls, data: object) -> "AblationManifest":
         """Build a manifest from a parsed JSON object (unknown keys rejected)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a manifest must be a JSON object, got {type(data).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ValueError(
-                f"unknown manifest key(s) {unknown} (known keys: {sorted(known)})"
-            )
-        return cls(**data)  # type: ignore[arg-type]
+            raise ValueError(f"unknown manifest key(s) {unknown} (known keys: {sorted(known)})")
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str) -> "AblationManifest":
         """Load a manifest from a JSON file."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (embedded in the artifact for provenance)."""
-        return {
-            "name": self.name,
-            "policies": list(self.policies),
-            "faults": list(self.faults),
-            "mechanisms": list(self.mechanisms),
-            "seeds": list(self.seeds),
-            "duration_scale": self.duration_scale,
-            "ebs": self.ebs,
-            "period_n": self.period_n,
-            "timeout_seconds": self.timeout_seconds,
-            "tiny": self.tiny,
-        }
-
-    def cell_count(self) -> int:
-        """Total number of matrix cells."""
-        return (
-            len(self.policies) * len(self.faults) * len(self.mechanisms) * len(self.seeds)
-        )
 
 
 def smoke_manifest() -> AblationManifest:
@@ -195,271 +193,167 @@ def smoke_manifest() -> AblationManifest:
     )
 
 
-def default_manifest() -> AblationManifest:
-    """The default matrix ``repro ablate`` runs without ``--manifest``."""
-    return AblationManifest()
-
-
 # --------------------------------------------------------------------------- #
-# Running the matrix
+# The matrix as a comparison
 # --------------------------------------------------------------------------- #
-def _cell_sla_cost(
-    result: ExperimentResult, duration: float, model: SlaCostModel
-) -> Tuple[float, SlaObservation]:
-    rejuvenation = result.rejuvenation
-    observation = SlaObservation(
-        duration_seconds=duration,
-        downtime_seconds=(
-            rejuvenation.total_downtime_seconds if rejuvenation is not None else 0.0
-        ),
-        exposure_seconds=0.0,
-        failed_requests=result.error_count + result.client_timeouts,
-        refused_requests=result.refused_requests
-        + (rejuvenation.refused_requests if rejuvenation is not None else 0),
-    )
-    return model.score(observation), observation
+#: The per-cell summary columns (keys of ``SUMMARY_COLUMNS``).
+CELL_COLUMNS = (
+    "policy", "fault", "mechanism", "seed", "sla_cost", "completed", "errors",
+    "timeouts", "retries", "refused", "downtime_s",
+)
+
+#: One cell row (``CELL_COLUMNS``) or ranking row.
+_Row = Dict[str, object]
 
 
-def run_cell(
-    manifest: AblationManifest,
-    policy: str,
-    fault: str,
-    mechanism: str,
-    seed: int,
-    duration_scale: Optional[float] = None,
-) -> Dict[str, object]:
-    """Run one matrix cell and return its report row."""
-    scale_factor = (
-        duration_scale if duration_scale is not None else manifest.duration_scale
-    )
-    duration = 3600.0 * scale_factor
-    rejuvenation = POLICIES[policy](duration)
-    resilience = MECHANISMS[mechanism](manifest.timeout_seconds)
-    config = ExperimentConfig(
-        name=f"ablate-{manifest.name}-{policy}-{fault}-{mechanism}-{seed}",
-        seed=seed,
-        scale=PopulationScale.tiny() if manifest.tiny else PopulationScale.standard(),
-        constant_ebs=manifest.ebs,
-        duration=duration,
-        mix_name="shopping",
-        monitored=rejuvenation is not None,
-        collect_blackbox_samples=False,
-        snapshot_interval=max(2.0, 30.0 * scale_factor),
-        faults=[FAULTS[fault](manifest.period_n)],
-        rejuvenation=rejuvenation,
-        resilience=resilience,
-    )
-    result = run_experiment(config)
-    result.deployment = None
-    result.framework = None
-    cost, observation = _cell_sla_cost(result, duration, SlaCostModel())
-    return {
-        "policy": policy,
-        "fault": fault,
-        "mechanism": mechanism,
-        "seed": seed,
-        "sla_cost": cost,
-        "completed": result.completed_requests,
-        "errors": result.error_count,
-        "timeouts": result.client_timeouts,
-        "retries": result.retry_attempts,
-        "refused": result.refused_requests,
-        "downtime_s": observation.downtime_seconds,
-    }
+def ablation_comparison(manifest: AblationManifest) -> Comparison:
+    """The manifest's matrix as one comparison, built without running it.
 
-
-@dataclass
-class AblationRunResult:
-    """The executed matrix: raw cell rows plus the three ranked reports."""
-
-    manifest: AblationManifest
-    cells: List[Dict[str, object]]
-    duration_scale: float
-
-    def mechanism_importance(self) -> List[Dict[str, object]]:
-        """SLA cost removed by each mechanism vs. the baseline, ranked desc.
-
-        Baseline is ``"none"`` when the manifest includes it, else the first
-        mechanism listed.  Importance of mechanism *m* is the mean of
-        ``cost(baseline) - cost(m)`` over all (policy, fault, seed) cells.
-        """
-        baseline = (
-            "none" if "none" in self.manifest.mechanisms else self.manifest.mechanisms[0]
+    One mode per cell, in canonical (policy, fault, mechanism, seed) order;
+    a cell's key is ``fault/mechanism/seed/policy`` — its workload
+    coordinates, then the policy — which the shared ``policy``, ``fault``
+    and ``mechanism`` summary columns split.
+    """
+    duration = 3600.0 * manifest.duration_scale
+    scale = PopulationScale.tiny() if manifest.tiny else PopulationScale.standard()
+    configs = {}
+    for policy, fault, mechanism, seed in product(
+        manifest.policies, manifest.faults, manifest.mechanisms, manifest.seeds
+    ):
+        rejuvenation = POLICIES[policy](duration)
+        configs[f"{fault}/{mechanism}/{seed}/{policy}"] = _base_config(
+            manifest.duration_scale, seed, scale, manifest.ebs,
+            name=f"ablate-{manifest.name}-{policy}-{fault}-{mechanism}-{seed}",
+            monitored=rejuvenation is not None,
+            collect_blackbox_samples=False,
+            faults=[FAULTS[fault](manifest.period_n)],
+            rejuvenation=rejuvenation,
+            resilience=MECHANISMS[mechanism](manifest.timeout_seconds),
         )
-        by_key: Dict[Tuple[str, str, int], Dict[str, float]] = {}
-        for cell in self.cells:
-            key = (cell["policy"], cell["fault"], cell["seed"])
-            by_key.setdefault(key, {})[cell["mechanism"]] = cell["sla_cost"]
-        rows: List[Dict[str, object]] = []
-        for mechanism in self.manifest.mechanisms:
-            if mechanism == baseline:
-                continue
-            deltas = [
-                costs[baseline] - costs[mechanism]
-                for costs in by_key.values()
-                if baseline in costs and mechanism in costs
-            ]
-            rows.append(
-                {
-                    "mechanism": mechanism,
-                    "baseline": baseline,
-                    "cells": len(deltas),
-                    "mean_cost_removed": sum(deltas) / len(deltas) if deltas else 0.0,
-                }
-            )
-        rows.sort(key=lambda row: (-row["mean_cost_removed"], row["mechanism"]))
-        for rank, row in enumerate(rows, start=1):
-            row["rank"] = rank
-        return rows
-
-    def policy_regret(self) -> List[Dict[str, object]]:
-        """Mean excess SLA cost of each policy over the per-cell best policy,
-        ranked ascending (rank 1 = the policy you would pick)."""
-        by_key: Dict[Tuple[str, str, int], Dict[str, float]] = {}
-        for cell in self.cells:
-            key = (cell["fault"], cell["mechanism"], cell["seed"])
-            by_key.setdefault(key, {})[cell["policy"]] = cell["sla_cost"]
-        rows: List[Dict[str, object]] = []
-        for policy in self.manifest.policies:
-            regrets = [
-                costs[policy] - min(costs.values())
-                for costs in by_key.values()
-                if policy in costs
-            ]
-            rows.append(
-                {
-                    "policy": policy,
-                    "cells": len(regrets),
-                    "mean_regret": sum(regrets) / len(regrets) if regrets else 0.0,
-                }
-            )
-        rows.sort(key=lambda row: (row["mean_regret"], row["policy"]))
-        for rank, row in enumerate(rows, start=1):
-            row["rank"] = rank
-        return rows
-
-    def fault_severity(self) -> List[Dict[str, object]]:
-        """Mean SLA cost per fault across all cells, ranked descending."""
-        by_fault: Dict[str, List[float]] = {}
-        for cell in self.cells:
-            by_fault.setdefault(cell["fault"], []).append(cell["sla_cost"])
-        rows = [
-            {
-                "fault": fault,
-                "cells": len(costs),
-                "mean_sla_cost": sum(costs) / len(costs),
-            }
-            for fault, costs in by_fault.items()
-        ]
-        rows.sort(key=lambda row: (-row["mean_sla_cost"], row["fault"]))
-        for rank, row in enumerate(rows, start=1):
-            row["rank"] = rank
-        return rows
-
-    def to_payload(self) -> Dict[str, object]:
-        """The full JSON artifact payload (deterministic)."""
-        return {
-            "manifest": self.manifest.to_dict(),
-            "duration_scale": self.duration_scale,
-            "cells": self.cells,
-            "mechanism_importance": self.mechanism_importance(),
-            "policy_regret": self.policy_regret(),
-            "fault_severity": self.fault_severity(),
-        }
+    return Comparison(
+        title=f"Ablation matrix: {manifest.name}",
+        expectation="a mechanism carries weight when removing it raises the SLA "
+        "cost; the policy to pick has the least regret",
+        context=[
+            f"policies: {', '.join(manifest.policies)}",
+            f"faults: {', '.join(manifest.faults)}",
+            f"mechanisms: {', '.join(manifest.mechanisms)}",
+            f"seeds: {', '.join(str(seed) for seed in manifest.seeds)}",
+            f"duration scale: {manifest.duration_scale:g} "
+            f"(population: {'tiny' if manifest.tiny else 'standard'}, "
+            f"{manifest.ebs} EBs, timeout {manifest.timeout_seconds:g} s)",
+            f"cells: {len(configs)}",
+        ],
+        configs=configs,
+        observe=client_observation,
+        caption="cells",
+        columns=CELL_COLUMNS,
+        tables=ranked_tables,
+        exact=True,
+    )
 
 
-def _cell_coordinates(manifest: AblationManifest) -> List[Tuple[str, str, str, int]]:
-    """The matrix cells in canonical (reporting) order."""
+def _mean(values: List[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _ranked(rows: List[_Row], name: str, score: str, descending: bool) -> List[_Row]:
+    """Sort by ``score`` (ties by ``name``) and number the ranks from 1."""
+    rows.sort(key=lambda row: (-row[score] if descending else row[score], row[name]))
+    for rank, row in enumerate(rows, start=1):
+        row["rank"] = rank
+    return rows
+
+
+def _groups(cells: List[_Row], *keys: str) -> Dict[tuple, List[_Row]]:
+    """The cells grouped by their ``keys`` coordinates, groups in cell order."""
+    groups: Dict[tuple, List[_Row]] = {}
+    for cell in cells:
+        groups.setdefault(tuple(cell[key] for key in keys), []).append(cell)
+    return groups
+
+
+def _costs_by(cells: List[_Row], coordinate: str, *keys: str) -> List[Dict[object, float]]:
+    """Each group's SLA costs keyed by the cells' ``coordinate``."""
     return [
-        (policy, fault, mechanism, seed)
-        for policy in manifest.policies
-        for fault in manifest.faults
-        for mechanism in manifest.mechanisms
-        for seed in manifest.seeds
+        {cell[coordinate]: cell["sla_cost"] for cell in group}
+        for group in _groups(cells, *keys).values()
     ]
 
 
-def _run_cell_args(args: Tuple[AblationManifest, str, str, str, int, float]) -> Dict[str, object]:
-    """Pool-friendly shim: one picklable tuple in, one cell row out."""
-    manifest, policy, fault, mechanism, seed, scale_factor = args
-    return run_cell(manifest, policy, fault, mechanism, seed, duration_scale=scale_factor)
+def mechanism_importance(cells: List[_Row]) -> List[_Row]:
+    """SLA cost removed by each mechanism vs. the baseline, ranked desc.
 
-
-def run_ablation(
-    manifest: AblationManifest,
-    duration_scale: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-) -> AblationRunResult:
-    """Run every cell of the manifest's matrix, in deterministic order.
-
-    ``jobs > 1`` fans the cells out over a process pool.  Each cell is an
-    independent simulation seeded from its own coordinates, and the pool's
-    ``map`` returns results in submission order, so the merged reports are
-    byte-identical to a serial run — parallelism only changes wall-clock.
+    Baseline is ``"none"`` when the matrix includes it, else the first
+    mechanism listed.  Importance of mechanism *m* is the mean of
+    ``cost(baseline) - cost(m)`` over all (policy, fault, seed) cells (the
+    ablate-one reading: a big positive delta means *m* carries weight).
     """
-    scale_factor = (
-        duration_scale if duration_scale is not None else manifest.duration_scale
-    )
-    coordinates = _cell_coordinates(manifest)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(coordinates) <= 1:
-        cells: List[Dict[str, object]] = []
-        for policy, fault, mechanism, seed in coordinates:
-            if progress is not None:
-                progress(f"{policy} × {fault} × {mechanism} × seed {seed}")
-            cells.append(
-                run_cell(
-                    manifest,
-                    policy,
-                    fault,
-                    mechanism,
-                    seed,
-                    duration_scale=scale_factor,
-                )
-            )
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    mechanisms = [mechanism for (mechanism,) in _groups(cells, "mechanism")]
+    baseline = "none" if "none" in mechanisms else mechanisms[0]
+    groups = _costs_by(cells, "mechanism", "policy", "fault", "seed")
+    rows = [
+        {
+            "mechanism": mechanism,
+            "baseline": baseline,
+            "cells": len(groups),
+            "mean_cost_removed": _mean([costs[baseline] - costs[mechanism] for costs in groups]),
+        }
+        for mechanism in mechanisms
+        if mechanism != baseline
+    ]
+    return _ranked(rows, "mechanism", "mean_cost_removed", descending=True)
 
-        if progress is not None:
-            for policy, fault, mechanism, seed in coordinates:
-                progress(f"{policy} × {fault} × {mechanism} × seed {seed}")
-        work = [
-            (manifest, policy, fault, mechanism, seed, scale_factor)
-            for policy, fault, mechanism, seed in coordinates
-        ]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            cells = list(pool.map(_run_cell_args, work))
-    return AblationRunResult(
-        manifest=manifest, cells=cells, duration_scale=scale_factor
-    )
+
+def policy_regret(cells: List[_Row]) -> List[_Row]:
+    """Mean excess SLA cost of each policy over the per-cell best policy,
+    ranked ascending (rank 1 = the policy you would pick)."""
+    groups = _costs_by(cells, "policy", "fault", "mechanism", "seed")
+    rows = [
+        {
+            "policy": policy,
+            "cells": len(groups),
+            "mean_regret": _mean([costs[policy] - min(costs.values()) for costs in groups]),
+        }
+        for (policy,) in _groups(cells, "policy")
+    ]
+    return _ranked(rows, "policy", "mean_regret", descending=False)
+
+
+def fault_severity(cells: List[_Row]) -> List[_Row]:
+    """Mean SLA cost per fault across all cells, ranked descending."""
+    rows = [
+        {"fault": fault, "cells": len(group), "mean_sla_cost": _mean([cell["sla_cost"] for cell in group])}
+        for (fault,), group in _groups(cells, "fault").items()
+    ]
+    return _ranked(rows, "fault", "mean_sla_cost", descending=True)
+
+
+def ranked_tables(scenario: ComparisonResult) -> Dict[str, Table]:
+    """The matrix's three ranked reports, computed from its cell rows."""
+    cells = scenario.summary_rows()
+    return {
+        "mechanism_importance": Table(
+            "mechanism importance (SLA cost removed vs. baseline, ranked)",
+            mechanism_importance(cells),
+            ["rank", "mechanism", "baseline", "cells", "mean_cost_removed"],
+        ),
+        "policy_regret": Table(
+            "policy regret (mean excess SLA cost over per-cell best, ranked)",
+            policy_regret(cells),
+            ["rank", "policy", "cells", "mean_regret"],
+        ),
+        "fault_severity": Table(
+            "fault severity (mean SLA cost, ranked)",
+            fault_severity(cells),
+            ["rank", "fault", "cells", "mean_sla_cost"],
+        ),
+    }
 
 
 # --------------------------------------------------------------------------- #
-# Artifact writers (byte-identical for a fixed manifest + seed)
+# Artifacts (byte-identical for a fixed manifest + seed)
 # --------------------------------------------------------------------------- #
-_CSV_COLUMNS = [
-    "policy",
-    "fault",
-    "mechanism",
-    "seed",
-    "sla_cost",
-    "completed",
-    "errors",
-    "timeouts",
-    "retries",
-    "refused",
-    "downtime_s",
-]
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
 def _round_floats(obj: object) -> object:
     """Round every float to 6 decimals so JSON output is stable."""
     if isinstance(obj, float):
@@ -471,76 +365,35 @@ def _round_floats(obj: object) -> object:
     return obj
 
 
-def write_reports(result: AblationRunResult, out_dir: str) -> List[str]:
+def render_markdown(scenario: ComparisonResult) -> str:
+    """The human-readable artifact: the context, the ranked tables, then
+    every cell (same numbers as the JSON)."""
+    spec = scenario.comparison
+    cells = Table(spec.caption, scenario.summary_rows(), list(spec.columns))
+    sections = [f"# {spec.title}\n\n" + "".join(f"- {line}\n" for line in spec.context)]
+    for table in [*scenario.tables().values(), cells]:
+        heading = table.caption[:1].upper() + table.caption[1:]
+        sections.append(f"## {heading}\n\n" + rows_to_markdown(table.rows, table.columns))
+    return "\n".join(sections)
+
+
+def write_reports(manifest: AblationManifest, scenario: ComparisonResult, out_dir: str) -> List[str]:
     """Write the JSON / CSV / Markdown artifacts; returns the written paths."""
+    cells = scenario.summary_rows()
+    payload = {
+        "manifest": asdict(manifest),
+        "duration_scale": manifest.duration_scale,
+        "cells": cells,
+        **{key: table.rows for key, table in scenario.tables().items()},
+    }
+    texts = {
+        "json": json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n",
+        "csv": rows_to_csv(cells, list(scenario.comparison.columns)),
+        "md": render_markdown(scenario),
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"ablation_{result.manifest.name}"
-    written: List[str] = []
-
-    json_path = out / f"{stem}.json"
-    payload = _round_floats(result.to_payload())
-    json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append(str(json_path))
-
-    csv_path = out / f"{stem}.csv"
-    lines = [",".join(_CSV_COLUMNS)]
-    for cell in result.cells:
-        lines.append(",".join(_fmt(cell[column]) for column in _CSV_COLUMNS))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(str(csv_path))
-
-    md_path = out / f"{stem}.md"
-    md_path.write_text(render_markdown(result), encoding="utf-8")
-    written.append(str(md_path))
-    return written
-
-
-def _md_table(rows: List[Dict[str, object]], columns: List[str]) -> str:
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt(row.get(column, "")) for column in columns) + " |")
-    return "\n".join(lines)
-
-
-def render_markdown(result: AblationRunResult) -> str:
-    """The human-readable artifact (same numbers as the JSON)."""
-    manifest = result.manifest
-    lines = [
-        f"# Ablation matrix: {manifest.name}",
-        "",
-        f"- policies: {', '.join(manifest.policies)}",
-        f"- faults: {', '.join(manifest.faults)}",
-        f"- mechanisms: {', '.join(manifest.mechanisms)}",
-        f"- seeds: {', '.join(str(seed) for seed in manifest.seeds)}",
-        f"- duration scale: {result.duration_scale:g} "
-        f"(population: {'tiny' if manifest.tiny else 'standard'}, "
-        f"{manifest.ebs} EBs, timeout {manifest.timeout_seconds:g} s)",
-        f"- cells: {len(result.cells)}",
-        "",
-        "## Mechanism importance (SLA cost removed vs. baseline, ranked)",
-        "",
-        _md_table(
-            result.mechanism_importance(),
-            ["rank", "mechanism", "baseline", "cells", "mean_cost_removed"],
-        ),
-        "",
-        "## Policy regret (mean excess SLA cost over per-cell best, ranked)",
-        "",
-        _md_table(result.policy_regret(), ["rank", "policy", "cells", "mean_regret"]),
-        "",
-        "## Fault severity (mean SLA cost, ranked)",
-        "",
-        _md_table(result.fault_severity(), ["rank", "fault", "cells", "mean_sla_cost"]),
-        "",
-        "## Cells",
-        "",
-        _md_table(result.cells, _CSV_COLUMNS),
-        "",
-    ]
-    return "\n".join(lines)
+    paths = {extension: out / f"ablation_{manifest.name}.{extension}" for extension in texts}
+    for extension, text in texts.items():
+        paths[extension].write_text(text, encoding="utf-8")
+    return [str(path) for path in paths.values()]

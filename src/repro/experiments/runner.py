@@ -85,11 +85,9 @@ class ExperimentConfig:
     collect_blackbox_samples: bool = True
     #: Live rejuvenation policy executed mid-run by a
     #: :class:`~repro.core.rejuvenation.RejuvenationController` (requires
-    #: ``monitored``); ``None`` disables the controller entirely.
+    #: ``monitored``), checked every ``snapshot_interval`` so checks see
+    #: fresh samples; ``None`` disables the controller entirely.
     rejuvenation: Optional[RejuvenationPolicy] = None
-    #: Seconds between rejuvenation policy checks (defaults to
-    #: ``snapshot_interval`` so checks see fresh samples).
-    rejuvenation_check_interval: Optional[float] = None
     #: Resource channels the controller watches (``"heap"``, ``"threads"``,
     #: ``"connections"``); ``None`` keeps the heap-only default.  Channels
     #: beyond the heap automatically install the extended monitoring agents
@@ -137,11 +135,6 @@ class ExperimentConfig:
     #: alert-triggered behaviour).  Requires ``shards >= 2`` and a
     #: ``rejuvenation`` policy to use as the per-shard template.
     fleet_rejuvenation: Optional[str] = None
-    #: Per-shard fault-plan overrides (shard index -> plan).  Shards without
-    #: an entry run the shared ``faults`` plan — heterogeneous aging across
-    #: the fleet is what the :class:`~repro.experiments.cluster.FleetManager`
-    #: exists to localise.
-    shard_faults: Optional[Dict[int, List[FaultSpec]]] = None
     #: Mid-run rollout of a :class:`~repro.experiments.deploy.ComponentVersion`
     #: across the fleet over a :class:`~repro.experiments.deploy.RolloutPlan`
     #: stage ladder (staged, canary or blind); ``None`` deploys nothing.  A
@@ -166,21 +159,12 @@ class ExperimentConfig:
     #: path, bit-identical per seed to older runs); ``"hybrid"`` evolves the
     #: bulk of the population as a vectorised fluid process
     #: (:mod:`repro.sim.fluid`) while a ``tracer_fraction`` slice keeps
-    #: flowing through the real servlet/SQL/monitoring path.
+    #: flowing through the real servlet/SQL/monitoring path.  The fluid
+    #: ticks every ``max(1 s, snapshot_interval / 2)``.
     simulation_mode: str = "discrete"
     #: Fraction of each phase's browsers simulated discretely as tracers in
     #: hybrid mode (at least one per non-empty phase).
     tracer_fraction: float = 0.05
-    #: Seconds between fluid updates in hybrid mode; ``None`` derives it
-    #: from ``snapshot_interval`` (half of it, floored at one second) so
-    #: every monitoring snapshot sees a fresh bulk contribution.
-    fluid_update_interval: Optional[float] = None
-
-    def fault_plan(self, shard_index: int) -> List[FaultSpec]:
-        """The fault plan shard ``shard_index`` runs."""
-        if self.shard_faults is not None and shard_index in self.shard_faults:
-            return self.shard_faults[shard_index]
-        return self.faults
 
     def effective_phases(self) -> List[WorkloadPhase]:
         """The phase list, defaulting to one constant-EB phase."""
@@ -346,7 +330,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for shard in cluster.shards:
         injector = FaultInjector(shard.deployment)
-        injector.inject_plan(config.fault_plan(shard.index))
+        injector.inject_plan(config.faults)
         shard.injector = injector
 
     if config.collect_blackbox_samples:
@@ -386,11 +370,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             record = config.calibration_store.lookup(calibration_signature)
         else:
             record = None
-        check_interval = (
-            config.rejuvenation_check_interval
-            if config.rejuvenation_check_interval is not None
-            else config.snapshot_interval
-        )
         for shard in cluster.shards:
             # Shard 0 runs the caller's policy instance (scenarios read its
             # converged state afterwards); the other shards get independent
@@ -419,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.fleet_rejuvenation is None:
             for shard in cluster.shards:
                 shard.controller.schedule_checks(
-                    duration=config.duration, interval=check_interval
+                    duration=config.duration, interval=config.snapshot_interval
                 )
                 shard.controller.install_alert_trigger()
         else:
@@ -430,7 +409,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 mode=config.fleet_rejuvenation,
             )
             fleet_controller.schedule_checks(
-                duration=config.duration, interval=check_interval
+                duration=config.duration, interval=config.snapshot_interval
             )
 
     # Observability plane: the registry is created before the deployment
@@ -503,18 +482,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         tracer_phases, bulk_phases = split_phases(
             config.effective_phases(), config.tracer_fraction
         )
-        update_interval = (
-            config.fluid_update_interval
-            if config.fluid_update_interval is not None
-            else max(1.0, config.snapshot_interval / 2.0)
-        )
+        # Half the snapshot interval (floored at one second), so every
+        # monitoring snapshot sees a fresh bulk contribution.
         fluid = FluidProcess(
             engine,
             cluster,
             generator,
             bulk_phases,
             tracer_fraction=config.tracer_fraction,
-            update_interval=update_interval,
+            update_interval=max(1.0, config.snapshot_interval / 2.0),
         )
         fluid.schedule_updates(config.duration)
         generator.schedule_phases(tracer_phases)

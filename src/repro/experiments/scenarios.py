@@ -11,8 +11,10 @@ builder returns a :class:`Comparison`, and :data:`COMPARISONS` lists them.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -398,12 +400,45 @@ class Comparison:
     #: ``None`` for comparisons that report verdicts without gating on them.
     claim: Optional[Tuple[str, Callable[["ComparisonResult"], bool]]] = None
     cost_model: SlaCostModel = field(default_factory=SlaCostModel)
+    #: Report the SLA columns unrounded (the ablation matrix ranks its
+    #: cells by cost differences finer than the display rounding).
+    exact: bool = False
 
-    def run(self) -> "ComparisonResult":
-        """Execute every config, in order."""
-        return ComparisonResult(
-            self, {mode: run_experiment(config) for mode, config in self.configs.items()}
-        )
+    def run(
+        self, jobs: int = 1, progress: Callable[[str], None] = lambda mode: None
+    ) -> "ComparisonResult":
+        """Execute every config, in order.
+
+        ``jobs > 1`` fans the runs out over a process pool.  Each run is an
+        independent seeded simulation and the pool's ``map`` keeps
+        submission order, so the results equal a serial run's, except that
+        they come back without their live handles (see
+        :func:`_detached_run`).  ``progress`` gets each mode before it runs
+        (every mode up front under a pool).
+        """
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if jobs == 1:
+            results = {}
+            for mode, config in self.configs.items():
+                progress(mode)
+                results[mode] = run_experiment(config)
+            return ComparisonResult(self, results)
+        for mode in self.configs:
+            progress(mode)
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(jobs, len(self.configs)), mp_context=spawn) as pool:
+            runs = pool.map(_detached_run, self.configs.values())
+            return ComparisonResult(self, dict(zip(self.configs, runs)))
+
+
+def _detached_run(config: ExperimentConfig) -> ExperimentResult:
+    """One pool worker's run: the result without its live handles
+    (``cluster``, ``deployment``, ``framework``, ``metrics``), which do not
+    cross the process boundary."""
+    return replace(
+        run_experiment(config), cluster=None, deployment=None, framework=None, metrics=None
+    )
 
 
 @dataclass
@@ -497,10 +532,13 @@ def rejuvenation_observation(result: ExperimentResult) -> SlaObservation:
 
 def client_observation(result: ExperimentResult) -> SlaObservation:
     """Availability currencies as the clients see them: a timeout is a failed
-    page view, a breaker/shed refusal is paid refused load."""
+    page view, every refusal (breaker, shedder or rejuvenation outage) is
+    paid refused load once, and the rejuvenation controller's downtime
+    (zero without one) is downtime."""
+    report = result.rejuvenation
     return SlaObservation(
         duration_seconds=result.config.duration,
-        downtime_seconds=0.0,
+        downtime_seconds=report.total_downtime_seconds if report is not None else 0.0,
         exposure_seconds=0.0,
         failed_requests=result.error_count + result.client_timeouts,
         refused_requests=result.refused_requests,
@@ -2251,20 +2289,33 @@ def _of_run(read: Callable[[ExperimentResult], object]) -> _Column:
     return lambda scenario, mode: read(scenario.result(mode))
 
 
+def _sla(read: _Column, digits: int) -> _Column:
+    """An SLA column: ``read``'s value rounded to ``digits`` places, or
+    unrounded when the comparison reports exact figures."""
+
+    def column(scenario: "ComparisonResult", mode: str) -> object:
+        value = read(scenario, mode)
+        return value if scenario.comparison.exact else round(value, digits)
+
+    return column
+
+
 def _observed(name: str, digits: int) -> _Column:
     """A summary column reading one field of the mode's :class:`SlaObservation`."""
-    return lambda scenario, mode: round(getattr(scenario.sla_observation(mode), name), digits)
+    return _sla(lambda scenario, mode: getattr(scenario.sla_observation(mode), name), digits)
 
 
 #: Summary columns by name: each maps (comparison result, mode) to that
 #: mode's value.  The mode-key columns split the mode name
-#: (``workload/policy``, ``mode/runN``).
+#: (``workload/policy``, ``mode/runN``, and the ablation matrix's
+#: ``fault/mechanism/seed/policy``).
 SUMMARY_COLUMNS: Dict[str, _Column] = {
     "policy": lambda scenario, mode: mode.split("/")[-1],
     "workload": lambda scenario, mode: mode.split("/")[0],
     "mode": lambda scenario, mode: mode.split("/run")[0],
     "run": lambda scenario, mode: int(mode.split("/run")[1]),
-    "fault": lambda scenario, mode: mode,
+    "fault": lambda scenario, mode: mode.split("/")[0],
+    "mechanism": lambda scenario, mode: mode.split("/")[1],
     "seed": _of_run(lambda r: r.config.seed),
     "ebs": _of_run(lambda r: r.config.constant_ebs),
     "issued": _of_run(lambda r: r.issued_requests),
@@ -2286,7 +2337,7 @@ SUMMARY_COLUMNS: Dict[str, _Column] = {
     "budget_burn": lambda scenario, mode: round(
         scenario.comparison.cost_model.budget_burn(scenario.sla_observation(mode)), 2
     ),
-    "sla_cost": lambda scenario, mode: round(scenario.sla_cost(mode), 1),
+    "sla_cost": _sla(ComparisonResult.sla_cost, 1),
     # Rejuvenation and calibration.
     "reclaimed_mb": _of_run(
         lambda r: round((r.rejuvenation.reclaimed_bytes if r.rejuvenation else 0) / MB, 2)

@@ -245,11 +245,26 @@ class TestScenarioRegistry:
             (["storm", "--ebs", "-3"], "must be a positive integer"),
             (["bench", "--duration-scale", "0"], "must be a positive number"),
             (["ablate", "--duration-scale", "0"], "must be a positive number"),
+            (["ablate", "--jobs", "0"], "must be a positive integer"),
+            # A non-string argument is a manifest's JSON content, written to
+            # a file whose path takes its place.
+            (["ablate", "--manifest", {"duration_scale": "0.05"}], "duration_scale must be a positive number"),
+            (["ablate", "--manifest", {"seeds": ["42"]}], "seeds must be non-negative integers"),
+            (["ablate", "--manifest", {"timeout_seconds": 0}], "timeout_seconds must be a positive number"),
+            (["ablate", "--manifest", {"name": "a/b"}], "name must be a file-name stem"),
+            (["ablate", "--manifest", {"ebs": 0}], "ebs must be a positive integer"),
+            (["ablate", "--manifest", {"policies": "no-action"}], "policies must be a non-empty list"),
+            (["ablate", "--manifest", [1, 2]], "manifest must be a JSON object, got list"),
         ],
     )
-    def test_bad_scenario_arguments_exit_2_with_one_line(self, argv, message, capsys):
-        # Argument types fail in argparse (SystemExit); builder checks fail
-        # in the comparison handler before anything runs (return code).
+    def test_bad_scenario_arguments_exit_2_with_one_line(self, argv, message, capsys, tmp_path):
+        # Argument types fail in argparse (SystemExit); builder and manifest
+        # checks fail in the handler before anything runs (return code).
+        manifest = tmp_path / "manifest.json"
+        for index, arg in enumerate(argv):
+            if not isinstance(arg, str):
+                manifest.write_text(json.dumps(arg), encoding="utf-8")
+                argv = argv[:index] + [str(manifest)] + argv[index + 1:]
         try:
             code = main(argv)
         except SystemExit as exit_:
