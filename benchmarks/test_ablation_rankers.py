@@ -21,7 +21,6 @@ from conftest import bench_population_scale, bench_seed, duration_scale, emit_re
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import COMPONENT_A, strategy_ablation
-from repro.experiments.scenarios import LeakScenarioResult
 from repro.faults.injector import FaultSpec
 from repro.faults.memory_leak import KB
 
@@ -41,14 +40,13 @@ def test_ablation_rankers(benchmark):
             snapshot_interval=30.0,
             collect_pinpoint_traces=True,
         )
-        result = run_experiment(config)
-        return LeakScenarioResult(result=result, injected_components={COMPONENT_A: 100 * KB})
+        return run_experiment(config)
 
-    scenario = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    strategy_rows = strategy_ablation(scenario)
-    pinpoint_report = scenario.result.pinpoint.analyze()
-    blackbox_report = scenario.result.blackbox.analyze()
+    strategy_rows = strategy_ablation(result)
+    pinpoint_report = result.pinpoint.analyze()
+    blackbox_report = result.blackbox.analyze()
     baseline_rows = [
         {
             "analyser": "pinpoint (failure correlation)",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from conftest import bench_population_scale, bench_seed, duration_scale, emit_report
 
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import comparison_report
 from repro.experiments.scenarios import scope_overhead_ablation
 
 
@@ -25,17 +25,12 @@ def test_ablation_scope_overhead(benchmark):
             seed=bench_seed(),
             scale=bench_population_scale(),
             ebs=200,
-            monitored_fractions=[0.0, 0.5, 1.0],
-        )
+        ).run()
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit_report(
-        "ablation_scope_overhead",
-        "== Ablation: monitoring scope vs. overhead (200 EBs, shopping mix) ==\n"
-        + format_table(rows),
-    )
+    scenario = benchmark.pedantic(run, rounds=1, iterations=1)
+    emit_report("ablation_scope_overhead", comparison_report(scenario))
 
-    by_fraction = {row["monitored_fraction"]: row for row in rows}
+    by_fraction = {row["monitored_fraction"]: row for row in scenario.summary_rows()}
     # Charged overhead strictly grows with the monitored fraction.
     assert by_fraction[0.0]["overhead_seconds"] == 0.0
     assert by_fraction[0.5]["overhead_seconds"] > 0.0
@@ -43,3 +38,5 @@ def test_ablation_scope_overhead(benchmark):
     # Throughput with full monitoring never exceeds the unmonitored run by
     # more than noise (and typically sits a few percent below it).
     assert by_fraction[1.0]["mean_throughput_rps"] <= 1.05 * by_fraction[0.0]["mean_throughput_rps"]
+    # The claim restates these asserts.
+    assert scenario.holds()

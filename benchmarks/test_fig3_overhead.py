@@ -16,8 +16,13 @@ from __future__ import annotations
 
 from conftest import bench_population_scale, bench_seed, duration_scale, emit_report
 
-from repro.experiments.reporting import fig3_report
-from repro.experiments.scenarios import fig3_overhead
+from repro.experiments.reporting import comparison_report
+from repro.experiments.scenarios import (
+    fig3_overhead,
+    overhead_percent,
+    phase_times,
+    throughput_pair,
+)
 
 
 def test_fig3_overhead(benchmark):
@@ -28,24 +33,27 @@ def test_fig3_overhead(benchmark):
             duration_scale=duration_scale(),
             seed=bench_seed(),
             scale=bench_population_scale(),
-        )
+        ).run()
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit_report("fig3_overhead", fig3_report(result))
+    scenario = benchmark.pedantic(run, rounds=1, iterations=1)
+    emit_report("fig3_overhead", comparison_report(scenario))
 
-    warmup_end, mid_end, end = result.phase_times
-    mid = result.throughput_pair(warmup_end, mid_end)
-    high = result.throughput_pair(mid_end, end)
+    warmup_end, mid_end, end = phase_times(scenario)
+    mid = throughput_pair(scenario, warmup_end, mid_end)
+    high = throughput_pair(scenario, mid_end, end)
 
     # Throughput grows with the EB count (both curves step up at the phase change).
     assert high["unmonitored"] > 1.5 * mid["unmonitored"]
     assert high["monitored"] > 1.5 * mid["monitored"]
 
     # Monitoring costs something, but stays in the single-digit-percent band.
-    overhead = result.overhead_percent()
+    overhead = overhead_percent(scenario)
     assert -2.0 <= overhead <= 12.0, f"overall overhead {overhead:.2f}% outside expected band"
 
     # The monitored run really did pay for its samples.
-    assert result.monitored.overhead_seconds > 0
-    assert result.monitored.monitoring_samples > 0
-    assert result.unmonitored.overhead_seconds == 0.0
+    monitored, unmonitored = scenario.result("monitored"), scenario.result("unmonitored")
+    assert monitored.overhead_seconds > 0
+    assert monitored.monitoring_samples > 0
+    assert unmonitored.overhead_seconds == 0.0
+    # The claim the CLI gates on restates these asserts.
+    assert scenario.holds()

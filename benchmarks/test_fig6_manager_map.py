@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from conftest import bench_population_scale, bench_seed, duration_scale, emit_report
 
-from repro.experiments.reporting import fig6_report
+from repro.experiments.reporting import comparison_report
 from repro.experiments.scenarios import (
     COMPONENT_A,
     COMPONENT_B,
     COMPONENT_C,
     COMPONENT_D,
     fig5_multi_leak,
-    fig6_manager_map,
 )
 
 
@@ -24,21 +23,22 @@ def test_fig6_manager_map(benchmark):
     """Reproduce Fig. 6: the manager-composed map for the Fig. 5 scenario."""
 
     def run():
-        scenario = fig5_multi_leak(
+        return fig5_multi_leak(
             duration_scale=duration_scale() * 0.5,
             seed=bench_seed() + 1,
             scale=bench_population_scale(),
-        )
-        return scenario, fig6_manager_map(scenario)
+        ).run()
 
-    scenario, map_rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    scenario = benchmark.pedantic(run, rounds=1, iterations=1)
+    (result,) = scenario.results.values()
     emit_report(
         "fig6_manager_map",
-        fig6_report(map_rows, focus=None)
+        comparison_report(scenario)
         + "\n\nfront-end rendering:\n"
-        + scenario.result.framework.frontend.map_report(),
+        + result.framework.frontend.map_report(),
     )
 
+    map_rows = scenario.tables()["map"].rows
     by_component = {row["component"]: row for row in map_rows}
     assert "most suspicious" in by_component[COMPONENT_A]["quadrant"]
     assert "most suspicious" in by_component[COMPONENT_B]["quadrant"]

@@ -22,54 +22,30 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.reporting import fig6_report, leak_scenario_report
-from repro.experiments.scenarios import (
-    COMPONENT_A,
-    COMPONENT_B,
-    COMPONENT_C,
-    COMPONENT_D,
-    fig5_multi_leak,
-    fig6_manager_map,
-    fig7_injection_sizes,
-)
+from repro.experiments.reporting import comparison_report
+from repro.experiments.scenarios import fig5_multi_leak, fig7_injection_sizes
 from repro.tpcw.population import PopulationScale
 
 
 def main() -> None:
     duration_scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.1
     scale = PopulationScale.tiny()
-    focus = [COMPONENT_A, COMPONENT_B, COMPONENT_C, COMPONENT_D]
 
     print("### Experiment 1: identical 100 KB leaks in four components (paper Fig. 5/6)\n")
-    fig5 = fig5_multi_leak(duration_scale=duration_scale, seed=7, scale=scale, ebs=60)
-    print(
-        leak_scenario_report(
-            fig5,
-            title="Fig. 5 reproduction",
-            expectation="A and B grow fastest and similarly, C slower, D flat",
-            components=focus,
-        )
-    )
-    print()
-    print(fig6_report(fig6_manager_map(fig5), focus=focus))
-    print()
-    print("injected faults:")
-    for description in fig5.result.fault_descriptions:
+    fig5 = fig5_multi_leak(duration_scale=duration_scale, seed=7, scale=scale, ebs=60).run()
+    print(comparison_report(fig5))
+    (fig5_run,) = fig5.results.values()
+    print("\ninjected faults:")
+    for description in fig5_run.fault_descriptions:
         print(f"  - {description}")
 
     print("\n\n### Experiment 2: heterogeneous leak sizes (paper Fig. 7)\n")
-    fig7 = fig7_injection_sizes(duration_scale=duration_scale, seed=7, scale=scale, ebs=60)
-    print(
-        leak_scenario_report(
-            fig7,
-            title="Fig. 7 reproduction",
-            expectation="C (1 MB leak) overtakes A (100 KB); B (10 KB) third; D flat",
-            components=focus,
-        )
-    )
+    fig7 = fig7_injection_sizes(duration_scale=duration_scale, seed=7, scale=scale, ebs=60).run()
+    print(comparison_report(fig7))
+    (fig7_run,) = fig7.results.values()
 
-    print("\n==> Fig. 5 ranking:", " > ".join(fig5.root_cause.ranking()[:4]))
-    print("==> Fig. 7 ranking:", " > ".join(fig7.root_cause.ranking()[:4]))
+    print("\n==> Fig. 5 ranking:", " > ".join(fig5_run.root_cause.ranking()[:4]))
+    print("==> Fig. 7 ranking:", " > ".join(fig7_run.root_cause.ranking()[:4]))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.reporting import fig3_report, format_table
+from repro.experiments.reporting import comparison_report
 from repro.experiments.scenarios import fig3_overhead, scope_overhead_ablation
 from repro.tpcw.population import PopulationScale
 
@@ -29,14 +29,12 @@ def main() -> None:
     scale = PopulationScale.tiny()
 
     print("### Monitored vs. unmonitored throughput (paper Fig. 3)\n")
-    result = fig3_overhead(duration_scale=duration_scale, seed=11, scale=scale)
-    print(fig3_report(result))
+    fig3 = fig3_overhead(duration_scale=duration_scale, seed=11, scale=scale)
+    print(comparison_report(fig3.run()))
 
     print("\n\n### Runtime activation knob: overhead vs. monitoring scope\n")
-    rows = scope_overhead_ablation(
-        duration_scale=duration_scale, seed=11, scale=scale, ebs=100
-    )
-    print(format_table(rows))
+    scope = scope_overhead_ablation(duration_scale=duration_scale, seed=11, scale=scale, ebs=100)
+    print(comparison_report(scope.run()))
     print(
         "\nThe Manager Agent deactivated half of the Aspect Components at runtime "
         "for the 0.5 row — no redeployment, no code change."

@@ -16,6 +16,8 @@ Front-end targets::
 
 All experiments run in virtual time; ``--duration-scale`` scales the paper's
 one-hour runs, ``--tiny`` switches to the small test database population.
+Every scenario command (the figures included) prints one comparison report
+and exits 1 when its claim fails.
 """
 
 from __future__ import annotations
@@ -27,21 +29,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._version import __version__
 from repro.experiments.environment import environment_rows
-from repro.experiments.reporting import (
-    comparison_report,
-    fig3_report,
-    fig6_report,
-    format_table,
-    leak_scenario_report,
-)
-from repro.experiments.scenarios import (
-    COMPARISONS,
-    fig3_overhead,
-    fig4_single_leak,
-    fig5_multi_leak,
-    fig6_manager_map,
-    fig7_injection_sizes,
-)
+from repro.experiments.reporting import comparison_report, format_table
+from repro.experiments.scenarios import COMPARISONS
 from repro.tpcw.population import PopulationScale
 
 
@@ -110,44 +99,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
     print(framework.frontend.map_report())
     print()
     print(framework.frontend.root_cause_report())
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    result = fig3_overhead(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args)
-    )
-    print(fig3_report(result))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    scenario = fig4_single_leak(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(
-        leak_scenario_report(
-            scenario,
-            title="Fig. 4: injection in component A (100 KB, N=100)",
-            expectation="A grows to MBs, the rest stay flat, A gets 100% responsibility",
-        )
-    )
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    scenario = fig5_multi_leak(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(
-        leak_scenario_report(
-            scenario,
-            title="Fig. 5: 100 KB (N=100) injected in components A, B, C and D",
-            expectation="A and B grow fastest and similarly, C slower, D flat",
-        )
-    )
-    print()
-    print(fig6_report(fig6_manager_map(scenario)))
     return 0
 
 
@@ -380,20 +331,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    scenario = fig7_injection_sizes(
-        duration_scale=args.duration_scale, seed=args.seed, scale=_population(args), ebs=args.ebs
-    )
-    print(
-        leak_scenario_report(
-            scenario,
-            title="Fig. 7: A=100 KB, B=10 KB, C=1 MB, D=1 MB (N=100)",
-            expectation="C first, A second, B third, D flat",
-        )
-    )
-    return 0
-
-
 def _cmd_comparison(args: argparse.Namespace) -> int:
     """Build the subcommand's comparison, run it and print its report.
 
@@ -407,7 +344,6 @@ def _cmd_comparison(args: argparse.Namespace) -> int:
             duration_scale=args.duration_scale,
             seed=args.seed,
             scale=_population(args),
-            ebs=args.ebs,
             **{dest: getattr(args, dest) for dest in args.options},
         )
     except ValueError as error:
@@ -537,10 +473,10 @@ UTILITY_COMMANDS: List[ScenarioCommand] = [
 ]
 
 SCENARIO_COMMANDS: List[ScenarioCommand] = [
-    ScenarioCommand("fig3", "overhead experiment (monitored vs. unmonitored throughput)", _cmd_fig3, include_ebs=False),
-    ScenarioCommand("fig4", "single-leak experiment", _cmd_fig4),
-    ScenarioCommand("fig5", "four identical leaks (+ the Fig. 6 map)", _cmd_fig5),
-    ScenarioCommand("fig7", "heterogeneous leak sizes", _cmd_fig7),
+    ScenarioCommand("fig3", "overhead experiment (monitored vs. unmonitored throughput)", include_ebs=False),
+    ScenarioCommand("fig4", "single-leak experiment"),
+    ScenarioCommand("fig5", "four identical leaks (+ the Fig. 6 map)"),
+    ScenarioCommand("fig7", "heterogeneous leak sizes"),
     ScenarioCommand("rejuvenation", "live rejuvenation: no action vs. restarts vs. micro-reboots"),
     ScenarioCommand("adaptive", "adaptive rejuvenation & SLA comparison over memory/thread/connection leaks"),
     ScenarioCommand(
@@ -599,9 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="scale of the paper's one-hour experiments (1.0 = full length)",
             )
             sub.add_argument("--tiny", action="store_true", help="use the small test database population")
+        options = []
         if command.common and command.include_ebs:
             sub.add_argument("--ebs", type=_positive_int, default=100, help="number of Emulated Browsers")
-        options = [sub.add_argument(flag, **spec).dest for flag, spec in command.options]
+            options.append("ebs")
+        options += [sub.add_argument(flag, **spec).dest for flag, spec in command.options]
         sub.set_defaults(handler=command.handler, options=options)
     return parser
 

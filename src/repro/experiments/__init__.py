@@ -5,11 +5,11 @@
 * :mod:`repro.experiments.runner`      -- generic experiment runner: build a
   deployment, optionally install monitoring, inject faults, drive the EB
   workload, and collect every series the figures need.
-* :mod:`repro.experiments.scenarios`   -- one function per figure
-  (Fig. 3 overhead, Fig. 4 single leak, Fig. 5/6 multi leak + map,
-  Fig. 7 heterogeneous injection sizes), the multi-run comparisons as
-  :class:`~repro.experiments.scenarios.Comparison` specs, and the ablation
-  scenarios.
+* :mod:`repro.experiments.scenarios`   -- every scenario as a
+  :class:`~repro.experiments.scenarios.Comparison` spec: the paper's figures
+  (Fig. 3 overhead, Fig. 4 single leak, Fig. 5 multi leak with Fig. 6's map
+  as a table, Fig. 7 heterogeneous injection sizes), the multi-run
+  comparisons and the scope ablation; plus the strategy ablation.
 * :mod:`repro.experiments.reporting`   -- text rendering of results and
   paper-vs-measured comparisons.
 """
@@ -22,12 +22,9 @@ from repro.experiments.scenarios import (
     COMPARISONS,
     Comparison,
     ComparisonResult,
-    Fig3Result,
-    LeakScenarioResult,
     fig3_overhead,
     fig4_single_leak,
     fig5_multi_leak,
-    fig6_manager_map,
     fig7_injection_sizes,
     fig_rejuvenation,
     scope_overhead_ablation,
@@ -43,12 +40,9 @@ __all__ = [
     "COMPARISONS",
     "Comparison",
     "ComparisonResult",
-    "Fig3Result",
-    "LeakScenarioResult",
     "fig3_overhead",
     "fig4_single_leak",
     "fig5_multi_leak",
-    "fig6_manager_map",
     "fig7_injection_sizes",
     "fig_rejuvenation",
     "scope_overhead_ablation",

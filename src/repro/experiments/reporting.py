@@ -13,8 +13,7 @@ import io
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.scenarios import ComparisonResult, Fig3Result, LeakScenarioResult
-from repro.sim.metrics import TimeSeries
+from repro.experiments.scenarios import ComparisonResult
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Optional[List[str]] = None) -> str:
@@ -100,115 +99,8 @@ def rows_to_csv(
     return buffer.getvalue()
 
 
-def downsample_series(series: TimeSeries, points: int = 20) -> List[Dict[str, float]]:
-    """Reduce a series to ~``points`` rows for printing."""
-    if len(series) == 0:
-        return []
-    times = series.times
-    values = series.values
-    stride = max(1, len(times) // points)
-    return [
-        {"time_s": round(float(times[index]), 1), "value": round(float(values[index]), 3)}
-        for index in range(0, len(times), stride)
-    ]
-
-
-def kb(value: float) -> float:
-    """Bytes to KB, rounded for reports."""
-    return round(value / 1024.0, 1)
-
-
 # --------------------------------------------------------------------------- #
-# Fig. 3
-# --------------------------------------------------------------------------- #
-def fig3_report(result: Fig3Result) -> str:
-    """Throughput curves and the overall overhead figure."""
-    warmup_end = result.phase_times[0]
-    mid_end = result.phase_times[1]
-    end = result.phase_times[2]
-    summary_rows = [
-        {
-            "phase": "100 EBs",
-            "unmonitored_rps": round(result.unmonitored.mean_throughput(warmup_end, mid_end), 2),
-            "monitored_rps": round(result.monitored.mean_throughput(warmup_end, mid_end), 2),
-        },
-        {
-            "phase": "200 EBs",
-            "unmonitored_rps": round(result.unmonitored.mean_throughput(mid_end, end), 2),
-            "monitored_rps": round(result.monitored.mean_throughput(mid_end, end), 2),
-        },
-        {
-            "phase": "overall (post warm-up)",
-            "unmonitored_rps": round(result.unmonitored.mean_throughput(warmup_end, end), 2),
-            "monitored_rps": round(result.monitored.mean_throughput(warmup_end, end), 2),
-        },
-    ]
-    lines = [
-        "== Fig. 3: TPC-W throughput, monitored vs. unmonitored ==",
-        f"paper expectation: monitoring all components costs ≈5 % throughput",
-        f"measured overhead (post warm-up): {result.overhead_percent():.2f} %",
-        "",
-        format_table(summary_rows),
-        "",
-        "throughput series (requests/s per window):",
-        format_table(result.throughput_rows()[:40]),
-    ]
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------- #
-# Figs. 4, 5, 7
-# --------------------------------------------------------------------------- #
-def leak_scenario_report(
-    scenario: LeakScenarioResult,
-    title: str,
-    expectation: str,
-    components: Optional[List[str]] = None,
-) -> str:
-    """Per-component size trajectories, final growth and root-cause ranking."""
-    growth = scenario.growth()
-    focus = components or sorted(scenario.injected_components)
-    growth_rows = [
-        {
-            "component": name,
-            "injected_leak": scenario.injected_components.get(name, 0),
-            "injections": _injection_count(scenario, name),
-            "growth_kb": kb(growth.get(name, 0.0)),
-        }
-        for name in focus
-    ]
-    report = scenario.root_cause
-    lines = [
-        f"== {title} ==",
-        f"paper expectation: {expectation}",
-        "",
-        "component growth:",
-        format_table(growth_rows),
-        "",
-        "object-size trajectories (KB):",
-        format_table(scenario.size_series_rows(focus, points=12)),
-        "",
-        "root-cause ranking "
-        f"(strategy: {report.strategy}):",
-        format_table(report.to_rows()[:6]),
-    ]
-    return "\n".join(lines)
-
-
-def _injection_count(scenario: LeakScenarioResult, component: str) -> int:
-    for description in scenario.result.fault_descriptions:
-        if description.startswith(f"{component}:"):
-            # description format: "<component>: memory-leak ... (injected K times, ...)"
-            marker = "injected "
-            index = description.find(marker)
-            if index >= 0:
-                tail = description[index + len(marker):]
-                return int(tail.split()[0])
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# Multi-run comparisons
+# Comparisons (every scenario)
 # --------------------------------------------------------------------------- #
 def comparison_report(scenario: ComparisonResult) -> str:
     """Any comparison's text report: header, per-mode summary, extra tables
@@ -272,18 +164,3 @@ def accounting_sanity_check(result: ExperimentResult) -> Dict[str, int]:
     if total != ledger["issued"] or ledger["in_flight"] != 0:
         raise RuntimeError(f"request accounting violated: {ledger}")
     return ledger
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 6
-# --------------------------------------------------------------------------- #
-def fig6_report(map_rows: List[Dict[str, object]], focus: Optional[List[str]] = None) -> str:
-    """The consumption-vs-usage map composed by the Manager Agent."""
-    rows = map_rows
-    if focus is not None:
-        rows = [row for row in map_rows if row.get("component") in focus]
-    return (
-        "== Fig. 6: resource-consumption vs. component-usage map ==\n"
-        "paper expectation: A and B in the high-usage/high-consumption quadrant, "
-        "C consuming less, D flat\n\n" + format_table(rows)
-    )

@@ -5,8 +5,9 @@ run a faithful-but-shorter version of the paper's one-hour experiments; the
 full-length runs use ``duration_scale=1.0``.  Component naming follows the
 paper: *A* and *B* are the two heavily (and similarly) used components, *C*
 a moderately used one, and *D* the rarely used one whose injected leak never
-fires.  The multi-run comparisons (rejuvenation ... scale) are data: each
-builder returns a :class:`Comparison`, and :data:`COMPARISONS` lists them.
+fires.  Every scenario is data: each builder (the paper's figures, the
+multi-run comparisons and the scope ablation) returns a :class:`Comparison`
+without running anything, and :data:`COMPARISONS` lists the registered ones.
 """
 
 from __future__ import annotations
@@ -84,276 +85,6 @@ PAPER_PERIOD_N = 100
 
 
 # --------------------------------------------------------------------------- #
-# Fig. 3 — monitoring overhead under a dynamic workload
-# --------------------------------------------------------------------------- #
-@dataclass
-class Fig3Result:
-    """Outcome of the Fig. 3 overhead experiment."""
-
-    monitored: ExperimentResult
-    unmonitored: ExperimentResult
-    #: Phase boundaries used (seconds): warm-up end, 100-EB end, 200-EB end.
-    phase_times: List[float] = field(default_factory=list)
-
-    def throughput_pair(self, start: float, end: float) -> Dict[str, float]:
-        """Mean throughput of both runs over ``[start, end]``."""
-        return {
-            "unmonitored": self.unmonitored.mean_throughput(start, end),
-            "monitored": self.monitored.mean_throughput(start, end),
-        }
-
-    def overhead_percent(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
-        """Throughput penalty of monitoring, in percent (paper: ≈5 %)."""
-        if start is None:
-            start = self.phase_times[0] if self.phase_times else 0.0
-        reference = self.unmonitored.mean_throughput(start, end)
-        measured = self.monitored.mean_throughput(start, end)
-        if reference <= 0:
-            return 0.0
-        return 100.0 * (reference - measured) / reference
-
-    def throughput_rows(self) -> List[Dict[str, float]]:
-        """Time-aligned throughput series of both runs (Fig. 3's two curves)."""
-        rows = []
-        monitored = {t: v for t, v in self.monitored.throughput.to_rows()}
-        for t, v in self.unmonitored.throughput.to_rows():
-            rows.append(
-                {
-                    "time_s": round(t, 1),
-                    "unmonitored_rps": round(v, 3),
-                    "monitored_rps": round(monitored.get(t, 0.0), 3),
-                }
-            )
-        return rows
-
-
-def fig3_overhead(
-    duration_scale: float = 1.0,
-    seed: int = 42,
-    warmup_ebs: int = 50,
-    mid_ebs: int = 100,
-    high_ebs: int = 200,
-    scale: Optional[PopulationScale] = None,
-    sample_cost_seconds: float = 2.5e-3,
-    metrics_registry=None,
-    stream_metrics: Optional[str] = None,
-) -> Fig3Result:
-    """Reproduce Fig. 3: TPC-W throughput with and without monitoring.
-
-    The paper's schedule: 2 minutes at 50 EBs (warm-up), 30 minutes at
-    100 EBs, 30 minutes at 200 EBs, all under the shopping mix, no fault
-    injected.  Both runs use the same seed so they see the same workload.
-    ``metrics_registry`` / ``stream_metrics`` attach the observability plane
-    to the *monitored* leg (the ``obs_overhead`` bench drives this to bound
-    the plane's cost).
-    """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    warmup = 120.0 * duration_scale
-    phase = 1800.0 * duration_scale
-    duration = warmup + 2 * phase
-    phases = [
-        WorkloadPhase(0.0, warmup_ebs),
-        WorkloadPhase(warmup, mid_ebs),
-        WorkloadPhase(warmup + phase, high_ebs),
-    ]
-
-    common = dict(
-        seed=seed,
-        scale=scale,
-        phases=phases,
-        duration=duration,
-        mix_name="shopping",
-        faults=[],
-        snapshot_interval=max(30.0, 60.0 * duration_scale),
-        sample_cost_seconds=sample_cost_seconds,
-    )
-    unmonitored = run_experiment(ExperimentConfig(name="fig3-unmonitored", monitored=False, **common))
-    monitored = run_experiment(
-        ExperimentConfig(
-            name="fig3-monitored",
-            monitored=True,
-            metrics_registry=metrics_registry,
-            stream_metrics=stream_metrics,
-            **common,
-        )
-    )
-    return Fig3Result(
-        monitored=monitored,
-        unmonitored=unmonitored,
-        phase_times=[warmup, warmup + phase, duration],
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Figs. 4, 5, 7 — leak scenarios
-# --------------------------------------------------------------------------- #
-@dataclass
-class LeakScenarioResult:
-    """Outcome of a leak-injection experiment (Figs. 4, 5, 7)."""
-
-    result: ExperimentResult
-    injected_components: Dict[str, int]  #: component -> injected leak size (bytes)
-
-    @property
-    def root_cause(self) -> RootCauseReport:
-        """The manager's root-cause report."""
-        assert self.result.root_cause is not None
-        return self.result.root_cause
-
-    def growth(self) -> Dict[str, float]:
-        """Object-size growth per component."""
-        return self.result.component_growth()
-
-    def size_series_rows(self, components: Optional[List[str]] = None, points: int = 20) -> List[Dict[str, float]]:
-        """Down-sampled object-size trajectories (the curves of Figs. 4/5/7)."""
-        names = components or sorted(self.result.component_series)
-        rows: List[Dict[str, float]] = []
-        for name in names:
-            series = self.result.component_series.get(name)
-            if series is None or len(series) == 0:
-                continue
-            times = series.times
-            values = series.values
-            stride = max(1, len(times) // points)
-            for index in range(0, len(times), stride):
-                rows.append(
-                    {
-                        "component": name,
-                        "time_s": round(float(times[index]), 1),
-                        "object_size_kb": round(float(values[index]) / 1024.0, 1),
-                    }
-                )
-        return rows
-
-
-def _leak_scenario(
-    name: str,
-    leak_plan: Dict[str, int],
-    duration_scale: float,
-    seed: int,
-    scale: Optional[PopulationScale],
-    ebs: int,
-    period_n: int,
-    strategy: Optional[RootCauseStrategy] = None,
-) -> LeakScenarioResult:
-    duration = 3600.0 * duration_scale
-    faults = [
-        FaultSpec(
-            component=component,
-            kind="memory-leak",
-            params={"leak_bytes": leak_bytes, "period_n": period_n},
-        )
-        for component, leak_bytes in leak_plan.items()
-    ]
-    config = ExperimentConfig(
-        name=name,
-        seed=seed,
-        scale=scale,
-        constant_ebs=ebs,
-        duration=duration,
-        mix_name="shopping",
-        monitored=True,
-        faults=faults,
-        snapshot_interval=max(30.0, 60.0 * duration_scale),
-        strategy=strategy,
-    )
-    result = run_experiment(config)
-    return LeakScenarioResult(result=result, injected_components=dict(leak_plan))
-
-
-def fig4_single_leak(
-    duration_scale: float = 1.0,
-    seed: int = 42,
-    scale: Optional[PopulationScale] = None,
-    ebs: int = LEAK_EXPERIMENT_EBS,
-    leak_bytes: int = 100 * KB,
-    period_n: int = PAPER_PERIOD_N,
-) -> LeakScenarioResult:
-    """Reproduce Fig. 4: a single 100 KB / N=100 leak in component A.
-
-    Expectation: component A's object size grows from KBs to MBs over the
-    hour while every other component stays flat, and the root-cause report
-    assigns A 100 % of the responsibility.
-    """
-    return _leak_scenario(
-        name="fig4-single-leak",
-        leak_plan={COMPONENT_A: leak_bytes},
-        duration_scale=duration_scale,
-        seed=seed,
-        scale=scale,
-        ebs=ebs,
-        period_n=period_n,
-    )
-
-
-def fig5_multi_leak(
-    duration_scale: float = 1.0,
-    seed: int = 42,
-    scale: Optional[PopulationScale] = None,
-    ebs: int = LEAK_EXPERIMENT_EBS,
-    leak_bytes: int = 100 * KB,
-    period_n: int = PAPER_PERIOD_N,
-) -> LeakScenarioResult:
-    """Reproduce Fig. 5: the same 100 KB / N=100 leak in A, B, C and D.
-
-    Expectation: A and B grow at a similar (highest) rate, C grows more
-    slowly, and D stays flat because it is visited too rarely to trigger the
-    injection.
-    """
-    return _leak_scenario(
-        name="fig5-multi-leak",
-        leak_plan={
-            COMPONENT_A: leak_bytes,
-            COMPONENT_B: leak_bytes,
-            COMPONENT_C: leak_bytes,
-            COMPONENT_D: leak_bytes,
-        },
-        duration_scale=duration_scale,
-        seed=seed,
-        scale=scale,
-        ebs=ebs,
-        period_n=period_n,
-    )
-
-
-def fig6_manager_map(scenario: LeakScenarioResult) -> List[Dict[str, object]]:
-    """Reproduce Fig. 6: the consumption-vs-usage map the manager composes
-    for the Fig. 5 run (rows include the quadrant classification)."""
-    return scenario.result.resource_map_rows
-
-
-def fig7_injection_sizes(
-    duration_scale: float = 1.0,
-    seed: int = 42,
-    scale: Optional[PopulationScale] = None,
-    ebs: int = LEAK_EXPERIMENT_EBS,
-    period_n: int = PAPER_PERIOD_N,
-) -> LeakScenarioResult:
-    """Reproduce Fig. 7: heterogeneous leak sizes.
-
-    A keeps 100 KB, B drops to 10 KB, C and D get 1 MB.  Expectation: C
-    becomes the top suspect (large leak × moderate usage), A second, B third,
-    and D stays flat because its usage frequency is too low to trigger
-    injections.
-    """
-    return _leak_scenario(
-        name="fig7-injection-sizes",
-        leak_plan={
-            COMPONENT_A: 100 * KB,
-            COMPONENT_B: 10 * KB,
-            COMPONENT_C: 1 * MB,
-            COMPONENT_D: 1 * MB,
-        },
-        duration_scale=duration_scale,
-        seed=seed,
-        scale=scale,
-        ebs=ebs,
-        period_n=period_n,
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Multi-run comparisons as data
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
@@ -370,7 +101,7 @@ class Table:
 
 @dataclass
 class Comparison:
-    """N same-seed runs that differ in a few config fields, scored alike.
+    """Same-seed runs that differ in a few config fields, scored alike.
 
     Every comparison builder in :data:`COMPARISONS` does its sizing math and
     returns one of these without running anything: the ordered
@@ -569,6 +300,376 @@ def _run_length(duration_scale: float) -> float:
 
 
 # --------------------------------------------------------------------------- #
+# The paper's figures: Fig. 3 (overhead) and the leak scenarios of Figs. 4-7
+# --------------------------------------------------------------------------- #
+#: The paper's four leak components, in paper order (Figs. 5 and 7 report them).
+PAPER_COMPONENTS = (COMPONENT_A, COMPONENT_B, COMPONENT_C, COMPONENT_D)
+
+#: Summary columns of the paper's figures: each run's load and monitoring cost.
+_FIGURE_COLUMNS = (
+    "mode", "completed", "errors", "mean_throughput_rps", "mean_response_time_s",
+    "overhead_seconds",
+)
+
+#: Where every figure's claim holds, on the tiny and the standard population
+#: (at tiny ``duration_scale=0.02`` each fails for at least one of the seeds).
+_FIGURE_RANGE = "holds at duration_scale 0.05 and 0.1, seeds 7, 11, 42, 2026"
+
+
+def downsample_series(series: TimeSeries, points: int = 20) -> List[Tuple[float, float]]:
+    """Every ``len(series) // points``-th ``(time, value)`` sample, the first
+    included: the ~``points`` samples a printed curve shows."""
+    stride = max(1, len(series) // points)
+    return list(zip(series.times[::stride].tolist(), series.values[::stride].tolist()))
+
+
+def phase_times(scenario: ComparisonResult) -> Tuple[float, float, float]:
+    """Fig. 3's phase boundaries (s): warm-up end, mid-load end, run end."""
+    config = scenario.result("monitored").config
+    return config.phases[1].start_time, config.phases[2].start_time, config.duration
+
+
+def throughput_pair(
+    scenario: ComparisonResult, start: float, end: Optional[float]
+) -> Dict[str, float]:
+    """Mean throughput of Fig. 3's runs over ``[start, end]``, by mode."""
+    return {mode: result.mean_throughput(start, end) for mode, result in scenario.results.items()}
+
+
+def overhead_percent(scenario: ComparisonResult) -> float:
+    """Fig. 3's post-warm-up throughput penalty of monitoring, in percent
+    (paper: ≈5 %)."""
+    pair = throughput_pair(scenario, phase_times(scenario)[0], None)
+    reference = pair["unmonitored"]
+    return 100.0 * (reference - pair["monitored"]) / reference if reference > 0 else 0.0
+
+
+def _fig3_tables(scenario: ComparisonResult) -> Dict[str, Table]:
+    warmup_end, mid_end, end = phase_times(scenario)
+    phases = scenario.result("monitored").config.phases
+    monitored = dict(scenario.result("monitored").throughput.to_rows())
+    return {
+        "phases": Table(
+            "throughput per phase (requests/s)",
+            [
+                {
+                    "phase": label,
+                    **{
+                        f"{mode}_rps": round(rps, 2)
+                        for mode, rps in throughput_pair(scenario, start, stop).items()
+                    },
+                }
+                for label, start, stop in (
+                    (f"{phases[1].eb_count} EBs", warmup_end, mid_end),
+                    (f"{phases[2].eb_count} EBs", mid_end, end),
+                    ("overall (post warm-up)", warmup_end, end),
+                )
+            ],
+            notes=(f"measured overhead (post warm-up): {overhead_percent(scenario):.2f} %",),
+        ),
+        "throughput": Table(
+            "throughput series (requests/s per window)",
+            [
+                {
+                    "time_s": round(time, 1),
+                    "unmonitored_rps": round(rps, 3),
+                    "monitored_rps": round(monitored.get(time, 0.0), 3),
+                }
+                for time, rps in scenario.result("unmonitored").throughput.to_rows()
+            ][:40],
+        ),
+    }
+
+
+def _fig3_holds(scenario: ComparisonResult) -> bool:
+    warmup_end, mid_end, end = phase_times(scenario)
+    mid = throughput_pair(scenario, warmup_end, mid_end)
+    high = throughput_pair(scenario, mid_end, end)
+    monitored, unmonitored = scenario.result("monitored"), scenario.result("unmonitored")
+    return (
+        all(high[mode] > 1.5 * mid[mode] for mode in scenario.results)
+        and -2.0 <= overhead_percent(scenario) <= 12.0
+        and monitored.overhead_seconds > 0
+        and monitored.monitoring_samples > 0
+        and unmonitored.overhead_seconds == 0.0
+    )
+
+
+def fig3_overhead(
+    duration_scale: float = 1.0,
+    seed: int = 42,
+    warmup_ebs: int = 50,
+    mid_ebs: int = 100,
+    high_ebs: int = 200,
+    scale: Optional[PopulationScale] = None,
+) -> Comparison:
+    """Fig. 3: TPC-W throughput with and without monitoring.
+
+    The paper's schedule: 2 minutes at 50 EBs (warm-up), 30 minutes at
+    100 EBs, 30 minutes at 200 EBs, all under the shopping mix, no fault
+    injected.  Both runs (modes ``unmonitored`` and ``monitored``) use the
+    same seed so they see the same workload.
+    """
+    if duration_scale <= 0:
+        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    warmup = 120.0 * duration_scale
+    phase = 1800.0 * duration_scale
+    base = ExperimentConfig(
+        seed=seed,
+        scale=scale,
+        phases=[
+            WorkloadPhase(0.0, warmup_ebs),
+            WorkloadPhase(warmup, mid_ebs),
+            WorkloadPhase(warmup + phase, high_ebs),
+        ],
+        duration=warmup + 2 * phase,
+        snapshot_interval=max(30.0, 60.0 * duration_scale),
+    )
+    return Comparison(
+        title="Fig. 3: TPC-W throughput, monitored vs. unmonitored",
+        expectation="monitoring all components costs ≈5 % throughput",
+        context=[
+            f"schedule: {warmup_ebs} EBs for {warmup:.0f} s (warm-up), then {mid_ebs} "
+            f"and {high_ebs} EBs for {phase:.0f} s each"
+        ],
+        configs={
+            mode: replace(base, name=f"fig3-{mode}", monitored=mode == "monitored")
+            for mode in ("unmonitored", "monitored")
+        },
+        observe=client_observation,
+        caption="per-run load and monitoring cost",
+        columns=_FIGURE_COLUMNS,
+        tables=_fig3_tables,
+        claim=(
+            "overhead -2..12 % after warm-up (paper: ≈5 %), both runs > 1.5x "
+            f"throughput from {mid_ebs} to {high_ebs} EBs, only the monitored run "
+            f"pays for samples; {_FIGURE_RANGE}",
+            _fig3_holds,
+        ),
+    )
+
+
+def _leak_tables(
+    scenario: ComparisonResult, components: Optional[Tuple[str, ...]] = PAPER_COMPONENTS
+) -> Dict[str, Table]:
+    """The curves of a leak figure's one run: growth and down-sampled
+    object-size trajectories of ``components`` (every component when
+    ``None``), and the root-cause ranking."""
+    (result,) = scenario.results.values()
+    focus = components or sorted(result.component_series)
+    injected = {spec.component: spec.params["leak_bytes"] for spec in result.config.faults}
+    # A leak describes itself as "<component>: memory-leak ... (injected K times, ...)".
+    injections = {
+        description.split(":")[0]: int(description.split("injected ")[1].split()[0])
+        for description in result.fault_descriptions
+    }
+    growth = result.component_growth()
+    report = result.root_cause
+    return {
+        "growth": Table(
+            "component growth",
+            [
+                {
+                    "component": name,
+                    "injected_leak": injected.get(name, 0),
+                    "injections": injections.get(name, 0),
+                    "growth_kb": round(growth.get(name, 0.0) / KB, 1),
+                }
+                for name in focus
+            ],
+        ),
+        "trajectories": Table(
+            "object-size trajectories (KB)",
+            [
+                {"component": name, "time_s": round(time, 1), "object_size_kb": round(size / KB, 1)}
+                for name in focus
+                for time, size in downsample_series(
+                    result.component_series.get(name, TimeSeries()), points=12
+                )
+            ],
+        ),
+        "ranking": Table(f"root-cause ranking (strategy: {report.strategy})", report.to_rows()[:6]),
+    }
+
+
+def _leak_figure(
+    figure: str,
+    mode: str,
+    leak_plan: Dict[str, int],
+    period_n: int,
+    duration_scale: float,
+    seed: int,
+    scale: Optional[PopulationScale],
+    ebs: int,
+    **spec: object,
+) -> Comparison:
+    """One monitored run with a memory leak of ``leak_plan[component]``
+    bytes every ~``period_n`` visits in each planned component."""
+    duration = _run_length(duration_scale)
+    config = ExperimentConfig(
+        name=f"{figure}-{mode}",
+        seed=seed,
+        scale=scale,
+        constant_ebs=ebs,
+        duration=duration,
+        faults=[
+            _memory_leak(leak_bytes, period_n, component)
+            for component, leak_bytes in leak_plan.items()
+        ],
+        snapshot_interval=max(30.0, 60.0 * duration_scale),
+    )
+    return Comparison(
+        context=[
+            f"A = {COMPONENT_A}, B = {COMPONENT_B}, C = {COMPONENT_C}, D = {COMPONENT_D}; "
+            f"{ebs} EBs for {duration:.0f} s"
+        ],
+        configs={mode: config},
+        observe=client_observation,
+        caption="run summary",
+        columns=_FIGURE_COLUMNS,
+        **spec,
+    )
+
+
+def _fig4_holds(scenario: ComparisonResult) -> bool:
+    (result,) = scenario.results.values()
+    growth = result.component_growth()
+    top = result.root_cause.top()
+    return (
+        growth[COMPONENT_A] > 500 * KB
+        and all(
+            value < 0.05 * growth[COMPONENT_A]
+            for component, value in growth.items()
+            if component != COMPONENT_A
+        )
+        and top is not None
+        and top.component == COMPONENT_A
+        and top.responsibility > 0.95
+    )
+
+
+def fig4_single_leak(
+    duration_scale: float = 1.0,
+    seed: int = 42,
+    scale: Optional[PopulationScale] = None,
+    ebs: int = LEAK_EXPERIMENT_EBS,
+    leak_bytes: int = 100 * KB,
+    period_n: int = PAPER_PERIOD_N,
+) -> Comparison:
+    """Fig. 4: a single 100 KB / N=100 leak in component A (mode
+    ``single-leak``); the tables cover all 14 components."""
+    return _leak_figure(
+        "fig4", "single-leak", {COMPONENT_A: leak_bytes}, period_n,
+        duration_scale, seed, scale, ebs,
+        title=f"Fig. 4: injection in component A ({leak_bytes / KB:g} KB, N={period_n})",
+        expectation="A grows from KBs to MBs, all other components stay flat, "
+        "A gets 100% of the responsibility",
+        tables=partial(_leak_tables, components=None),
+        claim=(
+            "A grows > 500 KB, every other component < 5 % of that, A top suspect "
+            f"with responsibility > 0.95; {_FIGURE_RANGE}",
+            _fig4_holds,
+        ),
+    )
+
+
+def _fig5_tables(scenario: ComparisonResult) -> Dict[str, Table]:
+    (result,) = scenario.results.values()
+    return {
+        **_leak_tables(scenario),
+        "map": Table(
+            "Fig. 6: resource-consumption vs. component-usage map", result.resource_map_rows
+        ),
+    }
+
+
+def _fig5_holds(scenario: ComparisonResult) -> bool:
+    (result,) = scenario.results.values()
+    growth, counts = result.component_growth(), result.interaction_counts
+    a, b, c, d = (growth[name] for name in PAPER_COMPONENTS)
+    return (
+        a > c
+        and b > c
+        and b > 0
+        and a / b < 2.5
+        and counts[COMPONENT_A] / max(counts[COMPONENT_B], 1) < 2.5
+        and c > 0
+        and d <= 0.25 * c
+        and set(result.root_cause.ranking()[:2]) == {COMPONENT_A, COMPONENT_B}
+    )
+
+
+def fig5_multi_leak(
+    duration_scale: float = 1.0,
+    seed: int = 42,
+    scale: Optional[PopulationScale] = None,
+    ebs: int = LEAK_EXPERIMENT_EBS,
+    leak_bytes: int = 100 * KB,
+    period_n: int = PAPER_PERIOD_N,
+) -> Comparison:
+    """Fig. 5: the same 100 KB / N=100 leak in A, B, C and D (mode
+    ``multi-leak``), plus Fig. 6's map as the ``map`` table.
+
+    Growth follows usage: A and B grow at a similar (highest) rate, C more
+    slowly, and D stays flat because it is visited too rarely to trigger
+    the injection.
+    """
+    return _leak_figure(
+        "fig5", "multi-leak", dict.fromkeys(PAPER_COMPONENTS, leak_bytes), period_n,
+        duration_scale, seed, scale, ebs,
+        title=f"Fig. 5: injection of {leak_bytes / KB:g} KB (N={period_n}) "
+        "in components A, B, C and D",
+        expectation="A and B grow fastest and similarly, C more slowly, D stays flat; "
+        "the manager's map (Fig. 6) puts A and B in the high-usage/high-consumption quadrant",
+        tables=_fig5_tables,
+        claim=(
+            "A, B > C > 0 with A/B growth and visits within 2.5x, D <= 0.25x C, "
+            f"A and B the top two suspects; {_FIGURE_RANGE}",
+            _fig5_holds,
+        ),
+    )
+
+
+def _fig7_holds(scenario: ComparisonResult) -> bool:
+    (result,) = scenario.results.values()
+    growth = result.component_growth()
+    a, b, c, d = (growth[name] for name in PAPER_COMPONENTS)
+    return (
+        result.root_cause.ranking()[:2] == [COMPONENT_C, COMPONENT_A]
+        and c > a > b > 0
+        and (d <= 0.5 * b or d < 2 * MB)
+    )
+
+
+def fig7_injection_sizes(
+    duration_scale: float = 1.0,
+    seed: int = 42,
+    scale: Optional[PopulationScale] = None,
+    ebs: int = LEAK_EXPERIMENT_EBS,
+    period_n: int = PAPER_PERIOD_N,
+) -> Comparison:
+    """Fig. 7: heterogeneous leak sizes (mode ``injection-sizes``).
+
+    A keeps 100 KB, B drops to 10 KB, C and D get 1 MB: C becomes the top
+    suspect (large leak × moderate usage), A second, B third, and D stays
+    flat because its usage frequency is too low to trigger injections.
+    """
+    return _leak_figure(
+        "fig7", "injection-sizes",
+        {COMPONENT_A: 100 * KB, COMPONENT_B: 10 * KB, COMPONENT_C: 1 * MB, COMPONENT_D: 1 * MB},
+        period_n, duration_scale, seed, scale, ebs,
+        title=f"Fig. 7: A=100 KB, B=10 KB, C=1 MB, D=1 MB (N={period_n})",
+        expectation="C becomes the top suspect, A second, B third, D flat",
+        tables=_leak_tables,
+        claim=(
+            "ranking starts C, A; growth C > A > B > 0; D <= 0.5x B or < 2 MB; "
+            f"{_FIGURE_RANGE}",
+            _fig7_holds,
+        ),
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Live rejuvenation comparison (built on the Fig. 5-style leak)
 # --------------------------------------------------------------------------- #
 #: Bytes per injected leak in the rejuvenation scenario (aggressive enough
@@ -618,11 +719,14 @@ def _leak_heap_bytes(
 
 
 def _memory_leak(
-    leak_bytes: int = REJUVENATION_LEAK_BYTES, period_n: int = REJUVENATION_PERIOD_N
+    leak_bytes: int = REJUVENATION_LEAK_BYTES,
+    period_n: int = REJUVENATION_PERIOD_N,
+    component: str = COMPONENT_A,
 ) -> FaultSpec:
-    """Component A's memory leak (the rejuvenation scenarios' rate by default)."""
+    """A memory leak in ``component`` (component A at the rejuvenation
+    scenarios' rate by default)."""
     return FaultSpec(
-        component=COMPONENT_A,
+        component=component,
         kind="memory-leak",
         params={"leak_bytes": leak_bytes, "period_n": period_n},
     )
@@ -687,14 +791,13 @@ def _heap_rows(scenario: ComparisonResult, points: int = 16) -> List[Dict[str, f
     rows: List[Dict[str, float]] = []
     for name, result in scenario.results.items():
         series, capacity = watched_series(result)
-        stride = max(1, len(series) // points)
-        for time, value in zip(series.times[::stride], series.values[::stride]):
+        for time, value in downsample_series(series, points):
             rows.append(
                 {
                     "policy": name,
-                    "time_s": round(float(time), 1),
-                    "heap_used_mb": round(float(value) / MB, 2),
-                    "occupancy_pct": round(100.0 * float(value) / capacity, 1),
+                    "time_s": round(time, 1),
+                    "heap_used_mb": round(value / MB, 2),
+                    "occupancy_pct": round(100.0 * value / capacity, 1),
                 }
             )
     return rows
@@ -1259,23 +1362,31 @@ def fig_learning(
 # --------------------------------------------------------------------------- #
 # Ablations
 # --------------------------------------------------------------------------- #
+def _scope_holds(scenario: ComparisonResult) -> bool:
+    none, half, full = scenario.summary_rows()
+    return (
+        none["overhead_seconds"] == 0.0
+        and half["overhead_seconds"] > 0.0
+        and full["overhead_seconds"] > half["overhead_seconds"]
+        and full["mean_throughput_rps"] <= 1.05 * none["mean_throughput_rps"]
+    )
+
+
 def scope_overhead_ablation(
     duration_scale: float = 0.2,
     seed: int = 42,
     scale: Optional[PopulationScale] = None,
     ebs: int = 200,
-    sample_cost_seconds: float = 2.5e-3,
-    monitored_fractions: Optional[List[float]] = None,
-) -> List[Dict[str, float]]:
+) -> Comparison:
     """Overhead vs. monitoring scope.
 
-    Runs the same constant-load workload with monitoring disabled, with all
-    components monitored, and with only a fraction of components monitored
-    (the manager deactivates the rest at runtime) — quantifying the benefit
-    of the paper's activate/deactivate-on-demand knob.
+    Runs the same constant-load workload with monitoring disabled, with the
+    most-used half of the components monitored (the manager deactivates the
+    rest at runtime) and with all of them: one mode per monitored fraction
+    (``0.0``, ``0.5``, ``1.0``), quantifying the benefit of the paper's
+    activate/deactivate-on-demand knob.
     """
     duration = 1800.0 * duration_scale
-    fractions = monitored_fractions if monitored_fractions is not None else [0.0, 0.5, 1.0]
     # Components ordered by typical shopping-mix usage (most used first), so a
     # fraction of 0.5 keeps the components that dominate the request stream
     # (the worst case for overhead).
@@ -1284,44 +1395,51 @@ def scope_overhead_ablation(
         "new_products", "best_sellers", "customer_registration", "buy_request",
         "buy_confirm", "order_inquiry", "order_display", "admin_request", "admin_confirm",
     ]
-    rows: List[Dict[str, float]] = []
-    for fraction in fractions:
-        monitored = fraction > 0.0
-        keep_count = max(1, int(round(len(usage_order) * fraction))) if monitored else 0
-        config = ExperimentConfig(
+    configs: Dict[str, ExperimentConfig] = {}
+    for fraction in (0.0, 0.5, 1.0):
+        keep = max(1, int(round(len(usage_order) * fraction))) if fraction > 0.0 else 0
+        configs[str(fraction)] = ExperimentConfig(
             name=f"scope-ablation-{fraction:.2f}",
             seed=seed,
             scale=scale,
             constant_ebs=ebs,
             duration=duration,
-            monitored=monitored,
-            monitored_components=usage_order[:keep_count] if monitored and fraction < 1.0 else None,
-            sample_cost_seconds=sample_cost_seconds,
+            monitored=fraction > 0.0,
+            monitored_components=usage_order[:keep] if 0.0 < fraction < 1.0 else None,
             snapshot_interval=max(30.0, 60.0 * duration_scale),
         )
-        result = run_experiment(config)
-        rows.append(
-            {
-                "monitored_fraction": fraction,
-                "mean_throughput_rps": round(result.mean_throughput(), 3),
-                "mean_response_time_s": round(result.mean_response_time, 4),
-                "overhead_seconds": round(result.overhead_seconds, 2),
-            }
-        )
-    return rows
+    return Comparison(
+        title=f"Ablation: monitoring scope vs. overhead ({ebs} EBs, shopping mix)",
+        expectation="the charged monitoring overhead grows with the monitored "
+        "fraction, and full monitoring costs at most noise in throughput",
+        context=[f"run length: {duration:.0f} s per fraction"],
+        configs=configs,
+        observe=client_observation,
+        caption="per-fraction throughput and monitoring cost",
+        columns=(
+            "monitored_fraction", "mean_throughput_rps", "mean_response_time_s", "overhead_seconds",
+        ),
+        claim=(
+            "overhead 0 s unmonitored, > 0 s at half scope and more at full "
+            "scope; full scope's throughput <= 1.05x unmonitored; "
+            f"{_FIGURE_RANGE}, and at tiny 0.02",
+            _scope_holds,
+        ),
+    )
 
 
 def strategy_ablation(
-    scenario: LeakScenarioResult,
+    result: ExperimentResult,
     strategies: Optional[List[RootCauseStrategy]] = None,
 ) -> List[Dict[str, object]]:
-    """Compare root-cause strategies on an already-executed leak scenario."""
+    """Compare root-cause strategies on the manager's map of a monitored run."""
     if strategies is None:
         strategies = [PaperMapStrategy(), TrendStrategy(), WeightedCompositeStrategy()]
-    framework = scenario.result.framework
-    if framework is None:
-        raise ValueError("the scenario was not run with monitoring enabled")
-    resource_map: ResourceComponentMap = framework.manager.map
+    if result.framework is None:
+        raise ValueError(
+            "the run has no monitoring framework (run unmonitored, or returned by a pool worker)"
+        )
+    resource_map: ResourceComponentMap = result.framework.manager.map
     rows: List[Dict[str, object]] = []
     for strategy in strategies:
         report = strategy.analyze(resource_map)
@@ -2328,6 +2446,8 @@ SUMMARY_COLUMNS: Dict[str, _Column] = {
     "mean_rps": _of_run(lambda r: round(r.mean_throughput(), 3)),
     "throughput_rps": _of_run(lambda r: round(r.mean_throughput(), 3)),
     "mean_rt_s": _of_run(lambda r: round(r.mean_response_time, 3)),
+    "mean_throughput_rps": _of_run(lambda r: round(r.mean_throughput(), 3)),
+    "mean_response_time_s": _of_run(lambda r: round(r.mean_response_time, 4)),
     "actions": _of_run(_actions),
     "recycles": _of_run(_actions),
     "refused": lambda scenario, mode: scenario.sla_observation(mode).refused_requests,
@@ -2338,6 +2458,9 @@ SUMMARY_COLUMNS: Dict[str, _Column] = {
         scenario.comparison.cost_model.budget_burn(scenario.sla_observation(mode)), 2
     ),
     "sla_cost": _sla(ComparisonResult.sla_cost, 1),
+    # Monitoring cost (the paper's figures and the scope ablation).
+    "overhead_seconds": _of_run(lambda r: round(r.overhead_seconds, 2)),
+    "monitored_fraction": lambda scenario, mode: float(mode),
     # Rejuvenation and calibration.
     "reclaimed_mb": _of_run(
         lambda r: round((r.rejuvenation.reclaimed_bytes if r.rejuvenation else 0) / MB, 2)
@@ -2376,8 +2499,12 @@ SUMMARY_COLUMNS: Dict[str, _Column] = {
 }
 
 
-#: Every multi-run comparison builder, by CLI name.
+#: Every registered comparison builder (the paper's figures first), by CLI name.
 COMPARISONS: Dict[str, Callable[..., Comparison]] = {
+    "fig3": fig3_overhead,
+    "fig4": fig4_single_leak,
+    "fig5": fig5_multi_leak,
+    "fig7": fig7_injection_sizes,
     "rejuvenation": fig_rejuvenation,
     "adaptive": fig_adaptive,
     "mixed": fig_mixed,

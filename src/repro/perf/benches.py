@@ -337,19 +337,20 @@ def _run_e2e(name: str, runner: Callable[[], Dict[str, object]], options: BenchO
 @microbench("fig3_e2e")
 def bench_fig3_e2e(options: BenchOptions) -> BenchResult:
     """Wall-clock of the Fig. 3 overhead experiment (monitored + unmonitored)."""
-    from repro.experiments.scenarios import fig3_overhead
+    from repro.experiments.scenarios import fig3_overhead, overhead_percent
     from repro.tpcw.population import PopulationScale
 
     def runner() -> Dict[str, object]:
-        result = fig3_overhead(
+        scenario = fig3_overhead(
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
-        )
+        ).run()
         return {
-            "overhead_percent": round(result.overhead_percent(), 4),
-            "monitored_requests": result.monitored.completed_requests,
-            "unmonitored_requests": result.unmonitored.completed_requests,
+            "overhead_percent": round(overhead_percent(scenario), 4),
+            "monitored_requests": scenario.result("monitored").completed_requests,
+            "unmonitored_requests": scenario.result("unmonitored").completed_requests,
+            "claim_holds": scenario.holds(),
         }
 
     return _run_e2e("fig3_e2e", runner, options)
@@ -756,11 +757,13 @@ def bench_fig4_e2e(options: BenchOptions) -> BenchResult:
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
-        )
-        top = scenario.root_cause.top()
+        ).run()
+        (result,) = scenario.results.values()
+        top = result.root_cause.top()
         return {
-            "completed_requests": scenario.result.completed_requests,
+            "completed_requests": result.completed_requests,
             "root_cause_component": top.component if top else "",
+            "claim_holds": scenario.holds(),
         }
 
     return _run_e2e("fig4_e2e", runner, options)
@@ -820,28 +823,26 @@ def bench_obs_overhead(options: BenchOptions) -> BenchResult:
     an upper bound on any mid-run emission.
     """
     import math
+    from dataclasses import replace
 
-    from repro.experiments.scenarios import fig3_overhead
+    from repro.experiments.scenarios import Comparison, fig3_overhead
     from repro.obs.registry import MetricsRegistry
     from repro.tpcw.population import PopulationScale
 
-    def run_plain() -> None:
-        fig3_overhead(
+    def build() -> Comparison:
+        return fig3_overhead(
             duration_scale=options.duration_scale,
             seed=options.seed,
             scale=PopulationScale.tiny(),
         )
 
-    e2e = float(measure_seconds(run_plain, repeats=2, warmup=False)["best_seconds"])  # type: ignore[arg-type]
+    e2e = float(measure_seconds(lambda: build().run(), repeats=2, warmup=False)["best_seconds"])  # type: ignore[arg-type]
 
     # One observed run populates a registry with the run's full state.
     registry = MetricsRegistry()
-    fig3_overhead(
-        duration_scale=options.duration_scale,
-        seed=options.seed,
-        scale=PopulationScale.tiny(),
-        metrics_registry=registry,
-    )
+    observed = build()
+    observed.configs["monitored"] = replace(observed.configs["monitored"], metrics_registry=registry)
+    observed.run()
     duration = registry.now()
     interval = max(30.0, 60.0 * options.duration_scale)
     stream_emits = int(math.floor((duration - 1e-9) / interval)) + 1  # + final emit

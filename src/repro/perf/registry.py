@@ -51,7 +51,13 @@ class BenchResult:
 
     @property
     def passed(self) -> Optional[bool]:
-        """Whether the target was met (``None`` when not comparable)."""
+        """Whether the target was met (``None`` when not comparable).
+
+        A bench that records its scenario's verdict as ``claim_holds`` fails
+        when that claim fails, however fast it ran.
+        """
+        if self.metrics.get("claim_holds") is False:
+            return False
         if self.target_speedup is None:
             return None
         if self.speedup_vs_seed is None:

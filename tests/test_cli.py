@@ -60,13 +60,21 @@ class TestCliCommands:
         assert "home" in out
 
     def test_fig4_command_small_run(self, capsys):
+        # 20 EBs at duration_scale 0.03 is outside the claim's range: the
+        # report still prints, and the failed claim exits 1.
         exit_code = main(
             ["fig4", "--tiny", "--ebs", "20", "--duration-scale", "0.03", "--seed", "3"]
         )
-        assert exit_code == 0
+        assert exit_code == 1
         out = capsys.readouterr().out
         assert "Fig. 4" in out
         assert "root-cause ranking" in out
+        assert out.splitlines()[-1].rstrip().endswith("False")
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5", "fig7"])
+    def test_figure_command_holds_at_ds_005(self, figure, capsys):
+        assert main([figure, "--tiny", "--duration-scale", "0.05"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].rstrip().endswith("True")
 
     def test_rejuvenation_command_small_run(self, capsys):
         exit_code = main(["rejuvenation", "--tiny", "--duration-scale", "0.02"])

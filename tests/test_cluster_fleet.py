@@ -73,15 +73,15 @@ REJUVENATION_GOLDEN = {
 
 class TestSingleShardEquivalence:
     def test_fig4_bit_identical_to_pre_cluster_harness(self):
-        scenario = fig4_single_leak(duration_scale=0.05, seed=42, scale=TINY)
-        result = scenario.result
+        scenario = fig4_single_leak(duration_scale=0.05, seed=42, scale=TINY).run()
+        (result,) = scenario.results.values()
         got = {
             "completed": result.completed_requests,
             "errors": result.error_count,
             "issued": result.issued_requests,
             "mean_rt": result.mean_response_time,
             "heap_last": float(result.heap_series.values[-1]),
-            "growth_A": scenario.growth()["product_detail"],
+            "growth_A": result.component_growth()["product_detail"],
             "root_top": result.root_cause.top().component,
             "root_resp": result.root_cause.top().responsibility,
             "overhead_seconds": result.overhead_seconds,

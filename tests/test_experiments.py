@@ -11,25 +11,24 @@ import pytest
 
 from repro.container.server import ServerConfig
 from repro.experiments.environment import PAPER_TESTBED, environment_rows, simulated_environment
-from repro.experiments.reporting import (
-    downsample_series,
-    fig3_report,
-    fig6_report,
-    format_table,
-    leak_scenario_report,
-)
+from repro.experiments.reporting import comparison_report, format_table
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import (
+    COMPARISONS,
     COMPONENT_A,
     COMPONENT_B,
     COMPONENT_C,
     COMPONENT_D,
+    downsample_series,
     fig3_overhead,
     fig4_single_leak,
     fig5_multi_leak,
-    fig6_manager_map,
     fig7_injection_sizes,
+    overhead_percent,
+    phase_times,
+    scope_overhead_ablation,
     strategy_ablation,
+    throughput_pair,
 )
 from repro.faults.injector import FaultSpec
 from repro.faults.memory_leak import KB
@@ -127,54 +126,77 @@ class TestRunner:
 
 class TestScenarios:
     def test_fig3_shape_monitored_below_unmonitored(self):
-        result = fig3_overhead(duration_scale=0.05, seed=5, scale=TINY,
-                               warmup_ebs=10, mid_ebs=20, high_ebs=40)
-        warm, mid, end = result.phase_times
-        pair_high = result.throughput_pair(mid, end)
-        pair_mid = result.throughput_pair(warm, mid)
+        scenario = fig3_overhead(duration_scale=0.05, seed=5, scale=TINY,
+                                 warmup_ebs=10, mid_ebs=20, high_ebs=40).run()
+        warm, mid, end = phase_times(scenario)
+        pair_high = throughput_pair(scenario, mid, end)
+        pair_mid = throughput_pair(scenario, warm, mid)
         # Throughput grows with the EB count and monitoring never helps.
         assert pair_high["unmonitored"] > pair_mid["unmonitored"]
-        assert result.monitored.overhead_seconds > 0
-        assert result.overhead_percent() < 25.0
-        assert len(result.throughput_rows()) > 0
+        assert scenario.result("monitored").overhead_seconds > 0
+        assert overhead_percent(scenario) < 25.0
+        assert len(scenario.tables()["throughput"].rows) > 0
 
     def test_fig4_single_leak_blames_component_a(self):
-        scenario = fig4_single_leak(duration_scale=0.08, seed=7, scale=TINY, ebs=40)
-        report = scenario.root_cause
+        scenario = fig4_single_leak(duration_scale=0.08, seed=7, scale=TINY, ebs=40).run()
+        (result,) = scenario.results.values()
+        report = result.root_cause
         assert report.top().component == COMPONENT_A
         assert report.top().responsibility > 0.95
-        growth = scenario.growth()
+        growth = result.component_growth()
         assert growth[COMPONENT_A] > 200 * KB
         flat = [name for name in growth if name != COMPONENT_A]
         assert all(growth[name] < 0.05 * growth[COMPONENT_A] for name in flat)
 
     def test_fig5_multi_leak_ordering(self):
-        scenario = fig5_multi_leak(duration_scale=0.08, seed=7, scale=TINY, ebs=40)
-        growth = scenario.growth()
+        scenario = fig5_multi_leak(duration_scale=0.08, seed=7, scale=TINY, ebs=40).run()
+        (result,) = scenario.results.values()
+        growth = result.component_growth()
         # A and B grow the most, C less, D effectively flat.
         assert growth[COMPONENT_A] > growth[COMPONENT_C]
         assert growth[COMPONENT_B] > growth[COMPONENT_C]
         assert growth[COMPONENT_D] <= growth[COMPONENT_C]
-        ranking = scenario.root_cause.ranking()
+        ranking = result.root_cause.ranking()
         assert set(ranking[:2]) == {COMPONENT_A, COMPONENT_B}
         # Fig. 6 is derived from the same run.
-        rows = fig6_manager_map(scenario)
-        by_component = {row["component"]: row for row in rows}
+        by_component = {row["component"]: row for row in scenario.tables()["map"].rows}
         assert "most suspicious" in by_component[COMPONENT_A]["quadrant"]
+        assert "Fig. 6" in comparison_report(scenario)
 
     def test_fig7_largest_leak_wins(self):
-        scenario = fig7_injection_sizes(duration_scale=0.08, seed=7, scale=TINY, ebs=40)
-        ranking = scenario.root_cause.ranking()
+        scenario = fig7_injection_sizes(duration_scale=0.08, seed=7, scale=TINY, ebs=40).run()
+        (result,) = scenario.results.values()
+        ranking = result.root_cause.ranking()
         assert ranking[0] == COMPONENT_C
         assert ranking[1] == COMPONENT_A
-        growth = scenario.growth()
+        growth = result.component_growth()
         assert growth[COMPONENT_C] > growth[COMPONENT_A] > growth[COMPONENT_B]
 
     def test_strategy_ablation_rows(self):
-        scenario = fig4_single_leak(duration_scale=0.05, seed=3, scale=TINY, ebs=30)
-        rows = strategy_ablation(scenario)
+        scenario = fig4_single_leak(duration_scale=0.05, seed=3, scale=TINY, ebs=30).run()
+        (result,) = scenario.results.values()
+        rows = strategy_ablation(result)
         assert {row["strategy"] for row in rows} == {"paper-map", "trend", "composite"}
         assert all(row["top_component"] == COMPONENT_A for row in rows)
+
+
+#: Both edges of the range the paper figures' claims state: each holds at
+#: tiny ``duration_scale=0.05`` for four seeds, and Fig. 4's fails at tiny
+#: 0.02 (component A grows only 200-300 KB, under the 500 KB bar).  The scope
+#: ablation's claim also states tiny 0.02.
+SEEDS = (7, 11, 42, 2026)
+CLAIM_RANGE = (
+    [(name, seed, 0.05, True) for name in ("fig3", "fig4", "fig5", "fig7") for seed in SEEDS]
+    + [("fig4", 42, 0.02, False)]
+    + [("scope", seed, 0.02, True) for seed in SEEDS]
+)
+
+
+@pytest.mark.parametrize("name, seed, duration_scale, holds", CLAIM_RANGE)
+def test_claim_range(name, seed, duration_scale, holds):
+    builder = scope_overhead_ablation if name == "scope" else COMPARISONS[name]
+    scenario = builder(duration_scale=duration_scale, seed=seed, scale=TINY).run()
+    assert scenario.holds() is holds
 
 
 class TestReporting:
@@ -190,13 +212,10 @@ class TestReporting:
 
     def test_fig_reports_render(self):
         fig3 = fig3_overhead(duration_scale=0.04, seed=5, scale=TINY,
-                             warmup_ebs=5, mid_ebs=10, high_ebs=20)
-        text = fig3_report(fig3)
+                             warmup_ebs=5, mid_ebs=10, high_ebs=20).run()
+        text = comparison_report(fig3)
         assert "Fig. 3" in text and "measured overhead" in text
 
-        scenario = fig4_single_leak(duration_scale=0.05, seed=3, scale=TINY, ebs=30)
-        leak_text = leak_scenario_report(scenario, "Fig. 4", "A grows, others flat")
+        scenario = fig4_single_leak(duration_scale=0.05, seed=3, scale=TINY, ebs=30).run()
+        leak_text = comparison_report(scenario)
         assert "root-cause ranking" in leak_text and COMPONENT_A in leak_text
-
-        fig6_text = fig6_report(fig6_manager_map(scenario))
-        assert "Fig. 6" in fig6_text

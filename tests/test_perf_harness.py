@@ -67,6 +67,12 @@ class TestRegistry:
         assert informational.passed is None
         assert incomparable.passed is None
 
+    def test_failed_claim_fails_the_bench(self):
+        fast = dict(speedup_vs_seed=3.5, target_speedup=3.0)
+        assert BenchResult(name="x", metrics={"claim_holds": True}, **fast).passed is True
+        assert BenchResult(name="x", metrics={"claim_holds": False}, **fast).passed is False
+        assert BenchResult(name="x", metrics={"claim_holds": False}).passed is False
+
     def test_options_resolve_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SEED", "7")
         monkeypatch.setenv("REPRO_BENCH_DURATION_SCALE", "0.01")

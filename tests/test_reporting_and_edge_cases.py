@@ -8,7 +8,8 @@ import pytest
 from repro.core.frontend import _format_bytes, _format_table
 from repro.db.engine import Database, SqlExecutionError
 from repro.db.table import Column, ColumnType
-from repro.experiments.reporting import downsample_series, format_table, kb
+from repro.experiments.reporting import format_table
+from repro.experiments.scenarios import downsample_series
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import TimeSeries
 from repro.tpcw.application import build_deployment
@@ -96,9 +97,6 @@ class TestReportingHelpers:
 
     def test_downsample_handles_empty_series(self):
         assert downsample_series(TimeSeries()) == []
-
-    def test_kb_conversion(self):
-        assert kb(2048) == 2.0
 
 
 class TestWorkloadPopulationControl:

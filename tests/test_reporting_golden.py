@@ -64,6 +64,10 @@ class TestArtifactFormatting:
 #: smoke scale); the fleet golden runs 2 shards, like its CI step.
 GOLDEN_RUNS = {
     **{name: (name, {}, ()) for name in COMPARISONS},
+    "fig3": ("fig3", {}, ("phases", "throughput")),
+    "fig4": ("fig4", {}, ("growth", "trajectories", "ranking")),
+    "fig5": ("fig5", {}, ("growth", "trajectories", "ranking", "map")),
+    "fig7": ("fig7", {}, ("growth", "trajectories", "ranking")),
     "adaptive": ("adaptive", {}, ("analytic", "predictor")),
     "learning": ("learning", {}, ("verdicts",)),
     "zoo": ("zoo", {}, ("verdicts",)),
