@@ -46,7 +46,7 @@ def test_ablation_rankers(benchmark):
 
     strategy_rows = strategy_ablation(result)
     pinpoint_report = result.pinpoint.analyze()
-    blackbox_report = result.blackbox.analyze()
+    blackbox_report = result.blackbox
     baseline_rows = [
         {
             "analyser": "pinpoint (failure correlation)",

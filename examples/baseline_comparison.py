@@ -60,7 +60,7 @@ def main() -> None:
           f"{pinpoint_report.total_requests})")
 
     # 3. Black-box monitor.
-    blackbox_report = result.blackbox.analyze()
+    blackbox_report = result.blackbox
     eta = blackbox_report.time_to_exhaustion_seconds
     print("Black-box monitor     :",
           f"aging detected = {blackbox_report.aging_detected}, "

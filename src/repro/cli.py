@@ -315,10 +315,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             tiny=manifest.tiny or args.tiny,
             duration_scale=args.duration_scale or manifest.duration_scale,
         )
+        comparison = ablation_comparison(manifest)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    comparison = ablation_comparison(manifest)
     print(
         f"== repro ablate: {manifest.name} ({len(comparison.configs)} cells, "
         f"duration_scale={manifest.duration_scale:g}) =="
@@ -334,10 +334,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_comparison(args: argparse.Namespace) -> int:
     """Build the subcommand's comparison, run it and print its report.
 
-    The comparison is built before anything runs, so a builder's
-    ``ValueError`` (bad shard count, too few runs, ...) exits 2 with one
-    line.  A failed claim exits 1; a streamed run whose final JSONL record
-    disagrees with the post-hoc ledger exits 2.
+    The comparison is built, and every config of it validated, before
+    anything runs, so a builder's or a config's ``ValueError`` (bad shard
+    count, too few runs, a tracer fraction out of range, ...) exits 2 with
+    one line.  A failed claim exits 1; a streamed run whose final JSONL
+    record disagrees with the post-hoc ledger exits 2.
     """
     try:
         comparison = COMPARISONS[args.command](

@@ -314,10 +314,6 @@ class RejuvenationController:
         self, duration: float, interval: float, start: Optional[float] = None
     ) -> int:
         """Schedule periodic policy checks; returns how many were scheduled."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
         begin = start if start is not None else self.engine.now
         count = 0
         t = begin + interval

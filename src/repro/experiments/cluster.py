@@ -17,7 +17,7 @@ supplies the cluster layer the experiment harness runs on:
   session id (default), round-robin, or least-occupancy, all of them
   skipping shards whose server (or the requested component) is inside a
   rejuvenation outage window.
-- :class:`FleetManager` — cross-shard root-cause aggregation over the
+- :func:`fleet_aging_rows` — cross-shard root-cause aggregation over the
   per-shard manager agents: which *instance* and which *component* is aging.
 - :class:`FleetRejuvenationController` — generalises the per-shard
   :class:`~repro.core.rejuvenation.RejuvenationController` to a fleet
@@ -64,6 +64,10 @@ SHARD_SEED_STRIDE = 7919
 
 #: Balancing policies the :class:`LoadBalancer` implements.
 BALANCER_POLICIES = ("sticky", "round-robin", "least-occupancy")
+
+#: Shard database layouts: a populated replica per shard, or shard 0's
+#: database shared by every shard.
+SHARD_DB_MODES = ("replica", "shared")
 
 #: Fleet rejuvenation modes (``None`` on the config means independent
 #: per-shard controllers, the pre-fleet behaviour).
@@ -372,15 +376,9 @@ def build_cluster(config: "ExperimentConfig", engine: SimulationEngine) -> Simul
     bit-identical to the pre-cluster harness.  Shards ``i > 0`` draw from an
     offset seed (``seed + SHARD_SEED_STRIDE * i``) and mint namespaced
     session ids; with ``shard_db_mode="shared"`` they mount shard 0's
-    already-populated database instead of populating a replica.
+    already-populated database instead of populating a replica.  ``config``
+    is assumed valid (:meth:`~repro.experiments.runner.ExperimentConfig.validate`).
     """
-    if config.shards < 1:
-        raise ValueError(f"shards must be >= 1, got {config.shards}")
-    if config.shard_db_mode not in ("replica", "shared"):
-        raise ValueError(
-            f"unknown shard_db_mode {config.shard_db_mode!r} "
-            "(expected 'replica' or 'shared')"
-        )
     scale = config.scale or PopulationScale.standard()
     shards: List[ShardHandle] = []
     for index in range(config.shards):
@@ -423,54 +421,39 @@ def build_cluster(config: "ExperimentConfig", engine: SimulationEngine) -> Simul
 # --------------------------------------------------------------------------- #
 # Fleet-level monitoring aggregation
 # --------------------------------------------------------------------------- #
-class FleetManager:
-    """Aggregates per-shard manager state into a fleet-wide aging picture.
+def fleet_aging_rows(cluster: SimulatedCluster) -> List[Dict[str, object]]:
+    """The fleet-wide aging picture: one row per monitored shard, its top
+    suspect and heap growth, fastest-aging first.
 
-    Each shard's :class:`~repro.core.framework.MonitoringFramework` runs its
-    own manager agent and root-cause analysis; the fleet manager's job is the
-    cross-shard question those agents cannot answer alone — which *instance*
-    is aging fastest, and which *component* on it is responsible.
+    Each shard's manager agent answers which *component* ages on it; this
+    answers the cross-shard question they cannot: which *instance* ages
+    fastest.  Rows rank by monitored heap growth over the run, then
+    responsibility; ties break by shard index, so the output is
+    deterministic.
     """
-
-    def __init__(self, cluster: SimulatedCluster) -> None:
-        self.cluster = cluster
-
-    def rows(self) -> List[Dict[str, object]]:
-        """One row per monitored shard: top suspect + heap growth, ranked.
-
-        Ranking is by monitored heap growth over the run (the fleet-level
-        aging signal), then responsibility; ties break by shard index so the
-        output is deterministic.
-        """
-        rows: List[Dict[str, object]] = []
-        for shard in self.cluster.shards:
-            if shard.framework is None:
-                continue
-            report = shard.framework.root_cause()
-            top = report.top() if report is not None else None
-            heap = shard.heap_series()
-            growth = float(heap.values[-1] - heap.values[0]) if len(heap) >= 2 else 0.0
-            rows.append(
-                {
-                    "shard": shard.index,
-                    "component": top.component if top is not None else "-",
-                    "responsibility": round(top.responsibility, 4) if top is not None else 0.0,
-                    "heap_growth_mb": round(growth / (1024 * 1024), 3),
-                }
-            )
-        rows.sort(
-            key=lambda row: (
-                -float(row["heap_growth_mb"]),
-                -float(row["responsibility"]),
-                int(row["shard"]),
-            )
+    rows: List[Dict[str, object]] = []
+    for shard in cluster.shards:
+        if shard.framework is None:
+            continue
+        top = shard.framework.root_cause().top()
+        heap = shard.heap_series()
+        growth = float(heap.values[-1] - heap.values[0]) if len(heap) >= 2 else 0.0
+        rows.append(
+            {
+                "shard": shard.index,
+                "component": top.component if top is not None else "-",
+                "responsibility": round(top.responsibility, 4) if top is not None else 0.0,
+                "heap_growth_mb": round(growth / (1024 * 1024), 3),
+            }
         )
-        return rows
-
-    def top(self) -> Optional[Dict[str, object]]:
-        """The fastest-aging (shard, component) pair, or ``None``."""
-        rows = self.rows()
-        return rows[0] if rows else None
+    rows.sort(
+        key=lambda row: (
+            -float(row["heap_growth_mb"]),
+            -float(row["responsibility"]),
+            int(row["shard"]),
+        )
+    )
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -538,11 +521,6 @@ class FleetRejuvenationController:
         engine: SimulationEngine,
         mode: str,
     ) -> None:
-        if mode not in FLEET_REJUVENATION_MODES:
-            raise ValueError(
-                f"unknown fleet rejuvenation mode {mode!r} "
-                f"(expected one of {FLEET_REJUVENATION_MODES})"
-            )
         if len(controllers) != len(cluster.shards):
             raise ValueError("need exactly one controller per shard")
         self.cluster = cluster
@@ -554,10 +532,6 @@ class FleetRejuvenationController:
 
     def schedule_checks(self, duration: float, interval: float) -> int:
         """Schedule periodic fleet checks; returns how many were scheduled."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
         begin = self.engine.now
         count = 0
         t = begin + interval
@@ -635,7 +609,7 @@ class FleetReport:
     shards: int
     balancer: Dict[str, object]
     per_shard: List[Dict[str, object]]
-    #: Cross-shard aging rows from the :class:`FleetManager` (ranked).
+    #: Cross-shard aging rows (:func:`fleet_aging_rows`).
     root_cause_rows: List[Dict[str, object]]
     #: Client ledger vs. per-shard server counters cross-check.
     ledger: Dict[str, object]

@@ -223,10 +223,7 @@ class LiveClusterSource:
         self, shard_index: int, component: str, start: float, end: float
     ) -> List[float]:
         """The component's monitored object sizes on one shard in ``[start, end]``."""
-        shard = self._shard(shard_index)
-        if shard.framework is None:
-            return []
-        series = shard.framework.manager.map.series(component, "object_size")
+        series = self._shard(shard_index).object_series(component)
         return [
             float(value)
             for t, value in zip(series.times, series.values)
@@ -244,7 +241,7 @@ class LiveClusterSource:
 
     def heap_capacity(self, shard_index: int) -> float:
         """The shard's total heap capacity in bytes."""
-        return float(self._shard(shard_index).deployment.runtime.total_memory())
+        return self._shard(shard_index).heap_capacity()
 
 
 def _truncate_series(series: TimeSeries, end: float) -> TimeSeries:
@@ -554,12 +551,10 @@ class RolloutController:
 
     # ------------------------------------------------------------------ #
     def schedule(self, duration: float) -> None:
-        """Schedule the rollout over a run of ``duration`` seconds."""
+        """Schedule the rollout over a run of ``duration`` seconds (ending
+        after the plan's start; see
+        :meth:`~repro.experiments.runner.ExperimentConfig.validate`)."""
         plan = self.plan
-        if plan.start_time >= duration:
-            raise ValueError(
-                f"rollout starts at {plan.start_time} but the run ends at {duration}"
-            )
         self._duration = float(duration)
         self.engine.schedule_at(
             plan.start_time,

@@ -145,16 +145,6 @@ def accounting_sanity_check(result: ExperimentResult) -> Dict[str, int]:
     Raises ``RuntimeError`` on violation; returns the ledger otherwise.
     """
     ledger = result.accounting
-    if not ledger:
-        # Result predates the ledger (or was built by hand): reconstruct the
-        # invariant from the coarse counters.
-        ledger = {
-            "issued": result.completed_requests + result.refused_requests,
-            "completions": result.completed_requests - result.error_count,
-            "errors": result.error_count,
-            "refusals": result.refused_requests,
-            "in_flight": 0,
-        }
     total = (
         ledger["completions"]
         + ledger["errors"]

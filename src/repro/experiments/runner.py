@@ -1,12 +1,22 @@
 """Generic experiment runner.
 
-One :func:`run_experiment` call performs everything the paper's evaluation
-needs for a single run: build a fresh cluster (a single shard by default),
-optionally install the monitoring framework on every shard (Fig. 3 compares
-a monitored and an unmonitored run of the same workload), inject the
-configured faults, drive the phased EB workload through the load balancer,
-take periodic manager and black-box snapshots, and package every series the
-figures plot into an :class:`ExperimentResult`.
+:func:`run_experiment` is a function from an :class:`ExperimentConfig` to an
+:class:`ExperimentResult`.  It validates the config before building anything
+(:meth:`ExperimentConfig.validate`), builds a fresh cluster (a single shard by
+default), installs one subsystem at a time across the whole fleet, drives the
+phased EB workload through the load balancer, checks both request ledgers
+and packages every series the figures plot.  The subsystems install in a
+fixed order — monitoring (Fig. 3 compares a monitored and an unmonitored run
+of the same workload), faults, black-box sampling, rejuvenation, rollout,
+resilience, observability, fluid bulk — so a one-shard run schedules exactly
+the legacy event sequence.
+
+The config is never mutated: every shard runs its own copy of the
+rejuvenation policy, and shard 0's post-run copy comes back on the result.
+The result keeps one live handle, ``cluster`` (``framework`` and
+``deployment`` are views of its shard 0); everything a report reads is plain
+data, so a result with ``cluster=None`` — what a pool worker returns — reports
+exactly like the serial one.
 
 The single-server path *is* the general path: a ``shards=1`` run routes
 through a one-shard cluster whose balancer draws no randomness, so its
@@ -19,24 +29,29 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.baselines.blackbox import BlackBoxMonitor
+from repro.baselines.blackbox import BlackBoxMonitor, BlackBoxReport
 from repro.baselines.pinpoint import PinpointAnalyzer
 from repro.baselines.rejuvenation import RejuvenationPolicy
 from repro.container.resilience import ResilienceConfig
 from repro.container.server import ServerConfig
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.core.rejuvenation import (
+    CHANNEL_FACTORIES,
     RejuvenationController,
     RejuvenationReport,
     build_channels,
 )
+from repro.core.resource_map import ResourceComponentMap
 from repro.core.rootcause import RootCauseReport, RootCauseStrategy
 from repro.experiments.cluster import (
-    FleetManager,
+    BALANCER_POLICIES,
+    FLEET_REJUVENATION_MODES,
+    SHARD_DB_MODES,
     FleetRejuvenationController,
     FleetReport,
     SimulatedCluster,
     build_cluster,
+    fleet_aging_rows,
 )
 from repro.experiments.deploy import RolloutController, RolloutPlan, RolloutReport
 from repro.faults.injector import FaultInjector, FaultSpec
@@ -48,9 +63,12 @@ from repro.sim.metrics import TimeSeries
 from repro.slo.adaptive_policy import AdaptiveRejuvenationPolicy
 from repro.slo.calibration import CalibrationStore, workload_signature
 from repro.tpcw.application import TpcwDeployment
-from repro.tpcw.mixes import PAGE_PRIORITIES, mix_by_name
+from repro.tpcw.mixes import MIXES, PAGE_PRIORITIES, mix_by_name
 from repro.tpcw.population import PopulationScale
 from repro.tpcw.workload import WorkloadGenerator, WorkloadPhase
+
+#: Values of :attr:`ExperimentConfig.simulation_mode`.
+SIMULATION_MODES = ("discrete", "hybrid")
 
 
 @dataclass
@@ -86,7 +104,9 @@ class ExperimentConfig:
     #: Live rejuvenation policy executed mid-run by a
     #: :class:`~repro.core.rejuvenation.RejuvenationController` (requires
     #: ``monitored``), checked every ``snapshot_interval`` so checks see
-    #: fresh samples; ``None`` disables the controller entirely.
+    #: fresh samples; ``None`` disables the controller entirely.  A template:
+    #: every shard runs its own copy, and shard 0's post-run copy is
+    #: :attr:`ExperimentResult.policy`.
     rejuvenation: Optional[RejuvenationPolicy] = None
     #: Resource channels the controller watches (``"heap"``, ``"threads"``,
     #: ``"connections"``); ``None`` keeps the heap-only default.  Channels
@@ -99,6 +119,7 @@ class ExperimentConfig:
     #: signature before the run, and its converged horizons + per-run error
     #: statistics are folded back (and saved) after the run.  Ignored for
     #: non-adaptive policies — fixed policies have nothing to calibrate.
+    #: Runs sharing a store must run in order, in one process.
     calibration_store: Optional[CalibrationStore] = None
     #: Explicit workload-signature override; ``None`` derives it from this
     #: config's *workload knobs alone* via
@@ -149,7 +170,7 @@ class ExperimentConfig:
     alert_growth_bytes: Optional[float] = None
     #: Live observability registry to attach to this run (see
     #: :mod:`repro.obs`).  Strictly an observer: attaching one never changes
-    #: the run's outputs.
+    #: the run's outputs.  It observes one run, in the caller's process.
     metrics_registry: Optional[MetricsRegistry] = None
     #: Stream canonical JSONL snapshots to this path during the run (one
     #: record per ``snapshot_interval`` plus a final end-of-run record).
@@ -172,10 +193,73 @@ class ExperimentConfig:
             return list(self.phases)
         return [WorkloadPhase(start_time=0.0, eb_count=self.constant_ebs)]
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first reason this config cannot run.
+
+        The union of every subsystem's config checks.  It builds nothing (no
+        population, no engine), so a bad config fails before any run starts.
+        """
+        self.effective_phases()  # a negative EB count fails in WorkloadPhase
+        for name, allowed in (
+            ("balancer_policy", BALANCER_POLICIES),
+            ("shard_db_mode", SHARD_DB_MODES),
+            ("simulation_mode", SIMULATION_MODES),
+            ("fleet_rejuvenation", (None,) + FLEET_REJUVENATION_MODES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r} (expected one of {allowed})")
+        channels = self.rejuvenation_channels
+        for holds, problem in (
+            (self.duration > 0, f"duration must be positive, got {self.duration}"),
+            (self.snapshot_interval > 0, f"snapshot_interval must be positive, got {self.snapshot_interval}"),
+            (self.think_time_mean > 0, f"think_time_mean must be positive, got {self.think_time_mean}"),
+            (self.shards >= 1, f"shards must be >= 1, got {self.shards}"),
+            (
+                self.mix_name.lower() in MIXES,
+                f"unknown mix_name {self.mix_name!r} (expected one of {sorted(MIXES)})",
+            ),
+            (
+                self.simulation_mode != "hybrid" or 0.0 < self.tracer_fraction <= 1.0,
+                f"tracer_fraction must be in (0, 1], got {self.tracer_fraction}",
+            ),
+            (
+                self.rejuvenation is None or self.monitored,
+                "live rejuvenation requires monitored=True (the controller reads "
+                "the manager's heap series and root-cause report)",
+            ),
+            (
+                channels is None or bool(channels) and set(channels) <= set(CHANNEL_FACTORIES),
+                f"rejuvenation_channels must name some of {sorted(CHANNEL_FACTORIES)}, got {channels}",
+            ),
+            (
+                self.fleet_rejuvenation is None or self.shards >= 2 and self.rejuvenation is not None,
+                "fleet rejuvenation coordinates the `rejuvenation` policy across 2 or more "
+                "shards; use the plain `rejuvenation` field for a single-server run",
+            ),
+        ):
+            if not holds:
+                raise ValueError(problem)
+        if self.rollout is not None:
+            if len(self.rollout.ladder(self.shards)) > 1 and not self.monitored:  # checks the ladder
+                raise ValueError(
+                    "a rollout with a ruled stage requires monitored=True (the "
+                    "analyzer reads the per-shard manager series)"
+                )
+            if self.rollout.start_time >= self.duration:
+                raise ValueError(
+                    f"rollout starts at {self.rollout.start_time} but the run ends at {self.duration}"
+                )
+
 
 @dataclass
 class ExperimentResult:
-    """Collected outputs of one experiment run."""
+    """Collected outputs of one experiment run.
+
+    Plain data except :attr:`cluster`, the one live handle (``None`` on a
+    result returned by a pool worker).  The top-level series and reports
+    are shard 0's, the legacy single-server fields; the ``shard_*`` lists
+    and :attr:`fleet` carry the per-shard picture.
+    """
 
     config: ExperimentConfig
     duration: float
@@ -185,52 +269,68 @@ class ExperimentResult:
     throughput: TimeSeries
     response_times: TimeSeries
     interaction_counts: Dict[str, int]
-    component_series: Dict[str, TimeSeries]
     heap_series: TimeSeries
-    resource_map_rows: List[Dict[str, object]]
-    root_cause: Optional[RootCauseReport]
-    overhead_seconds: float
-    monitoring_samples: int
     fault_descriptions: List[str]
     utilization: Dict[str, float]
     mean_response_time: float
-    pinpoint: Optional[PinpointAnalyzer] = None
-    blackbox: Optional[BlackBoxMonitor] = None
-    #: Summary of the live rejuvenation controller's activity, when enabled.
-    rejuvenation: Optional[RejuvenationReport] = None
     #: End-to-end request ledger (issued / completions / errors / refusals /
     #: in-flight plus the retry counters) — validated by
     #: ``WorkloadGenerator.check_accounting`` before the result is built.
-    accounting: Dict[str, int] = field(default_factory=dict)
+    accounting: Dict[str, int]
+    #: Shard 0's monitoring outputs (empty / ``None`` / zero when unmonitored).
+    component_series: Dict[str, TimeSeries] = field(default_factory=dict)
+    resource_map_rows: List[Dict[str, object]] = field(default_factory=list)
+    root_cause: Optional[RootCauseReport] = None
+    overhead_seconds: float = 0.0
+    monitoring_samples: int = 0
+    #: Shard 0's manager map, for post-hoc analyses (strategy comparisons,
+    #: cascade-aware attribution, the rejuvenation channels' series).
+    resource_map: Optional[ResourceComponentMap] = None
+    pinpoint: Optional[PinpointAnalyzer] = None
+    #: Shard 0's black-box host analysis, when black-box sampling ran.
+    blackbox: Optional[BlackBoxReport] = None
+    #: Summary of shard 0's live rejuvenation controller, when enabled.
+    rejuvenation: Optional[RejuvenationReport] = None
+    #: Shard 0's rejuvenation policy after the run (its own copy of
+    #: ``config.rejuvenation``: converged horizons, predictor statistics).
+    policy: Optional[RejuvenationPolicy] = None
+    #: Every shard's monitored heap series, in shard order (the black-box
+    #: series when unmonitored, empty with neither).
+    shard_heap_series: List[TimeSeries] = field(default_factory=list)
+    #: Every shard's rejuvenation report, in shard order (empty without a
+    #: rejuvenation policy).
+    shard_rejuvenation: List[RejuvenationReport] = field(default_factory=list)
     refused_requests: int = 0
     issued_requests: int = 0
     retry_attempts: int = 0
     client_timeouts: int = 0
-    #: Per-component response-time series (only populated when
+    #: Shard 0's per-component response-time series (only recorded when
     #: ``track_component_latency`` or ``resilience`` is configured).
     component_latency: Dict[str, TimeSeries] = field(default_factory=dict)
     #: Fleet-specific outputs (balancer stats, per-shard counters, the
     #: cross-shard aging rows, fleet rejuvenation report); ``None`` on
     #: single-shard runs.
     fleet: Optional[FleetReport] = None
-    #: Rollout summary when the run deployed a component version
-    #: (``deployment`` was already taken by the TPC-W handle below).
+    #: Rollout summary when the run deployed a component version.
     rollout: Optional[RolloutReport] = None
-    #: The observability registry that watched this run, when one was
-    #: attached — still readable post-run (its snapshot reflects the end
-    #: state).
-    metrics: Optional[MetricsRegistry] = None
     #: Fluid-side summary of a hybrid run (``None`` on discrete runs).
     fluid: Optional[FluidReport] = None
     #: Discrete events the engine executed during the run — the hybrid
     #: mode's cost metric (hybrid wins by executing fewer of these).
     executed_events: int = 0
-    #: Live handles for follow-up analysis (kept out of reports).
-    #: ``deployment`` / ``framework`` are shard 0's, matching the legacy
-    #: single-server fields; the full fleet hangs off ``cluster``.
-    deployment: Optional[TpcwDeployment] = None
-    framework: Optional[MonitoringFramework] = None
+    #: The live fleet, for follow-up analysis (kept out of reports).
     cluster: Optional[SimulatedCluster] = None
+
+    @property
+    def framework(self) -> Optional[MonitoringFramework]:
+        """Shard 0's live monitoring framework (``None`` when unmonitored or
+        detached)."""
+        return self.cluster.primary.framework if self.cluster is not None else None
+
+    @property
+    def deployment(self) -> Optional[TpcwDeployment]:
+        """Shard 0's live TPC-W deployment (``None`` when detached)."""
+        return self.cluster.primary.deployment if self.cluster is not None else None
 
     def mean_throughput(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Mean of the throughput series restricted to ``[start, end]``."""
@@ -268,295 +368,272 @@ class ExperimentResult:
         return out
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment as described by ``config``."""
-    if config.simulation_mode not in ("discrete", "hybrid"):
-        raise ValueError(
-            f"unknown simulation_mode {config.simulation_mode!r} "
-            "(expected 'discrete' or 'hybrid')"
-        )
-    if config.fleet_rejuvenation is not None:
-        if config.shards < 2:
-            raise ValueError(
-                "fleet rejuvenation coordinates multiple shards; use the plain "
-                "`rejuvenation` field for a single-server run"
-            )
-        if config.rejuvenation is None:
-            raise ValueError(
-                "fleet rejuvenation needs a `rejuvenation` policy to use as the "
-                "per-shard template"
-            )
-    engine = SimulationEngine()
-    cluster = build_cluster(config, engine)
-    primary = cluster.primary.deployment
-
+# --------------------------------------------------------------------------- #
+# Subsystems, installed across the whole fleet in run_experiment's order
+# --------------------------------------------------------------------------- #
+def _install_monitoring(
+    config: ExperimentConfig, cluster: SimulatedCluster, engine: SimulationEngine
+) -> None:
+    """Weave the monitoring framework into every shard and schedule its
+    snapshots; components outside ``monitored_components`` start disabled."""
+    if not config.monitored:
+        return
     # Thread/connection rejuvenation channels read series the extended
     # monitoring agents produce, so they imply installing those agents.
-    needs_extended = config.monitor_extended_resources or bool(
-        config.rejuvenation_channels
-        and set(config.rejuvenation_channels) - {"heap"}
+    extended = config.monitor_extended_resources or bool(
+        set(config.rejuvenation_channels or ()) - {"heap"}
     )
-
-    # Each stage installs across the whole fleet before the next begins, so
-    # a one-shard run schedules exactly the legacy event sequence.
-    if config.monitored:
-        for shard in cluster.shards:
-            framework_kwargs = dict(
-                sample_cost_seconds=config.sample_cost_seconds,
-                monitor_cpu=config.monitor_extended_resources,
-                monitor_threads=needs_extended,
-                monitor_connections=needs_extended,
-                snapshot_interval=config.snapshot_interval,
-            )
-            if config.alert_growth_bytes is not None:
-                framework_kwargs["alert_growth_bytes"] = config.alert_growth_bytes
-            framework_config = FrameworkConfig(**framework_kwargs)
-            framework = MonitoringFramework(
-                shard.deployment,
-                engine=engine,
-                config=framework_config,
-                strategy=config.strategy,
-            )
-            framework.install()
-            framework.schedule_snapshots(
-                duration=config.duration, interval=config.snapshot_interval
-            )
-            if config.monitored_components is not None:
-                keep = set(config.monitored_components)
-                for component in shard.deployment.interaction_names():
-                    if component not in keep:
-                        framework.disable_component(component)
-            shard.framework = framework
-
+    settings = dict(
+        sample_cost_seconds=config.sample_cost_seconds,
+        monitor_cpu=config.monitor_extended_resources,
+        monitor_threads=extended,
+        monitor_connections=extended,
+        snapshot_interval=config.snapshot_interval,
+    )
+    if config.alert_growth_bytes is not None:
+        settings["alert_growth_bytes"] = config.alert_growth_bytes
     for shard in cluster.shards:
-        injector = FaultInjector(shard.deployment)
-        injector.inject_plan(config.faults)
-        shard.injector = injector
-
-    if config.collect_blackbox_samples:
-        for shard in cluster.shards:
-            blackbox = BlackBoxMonitor(shard.deployment.runtime, shard.deployment.datasource)
-            interval = config.snapshot_interval
-            t = interval
-            while t <= config.duration + 1e-9:
-                engine.schedule_at(
-                    t,
-                    lambda when=t, monitor=blackbox: monitor.sample(when),
-                    priority=6,
-                    name="blackbox.sample",
-                )
-                t += interval
-            shard.blackbox = blackbox
-
-    fleet_controller: Optional[FleetRejuvenationController] = None
-    calibration_signature: Optional[str] = None
-    if config.rejuvenation is not None:
-        if not config.monitored:
-            raise ValueError(
-                "live rejuvenation requires monitored=True (the controller reads "
-                "the manager's heap series and root-cause report)"
-            )
-        if config.calibration_store is not None and isinstance(
-            config.rejuvenation, AdaptiveRejuvenationPolicy
-        ):
-            calibration_signature = (
-                config.calibration_signature
-                if config.calibration_signature is not None
-                # Derived signatures describe the workload alone: the config
-                # name is typically stamped per run and must not shatter the
-                # calibration across a run sequence (see the field comment).
-                else workload_signature(config, scenario="(workload)")
-            )
-            record = config.calibration_store.lookup(calibration_signature)
-        else:
-            record = None
-        for shard in cluster.shards:
-            # Shard 0 runs the caller's policy instance (scenarios read its
-            # converged state afterwards); the other shards get independent
-            # copies so per-shard trends never share predictor state.  All
-            # shards of one workload signature warm-start from the same
-            # calibration record.
-            policy = (
-                config.rejuvenation
-                if shard.index == 0
-                else copy.deepcopy(config.rejuvenation)
-            )
-            if record is not None:
-                policy.apply_warm_start(record)
-            channels = (
-                build_channels(config.rejuvenation_channels)
-                if config.rejuvenation_channels is not None
-                else None
-            )
-            shard.controller = RejuvenationController(
-                shard.deployment,
-                shard.framework.manager,
-                engine,
-                policy,
-                channels=channels,
-            )
-        if config.fleet_rejuvenation is None:
-            for shard in cluster.shards:
-                shard.controller.schedule_checks(
-                    duration=config.duration, interval=config.snapshot_interval
-                )
-                shard.controller.install_alert_trigger()
-        else:
-            fleet_controller = FleetRejuvenationController(
-                cluster,
-                [shard.controller for shard in cluster.shards],
-                engine,
-                mode=config.fleet_rejuvenation,
-            )
-            fleet_controller.schedule_checks(
-                duration=config.duration, interval=config.snapshot_interval
-            )
-
-    # Observability plane: the registry is created before the deployment
-    # controller so rollout events can publish into it; it attaches its
-    # read-only listeners once the workload generator exists (below).
-    registry = config.metrics_registry
-    if registry is None and config.stream_metrics is not None:
-        registry = MetricsRegistry()
-
-    deploy_controller: Optional[RolloutController] = None
-    if config.rollout is not None:
-        deploy_controller = RolloutController(
-            cluster, engine, config.rollout, registry=registry
+        framework = MonitoringFramework(
+            shard.deployment, engine=engine, config=FrameworkConfig(**settings),
+            strategy=config.strategy,
         )
-        if len(deploy_controller.ladder) > 1 and not config.monitored:
-            raise ValueError(
-                "a rollout with a ruled stage requires monitored=True (the "
-                "analyzer reads the per-shard manager series)"
-            )
-        deploy_controller.schedule(config.duration)
+        framework.install()
+        framework.schedule_snapshots(duration=config.duration, interval=config.snapshot_interval)
+        if config.monitored_components is not None:
+            for component in shard.deployment.interaction_names():
+                if component not in config.monitored_components:
+                    framework.disable_component(component)
+        shard.framework = framework
 
-    track_latency = config.track_component_latency or config.resilience is not None
+
+def _install_faults(config: ExperimentConfig, cluster: SimulatedCluster) -> None:
+    """Inject the fault plan into every shard."""
     for shard in cluster.shards:
-        if track_latency:
-            shard.deployment.server.record_component_latency = True
-        if config.resilience is not None:
-            shedder = config.resilience.build_shedder(
-                config.resilience.priorities or PAGE_PRIORITIES
+        shard.injector = FaultInjector(shard.deployment)
+        shard.injector.inject_plan(config.faults)
+
+
+def _install_blackbox(
+    config: ExperimentConfig, cluster: SimulatedCluster, engine: SimulationEngine
+) -> None:
+    """Sample a black-box host monitor on every shard each snapshot interval."""
+    if not config.collect_blackbox_samples:
+        return
+    for shard in cluster.shards:
+        shard.blackbox = BlackBoxMonitor(shard.deployment.runtime, shard.deployment.datasource)
+        t = config.snapshot_interval
+        while t <= config.duration + 1e-9:
+            engine.schedule_at(
+                t,
+                lambda when=t, monitor=shard.blackbox: monitor.sample(when),
+                priority=6,
+                name="blackbox.sample",
             )
+            t += config.snapshot_interval
+
+
+def _calibration_signature(config: ExperimentConfig) -> Optional[str]:
+    """The signature a calibrated run warm-starts from and saves under
+    (``None`` unless an adaptive policy runs against a store)."""
+    if config.calibration_store is None or not isinstance(
+        config.rejuvenation, AdaptiveRejuvenationPolicy
+    ):
+        return None
+    if config.calibration_signature is not None:
+        return config.calibration_signature
+    # Derived signatures describe the workload alone: the config name is
+    # typically stamped per run and must not shatter the calibration across
+    # a run sequence (see the field comment).
+    return workload_signature(config, scenario="(workload)")
+
+
+def _install_rejuvenation(
+    config: ExperimentConfig, cluster: SimulatedCluster, engine: SimulationEngine
+) -> Optional[FleetRejuvenationController]:
+    """Give every shard a controller running its own copy of the policy,
+    checked per shard or by the fleet controller this returns."""
+    if config.rejuvenation is None:
+        return None
+    signature = _calibration_signature(config)
+    # Every shard of one workload signature warm-starts from the same record.
+    record = config.calibration_store.lookup(signature) if signature is not None else None
+    channels = config.rejuvenation_channels
+    for shard in cluster.shards:
+        policy = copy.deepcopy(config.rejuvenation)
+        if record is not None:
+            policy.apply_warm_start(record)
+        shard.controller = RejuvenationController(
+            shard.deployment, shard.framework.manager, engine, policy,
+            channels=build_channels(channels) if channels is not None else None,
+        )
+    if config.fleet_rejuvenation is not None:
+        fleet = FleetRejuvenationController(
+            cluster, [shard.controller for shard in cluster.shards], engine,
+            mode=config.fleet_rejuvenation,
+        )
+        fleet.schedule_checks(duration=config.duration, interval=config.snapshot_interval)
+        return fleet
+    for shard in cluster.shards:
+        shard.controller.schedule_checks(duration=config.duration, interval=config.snapshot_interval)
+        shard.controller.install_alert_trigger()
+    return None
+
+
+def _install_rollout(
+    config: ExperimentConfig,
+    cluster: SimulatedCluster,
+    engine: SimulationEngine,
+    registry: Optional[MetricsRegistry],
+) -> Optional[RolloutController]:
+    """Schedule the rollout plan, publishing its events to ``registry``."""
+    if config.rollout is None:
+        return None
+    controller = RolloutController(cluster, engine, config.rollout, registry=registry)
+    controller.schedule(config.duration)
+    return controller
+
+
+def _install_resilience(config: ExperimentConfig, cluster: SimulatedCluster) -> None:
+    """Record per-component latency and install the load shedder, per shard."""
+    resilience = config.resilience
+    for shard in cluster.shards:
+        if config.track_component_latency or resilience is not None:
+            shard.deployment.server.record_component_latency = True
+        if resilience is not None:
+            shedder = resilience.build_shedder(resilience.priorities or PAGE_PRIORITIES)
             if shedder is not None:
                 shard.deployment.server.install_load_shedder(shedder)
 
-    pinpoint: Optional[PinpointAnalyzer] = None
-    generator = WorkloadGenerator(
-        engine,
-        cluster,
-        mix=mix_by_name(config.mix_name),
-        think_time_mean=config.think_time_mean,
-        resilience=config.resilience,
-    )
-    if config.collect_pinpoint_traces:
-        pinpoint = PinpointAnalyzer()
 
-        def _trace(interaction, outcome, analyzer=pinpoint):
-            analyzer.record_request([interaction], failed=not outcome.ok)
+def _install_obs(
+    config: ExperimentConfig,
+    cluster: SimulatedCluster,
+    engine: SimulationEngine,
+    generator: WorkloadGenerator,
+    registry: Optional[MetricsRegistry],
+    rollout: Optional[RolloutController],
+) -> Optional[JsonlMetricsStream]:
+    """Attach the registry's read-only listeners and schedule the JSONL
+    stream, when configured."""
+    if registry is None:
+        return None
+    registry.attach_run(cluster=cluster, generator=generator, config=config, rollout=rollout)
+    if config.stream_metrics is None:
+        return None
+    stream = JsonlMetricsStream(registry, config.stream_metrics)
+    stream.schedule(engine, config.duration, interval=config.snapshot_interval)
+    return stream
 
-        generator.on_request = _trace
 
-    metrics_stream: Optional[JsonlMetricsStream] = None
-    if registry is not None:
-        registry.attach_run(
-            cluster=cluster,
-            generator=generator,
-            config=config,
-            rollout=deploy_controller,
-        )
-        if config.stream_metrics is not None:
-            metrics_stream = JsonlMetricsStream(registry, config.stream_metrics)
-            metrics_stream.schedule(
-                engine, config.duration, interval=config.snapshot_interval
-            )
-
-    fluid: Optional[FluidProcess] = None
-    if config.simulation_mode == "hybrid":
-        # Split the phase schedule: tracers stay discrete, the remainder
-        # becomes the fluid bulk population.  The fluid process reads the
-        # tracers' response times and feeds completions / occupancy / DB
-        # concurrency / manager series back, so the rest of the harness
-        # runs unchanged.
-        tracer_phases, bulk_phases = split_phases(
-            config.effective_phases(), config.tracer_fraction
-        )
-        # Half the snapshot interval (floored at one second), so every
-        # monitoring snapshot sees a fresh bulk contribution.
-        fluid = FluidProcess(
-            engine,
-            cluster,
-            generator,
-            bulk_phases,
-            tracer_fraction=config.tracer_fraction,
-            update_interval=max(1.0, config.snapshot_interval / 2.0),
-        )
-        fluid.schedule_updates(config.duration)
-        generator.schedule_phases(tracer_phases)
-    else:
+def _install_fluid(
+    config: ExperimentConfig,
+    cluster: SimulatedCluster,
+    engine: SimulationEngine,
+    generator: WorkloadGenerator,
+) -> Optional[FluidProcess]:
+    """Schedule the workload: every browser discrete, or (hybrid) a tracer
+    slice discrete and the bulk as a fluid process."""
+    if config.simulation_mode != "hybrid":
         generator.schedule_phases(config.effective_phases())
-    generator.run(config.duration)
-    # Every issued attempt must land in exactly one ledger bucket; a
-    # violation means a refusal or retry was silently dropped somewhere.
-    accounting = generator.check_accounting()
-    # And every issued attempt must have been served by exactly one shard —
-    # re-routed requests included.
-    fleet_ledger = cluster.ledger_check(generator)
+        return None
+    # The fluid process reads the tracers' response times and feeds
+    # completions / occupancy / DB concurrency / manager series back, so the
+    # rest of the harness runs unchanged.  It updates every half snapshot
+    # interval (floored at one second), so every monitoring snapshot sees a
+    # fresh bulk contribution.
+    tracer_phases, bulk_phases = split_phases(config.effective_phases(), config.tracer_fraction)
+    fluid = FluidProcess(
+        engine, cluster, generator, bulk_phases,
+        tracer_fraction=config.tracer_fraction,
+        update_interval=max(1.0, config.snapshot_interval / 2.0),
+    )
+    fluid.schedule_updates(config.duration)
+    generator.schedule_phases(tracer_phases)
+    return fluid
 
-    if metrics_stream is not None:
+
+def _monitoring_outputs(cluster: SimulatedCluster) -> Dict[str, object]:
+    """Shard 0's monitoring fields of the result (none when unmonitored)."""
+    framework = cluster.primary.framework
+    if framework is None:
+        return {}
+    resource_map = framework.manager.map
+    return dict(
+        component_series={
+            component: resource_map.series(component, "object_size")
+            for component in cluster.interaction_names()
+        },
+        resource_map_rows=framework.resource_map_rows(),
+        root_cause=framework.root_cause(),
+        overhead_seconds=framework.overhead.total_seconds,
+        monitoring_samples=framework.overhead.sample_count,
+        resource_map=resource_map,
+    )
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run one experiment as described by ``config`` (which it never mutates)."""
+    config.validate()
+    engine = SimulationEngine()
+    cluster = build_cluster(config, engine)
+    # Each subsystem installs across the whole fleet before the next one
+    # begins, so a one-shard run schedules exactly the legacy event sequence.
+    _install_monitoring(config, cluster, engine)
+    _install_faults(config, cluster)
+    _install_blackbox(config, cluster, engine)
+    fleet_controller = _install_rejuvenation(config, cluster, engine)
+    # The registry exists before the rollout controller so rollout events
+    # can publish into it; it attaches to the run once the generator exists.
+    registry = config.metrics_registry
+    if registry is None and config.stream_metrics is not None:
+        registry = MetricsRegistry()
+    rollout = _install_rollout(config, cluster, engine, registry)
+    _install_resilience(config, cluster)
+    generator = WorkloadGenerator(
+        engine, cluster, mix=mix_by_name(config.mix_name),
+        think_time_mean=config.think_time_mean, resilience=config.resilience,
+    )
+    pinpoint = PinpointAnalyzer() if config.collect_pinpoint_traces else None
+    if pinpoint is not None:
+        generator.on_request = lambda interaction, outcome: pinpoint.record_request(
+            [interaction], failed=not outcome.ok
+        )
+    stream = _install_obs(config, cluster, engine, generator, registry, rollout)
+    fluid = _install_fluid(config, cluster, engine, generator)
+    generator.run(config.duration)
+    # Every issued attempt must land in exactly one ledger bucket, and every
+    # attempt that reached a server must have been served by exactly one
+    # shard (re-routed requests included); a violation raises.
+    accounting = generator.check_accounting()
+    fleet_ledger = cluster.ledger_check(generator)
+    if stream is not None:
         # The final record is written after the ledger checks passed, so the
         # stream's last line always equals the post-hoc report's counters.
-        metrics_stream.emit(at=config.duration)
-        metrics_stream.close()
-
-    if calibration_signature is not None:
-        # The run is over: persist each shard policy's converged horizons
-        # and its per-run error statistics under the shared workload
-        # signature, so the next run (any shard of it) opens warm.
+        stream.emit(at=config.duration)
+        stream.close()
+    signature = _calibration_signature(config)
+    if signature is not None:
+        # Persist each shard policy's converged horizons and per-run error
+        # statistics, so the next run of this workload (any shard) opens warm.
         for shard in cluster.shards:
-            config.calibration_store.record_run(
-                calibration_signature, shard.controller.policy
-            )
+            config.calibration_store.record_run(signature, shard.controller.policy)
         config.calibration_store.save()
 
-    # ------------------------------------------------------------------ #
-    # Collect results (top-level series are shard 0's, the legacy fields;
-    # the fleet report carries the per-shard picture)
-    # ------------------------------------------------------------------ #
-    framework = cluster.primary.framework
-    blackbox = cluster.primary.blackbox
-    controller = cluster.primary.controller
-    component_series: Dict[str, TimeSeries] = {}
-    heap_series = TimeSeries("heap_used")
-    resource_map_rows: List[Dict[str, object]] = []
-    root_cause: Optional[RootCauseReport] = None
-    overhead_seconds = 0.0
-    monitoring_samples = 0
-    if framework is not None:
-        for component in primary.interaction_names():
-            component_series[component] = framework.component_series(component)
-        heap_series = framework.manager.map.series("<jvm>", "heap_used")
-        resource_map_rows = framework.resource_map_rows()
-        root_cause = framework.root_cause()
-        overhead_seconds = framework.overhead.total_seconds
-        monitoring_samples = framework.overhead.sample_count
-    elif blackbox is not None:
-        heap_series = blackbox.series["heap_used"]
-
-    fleet: Optional[FleetReport] = None
+    primary = cluster.primary
+    controllers = [shard.controller for shard in cluster.shards if shard.controller is not None]
+    shard_heap_series = [shard.heap_series() for shard in cluster.shards]
+    shard_rejuvenation = [controller.report() for controller in controllers]
+    fleet = None
     if config.shards > 1:
         fleet = FleetReport(
             shards=config.shards,
             balancer=cluster.balancer.stats(),
             per_shard=list(fleet_ledger["per_shard"]),
-            root_cause_rows=FleetManager(cluster).rows(),
+            root_cause_rows=fleet_aging_rows(cluster),
             ledger={"issued": fleet_ledger["issued"], "served": fleet_ledger["served"]},
-            rejuvenation=(
-                fleet_controller.report() if fleet_controller is not None else None
-            ),
+            rejuvenation=fleet_controller.report() if fleet_controller is not None else None,
         )
-
+    server = primary.deployment.server
     return ExperimentResult(
         config=config,
         duration=config.duration,
@@ -566,32 +643,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         throughput=generator.throughput_series(),
         response_times=generator.response_times,
         interaction_counts=dict(generator.interaction_counts),
-        component_series=component_series,
-        heap_series=heap_series,
-        resource_map_rows=resource_map_rows,
-        root_cause=root_cause,
-        overhead_seconds=overhead_seconds,
-        monitoring_samples=monitoring_samples,
-        fault_descriptions=cluster.primary.injector.describe(),
-        utilization=primary.server.utilization_report(config.duration),
+        heap_series=shard_heap_series[0],
+        fault_descriptions=primary.injector.describe(),
+        utilization=server.utilization_report(config.duration),
         mean_response_time=generator.mean_response_time(),
+        **_monitoring_outputs(cluster),
         pinpoint=pinpoint,
-        blackbox=blackbox,
-        rejuvenation=controller.report() if controller is not None else None,
+        blackbox=primary.blackbox.analyze() if primary.blackbox is not None else None,
+        rejuvenation=shard_rejuvenation[0] if shard_rejuvenation else None,
+        policy=controllers[0].policy if controllers else None,
+        shard_heap_series=shard_heap_series,
+        shard_rejuvenation=shard_rejuvenation,
         accounting=accounting,
         refused_requests=generator.refused_requests,
         issued_requests=generator.issued_requests,
         retry_attempts=generator.retry_attempts,
         client_timeouts=generator.client_timeouts,
-        component_latency=(
-            primary.server.component_latency_series() if track_latency else {}
-        ),
+        component_latency=server.component_latency_series(),
         fleet=fleet,
+        rollout=rollout.report() if rollout is not None else None,
         fluid=fluid.report if fluid is not None else None,
         executed_events=engine.executed_events,
-        rollout=deploy_controller.report() if deploy_controller is not None else None,
-        metrics=registry,
-        deployment=primary,
-        framework=framework,
         cluster=cluster,
     )

@@ -29,7 +29,6 @@ from repro.baselines.rejuvenation import (
 )
 from repro.container.resilience import ResilienceConfig
 from repro.container.server import ServerConfig
-from repro.core.resource_map import ResourceComponentMap
 from repro.core.rootcause import (
     CascadeAwareStrategy,
     PaperMapStrategy,
@@ -47,7 +46,6 @@ from repro.experiments.deploy import (
 from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
 from repro.faults.injector import FaultSpec
 from repro.faults.memory_leak import KB, MB
-from repro.obs.registry import MetricsRegistry
 from repro.sim.metrics import TimeSeries
 from repro.slo.adaptive_policy import AdaptiveRejuvenationPolicy
 from repro.slo.analytic import (
@@ -135,6 +133,11 @@ class Comparison:
     #: cells by cost differences finer than the display rounding).
     exact: bool = False
 
+    def __post_init__(self) -> None:
+        # A bad config fails here, before any run starts.
+        for config in self.configs.values():
+            config.validate()
+
     def run(
         self, jobs: int = 1, progress: Callable[[str], None] = lambda mode: None
     ) -> "ComparisonResult":
@@ -143,12 +146,22 @@ class Comparison:
         ``jobs > 1`` fans the runs out over a process pool.  Each run is an
         independent seeded simulation and the pool's ``map`` keeps
         submission order, so the results equal a serial run's, except that
-        they come back without their live handles (see
-        :func:`_detached_run`).  ``progress`` gets each mode before it runs
-        (every mode up front under a pool).
+        they come back without their live ``cluster`` (see
+        :func:`_detached_run`).  A pool refuses configs carrying inputs a
+        run writes back into (a calibration store, a metrics registry): a
+        worker would write into its own copy.  ``progress`` gets each mode
+        before it runs (every mode up front under a pool).
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if jobs > 1 and any(
+            config.calibration_store is not None or config.metrics_registry is not None
+            for config in self.configs.values()
+        ):
+            raise ValueError(
+                "a calibration store or metrics registry is written by its runs, "
+                "so they run serially (jobs=1)"
+            )
         if jobs == 1:
             results = {}
             for mode, config in self.configs.items():
@@ -164,12 +177,9 @@ class Comparison:
 
 
 def _detached_run(config: ExperimentConfig) -> ExperimentResult:
-    """One pool worker's run: the result without its live handles
-    (``cluster``, ``deployment``, ``framework``, ``metrics``), which do not
-    cross the process boundary."""
-    return replace(
-        run_experiment(config), cluster=None, deployment=None, framework=None, metrics=None
-    )
+    """One pool worker's run: the result without its one live handle,
+    ``cluster``, which does not cross the process boundary."""
+    return replace(run_experiment(config), cluster=None)
 
 
 @dataclass
@@ -217,11 +227,7 @@ class ComparisonResult:
 
 def _actions(result: ExperimentResult) -> int:
     """Executed rejuvenation actions of one run, summed over its shards."""
-    return sum(
-        shard.controller.action_count
-        for shard in result.cluster.shards
-        if shard.controller is not None
-    )
+    return sum(report.actions for report in result.shard_rejuvenation)
 
 
 #: Rejuvenation channel -> (the ``"<jvm>"`` series it watches, the
@@ -237,7 +243,7 @@ def watched_series(result: ExperimentResult) -> Tuple[TimeSeries, float]:
     """A monitored run's series of its first rejuvenation channel (the heap
     by default) and the configured capacity that series exhausts against."""
     metric, bound = _CHANNELS[(result.config.rejuvenation_channels or ["heap"])[0]]
-    series = result.framework.manager.map.series("<jvm>", metric)
+    series = result.resource_map.series("<jvm>", metric)
     return series, float(getattr(result.config.server_config, bound))
 
 
@@ -375,8 +381,8 @@ def _fig3_tables(scenario: ComparisonResult) -> Dict[str, Table]:
                     "unmonitored_rps": round(rps, 3),
                     "monitored_rps": round(monitored.get(time, 0.0), 3),
                 }
-                for time, rps in scenario.result("unmonitored").throughput.to_rows()
-            ][:40],
+                for time, rps in downsample_series(scenario.result("unmonitored").throughput)
+            ],
         ),
     }
 
@@ -410,8 +416,7 @@ def fig3_overhead(
     injected.  Both runs (modes ``unmonitored`` and ``monitored``) use the
     same seed so they see the same workload.
     """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    _run_length(duration_scale)
     warmup = 120.0 * duration_scale
     phase = 1800.0 * duration_scale
     base = ExperimentConfig(
@@ -739,7 +744,7 @@ def _tuned_adaptive_policy(
     (robust Theil-Sen predictor, horizon opening at a quarter of the run,
     clamped to ``[duration/16, duration]``)."""
     return AdaptiveRejuvenationPolicy(
-        predictor_factory=lambda: TheilSenPredictor(min_samples=4),
+        predictor_factory=partial(TheilSenPredictor, min_samples=4),
         base_horizon=duration / 4.0,
         min_horizon=duration / 16.0,
         max_horizon=duration,
@@ -1107,8 +1112,7 @@ def fig_adaptive(
                 [
                     {"workload": workload, **row}
                     for workload in workloads
-                    for row in scenario.result(f"{workload}/adaptive")
-                    .config.rejuvenation.predictor_rows()
+                    for row in scenario.result(f"{workload}/adaptive").policy.predictor_rows()
                 ],
             ),
             "analytic": Table(
@@ -1435,14 +1439,11 @@ def strategy_ablation(
     """Compare root-cause strategies on the manager's map of a monitored run."""
     if strategies is None:
         strategies = [PaperMapStrategy(), TrendStrategy(), WeightedCompositeStrategy()]
-    if result.framework is None:
-        raise ValueError(
-            "the run has no monitoring framework (run unmonitored, or returned by a pool worker)"
-        )
-    resource_map: ResourceComponentMap = result.framework.manager.map
+    if result.resource_map is None:
+        raise ValueError("the run has no manager map (it ran unmonitored)")
     rows: List[Dict[str, object]] = []
     for strategy in strategies:
-        report = strategy.analyze(resource_map)
+        report = strategy.analyze(result.resource_map)
         top = report.top()
         rows.append(
             {
@@ -1576,7 +1577,7 @@ def fig_retry_storm(
 
 def zoo_attribution(result: ExperimentResult) -> RootCauseReport:
     """The post-hoc cascade-aware root-cause report of one zoo run."""
-    return CascadeAwareStrategy(result.component_latency).analyze(result.framework.manager.map)
+    return CascadeAwareStrategy(result.component_latency).analyze(result.resource_map)
 
 
 def _blamed(report: RootCauseReport) -> str:
@@ -1697,8 +1698,8 @@ def fleet_observation(result: ExperimentResult) -> SlaObservation:
         duration_seconds=config.duration,
         downtime_seconds=below_floor_seconds(result) + outage,
         exposure_seconds=sum(
-            exposure_seconds(shard.heap_series(), capacity, window_end=config.duration)
-            for shard in result.cluster.shards
+            exposure_seconds(series, capacity, window_end=config.duration)
+            for series in result.shard_heap_series
         ),
         failed_requests=result.error_count,
         refused_requests=result.refused_requests,
@@ -1988,7 +1989,6 @@ def _deploy_comparison(
     for only the bake window, ~a fifth of the deployed time) stays safe.
     ``alert_bake_fraction`` lowers every shard's aging-alert threshold to
     that fraction of one bake window's expected leak on a deployed shard.
-    Every run gets a fresh :class:`~repro.obs.registry.MetricsRegistry`;
     ``stream_metrics`` streams the ``analyzed`` mode's snapshots to a JSONL
     file.
     """
@@ -2031,7 +2031,6 @@ def _deploy_comparison(
                 base,
                 name=f"fig-{label}-{mode}",
                 rollout=plan,
-                metrics_registry=MetricsRegistry(),
                 stream_metrics=stream_metrics if mode == analyzed else None,
             )
             for mode, plan in plans.items()
@@ -2065,9 +2064,7 @@ def fig_canary(
     the baseline shards + SLA-burn delta) to decide; a rejected canary is
     rolled back before any other shard is exposed.  The blind strategy is
     the ``(N,)`` ladder: v2 staggers across every shard with no analysis.
-    Every run gets a fresh :class:`~repro.obs.registry.MetricsRegistry`;
-    ``stream_metrics`` additionally streams the canary run's snapshots to a
-    JSONL file.
+    ``stream_metrics`` streams the canary run's snapshots to a JSONL file.
     """
     _run_length(duration_scale)
     if shards < 3:
@@ -2200,12 +2197,7 @@ SCALE_EVENT_REDUCTION_TARGET = 20.0
 
 def rejuvenation_action_times(result: ExperimentResult) -> List[float]:
     """Sorted action times across every shard's controller."""
-    return sorted(
-        event.time
-        for shard in result.cluster.shards
-        if shard.controller is not None
-        for event in shard.controller.report().events
-    )
+    return sorted(event.time for report in result.shard_rejuvenation for event in report.events)
 
 
 def throughput_rel_diff(scenario: ComparisonResult) -> float:
@@ -2219,7 +2211,7 @@ def throughput_rel_diff(scenario: ComparisonResult) -> float:
 def _exhaustion_time(result: ExperimentResult) -> Optional[float]:
     """Earliest per-shard (realized or extrapolated) heap exhaustion time."""
     capacity = float(result.config.server_config.heap_bytes)
-    times = [extrapolated_exhaustion_time(s.heap_series(), capacity) for s in result.cluster.shards]
+    times = [extrapolated_exhaustion_time(series, capacity) for series in result.shard_heap_series]
     return min((t for t in times if t is not None), default=None)
 
 
@@ -2323,8 +2315,6 @@ def fig_scale(
         raise ValueError(f"the scale comparison needs at least 2 shards, got {shards}")
     if population_factor < 2:
         raise ValueError(f"population_factor must be >= 2, got {population_factor}")
-    if not 0.0 < tracer_fraction <= 1.0:
-        raise ValueError(f"tracer_fraction must be in (0, 1], got {tracer_fraction}")
     # Heap sizing mirrors fig_fleet: each shard's balancer share of the
     # component-A visit rate leaks toward the wall late in the run, so the
     # proactive policy has a real trend to act on in every mode.
@@ -2395,7 +2385,7 @@ def _recycle_listing(result: ExperimentResult, resource: str) -> str:
 
 def _heap_predictions(result: ExperimentResult) -> int:
     """Settled predictions of an adaptive run's heap predictor."""
-    policy = result.config.rejuvenation
+    policy = result.policy
     return policy.predictor("heap").stats.count if "heap" in policy.calibrated_resources() else 0
 
 
@@ -2470,9 +2460,9 @@ SUMMARY_COLUMNS: Dict[str, _Column] = {
     ),
     "heap_recycles": _of_run(lambda r: _recycle_listing(r, "heap")),
     "connection_recycles": _of_run(lambda r: _recycle_listing(r, "connections")),
-    "warm_started": _of_run(lambda r: r.config.rejuvenation.warm_started),
-    "opening_horizon_s": _of_run(lambda r: round(r.config.rejuvenation.opening_horizon("heap"), 1)),
-    "final_horizon_s": _of_run(lambda r: round(r.config.rejuvenation.horizon("heap"), 1)),
+    "warm_started": _of_run(lambda r: r.policy.warm_started),
+    "opening_horizon_s": _of_run(lambda r: round(r.policy.opening_horizon("heap"), 1)),
+    "final_horizon_s": _of_run(lambda r: round(r.policy.horizon("heap"), 1)),
     "predictions": _of_run(_heap_predictions),
     # Fault attribution.
     "blamed": _of_run(lambda r: _blamed(zoo_attribution(r))),

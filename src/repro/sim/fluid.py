@@ -91,10 +91,9 @@ def split_phases(
     Every non-empty phase keeps at least one tracer browser (the tracers are
     the hybrid run's measurement instrument; a phase with zero tracers would
     leave the fluid side blind).  The bulk gets the remainder, so
-    ``tracer + bulk == original`` per phase.
+    ``tracer + bulk == original`` per phase.  ``tracer_fraction`` is in
+    ``(0, 1]`` (see :meth:`~repro.experiments.runner.ExperimentConfig.validate`).
     """
-    if not 0.0 < tracer_fraction <= 1.0:
-        raise ValueError(f"tracer_fraction must be in (0, 1], got {tracer_fraction}")
     tracers: List[WorkloadPhase] = []
     bulk: List[WorkloadPhase] = []
     for phase in phases:
@@ -193,8 +192,6 @@ class FluidProcess:
         tracer_fraction: float = DEFAULT_TRACER_FRACTION,
         update_interval: float = 5.0,
     ) -> None:
-        if update_interval <= 0:
-            raise ValueError(f"update_interval must be positive, got {update_interval}")
         self.engine = engine
         self.cluster = cluster
         self.generator = generator
@@ -216,8 +213,6 @@ class FluidProcess:
     # ------------------------------------------------------------------ #
     def schedule_updates(self, duration: float) -> int:
         """Schedule periodic fluid updates over ``[now, now + duration]``."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
         begin = self.engine.now
         self._last_update = begin
         count = 0

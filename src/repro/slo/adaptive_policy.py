@@ -24,6 +24,7 @@ predictions say nothing about the connection pool's predictability).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.baselines.rejuvenation import (
@@ -101,9 +102,7 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
             raise ValueError(
                 f"microreboot_downtime must be non-negative, got {microreboot_downtime}"
             )
-        self.predictor_factory = predictor_factory or (
-            lambda: TheilSenPredictor(min_samples=4)
-        )
+        self.predictor_factory = predictor_factory or partial(TheilSenPredictor, min_samples=4)
         self.base_horizon = float(base_horizon)
         self.min_horizon = float(min_horizon) if min_horizon is not None else self.base_horizon / 4.0
         self.max_horizon = float(max_horizon) if max_horizon is not None else self.base_horizon * 8.0
@@ -123,9 +122,6 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
         self._horizons: Dict[str, float] = {}
         self._prior_stats: Dict[str, PredictionErrorStats] = {}
         self._opening_horizons: Dict[str, float] = {}
-        #: Per-resource snapshot of the predictor stats at the last
-        #: cross-run recording (see :meth:`take_unrecorded_stats`).
-        self._recorded_stats: Dict[str, PredictionErrorStats] = {}
         self.adaptations = 0
         #: Whether a previous run's calibration seeded the horizons.
         self.warm_started = False
@@ -178,20 +174,6 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
     def calibrated_resources(self) -> List[str]:
         """Resources with a predictor or an adapted horizon (sorted)."""
         return sorted(set(self._predictors) | set(self._horizons))
-
-    def take_unrecorded_stats(self, resource: str) -> PredictionErrorStats:
-        """Predictor statistics folded since the last call for ``resource``.
-
-        The calibration store records through this accessor so the same
-        policy instance can be run (and recorded) repeatedly without a
-        run's predictions ever being counted twice: each call returns only
-        the delta since the previous call and advances the snapshot.
-        """
-        current = self.predictor(resource).stats
-        marker = self._recorded_stats.get(resource)
-        delta = current.difference(marker) if marker is not None else current.copy()
-        self._recorded_stats[resource] = current.copy()
-        return delta
 
     # ------------------------------------------------------------------ #
     # Per-resource state

@@ -280,10 +280,13 @@ def ordering_mix() -> WorkloadMix:
     )
 
 
+#: The TPC-W mixes by name.
+MIXES = {"browsing": browsing_mix, "shopping": shopping_mix, "ordering": ordering_mix}
+
+
 def mix_by_name(name: str) -> WorkloadMix:
     """Look a mix up by its TPC-W name."""
-    factories = {"browsing": browsing_mix, "shopping": shopping_mix, "ordering": ordering_mix}
-    factory = factories.get(name.lower())
+    factory = MIXES.get(name.lower())
     if factory is None:
-        raise KeyError(f"unknown workload mix {name!r} (expected one of {sorted(factories)})")
+        raise KeyError(f"unknown workload mix {name!r} (expected one of {sorted(MIXES)})")
     return factory()

@@ -186,14 +186,17 @@ class TestFigCanary:
             < result.sla_observation("blind").downtime_seconds
         )
 
-    def test_scenario_is_deterministic_per_seed(self, scenario):
-        result, _ = scenario
-        rerun = fig_canary(duration_scale=0.05, seed=42, scale=PopulationScale.tiny()).run()
+    def test_scenario_is_deterministic_per_seed(self, scenario, tmp_path):
+        result, stream = scenario
+        rerun_stream = tmp_path / "rerun.jsonl"
+        rerun = fig_canary(
+            duration_scale=0.05,
+            seed=42,
+            scale=PopulationScale.tiny(),
+            stream_metrics=str(rerun_stream),
+        ).run()
         assert rerun.summary_rows() == result.summary_rows()
-        duration = result.result("canary").config.duration
-        first = result.results["canary"].metrics.snapshot_json(at=duration)
-        second = rerun.results["canary"].metrics.snapshot_json(at=duration)
-        assert first == second
+        assert rerun_stream.read_bytes() == stream.read_bytes()
 
     def test_stream_final_record_matches_post_hoc_ledger(self, scenario):
         result, stream = scenario

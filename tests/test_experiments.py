@@ -67,7 +67,9 @@ class TestRunner:
         assert result.root_cause is None
         assert result.overhead_seconds == 0.0
         assert result.blackbox is not None
-        assert result.blackbox.sample_count() >= 1
+        assert result.blackbox.root_cause_component is None
+        # Unmonitored, the heap series is the black-box host monitor's.
+        assert len(result.heap_series) >= 1
 
     def test_monitored_run_produces_map_and_series(self):
         config = ExperimentConfig(
@@ -136,6 +138,20 @@ class TestScenarios:
         assert scenario.result("monitored").overhead_seconds > 0
         assert overhead_percent(scenario) < 25.0
         assert len(scenario.tables()["throughput"].rows) > 0
+
+    def test_fig3_throughput_table_spans_the_whole_run(self):
+        # duration_scale 0.35 gives 43 windows of 30 s: the table down-samples
+        # them (every 2nd, 22 rows) instead of stopping after the first 40,
+        # so it reaches the last phase.
+        scenario = fig3_overhead(duration_scale=0.35, seed=5, scale=TINY,
+                                 warmup_ebs=5, mid_ebs=10, high_ebs=20).run()
+        series = scenario.result("unmonitored").throughput
+        rows = scenario.tables()["throughput"].rows
+        assert [row["time_s"] for row in rows] == [
+            round(time, 1) for time, _ in downsample_series(series)
+        ]
+        assert len(series) == 43 and len(rows) == 22
+        assert rows[-1]["time_s"] > phase_times(scenario)[1]
 
     def test_fig4_single_leak_blames_component_a(self):
         scenario = fig4_single_leak(duration_scale=0.08, seed=7, scale=TINY, ebs=40).run()

@@ -33,8 +33,8 @@ def scenario(tmp_path_factory):
 
 
 def _policy(scenario, mode, run):
-    """The adaptive policy instance run ``run`` of ``mode`` ran."""
-    return scenario.result(f"{mode}/run{run}").config.rejuvenation
+    """The adaptive policy run ``run`` of ``mode`` ran, as it ended."""
+    return scenario.result(f"{mode}/run{run}").policy
 
 
 def _warm_config(scenario):

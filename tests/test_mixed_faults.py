@@ -100,7 +100,7 @@ class TestMixedAdaptive:
         assert scenario.sla_observation("adaptive").exposure_seconds == 0.0
 
     def test_adaptive_maintains_separate_horizons_per_resource(self, scenario):
-        policy = scenario.result("adaptive").config.rejuvenation
+        policy = scenario.result("adaptive").policy
         assert sorted(policy.calibrated_resources()) == ["connections", "heap"]
         assert policy.predictor("heap") is not policy.predictor("connections")
 

@@ -11,6 +11,8 @@ registry (:data:`GOLDEN_RUNS`).
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from repro.experiments.reporting import (
     rows_to_csv,
     rows_to_markdown,
 )
-from repro.experiments.scenarios import COMPARISONS
+from repro.experiments.scenarios import COMPARISONS, ComparisonResult
 from repro.tpcw.population import PopulationScale
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -109,16 +111,35 @@ class TestGoldenSnapshots:
     @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
     def test_artifacts_match_golden(self, golden, golden_run):
         scenario = golden_run(golden)
-        artifacts = comparison_artifacts(scenario)
-        assert artifacts["markdown"] == (GOLDEN_DIR / f"{golden}_summary.md").read_text()
-        assert artifacts["csv"] == (GOLDEN_DIR / f"{golden}_summary.csv").read_text()
-        tables = scenario.tables()
-        for key in GOLDEN_RUNS[golden][2]:
-            rows = tables[key].rows
-            assert rows_to_markdown(rows) == (GOLDEN_DIR / f"{golden}_{key}.md").read_text()
-            assert rows_to_csv(rows) == (GOLDEN_DIR / f"{golden}_{key}.csv").read_text()
-        # The report renders over the same run (and re-checks every ledger).
-        assert comparison_report(scenario).startswith(f"== {scenario.comparison.title} ==")
+        # What a pool worker returns: each result without its live cluster,
+        # pickled across the process boundary.  It must render the same bytes.
+        detached = ComparisonResult(
+            scenario.comparison,
+            {
+                mode: pickle.loads(pickle.dumps(replace(result, cluster=None)))
+                for mode, result in scenario.results.items()
+            },
+        )
+        for run in (scenario, detached):
+            artifacts = comparison_artifacts(run)
+            assert artifacts["markdown"] == (GOLDEN_DIR / f"{golden}_summary.md").read_text()
+            assert artifacts["csv"] == (GOLDEN_DIR / f"{golden}_summary.csv").read_text()
+            tables = run.tables()
+            for key in GOLDEN_RUNS[golden][2]:
+                rows = tables[key].rows
+                assert rows_to_markdown(rows) == (GOLDEN_DIR / f"{golden}_{key}.md").read_text()
+                assert rows_to_csv(rows) == (GOLDEN_DIR / f"{golden}_{key}.csv").read_text()
+            # The report renders over the same runs (and re-checks every ledger).
+            assert comparison_report(run).startswith(f"== {scenario.comparison.title} ==")
+
+    @pytest.mark.parametrize("golden", ["adaptive", "canary", "mixed", "rollout"])
+    def test_rerunning_a_comparison_reproduces_it(self, golden, golden_run):
+        """A config is a value: the runs leave their configs (policies
+        included) untouched, so a second run of the same object gives the
+        same bytes.  ``learning`` is left out: a second run continues from
+        its calibration store by design."""
+        scenario = golden_run(golden)
+        assert comparison_artifacts(scenario.comparison.run()) == comparison_artifacts(scenario)
 
     def test_fleet_report_renders_over_the_same_run(self, golden_run):
         text = comparison_report(golden_run("fleet"))
