@@ -193,17 +193,9 @@ CHANNEL_FACTORIES = {
 
 
 def build_channels(names: List[str]) -> List[ResourceChannel]:
-    """Instantiate channels from their names (``heap``/``threads``/``connections``)."""
-    channels: List[ResourceChannel] = []
-    for name in names:
-        factory = CHANNEL_FACTORIES.get(name)
-        if factory is None:
-            raise KeyError(
-                f"unknown resource channel {name!r} "
-                f"(expected one of {sorted(CHANNEL_FACTORIES)})"
-            )
-        channels.append(factory())
-    return channels
+    """Instantiate channels from their names (``heap``/``threads``/``connections``;
+    ``KeyError`` for any other)."""
+    return [CHANNEL_FACTORIES[name]() for name in names]
 
 
 # --------------------------------------------------------------------------- #

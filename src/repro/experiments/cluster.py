@@ -141,12 +141,13 @@ class LoadBalancer:
     shards:
         The cluster's shard handles, in index order.
     policy:
-        ``"sticky"`` binds each session id to a shard on first contact and
-        keeps routing it there (re-binding only when the bound shard is
-        inside an outage window — a failover); ``"round-robin"`` cycles
-        through healthy shards per request; ``"least-occupancy"`` picks the
-        healthy shard with the lowest worker-pool occupancy (ties broken by
-        shard index).
+        One of :data:`BALANCER_POLICIES` (``ExperimentConfig.validate``
+        checks it).  ``"sticky"`` binds each session id to a shard on first
+        contact and keeps routing it there (re-binding only when the bound
+        shard is inside an outage window — a failover); ``"round-robin"``
+        cycles through healthy shards per request; ``"least-occupancy"``
+        picks the healthy shard with the lowest worker-pool occupancy (ties
+        broken by shard index).
     uri_components:
         Request-URI -> component name map, used to ask each shard whether a
         *component-scoped* outage (micro-reboot) covers the request.
@@ -167,10 +168,6 @@ class LoadBalancer:
         policy: str = "sticky",
         uri_components: Optional[Dict[str, str]] = None,
     ) -> None:
-        if policy not in BALANCER_POLICIES:
-            raise ValueError(
-                f"unknown balancer policy {policy!r} (expected one of {BALANCER_POLICIES})"
-            )
         if not shards:
             raise ValueError("a load balancer needs at least one shard")
         self.policy = policy

@@ -196,8 +196,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first reason this config cannot run.
 
-        The union of every subsystem's config checks.  It builds nothing (no
-        population, no engine), so a bad config fails before any run starts.
+        The union of every subsystem's config checks: the parts only a run
+        builds (cluster, balancer, controllers, rollout, fluid process) do
+        not repeat them.  The workload generator, the monitoring framework
+        and the metrics stream also run without a config, so they keep
+        their own argument checks.  It builds nothing (no population, no
+        engine), so a bad config fails before any run starts.
         """
         self.effective_phases()  # a negative EB count fails in WorkloadPhase
         for name, allowed in (
@@ -206,48 +210,57 @@ class ExperimentConfig:
             ("simulation_mode", SIMULATION_MODES),
             ("fleet_rejuvenation", (None,) + FLEET_REJUVENATION_MODES),
         ):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r} (expected one of {allowed})")
-        channels = self.rejuvenation_channels
-        for holds, problem in (
-            (self.duration > 0, f"duration must be positive, got {self.duration}"),
-            (self.snapshot_interval > 0, f"snapshot_interval must be positive, got {self.snapshot_interval}"),
-            (self.think_time_mean > 0, f"think_time_mean must be positive, got {self.think_time_mean}"),
-            (self.shards >= 1, f"shards must be >= 1, got {self.shards}"),
-            (
-                self.mix_name.lower() in MIXES,
-                f"unknown mix_name {self.mix_name!r} (expected one of {sorted(MIXES)})",
-            ),
-            (
-                self.simulation_mode != "hybrid" or 0.0 < self.tracer_fraction <= 1.0,
-                f"tracer_fraction must be in (0, 1], got {self.tracer_fraction}",
-            ),
-            (
-                self.rejuvenation is None or self.monitored,
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r} (expected one of {allowed})"
+                )
+        for name in ("duration", "snapshot_interval", "think_time_mean"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.mix_name.lower() not in MIXES:
+            raise ValueError(
+                f"unknown mix_name {self.mix_name!r} (expected one of {sorted(MIXES)})"
+            )
+        if self.simulation_mode == "hybrid" and not 0.0 < self.tracer_fraction <= 1.0:
+            raise ValueError(
+                f"tracer_fraction must be in (0, 1], got {self.tracer_fraction}"
+            )
+        if self.rejuvenation is not None and not self.monitored:
+            raise ValueError(
                 "live rejuvenation requires monitored=True (the controller reads "
-                "the manager's heap series and root-cause report)",
-            ),
-            (
-                channels is None or bool(channels) and set(channels) <= set(CHANNEL_FACTORIES),
-                f"rejuvenation_channels must name some of {sorted(CHANNEL_FACTORIES)}, got {channels}",
-            ),
-            (
-                self.fleet_rejuvenation is None or self.shards >= 2 and self.rejuvenation is not None,
-                "fleet rejuvenation coordinates the `rejuvenation` policy across 2 or more "
-                "shards; use the plain `rejuvenation` field for a single-server run",
-            ),
+                "the manager's heap series and root-cause report)"
+            )
+        channels = self.rejuvenation_channels
+        if channels is not None and not (
+            channels and set(channels) <= set(CHANNEL_FACTORIES)
         ):
-            if not holds:
-                raise ValueError(problem)
+            raise ValueError(
+                f"rejuvenation_channels must name some of {sorted(CHANNEL_FACTORIES)}, "
+                f"got {channels}"
+            )
+        if self.fleet_rejuvenation is not None and (
+            self.shards < 2 or self.rejuvenation is None
+        ):
+            raise ValueError(
+                "fleet rejuvenation coordinates the `rejuvenation` policy across 2 "
+                "or more shards; use the plain `rejuvenation` field for a "
+                "single-server run"
+            )
         if self.rollout is not None:
-            if len(self.rollout.ladder(self.shards)) > 1 and not self.monitored:  # checks the ladder
+            # ``ladder`` checks the plan's stage sizes against the shard count.
+            if len(self.rollout.ladder(self.shards)) > 1 and not self.monitored:
                 raise ValueError(
                     "a rollout with a ruled stage requires monitored=True (the "
                     "analyzer reads the per-shard manager series)"
                 )
             if self.rollout.start_time >= self.duration:
                 raise ValueError(
-                    f"rollout starts at {self.rollout.start_time} but the run ends at {self.duration}"
+                    f"rollout starts at {self.rollout.start_time} but the run ends at "
+                    f"{self.duration}"
                 )
 
 
@@ -394,11 +407,15 @@ def _install_monitoring(
         settings["alert_growth_bytes"] = config.alert_growth_bytes
     for shard in cluster.shards:
         framework = MonitoringFramework(
-            shard.deployment, engine=engine, config=FrameworkConfig(**settings),
+            shard.deployment,
+            engine=engine,
+            config=FrameworkConfig(**settings),
             strategy=config.strategy,
         )
         framework.install()
-        framework.schedule_snapshots(duration=config.duration, interval=config.snapshot_interval)
+        framework.schedule_snapshots(
+            duration=config.duration, interval=config.snapshot_interval
+        )
         if config.monitored_components is not None:
             for component in shard.deployment.interaction_names():
                 if component not in config.monitored_components:
@@ -420,7 +437,9 @@ def _install_blackbox(
     if not config.collect_blackbox_samples:
         return
     for shard in cluster.shards:
-        shard.blackbox = BlackBoxMonitor(shard.deployment.runtime, shard.deployment.datasource)
+        shard.blackbox = BlackBoxMonitor(
+            shard.deployment.runtime, shard.deployment.datasource
+        )
         t = config.snapshot_interval
         while t <= config.duration + 1e-9:
             engine.schedule_at(
@@ -456,25 +475,36 @@ def _install_rejuvenation(
         return None
     signature = _calibration_signature(config)
     # Every shard of one workload signature warm-starts from the same record.
-    record = config.calibration_store.lookup(signature) if signature is not None else None
+    record = (
+        config.calibration_store.lookup(signature) if signature is not None else None
+    )
     channels = config.rejuvenation_channels
     for shard in cluster.shards:
         policy = copy.deepcopy(config.rejuvenation)
         if record is not None:
             policy.apply_warm_start(record)
         shard.controller = RejuvenationController(
-            shard.deployment, shard.framework.manager, engine, policy,
+            shard.deployment,
+            shard.framework.manager,
+            engine,
+            policy,
             channels=build_channels(channels) if channels is not None else None,
         )
     if config.fleet_rejuvenation is not None:
         fleet = FleetRejuvenationController(
-            cluster, [shard.controller for shard in cluster.shards], engine,
+            cluster,
+            [shard.controller for shard in cluster.shards],
+            engine,
             mode=config.fleet_rejuvenation,
         )
-        fleet.schedule_checks(duration=config.duration, interval=config.snapshot_interval)
+        fleet.schedule_checks(
+            duration=config.duration, interval=config.snapshot_interval
+        )
         return fleet
     for shard in cluster.shards:
-        shard.controller.schedule_checks(duration=config.duration, interval=config.snapshot_interval)
+        shard.controller.schedule_checks(
+            duration=config.duration, interval=config.snapshot_interval
+        )
         shard.controller.install_alert_trigger()
     return None
 
@@ -517,7 +547,12 @@ def _install_obs(
     stream, when configured."""
     if registry is None:
         return None
-    registry.attach_run(cluster=cluster, generator=generator, config=config, rollout=rollout)
+    registry.attach_run(
+        cluster=cluster,
+        generator=generator,
+        config=config,
+        rollout=rollout,
+    )
     if config.stream_metrics is None:
         return None
     stream = JsonlMetricsStream(registry, config.stream_metrics)
@@ -541,9 +576,14 @@ def _install_fluid(
     # rest of the harness runs unchanged.  It updates every half snapshot
     # interval (floored at one second), so every monitoring snapshot sees a
     # fresh bulk contribution.
-    tracer_phases, bulk_phases = split_phases(config.effective_phases(), config.tracer_fraction)
+    tracer_phases, bulk_phases = split_phases(
+        config.effective_phases(), config.tracer_fraction
+    )
     fluid = FluidProcess(
-        engine, cluster, generator, bulk_phases,
+        engine,
+        cluster,
+        generator,
+        bulk_phases,
         tracer_fraction=config.tracer_fraction,
         update_interval=max(1.0, config.snapshot_interval / 2.0),
     )
@@ -590,8 +630,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rollout = _install_rollout(config, cluster, engine, registry)
     _install_resilience(config, cluster)
     generator = WorkloadGenerator(
-        engine, cluster, mix=mix_by_name(config.mix_name),
-        think_time_mean=config.think_time_mean, resilience=config.resilience,
+        engine,
+        cluster,
+        mix=mix_by_name(config.mix_name),
+        think_time_mean=config.think_time_mean,
+        resilience=config.resilience,
     )
     pinpoint = PinpointAnalyzer() if config.collect_pinpoint_traces else None
     if pinpoint is not None:
@@ -620,7 +663,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.calibration_store.save()
 
     primary = cluster.primary
-    controllers = [shard.controller for shard in cluster.shards if shard.controller is not None]
+    controllers = [
+        shard.controller for shard in cluster.shards if shard.controller is not None
+    ]
     shard_heap_series = [shard.heap_series() for shard in cluster.shards]
     shard_rejuvenation = [controller.report() for controller in controllers]
     fleet = None
@@ -631,7 +676,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             per_shard=list(fleet_ledger["per_shard"]),
             root_cause_rows=fleet_aging_rows(cluster),
             ledger={"issued": fleet_ledger["issued"], "served": fleet_ledger["served"]},
-            rejuvenation=fleet_controller.report() if fleet_controller is not None else None,
+            rejuvenation=(
+                fleet_controller.report() if fleet_controller is not None else None
+            ),
         )
     server = primary.deployment.server
     return ExperimentResult(

@@ -354,6 +354,7 @@ def _fig3_tables(scenario: ComparisonResult) -> Dict[str, Table]:
     warmup_end, mid_end, end = phase_times(scenario)
     phases = scenario.result("monitored").config.phases
     monitored = dict(scenario.result("monitored").throughput.to_rows())
+    unmonitored = downsample_series(scenario.result("unmonitored").throughput)
     return {
         "phases": Table(
             "throughput per phase (requests/s)",
@@ -381,7 +382,7 @@ def _fig3_tables(scenario: ComparisonResult) -> Dict[str, Table]:
                     "unmonitored_rps": round(rps, 3),
                     "monitored_rps": round(monitored.get(time, 0.0), 3),
                 }
-                for time, rps in downsample_series(scenario.result("unmonitored").throughput)
+                for time, rps in unmonitored
             ],
         ),
     }
@@ -1112,7 +1113,8 @@ def fig_adaptive(
                 [
                     {"workload": workload, **row}
                     for workload in workloads
-                    for row in scenario.result(f"{workload}/adaptive").policy.predictor_rows()
+                    for row in scenario.result(f"{workload}/adaptive")
+                    .policy.predictor_rows()
                 ],
             ),
             "analytic": Table(
@@ -2197,7 +2199,11 @@ SCALE_EVENT_REDUCTION_TARGET = 20.0
 
 def rejuvenation_action_times(result: ExperimentResult) -> List[float]:
     """Sorted action times across every shard's controller."""
-    return sorted(event.time for report in result.shard_rejuvenation for event in report.events)
+    return sorted(
+        event.time
+        for report in result.shard_rejuvenation
+        for event in report.events
+    )
 
 
 def throughput_rel_diff(scenario: ComparisonResult) -> float:

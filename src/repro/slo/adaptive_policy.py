@@ -122,6 +122,9 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
         self._horizons: Dict[str, float] = {}
         self._prior_stats: Dict[str, PredictionErrorStats] = {}
         self._opening_horizons: Dict[str, float] = {}
+        #: Per-resource snapshot of the predictor stats at the last
+        #: cross-run recording (see :meth:`take_unrecorded_stats`).
+        self._recorded_stats: Dict[str, PredictionErrorStats] = {}
         self.adaptations = 0
         #: Whether a previous run's calibration seeded the horizons.
         self.warm_started = False
@@ -174,6 +177,20 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
     def calibrated_resources(self) -> List[str]:
         """Resources with a predictor or an adapted horizon (sorted)."""
         return sorted(set(self._predictors) | set(self._horizons))
+
+    def take_unrecorded_stats(self, resource: str) -> PredictionErrorStats:
+        """Predictor statistics folded since the last call for ``resource``.
+
+        The calibration store records through this accessor so the same
+        policy instance can be run (and recorded) repeatedly without a
+        run's predictions ever being counted twice: each call returns only
+        the delta since the previous call and advances the snapshot.
+        """
+        current = self.predictor(resource).stats
+        marker = self._recorded_stats.get(resource)
+        delta = current.difference(marker) if marker is not None else current.copy()
+        self._recorded_stats[resource] = current.copy()
+        return delta
 
     # ------------------------------------------------------------------ #
     # Per-resource state

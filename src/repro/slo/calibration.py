@@ -281,11 +281,13 @@ class CalibrationStore:
         """Fold one finished adaptive policy run into ``signature``'s record.
 
         ``policy`` is an
-        :class:`~repro.slo.adaptive_policy.AdaptiveRejuvenationPolicy` that
-        ran once (every run executes its own copy of the configured policy);
-        the record keeps its *latest* converged per-resource horizon and
-        accumulates the run's error statistics — warm-started prior
-        statistics live here, never in the running predictors.
+        :class:`~repro.slo.adaptive_policy.AdaptiveRejuvenationPolicy`; the
+        record keeps its *latest* converged per-resource horizon and
+        accumulates the error statistics folded *since the policy was last
+        recorded* (:meth:`~repro.slo.adaptive_policy
+        .AdaptiveRejuvenationPolicy.take_unrecorded_stats`) — warm-started
+        prior statistics live here, and re-recording a reused policy
+        instance never counts a prediction twice.
         """
         record = self._records.get(signature)
         if record is None:
@@ -299,5 +301,5 @@ class CalibrationStore:
                 )
             else:
                 calibration.horizon_s = policy.horizon(resource)
-            calibration.stats.merge(policy.predictor(resource).stats)
+            calibration.stats.merge(policy.take_unrecorded_stats(resource))
         return record

@@ -76,6 +76,21 @@ class PredictionErrorStats:
             _sum_ratio=self._sum_ratio,
         )
 
+    def difference(self, baseline: "PredictionErrorStats") -> "PredictionErrorStats":
+        """The statistics folded since ``baseline`` was snapshotted from this
+        accumulator (``self - baseline``; both must share a history)."""
+        if baseline.count > self.count:
+            raise ValueError(
+                f"baseline has more folds ({baseline.count}) than the "
+                f"accumulator ({self.count}) — not a snapshot of it"
+            )
+        return PredictionErrorStats(
+            count=self.count - baseline.count,
+            _sum_error=self._sum_error - baseline._sum_error,
+            _sum_abs_error=self._sum_abs_error - baseline._sum_abs_error,
+            _sum_ratio=self._sum_ratio - baseline._sum_ratio,
+        )
+
     def to_state(self) -> dict:
         """JSON-serialisable state, exact enough for bit-identical round-trips."""
         return {

@@ -285,8 +285,5 @@ MIXES = {"browsing": browsing_mix, "shopping": shopping_mix, "ordering": orderin
 
 
 def mix_by_name(name: str) -> WorkloadMix:
-    """Look a mix up by its TPC-W name."""
-    factory = MIXES.get(name.lower())
-    if factory is None:
-        raise KeyError(f"unknown workload mix {name!r} (expected one of {sorted(MIXES)})")
-    return factory()
+    """Look a mix up by its TPC-W name (``KeyError`` when unknown)."""
+    return MIXES[name.lower()]()

@@ -92,6 +92,15 @@ class TestStatsState:
         with pytest.raises((TypeError, ValueError, KeyError)):
             PredictionErrorStats.from_state(state)
 
+    def test_difference_subtracts_a_snapshot(self):
+        stats = make_stats([(10.0, 5.0), (20.0, 25.0)])
+        snapshot = stats.copy()
+        stats.fold(7.0, 7.0)
+        delta = stats.difference(snapshot)
+        assert delta.to_state() == make_stats([(7.0, 7.0)]).to_state()
+        with pytest.raises(ValueError):
+            snapshot.difference(stats)  # baseline with more folds
+
 
 # --------------------------------------------------------------------------- #
 # Store round-trip + corruption
@@ -205,6 +214,24 @@ class TestCalibrationStore:
         assert record.resources["heap"].horizon_s == pytest.approx(
             second.horizon("heap")
         )
+
+    def test_rerecording_a_reused_policy_never_double_counts(self, tmp_path):
+        # A policy instance run (and recorded) twice must contribute each
+        # prediction exactly once: record_run consumes only the delta since
+        # the previous recording.
+        store = CalibrationStore(str(tmp_path / "calibration.json"))
+        policy = make_policy()
+        policy.predictor("heap").stats.merge(make_stats([(10.0, 10.0), (20.0, 25.0)]))
+        store.record_run("sig", policy)
+        assert store.lookup("sig").resources["heap"].stats.count == 2
+        # Second "run" with the same instance folds one more prediction.
+        policy.predictor("heap").stats.fold(5.0, 4.0)
+        store.record_run("sig", policy)
+        record = store.lookup("sig")
+        assert record.runs == 2
+        assert record.resources["heap"].stats.count == 3  # not 2 + 3
+        reference = make_stats([(10.0, 10.0), (20.0, 25.0), (5.0, 4.0)])
+        assert record.resources["heap"].stats.to_state() == reference.to_state()
 
 
 # --------------------------------------------------------------------------- #
@@ -386,6 +413,21 @@ class TestRunnerWiring:
         # The config's policy is the template each run copies; it never runs.
         assert not second_policy.warm_started
         assert store.lookup("runner-integration").runs == 2
+
+    def test_rerunning_one_config_counts_each_prediction_once(self, tmp_path):
+        # Every run executes its own copy of the configured policy, so two
+        # runs of one config fold each settled prediction into the store
+        # exactly once.
+        store = CalibrationStore(str(tmp_path / "calibration.json"))
+        policy = AdaptiveRejuvenationPolicy(base_horizon=45.0, min_horizon=10.0)
+        config = runner_config(store, policy)
+        counts = [
+            run_experiment(config).policy.predictor("heap").stats.count for _ in range(2)
+        ]
+        assert counts[0] > 0
+        record = store.lookup("runner-integration")
+        assert record.runs == 2
+        assert record.resources["heap"].stats.count == sum(counts)
 
     def test_derived_signature_ignores_per_run_names(self, tmp_path):
         # Without an explicit calibration_signature, the runner derives one

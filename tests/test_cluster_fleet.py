@@ -226,9 +226,8 @@ class TestLedgerConservation:
         cluster.ledger_check(generator)
 
     def test_unknown_policy_rejected(self):
-        engine = SimulationEngine()
-        with pytest.raises(ValueError, match="unknown balancer policy"):
-            build_cluster(_fleet_config("random"), engine)
+        with pytest.raises(ValueError, match="unknown balancer_policy 'random'"):
+            _fleet_config("random").validate()
         assert "sticky" in BALANCER_POLICIES
 
     def test_round_robin_rotates_across_healthy_shards(self):

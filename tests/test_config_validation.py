@@ -80,8 +80,13 @@ def test_bad_config_fails_in_validate_before_anything_is_built(case, monkeypatch
         run_experiment(config)
     with pytest.raises(ValueError, match=message):
         Comparison(
-            title="t", expectation="e", context=[], configs={"only": config},
-            observe=client_observation, caption="c", columns=("mode",),
+            title="t",
+            expectation="e",
+            context=[],
+            configs={"only": config},
+            observe=client_observation,
+            caption="c",
+            columns=("mode",),
         )
 
 
@@ -92,9 +97,13 @@ def test_pool_refuses_configs_a_run_writes_back_into(tmp_path):
     with pytest.raises(ValueError, match="serially"):
         learning.run(jobs=2)
     observed = Comparison(
-        title="t", expectation="e", context=[],
+        title="t",
+        expectation="e",
+        context=[],
         configs={"only": ExperimentConfig(scale=TINY, metrics_registry=MetricsRegistry())},
-        observe=client_observation, caption="c", columns=("mode",),
+        observe=client_observation,
+        caption="c",
+        columns=("mode",),
     )
     with pytest.raises(ValueError, match="serially"):
         observed.run(jobs=2)

@@ -143,8 +143,9 @@ class TestScenarios:
         # duration_scale 0.35 gives 43 windows of 30 s: the table down-samples
         # them (every 2nd, 22 rows) instead of stopping after the first 40,
         # so it reaches the last phase.
-        scenario = fig3_overhead(duration_scale=0.35, seed=5, scale=TINY,
-                                 warmup_ebs=5, mid_ebs=10, high_ebs=20).run()
+        scenario = fig3_overhead(
+            duration_scale=0.35, seed=5, scale=TINY, warmup_ebs=5, mid_ebs=10, high_ebs=20
+        ).run()
         series = scenario.result("unmonitored").throughput
         rows = scenario.tables()["throughput"].rows
         assert [row["time_s"] for row in rows] == [
