@@ -10,8 +10,10 @@ shows up in TPC-W response times without any real I/O.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.db.sql import (
     Aggregate,
@@ -32,6 +34,37 @@ from repro.db.table import Column, Table
 
 class SqlExecutionError(RuntimeError):
     """Raised when a parsed statement cannot be executed (unknown table, ...)."""
+
+
+def _never_matches(value: Any) -> bool:
+    return False
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile_like(pattern: str) -> Callable[[Any], bool]:
+    # ``%`` spans any run of characters, newlines included, and ``_`` one
+    # character; every other character, a backslash too, matches itself.
+    regex = "".join(
+        ".*" if char == "%" else "." if char == "_" else re.escape(char)
+        for char in re.sub("%+", "%", pattern)
+    )
+    fullmatch = re.compile(regex, re.DOTALL).fullmatch
+
+    def matches(value: Any) -> bool:
+        return value is not None and fullmatch(str(value)) is not None
+
+    return matches
+
+
+def like_matcher(pattern: Any) -> Callable[[Any], bool]:
+    """The test ``value LIKE pattern`` for one bound pattern, built once.
+
+    Matching is case-sensitive, non-``str`` values and patterns are matched
+    through ``str()``, and NULL on either side never matches.
+    """
+    if pattern is None:
+        return _never_matches
+    return _compile_like(str(pattern))
 
 
 @dataclass
@@ -189,12 +222,7 @@ class Database:
 
     @staticmethod
     def _like_match(value: Any, pattern: Any) -> bool:
-        if value is None or pattern is None:
-            return False
-        import fnmatch
-
-        translated = str(pattern).replace("%", "*").replace("_", "?")
-        return fnmatch.fnmatchcase(str(value), translated)
+        return like_matcher(pattern)(value)
 
     @classmethod
     def _compare(cls, op: str, left: Any, right: Any) -> bool:
@@ -225,13 +253,6 @@ class Database:
     # ------------------------------------------------------------------ #
     # SELECT
     # ------------------------------------------------------------------ #
-    #: Legacy knob kept for the preserved seed-reference subclass and older
-    #: tests: PR 3's hand-rolled single-table fast path dispatched on it.
-    #: The compiled planner now covers every SELECT shape through one path
-    #: (with identical rows and accounting — the fast-path equivalence tests
-    #: assert it), so the flag no longer selects anything.
-    select_fastpath_enabled = True
-
     def _execute_select(self, statement: SelectStatement, params: Sequence[Any]) -> QueryResult:
         return self._execute_select_generic(statement, params)
 
@@ -246,10 +267,10 @@ class Database:
         BY + LIMIT selector — and re-run directly on subsequent executions.
         Plans are invalidated by DDL (``_schema_epoch``) and per-table schema
         changes (``Table.schema_version``); data mutations never invalidate
-        because the hash indexes are maintained incrementally.  Rows, row
-        order and the scanned/lookup accounting are bit-identical to the
-        interpreting executor this replaced (see the planner's equivalence
-        suite).
+        a plan (the hash indexes are maintained incrementally), they
+        invalidate or extend its join memo.  Rows, row order and the
+        scanned/lookup accounting are bit-identical to the interpreting
+        executor this replaced (see the planner's equivalence suite).
         """
         entry = self._plan_cache.get(id(statement))
         if entry is not None and entry[0] is statement and entry[1].is_valid(self):

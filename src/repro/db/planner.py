@@ -26,7 +26,23 @@ Operator highlights:
   (:meth:`repro.db.table.Table.ensure_hash_index`).
 * **Compiled row functions** — projections, group keys, filters and order
   keys are generated as tiny lambdas over the execution rows, so the
-  per-row inner loops carry no interpretive dispatch.
+  per-row inner loops carry no interpretive dispatch.  A ``LIKE`` pattern
+  is compiled once per execution into a matcher (the engine's
+  :func:`~repro.db.engine.like_matcher`) and bound like any parameter.
+* **Join memo** — a join over a full-scan base does not depend on the
+  query's parameters, so the plan keeps its joined tuple rows, with the
+  ``scanned``/``index_lookups`` they charged, between executions.  The memo
+  is stamped with the data versions it was built from
+  (:class:`~repro.db.table.Table` keeps them): the base's delete count,
+  every joined table's row-set version and the versions of the join-key
+  columns on both sides.  A matching stamp reuses the memo; if the base
+  only grew by appends, its new tail is joined and appended; any other
+  change rebuilds the memo from row 0.  The residual filter, aggregation,
+  ORDER BY/LIMIT and projection still run on every execution over the live
+  row dicts, so an update to a non-key column shows without invalidating
+  anything.  A base narrowed by declared-index conditions depends on the
+  parameters and is joined afresh each time.  The memo lives and dies with
+  its plan.
 
 **Cost-model neutrality.**  The engine's simulated latency model charges the
 *declared* access plan (what the paper-era MySQL would have done with the
@@ -36,16 +52,21 @@ the interpreter would have scanned, the plan still charges a full scan
 (``scanned += len(table)`` per probe) while physically probing the hash
 index — and it emits rows in ascending row-id order, which is exactly the
 interpreter's scan order.  Declared-index paths reproduce the interpreter's
-set-intersection lookups verbatim.  As a result every query returns
+set-intersection lookups verbatim.  The join memo charges what a fresh scan
+and join would: its rows and counters are exactly those, in the same order,
+for the data its stamp names.  As a result every query returns
 bit-identical rows, row order, ``rows_scanned``/``index_lookups`` counters
-and simulated cost — asserted by the planner equivalence suite.
+and simulated cost — asserted by the planner equivalence suite, with writes
+between executions included.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.db.engine import SqlExecutionError, like_matcher
 from repro.db.sql import Aggregate, ColumnRef, Condition, SelectStatement
 from repro.db.table import Table, _SecondaryIndex
 
@@ -54,19 +75,6 @@ from repro.db.table import Table, _SecondaryIndex
 #: paths produce identical rows, order and errors; the flag exists for the
 #: ``group_by`` A/B benchmark and as an escape hatch.
 STREAMING_AGGREGATES = True
-
-#: Cached ``repro.db.engine.SqlExecutionError`` (imported lazily: the engine
-#: imports this module, so a top-level import would be circular).
-_SQL_ERROR_CLASS = None
-
-
-def _sql_error(message: str) -> Exception:
-    global _SQL_ERROR_CLASS
-    if _SQL_ERROR_CLASS is None:
-        from repro.db.engine import SqlExecutionError
-
-        _SQL_ERROR_CLASS = SqlExecutionError
-    return _SQL_ERROR_CLASS(message)
 
 
 class _JoinStep:
@@ -94,6 +102,23 @@ class _JoinStep:
         #: (``None`` when the join column does not exist — then the
         #: interpreter's ``row.get`` scan semantics are reproduced literally).
         self.lazy_index = lazy_index
+
+
+class _JoinMemo:
+    """A plan's joined rows over a full-scan base, and what they charged."""
+
+    __slots__ = ("stamp", "base_version", "base_count", "rows", "scanned", "index_lookups")
+
+    def __init__(self, stamp: Tuple) -> None:
+        #: The versions the rows were built from (see ``_memoised_join``).
+        self.stamp = stamp
+        #: The base's row-set version last caught up to (-1: not yet).
+        self.base_version = -1
+        #: Base rows joined so far, a prefix of the base in row-id order.
+        self.base_count = 0
+        self.rows: List[Tuple[Dict[str, Any], ...]] = []
+        self.scanned = 0
+        self.index_lookups = 0
 
 
 class CompiledSelect:
@@ -140,14 +165,14 @@ class CompiledSelect:
         def resolve_qualifier(ref: ColumnRef) -> str:
             if ref.table is not None:
                 if ref.table not in tables_by_qualifier:
-                    raise _sql_error(f"unknown table qualifier {ref.table!r}")
+                    raise SqlExecutionError(f"unknown table qualifier {ref.table!r}")
                 if not tables_by_qualifier[ref.table].has_column(ref.name):
-                    raise _sql_error(f"unknown column {ref}")
+                    raise SqlExecutionError(f"unknown column {ref}")
                 return ref.table
             for qualifier, table in tables_by_qualifier.items():
                 if table.has_column(ref.name):
                     return qualifier
-            raise _sql_error(f"unknown column {ref.name!r}")
+            raise SqlExecutionError(f"unknown column {ref.name!r}")
 
         def refers_to_base(ref: ColumnRef) -> bool:
             if ref.table is not None:
@@ -186,7 +211,7 @@ class CompiledSelect:
             elif side_is_new(join.right) and not side_is_new(join.left):
                 new_ref, old_ref = join.right, join.left
             else:
-                raise _sql_error(
+                raise SqlExecutionError(
                     f"cannot determine join sides for ON {join.left} = {join.right}"
                 )
             use_index = join_table.has_index(new_ref.name)
@@ -211,13 +236,26 @@ class CompiledSelect:
         self.joined = bool(self.join_steps)
         self._joined_layout = self.joined  # row tuples vs. plain row dicts
 
+        # Join memo: a full-scan base joins the same rows whatever the
+        # parameters, so the joined rows are kept until the data they came
+        # from changes.  A base narrowed by declared-index conditions
+        # depends on the parameters and is joined afresh each time.
+        self.memoises_join = self.joined and not self.index_conditions
+        self._join_memo: Optional[_JoinMemo] = None
+        #: Both sides' join-key columns; an update to one rebuilds the memo.
+        self._join_keys: List[Tuple[Table, str]] = []
+        for step in self.join_steps:
+            self._join_keys.append((self._tables[step.old_pos], step.old_name))
+            self._join_keys.append((step.table, step.new_name))
+
         # Residual filters -> one compiled predicate.  Parameters/literals
         # are bound per execution into the ``bound`` tuple.  SQL three-valued
         # ``=``/``!=`` collapse exactly to Python ``==``/``!=`` over the
         # engine's value universe (NULL compares equal only to NULL);
-        # inequalities and LIKE keep the interpreter's helpers for the
-        # NULL-guard and pattern semantics.
-        self._residual_nodes: List[Any] = []  # rhs nodes bound per execution
+        # inequalities keep the interpreter's helper for the NULL guard, and
+        # LIKE goes through the engine's ``like_matcher``.
+        #: ``(rhs node, is a LIKE pattern)`` pairs bound per execution.
+        self._residual_nodes: List[Tuple[Any, bool]] = []
         predicate_terms: List[str] = []
         lazy_candidates: List[Tuple[str, Any, int]] = []
         for condition in residual:
@@ -229,7 +267,7 @@ class CompiledSelect:
                 bound_index = None
             else:
                 bound_index = len(self._residual_nodes)
-                self._residual_nodes.append(condition.rhs)
+                self._residual_nodes.append((condition.rhs, condition.op == "LIKE"))
                 rhs_expr = f"bound[{bound_index}]"
             if condition.op == "=":
                 predicate_terms.append(f"({lhs_expr} == {rhs_expr})")
@@ -239,6 +277,10 @@ class CompiledSelect:
                     )
             elif condition.op == "!=":
                 predicate_terms.append(f"({lhs_expr} != {rhs_expr})")
+            elif condition.op == "LIKE" and bound_index is not None:
+                # The bound slot holds the pattern's matcher, built once per
+                # execution.
+                predicate_terms.append(f"{rhs_expr}({lhs_expr})")
             elif condition.op == "LIKE":
                 predicate_terms.append(f"_like({lhs_expr}, {rhs_expr})")
             else:
@@ -290,7 +332,7 @@ class CompiledSelect:
         projected_by_name: Dict[str, Tuple[int, str]] = {}
         if self.star:
             if self.has_aggregates:
-                raise _sql_error("SELECT * cannot be combined with aggregates")
+                raise SqlExecutionError("SELECT * cannot be combined with aggregates")
             # ``merged.update(row)`` semantics: first-seen name keeps its slot,
             # the last qualifier supplies the value.
             slot_by_name: Dict[str, int] = {}
@@ -326,7 +368,7 @@ class CompiledSelect:
         stream_specs: List[Tuple[str, Optional[str]]] = []
         if self.is_aggregate:
             if self.star:
-                raise _sql_error("SELECT * cannot be combined with aggregates")
+                raise SqlExecutionError("SELECT * cannot be combined with aggregates")
             group_names = [ref.name for ref in statement.group_by]
             if statement.group_by:
                 exprs = [
@@ -352,7 +394,7 @@ class CompiledSelect:
                     name = item.alias or expression.default_name()
                     if expression.argument is None:
                         if expression.function != "COUNT":
-                            raise _sql_error(
+                            raise SqlExecutionError(
                                 f"{expression.function} requires a column argument"
                             )
                         extractor = None
@@ -472,63 +514,17 @@ class CompiledSelect:
             stored = base_table._rows
             rows = [stored[rid] for rid in sorted(ids or ())]
             scanned += len(base_table)
+        elif self.memoises_join:
+            rows, scanned, index_lookups = self._memoised_join()
         else:
             rows = list(base_table._rows.values())
             scanned += len(rows)
 
         # ---- joins (tuple rows) --------------------------------------- #
-        if self.joined:
-            rows = [(row,) for row in rows]
-            for step in self.join_steps:
-                out: List[Tuple[Dict[str, Any], ...]] = []
-                old_pos = step.old_pos
-                old_name = step.old_name
-                stored = step.table._rows
-                if step.use_index and step.new_name == step.table.primary_key:
-                    # PK probe: at most one match, so the interpreter's
-                    # one-element set copy (and its iteration order) is
-                    # reproduced without allocating it.
-                    pk_get = step.table._pk_index.get
-                    append = out.append
-                    for current in rows:
-                        rid = pk_get(current[old_pos][old_name])
-                        index_lookups += 1
-                        if rid is not None:
-                            scanned += 1
-                            append(current + (stored[rid],))
-                elif step.use_index:
-                    lookup = step.table.lookup_ids
-                    new_name = step.new_name
-                    for current in rows:
-                        ids = lookup(new_name, current[old_pos][old_name])
-                        index_lookups += 1
-                        scanned += len(ids)
-                        for rid in ids:
-                            out.append(current + (stored[rid],))
-                elif step.lazy_index is not None:
-                    table_size = len(step.table)
-                    lookup = step.lazy_index.lookup
-                    for current in rows:
-                        value = current[old_pos][old_name]
-                        scanned += table_size
-                        if value != value:  # NaN: scan semantics match nothing
-                            continue
-                        ids = lookup(value)
-                        if ids:
-                            for rid in sorted(ids):
-                                out.append(current + (stored[rid],))
-                else:
-                    # Join column missing from the table: reproduce the
-                    # interpreter's ``row.get`` scan literally.
-                    new_name = step.new_name
-                    join_rows = list(step.table._rows.values())
-                    for current in rows:
-                        value = current[old_pos][old_name]
-                        scanned += len(join_rows)
-                        for row in join_rows:
-                            if row.get(new_name) == value:
-                                out.append(current + (row,))
-                rows = out
+        if self.joined and not self.memoises_join:
+            rows, join_scanned, join_lookups = self._join(rows)
+            scanned += join_scanned
+            index_lookups += join_lookups
 
         # ---- residual filter ------------------------------------------ #
         predicate = self._lazy_predicate if use_lazy_base else self._predicate
@@ -536,11 +532,16 @@ class CompiledSelect:
             # Binding covers every residual rhs node (missing-parameter
             # errors surface exactly like the interpreter's, even for
             # conditions the lazy index lookups already consumed).
-            bound = tuple(bind(node, params) for node in self._residual_nodes)
+            bound = tuple(
+                like_matcher(bind(node, params)) if is_like else bind(node, params)
+                for node, is_like in self._residual_nodes
+            )
             filtered = [row for row in rows if predicate(row, bound)]
         else:
             # No residual predicate left; any node-bearing equalities were
             # consumed — and therefore bound — by the lazy base lookups.
+            # ``rows`` may be the join memo's list: everything below only
+            # reads it.
             filtered = rows
 
         # ---- aggregate pipeline --------------------------------------- #
@@ -578,6 +579,100 @@ class CompiledSelect:
         return [project(row) for row in selected], scanned, index_lookups
 
     # ------------------------------------------------------------------ #
+    def _join(self, base_rows: Iterable[Dict[str, Any]]) -> Tuple[List[Tuple], int, int]:
+        """Join base rows into tuple rows; returns ``(rows, scanned, index_lookups)``.
+
+        ``scanned`` counts the join probes only, not the base rows.
+        """
+        scanned = 0
+        index_lookups = 0
+        rows: List[Tuple[Dict[str, Any], ...]] = [(row,) for row in base_rows]
+        for step in self.join_steps:
+            out: List[Tuple[Dict[str, Any], ...]] = []
+            old_pos = step.old_pos
+            old_name = step.old_name
+            stored = step.table._rows
+            if step.use_index and step.new_name == step.table.primary_key:
+                # PK probe: at most one match, so the interpreter's
+                # one-element set copy (and its iteration order) is
+                # reproduced without allocating it.
+                pk_get = step.table._pk_index.get
+                append = out.append
+                for current in rows:
+                    rid = pk_get(current[old_pos][old_name])
+                    index_lookups += 1
+                    if rid is not None:
+                        scanned += 1
+                        append(current + (stored[rid],))
+            elif step.use_index:
+                lookup = step.table.lookup_ids
+                new_name = step.new_name
+                for current in rows:
+                    ids = lookup(new_name, current[old_pos][old_name])
+                    index_lookups += 1
+                    scanned += len(ids)
+                    for rid in ids:
+                        out.append(current + (stored[rid],))
+            elif step.lazy_index is not None:
+                table_size = len(step.table)
+                lookup = step.lazy_index.lookup
+                for current in rows:
+                    value = current[old_pos][old_name]
+                    scanned += table_size
+                    if value != value:  # NaN: scan semantics match nothing
+                        continue
+                    ids = lookup(value)
+                    if ids:
+                        for rid in sorted(ids):
+                            out.append(current + (stored[rid],))
+            else:
+                # Join column missing from the table: reproduce the
+                # interpreter's ``row.get`` scan literally.
+                new_name = step.new_name
+                join_rows = list(step.table._rows.values())
+                for current in rows:
+                    value = current[old_pos][old_name]
+                    scanned += len(join_rows)
+                    for row in join_rows:
+                        if row.get(new_name) == value:
+                            out.append(current + (row,))
+            rows = out
+        return rows, scanned, index_lookups
+
+    def _memoised_join(self) -> Tuple[List[Tuple], int, int]:
+        """The full-scan base's joined rows and their charge, kept between executions.
+
+        The memo is stamped with what its rows were built from: the base's
+        delete count, every joined table's row-set version and both sides'
+        join-key column versions.  If the stamp matches and the base's
+        row-set version too, the memo is reused as is (a *hit*).  If only
+        the base's row-set version moved, the base grew by appends alone:
+        its new tail (the rows past the memo's count, in row-id order) is
+        joined and appended (a *catch-up*).  Any other change starts a new
+        memo and catches it up from row 0 (a *rebuild*).  The charge is the
+        one a fresh scan and join would pay, because the memo holds exactly
+        the rows and probes those would make.
+        """
+        base_table = self.base_table
+        stamp = (
+            base_table.deletes,
+            tuple(table.rows_version for table in self._tables[1:]),
+            tuple(table.column_versions.get(name, 0) for table, name in self._join_keys),
+        )
+        memo = self._join_memo
+        if memo is None or memo.stamp != stamp:
+            memo = self._join_memo = _JoinMemo(stamp)
+        if memo.base_version != base_table.rows_version:
+            tail = list(islice(base_table._rows.values(), memo.base_count, None))
+            joined, scanned, index_lookups = self._join(tail)
+            memo.rows.extend(joined)
+            memo.base_count += len(tail)
+            memo.scanned += len(tail) + scanned
+            memo.index_lookups += index_lookups
+            memo.base_version = base_table.rows_version
+        return memo.rows, memo.scanned, memo.index_lookups
+
+    # ------------------------------------------------------------------ #
     def _aggregate_rows(self, filtered: List[Any]) -> List[Dict[str, Any]]:
         """GROUP BY + aggregate evaluation over the filtered rows.
 
@@ -597,7 +692,7 @@ class CompiledSelect:
         # building the first group's result row — i.e. whenever at least one
         # group exists (always, without GROUP BY: the implicit ``()`` group).
         if self._invalid_group_column is not None and (group_key is None or filtered):
-            raise _sql_error(
+            raise SqlExecutionError(
                 f"column {self._invalid_group_column!r} must appear in GROUP BY"
             )
         new_state = self._new_state_fn
@@ -686,7 +781,7 @@ class CompiledSelect:
                 )
                 fold_lines.append(f"            state[{index}] = v{index}")
             else:  # pragma: no cover - parser admits only the modes above
-                raise _sql_error(f"unsupported aggregate {mode.upper()!r}")
+                raise SqlExecutionError(f"unsupported aggregate {mode.upper()!r}")
         new_lines.append("    return state")
         if len(fold_lines) == 1:
             fold_lines.append("    pass")
@@ -725,7 +820,7 @@ class CompiledSelect:
                 if kind == "column":
                     extractor, valid, column_name = spec
                     if not valid:
-                        raise _sql_error(
+                        raise SqlExecutionError(
                             f"column {column_name!r} must appear in GROUP BY"
                         )
                     out[name] = extractor(members[0]) if members else None
@@ -755,7 +850,7 @@ class CompiledSelect:
             return min(values)
         if function == "MAX":
             return max(values)
-        raise _sql_error(f"unsupported aggregate {function!r}")  # pragma: no cover
+        raise SqlExecutionError(f"unsupported aggregate {function!r}")  # pragma: no cover
 
 
 def compile_select(database, statement: SelectStatement) -> CompiledSelect:

@@ -77,7 +77,7 @@ class Table:
     Rows are dictionaries keyed by column name; each row gets an internal
     integer ``row id`` used by indexes.  All mutation goes through
     :meth:`insert`, :meth:`update_rows` and :meth:`delete_rows` so that index
-    maintenance and validation stay in one place.
+    maintenance, data versions and validation stay in one place.
     """
 
     def __init__(self, name: str, columns: List[Column]) -> None:
@@ -105,6 +105,13 @@ class Table:
         #: Bumped whenever the *schema* changes (currently: index creation);
         #: cached query plans validate against it.
         self.schema_version = 0
+        #: Data versions, read by the planner's join memo: ``rows_version``
+        #: moves on every insert and delete, ``deletes`` on deletes only (so
+        #: "only appends happened" is visible), and ``column_versions`` per
+        #: column that :meth:`update_rows` assigned.
+        self.rows_version = 0
+        self.deletes = 0
+        self.column_versions: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Schema
@@ -211,6 +218,7 @@ class Table:
             index.add(row.get(column_name), row_id)
         for column_name, index in self._lazy.items():
             index.add(row.get(column_name), row_id)
+        self.rows_version += 1
         return row_id
 
     def update_rows(self, row_ids: Iterable[int], changes: Dict[str, Any]) -> int:
@@ -237,6 +245,9 @@ class Table:
                         index.add(value, row_id)
                 row[column_name] = value
             count += 1
+        if count:
+            for column_name in changes:
+                self.column_versions[column_name] = self.column_versions.get(column_name, 0) + 1
         return count
 
     def delete_rows(self, row_ids: Iterable[int]) -> int:
@@ -253,6 +264,9 @@ class Table:
             for column_name, index in self._lazy.items():
                 index.remove(row.get(column_name), row_id)
             count += 1
+        if count:
+            self.rows_version += 1
+            self.deletes += 1
         return count
 
     # ------------------------------------------------------------------ #

@@ -417,8 +417,6 @@ def make_seed_row_database_class():
     from typing import Any, Dict, List, Sequence, Tuple
 
     class SeedRowHandlingDatabase(Database):
-        select_fastpath_enabled = False
-
         def _execute_select_generic(self, statement, params):  # noqa: C901
             scanned = 0
             index_lookups = 0

@@ -8,10 +8,13 @@ trajectory unchanged.  This suite drives both executors over the same table
 storage and asserts exactly that, for
 
 * every SELECT shape the TPC-W servlets issue (with representative
-  parameters sampled from the population), and
+  parameters sampled from the population),
 * a randomized corpus of generated statements — single-table, single-join
   and double-join along the schema's foreign keys, with mixed WHERE
-  operators, ORDER BY ASC/DESC (including multi-key) and LIMIT.
+  operators, ORDER BY ASC/DESC (including multi-key) and LIMIT, and
+* both of those again after each of a sequence of writes (inserts, deletes,
+  key and non-key updates, an index declared), which drive the plans' join
+  memos through hits, catch-ups and rebuilds.
 
 The reference implementation is ``perf/seed_reference``'s
 ``SeedRowHandlingDatabase`` (wrapper-dict rows, per-row column resolution),
@@ -31,17 +34,22 @@ from repro.tpcw.population import PopulationScale, populate_database
 from repro.tpcw.schema import SUBJECTS, create_tpcw_schema
 
 
-@pytest.fixture(scope="module")
-def databases():
+def _database_pair():
     """(planned, seed-reference) databases sharing one populated table set."""
     planned = Database("tpcw")
     create_tpcw_schema(planned)
     populate_database(planned, scale=PopulationScale.tiny(), streams=RandomStreams(42))
     seed = make_seed_row_database_class()("tpcw")
-    # SELECT-only suite: sharing the Table objects guarantees identical data
-    # (and identical internal row ids / index sets) on both sides.
+    # Sharing the Table objects guarantees identical data (and identical
+    # internal row ids / index sets) on both sides, writes included.
     seed._tables = planned._tables
     return planned, seed
+
+
+@pytest.fixture(scope="module")
+def databases():
+    """One pair for the SELECT-only tests."""
+    return _database_pair()
 
 
 def assert_equivalent(databases, sql, params=()):
@@ -453,3 +461,162 @@ def test_aggregate_corpus_exercises_group_by(databases):
         global_agg += "GROUP BY" not in sql
     assert grouped > 10
     assert global_agg > 10
+
+
+# --------------------------------------------------------------------------- #
+# Writes between executions (the join memo)
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def mutable_databases():
+    """A fresh pair per test that writes (through the planned database)."""
+    return _database_pair()
+
+
+BEST_SELLERS = next(query for query in SERVLET_QUERIES if "SUM(ol.ol_qty)" in query[0])
+
+#: A join whose new side is unindexed (a lazy hash-index join until
+#: ``c_addr_id`` gets a declared index).
+REVERSE_JOIN = (
+    "SELECT c.c_id, c.c_uname, a.addr_city FROM address a "
+    "JOIN customer c ON a.addr_id = c.c_addr_id WHERE c.c_discount > ? "
+    "ORDER BY c.c_uname LIMIT 20",
+    [0.1],
+)
+
+
+def _one(database, sql, params=()):
+    return database.execute(sql, list(params)).rows[0]
+
+
+def _best_seller_item(database):
+    """An item with order lines and the best-sellers subject."""
+    return _one(
+        database,
+        "SELECT i.i_id, i.i_a_id FROM order_line ol JOIN item i ON ol.ol_i_id = i.i_id "
+        "WHERE i_subject = ? ORDER BY ol.ol_id LIMIT 1",
+        BEST_SELLERS[1],
+    )
+
+
+def _insert_order_line(database):
+    next_id = _one(database, "SELECT MAX(ol_id) AS m FROM order_line")["m"] + 1
+    database.execute(
+        "INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments) "
+        "VALUES (?, ?, ?, ?, ?, ?)",
+        [next_id, 1, _best_seller_item(database)["i_id"], 1000, 0.0, "late order"],
+    )
+
+
+def _delete_order_line(database):
+    first = _one(database, "SELECT ol_id FROM order_line ORDER BY ol_id LIMIT 1")["ol_id"]
+    assert database.execute("DELETE FROM order_line WHERE ol_id = ?", [first]).rowcount == 1
+
+
+def _update_item_author(database):
+    item = _best_seller_item(database)
+    other = _one(database, "SELECT a_id FROM author WHERE a_id != ? LIMIT 1", [item["i_a_id"]])
+    database.execute("UPDATE item SET i_a_id = ? WHERE i_id = ?", [other["a_id"], item["i_id"]])
+
+
+def _update_item_subject(database):
+    other_subject = _one(
+        database,
+        "SELECT ol.ol_i_id FROM order_line ol JOIN item i ON ol.ol_i_id = i.i_id "
+        "WHERE i_subject != ? ORDER BY ol.ol_id LIMIT 1",
+        BEST_SELLERS[1],
+    )
+    database.execute(
+        "UPDATE item SET i_subject = ? WHERE i_id = ?",
+        [BEST_SELLERS[1][0], other_subject["ol_i_id"]],
+    )
+
+
+def _update_item_title(database):
+    item = _best_seller_item(database)
+    database.execute("UPDATE item SET i_title = ? WHERE i_id = ?", ["AAA Retitled", item["i_id"]])
+
+
+def _insert_author(database):
+    next_id = _one(database, "SELECT MAX(a_id) AS m FROM author")["m"] + 1
+    database.execute(
+        "INSERT INTO author (a_id, a_fname, a_lname, a_bio) VALUES (?, ?, ?, ?)",
+        [next_id, "ANN", "SMITH", "new"],
+    )
+
+
+def _delete_author(database):
+    author = _best_seller_item(database)["i_a_id"]
+    assert database.execute("DELETE FROM author WHERE a_id = ?", [author]).rowcount == 1
+
+
+def _index_join_column(database):
+    database.table("customer").create_index("c_addr_id")
+
+
+#: ``(write, what best-sellers' next execution does with its join memo)``.
+MUTATIONS = [
+    (_insert_order_line, "catch_up"),
+    (_delete_order_line, "rebuild"),
+    (_update_item_author, "rebuild"),  # a join key
+    (_update_item_subject, "hit"),  # filtered on, read live
+    (_update_item_title, "hit"),  # projected, read live
+    (_insert_author, "rebuild"),
+    (_delete_author, "rebuild"),
+    (_index_join_column, "hit"),  # recompiles only the plans over customer
+]
+
+
+def _assert_repertoire_equivalent(databases):
+    planned_db, _ = databases
+    for sql, params in SERVLET_QUERIES + [REVERSE_JOIN]:
+        assert_equivalent(databases, sql, params)
+    rng = np.random.default_rng(42)
+    for _ in range(120):
+        sql, params = _random_statement(rng, planned_db)
+        assert_equivalent(databases, sql, params)
+
+
+def test_writes_interleaved_with_selects_equivalent(mutable_databases):
+    _assert_repertoire_equivalent(mutable_databases)
+    for mutate, _ in MUTATIONS:
+        mutate(mutable_databases[0])
+        _assert_repertoire_equivalent(mutable_databases)
+
+
+def _plan(database, sql):
+    entry = database._plan_cache.get(id(parse_sql(sql)))
+    return None if entry is None else entry[1]
+
+
+def _next_memo_outcome(database, sql, params):
+    """Execute once; how that execution used the plan's join memo.
+
+    A rebuild starts a new memo; a catch-up joins more base rows into the
+    same one; a hit leaves it as it was.
+    """
+    plan = _plan(database, sql)
+    memo = plan._join_memo if plan is not None else None
+    base_count = memo.base_count if memo is not None else None
+    database.execute(sql, list(params))
+    after = _plan(database, sql)._join_memo
+    if after is not memo:
+        return "rebuild"
+    return "hit" if after.base_count == base_count else "catch_up"
+
+
+def test_write_sequence_reaches_hit_catch_up_and_rebuild(mutable_databases):
+    """Sanity: the writes above drive the memo through every outcome."""
+    planned_db, _ = mutable_databases
+    assert _next_memo_outcome(planned_db, *BEST_SELLERS) == "rebuild"  # built from row 0
+    assert _next_memo_outcome(planned_db, *BEST_SELLERS) == "hit"
+    assert _plan(planned_db, BEST_SELLERS[0]).memoises_join
+    planned_db.execute(*REVERSE_JOIN)
+    reverse_plan = _plan(planned_db, REVERSE_JOIN[0])
+    assert reverse_plan.join_steps[0].lazy_index is not None
+    for mutate, expected in MUTATIONS:
+        mutate(planned_db)
+        assert _next_memo_outcome(planned_db, *BEST_SELLERS) == expected, mutate.__name__
+    # The declared index recompiled the plan: a fresh memo over an index join.
+    assert _next_memo_outcome(planned_db, *REVERSE_JOIN) == "rebuild"
+    assert _plan(planned_db, REVERSE_JOIN[0]) is not reverse_plan
+    assert _plan(planned_db, REVERSE_JOIN[0]).join_steps[0].use_index

@@ -18,6 +18,7 @@ from repro.db.sql import (
     parse_sql,
 )
 from repro.db.table import Column, ColumnType, Table, UniqueViolationError
+from repro.perf.seed_reference import make_seed_row_database_class
 
 
 def _people_table() -> Table:
@@ -297,11 +298,12 @@ def test_property_sum_and_count_aggregates(values):
 # Single-table SELECT fast path (PR 3 request-path satellite)
 # --------------------------------------------------------------------------- #
 class TestSelectFastPathEquivalence:
-    """The join-free fast path must be observably identical to the generic
-    executor — rows, rowcount, scan/cost accounting and error behaviour."""
+    """Join-free SELECTs through the compiled planner must be observably
+    identical to the preserved seed executor — rows, rowcount, scan/cost
+    accounting and error behaviour."""
 
-    def build(self) -> Database:
-        database = Database("fastpath")
+    def build(self, database_class=Database) -> Database:
+        database = database_class("fastpath")
         database.create_table(
             "item",
             [
@@ -337,8 +339,7 @@ class TestSelectFastPathEquivalence:
     @pytest.mark.parametrize("sql,params", QUERIES)
     def test_rows_and_accounting_match_generic(self, sql, params):
         fast_db = self.build()
-        generic_db = self.build()
-        generic_db.select_fastpath_enabled = False
+        generic_db = self.build(make_seed_row_database_class())
         fast = fast_db.execute(sql, params)
         generic = generic_db.execute(sql, params)
         assert fast.rows == generic.rows
@@ -354,9 +355,8 @@ class TestSelectFastPathEquivalence:
         assert again.rows[0]["i_title"] == "Book 01"
 
     def test_error_behaviour_matches_generic(self):
-        for enabled in (True, False):
-            database = self.build()
-            database.select_fastpath_enabled = enabled
+        for database_class in (Database, make_seed_row_database_class()):
+            database = self.build(database_class)
             with pytest.raises(SqlExecutionError):
                 database.execute("SELECT missing FROM item")
             with pytest.raises(SqlExecutionError):
@@ -370,3 +370,81 @@ class TestSelectFastPathEquivalence:
         assert count.rows == [{"n": 6}]
         ordered = database.execute("SELECT i_id FROM item ORDER BY i_cost DESC LIMIT 2")
         assert [row["i_id"] for row in ordered.rows] == [12, 11]
+
+
+# --------------------------------------------------------------------------- #
+# LIKE semantics
+# --------------------------------------------------------------------------- #
+class TestLikeSemantics:
+    """Only ``%`` and ``_`` are wildcards, through SELECT, UPDATE and DELETE.
+
+    ``%`` spans newlines, matching is case-sensitive, a backslash is
+    literal, non-``str`` values are matched through ``str()`` and NULL never
+    matches.  The seed executor shares the engine's matcher.
+    """
+
+    CASES = [
+        # fnmatch's own wildcards are plain characters.
+        ("Whatever", "What?%", False),
+        ("ab", "[ab]%", False),
+        ("1000", "100*%", False),
+        ("What?ever", "What?%", True),
+        ("[ab]c", "[ab]%", True),
+        ("100*0", "100*%", True),
+        ("Book Title 12", "Book Title 1%", True),
+        ("Book 12", "Book 1_", True),
+        ("Book 1", "Book 1_", False),
+        ("a\nb", "a%b", True),
+        ("a\nb", "a_b", True),
+        ("ABC", "abc", False),
+        ("a\\b", "a\\b", True),
+        ("ab", "a\\b", False),
+        ("a.c", "a.c", True),
+        ("abc", "a.c", False),
+        ("", "%", True),
+        (None, "%", False),
+        ("x", None, False),
+    ]
+
+    @staticmethod
+    def build(value, database_class=Database) -> Database:
+        database = database_class("like")
+        database.create_table(
+            "t",
+            [
+                Column("id", ColumnType.INTEGER, primary_key=True),
+                Column("s", ColumnType.VARCHAR),
+                Column("n", ColumnType.INTEGER),
+            ],
+        )
+        database.table("t").insert({"id": 1, "s": value, "n": 1000})
+        return database
+
+    @pytest.mark.parametrize("seed_executor", [False, True])
+    @pytest.mark.parametrize("value,pattern,expected", CASES)
+    def test_select(self, value, pattern, expected, seed_executor):
+        database_class = make_seed_row_database_class() if seed_executor else Database
+        database = self.build(value, database_class)
+        result = database.execute("SELECT id FROM t WHERE s LIKE ?", [pattern])
+        assert result.rowcount == int(expected)
+        again = database.execute("SELECT id FROM t WHERE s LIKE ?", [pattern])
+        assert again.rows == result.rows
+
+    @pytest.mark.parametrize("value,pattern,expected", CASES)
+    def test_update_and_delete(self, value, pattern, expected):
+        database = self.build(value)
+        updated = database.execute("UPDATE t SET n = ? WHERE s LIKE ?", [7, pattern])
+        assert updated.rowcount == int(expected)
+        deleted = database.execute("DELETE FROM t WHERE s LIKE ?", [pattern])
+        assert deleted.rowcount == int(expected)
+        assert len(database.table("t")) == 1 - int(expected)
+
+    def test_literal_pattern_and_non_str_values(self):
+        database = self.build("Whatever")
+        assert database.execute("SELECT id FROM t WHERE s LIKE 'What?%'").rowcount == 0
+        assert database.execute("SELECT id FROM t WHERE s LIKE 'What%'").rowcount == 1
+        # Non-str values (and patterns) are matched through str().
+        assert database.execute("SELECT id FROM t WHERE n LIKE '10%'").rowcount == 1
+        assert database.execute("SELECT id FROM t WHERE n LIKE ?", [1000]).rowcount == 1
+        assert database.execute("SELECT id FROM t WHERE n LIKE '100_'").rowcount == 1
+        assert database.execute("UPDATE t SET s = ? WHERE n LIKE '1%'", ["x"]).rowcount == 1
