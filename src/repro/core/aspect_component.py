@@ -4,8 +4,17 @@ One AC is associated with every application component (Section III-B.1 of
 the paper).  The AC contributes two advices — *before* and *after* the
 component's execution — which sample every registered JMX Monitoring Agent,
 attribute the measured deltas to the component, and forward the sample to
-the JMX Manager Agent through the MBeanServer (the AC never holds a direct
-reference to the manager, so either side can be replaced at runtime).
+the JMX Manager Agent, which the AC also finds through the MBeanServer
+(nothing hands the AC a reference to the manager, so either side can be
+replaced at runtime).
+
+The AC finds the agents and the manager by ObjectName pattern, as the paper
+does, but not on every advice: it binds each agent's ``sample`` operation
+(in query order) and the manager's ``record_sample`` once per registry
+epoch of the MBeanServer.  The first advice after any registration or
+unregistration re-runs both queries, so an agent or manager added,
+replaced or removed at runtime is seen on the next advice; every other
+advice is one integer compare plus direct calls.
 
 The AC Proxy is the MBean face of the AC: through it the Manager Agent (and
 the External Front-end) can ask how many requests the component has served,
@@ -15,7 +24,7 @@ monitoring coverage for overhead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.aop.advice import Advice, AdviceKind
 from repro.aop.aspect import Aspect
@@ -81,7 +90,10 @@ class AspectComponent(Aspect):
         self._clock = clock
         self.method_pattern = method_pattern
         self.agent_pattern = agent_pattern
-        self._manager_name: Optional[ObjectName] = None
+        #: Registry epoch the bound operations below were resolved in.
+        self._bound_epoch = -1
+        self._agent_samplers: Tuple[Callable[[str], Dict[str, float]], ...] = ()
+        self._record_sample: Optional[Callable[[ComponentSample], None]] = None
         self._invocations = 0
         self._samples_sent = 0
         self._last_deltas: Dict[str, float] = {}
@@ -114,25 +126,34 @@ class AspectComponent(Aspect):
     def _now(self) -> float:
         return float(getattr(self._clock, "now", 0.0)) if self._clock is not None else 0.0
 
+    def _bind(self) -> None:
+        """Resolve the agents' and the manager's operations by pattern."""
+        server = self._server
+        self._agent_samplers = tuple(
+            server.get_mbean(name).operation("sample")
+            for name in server.query_names(self.agent_pattern)
+        )
+        managers = server.query_names(MANAGER_PATTERN)
+        self._record_sample = (
+            server.get_mbean(managers[0]).operation("record_sample") if managers else None
+        )
+        self._bound_epoch = server.epoch
+
     def _sample_agents(self) -> Dict[str, float]:
         """Query every registered monitoring agent for this component."""
+        if self._bound_epoch != self._server.epoch:
+            self._bind()
         measurements: Dict[str, float] = {}
-        agent_names = self._server.query_names(self.agent_pattern)
-        for agent_name in agent_names:
-            values = self._server.invoke(agent_name, "sample", self.component_name)
+        component = self.component_name
+        overhead = self._overhead
+        for sample in self._agent_samplers:
+            values = sample(component)
             if not values:
                 continue
             measurements.update({metric: float(value) for metric, value in values.items()})
-            if self._overhead is not None:
-                self._overhead.charge_sample(self.component_name)
+            if overhead is not None:
+                overhead.charge_sample(component)
         return measurements
-
-    def _find_manager(self) -> Optional[ObjectName]:
-        if self._manager_name is not None and self._server.is_registered(self._manager_name):
-            return self._manager_name
-        names = self._server.query_names(MANAGER_PATTERN)
-        self._manager_name = names[0] if names else None
-        return self._manager_name
 
     # ------------------------------------------------------------------ #
     # Advices
@@ -159,9 +180,9 @@ class AspectComponent(Aspect):
             deltas=deltas,
             values=after_values,
         )
-        manager = self._find_manager()
-        if manager is not None:
-            self._server.invoke(manager, "record_sample", sample)
+        record_sample = self._record_sample
+        if record_sample is not None:
+            record_sample(sample)
             self._samples_sent += 1
 
     # ------------------------------------------------------------------ #

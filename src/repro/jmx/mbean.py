@@ -87,9 +87,10 @@ class MBean:
 
     Subclasses expose management attributes/operations with the
     :func:`attribute` and :func:`operation` decorators.  The server accesses
-    them exclusively through :meth:`get_attribute`, :meth:`set_attribute` and
-    :meth:`invoke`, which is what keeps the manager agent decoupled from the
-    concrete agent classes (the paper's flexibility argument).
+    them exclusively through :meth:`get_attribute`, :meth:`set_attribute`,
+    :meth:`invoke` and :meth:`operation`, which is what keeps the manager
+    agent decoupled from the concrete agent classes (the paper's flexibility
+    argument).
     """
 
     #: Human readable description, overridden by subclasses.
@@ -166,8 +167,12 @@ class MBean:
             )
         setter(value)
 
-    def invoke(self, operation_name: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke a management operation by name."""
+    def operation(self, operation_name: str) -> Callable[..., Any]:
+        """The bound method behind a management operation.
+
+        A caller that invokes the same operation many times (the Aspect
+        Component's agent samples) resolves it once and calls the result.
+        """
         info = self.mbean_info()
         meta = info.operations.get(operation_name)
         if meta is None:
@@ -175,4 +180,8 @@ class MBean:
                 f"{type(self).__name__} has no management operation {operation_name!r} "
                 f"(available: {info.operation_names()})"
             )
-        return getattr(self, meta["method"])(*args, **kwargs)
+        return getattr(self, meta["method"])
+
+    def invoke(self, operation_name: str, *args: Any, **kwargs: Any) -> Any:
+        """Invoke a management operation by name."""
+        return self.operation(operation_name)(*args, **kwargs)

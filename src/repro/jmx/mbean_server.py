@@ -6,6 +6,13 @@ and notification subscriptions.  The server itself broadcasts
 ``jmx.mbean.registered`` / ``jmx.mbean.unregistered`` notifications so the
 JMX Manager Agent can discover newly woven Aspect Components at runtime —
 the mechanism the paper leans on for runtime (de)activation.
+
+Every registration and unregistration bumps the server's registry
+:attr:`~MBeanServer.epoch`.  Queries are not cached: a caller on a hot path
+(the Aspect Component, twice per intercepted request) resolves its query to
+bound operations once and re-resolves only when the epoch has moved, so an
+agent or manager added, replaced or removed at runtime is still seen on its
+next call.
 """
 
 from __future__ import annotations
@@ -41,11 +48,10 @@ class MBeanServer(NotificationBroadcaster):
         super().__init__()
         self.name = name
         self._registry: Dict[ObjectName, MBean] = {}
-        #: Pattern -> matching names.  Aspect Components resolve the same
-        #: agent/manager patterns twice per intercepted request, so pattern
-        #: matching + sorting dominated the sample path; the registry only
-        #: changes on (un)registration, which clears the cache wholesale.
-        self._query_cache: Dict[str, List[ObjectName]] = {}
+        #: Registry epoch: bumped by every registration and unregistration,
+        #: so a caller holding resolved names or operations knows when to
+        #: resolve them again.
+        self.epoch = 0
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -68,7 +74,7 @@ class MBeanServer(NotificationBroadcaster):
         if object_name in self._registry:
             raise InstanceAlreadyExistsError(f"object name already registered: {object_name}")
         self._registry[object_name] = mbean
-        self._query_cache.clear()
+        self.epoch += 1
         self.send_notification(
             REGISTRATION_NOTIFICATION,
             source=str(object_name),
@@ -82,7 +88,7 @@ class MBeanServer(NotificationBroadcaster):
         mbean = self._registry.pop(object_name, None)
         if mbean is None:
             raise InstanceNotFoundError(str(object_name))
-        self._query_cache.clear()
+        self.epoch += 1
         self.send_notification(
             UNREGISTRATION_NOTIFICATION,
             source=str(object_name),
@@ -113,23 +119,13 @@ class MBeanServer(NotificationBroadcaster):
     def query_names(self, pattern: "ObjectName | str | None" = None) -> List[ObjectName]:
         """Object names matching ``pattern`` (all names when ``None``).
 
-        Results are cached per pattern until the registry changes; a fresh
-        list is returned each call, so callers may mutate it freely.
+        Sorted by canonical form; each call returns a fresh list.
         """
-        key = "\x00all" if pattern is None else str(pattern)
-        cached = self._query_cache.get(key)
-        if cached is not None:
-            return list(cached)
         if pattern is None:
-            result = sorted(self._registry, key=lambda n: n.canonical)
-        else:
-            pattern_name = to_object_name(pattern)
-            result = sorted(
-                (name for name in self._registry if pattern_name.matches(name)),
-                key=lambda n: n.canonical,
-            )
-        self._query_cache[key] = result
-        return list(result)
+            return sorted(self._registry, key=lambda n: n.canonical)
+        pattern_name = to_object_name(pattern)
+        names = [name for name in self._registry if pattern_name.matches(name)]
+        return sorted(names, key=lambda n: n.canonical)
 
     def query_mbeans(self, pattern: "ObjectName | str | None" = None) -> Dict[ObjectName, MBean]:
         """Mapping of matching names to their MBeans."""
@@ -148,7 +144,7 @@ class MBeanServer(NotificationBroadcaster):
 
     def invoke(self, name: "ObjectName | str", operation_name: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke an operation on the MBean registered under ``name``."""
-        return self.get_mbean(name).invoke(operation_name, *args, **kwargs)
+        return self.get_mbean(name).operation(operation_name)(*args, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Notification routing

@@ -3,17 +3,21 @@
 An object name has the canonical form ``domain:key1=value1,key2=value2``.
 Names may be *patterns*: ``*`` and ``?`` wildcards in the domain, a trailing
 ``,*`` (or a lone ``*``) in the key-property list meaning "and any further
-properties", and ``*``/``?`` wildcards inside property values.  Pattern
+properties", and ``*``/``?`` wildcards inside property values.  Every other
+character, ``[`` and ``]`` included, matches only itself.  Pattern
 matching is what lets the JMX Manager Agent discover monitoring agents and
 Aspect Components it has never been told about — the decoupling the paper
 emphasises.
+
+A name is an immutable value: its canonical form, hash and compiled
+wildcards are computed once, when it is built.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import re
-from typing import Dict, Mapping, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Pattern, Tuple
 
 
 class MalformedObjectNameError(ValueError):
@@ -21,6 +25,23 @@ class MalformedObjectNameError(ValueError):
 
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+
+
+def _wildcard(text: str) -> Optional[Pattern[str]]:
+    """``text`` compiled as a ``*``/``?`` wildcard, or ``None`` without one."""
+    if "*" not in text and "?" not in text:
+        return None
+    body = "".join(
+        ".*" if ch == "*" else "." if ch == "?" else re.escape(ch) for ch in text
+    )
+    return re.compile(body, re.DOTALL)
+
+
+def _wildcard_match(wildcard: Optional[Pattern[str]], literal: str, text: str) -> bool:
+    """Whether ``text`` matches ``literal`` (compiled as ``wildcard``)."""
+    if wildcard is None:
+        return text == literal
+    return wildcard.fullmatch(text) is not None
 
 
 class ObjectName:
@@ -35,22 +56,27 @@ class ObjectName:
         Key-property mapping used when ``name`` is only the domain.
     """
 
-    __slots__ = ("domain", "properties", "_property_list_pattern")
+    __slots__ = (
+        "_domain",
+        "_properties",
+        "_property_list_pattern",
+        "_canonical",
+        "_hash",
+        "_is_pattern",
+        "_domain_wildcard",
+        "_value_wildcards",
+    )
 
     def __init__(self, name: str, properties: Optional[Mapping[str, str]] = None) -> None:
         if properties is not None:
-            self.domain = name
-            self.properties = {str(k): str(v) for k, v in properties.items()}
-            self._property_list_pattern = False
-            self._validate()
+            self._build(name, {str(k): str(v) for k, v in properties.items()}, False)
             return
 
         if ":" not in name:
             raise MalformedObjectNameError(f"missing ':' separator in object name {name!r}")
         domain, _, prop_text = name.partition(":")
-        self.domain = domain
-        self.properties = {}
-        self._property_list_pattern = False
+        parsed: Dict[str, str] = {}
+        property_list_pattern = False
 
         prop_text = prop_text.strip()
         if not prop_text:
@@ -59,7 +85,7 @@ class ObjectName:
         parts = [p.strip() for p in prop_text.split(",")]
         for index, part in enumerate(parts):
             if part == "*":
-                self._property_list_pattern = True
+                property_list_pattern = True
                 if index != len(parts) - 1:
                     raise MalformedObjectNameError(
                         f"property-list wildcard '*' must be last in {name!r}"
@@ -72,43 +98,66 @@ class ObjectName:
             value = value.strip()
             if not key or not value:
                 raise MalformedObjectNameError(f"empty key or value in {part!r} of {name!r}")
-            if key in self.properties:
+            if key in parsed:
                 raise MalformedObjectNameError(f"duplicate key {key!r} in {name!r}")
-            self.properties[key] = value
-        self._validate()
+            parsed[key] = value
+        self._build(domain, parsed, property_list_pattern)
 
-    def _validate(self) -> None:
-        if not self.domain:
+    def _build(self, domain: str, properties: Dict[str, str], property_list_pattern: bool) -> None:
+        """Validate the parts and compute everything derived from them."""
+        if not domain:
             raise MalformedObjectNameError("object name domain must be non-empty")
-        if not self.properties and not self._property_list_pattern:
+        if not properties and not property_list_pattern:
             raise MalformedObjectNameError(
-                f"object name {self.domain!r} must have at least one key property"
+                f"object name {domain!r} must have at least one key property"
             )
-        for key in self.properties:
+        for key in properties:
             if not _KEY_RE.match(key):
                 raise MalformedObjectNameError(f"invalid property key {key!r}")
+        self._domain = domain
+        self._properties = properties
+        self._property_list_pattern = property_list_pattern
+
+        props = ",".join(f"{k}={properties[k]}" for k in sorted(properties))
+        if property_list_pattern:
+            props = f"{props},*" if props else "*"
+        self._canonical = f"{domain}:{props}"
+        self._hash = hash(self._canonical)
+
+        self._domain_wildcard = _wildcard(domain)
+        self._value_wildcards = tuple(
+            (key, value, _wildcard(value)) for key, value in properties.items()
+        )
+        self._is_pattern = (
+            property_list_pattern
+            or self._domain_wildcard is not None
+            or any(wildcard is not None for _, _, wildcard in self._value_wildcards)
+        )
 
     # ------------------------------------------------------------------ #
     @property
+    def domain(self) -> str:
+        """The domain part (before the ``:``)."""
+        return self._domain
+
+    @property
+    def properties(self) -> Mapping[str, str]:
+        """Read-only view of the key properties."""
+        return MappingProxyType(self._properties)
+
+    @property
     def canonical(self) -> str:
         """Canonical string form with keys sorted alphabetically."""
-        props = ",".join(f"{k}={self.properties[k]}" for k in sorted(self.properties))
-        if self._property_list_pattern:
-            props = f"{props},*" if props else "*"
-        return f"{self.domain}:{props}"
+        return self._canonical
 
     @property
     def is_pattern(self) -> bool:
         """Whether this name contains any wildcard."""
-        if self._property_list_pattern:
-            return True
-        if any(ch in self.domain for ch in "*?"):
-            return True
-        return any(any(ch in v for ch in "*?") for v in self.properties.values())
+        return self._is_pattern
 
     def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
         """Value of a key property (or ``default``)."""
-        return self.properties.get(key, default)
+        return self._properties.get(key, default)
 
     # ------------------------------------------------------------------ #
     def matches(self, other: "ObjectName") -> bool:
@@ -116,34 +165,40 @@ class ObjectName:
 
         A non-pattern name matches only an equal name.
         """
-        if not fnmatch.fnmatchcase(other.domain, self.domain):
+        if not self._is_pattern:
+            return self._canonical == other._canonical
+        if not _wildcard_match(self._domain_wildcard, self._domain, other._domain):
             return False
-        for key, value_pattern in self.properties.items():
-            other_value = other.properties.get(key)
-            if other_value is None:
+        other_properties = other._properties
+        for key, value, wildcard in self._value_wildcards:
+            other_value = other_properties.get(key)
+            if other_value is None or not _wildcard_match(wildcard, value, other_value):
                 return False
-            if not fnmatch.fnmatchcase(other_value, value_pattern):
-                return False
-        if not self._property_list_pattern:
-            # Exact property sets must coincide.
-            if set(self.properties) != set(other.properties):
-                return False
-        return True
+        # Without the property-list wildcard the property sets must coincide.
+        return self._property_list_pattern or len(other_properties) == len(self._properties)
 
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObjectName):
             return NotImplemented
-        return self.canonical == other.canonical
+        return self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical)
+        return self._hash
+
+    # Pickle the parts and rebuild the rest: string hashes differ between
+    # processes, so a cached hash must not travel to a pool worker.
+    def __getstate__(self) -> Tuple[str, Dict[str, str], bool]:
+        return (self._domain, self._properties, self._property_list_pattern)
+
+    def __setstate__(self, state: Tuple[str, Dict[str, str], bool]) -> None:
+        self._build(*state)
 
     def __str__(self) -> str:
-        return self.canonical
+        return self._canonical
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ObjectName({self.canonical!r})"
+        return f"ObjectName({self._canonical!r})"
 
     # ------------------------------------------------------------------ #
     @classmethod

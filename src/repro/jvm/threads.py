@@ -4,6 +4,14 @@ Thread leaks are one of the aging causes the paper lists as future work; the
 extension benchmarks inject them, and the thread monitoring agent
 (:mod:`repro.core.monitoring_agents`) reads counts from this registry, which
 mimics ``java.lang.management.ThreadMXBean``.
+
+The registry keeps its live counts (in total and per owner) rather than
+recounting them: the thread agent reads both on every advice, and every
+application server spawns its whole worker pool at set-up.  A thread's
+liveness changes only when :meth:`ThreadRegistry.spawn` starts it and when
+it terminates, and a spawned thread tells its registry when it terminates,
+whether through :meth:`ThreadRegistry.terminate` or a direct
+:meth:`JvmThread.terminate`.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ class JvmThread:
         "created_at",
         "stack_bytes",
         "stack_object",
+        "_registry",
     )
 
     def __init__(
@@ -56,6 +65,7 @@ class JvmThread:
         daemon: bool = False,
         created_at: float = 0.0,
         stack_bytes: int = 512 * 1024,
+        registry: Optional["ThreadRegistry"] = None,
     ) -> None:
         if stack_bytes <= 0:
             raise ValueError(f"stack_bytes must be positive, got {stack_bytes}")
@@ -69,6 +79,8 @@ class JvmThread:
         #: Heap object pinning this thread's stack memory (``None`` unless
         #: the registry was asked to account the stack on the heap).
         self.stack_object = None
+        #: Registry whose live counts this thread leaves when it terminates.
+        self._registry = registry
 
     def start(self) -> None:
         """Move the thread to RUNNABLE (mirrors ``Thread.start``)."""
@@ -88,7 +100,9 @@ class JvmThread:
             self.state = ThreadState.RUNNABLE
 
     def terminate(self) -> None:
-        """Terminate the thread."""
+        """Terminate the thread (terminating a dead thread changes nothing)."""
+        if self._registry is not None and self.is_alive:
+            self._registry._leave_live_counts(self)
         self.state = ThreadState.TERMINATED
 
     @property
@@ -123,6 +137,8 @@ class ThreadRegistry:
         self.capacity = int(capacity) if capacity is not None else None
         self._heap = heap
         self._threads: Dict[int, JvmThread] = {}
+        self._live = 0
+        self._live_by_owner: Dict[Optional[str], int] = {}
         self._peak_count = 0
         self._total_started = 0
 
@@ -144,10 +160,10 @@ class ThreadRegistry:
         repro.jvm.heap.OutOfMemoryError
             When ``pin_stack`` is set and the stack allocation does not fit.
         """
-        if self.capacity is not None and self.live_count() >= self.capacity:
+        if self.capacity is not None and self._live >= self.capacity:
             raise ThreadLimitError(
                 f"unable to create new thread {name!r}: "
-                f"{self.live_count()} live threads at capacity {self.capacity}"
+                f"{self._live} live threads at capacity {self.capacity}"
             )
         thread = JvmThread(
             name=name,
@@ -155,6 +171,7 @@ class ThreadRegistry:
             daemon=daemon,
             created_at=created_at,
             stack_bytes=stack_bytes,
+            registry=self,
         )
         if pin_stack and self._heap is not None:
             thread.stack_object = self._heap.allocate(
@@ -167,10 +184,16 @@ class ThreadRegistry:
         thread.start()
         self._threads[thread.thread_id] = thread
         self._total_started += 1
-        live = self.live_count()
-        if live > self._peak_count:
-            self._peak_count = live
+        self._live += 1
+        self._live_by_owner[owner] = self._live_by_owner.get(owner, 0) + 1
+        if self._live > self._peak_count:
+            self._peak_count = self._live
         return thread
+
+    def _leave_live_counts(self, thread: JvmThread) -> None:
+        """Count out a live thread that is terminating."""
+        self._live -= 1
+        self._live_by_owner[thread.owner] -= 1
 
     def _release_stack(self, thread: JvmThread) -> int:
         """Free a dead thread's pinned stack; returns the bytes released."""
@@ -215,11 +238,11 @@ class ThreadRegistry:
 
     def live_count(self) -> int:
         """Number of live threads."""
-        return sum(1 for t in self._threads.values() if t.is_alive)
+        return self._live
 
-    def count_by_owner(self, owner: str) -> int:
+    def count_by_owner(self, owner: Optional[str]) -> int:
         """Number of live threads created on behalf of ``owner``."""
-        return sum(1 for t in self._threads.values() if t.is_alive and t.owner == owner)
+        return self._live_by_owner.get(owner, 0)
 
     def live_threads(self) -> List[JvmThread]:
         """All live threads (sorted by id)."""

@@ -184,6 +184,51 @@ class TestAspectComponent:
         server.invoke(proxy_name, "reset")
         assert server.get_attribute(proxy_name, "InvocationCount") == 0
 
+    def test_agent_registered_at_runtime_is_sampled_next(self, runtime):
+        server, manager, component, aspect, overhead = _build_monitored_component(runtime)
+        component.service()
+        assert overhead.sample_count == 4
+        assert "cpu_seconds" not in aspect.last_values
+        cpu_agent = CpuAgent(runtime)
+        server.register(cpu_agent.object_name(), cpu_agent)
+        component.service()
+        assert "cpu_seconds" in aspect.last_values
+        assert "cpu_seconds" in aspect.last_deltas
+        # 3 agents sampled before + 3 after.
+        assert overhead.sample_count == 4 + 6
+        assert cpu_agent.get_attribute("SampleCount") == 2
+
+    def test_agent_unregistered_at_runtime_is_dropped_next(self, runtime):
+        server, manager, component, aspect, overhead = _build_monitored_component(runtime)
+        cpu_agent = CpuAgent(runtime)
+        server.register(cpu_agent.object_name(), cpu_agent)
+        component.service()
+        assert overhead.sample_count == 6
+        assert "cpu_seconds" in aspect.last_values
+        server.unregister(cpu_agent.object_name())
+        component.service()
+        assert "cpu_seconds" not in aspect.last_values
+        assert "cpu_seconds" not in aspect.last_deltas
+        assert overhead.sample_count == 6 + 4
+        assert cpu_agent.get_attribute("SampleCount") == 2
+
+    def test_manager_unregistered_then_replaced_at_runtime(self, runtime):
+        server, manager, component, aspect, overhead = _build_monitored_component(runtime)
+        component.service()
+        assert aspect.samples_sent == 1
+        server.unregister(MANAGER_OBJECT_NAME)
+        component.service()
+        component.service()
+        assert aspect.samples_sent == 1
+        assert aspect.invocation_count == 3
+        assert manager.map.sample_count == 1
+        replacement = ManagerAgent(server)
+        server.register(MANAGER_OBJECT_NAME, replacement)
+        component.service()
+        assert aspect.samples_sent == 2
+        assert replacement.map.sample_count == 1
+        assert manager.map.sample_count == 1
+
     def test_ac_works_without_manager(self, runtime):
         server = MBeanServer()
         agent = ObjectSizeAgent(runtime)

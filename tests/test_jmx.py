@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.jmx.connector import JmxConnector, JmxConnectorError
 from repro.jmx.mbean import MBean, MBeanAttributeError, MBeanOperationError, attribute, operation
 from repro.jmx.mbean_server import (
@@ -82,6 +89,84 @@ class TestObjectName:
         assert not exact.matches(ObjectName("d:a=1,b=2"))
         assert exact.matches(ObjectName("d:a=1"))
 
+    def test_brackets_match_only_themselves(self):
+        # Only ``*`` and ``?`` are wildcards; ``[...]`` is no character class.
+        bracketed = ObjectName("d:name=a[1]")
+        assert not bracketed.is_pattern
+        assert bracketed.matches(bracketed)
+        plain = ObjectName("d:name=[ab]")
+        assert not plain.is_pattern
+        assert not plain.matches(ObjectName("d:name=a"))
+        domain = ObjectName("d[x]:k=v")
+        assert domain.matches(domain)
+        assert not domain.matches(ObjectName("dx:k=v"))
+
+    def test_pattern_escapes_everything_but_star_and_question_mark(self):
+        pattern = ObjectName("d:name=a[1]*")
+        assert pattern.is_pattern
+        assert pattern.matches(ObjectName("d:name=a[1]x"))
+        assert not pattern.matches(ObjectName("d:name=a1x"))
+        single = ObjectName("d.?:name=a.c?")
+        assert single.matches(ObjectName("d.x:name=a.cd"))
+        assert not single.matches(ObjectName("d.x:name=abcd"))
+        assert not single.matches(ObjectName("d.x:name=a.c"))
+        assert not single.matches(ObjectName("dxx:name=a.cd"))
+
+    def test_query_finds_a_registered_bracketed_name(self):
+        server = MBeanServer()
+        server.register("d:name=a[1]", _SampleBean())
+        server.register("d:name=a", _SampleBean())
+        assert server.query_names("d:name=a[1]") == [ObjectName("d:name=a[1]")]
+        assert server.query_names("d:name=[ab]") == []
+
+    def test_properties_are_read_only(self):
+        name = ObjectName("d:k=v")
+        with pytest.raises(TypeError):
+            name.properties["k"] = "w"  # type: ignore[index]
+        with pytest.raises(AttributeError):
+            name.properties = {"k": "w"}  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            name.domain = "e"  # type: ignore[misc]
+        assert name.canonical == "d:k=v"
+        assert name == ObjectName("d:k=v")
+
+    def test_names_pickle_and_copy_as_values(self):
+        names = [
+            ObjectName("d:b=2,a=1"),
+            ObjectName("d:a=1,*"),
+            ObjectName("d*:a=x?,*"),
+            ObjectName("d:*"),
+            ObjectName.of("d", name="x,y"),
+        ]
+        for name in names:
+            for clone in (pickle.loads(pickle.dumps(name)), copy.deepcopy(name), copy.copy(name)):
+                assert clone == name
+                assert hash(clone) == hash(name)
+                assert clone.canonical == name.canonical
+                assert clone.is_pattern == name.is_pattern
+                assert clone.properties == name.properties
+        pattern = pickle.loads(pickle.dumps(ObjectName("d*:a=x?,*")))
+        assert pattern.matches(ObjectName("dom:a=xy,b=1"))
+        assert not pattern.matches(ObjectName("dom:a=xyz"))
+
+    def test_name_pickled_in_another_process_hashes_like_a_fresh_one(self):
+        # String hashes differ between processes, so a name a pool worker
+        # pickles must be rehashed where it is loaded.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys\n"
+            "from repro.jmx.object_name import ObjectName\n"
+            "sys.stdout.buffer.write(pickle.dumps(ObjectName('d:k=v,a=1')))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        dumped = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+        ).stdout
+        name = pickle.loads(dumped)
+        assert hash(name) == hash(ObjectName("d:a=1,k=v"))
+        assert {ObjectName("d:a=1,k=v"): "found"}[name] == "found"
+
 
 class TestMBean:
     def test_attribute_read(self):
@@ -109,6 +194,18 @@ class TestMBean:
         with pytest.raises(MBeanOperationError):
             bean.invoke("missing")
 
+    def test_operation_returns_the_bound_method(self):
+        bean = _SampleBean()
+        add = bean.operation("add")
+        assert add(2, 3) == 5
+        assert add.__self__ is bean
+        with pytest.raises(MBeanOperationError) as resolved:
+            bean.operation("missing")
+        with pytest.raises(MBeanOperationError) as invoked:
+            bean.invoke("missing")
+        assert str(resolved.value) == str(invoked.value)
+        assert "has no management operation 'missing'" in str(resolved.value)
+
     def test_mbean_info_lists_surface(self):
         info = _SampleBean().mbean_info()
         assert "Level" in info.attribute_names()
@@ -125,6 +222,28 @@ class TestMBeanServer:
         assert server.get_attribute("d:type=sample,id=1", "Level") == 3
         server.invoke("d:type=sample,id=1", "reset")
         assert bean.reset_calls == 1
+
+    def test_epoch_moves_on_every_registry_change(self):
+        server = MBeanServer()
+        start = server.epoch
+        server.register("d:a=1", _SampleBean())
+        assert server.epoch == start + 1
+        with pytest.raises(InstanceAlreadyExistsError):
+            server.register("d:a=1", _SampleBean())
+        with pytest.raises(InstanceNotFoundError):
+            server.unregister("d:a=2")
+        assert server.epoch == start + 1
+        server.query_names("d:*")
+        server.invoke("d:a=1", "reset")
+        assert server.epoch == start + 1
+        server.unregister("d:a=1")
+        assert server.epoch == start + 2
+
+    def test_invoke_unknown_operation_raises_operation_error(self):
+        server = MBeanServer()
+        server.register("d:a=1", _SampleBean())
+        with pytest.raises(MBeanOperationError, match="has no management operation 'nope'"):
+            server.invoke("d:a=1", "nope")
 
     def test_duplicate_registration_rejected(self):
         server = MBeanServer()

@@ -10,7 +10,7 @@ from repro.jvm.gc import GarbageCollector
 from repro.jvm.heap import Heap, OutOfMemoryError
 from repro.jvm.objects import JavaObject, sizeof_array, sizeof_string
 from repro.jvm.runtime import JvmRuntime
-from repro.jvm.threads import ThreadRegistry, ThreadState
+from repro.jvm.threads import ThreadLimitError, ThreadRegistry, ThreadState
 
 
 class TestJavaObject:
@@ -250,3 +250,69 @@ def test_property_gc_never_collects_reachable(data):
     for node in chain:
         assert heap.is_live(node)
     assert heap.live_object_count == len(chain)
+
+
+_OWNERS = (None, "home", "cart")
+_THREAD_STEPS = st.one_of(
+    st.tuples(st.just("spawn"), st.sampled_from(_OWNERS)),
+    st.tuples(st.just("registry_terminate"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("direct_terminate"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("terminate_twice"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("terminate_owned"), st.sampled_from(_OWNERS)),
+    st.tuples(st.just("remove_terminated"), st.none()),
+    st.tuples(st.just("park"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("unpark"), st.integers(min_value=0, max_value=50)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    steps=st.lists(_THREAD_STEPS, max_size=40),
+)
+def test_property_kept_thread_counts_equal_a_recount(capacity, steps):
+    """Live, per-owner and peak counts and the capacity check match a recount."""
+    registry = ThreadRegistry(capacity=capacity)
+    spawned = []
+    registered = set()
+    peak = 0
+    for action, arg in steps:
+        live = registry.live_threads()
+        if action == "spawn":
+            if capacity is not None and len(live) >= capacity:
+                with pytest.raises(ThreadLimitError):
+                    registry.spawn(f"t{len(spawned)}", owner=arg)
+            else:
+                thread = registry.spawn(f"t{len(spawned)}", owner=arg)
+                spawned.append(thread)
+                registered.add(thread.thread_id)
+        elif action == "terminate_owned":
+            victims = {t.thread_id for t in live if t.owner == arg}
+            assert registry.terminate_owned(arg)[0] == len(victims)
+            registered -= victims
+        elif action == "remove_terminated":
+            dead = {t.thread_id for t in spawned if t.thread_id in registered and not t.is_alive}
+            assert registry.remove_terminated() == len(dead)
+            registered -= dead
+        elif spawned:
+            thread = spawned[arg % len(spawned)]
+            if action in ("registry_terminate", "terminate_twice"):
+                if thread.thread_id in registered:
+                    registry.terminate(thread)
+                else:
+                    with pytest.raises(KeyError):
+                        registry.terminate(thread)
+            if action in ("direct_terminate", "terminate_twice"):
+                thread.terminate()
+            if action == "park" and thread.is_alive:
+                thread.park(timed=arg % 2 == 1)
+            if action == "unpark":
+                thread.unpark()
+
+        live = registry.live_threads()
+        peak = max(peak, len(live))
+        assert registry.live_count() == len(live)
+        for owner in _OWNERS:
+            assert registry.count_by_owner(owner) == sum(1 for t in live if t.owner == owner)
+        assert registry.peak_count == peak
+        assert registry.total_started == len(spawned)
