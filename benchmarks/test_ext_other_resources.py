@@ -5,15 +5,12 @@ like CPU and thread leaks among others".  This extension benchmark injects a
 thread leak, a CPU hog and a JDBC connection leak into three different
 components, monitors the extended resource agents, and checks that the
 per-component attribution points at the right component for each resource.
-It also compares time-based vs. proactive rejuvenation on the measured heap
-trajectory of a memory-leak run.
 """
 
 from __future__ import annotations
 
 from conftest import bench_population_scale, bench_seed, duration_scale, emit_report
 
-from repro.baselines.rejuvenation import ProactiveRejuvenationPolicy, TimeBasedRejuvenationPolicy
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults.injector import FaultSpec
@@ -76,24 +73,10 @@ def test_ext_other_resources(benchmark):
         },
     ]
 
-    heap_series = result.heap_series
-    policies_rows = []
-    for policy in (TimeBasedRejuvenationPolicy(interval=1800.0), ProactiveRejuvenationPolicy()):
-        outcome = policy.evaluate(heap_series, result.duration, runtime.total_memory())
-        policies_rows.append(
-            {
-                "policy": outcome.policy,
-                "actions": outcome.actions,
-                "downtime_s": round(outcome.downtime_seconds, 1),
-            }
-        )
-
     emit_report(
         "ext_other_resources",
         "== Extension: future-work aging causes (CPU, threads, connections) ==\n"
-        + format_table(rows)
-        + "\n\nrejuvenation policy comparison on the measured heap trajectory:\n"
-        + format_table(policies_rows),
+        + format_table(rows),
     )
 
     # Memory attribution still lands on the memory leaker.
@@ -105,11 +88,3 @@ def test_ext_other_resources(benchmark):
     assert deployment.servlet("search_results").base_cpu_demand_seconds > 0.221
     # The connection leak holds pool connections.
     assert deployment.datasource.active_connections > 0
-    # Micro-rebooting only the guilty component keeps rejuvenation downtime
-    # small (a handful of seconds), whereas each time-based action costs a
-    # full 120 s server restart; on runs long enough to contain at least one
-    # time-based restart the proactive policy is therefore strictly cheaper.
-    downtimes = {row["policy"]: row["downtime_s"] for row in policies_rows}
-    assert downtimes["proactive-microreboot"] < 30.0
-    if downtimes["time-based"] > 0:
-        assert downtimes["proactive-microreboot"] <= downtimes["time-based"]

@@ -2,15 +2,12 @@
 
 * :mod:`repro.analysis.trend`      -- linear / Theil-Sen slopes and the
   Mann-Kendall trend test (is a component's size *really* growing?).
-* :mod:`repro.analysis.timeseries` -- growth, smoothing and resampling
-  helpers over :class:`~repro.sim.metrics.TimeSeries`.
 * :mod:`repro.analysis.statistics` -- small descriptive-statistics helpers.
 """
 
 from __future__ import annotations
 
 from repro.analysis.statistics import normalize_scores, summary
-from repro.analysis.timeseries import growth_of, moving_average, series_slope
 from repro.analysis.trend import TrendResult, linear_slope, mann_kendall, theil_sen_slope
 
 __all__ = [
@@ -18,9 +15,6 @@ __all__ = [
     "mann_kendall",
     "linear_slope",
     "theil_sen_slope",
-    "growth_of",
-    "moving_average",
-    "series_slope",
     "normalize_scores",
     "summary",
 ]

@@ -29,21 +29,18 @@ the paper's activate/deactivate knob — behaves identically to the seed.
 
 Dispatch compilation
 --------------------
-The advice chain is compiled **at weave time** into the cheapest wrapper that
-can honour it:
+The advice chain is compiled **at weave time** into one of two wrappers:
 
-* *Monitor fast path* — the by far most common shape (the paper's Aspect
-  Component: one aspect contributing one ``before`` and one ``after``): a
-  flat wrapper with no per-call closure allocation and a single enabled
-  check up front.  When the aspect is disabled the original method is called
-  directly and **no** :class:`JoinPoint` is allocated.
-* *No-around path* — any mix of before/after advices without ``around``:
-  flat loops over precomputed ``(advice_body, aspect)`` pairs; the
-  :class:`JoinPoint` is only allocated once at least one owning aspect is
-  enabled.
-* *General path* — around advice present: the seed's inside-out chain, built
-  per call (around semantics require per-call closures), again skipping the
-  join point entirely when every aspect is disabled.
+* *Monitor fast path* — the shape the framework weaves into every
+  component (the paper's Aspect Component: one aspect contributing one
+  ``before`` and one ``after``): a flat wrapper with no per-call closure allocation and a
+  single enabled check up front.  When the aspect is disabled the original
+  method is called directly and **no** :class:`JoinPoint` is allocated.
+* *General path* — every other chain: the seed's inside-out chain over
+  precomputed ``(advice_body, aspect)`` pairs, built per call (around
+  semantics require per-call closures; with no around advice the chain is
+  just the core), again skipping the join point entirely when every aspect
+  is disabled.
 """
 
 from __future__ import annotations
@@ -254,19 +251,6 @@ class Weaver:
                 afters[0][0],
                 clock,
             )
-        elif not arounds:
-            wrapper = self._compile_no_around_wrapper(
-                target,
-                original,
-                signature,
-                component_name,
-                aspects,
-                befores,
-                afters,
-                after_returnings,
-                after_throwings,
-                clock,
-            )
         else:
             wrapper = self._compile_general_wrapper(
                 target,
@@ -353,61 +337,6 @@ class Weaver:
         return wrapper
 
     @staticmethod
-    def _compile_no_around_wrapper(
-        target: Any,
-        original: Callable,
-        signature: Signature,
-        component_name: str,
-        aspects: List[Aspect],
-        befores: List[Tuple[Callable, Aspect]],
-        afters: List[Tuple[Callable, Aspect]],
-        after_returnings: List[Tuple[Callable, Aspect]],
-        after_throwings: List[Tuple[Callable, Aspect]],
-        clock: Optional[Any],
-    ) -> Callable:
-        """Any mix of before/after advices, no around: flat dispatch."""
-
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            for live in aspects:
-                if live.enabled:
-                    break
-            else:
-                return original(*args, **kwargs)
-            join_point = JoinPoint(
-                "method-execution",
-                target,
-                signature,
-                args,
-                kwargs,
-                component_name,
-                float(getattr(clock, "now", 0.0)) if clock is not None else 0.0,
-            )
-            for body, aspect in befores:
-                if aspect.enabled:
-                    body(join_point)
-            try:
-                result = original(*args, **kwargs)
-            except BaseException as exc:
-                join_point.exception = exc
-                for body, aspect in after_throwings:
-                    if aspect.enabled:
-                        body(join_point)
-                for body, aspect in afters:
-                    if aspect.enabled:
-                        body(join_point)
-                raise
-            join_point.result = result
-            for body, aspect in after_returnings:
-                if aspect.enabled:
-                    body(join_point)
-            for body, aspect in afters:
-                if aspect.enabled:
-                    body(join_point)
-            return result
-
-        return wrapper
-
-    @staticmethod
     def _compile_general_wrapper(
         target: Any,
         original: Callable,
@@ -421,7 +350,7 @@ class Weaver:
         arounds: List[Tuple[Advice, Aspect]],
         clock: Optional[Any],
     ) -> Callable:
-        """Around advice present: build the inside-out chain per call."""
+        """Any chain but the monitor shape: build the inside-out chain per call."""
 
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             for live in aspects:

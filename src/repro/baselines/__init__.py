@@ -21,7 +21,6 @@ from repro.baselines.rejuvenation import (
     PolicyObservation,
     ProactiveRejuvenationPolicy,
     RejuvenationAction,
-    RejuvenationOutcome,
     RejuvenationPolicy,
     TimeBasedRejuvenationPolicy,
     exposure_seconds,
@@ -36,7 +35,6 @@ __all__ = [
     "NoActionPolicy",
     "TimeBasedRejuvenationPolicy",
     "ProactiveRejuvenationPolicy",
-    "RejuvenationOutcome",
     "RejuvenationAction",
     "PolicyObservation",
     "exposure_seconds",

@@ -2,15 +2,12 @@
 
 The motivation of root-cause *component* determination is surgical
 rejuvenation (micro-reboot of the guilty component) instead of whole-server
-restarts.  Each policy supports two modes:
-
-* **analytic** (:meth:`~RejuvenationPolicy.evaluate`): given the heap
-  trajectory of an already-finished run, how many rejuvenation actions would
-  the policy have taken and how much availability would have been lost?
-* **live** (:meth:`~RejuvenationPolicy.decide`): consulted mid-run by the
-  :class:`~repro.core.rejuvenation.RejuvenationController`, which actually
-  executes the returned action inside the simulation (full-server restart or
-  component micro-reboot, Candea et al.'s micro-reboot argument).
+restarts.  A policy is consulted mid-run through
+:meth:`~RejuvenationPolicy.decide` by the
+:class:`~repro.core.rejuvenation.RejuvenationController`, which executes the
+returned action inside the simulation (full-server restart or component
+micro-reboot, Candea et al.'s micro-reboot argument).
+:func:`exposure_seconds` scores a finished run's time in the danger zone.
 """
 
 from __future__ import annotations
@@ -26,17 +23,6 @@ from repro.sim.metrics import TimeSeries
 #: Action kinds a policy can request from the live controller.
 FULL_RESTART = "full-restart"
 MICRO_REBOOT = "micro-reboot"
-
-
-@dataclass
-class RejuvenationOutcome:
-    """What a policy would have done over an observation window."""
-
-    policy: str
-    actions: int
-    downtime_seconds: float
-    #: Seconds of the window during which the resource exceeded the danger threshold.
-    exposure_seconds: float
 
 
 @dataclass(frozen=True)
@@ -63,20 +49,17 @@ class RejuvenationAction:
 class PolicyObservation:
     """What the live controller knows when it consults a policy.
 
-    ``heap_series`` is windowed to the samples recorded since the last
-    executed action, so a policy sees the *fresh* trend (a micro-reboot that
+    ``series`` is windowed to the samples recorded since the last executed
+    action, so a policy sees the *fresh* trend (a micro-reboot that
     reclaimed the leak resets the extrapolation instead of diluting it).
-
-    Since the controller grew multi-resource channels, ``heap_series`` /
-    ``heap_capacity`` carry whichever monitored series the consulted channel
-    watches (live heap bytes, total threads, active pooled connections) —
-    ``resource`` names it; the field names are kept for the policies written
-    against the heap-only controller.
+    ``series`` and ``capacity`` describe whichever monitored resource the
+    consulted channel watches (live heap bytes, total threads, active pooled
+    connections); ``resource`` names it.
     """
 
     now: float
-    heap_series: TimeSeries
-    heap_capacity: float
+    series: TimeSeries
+    capacity: float
     #: Simulated time the run (or this policy's bookkeeping) started.
     start_time: float = 0.0
     #: End of the most recent executed action's downtime, ``None`` before any.
@@ -86,33 +69,17 @@ class PolicyObservation:
     #: Name of the resource channel this observation describes.
     resource: str = "heap"
 
-    @property
-    def series(self) -> TimeSeries:
-        """Resource-neutral alias of ``heap_series``."""
-        return self.heap_series
-
-    @property
-    def capacity(self) -> float:
-        """Resource-neutral alias of ``heap_capacity``."""
-        return self.heap_capacity
-
 
 class RejuvenationPolicy:
-    """Base class: a named policy with analytic and live decision modes."""
+    """Base class: a named policy the live controller consults."""
 
     name = "abstract"
     #: Whether the live controller should resolve the root-cause suspect
     #: before consulting :meth:`decide` (it costs a strategy analysis).
     needs_root_cause = False
 
-    def evaluate(
-        self, heap_series: TimeSeries, window_seconds: float, heap_capacity: float
-    ) -> RejuvenationOutcome:
-        """Analytic mode: actions/downtime over an observed window."""
-        raise NotImplementedError
-
     def decide(self, observation: PolicyObservation) -> Optional[RejuvenationAction]:
-        """Live mode: the action to execute now, or ``None``."""
+        """The action to execute now, or ``None``."""
         raise NotImplementedError
 
     def on_action_executed(self, observation: PolicyObservation, event) -> None:
@@ -128,17 +95,6 @@ class NoActionPolicy(RejuvenationPolicy):
     """Never rejuvenates (the do-nothing baseline every comparison needs)."""
 
     name = "no-action"
-
-    def evaluate(
-        self, heap_series: TimeSeries, window_seconds: float, heap_capacity: float
-    ) -> RejuvenationOutcome:
-        """Zero actions; exposure is whatever the trajectory shows."""
-        return RejuvenationOutcome(
-            policy=self.name,
-            actions=0,
-            downtime_seconds=0.0,
-            exposure_seconds=exposure_seconds(heap_series, heap_capacity),
-        )
 
     def decide(self, observation: PolicyObservation) -> Optional[RejuvenationAction]:
         """Never acts."""
@@ -163,17 +119,6 @@ class TimeBasedRejuvenationPolicy(RejuvenationPolicy):
             raise ValueError("interval must be positive and restart_downtime non-negative")
         self.interval = float(interval)
         self.restart_downtime = float(restart_downtime)
-
-    def evaluate(self, heap_series: TimeSeries, window_seconds: float, heap_capacity: float) -> RejuvenationOutcome:
-        """Number of restarts and downtime over the window."""
-        actions = int(window_seconds // self.interval)
-        exposure = exposure_seconds(heap_series, heap_capacity)
-        return RejuvenationOutcome(
-            policy=self.name,
-            actions=actions,
-            downtime_seconds=actions * self.restart_downtime,
-            exposure_seconds=exposure,
-        )
 
     def decide(self, observation: PolicyObservation) -> Optional[RejuvenationAction]:
         """Restart once ``interval`` has elapsed since the last restart."""
@@ -218,48 +163,22 @@ class ProactiveRejuvenationPolicy(RejuvenationPolicy):
         self.microreboot_downtime = float(microreboot_downtime)
         self.min_samples = int(min_samples)
 
-    def _time_to_exhaustion(
-        self, heap_series: TimeSeries, heap_capacity: float
-    ) -> Optional[float]:
-        """Predicted seconds until the heap trend reaches capacity.
+    def _time_to_exhaustion(self, series: TimeSeries, capacity: float) -> Optional[float]:
+        """Predicted seconds until the resource trend reaches capacity.
 
         ``None`` when there is no usable upward trend (too few samples or a
-        flat/shrinking heap).
+        flat/shrinking series).
         """
-        if len(heap_series) < self.min_samples:
+        if len(series) < self.min_samples:
             return None
-        slope = linear_slope(heap_series.times, heap_series.values)
+        slope = linear_slope(series.times, series.values)
         if slope <= 0:
             return None
-        last = heap_series.values[-1]
-        return max(0.0, (heap_capacity - last) / slope)
-
-    def evaluate(self, heap_series: TimeSeries, window_seconds: float, heap_capacity: float) -> RejuvenationOutcome:
-        """Number of micro-reboots and downtime over the window."""
-        actions = 0
-        time_to_exhaustion = self._time_to_exhaustion(heap_series, heap_capacity)
-        if time_to_exhaustion is not None:
-            if time_to_exhaustion < self.horizon:
-                actions = 1
-            # Steady leaks over long windows need periodic recycling.  The
-            # 1-second floor also covers an already-exhausted heap
-            # (time_to_exhaustion == 0), which must recycle at least as often
-            # as a nearly-exhausted one instead of reporting a single action
-            # for an arbitrarily long window.
-            actions = max(actions, int(window_seconds // max(time_to_exhaustion, 1.0)))
-        exposure = exposure_seconds(heap_series, heap_capacity)
-        return RejuvenationOutcome(
-            policy=self.name,
-            actions=actions,
-            downtime_seconds=actions * self.microreboot_downtime,
-            exposure_seconds=exposure,
-        )
+        return max(0.0, (capacity - series.values[-1]) / slope)
 
     def decide(self, observation: PolicyObservation) -> Optional[RejuvenationAction]:
         """Micro-reboot the suspect when exhaustion is predicted within the horizon."""
-        time_to_exhaustion = self._time_to_exhaustion(
-            observation.heap_series, observation.heap_capacity
-        )
+        time_to_exhaustion = self._time_to_exhaustion(observation.series, observation.capacity)
         if time_to_exhaustion is None or time_to_exhaustion >= self.horizon:
             return None
         if observation.suspect_component is None:
@@ -273,40 +192,26 @@ class ProactiveRejuvenationPolicy(RejuvenationPolicy):
         )
 
 
-def exposure_seconds(
-    heap_series: TimeSeries,
-    heap_capacity: float,
-    danger_fraction: float = 0.9,
-    window_end: Optional[float] = None,
-) -> float:
-    """Seconds spent above ``danger_fraction`` of capacity (step integration).
+#: Fraction of capacity above which a resource counts as in the danger zone.
+DANGER_FRACTION = 0.9
+
+
+def exposure_seconds(series: TimeSeries, capacity: float, window_end: float) -> float:
+    """Seconds spent above :data:`DANGER_FRACTION` of capacity (step integration).
 
     Each sample above the threshold contributes the interval up to the next
     sample.  The *final* sample, which has no successor, contributes the
-    remainder of the observation window when ``window_end`` is given (zero
-    when the window ends at or before the sample — never credit exposure
-    past the stated window), and one median sample spacing when no window
-    end is known — the seed implementation credited it nothing,
+    remainder of the observation window up to ``window_end`` (zero when the
+    window ends at or before the sample — never credit exposure past the
+    stated window); the seed implementation credited it nothing,
     under-reporting exposure exactly when the run ends in the danger zone.
     """
-    if len(heap_series) == 0 or heap_capacity <= 0:
+    if len(series) == 0 or capacity <= 0:
         return 0.0
-    times = heap_series.times
-    values = heap_series.values
-    threshold = danger_fraction * heap_capacity
-    if len(times) == 1:
-        if values[0] >= threshold and window_end is not None and window_end > times[0]:
-            return float(window_end - times[0])
-        return 0.0
-    intervals = np.diff(times)
-    exposure = float(intervals[values[:-1] >= threshold].sum())
+    times = series.times
+    values = series.values
+    threshold = DANGER_FRACTION * capacity
+    exposure = float(np.diff(times)[values[:-1] >= threshold].sum())
     if values[-1] >= threshold:
-        if window_end is not None:
-            exposure += max(0.0, float(window_end - times[-1]))
-        else:
-            exposure += float(np.median(intervals))
+        exposure += max(0.0, float(window_end - times[-1]))
     return exposure
-
-
-#: Backwards-compatible alias (the policies above used to call this name).
-_exposure_seconds = exposure_seconds

@@ -20,7 +20,7 @@ server" follows Table I of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.container.dispatcher import RequestDispatcher
 from repro.container.servlet import HttpServletRequest, HttpServletResponse
@@ -30,7 +30,7 @@ from repro.container.webapp import WebApplication
 from repro.db.jdbc import DataSource
 from repro.jvm.heap import DEFAULT_HEAP_BYTES
 from repro.jvm.runtime import JvmRuntime
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import TimeSeries
 from repro.sim.random import RandomStreams
 from repro.sim.resources import CapacityResource, ResourceBusyError
 
@@ -142,7 +142,6 @@ class ApplicationServer:
         )
         self.app_cpu = CapacityResource(self.config.app_cpu_cores, name="app-server-cpu")
         self.db_cpu = CapacityResource(self.config.db_cpu_cores, name="db-server-cpu")
-        self.metrics = MetricRegistry()
         #: Callables returning *pending* extra seconds to fold into the next
         #: request's service time.  The monitoring framework's overhead
         #: account registers itself here; the container stays unaware of it.
@@ -156,11 +155,13 @@ class ApplicationServer:
         self._outages: List[tuple] = []
         self._refused_by_outage = 0
         self._refused_by_shedding = 0
-        #: Record per-component response-time series (``latency.<component>``
-        #: in the metric registry).  Off by default: the hot path should not
-        #: pay for series the classic scenarios never read; the latency-mode
-        #: fault scenarios switch it on for trend-based attribution.
+        #: Record per-component response-time series (see
+        #: :meth:`component_latency_series`).  Off by default: the hot path
+        #: should not pay for series the classic scenarios never read; the
+        #: latency-mode fault scenarios switch it on for trend-based
+        #: attribution.
         self.record_component_latency = False
+        self._component_latency: Dict[str, TimeSeries] = {}
         #: Occupancy contributed by the fluid bulk population in hybrid
         #: simulation mode (fraction of worker threads, additive on top of
         #: the discrete tracers').  Zero in pure discrete runs, so the
@@ -269,8 +270,6 @@ class ApplicationServer:
             response.set_status(HttpServletResponse.SC_SERVICE_UNAVAILABLE)
             self._rejected += 1
             self._refused_by_outage += 1
-            self.metrics.counter("requests.rejected").increment()
-            self.metrics.counter("requests.refused_outage").increment()
             return RequestOutcome(
                 request=request,
                 response=response,
@@ -295,8 +294,6 @@ class ApplicationServer:
             response.set_status(HttpServletResponse.SC_SERVICE_UNAVAILABLE)
             self._rejected += 1
             self._refused_by_shedding += 1
-            self.metrics.counter("requests.rejected").increment()
-            self.metrics.counter("requests.shed").increment()
             return RequestOutcome(
                 request=request,
                 response=response,
@@ -334,7 +331,6 @@ class ApplicationServer:
         except ResourceBusyError:
             response.set_status(HttpServletResponse.SC_SERVICE_UNAVAILABLE)
             self._rejected += 1
-            self.metrics.counter("requests.rejected").increment()
             return RequestOutcome(
                 request=request,
                 response=response,
@@ -351,12 +347,15 @@ class ApplicationServer:
         response_time = completion - arrival_time
 
         self._completed += 1
-        self.metrics.counter("requests.completed").increment()
-        # Indexed by arrival time: arrivals are monotone in event order, while
-        # completions may finish out of order across concurrent requests.
-        self.metrics.series("response_time").record(arrival_time, response_time)
         if self.record_component_latency and servlet_name:
-            self.metrics.series(f"latency.{servlet_name}").record(arrival_time, response_time)
+            # Indexed by arrival time: arrivals are monotone in event order,
+            # while completions may finish out of order across requests.
+            series = self._component_latency.get(servlet_name)
+            if series is None:
+                series = self._component_latency[servlet_name] = TimeSeries(
+                    f"latency.{servlet_name}"
+                )
+            series.record(arrival_time, response_time)
 
         return RequestOutcome(
             request=request,
@@ -383,15 +382,10 @@ class ApplicationServer:
         """Requests rejected because the accept queue overflowed."""
         return self._rejected
 
-    def component_latency_series(self) -> dict:
+    def component_latency_series(self) -> Dict[str, TimeSeries]:
         """Per-component response-time series (requires
-        :attr:`record_component_latency`); keys are component names."""
-        prefix = "latency."
-        return {
-            name[len(prefix):]: self.metrics.series(name)
-            for name in self.metrics.series_names()
-            if name.startswith(prefix)
-        }
+        :attr:`record_component_latency`), keyed and sorted by component name."""
+        return {name: self._component_latency[name] for name in sorted(self._component_latency)}
 
     def utilization_report(self, elapsed_seconds: float) -> dict:
         """Utilisation of the main capacity resources over the elapsed time."""

@@ -102,25 +102,16 @@ class HeapChannel(ResourceChannel):
 
     Attribution goes through the manager's root-cause analysis — heap growth
     is only attributable via the per-component object-size accounting the
-    Aspect Components collect.
-
-    Parameters
-    ----------
-    metric:
-        Which ``"<jvm>"`` series to extrapolate.  Defaults to ``heap_live``
-        (the post-GC floor): ``heap_used`` rides the garbage sawtooth
-        between collections, whose slope reflects allocation rate rather
-        than the leak.  Falls back to ``heap_used`` automatically while the
-        live series has no samples yet.
+    Aspect Components collect.  The channel extrapolates ``heap_live``, the
+    post-GC floor: ``heap_used`` rides the garbage sawtooth between
+    collections, whose slope reflects allocation rate rather than the leak.
+    It falls back to ``heap_used`` while the live series has no samples yet.
     """
 
     name = "heap"
     metric = "heap_live"
     fallback_metric = "heap_used"
     wants_live_heap = True
-
-    def __init__(self, metric: str = "heap_live") -> None:
-        self.metric = metric
 
     def capacity(self, deployment: TpcwDeployment) -> float:
         return float(deployment.runtime.total_memory())
@@ -252,12 +243,6 @@ class RejuvenationController:
         Simulation engine used to schedule periodic checks.
     policy:
         Decides *when* to act and *what* to do.
-    clear_sessions:
-        Whether a full restart also invalidates every HTTP session (a real
-        Tomcat restart does; disable for session-preserving redeploys).
-    trend_metric:
-        Back-compat shorthand: the heap channel's metric (see
-        :class:`HeapChannel`).  Ignored when ``channels`` is given.
     channels:
         The resource channels to watch, consulted in order each check
         (defaults to the heap channel alone, the pre-multi-resource
@@ -270,17 +255,14 @@ class RejuvenationController:
         manager: ManagerAgent,
         engine: SimulationEngine,
         policy: RejuvenationPolicy,
-        clear_sessions: bool = True,
-        trend_metric: str = "heap_live",
         channels: Optional[List[ResourceChannel]] = None,
     ) -> None:
         self.deployment = deployment
         self.manager = manager
         self.engine = engine
         self.policy = policy
-        self.clear_sessions = clear_sessions
         self.channels: List[ResourceChannel] = (
-            list(channels) if channels is not None else [HeapChannel(metric=trend_metric)]
+            list(channels) if channels is not None else [HeapChannel()]
         )
         if not self.channels:
             raise ValueError("a rejuvenation controller needs at least one channel")
@@ -355,8 +337,8 @@ class RejuvenationController:
         window_start = self._window_start.get(channel.name, self._start_time)
         return PolicyObservation(
             now=now,
-            heap_series=series.window(window_start, now),
-            heap_capacity=channel.capacity(self.deployment),
+            series=series.window(window_start, now),
+            capacity=channel.capacity(self.deployment),
             start_time=self._start_time,
             last_action_end=self._last_action_end,
             suspect_component=(
@@ -441,8 +423,7 @@ class RejuvenationController:
             threads, _, connections = self._recycle_extension_resources(component)
             threads_total += threads
             connections_total += connections
-        if self.clear_sessions:
-            server.sessions.invalidate_all()
+        server.sessions.invalidate_all()
         # Sweep the freed state.  The collector is invoked directly: the
         # outage window already models the restart's cost, so no GC pause is
         # charged to the first post-restart request.

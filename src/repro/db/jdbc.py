@@ -208,20 +208,6 @@ class DataSource:
         self.latency_multiplier = 1.0
         #: Flat extra seconds added to every recorded query cost.
         self.extra_latency_seconds = 0.0
-        #: Cross-client contention charge: extra seconds added per query for
-        #: every *other* connection concurrently borrowed from this pool.
-        #: Zero (free) by default; ``build_cluster`` sets it on a shared
-        #: primary mounted by multiple shards, where lock and buffer-pool
-        #: contention is otherwise unmodelled.
-        self.contention_seconds_per_connection = 0.0
-        #: Connections the hybrid fluid bulk population would be holding
-        #: right now (fractional; maintained by the fluid process so the
-        #: discrete tracers pay contention for the bulk load too).
-        self.fluid_active_connections = 0.0
-        #: Datasources whose connections contend with this one (all pools
-        #: mounted on the same shared primary, this one included).  ``None``
-        #: means only this pool's own connections contend.
-        self.contention_pool_group: Optional[List["DataSource"]] = None
 
     # ------------------------------------------------------------------ #
     def get_connection(self, owner: Optional[str] = None) -> Connection:
@@ -294,20 +280,6 @@ class DataSource:
     def record_cost(self, cost_seconds: float) -> None:
         """Accumulate simulated query cost (read by the container/agents)."""
         self.total_cost_seconds += cost_seconds * self.latency_multiplier + self.extra_latency_seconds
-        if self.contention_seconds_per_connection:
-            # Charge queueing delay for the other clients of the shared
-            # storage engine (discrete connections across every pool in the
-            # contention group plus the fluid bulk's fractional share).
-            group = self.contention_pool_group
-            if group is not None:
-                active = sum(
-                    len(ds._in_use) + ds.fluid_active_connections for ds in group
-                )
-            else:
-                active = len(self._in_use) + self.fluid_active_connections
-            others = active - 1.0
-            if others > 0.0:
-                self.total_cost_seconds += self.contention_seconds_per_connection * others
 
     @property
     def active_connections(self) -> int:

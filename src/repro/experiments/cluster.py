@@ -6,8 +6,8 @@ instances serving one workload, each aging at its own pace.  This module
 supplies the cluster layer the experiment harness runs on:
 
 - :class:`SimulatedCluster` — N independent TPC-W shards (each with its own
-  JVM runtime, database replica or a shared primary, monitoring stack and
-  fault injector) exposed through the *same* duck-typed surface the
+  JVM runtime, database replica, monitoring stack and fault injector)
+  exposed through the *same* duck-typed surface the
   :class:`~repro.tpcw.workload.WorkloadGenerator` consumes from a single
   :class:`~repro.tpcw.application.TpcwDeployment`.  A single-server run is
   just ``shards=1`` of this path — bit-identical to the legacy harness,
@@ -65,21 +65,9 @@ SHARD_SEED_STRIDE = 7919
 #: Balancing policies the :class:`LoadBalancer` implements.
 BALANCER_POLICIES = ("sticky", "round-robin", "least-occupancy")
 
-#: Shard database layouts: a populated replica per shard, or shard 0's
-#: database shared by every shard.
-SHARD_DB_MODES = ("replica", "shared")
-
 #: Fleet rejuvenation modes (``None`` on the config means independent
 #: per-shard controllers, the pre-fleet behaviour).
 FLEET_REJUVENATION_MODES = ("rolling", "simultaneous")
-
-#: Cross-shard contention charge on a shared primary database: extra query
-#: seconds per *other* concurrently-borrowed connection of the shared pool
-#: (lock waits + buffer-pool pressure, linearised).  Replica mode charges
-#: nothing (each shard owns its database), matching the pre-PR behaviour;
-#: a single-shard "shared" run also charges nothing — there is no *cross*
-#: -shard contention to model.
-SHARED_PRIMARY_CONTENTION_SECONDS = 2e-4
 
 
 @dataclass
@@ -371,40 +359,22 @@ def build_cluster(config: "ExperimentConfig", engine: SimulationEngine) -> Simul
     Shard 0 is constructed with exactly the legacy single-server arguments
     (the experiment seed drives its streams), so a ``shards=1`` cluster is
     bit-identical to the pre-cluster harness.  Shards ``i > 0`` draw from an
-    offset seed (``seed + SHARD_SEED_STRIDE * i``) and mint namespaced
-    session ids; with ``shard_db_mode="shared"`` they mount shard 0's
-    already-populated database instead of populating a replica.  ``config``
-    is assumed valid (:meth:`~repro.experiments.runner.ExperimentConfig.validate`).
+    offset seed (``seed + SHARD_SEED_STRIDE * i``), populate their own
+    database replica and mint namespaced session ids.  ``config`` is assumed
+    valid (:meth:`~repro.experiments.runner.ExperimentConfig.validate`).
     """
     scale = config.scale or PopulationScale.standard()
     shards: List[ShardHandle] = []
     for index in range(config.shards):
-        kwargs = {}
-        if index > 0 and config.shard_db_mode == "shared":
-            kwargs["database"] = shards[0].deployment.database
-            kwargs["prepare_database"] = False
         deployment = build_deployment(
             scale=scale,
             seed=config.seed if index == 0 else config.seed + SHARD_SEED_STRIDE * index,
             config=config.server_config,
             clock=engine.clock,
-            **kwargs,
         )
         if index > 0:
             deployment.server.sessions.id_prefix = f"S{index}-"
         shards.append(ShardHandle(index=index, deployment=deployment))
-    if config.shard_db_mode == "shared" and config.shards > 1:
-        # Each deployment builds its own DataSource (per-shard pool) over the
-        # one shared Database; the contention charge models the shared
-        # storage engine underneath, so every shard's datasource charges it
-        # and counts the *whole group's* active connections.
-        group = [shard.deployment.datasource for shard in shards]
-        for shard in shards:
-            datasource = shard.deployment.datasource
-            datasource.contention_seconds_per_connection = (
-                SHARED_PRIMARY_CONTENTION_SECONDS
-            )
-            datasource.contention_pool_group = group
     uri_components = {
         shards[0].deployment.url_for(name): name
         for name in shards[0].deployment.interaction_names()

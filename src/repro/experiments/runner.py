@@ -46,7 +46,6 @@ from repro.core.rootcause import RootCauseReport, RootCauseStrategy
 from repro.experiments.cluster import (
     BALANCER_POLICIES,
     FLEET_REJUVENATION_MODES,
-    SHARD_DB_MODES,
     FleetRejuvenationController,
     FleetReport,
     SimulatedCluster,
@@ -58,12 +57,12 @@ from repro.faults.injector import FaultInjector, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.transports import JsonlMetricsStream
 from repro.sim.engine import SimulationEngine
-from repro.sim.fluid import FluidProcess, FluidReport, split_phases
+from repro.sim.fluid import AMPLIFIED_FAULT_KINDS, FluidProcess, FluidReport, split_phases
 from repro.sim.metrics import TimeSeries
 from repro.slo.adaptive_policy import AdaptiveRejuvenationPolicy
 from repro.slo.calibration import CalibrationStore, workload_signature
 from repro.tpcw.application import TpcwDeployment
-from repro.tpcw.mixes import MIXES, PAGE_PRIORITIES, mix_by_name
+from repro.tpcw.mixes import INTERACTIONS, MIXES, PAGE_PRIORITIES, mix_by_name
 from repro.tpcw.population import PopulationScale
 from repro.tpcw.workload import WorkloadGenerator, WorkloadPhase
 
@@ -146,9 +145,6 @@ class ExperimentConfig:
     #: ``"round-robin"`` or ``"least-occupancy"``; all of them avoid shards
     #: inside rejuvenation outage windows.
     balancer_policy: str = "sticky"
-    #: ``"replica"`` gives every shard its own populated database;
-    #: ``"shared"`` mounts shard 0's database on every shard (one primary).
-    shard_db_mode: str = "replica"
     #: Fleet-level coordination of the per-shard rejuvenation controllers:
     #: ``"rolling"`` recycles at most one shard at a time, ``"simultaneous"``
     #: lets every shard act the moment its policy fires, ``None`` keeps the
@@ -206,7 +202,6 @@ class ExperimentConfig:
         self.effective_phases()  # a negative EB count fails in WorkloadPhase
         for name, allowed in (
             ("balancer_policy", BALANCER_POLICIES),
-            ("shard_db_mode", SHARD_DB_MODES),
             ("simulation_mode", SIMULATION_MODES),
             ("fleet_rejuvenation", (None,) + FLEET_REJUVENATION_MODES),
         ):
@@ -229,6 +224,35 @@ class ExperimentConfig:
             raise ValueError(
                 f"tracer_fraction must be in (0, 1], got {self.tracer_fraction}"
             )
+        unknown = sorted(set(self.monitored_components or ()) - set(INTERACTIONS))
+        if unknown:
+            raise ValueError(
+                f"monitored_components names unknown components {unknown} "
+                f"(known components: {INTERACTIONS})"
+            )
+        version_faults = self.rollout.version.faults if self.rollout is not None else ()
+        for spec in [*self.faults, *version_faults]:
+            if spec.component not in INTERACTIONS:
+                raise ValueError(
+                    f"{spec.kind!r} fault targets unknown component {spec.component!r} "
+                    f"(known components: {INTERACTIONS})"
+                )
+            try:
+                spec.build()
+            except KeyError as error:  # an unknown kind; the message names the known ones
+                raise ValueError(error.args[0]) from None
+            except (TypeError, ValueError) as error:
+                raise ValueError(
+                    f"bad {spec.kind!r} fault on {spec.component!r}: {error}"
+                ) from None
+        if self.simulation_mode == "hybrid":
+            for spec in self.faults:
+                if spec.kind not in AMPLIFIED_FAULT_KINDS:
+                    raise ValueError(
+                        f"hybrid mode cannot run a {spec.kind!r} fault: the fluid bulk "
+                        f"amplifies only {', '.join(AMPLIFIED_FAULT_KINDS)} faults, so it "
+                        f"would act on the tracers alone"
+                    )
         if self.rejuvenation is not None and not self.monitored:
             raise ValueError(
                 "live rejuvenation requires monitored=True (the controller reads "

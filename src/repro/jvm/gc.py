@@ -10,8 +10,7 @@ discusses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.jvm.heap import Heap
 
@@ -24,7 +23,6 @@ class GCStats:
     total_pause_seconds: float = 0.0
     total_bytes_reclaimed: int = 0
     total_objects_reclaimed: int = 0
-    pause_history: List[float] = field(default_factory=list)
 
     @property
     def mean_pause_seconds(self) -> float:
@@ -85,7 +83,6 @@ class GarbageCollector:
         self.stats.total_pause_seconds += pause
         self.stats.total_bytes_reclaimed += reclaimed_bytes
         self.stats.total_objects_reclaimed += len(garbage)
-        self.stats.pause_history.append(pause)
         return pause
 
     def should_collect(self, occupancy_threshold: float = 0.7) -> bool:

@@ -4,25 +4,20 @@ Everything the repo produced before this package was a post-hoc report; the
 paper's premise, though, is that software aging is something operators watch
 *during* the run.  :class:`~repro.obs.registry.MetricsRegistry` is the
 read-only window onto a running experiment (per-shard series, aging alerts,
-rolling SLA burn, ledger counters, predictor calibration), and the two
-transports serve it live: an :mod:`http.server` JSON endpoint for an
-interactive operator and a streamed-JSONL sink for headless/CI use.
+rolling SLA burn, ledger counters, predictor calibration), and a
+streamed-JSONL sink serves it live; ``repro replay`` reads a recorded stream
+back.
 
-Both transports are strictly observers — attaching them schedules no state
+The stream is strictly an observer — attaching it schedules no state
 mutation and perturbs no random stream, so a run with the plane attached is
 bit-identical to one without.
 """
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.transports import (
-    OBS_STREAM_PRIORITY,
-    JsonlMetricsStream,
-    MetricsHttpServer,
-)
+from repro.obs.transports import OBS_STREAM_PRIORITY, JsonlMetricsStream
 
 __all__ = [
     "MetricsRegistry",
     "JsonlMetricsStream",
-    "MetricsHttpServer",
     "OBS_STREAM_PRIORITY",
 ]

@@ -63,7 +63,7 @@ class MetricsRegistry:
     Parameters
     ----------
     cost_model:
-        The SLA cost model the rolling ``/slo`` burn figures use (defaults
+        The SLA cost model the rolling SLA burn figures use (defaults
         to the repo-wide :class:`~repro.slo.cost_model.SlaCostModel`).
     """
 
@@ -153,34 +153,9 @@ class MetricsRegistry:
             raise RuntimeError("registry is not attached to a run yet")
         return self._cluster
 
-    @property
-    def shard_count(self) -> int:
-        """Number of shards in the observed cluster."""
-        return len(self._require_attached().shards)
-
     def now(self) -> float:
         """The observed run's current simulation time."""
         return float(self._require_attached().clock.now)
-
-    def series(self, shard_index: int, name: str) -> List[List[float]]:
-        """One shard's monitored series as ``[time, value]`` pairs.
-
-        ``name`` is either a whole-JVM metric (``heap_used``, ``heap_live``,
-        ``threads_total``, ``connections_active``) or ``objects.<component>``
-        for a component's object-size trajectory.
-        """
-        cluster = self._require_attached()
-        if not 0 <= shard_index < len(cluster.shards):
-            raise IndexError(f"no shard {shard_index} (cluster has {len(cluster.shards)})")
-        shard = cluster.shards[shard_index]
-        if shard.framework is None:
-            return []
-        resource_map = shard.framework.manager.map
-        if name.startswith("objects."):
-            series = resource_map.series(name[len("objects."):], "object_size")
-        else:
-            series = resource_map.series("<jvm>", name)
-        return [[float(t), float(v)] for t, v in zip(series.times, series.values)]
 
     def counters(self) -> Dict[str, int]:
         """The workload generator's end-to-end request ledger, live."""

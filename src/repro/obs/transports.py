@@ -1,8 +1,6 @@
-"""Transports over the metrics registry: HTTP endpoint, JSONL stream, replay.
+"""Transports over the metrics registry: the JSONL stream and its replay.
 
-The HTTP server and JSONL stream are strictly observers.  The HTTP server
-runs on a daemon thread and answers every request from the registry's
-pure-read snapshot methods; the JSONL stream schedules snapshot events at
+The JSONL stream is strictly an observer.  It schedules snapshot events at
 :data:`OBS_STREAM_PRIORITY` — a priority *after* every sim actor at the
 same timestamp, so a stream record always sees the deploys, alerts and
 manager snapshots of its own tick, and the extra events shift same-time
@@ -21,10 +19,7 @@ re-simulating anything.
 from __future__ import annotations
 
 import json
-import re
-import threading
 from dataclasses import asdict, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.registry import MetricsRegistry, canonical_value
@@ -214,104 +209,3 @@ def recorded_verdicts(record: Dict[str, object]) -> List[Dict[str, object]]:
         for event in ruling_events(record)
     ]
 
-
-# --------------------------------------------------------------------------- #
-# HTTP endpoint
-# --------------------------------------------------------------------------- #
-_SERIES_ROUTE = re.compile(r"^/shards/(\d+)/series/([A-Za-z0-9_.<>-]+)$")
-
-
-class MetricsHttpServer:
-    """Stdlib JSON endpoint over a registry.
-
-    Routes::
-
-        GET /metrics                     full snapshot
-        GET /shards/<i>/series/<name>    one shard's series as [t, v] pairs
-        GET /alerts                      aging alerts fired so far
-        GET /slo                         rolling SLA burn
-
-    ``port=0`` (the default) binds an ephemeral port; read :attr:`port`
-    after construction.  The server thread is a daemon, so a forgotten
-    :meth:`stop` cannot hang interpreter shutdown.
-    """
-
-    def __init__(
-        self, registry: MetricsRegistry, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self.registry = registry
-        handler = _make_handler(registry)
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the endpoint."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MetricsHttpServer":
-        """Serve on a daemon thread; returns self for chaining."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever, name="obs-http", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the server down (idempotent)."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-
-def _make_handler(registry: MetricsRegistry):
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *args) -> None:  # silence per-request stderr
-            pass
-
-        def do_GET(self) -> None:
-            try:
-                payload = self._payload(self.path.split("?", 1)[0])
-            except LookupError as error:
-                body = json.dumps({"error": str(error)}).encode("utf-8")
-                self.send_response(404)
-            else:
-                body = json.dumps(
-                    canonical_value(payload), sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-                self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _payload(self, path: str):
-            if path in ("", "/", "/metrics"):
-                return registry.snapshot()
-            if path == "/alerts":
-                return {"alerts": registry.alerts()}
-            if path == "/slo":
-                return registry.slo()
-            match = _SERIES_ROUTE.match(path)
-            if match:
-                index = int(match.group(1))
-                name = match.group(2)
-                return {
-                    "shard": index,
-                    "series": name,
-                    "points": registry.series(index, name),
-                }
-            raise KeyError(f"no route for {path!r}")
-
-    return Handler

@@ -8,7 +8,8 @@ The substrate provides:
 * :class:`~repro.sim.engine.SimulationEngine` -- event queue + scheduler.
 * :class:`~repro.sim.random.RandomStreams` -- named, independently seeded RNG
   streams so every stochastic decision in the system is reproducible.
-* :class:`~repro.sim.metrics.MetricRegistry` / time-series recorders.
+* :class:`~repro.sim.metrics.TimeSeries` /
+  :class:`~repro.sim.metrics.WindowedRate` -- time-series recorders.
 * :mod:`~repro.sim.resources` -- capacity resources (CPU, thread slots)
   used by the container to turn load into queueing delay.
 """
@@ -17,13 +18,7 @@ from __future__ import annotations
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Event, SimulationEngine, StopSimulation
-from repro.sim.metrics import (
-    Counter,
-    Gauge,
-    MetricRegistry,
-    TimeSeries,
-    WindowedRate,
-)
+from repro.sim.metrics import TimeSeries, WindowedRate
 from repro.sim.random import RandomStreams
 from repro.sim.resources import CapacityResource, ResourceBusyError
 
@@ -33,10 +28,7 @@ __all__ = [
     "Event",
     "StopSimulation",
     "RandomStreams",
-    "MetricRegistry",
     "TimeSeries",
-    "Counter",
-    "Gauge",
     "WindowedRate",
     "CapacityResource",
     "ResourceBusyError",

@@ -38,17 +38,16 @@ The fluid process feeds every surface the discrete path does:
 * worker-pool occupancy (``λ·R / max_threads``) is published onto
   :attr:`ApplicationServer.fluid_occupancy`, which ``pool_occupancy`` folds
   in, so least-occupancy balancing and load shedding see the bulk load;
-* the bulk's database concurrency is published onto
-  :attr:`DataSource.fluid_active_connections`, which the shared-primary
-  contention charge reads;
 * cumulative bulk visits per component are recorded into each shard's
   manager agent as the ``fluid_visits`` metric (external series).
 
-Known limitations (documented in ``benchmarks/README.md``): latency-mode
-faults (gc-pause-storm, lock-convoy, slow-downstream, cache-stampede,
-correlated-cascade) act on the tracers only — their *effect* still reaches
-the bulk through the tracer-observed ``R`` — and bulk session churn is not
-modelled (sessions do not change offered load in the closed loop).
+Known limitations (documented in ``benchmarks/README.md``): only the
+:data:`AMPLIFIED_FAULT_KINDS` reach the bulk; any other fault kind
+(gc-pause-storm, lock-convoy, slow-downstream, cache-stampede, cpu-hog,
+correlated-cascade) would act on the tracers alone, so
+:meth:`~repro.experiments.runner.ExperimentConfig.validate` refuses it in
+hybrid mode.  Bulk session churn is not modelled (sessions do not change
+offered load in the closed loop).
 """
 
 from __future__ import annotations
@@ -150,7 +149,6 @@ class _ShardFluidState:
         "fault_accumulators",
         "saturated_faults",
         "cumulative_visits",
-        "db_cost_seen",
     )
 
     def __init__(self, shard) -> None:
@@ -160,7 +158,6 @@ class _ShardFluidState:
         self.fault_accumulators: Dict[int, float] = {}
         self.saturated_faults: set = set()
         self.cumulative_visits: Dict[str, float] = {}
-        self.db_cost_seen = 0.0
 
 
 class FluidProcess:
@@ -285,12 +282,7 @@ class FluidProcess:
                 self._publish_idle(state)
 
     def _publish_idle(self, state: _ShardFluidState) -> None:
-        deployment = state.shard.deployment
-        deployment.server.fluid_occupancy = 0.0
-        deployment.datasource.fluid_active_connections = 0.0
-        # Keep the DB-cost cursor current so the next live tick attributes
-        # only its own interval's tracer cost.
-        state.db_cost_seen = deployment.datasource.total_cost_seconds
+        state.shard.deployment.server.fluid_occupancy = 0.0
 
     def _update_shard(
         self, state: _ShardFluidState, bulk_population: float, now: float, dt: float
@@ -334,21 +326,12 @@ class FluidProcess:
         if shard.injector is not None:
             self._amplify_faults(state, deployment, visits, now)
 
-        # -- occupancy / DB concurrency feeds ---------------------------- #
+        # -- occupancy feed ---------------------------------------------- #
         max_threads = getattr(server.config, "max_threads", 0)
         if max_threads > 0:
             server.fluid_occupancy = (
                 rate * served_fraction * response / float(max_threads)
             )
-        datasource = deployment.datasource
-        tracer_db_delta = datasource.total_cost_seconds - state.db_cost_seen
-        state.db_cost_seen = datasource.total_cost_seconds
-        tracer_population = max(1, self.generator.active_browsers)
-        # Tracer DB concurrency over the tick (busy-connection-seconds per
-        # second), scaled up by the bulk/tracer population ratio.
-        datasource.fluid_active_connections = max(
-            0.0, tracer_db_delta / dt * (bulk_population / tracer_population)
-        )
 
         # -- manager feed ------------------------------------------------ #
         if shard.framework is not None:

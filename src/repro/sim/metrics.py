@@ -212,50 +212,6 @@ class TimeSeries:
         return list(zip(self._times_buf[:n].tolist(), self._values_buf[:n].tolist()))
 
 
-class Counter:
-    """A monotonically increasing counter (e.g. requests served)."""
-
-    __slots__ = ("name", "_count")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._count = 0
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counter increments must be non-negative, got {amount}")
-        self._count += int(amount)
-
-    @property
-    def value(self) -> int:
-        """Current count."""
-        return self._count
-
-
-class Gauge:
-    """A value that can move up and down (e.g. active threads)."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str = "", initial: float = 0.0) -> None:
-        self.name = name
-        self._value = float(initial)
-
-    def set(self, value: float) -> None:
-        """Set the gauge to an absolute value."""
-        self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        """Adjust the gauge by ``delta`` (may be negative)."""
-        self._value += float(delta)
-
-    @property
-    def value(self) -> float:
-        """Current gauge value."""
-        return self._value
-
-
 class WindowedRate:
     """Computes event rates over fixed, contiguous time windows.
 
@@ -319,51 +275,3 @@ class WindowedRate:
     def pending_marks(self) -> int:
         """Marks buffered for windows that have not been emitted yet."""
         return sum(self._pending.values())
-
-
-class MetricRegistry:
-    """A named registry of counters, gauges and time series."""
-
-    def __init__(self) -> None:
-        self._series: Dict[str, TimeSeries] = {}
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-
-    def series(self, name: str) -> TimeSeries:
-        """Get or create a :class:`TimeSeries`."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
-    def counter(self, name: str) -> Counter:
-        """Get or create a :class:`Counter`."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create a :class:`Gauge`."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def series_names(self) -> List[str]:
-        """Sorted names of all registered time series."""
-        return sorted(self._series)
-
-    def counter_names(self) -> List[str]:
-        """Sorted names of all registered counters."""
-        return sorted(self._counters)
-
-    def gauge_names(self) -> List[str]:
-        """Sorted names of all registered gauges."""
-        return sorted(self._gauges)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Current values of all counters and gauges (not series)."""
-        out: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = float(counter.value)
-        for name, gauge in self._gauges.items():
-            out[name] = float(gauge.value)
-        return out

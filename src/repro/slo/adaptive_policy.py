@@ -31,11 +31,8 @@ from repro.baselines.rejuvenation import (
     MICRO_REBOOT,
     PolicyObservation,
     RejuvenationAction,
-    RejuvenationOutcome,
     RejuvenationPolicy,
-    exposure_seconds,
 )
-from repro.sim.metrics import TimeSeries
 from repro.slo.predictors import (
     ExhaustionPredictor,
     PredictionErrorStats,
@@ -300,26 +297,3 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
         self._horizons[resource] = min(self.max_horizon, max(self.min_horizon, horizon))
         self.adaptations += 1
 
-    # ------------------------------------------------------------------ #
-    # Analytic protocol
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self, heap_series: TimeSeries, window_seconds: float, heap_capacity: float
-    ) -> RejuvenationOutcome:
-        """Analytic mode: actions a base-horizon run would have taken."""
-        predictor = self.predictor_factory()
-        actions = 0
-        if len(heap_series):
-            tte = predictor.predict(
-                heap_series, heap_capacity, float(heap_series.times[-1]), record=False
-            )
-            if tte is not None:
-                if tte < self.base_horizon:
-                    actions = 1
-                actions = max(actions, int(window_seconds // max(tte, 1.0)))
-        return RejuvenationOutcome(
-            policy=self.name,
-            actions=actions,
-            downtime_seconds=actions * self.microreboot_downtime,
-            exposure_seconds=exposure_seconds(heap_series, heap_capacity),
-        )

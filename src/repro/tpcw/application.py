@@ -81,7 +81,6 @@ def build_deployment(
     streams: Optional[RandomStreams] = None,
     pool_size: Optional[int] = None,
     database: Optional[Database] = None,
-    prepare_database: bool = True,
 ) -> TpcwDeployment:
     """Build a fully wired TPC-W deployment.
 
@@ -103,11 +102,6 @@ def build_deployment(
     database:
         An empty :class:`Database` to deploy onto (a fresh one when omitted;
         the perf harness injects instrumented subclasses here).
-    prepare_database:
-        Create the TPC-W schema and populate it.  Pass ``False`` when
-        ``database`` is an already-prepared instance shared with another
-        deployment (a cluster's shared primary) — re-running the schema DDL
-        against it would fail.
     """
     scale = scale or PopulationScale()
     streams = streams or RandomStreams(seed)
@@ -117,9 +111,8 @@ def build_deployment(
         pool_size = config.pool_size if config.pool_size is not None else DEFAULT_POOL_SIZE
 
     database = database if database is not None else Database("tpcw")
-    if prepare_database:
-        create_tpcw_schema(database)
-        populate_database(database, scale, streams)
+    create_tpcw_schema(database)
+    populate_database(database, scale, streams)
     datasource = DataSource(database, pool_size=pool_size)
 
     runtime = JvmRuntime(

@@ -57,7 +57,6 @@ class EmulatedBrowser:
         self.active = False
         self.current_interaction = "home"
         self.session_id: Optional[str] = None
-        self.session_started_at = 0.0
         self.session_deadline = 0.0
         self.requests_issued = 0
         #: Retry attempts already spent on the current page visit (resilient
@@ -92,7 +91,6 @@ class EmulatedBrowser:
     def _begin_session(self, at_time: float) -> None:
         self.session_id = None
         self.current_interaction = "home"
-        self.session_started_at = at_time
         duration = self._generator.streams.exponential(
             "workload.session-duration", self._generator.session_duration_mean
         )

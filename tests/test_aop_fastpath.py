@@ -1,13 +1,15 @@
 """Pointcut parser edge cases and weaver fast-path dispatch semantics.
 
-The weaver compiles specialised wrappers per advice-chain shape (monitor
-fast path, no-around path, general path); these tests pin down that every
-compiled shape behaves exactly like the seed's single generic wrapper —
-including runtime enable/disable toggling, which must never require
-re-weaving.
+The weaver compiles one of two wrappers per advice chain (the monitor fast
+path for the Aspect Component's shape, the general path for every other
+chain); these tests pin down that both behave exactly like the seed's single
+generic wrapper — including runtime enable/disable toggling, which must never
+require re-weaving.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.aop.aspect import Aspect, after, after_returning, after_throwing, aro
 from repro.aop.joinpoint import JoinPoint, Signature, compile_join_point_class
 from repro.aop.pointcut import PointcutSyntaxError, parse_pointcut
 from repro.aop.weaver import Weaver
+from repro.perf.seed_reference import SeedWeaver
 
 
 # --------------------------------------------------------------------------- #
@@ -365,6 +368,96 @@ class TestOtherCompiledShapes:
         weaver.unweave_object(servlet)
         assert servlet.service(3) == 6
         assert aspect.events == []
+
+
+_NO_AROUND_DECORATORS = {
+    "before": before,
+    "after": after,
+    "after_returning": after_returning,
+    "after_throwing": after_throwing,
+}
+#: Every non-empty subset of the advice kinds other than ``around``.
+_NO_AROUND_SHAPES = [
+    kinds
+    for size in range(1, len(_NO_AROUND_DECORATORS) + 1)
+    for kinds in itertools.combinations(_NO_AROUND_DECORATORS, size)
+]
+
+
+class _FixedClock:
+    now = 12.5
+
+
+def _recording_aspect(tag, kinds, log):
+    """An aspect with one advice per kind in ``kinds``; each logs what it saw."""
+
+    def advice(kind):
+        def record(self, jp):
+            exception = jp.exception
+            log.append(
+                (
+                    tag,
+                    kind,
+                    jp.kind,
+                    jp.target,
+                    jp.signature.full_name,
+                    jp.args,
+                    jp.kwargs,
+                    jp.component,
+                    jp.timestamp,
+                    jp.result,
+                    None if exception is None else (type(exception), str(exception)),
+                )
+            )
+
+        return _NO_AROUND_DECORATORS[kind]("execution(org.tpcw..*.service)")(record)
+
+    namespace = {f"on_{kind}": advice(kind) for kind in kinds}
+    return type(f"Recording{tag}", (Aspect,), namespace)()
+
+
+def _observed_calls(weaver_class, kinds, aspect_count):
+    """Advice log, call outcomes and original-method calls of one weaving."""
+    log = []
+    aspects = [_recording_aspect(index, kinds, log) for index in range(aspect_count)]
+    servlet = _Servlet()
+    weaver = weaver_class(clock=_FixedClock())
+    for aspect in aspects:
+        weaver.register_aspect(aspect)
+    assert weaver.weave_object(servlet) == ["service"]
+    outcomes = []
+
+    def call(value):
+        try:
+            outcomes.append(("returned", servlet.service(value)))
+        except RuntimeError as exc:
+            outcomes.append(("raised", type(exc), str(exc)))
+
+    call(3)
+    call("boom")
+    aspects[0].disable()
+    call(4)
+    call("boom")
+    aspects[0].enable()
+    call(5)
+    # Targets differ between the two weavings; compare their identity instead.
+    log = [entry[:3] + (entry[3] is servlet,) + entry[4:] for entry in log]
+    return log, outcomes, servlet.calls
+
+
+class TestNoAroundShapesMatchSeed:
+    @pytest.mark.parametrize("aspect_count", [1, 2])
+    @pytest.mark.parametrize("kinds", _NO_AROUND_SHAPES, ids="+".join)
+    def test_general_wrapper_matches_seed_weaver(self, kinds, aspect_count):
+        current = _observed_calls(Weaver, kinds, aspect_count)
+        seed = _observed_calls(SeedWeaver, kinds, aspect_count)
+        assert current == seed
+        log, outcomes, calls = current
+        assert calls == 5
+        assert [outcome[0] for outcome in outcomes] == [
+            "returned", "raised", "returned", "raised", "returned",
+        ]
+        assert log  # some advice observed every shape
 
 
 class TestCompiledJoinPointClass:

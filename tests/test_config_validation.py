@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import repro.experiments.runner as runner
 from repro.baselines.rejuvenation import NoActionPolicy, TimeBasedRejuvenationPolicy
 from repro.container.resilience import ResilienceConfig
-from repro.experiments.cluster import BALANCER_POLICIES, FLEET_REJUVENATION_MODES, SHARD_DB_MODES
+from repro.experiments.cluster import BALANCER_POLICIES, FLEET_REJUVENATION_MODES
 from repro.experiments.deploy import ComponentVersion, RolloutPlan
 from repro.experiments.reporting import accounting_sanity_check
 from repro.experiments.runner import SIMULATION_MODES, ExperimentConfig, run_experiment
@@ -45,7 +45,9 @@ def _rollout(kind: str, shards: int):
 
 
 #: One case per config that used to fail only after the cluster was built
-#: (or, for the mix, with a ``KeyError``): overrides -> the error's wording.
+#: (or, for the mix and the fault kind, with a ``KeyError``; or, for the
+#: monitored components and the hybrid fault, not at all): overrides -> the
+#: error's wording.
 LATE_FAILURES = {
     "rejuvenation-unmonitored": (
         dict(monitored=False, rejuvenation=NoActionPolicy()), "monitored=True"
@@ -60,6 +62,33 @@ LATE_FAILURES = {
         dict(monitored=False, shards=2, rollout=_rollout("canary", 2)), "ruled stage"
     ),
     "zero-snapshot-interval": (dict(snapshot_interval=0.0), "snapshot_interval"),
+    "fault-on-unknown-component": (
+        dict(faults=[FaultSpec("nosuch", "memory-leak")]), "unknown component 'nosuch'"
+    ),
+    "unknown-fault-kind": (
+        dict(faults=[FaultSpec("home", "nosuch")]), r"unknown fault kind .*memory-leak"
+    ),
+    "bad-fault-parameter": (
+        dict(faults=[FaultSpec("home", "memory-leak", {"leak_bytes": -5})]),
+        "leak_bytes must be positive",
+    ),
+    "rollout-fault-unknown-kind": (
+        dict(
+            shards=2,
+            rollout=RolloutPlan(
+                version=ComponentVersion("home", "v2", faults=(FaultSpec("home", "nosuch"),)),
+                start_time=10.0,
+            ),
+        ),
+        "unknown fault kind",
+    ),
+    "unknown-monitored-component": (
+        dict(monitored_components=["nosuch"]), "monitored_components names unknown"
+    ),
+    "hybrid-tracer-only-fault": (
+        dict(simulation_mode="hybrid", faults=[FaultSpec("home", "lock-convoy")]),
+        "memory-leak, thread-leak, connection-leak",
+    ),
 }
 
 
@@ -133,10 +162,9 @@ _RESILIENCE = {
     rejuvenation=st.sampled_from(sorted(_POLICIES)),
     fleet=st.sampled_from((None,) + FLEET_REJUVENATION_MODES),
     balancer=st.sampled_from(BALANCER_POLICIES),
-    db_mode=st.sampled_from(SHARD_DB_MODES),
 )
 def test_every_config_validate_accepts_runs_with_both_ledgers(
-    shards, mode, monitored, resilience, rollout, rejuvenation, fleet, balancer, db_mode
+    shards, mode, monitored, resilience, rollout, rejuvenation, fleet, balancer
 ):
     config = ExperimentConfig(
         name="combination",
@@ -156,7 +184,6 @@ def test_every_config_validate_accepts_runs_with_both_ledgers(
         rejuvenation=_POLICIES[rejuvenation](),
         fleet_rejuvenation=fleet,
         balancer_policy=balancer,
-        shard_db_mode=db_mode,
     )
     try:
         config.validate()

@@ -10,8 +10,6 @@ Three families:
   throughput *series* but never the counters);
 * vectorised generation bit-identity — the workload generator's batched
   RNG draws must reproduce the scalar draw stream bit for bit.
-
-Plus the shared-primary contention charge of the satellite fix.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.db.jdbc import DataSource
-from repro.db.table import Column, ColumnType
-from repro.db.engine import Database
-from repro.experiments.cluster import SHARED_PRIMARY_CONTENTION_SECONDS
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults.injector import FaultSpec
 from repro.sim.engine import SimulationEngine
@@ -185,71 +179,3 @@ def test_batched_draws_bit_identical_to_scalar():
     assert dict(batched.interaction_counts) == dict(scalar.interaction_counts)
     assert np.array_equal(batched.response_times.times, scalar.response_times.times)
     assert np.array_equal(batched.response_times.values, scalar.response_times.values)
-
-
-# --------------------------------------------------------------------------- #
-# Shared-primary connection contention
-# --------------------------------------------------------------------------- #
-def _make_datasource() -> DataSource:
-    database = Database("contention")
-    database.create_table(
-        "t", [Column("id", ColumnType.INTEGER, primary_key=True)]
-    )
-    return DataSource(database)
-
-
-def test_shared_primary_contention_charge():
-    primary = _make_datasource()
-    peer = _make_datasource()
-    for datasource in (primary, peer):
-        datasource.contention_seconds_per_connection = SHARED_PRIMARY_CONTENTION_SECONDS
-        datasource.contention_pool_group = [primary, peer]
-
-    # One connection active in each shard's pool: the charged query sees one
-    # *other* active connection across the shared primary.
-    primary.get_connection(owner="a")
-    peer.get_connection(owner="b")
-    before = primary.total_cost_seconds
-    primary.record_cost(0.001)
-    charged = primary.total_cost_seconds - before
-    assert charged == pytest.approx(0.001 + SHARED_PRIMARY_CONTENTION_SECONDS)
-
-    # Fluid bulk connections join the group-wide count.
-    peer.fluid_active_connections = 3.0
-    before = primary.total_cost_seconds
-    primary.record_cost(0.001)
-    charged = primary.total_cost_seconds - before
-    assert charged == pytest.approx(0.001 + 4 * SHARED_PRIMARY_CONTENTION_SECONDS)
-
-
-def test_replica_mode_charges_no_contention():
-    datasource = _make_datasource()
-    datasource.get_connection(owner="a")
-    datasource.get_connection(owner="b")
-    before = datasource.total_cost_seconds
-    datasource.record_cost(0.001)
-    assert datasource.total_cost_seconds - before == pytest.approx(0.001)
-
-
-def test_cluster_wires_contention_only_in_shared_mode():
-    from repro.experiments.cluster import build_cluster
-
-    for db_mode, expected in (("shared", SHARED_PRIMARY_CONTENTION_SECONDS), ("replica", 0.0)):
-        engine = SimulationEngine()
-        config = ExperimentConfig(
-            name=f"contention-{db_mode}",
-            seed=7,
-            scale=PopulationScale.tiny(),
-            duration=60.0,
-            shards=2,
-            shard_db_mode=db_mode,
-        )
-        cluster = build_cluster(config, engine)
-        for shard in cluster.shards:
-            datasource = shard.deployment.datasource
-            assert datasource.contention_seconds_per_connection == expected
-            if db_mode == "shared":
-                assert datasource.contention_pool_group is not None
-                assert len(datasource.contention_pool_group) == 2
-            else:
-                assert datasource.contention_pool_group is None

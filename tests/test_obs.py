@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults.injector import FaultSpec
 from repro.obs.registry import MetricsRegistry, canonical_value
-from repro.obs.transports import JsonlMetricsStream, MetricsHttpServer
+from repro.obs.transports import JsonlMetricsStream
 from repro.tpcw.population import PopulationScale
 
 
@@ -86,18 +84,6 @@ class TestMetricsRegistry:
             assert row["heap_used"] > 0.0
         assert snapshot["slo"]["duration_s"] == pytest.approx(60.0)
         assert result.completed_requests == counters["completions"] + counters["errors"]
-
-    def test_series_reads_jvm_and_component_channels(self):
-        registry = MetricsRegistry()
-        run_experiment(_config(registry=registry))
-        heap = registry.series(0, "heap_used")
-        assert heap and all(len(point) == 2 for point in heap)
-        assert heap == sorted(heap)  # time-ordered
-        leaky = registry.series(0, "objects.home")
-        assert leaky
-        assert leaky[-1][1] > leaky[0][1]  # the injected leak grew
-        with pytest.raises(IndexError):
-            registry.series(9, "heap_used")
 
     def test_registry_attaches_exactly_once(self):
         registry = MetricsRegistry()
@@ -181,56 +167,3 @@ class TestJsonlStream:
         stream = JsonlMetricsStream(MetricsRegistry(), str(tmp_path / "s.jsonl"))
         with pytest.raises(ValueError):
             stream.schedule(SimulationEngine(), duration=10.0, interval=0.0)
-
-
-class TestHttpTransport:
-    @pytest.fixture(scope="class")
-    def server(self):
-        registry = MetricsRegistry()
-        run_experiment(_config(registry=registry))
-        server = MetricsHttpServer(registry).start()
-        yield server
-        server.stop()
-
-    @staticmethod
-    def _get(server, path):
-        with urllib.request.urlopen(server.url + path, timeout=5) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
-
-    def test_metrics_endpoint(self, server):
-        status, body = self._get(server, "/metrics")
-        assert status == 200
-        assert body["counters"]["issued"] > 0
-        assert len(body["shards"]) == 2
-
-    def test_series_endpoint(self, server):
-        status, body = self._get(server, "/shards/1/series/heap_used")
-        assert status == 200
-        assert body["shard"] == 1
-        assert body["series"] == "heap_used"
-        assert body["points"]
-        status, body = self._get(server, "/shards/0/series/objects.home")
-        assert status == 200
-        assert body["points"][-1][1] > body["points"][0][1]
-
-    def test_alerts_and_slo_endpoints(self, server):
-        status, body = self._get(server, "/alerts")
-        assert status == 200
-        assert isinstance(body["alerts"], list)
-        status, body = self._get(server, "/slo")
-        assert status == 200
-        assert body["duration_s"] == pytest.approx(60.0)
-        assert body["sla_cost"] >= 0.0
-
-    def test_unknown_routes_return_404(self, server):
-        for path in ("/nope", "/shards/7/series/heap_used"):
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(server, path)
-            assert excinfo.value.code == 404
-            assert "error" in json.loads(excinfo.value.read().decode("utf-8"))
-
-    def test_responses_are_canonical_json(self, server):
-        registry = server.registry
-        with urllib.request.urlopen(server.url + "/metrics", timeout=5) as response:
-            body = response.read().decode("utf-8")
-        assert body == registry.snapshot_json(at=registry.now())

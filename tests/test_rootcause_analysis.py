@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.statistics import normalize_scores, relative_difference, summary
-from repro.analysis.timeseries import final_fraction_mean, growth_of, moving_average, series_slope
 from repro.analysis.trend import linear_slope, mann_kendall, theil_sen_slope
 from repro.core.resource_map import ComponentSample, ResourceComponentMap
 from repro.core.rootcause import (
@@ -16,7 +15,6 @@ from repro.core.rootcause import (
     TrendStrategy,
     WeightedCompositeStrategy,
 )
-from repro.sim.metrics import TimeSeries
 
 
 def _map_with_components(growths: dict, points: int = 30, noise: float = 0.0, seed: int = 0):
@@ -73,30 +71,7 @@ class TestTrendAnalysis:
         assert theil_sen_slope([], []) == 0.0
 
 
-class TestTimeseriesAndStats:
-    def test_growth_and_slope_helpers(self):
-        series = TimeSeries()
-        for t in range(10):
-            series.record(float(t), 5.0 * t)
-        assert growth_of(series) == pytest.approx(45.0)
-        assert series_slope(series) == pytest.approx(5.0)
-
-    def test_moving_average_smooths(self):
-        series = TimeSeries()
-        for t in range(20):
-            series.record(float(t), 10.0 + (-1.0 if t % 2 else 1.0))
-        smoothed = moving_average(series, window_points=5)
-        assert np.std(smoothed.values) < np.std(series.values)
-        assert len(smoothed) == len(series)
-
-    def test_final_fraction_mean(self):
-        series = TimeSeries()
-        for t in range(10):
-            series.record(float(t), float(t))
-        assert final_fraction_mean(series, 0.2) == pytest.approx(8.5)
-        with pytest.raises(ValueError):
-            final_fraction_mean(series, 0.0)
-
+class TestStatistics:
     def test_normalize_scores(self):
         assert normalize_scores({"a": 3.0, "b": 1.0}) == {"a": 0.75, "b": 0.25}
         assert normalize_scores({"a": 0.0, "b": 0.0}) == {"a": 0.0, "b": 0.0}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import Counter, Gauge, MetricRegistry, TimeSeries, WindowedRate
+from repro.sim.metrics import TimeSeries, WindowedRate
 from repro.sim.random import RandomStreams
 from repro.sim.resources import CapacityResource, ResourceBusyError
 
@@ -160,24 +160,7 @@ class TestTimeSeries:
         assert windowed.last() == (100.0, -1.0)
 
 
-class TestCountersGaugesRates:
-    def test_counter_increments(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
-
-    def test_gauge_set_and_add(self):
-        gauge = Gauge("g", initial=10.0)
-        gauge.add(-4.0)
-        assert gauge.value == 6.0
-        gauge.set(2.0)
-        assert gauge.value == 2.0
-
+class TestWindowedRate:
     def test_windowed_rate_produces_per_second_values(self):
         rate = WindowedRate(window=10.0)
         for t in [1.0, 2.0, 3.0, 4.0, 5.0]:
@@ -186,13 +169,6 @@ class TestCountersGaugesRates:
         assert len(series) == 2
         assert series.values[0] == pytest.approx(0.5)   # 5 events / 10 s
         assert series.values[1] == pytest.approx(0.0)
-
-    def test_registry_reuses_instances(self):
-        registry = MetricRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.series("s") is registry.series("s")
-        registry.gauge("g").set(3)
-        assert registry.snapshot() == {"a": 0.0, "g": 3.0}
 
 
 class TestCapacityResource:

@@ -241,8 +241,8 @@ class TestSlaCostModel:
 def observation_for(series, capacity, now, resource="heap", suspect="component_a"):
     return PolicyObservation(
         now=now,
-        heap_series=series,
-        heap_capacity=capacity,
+        series=series,
+        capacity=capacity,
         suspect_component=suspect,
         resource=resource,
     )
