@@ -254,11 +254,6 @@ class Database:
     # SELECT
     # ------------------------------------------------------------------ #
     def _execute_select(self, statement: SelectStatement, params: Sequence[Any]) -> QueryResult:
-        return self._execute_select_generic(statement, params)
-
-    def _execute_select_generic(
-        self, statement: SelectStatement, params: Sequence[Any]
-    ) -> QueryResult:
         """Execute a SELECT through the compiled-plan cache.
 
         Each distinct statement AST is compiled once (:mod:`repro.db.planner`)
@@ -268,7 +263,8 @@ class Database:
         Plans are invalidated by DDL (``_schema_epoch``) and per-table schema
         changes (``Table.schema_version``); data mutations never invalidate
         a plan (the hash indexes are maintained incrementally), they
-        invalidate or extend its join memo.  Rows, row order and the
+        invalidate or extend its join memo and its candidate probes' groups
+        and sorted keys.  Rows, row order and the
         scanned/lookup accounting are bit-identical to the interpreting
         executor this replaced (see the planner's equivalence suite).
         """

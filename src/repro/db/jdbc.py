@@ -15,7 +15,7 @@ for the reproduction:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.db.engine import Database, QueryResult
 from repro.db.sql import Statement, parse_sql
@@ -29,34 +29,39 @@ class ConnectionPoolExhaustedError(SQLError):
     """Raised when no pooled connection is available."""
 
 
+#: The current row of a cursor ``next()`` has not moved yet: it has no columns.
+_BEFORE_FIRST_ROW: Dict[str, Any] = {}
+
+
 class ResultSet:
     """Forward-only cursor over a query result."""
 
     def __init__(self, result: QueryResult) -> None:
         self._rows = result.rows
         self._index = -1
+        #: The row ``next()`` moved to; it stays on the last row at the end.
+        self._row = _BEFORE_FIRST_ROW
         self.cost_seconds = result.cost_seconds
 
     def next(self) -> bool:
         """Advance to the next row; returns ``False`` past the end."""
-        if self._index + 1 >= len(self._rows):
+        index = self._index + 1
+        if index >= len(self._rows):
             return False
-        self._index += 1
+        self._index = index
+        self._row = self._rows[index]
         return True
-
-    def _current(self) -> Dict[str, Any]:
-        if self._index < 0:
-            raise SQLError("ResultSet.next() has not been called")
-        if self._index >= len(self._rows):
-            raise SQLError("ResultSet is exhausted")
-        return self._rows[self._index]
 
     def get(self, column: str) -> Any:
         """Value of ``column`` in the current row."""
-        row = self._current()
-        if column not in row:
-            raise SQLError(f"result has no column {column!r} (columns: {sorted(row)})")
-        return row[column]
+        try:
+            return self._row[column]
+        except KeyError:
+            if self._index < 0:
+                raise SQLError("ResultSet.next() has not been called") from None
+            raise SQLError(
+                f"result has no column {column!r} (columns: {sorted(self._row)})"
+            ) from None
 
     def get_int(self, column: str) -> int:
         """Integer value of ``column`` (NULL maps to 0, JDBC-style)."""
@@ -72,10 +77,6 @@ class ResultSet:
         """String value of ``column`` (may be ``None``)."""
         value = self.get(column)
         return None if value is None else str(value)
-
-    def all_rows(self) -> List[Dict[str, Any]]:
-        """Remaining implementation detail: the full row list (test helper)."""
-        return list(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -43,6 +43,20 @@ Operator highlights:
   anything.  A base narrowed by declared-index conditions depends on the
   parameters and is joined afresh each time.  The memo lives and dies with
   its plan.
+* **Candidate probes** — a full-scan plan visits only the rows that can
+  match its first bound ``col = ?`` or ``col LIKE ?`` residual, and the
+  full compiled predicate still decides on each of them, so NULL, NaN,
+  ``-0.0``, ``1``/``1.0``/``True`` and ``str()`` of non-text values land
+  where ``==`` and ``like_matcher`` put them.  The join memo also keeps its
+  rows grouped by the ``=`` column's value (the column may sit on any side
+  of the join), in memo order: a catch-up appends its tail to the groups,
+  and an update of the column — which leaves the memo's stamp valid —
+  regroups it.  A single-table scan with no declared-index condition and no
+  lazy lookup probes a ``LIKE`` pattern's literal prefix (its characters
+  before the first ``%`` or ``_``) in the table's sorted ``str()`` keys
+  (:meth:`repro.db.table.Table.prefix_row_ids`), which are stamped with the
+  table's row-set version and the column's version.  Both yield their
+  candidates in scan order; a pattern with no literal prefix scans.
 
 **Cost-model neutrality.**  The engine's simulated latency model charges the
 *declared* access plan (what the paper-era MySQL would have done with the
@@ -54,7 +68,9 @@ index — and it emits rows in ascending row-id order, which is exactly the
 interpreter's scan order.  Declared-index paths reproduce the interpreter's
 set-intersection lookups verbatim.  The join memo charges what a fresh scan
 and join would: its rows and counters are exactly those, in the same order,
-for the data its stamp names.  As a result every query returns
+for the data its stamp names.  The candidate probes charge the same: the
+``scanned``/``index_lookups`` of the scan or memo they narrow, whatever rows
+they skip.  As a result every query returns
 bit-identical rows, row order, ``rows_scanned``/``index_lookups`` counters
 and simulated cost — asserted by the planner equivalence suite, with writes
 between executions included.
@@ -63,6 +79,7 @@ between executions included.
 from __future__ import annotations
 
 import heapq
+import re
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -75,6 +92,10 @@ from repro.db.table import Table, _SecondaryIndex
 #: paths produce identical rows, order and errors; the flag exists for the
 #: ``group_by`` A/B benchmark and as an escape hatch.
 STREAMING_AGGREGATES = True
+
+#: A ``LIKE`` pattern's literal prefix: its characters before the first
+#: wildcard.
+_LIKE_PREFIX = re.compile(r"[^%_]*")
 
 
 class _JoinStep:
@@ -107,7 +128,10 @@ class _JoinStep:
 class _JoinMemo:
     """A plan's joined rows over a full-scan base, and what they charged."""
 
-    __slots__ = ("stamp", "base_version", "base_count", "rows", "scanned", "index_lookups")
+    __slots__ = (
+        "stamp", "base_version", "base_count", "rows", "scanned", "index_lookups",
+        "groups", "grouped", "group_version",
+    )
 
     def __init__(self, stamp: Tuple) -> None:
         #: The versions the rows were built from (see ``_memoised_join``).
@@ -119,6 +143,13 @@ class _JoinMemo:
         self.rows: List[Tuple[Dict[str, Any], ...]] = []
         self.scanned = 0
         self.index_lookups = 0
+        #: ``rows`` grouped by the plan's group column (see
+        #: ``_group_candidates``): value -> its rows, in memo order.
+        self.groups: Dict[Any, List[Tuple[Dict[str, Any], ...]]] = {}
+        #: Leading memo rows already in ``groups``.
+        self.grouped = 0
+        #: The group column's version the groups were built at (-1: never).
+        self.group_version = -1
 
 
 class CompiledSelect:
@@ -258,9 +289,12 @@ class CompiledSelect:
         self._residual_nodes: List[Tuple[Any, bool]] = []
         predicate_terms: List[str] = []
         lazy_candidates: List[Tuple[str, Any, int]] = []
+        group_term: Optional[Tuple[int, Table, str, int]] = None
+        like_term: Optional[Tuple[str, Any]] = None
         for condition in residual:
             lhs_qualifier = resolve_qualifier(condition.lhs)
-            lhs_expr = self._accessor(positions[lhs_qualifier], condition.lhs.name)
+            lhs_pos = positions[lhs_qualifier]
+            lhs_expr = self._accessor(lhs_pos, condition.lhs.name)
             if isinstance(condition.rhs, ColumnRef):
                 rhs_qualifier = resolve_qualifier(condition.rhs)
                 rhs_expr = self._accessor(positions[rhs_qualifier], condition.rhs.name)
@@ -275,12 +309,19 @@ class CompiledSelect:
                     lazy_candidates.append(
                         (condition.lhs.name, condition.rhs, len(predicate_terms) - 1)
                     )
+                if bound_index is not None and group_term is None:
+                    group_term = (
+                        lhs_pos, tables_by_qualifier[lhs_qualifier], condition.lhs.name,
+                        bound_index,
+                    )
             elif condition.op == "!=":
                 predicate_terms.append(f"({lhs_expr} != {rhs_expr})")
             elif condition.op == "LIKE" and bound_index is not None:
                 # The bound slot holds the pattern's matcher, built once per
                 # execution.
                 predicate_terms.append(f"{rhs_expr}({lhs_expr})")
+                if like_term is None:
+                    like_term = (condition.lhs.name, condition.rhs)
             elif condition.op == "LIKE":
                 predicate_terms.append(f"_like({lhs_expr}, {rhs_expr})")
             else:
@@ -304,6 +345,19 @@ class CompiledSelect:
             remaining_terms = [
                 term for index, term in enumerate(predicate_terms) if index not in consumed
             ]
+
+        # Candidate probes: the full predicate still decides on a superset
+        # of the matching rows, in scan order, and the full scan is charged.
+        #: ``(tuple position, table, column, bound slot)`` of a memoised
+        #: join's first bound ``col = ?`` residual; the memo groups by it.
+        self._group_probe = group_term if self.memoises_join else None
+        #: ``(column, pattern node)`` of a plain full scan's first bound
+        #: ``col LIKE ?`` residual; its literal prefix probes sorted keys.
+        self._like_probe = (
+            like_term
+            if not (self.joined or self.index_conditions or self.lazy_base_lookups)
+            else None
+        )
 
         def make_predicate(terms: List[str]) -> Optional[Callable]:
             if not terms:
@@ -509,7 +563,11 @@ class CompiledSelect:
                 if value != value:  # NaN probe: a scan's ``==`` matches nothing
                     ids = set()
                     break
-                bucket = index.lookup(value)
+                try:
+                    bucket = index.lookup(value)
+                except TypeError:  # unhashable: equal to no stored scalar
+                    ids = set()
+                    break
                 ids = bucket if ids is None else (ids & bucket)
             stored = base_table._rows
             rows = [stored[rid] for rid in sorted(ids or ())]
@@ -517,8 +575,9 @@ class CompiledSelect:
         elif self.memoises_join:
             rows, scanned, index_lookups = self._memoised_join()
         else:
-            rows = list(base_table._rows.values())
-            scanned += len(rows)
+            scanned += len(base_table)
+            # A ``LIKE`` prefix probe picks its candidate rows once bound.
+            rows = [] if self._like_probe is not None else list(base_table._rows.values())
 
         # ---- joins (tuple rows) --------------------------------------- #
         if self.joined and not self.memoises_join:
@@ -536,6 +595,10 @@ class CompiledSelect:
                 like_matcher(bind(node, params)) if is_like else bind(node, params)
                 for node, is_like in self._residual_nodes
             )
+            if self._group_probe is not None:
+                rows = self._group_candidates(bound[self._group_probe[3]])
+            elif self._like_probe is not None:
+                rows = self._prefix_candidates(bind(self._like_probe[1], params))
             filtered = [row for row in rows if predicate(row, bound)]
         else:
             # No residual predicate left; any node-bearing equalities were
@@ -671,6 +734,50 @@ class CompiledSelect:
             memo.index_lookups += index_lookups
             memo.base_version = base_table.rows_version
         return memo.rows, memo.scanned, memo.index_lookups
+
+    def _group_candidates(self, value: Any) -> Sequence[Tuple[Dict[str, Any], ...]]:
+        """The memo rows whose group column may equal ``value``, in memo order.
+
+        The memo keeps its rows grouped by the column of the plan's first
+        bound ``col = ?`` residual, keyed as a dict keys them: ``1``,
+        ``1.0`` and ``True`` share a group, ``-0.0`` joins ``0.0`` and NULL
+        has its own.  A NaN finds at most the rows holding that very object,
+        which the predicate then drops.  A catch-up's new tail is appended
+        to the groups and a rebuilt memo starts with none; an update of the
+        column (its version moved) regroups the memo, whose stamp it leaves
+        valid.
+        """
+        memo = self._join_memo
+        pos, table, name, _ = self._group_probe
+        version = table.column_versions.get(name, 0)
+        if memo.group_version != version:
+            memo.groups, memo.grouped, memo.group_version = {}, 0, version
+        rows = memo.rows
+        if memo.grouped < len(rows):
+            setdefault = memo.groups.setdefault
+            for row in islice(rows, memo.grouped, None):
+                setdefault(row[pos][name], []).append(row)
+            memo.grouped = len(rows)
+        try:
+            return memo.groups.get(value, ())
+        except TypeError:  # unhashable: equal to no stored scalar
+            return ()
+
+    def _prefix_candidates(self, pattern: Any) -> List[Dict[str, Any]]:
+        """The base rows whose ``str()`` value may match ``LIKE pattern``, in scan order.
+
+        A match starts with the pattern's literal prefix, the characters
+        before its first ``%`` or ``_``; the table bisects its sorted keys
+        for them.  Without a prefix (a leading wildcard, an empty or NULL
+        pattern) every row is a candidate.
+        """
+        prefix = "" if pattern is None else _LIKE_PREFIX.match(str(pattern)).group()
+        stored = self.base_table._rows
+        if not prefix:
+            return list(stored.values())
+        return [
+            stored[rid] for rid in self.base_table.prefix_row_ids(self._like_probe[0], prefix)
+        ]
 
     # ------------------------------------------------------------------ #
     def _aggregate_rows(self, filtered: List[Any]) -> List[Dict[str, Any]]:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class ColumnType(enum.Enum):
@@ -102,6 +103,11 @@ class Table:
         #: them, so the engine's simulated cost model still charges the
         #: declared-index plan (see ``repro.db.planner``).
         self._lazy: Dict[str, _SecondaryIndex] = {}
+        #: Planner-built sorted ``str()`` keys per column, for ``LIKE``
+        #: prefix probes: ``(stamp, keys, row ids)`` with the row ids aligned
+        #: to the ascending keys, stamped with ``(rows_version, column
+        #: version)`` and rebuilt on first demand after either moves.
+        self._sorted_keys: Dict[str, Tuple[Tuple[int, int], List[str], List[int]]] = {}
         #: Bumped whenever the *schema* changes (currently: index creation);
         #: cached query plans validate against it.
         self.schema_version = 0
@@ -175,6 +181,35 @@ class Table:
                 index.add(row.get(column_name), row_id)
             self._lazy[column_name] = index
         return index
+
+    def prefix_row_ids(self, column_name: str, prefix: str) -> List[int]:
+        """Ascending ids of the rows whose non-NULL ``str()`` value starts with ``prefix``.
+
+        Bisects the column's sorted ``str()`` keys, which are built on first
+        demand and rebuilt when a row is inserted or deleted or the column
+        is updated.  Like the lazy hash indexes it is a physical
+        acceleration only: the planner still charges the full scan.
+        """
+        stamp = (self.rows_version, self.column_versions.get(column_name, 0))
+        entry = self._sorted_keys.get(column_name)
+        if entry is None or entry[0] != stamp:
+            self.column(column_name)
+            pairs = sorted(
+                (str(value), row_id)
+                for row_id, row in self._rows.items()
+                if (value := row[column_name]) is not None
+            )
+            entry = (stamp, [key for key, _ in pairs], [row_id for _, row_id in pairs])
+            self._sorted_keys[column_name] = entry
+        _, keys, row_ids = entry
+        low = bisect_left(keys, prefix)
+        # Every key that starts with ``prefix`` sorts below ``prefix``'s
+        # successor: its last character below the maximum code point, plus one.
+        stem = prefix.rstrip("\U0010ffff")
+        high = (
+            bisect_left(keys, stem[:-1] + chr(ord(stem[-1]) + 1), low) if stem else len(keys)
+        )
+        return sorted(row_ids[low:high])
 
     # ------------------------------------------------------------------ #
     # Mutation

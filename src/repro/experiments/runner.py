@@ -53,6 +53,7 @@ from repro.experiments.cluster import (
     fleet_aging_rows,
 )
 from repro.experiments.deploy import RolloutController, RolloutPlan, RolloutReport
+from repro.faults.correlated_cascade import CorrelatedCascadeFault
 from repro.faults.injector import FaultInjector, FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.transports import JsonlMetricsStream
@@ -238,14 +239,26 @@ class ExperimentConfig:
                     f"(known components: {INTERACTIONS})"
                 )
             try:
-                spec.build()
+                fault = spec.build()
             except KeyError as error:  # an unknown kind; the message names the known ones
                 raise ValueError(error.args[0]) from None
             except (TypeError, ValueError) as error:
                 raise ValueError(
                     f"bad {spec.kind!r} fault on {spec.component!r}: {error}"
                 ) from None
+            if isinstance(fault, CorrelatedCascadeFault) and (
+                fault.victim not in INTERACTIONS or fault.victim == spec.component
+            ):
+                raise ValueError(
+                    f"{spec.kind!r} fault on {spec.component!r} needs another known "
+                    f"component as its victim, got {fault.victim!r}"
+                )
         if self.simulation_mode == "hybrid":
+            if version_faults:
+                raise ValueError(
+                    "hybrid mode cannot run a rollout version's faults: the deploy "
+                    "attaches them to the servlet, so the fluid bulk never amplifies them"
+                )
             for spec in self.faults:
                 if spec.kind not in AMPLIFIED_FAULT_KINDS:
                     raise ValueError(

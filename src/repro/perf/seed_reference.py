@@ -417,7 +417,7 @@ def make_seed_row_database_class():
     from typing import Any, Dict, List, Sequence, Tuple
 
     class SeedRowHandlingDatabase(Database):
-        def _execute_select_generic(self, statement, params):  # noqa: C901
+        def _execute_select(self, statement, params):  # noqa: C901
             scanned = 0
             index_lookups = 0
 

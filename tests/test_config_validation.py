@@ -89,6 +89,30 @@ LATE_FAILURES = {
         dict(simulation_mode="hybrid", faults=[FaultSpec("home", "lock-convoy")]),
         "memory-leak, thread-leak, connection-leak",
     ),
+    # Used to fail each firing as an error page at run time.
+    "cascade-unknown-victim": (
+        dict(faults=[FaultSpec("product_detail", "correlated-cascade", {"victim": "nosuch"})]),
+        "victim, got 'nosuch'",
+    ),
+    "cascade-own-victim": (
+        dict(faults=[FaultSpec("home", "correlated-cascade", {"victim": "home"})]),
+        "victim, got 'home'",
+    ),
+    # Used to run with the version's leak on the tracers alone.
+    "hybrid-rollout-version-fault": (
+        dict(
+            simulation_mode="hybrid",
+            shards=2,
+            rollout=RolloutPlan(
+                version=ComponentVersion(
+                    "home", "v2", faults=(FaultSpec("home", "memory-leak"),)
+                ),
+                start_time=10.0,
+                stage_sizes=(2,),
+            ),
+        ),
+        "rollout version's faults",
+    ),
 }
 
 

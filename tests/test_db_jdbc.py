@@ -30,13 +30,19 @@ class TestResultSetAndStatements:
             names.append(result.get_string("name"))
         assert names == [f"row{i}" for i in range(5)]
         assert result.next() is False
+        # ``next()`` never moves past the last row: reads still see it.
+        assert result.get_string("name") == "row4"
         connection.close()
 
     def test_get_before_next_raises(self, datasource):
         connection = datasource.get_connection()
         result = connection.execute_query("SELECT id FROM t")
-        with pytest.raises(SQLError):
+        with pytest.raises(SQLError, match=r"next\(\) has not been called"):
             result.get("id")
+        empty = connection.execute_query("SELECT id FROM t WHERE id = 1000")
+        assert empty.next() is False
+        with pytest.raises(SQLError, match=r"next\(\) has not been called"):
+            empty.get("id")
         connection.close()
 
     def test_typed_getters_handle_null(self, datasource):
@@ -52,7 +58,7 @@ class TestResultSetAndStatements:
         connection = datasource.get_connection()
         result = connection.execute_query("SELECT id FROM t WHERE id = 1")
         result.next()
-        with pytest.raises(SQLError):
+        with pytest.raises(SQLError, match=r"no column 'missing' \(columns: \['id'\]\)"):
             result.get("missing")
         connection.close()
 

@@ -14,7 +14,12 @@ storage and asserts exactly that, for
   operators, ORDER BY ASC/DESC (including multi-key) and LIMIT, and
 * both of those again after each of a sequence of writes (inserts, deletes,
   key and non-key updates, an index declared), which drive the plans' join
-  memos through hits, catch-ups and rebuilds.
+  memos through hits, catch-ups and rebuilds,
+* the candidate probes (the join memo's groups for ``col = ?``, the sorted
+  keys for ``col LIKE 'prefix%'`` and the lazy hash lookup) over rows that
+  hold edge values, with writes to the probed columns between executions,
+  and
+* the servlet repertoire once more on a standard (paper-scale) population.
 
 The reference implementation is ``perf/seed_reference``'s
 ``SeedRowHandlingDatabase`` (wrapper-dict rows, per-row column resolution),
@@ -26,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.db.engine import Database
+from repro.db.engine import Database, SqlExecutionError
 from repro.db.sql import parse_sql
 from repro.perf.seed_reference import make_seed_row_database_class
 from repro.sim.random import RandomStreams
@@ -102,6 +107,11 @@ SERVLET_QUERIES = [
         "SELECT i_id, i_title, i_srp FROM item WHERE i_title LIKE ? "
         "ORDER BY i_title LIMIT 50",
         ["%the%"],
+    ),
+    (
+        "SELECT i_id, i_title, i_srp FROM item WHERE i_title LIKE ? "
+        "ORDER BY i_title LIMIT 50",
+        ["Book Title 1%"],
     ),
     # new_products: the planner's top-k join shape
     (
@@ -553,6 +563,17 @@ def _index_join_column(database):
     database.table("customer").create_index("c_addr_id")
 
 
+def _update_author_lname(database):
+    """Move a best-seller's author into or out of the author search's group."""
+    author = _one(
+        database,
+        "SELECT a_id, a_lname FROM author WHERE a_id = ?",
+        [_best_seller_item(database)["i_a_id"]],
+    )
+    lname = "JONES" if author["a_lname"] == "SMITH" else "SMITH"
+    database.execute("UPDATE author SET a_lname = ? WHERE a_id = ?", [lname, author["a_id"]])
+
+
 #: ``(write, what best-sellers' next execution does with its join memo)``.
 MUTATIONS = [
     (_insert_order_line, "catch_up"),
@@ -560,6 +581,7 @@ MUTATIONS = [
     (_update_item_author, "rebuild"),  # a join key
     (_update_item_subject, "hit"),  # filtered on, read live
     (_update_item_title, "hit"),  # projected, read live
+    (_update_author_lname, "hit"),  # projected, read live
     (_insert_author, "rebuild"),
     (_delete_author, "rebuild"),
     (_index_join_column, "hit"),  # recompiles only the plans over customer
@@ -620,3 +642,249 @@ def test_write_sequence_reaches_hit_catch_up_and_rebuild(mutable_databases):
     assert _next_memo_outcome(planned_db, *REVERSE_JOIN) == "rebuild"
     assert _plan(planned_db, REVERSE_JOIN[0]) is not reverse_plan
     assert _plan(planned_db, REVERSE_JOIN[0]).join_steps[0].use_index
+
+
+# --------------------------------------------------------------------------- #
+# Candidate probes over edge values, with writes to the probed columns
+# --------------------------------------------------------------------------- #
+NAN = float("nan")
+
+#: ``i_srp`` values of the edge items: a FLOAT column holding ints and floats,
+#: NULL, both zeros and NaN (one object stored twice, and another).
+EDGE_SRPS = [None, -0.0, 0.0, 1, 1.0, 2.5, NAN, NAN, float("nan")]
+
+#: ``i_title`` values of the edge items: wildcard and regex characters,
+#: a newline, and keys around the largest code point.
+EDGE_TITLES = [
+    None, "", "Book (1).x", "Book_Title", "Book%Title", "a\\b", "line\nbreak",
+    "Z\U0010ffffA", "Z\U0010ffff", "\U0010ffff\U0010ffff", "Book Title 1",
+]
+
+#: ``col = ?`` probe values: NULL (equal to NULL here), both zeros,
+#: ``1``/``1.0``/``True``, NaN (the stored object and another), text, a miss
+#: and an unhashable value.
+EQ_PROBES = [None, -0.0, 0.0, 1, 1.0, True, 2.5, NAN, float("nan"), "1", 99.5, [1]]
+
+#: ``col LIKE ?`` patterns: ``_`` in the literal part, a leading ``%``, the
+#: empty and the NULL pattern, regex metacharacters, a newline, prefixes no
+#: key has or past the last key, the largest code point, a non-text pattern.
+LIKE_PATTERNS = [
+    "Book Title 1%", "Book_Title%", "Book Title_1%", "%Title 1%", "", None,
+    "Book (1).%", "Book (1).x", "Book%Title", "a\\b%", "a\\%", "line%",
+    "Z\U0010ffff%", "\U0010ffff%", "Book Title 1", "NOSUCH%", "zzzz%", "B%", "_%", 1,
+]
+
+AUTHOR_SEARCH = next(query for query in SERVLET_QUERIES if "a_lname = ?" in query[0])[0]
+TITLE_SEARCH = next(query for query in SERVLET_QUERIES if "Book Title 1%" in query[1])[0]
+
+PROBE_QUERIES = (
+    # The join memo's groups: the column on the base side, then the new side.
+    [
+        ("SELECT i.i_id, i.i_srp, a.a_lname FROM item i "
+         "JOIN author a ON i.i_a_id = a.a_id WHERE i.i_srp = ?", [value])
+        for value in EQ_PROBES
+    ]
+    + [
+        ("SELECT i.i_id, a.a_lname FROM item i "
+         "JOIN author a ON i.i_a_id = a.a_id WHERE a.a_lname = ?", [value])
+        for value in [None, "SMITH", "smith", "NOSUCH", 1, [1]]
+    ]
+    + [(BEST_SELLERS[0], [value]) for value in [None, SUBJECTS[2], "NOSUCH"]]
+    + [(AUTHOR_SEARCH, [value]) for value in [None, "SMITH", "smith"]]
+    + [
+        # Literal right-hand sides, a second equality, a column-to-column
+        # equality before the bound one.
+        ("SELECT i.i_id FROM item i JOIN author a ON i.i_a_id = a.a_id "
+         "WHERE i.i_srp = 1", []),
+        ("SELECT i.i_id FROM item i JOIN author a ON i.i_a_id = a.a_id "
+         "WHERE i.i_srp = NULL", []),
+        ("SELECT i.i_id FROM item i JOIN author a ON i.i_a_id = a.a_id "
+         "WHERE i.i_srp = TRUE", []),
+        ("SELECT i.i_id, i.i_srp FROM item i JOIN author a ON i.i_a_id = a.a_id "
+         "WHERE a.a_lname = ? AND i.i_srp = ?", ["SMITH", 1.0]),
+        ("SELECT i.i_id FROM item i JOIN author a ON i.i_a_id = a.a_id "
+         "WHERE i.i_a_id = a.a_id AND i.i_srp = ? ORDER BY i.i_id DESC LIMIT 3", [0.0]),
+    ]
+    # The lazy hash lookup on a single table.
+    + [("SELECT i_id, i_srp FROM item WHERE i_srp = ?", [value]) for value in EQ_PROBES]
+    # The LIKE prefix probe: on text, on numbers, beside other terms.
+    + [("SELECT i_id, i_title FROM item WHERE i_title LIKE ?", [value])
+       for value in LIKE_PATTERNS]
+    + [(TITLE_SEARCH, [value]) for value in LIKE_PATTERNS]
+    + [
+        ("SELECT i_id FROM item WHERE i_id LIKE '1%'", []),
+        ("SELECT i_id FROM item WHERE i_id LIKE ?", [1]),
+        ("SELECT i_id, i_srp FROM item WHERE i_srp LIKE ?", ["-0%"]),
+        ("SELECT i_id, i_srp FROM item WHERE i_srp LIKE ?", ["1%"]),
+        ("SELECT i_id, i_srp FROM item WHERE i_srp LIKE ?", ["nan"]),
+        ("SELECT i_id FROM item WHERE i_title LIKE 'Book (1).%'", []),
+        ("SELECT i_id FROM item WHERE i_title LIKE ? AND i_srp > ?", ["Book%", 1]),
+        ("SELECT i_id FROM item WHERE i_srp > ? AND i_title LIKE ?", [1, "Book%"]),
+        ("SELECT i_id FROM item WHERE i_title LIKE ? AND i_title LIKE ?", ["B%", "%1"]),
+        ("SELECT COUNT(*) AS n FROM item WHERE i_title LIKE ?", ["Book Title 2%"]),
+        ("SELECT i_subject, COUNT(*) AS n FROM item WHERE i_title LIKE ? "
+         "GROUP BY i_subject ORDER BY n DESC", ["Book%"]),
+    ]
+)
+
+
+def _edge_databases():
+    """A tiny pair plus authors, items and order lines holding edge values."""
+    planned, seed = _database_pair()
+    author, item, order_line = (planned.table(name) for name in ("author", "item", "order_line"))
+    first_author = max(row["a_id"] for row in author.rows()) + 1
+    for offset, lname in enumerate([None, "SMITH", "smith"]):
+        author.insert({"a_id": first_author + offset, "a_fname": "EDGE", "a_lname": lname})
+    first_item = max(row["i_id"] for row in item.rows()) + 1
+    next_line = max(row["ol_id"] for row in order_line.rows()) + 1
+    subjects = [None, SUBJECTS[2], SUBJECTS[0]]
+    for offset in range(2 * len(EDGE_TITLES)):
+        i_id = first_item + offset
+        item.insert({
+            "i_id": i_id,
+            "i_title": EDGE_TITLES[offset % len(EDGE_TITLES)],
+            "i_a_id": first_author + offset % 4,  # first_author + 3 is no author
+            "i_subject": subjects[offset % len(subjects)],
+            "i_srp": EDGE_SRPS[offset % len(EDGE_SRPS)],
+            "i_cost": 1.0,
+        })
+        for quantity in range(1, offset % 3 + 1):
+            order_line.insert(
+                {"ol_id": next_line, "ol_o_id": 1, "ol_i_id": i_id, "ol_qty": quantity}
+            )
+            next_line += 1
+    return planned, seed
+
+
+def _assert_probes_equivalent(databases):
+    for sql, params in PROBE_QUERIES + SERVLET_QUERIES:
+        assert_equivalent(databases, sql, params)
+
+
+def _edge_item(database, title):
+    return _one(database, "SELECT i_id FROM item WHERE i_title = ? LIMIT 1", [title])["i_id"]
+
+
+def _retitle_edge_item(database):
+    database.execute(
+        "UPDATE item SET i_title = ? WHERE i_id = ?",
+        ["Book Title 1 retitled", _edge_item(database, "Book (1).x")],
+    )
+
+
+def _resubject_edge_items(database):
+    for title, subject in (("Book_Title", SUBJECTS[2]), ("Book%Title", None)):
+        database.execute(
+            "UPDATE item SET i_subject = ? WHERE i_id = ?", [subject, _edge_item(database, title)]
+        )
+
+
+def _reprice_edge_items(database):
+    for title, srp in (("line\nbreak", 1.0), ("Book Title 1", NAN), ("a\\b", None)):
+        database.execute(
+            "UPDATE item SET i_srp = ? WHERE i_id = ?", [srp, _edge_item(database, title)]
+        )
+
+
+def _rename_edge_authors(database):
+    for old, new in (("smith", "SMITH"), ("SMITH", None)):
+        database.execute("UPDATE author SET a_lname = ? WHERE a_lname = ?", [new, old])
+
+
+def _order_edge_item(database):
+    next_id = _one(database, "SELECT MAX(ol_id) AS m FROM order_line")["m"] + 1
+    database.execute(
+        "INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty) VALUES (?, ?, ?, ?)",
+        [next_id, 2, _edge_item(database, "Book_Title"), 500],
+    )
+
+
+def _insert_edge_item(database):
+    next_id = _one(database, "SELECT MAX(i_id) AS m FROM item")["m"] + 1
+    database.execute(
+        "INSERT INTO item (i_id, i_title, i_a_id, i_subject, i_srp) VALUES (?, ?, ?, ?, ?)",
+        [next_id, "Book Title 1 new", 1, SUBJECTS[2], 1],
+    )
+
+
+def _delete_edge_item(database):
+    assert database.execute(
+        "DELETE FROM item WHERE i_id = ?", [_edge_item(database, "Book Title 1")]
+    ).rowcount == 1
+
+
+#: Writes to the grouped and probed columns only, then appends and deletes.
+PROBE_WRITES = [
+    _retitle_edge_item,
+    _resubject_edge_items,
+    _reprice_edge_items,
+    _rename_edge_authors,
+    _order_edge_item,
+    _insert_edge_item,
+    _delete_order_line,
+    _delete_edge_item,
+]
+
+
+def test_probes_equivalent_over_edge_values_with_writes_between():
+    databases = _edge_databases()
+    _assert_probes_equivalent(databases)
+    for write in PROBE_WRITES:
+        write(databases[0])
+        _assert_probes_equivalent(databases)
+
+
+def test_probes_visit_candidates_and_follow_writes():
+    """Sanity: the probes narrow the rows visited and track the data versions."""
+    planned_db, _ = databases = _edge_databases()
+    planned_db.execute(*BEST_SELLERS)
+    plan = _plan(planned_db, BEST_SELLERS[0])
+    memo = plan._join_memo
+    assert plan._group_probe is not None
+    assert memo.grouped == len(memo.rows)
+    assert 0 < len(memo.groups[BEST_SELLERS[1][0]]) < len(memo.rows)
+    # A catch-up appends to the groups; a residual-column update regroups.
+    _order_edge_item(planned_db)
+    planned_db.execute(*BEST_SELLERS)
+    assert plan._join_memo is memo and memo.grouped == len(memo.rows)
+    version = memo.group_version
+    _resubject_edge_items(planned_db)
+    planned_db.execute(*BEST_SELLERS)
+    assert plan._join_memo is memo and memo.group_version != version
+    # The LIKE probe's sorted keys follow the title's version.
+    planned_db.execute(TITLE_SEARCH, ["Book Title 1%"])
+    assert _plan(planned_db, TITLE_SEARCH)._like_probe is not None
+    stamp = planned_db.table("item")._sorted_keys["i_title"][0]
+    _retitle_edge_item(planned_db)
+    assert_equivalent(databases, TITLE_SEARCH, ["Book Title 1%"])
+    assert planned_db.table("item")._sorted_keys["i_title"][0] != stamp
+
+
+@pytest.mark.parametrize(
+    "sql,expected",
+    [
+        (BEST_SELLERS[0], 1),
+        (AUTHOR_SEARCH, 1),
+        (TITLE_SEARCH, 1),
+        ("SELECT i_id FROM item WHERE i_srp > ? AND i_title LIKE ?", 1),
+        # The lazy hash lookup binds its value before the other residuals.
+        ("SELECT i_id FROM item WHERE i_title LIKE ? AND i_srp = ?", 2),
+    ],
+)
+def test_missing_parameter_raises_before_any_probe(databases, sql, expected):
+    planned_db, _ = databases
+    with pytest.raises(SqlExecutionError, match=f"expects at least {expected} parameters"):
+        planned_db.execute(sql, [])
+
+
+def test_servlet_repertoire_equivalent_at_paper_scale():
+    planned = Database("tpcw")
+    create_tpcw_schema(planned)
+    populate_database(planned, scale=PopulationScale.standard(), streams=RandomStreams(1))
+    seed = make_seed_row_database_class()("tpcw")
+    seed._tables = planned._tables
+    for sql, params in SERVLET_QUERIES:
+        assert_equivalent((planned, seed), sql, params)
+    # A best-sellers group holds a small share of the memo's rows.
+    memo = _plan(planned, BEST_SELLERS[0])._join_memo
+    assert len(memo.groups[BEST_SELLERS[1][0]]) * 10 < len(memo.rows)
