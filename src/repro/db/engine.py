@@ -6,6 +6,9 @@ cost* derived from the work performed (rows scanned, index hits, rows
 returned); the JDBC layer hands that cost to the servlet container, which
 adds it to the request's simulated service time — this is how database load
 shows up in TPC-W response times without any real I/O.
+
+:meth:`Database.execute` is the one statement entry.  Each statement kind's
+executor ends in one accounting step, :meth:`Database._account`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.db.sql import (
     SqlSyntaxError,
     Statement,
     UpdateStatement,
+    count_parameters,
     parse_sql,
 )
 from repro.db.table import Column, Table
@@ -73,29 +77,21 @@ class QueryStats:
 
     queries_executed: int = 0
     rows_scanned: int = 0
-    rows_returned: int = 0
-    index_lookups: int = 0
-    total_cost_seconds: float = 0.0
     by_statement_kind: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, kind: str, scanned: int, returned: int, cost: float, index_lookups: int) -> None:
-        """Fold one query's counters into the totals."""
-        self.queries_executed += 1
-        self.rows_scanned += scanned
-        self.rows_returned += returned
-        self.index_lookups += index_lookups
-        self.total_cost_seconds += cost
-        self.by_statement_kind[kind] = self.by_statement_kind.get(kind, 0) + 1
 
-
-@dataclass
 class QueryResult:
     """The outcome of executing one statement."""
 
-    rows: List[Dict[str, Any]]
-    rowcount: int
-    cost_seconds: float
-    rows_scanned: int
+    __slots__ = ("rows", "rowcount", "cost_seconds", "rows_scanned")
+
+    def __init__(
+        self, rows: List[Dict[str, Any]], rowcount: int, cost_seconds: float, rows_scanned: int
+    ) -> None:
+        self.rows = rows
+        self.rowcount = rowcount
+        self.cost_seconds = cost_seconds
+        self.rows_scanned = rows_scanned
 
 
 @dataclass
@@ -105,7 +101,9 @@ class CostModel:
     The constants are calibrated so a primary-key lookup costs ~0.5 ms and a
     full scan of a 10 k-row table costs ~10 ms — the right order of magnitude
     for the paper's era of hardware (Table I) and enough to make the database
-    a visible part of TPC-W response time.
+    a visible part of TPC-W response time.  One statement costs the base plus
+    each per-unit price times its count, summed in field order
+    (:meth:`Database._account`).
     """
 
     base_seconds: float = 4e-4
@@ -113,16 +111,6 @@ class CostModel:
     per_row_returned: float = 5e-6
     per_index_lookup: float = 5e-5
     per_insert: float = 3e-4
-
-    def cost(self, scanned: int, returned: int, index_lookups: int, inserts: int = 0) -> float:
-        """Total simulated seconds for one statement."""
-        return (
-            self.base_seconds
-            + self.per_row_scanned * scanned
-            + self.per_row_returned * returned
-            + self.per_index_lookup * index_lookups
-            + self.per_insert * inserts
-        )
 
 
 class Database:
@@ -193,30 +181,71 @@ class Database:
     # Execution entry point
     # ------------------------------------------------------------------ #
     def execute(self, sql: "str | Statement", params: Sequence[Any] = ()) -> QueryResult:
-        """Parse (if needed) and execute one statement."""
+        """Parse (if needed) and execute one statement.
+
+        Too few parameters fail here, before any executor runs, whichever
+        rows the statement's conditions would reach.
+        """
         statement = parse_sql(sql) if isinstance(sql, str) else sql
         if isinstance(statement, SelectStatement):
-            return self._execute_select(statement, params)
-        if isinstance(statement, InsertStatement):
-            return self._execute_insert(statement, params)
-        if isinstance(statement, UpdateStatement):
-            return self._execute_update(statement, params)
-        if isinstance(statement, DeleteStatement):
-            return self._execute_delete(statement, params)
-        raise SqlExecutionError(f"unsupported statement type: {type(statement).__name__}")
+            executor = self._execute_select
+        elif isinstance(statement, InsertStatement):
+            executor = self._execute_insert
+        elif isinstance(statement, UpdateStatement):
+            executor = self._execute_update
+        elif isinstance(statement, DeleteStatement):
+            executor = self._execute_delete
+        else:
+            raise SqlExecutionError(f"unsupported statement type: {type(statement).__name__}")
+        needed = statement.parameter_count
+        if needed is None:
+            needed = count_parameters(statement)
+        if len(params) < needed:
+            raise SqlExecutionError(
+                f"statement expects at least {needed} parameters, got {len(params)}"
+            )
+        return executor(statement, params)
+
+    def _account(
+        self,
+        kind: str,
+        rows: List[Dict[str, Any]],
+        rowcount: int,
+        scanned: int,
+        index_lookups: int,
+        inserts: int = 0,
+    ) -> QueryResult:
+        """Charge one executed statement: its cost, the stats and its result.
+
+        The cost adds the terms in the cost model's field order: base, rows
+        scanned, rows returned, index lookups, then inserts (only an INSERT
+        has one; a zero term adds nothing to the float).
+        """
+        model = self.cost_model
+        cost = (
+            model.base_seconds
+            + model.per_row_scanned * scanned
+            + model.per_row_returned * len(rows)
+            + model.per_index_lookup * index_lookups
+        )
+        if inserts:
+            cost += model.per_insert * inserts
+        stats = self.stats
+        stats.queries_executed += 1
+        stats.rows_scanned += scanned
+        kinds = stats.by_statement_kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+        return QueryResult(rows, rowcount, cost, scanned)
 
     # ------------------------------------------------------------------ #
     # Helpers shared by executors
     # ------------------------------------------------------------------ #
     @staticmethod
     def _bind(value: Union[Literal, Parameter, ColumnRef], params: Sequence[Any]) -> Any:
+        # ``execute`` has checked that every parameter is there.
         if isinstance(value, Literal):
             return value.value
         if isinstance(value, Parameter):
-            if value.index >= len(params):
-                raise SqlExecutionError(
-                    f"statement expects at least {value.index + 1} parameters, got {len(params)}"
-                )
             return params[value.index]
         raise SqlExecutionError("column references are not valid here")
 
@@ -279,11 +308,7 @@ class Database:
                 self._plan_cache.clear()
             self._plan_cache[id(statement)] = (statement, plan)
         result_rows, scanned, index_lookups = plan.execute(params)
-        cost = self.cost_model.cost(scanned, len(result_rows), index_lookups)
-        self.stats.record("SELECT", scanned, len(result_rows), cost, index_lookups)
-        return QueryResult(
-            rows=result_rows, rowcount=len(result_rows), cost_seconds=cost, rows_scanned=scanned
-        )
+        return self._account("SELECT", result_rows, len(result_rows), scanned, index_lookups)
 
     @staticmethod
     def _order_key_name(order, statement: SelectStatement, result_rows: List[Dict[str, Any]]) -> str:
@@ -401,9 +426,7 @@ class Database:
             for column, value in zip(statement.columns, statement.values)
         }
         table.insert(values)
-        cost = self.cost_model.cost(0, 0, 0, inserts=1)
-        self.stats.record("INSERT", 0, 0, cost, 0)
-        return QueryResult(rows=[], rowcount=1, cost_seconds=cost, rows_scanned=0)
+        return self._account("INSERT", [], 1, 0, 0, inserts=1)
 
     def _matching_row_ids(
         self, table: Table, where: List[Condition], params: Sequence[Any]
@@ -453,14 +476,10 @@ class Database:
             column: self._bind(value, params) for column, value in statement.assignments
         }
         updated = table.update_rows(row_ids, changes)
-        cost = self.cost_model.cost(scanned, 0, index_lookups)
-        self.stats.record("UPDATE", scanned, 0, cost, index_lookups)
-        return QueryResult(rows=[], rowcount=updated, cost_seconds=cost, rows_scanned=scanned)
+        return self._account("UPDATE", [], updated, scanned, index_lookups)
 
     def _execute_delete(self, statement: DeleteStatement, params: Sequence[Any]) -> QueryResult:
         table = self.table(statement.table)
         row_ids, scanned, index_lookups = self._matching_row_ids(table, statement.where, params)
         deleted = table.delete_rows(row_ids)
-        cost = self.cost_model.cost(scanned, 0, index_lookups)
-        self.stats.record("DELETE", scanned, 0, cost, index_lookups)
-        return QueryResult(rows=[], rowcount=deleted, cost_seconds=cost, rows_scanned=scanned)
+        return self._account("DELETE", [], deleted, scanned, index_lookups)

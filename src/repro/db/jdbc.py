@@ -15,9 +15,9 @@ for the reproduction:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.db.engine import Database, QueryResult
+from repro.db.engine import Database
 from repro.db.sql import Statement, parse_sql
 
 
@@ -34,14 +34,15 @@ _BEFORE_FIRST_ROW: Dict[str, Any] = {}
 
 
 class ResultSet:
-    """Forward-only cursor over a query result."""
+    """Forward-only cursor over a query result's rows."""
 
-    def __init__(self, result: QueryResult) -> None:
-        self._rows = result.rows
+    __slots__ = ("_rows", "_index", "_row")
+
+    def __init__(self, rows: List[Dict[str, Any]]) -> None:
+        self._rows = rows
         self._index = -1
         #: The row ``next()`` moved to; it stays on the last row at the end.
         self._row = _BEFORE_FIRST_ROW
-        self.cost_seconds = result.cost_seconds
 
     def next(self) -> bool:
         """Advance to the next row; returns ``False`` past the end."""
@@ -63,19 +64,30 @@ class ResultSet:
                 f"result has no column {column!r} (columns: {sorted(self._row)})"
             ) from None
 
+    # The typed getters read the current row themselves; ``get`` only
+    # words the error of a missing column.
     def get_int(self, column: str) -> int:
         """Integer value of ``column`` (NULL maps to 0, JDBC-style)."""
-        value = self.get(column)
+        try:
+            value = self._row[column]
+        except KeyError:
+            value = self.get(column)
         return int(value) if value is not None else 0
 
     def get_float(self, column: str) -> float:
         """Float value of ``column`` (NULL maps to 0.0)."""
-        value = self.get(column)
+        try:
+            value = self._row[column]
+        except KeyError:
+            value = self.get(column)
         return float(value) if value is not None else 0.0
 
     def get_string(self, column: str) -> Optional[str]:
         """String value of ``column`` (may be ``None``)."""
-        value = self.get(column)
+        try:
+            value = self._row[column]
+        except KeyError:
+            value = self.get(column)
         return None if value is None else str(value)
 
     def __len__(self) -> int:
@@ -132,35 +144,37 @@ class Connection:
         #: Component that borrowed the connection (``None``: untagged).
         self.owner = owner
         self._closed = False
-        self.query_count = 0
-        self.accumulated_cost_seconds = 0.0
 
     # ------------------------------------------------------------------ #
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SQLError(f"connection {self.connection_id} is closed")
-
+    # Each statement is one ``Database.execute`` call; its cost, aged by the
+    # data source's latency inflation, accrues to the data source, which the
+    # container reads around each request.
     def prepare_statement(self, sql: str) -> PreparedStatement:
         """Create a prepared statement on this connection."""
-        self._check_open()
+        if self._closed:
+            raise SQLError(f"connection {self.connection_id} is closed")
         return PreparedStatement(self, sql)
 
     def execute_query(self, sql: Union[str, Statement], params: Sequence[Any] = ()) -> ResultSet:
         """Execute a SELECT directly (SQL text or a pre-parsed statement)."""
-        self._check_open()
-        result = self._datasource.database.execute(sql, params)
-        self.query_count += 1
-        self.accumulated_cost_seconds += result.cost_seconds
-        self._datasource.record_cost(result.cost_seconds)
-        return ResultSet(result)
+        if self._closed:
+            raise SQLError(f"connection {self.connection_id} is closed")
+        datasource = self._datasource
+        result = datasource.database.execute(sql, params)
+        datasource.total_cost_seconds += (
+            result.cost_seconds * datasource.latency_multiplier + datasource.extra_latency_seconds
+        )
+        return ResultSet(result.rows)
 
     def execute_update(self, sql: Union[str, Statement], params: Sequence[Any] = ()) -> int:
         """Execute an INSERT/UPDATE/DELETE directly (SQL text or pre-parsed)."""
-        self._check_open()
-        result = self._datasource.database.execute(sql, params)
-        self.query_count += 1
-        self.accumulated_cost_seconds += result.cost_seconds
-        self._datasource.record_cost(result.cost_seconds)
+        if self._closed:
+            raise SQLError(f"connection {self.connection_id} is closed")
+        datasource = self._datasource
+        result = datasource.database.execute(sql, params)
+        datasource.total_cost_seconds += (
+            result.cost_seconds * datasource.latency_multiplier + datasource.extra_latency_seconds
+        )
         return result.rowcount
 
     def close(self) -> None:
@@ -201,6 +215,8 @@ class DataSource:
         self._next_id = 1
         self._in_use: Dict[int, Connection] = {}
         self.total_borrowed = 0
+        #: Simulated query cost accumulated by every connection (read by the
+        #: container around each request).
         self.total_cost_seconds = 0.0
         self.exhaustion_events = 0
         #: Multiplier applied to every recorded query cost (1.0 = healthy).
@@ -277,10 +293,6 @@ class DataSource:
             self.latency_multiplier = min(self.latency_multiplier, float(max_multiplier))
         self.extra_latency_seconds += float(extra_seconds_increment)
         return self.latency_multiplier
-
-    def record_cost(self, cost_seconds: float) -> None:
-        """Accumulate simulated query cost (read by the container/agents)."""
-        self.total_cost_seconds += cost_seconds * self.latency_multiplier + self.extra_latency_seconds
 
     @property
     def active_connections(self) -> int:

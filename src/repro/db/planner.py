@@ -57,6 +57,12 @@ Operator highlights:
   (:meth:`repro.db.table.Table.prefix_row_ids`), which are stamped with the
   table's row-set version and the column's version.  Both yield their
   candidates in scan order; a pattern with no literal prefix scans.
+* **Primary-key probe** — most statements the servlets send read one row
+  by its primary key.  A plan whose whole WHERE is one ``pk = ?`` (or
+  ``pk = literal``) over one table, with no aggregate, GROUP BY, ORDER BY
+  or LIMIT, runs as one ``_pk_index`` probe through its compiled parameter
+  slot and projects at most one row.  It charges what the declared-index
+  path charges: one index lookup, and rows scanned equal to the rows found.
 
 **Cost-model neutrality.**  The engine's simulated latency model charges the
 *declared* access plan (what the paper-era MySQL would have done with the
@@ -84,7 +90,7 @@ from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.db.engine import SqlExecutionError, like_matcher
-from repro.db.sql import Aggregate, ColumnRef, Condition, SelectStatement
+from repro.db.sql import Aggregate, ColumnRef, Condition, Parameter, SelectStatement
 from repro.db.table import Table, _SecondaryIndex
 
 #: Evaluate GROUP BY aggregates by streaming folds (one pass, per-group
@@ -153,7 +159,11 @@ class _JoinMemo:
 
 
 class CompiledSelect:
-    """A SELECT statement compiled against one database's current schema."""
+    """A SELECT statement compiled against one database's current schema.
+
+    :meth:`execute` runs the general pipeline; a primary-key read's plan
+    replaces it with the probe (``pk_probe``).
+    """
 
     def __init__(self, database, statement: SelectStatement) -> None:
         self.statement = statement
@@ -515,6 +525,42 @@ class CompiledSelect:
                 fns = {f"_k{i}": fn for i, (fn, _) in enumerate(self._order_key_fns)}
                 body = ", ".join(f"{name}(row)" for name in fns)
                 self._topk_key = self._make_fn(f"lambda row: ({body})", dict(fns))
+
+        # Primary-key probe: the whole WHERE is one ``pk = ?`` (or literal)
+        # over a single table, and nothing after the filter can reorder,
+        # fold or cut its at most one row.
+        self.pk_probe = (
+            not self.joined
+            and len(statement.where) == 1
+            and len(self.index_conditions) == 1
+            and self.index_conditions[0][0] == base_table.primary_key
+            and not self.is_aggregate
+            and not statement.order_by
+            and statement.limit is None
+        )
+        if self.pk_probe:
+            self.execute = self._compile_pk_probe(self.index_conditions[0][1])
+
+    def _compile_pk_probe(self, rhs_node: Any) -> Callable:
+        """The plan of a primary-key read: one ``_pk_index`` probe, replacing ``execute``.
+
+        ``_pk_index.get`` resolves the value as ``lookup_ids`` does: ``1``,
+        ``1.0`` and ``True`` find the same row, NULL and NaN find none, and
+        an unhashable value raises ``TypeError``.  The table changes its key
+        index and row dicts in place, so the probe binds them once.
+        """
+        key = f"params[{rhs_node.index}]" if isinstance(rhs_node, Parameter) else "value"
+        namespace = {
+            "pk_get": self.base_table._pk_index.get,
+            "stored": self.base_table._rows,
+            "project": self._project,
+            "value": None if isinstance(rhs_node, Parameter) else self._bind(rhs_node, ()),
+        }
+        return self._make_fn(
+            f"lambda params: ([], 0, 1) if (row_id := pk_get({key})) is None"
+            " else ([project(stored[row_id])], 1, 1)",
+            namespace,
+        )
 
     # ------------------------------------------------------------------ #
     # Validity

@@ -123,6 +123,10 @@ class SelectStatement:
     #: the parser computes it once; ``None`` (hand-built statements) falls
     #: back to a per-call scan.
     has_aggregates: Optional[bool] = field(default=None, compare=False)
+    #: The parser's count of ``?`` markers (every statement kind records
+    #: it); ``None`` on a hand-built statement, which
+    #: :func:`count_parameters` counts instead.
+    parameter_count: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -132,6 +136,7 @@ class InsertStatement:
     table: str
     columns: List[str]
     values: List[Union[Literal, Parameter]]
+    parameter_count: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -141,6 +146,7 @@ class UpdateStatement:
     table: str
     assignments: List[Tuple[str, Union[Literal, Parameter]]]
     where: List[Condition] = field(default_factory=list)
+    parameter_count: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -149,9 +155,24 @@ class DeleteStatement:
 
     table: str
     where: List[Condition] = field(default_factory=list)
+    parameter_count: Optional[int] = field(default=None, compare=False)
 
 
 Statement = Union[SelectStatement, InsertStatement, UpdateStatement, DeleteStatement]
+
+
+def count_parameters(statement: Statement) -> int:
+    """Parameters a statement needs: one past its highest ``?`` index.
+
+    For a parsed statement that is its number of ``?`` markers, which the
+    parser records as ``parameter_count``; a hand-built one is counted here.
+    """
+    values: List[Any] = [condition.rhs for condition in getattr(statement, "where", ())]
+    if isinstance(statement, InsertStatement):
+        values.extend(statement.values)
+    elif isinstance(statement, UpdateStatement):
+        values.extend(value for _, value in statement.assignments)
+    return max((value.index + 1 for value in values if isinstance(value, Parameter)), default=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -336,6 +357,7 @@ class _SqlParser:
             )
         if self._peek() is not None:
             raise SqlSyntaxError(f"trailing tokens after statement: {self.sql!r}")
+        statement.parameter_count = self.parameter_count
         return statement
 
     def _parse_select(self) -> SelectStatement:

@@ -412,7 +412,7 @@ def make_seed_row_database_class():
     ``_project_row`` — the allocation pattern the ``request_path``
     fast path removed.
     """
-    from repro.db.engine import Database, QueryResult, SqlExecutionError
+    from repro.db.engine import Database, SqlExecutionError
     from repro.db.sql import Aggregate, ColumnRef, Condition, SelectStatement
     from typing import Any, Dict, List, Sequence, Tuple
 
@@ -552,13 +552,6 @@ def make_seed_row_database_class():
             if statement.limit is not None:
                 result_rows = result_rows[: statement.limit]
 
-            cost = self.cost_model.cost(scanned, len(result_rows), index_lookups)
-            self.stats.record("SELECT", scanned, len(result_rows), cost, index_lookups)
-            return QueryResult(
-                rows=result_rows,
-                rowcount=len(result_rows),
-                cost_seconds=cost,
-                rows_scanned=scanned,
-            )
+            return self._account("SELECT", result_rows, len(result_rows), scanned, index_lookups)
 
     return SeedRowHandlingDatabase

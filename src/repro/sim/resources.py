@@ -16,7 +16,7 @@ deterministic.
 from __future__ import annotations
 
 import heapq
-from typing import List
+from typing import List, Optional
 
 
 class ResourceBusyError(RuntimeError):
@@ -33,8 +33,10 @@ class CapacityResource:
     name:
         Human-readable label, used in error messages and metrics.
     max_queue:
-        Maximum number of bookings whose start time lies in the future
-        relative to the request time.  ``None`` means unbounded.
+        Maximum number of bookings waiting for a server: a request is
+        refused when ``capacity + max_queue`` earlier bookings are still
+        unfinished at its request time.  ``None`` means unbounded.  A
+        bounded resource must be asked in request-time order.
     """
 
     def __init__(self, capacity: int, name: str = "resource", max_queue: int | None = None) -> None:
@@ -51,6 +53,9 @@ class CapacityResource:
         # request.  Only the multiset of times matters (which physical server
         # serves a booking is unobservable), so the heap is result-identical.
         self._free_at: List[float] = [0.0] * self.capacity
+        #: Finish times of the bookings not finished at the latest request
+        #: time, as a min-heap; kept only when the queue is bounded.
+        self._unfinished: Optional[List[float]] = None if max_queue is None else []
         self._total_busy_time = 0.0
         self._total_wait_time = 0.0
         self._served = 0
@@ -77,9 +82,13 @@ class CapacityResource:
         free_at = self._free_at
         best_free = free_at[0]
 
-        if self.max_queue is not None:
-            queued = sum(1 for t in free_at if t > request_time)
-            if best_free > request_time and queued >= self.capacity + self.max_queue:
+        unfinished = self._unfinished
+        if unfinished is not None:
+            # Request times never decrease, so a booking finished by now
+            # stays finished.
+            while unfinished and unfinished[0] <= request_time:
+                heapq.heappop(unfinished)
+            if len(unfinished) >= self.capacity + self.max_queue:
                 self._rejected += 1
                 raise ResourceBusyError(
                     f"{self.name}: all {self.capacity} servers busy and queue bound "
@@ -89,6 +98,8 @@ class CapacityResource:
         start = best_free if best_free > request_time else request_time
         finish = start + duration
         heapq.heapreplace(free_at, finish)
+        if unfinished is not None:
+            heapq.heappush(unfinished, finish)
         self._total_busy_time += duration
         self._total_wait_time += start - request_time
         self._served += 1

@@ -63,6 +63,7 @@ class TpcwServlet(HttpServlet):
         self._request_count = 0
         self._error_count = 0
         self._pending_fault_latency = 0.0
+        self._cached_item_count: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -143,6 +144,24 @@ class TpcwServlet(HttpServlet):
         blame (and surgically recycle) a connection-leaking component.
         """
         return self.datasource.get_connection(owner=self.component_name)
+
+    def _item_count(self) -> int:
+        """Items in the store, counted once per servlet instance.
+
+        Cached on first use to avoid a COUNT(*) per request, mirroring the
+        static initialisation of the Java servlet.
+        """
+        if self._cached_item_count is not None:
+            return self._cached_item_count
+        connection = self.get_connection()
+        try:
+            result = connection.execute_query("SELECT COUNT(*) AS n FROM item")
+            result.next()
+            count = max(1, result.get_int("n"))
+        finally:
+            connection.close()
+        self._cached_item_count = count
+        return count
 
     def random_stream(self, suffix: str):
         """A component-scoped random generator (deterministic per seed)."""

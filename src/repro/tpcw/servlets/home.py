@@ -75,19 +75,3 @@ class HomeServlet(TpcwServlet):
             connection.close()
 
         self.render(response, "TPC-W Home", model)
-
-    def _item_count(self) -> int:
-        # Cached on first use to avoid a COUNT(*) per request, mirroring the
-        # static initialisation of the Java servlet.
-        cached = getattr(self, "_cached_item_count", None)
-        if cached is not None:
-            return cached
-        connection = self.get_connection()
-        try:
-            result = connection.execute_query("SELECT COUNT(*) AS n FROM item")
-            result.next()
-            count = max(1, result.get_int("n"))
-        finally:
-            connection.close()
-        self._cached_item_count = count
-        return count

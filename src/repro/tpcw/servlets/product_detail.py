@@ -55,17 +55,3 @@ class ProductDetailServlet(TpcwServlet):
             connection.close()
 
         self.render(response, "Product Detail", {"book": book})
-
-    def _item_count(self) -> int:
-        cached = getattr(self, "_cached_item_count", None)
-        if cached is not None:
-            return cached
-        connection = self.get_connection()
-        try:
-            result = connection.execute_query("SELECT COUNT(*) AS n FROM item")
-            result.next()
-            count = max(1, result.get_int("n"))
-        finally:
-            connection.close()
-        self._cached_item_count = count
-        return count

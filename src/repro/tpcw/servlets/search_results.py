@@ -14,6 +14,21 @@ from repro.tpcw.servlets.search_request import SEARCH_TYPES
 #: Maximum rows of the results page.
 PAGE_SIZE = 50
 
+#: The three searches, built once at import (see best_sellers for why).
+SUBJECT_SEARCH_SQL = (
+    "SELECT i_id, i_title, i_srp FROM item WHERE i_subject = ? "
+    f"ORDER BY i_title ASC LIMIT {PAGE_SIZE}"
+)
+AUTHOR_SEARCH_SQL = (
+    "SELECT i.i_id, i.i_title, i.i_srp FROM item i "
+    "JOIN author a ON i.i_a_id = a.a_id WHERE a_lname = ? "
+    f"ORDER BY i_title ASC LIMIT {PAGE_SIZE}"
+)
+TITLE_SEARCH_SQL = (
+    "SELECT i_id, i_title, i_srp FROM item WHERE i_title LIKE ? "
+    f"ORDER BY i_title ASC LIMIT {PAGE_SIZE}"
+)
+
 
 class SearchResultsServlet(TpcwServlet):
     """``TPCW_execute_search``"""
@@ -37,28 +52,15 @@ class SearchResultsServlet(TpcwServlet):
                 subject = search_string if search_string in SUBJECTS else SUBJECTS[
                     int(self.random_stream("subject").integers(0, len(SUBJECTS)))
                 ]
-                result = connection.execute_query(
-                    "SELECT i_id, i_title, i_srp FROM item WHERE i_subject = ? "
-                    "ORDER BY i_title ASC LIMIT {limit}".format(limit=PAGE_SIZE),
-                    [subject],
-                )
+                result = connection.execute_query(SUBJECT_SEARCH_SQL, [subject])
                 used_term = subject
             elif search_type == "AUTHOR":
                 last_name = search_string or "SMITH"
-                result = connection.execute_query(
-                    "SELECT i.i_id, i.i_title, i.i_srp FROM item i "
-                    "JOIN author a ON i.i_a_id = a.a_id WHERE a_lname = ? "
-                    "ORDER BY i_title ASC LIMIT {limit}".format(limit=PAGE_SIZE),
-                    [last_name],
-                )
+                result = connection.execute_query(AUTHOR_SEARCH_SQL, [last_name])
                 used_term = last_name
             else:  # TITLE
                 prefix = search_string or f"Book Title {int(self.random_stream('title').integers(1, 100))}"
-                result = connection.execute_query(
-                    "SELECT i_id, i_title, i_srp FROM item WHERE i_title LIKE ? "
-                    "ORDER BY i_title ASC LIMIT {limit}".format(limit=PAGE_SIZE),
-                    [f"{prefix}%"],
-                )
+                result = connection.execute_query(TITLE_SEARCH_SQL, [f"{prefix}%"])
                 used_term = prefix
 
             books = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db.engine import Database
+from repro.db.engine import CostModel, Database
 from repro.db.jdbc import ConnectionPoolExhaustedError, DataSource, SQLError
 from repro.db.table import Column, ColumnType
 
@@ -116,9 +116,55 @@ class TestConnectionPool:
         connection.execute_query("SELECT * FROM t")
         connection.execute_query("SELECT * FROM t")
         assert datasource.total_cost_seconds > before
-        assert connection.query_count == 2
-        assert connection.accumulated_cost_seconds > 0
         connection.close()
+
+    def test_cost_accrues_in_the_cost_models_term_order(self):
+        """Each statement's cost, aged by the pool's latency inflation, sums bit for bit.
+
+        The prices are chosen so that summing the terms in another order
+        changes the last bit of some statement's cost.
+        """
+        model = CostModel(
+            base_seconds=0.41,
+            per_row_scanned=0.17,
+            per_row_returned=0.7,
+            per_index_lookup=0.19,
+            per_insert=0.31,
+        )
+        database = Database("jdbc-cost", cost_model=model)
+        database.create_table(
+            "t",
+            [Column("id", ColumnType.INTEGER, primary_key=True), Column("v", ColumnType.FLOAT)],
+        )
+        for index in range(7):
+            database.table("t").insert({"id": index, "v": float(index)})
+        datasource = DataSource(database, pool_size=1)
+        datasource.latency_multiplier = 1.3
+        datasource.extra_latency_seconds = 0.011
+        # (sql, params, rows scanned, rows returned, index lookups, inserts)
+        statements = [
+            ("SELECT id, v FROM t WHERE id = ?", [3], 1, 1, 1, 0),
+            ("SELECT id FROM t WHERE v > ?", [1.5], 7, 5, 0, 0),
+            ("INSERT INTO t (id, v) VALUES (?, ?)", [7, 7.0], 0, 0, 0, 1),
+            ("UPDATE t SET v = ? WHERE id = ?", [0.5, 2], 1, 0, 1, 0),
+        ]
+        expected = 0.0
+        connection = datasource.get_connection()
+        for sql, params, scanned, returned, lookups, inserts in statements:
+            if sql.startswith("SELECT"):
+                assert len(connection.execute_query(sql, params)) == returned
+            else:
+                assert connection.execute_update(sql, params) == 1
+            cost = (
+                model.base_seconds
+                + model.per_row_scanned * scanned
+                + model.per_row_returned * returned
+                + model.per_index_lookup * lookups
+                + model.per_insert * inserts
+            )
+            expected += cost * datasource.latency_multiplier + datasource.extra_latency_seconds
+        connection.close()
+        assert datasource.total_cost_seconds == expected
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):

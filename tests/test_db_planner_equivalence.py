@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.db.engine import Database, SqlExecutionError
-from repro.db.sql import parse_sql
+from repro.db.sql import ColumnRef, Condition, Parameter, SelectItem, SelectStatement, parse_sql
 from repro.perf.seed_reference import make_seed_row_database_class
 from repro.sim.random import RandomStreams
 from repro.tpcw.population import PopulationScale, populate_database
@@ -866,8 +866,8 @@ def test_probes_visit_candidates_and_follow_writes():
         (BEST_SELLERS[0], 1),
         (AUTHOR_SEARCH, 1),
         (TITLE_SEARCH, 1),
-        ("SELECT i_id FROM item WHERE i_srp > ? AND i_title LIKE ?", 1),
-        # The lazy hash lookup binds its value before the other residuals.
+        # The count is the statement's, whichever term a probe binds first.
+        ("SELECT i_id FROM item WHERE i_srp > ? AND i_title LIKE ?", 2),
         ("SELECT i_id FROM item WHERE i_title LIKE ? AND i_srp = ?", 2),
     ],
 )
@@ -875,6 +875,136 @@ def test_missing_parameter_raises_before_any_probe(databases, sql, expected):
     planned_db, _ = databases
     with pytest.raises(SqlExecutionError, match=f"expects at least {expected} parameters"):
         planned_db.execute(sql, [])
+
+
+@pytest.mark.parametrize(
+    "sql,params,expected",
+    [
+        # No row reaches the bound term, so executing it would never bind it.
+        ("SELECT i_id FROM item WHERE i_cost > 100000 AND i_srp < ?", [], 1),
+        ("UPDATE item SET i_cost = ? WHERE i_cost > 100000 AND i_srp < ?", [1.0], 2),
+        ("DELETE FROM item WHERE i_cost > 100000 AND i_srp < ?", [], 1),
+    ],
+)
+def test_too_few_parameters_fail_in_every_executor(databases, sql, params, expected):
+    for database in databases:
+        with pytest.raises(
+            SqlExecutionError,
+            match=f"^statement expects at least {expected} parameters, got {len(params)}$",
+        ):
+            database.execute(sql, params)
+
+
+def test_hand_built_statement_counts_its_parameters(databases):
+    planned_db, seed_db = databases
+    statement = SelectStatement(
+        items=[SelectItem(ColumnRef("i_title"))],
+        star=False,
+        table="item",
+        alias=None,
+        where=[Condition(ColumnRef("i_cost"), ">", Parameter(1))],
+    )
+    assert statement.parameter_count is None
+    for database in databases:
+        with pytest.raises(SqlExecutionError, match="expects at least 2 parameters, got 1"):
+            database.execute(statement, [None])
+    parsed = planned_db.execute("SELECT i_title FROM item WHERE i_cost > ?", [10.0])
+    assert planned_db.execute(statement, [None, 10.0]).rows == parsed.rows
+    assert seed_db.execute(statement, [None, 10.0]).rows == parsed.rows
+
+
+# --------------------------------------------------------------------------- #
+# The primary-key probe
+# --------------------------------------------------------------------------- #
+#: The probed item (the write sequence updates, then deletes it) and an id
+#: no item has until the write sequence inserts it.
+PK_ROW, PK_NEW = 1, 10_000
+PK_READ = "SELECT i_id, i_title, i_srp FROM item WHERE i_id = ?"
+
+#: Reads that take the probe: the key bound to NULL, NaN, ``1``/``1.0``/
+#: ``True``, text, a missing id and an unhashable value, a literal key, and
+#: ``SELECT *``.
+PK_PROBE_QUERIES = [
+    (PK_READ, [value])
+    for value in [None, NAN, PK_ROW, float(PK_ROW), True, "1", PK_NEW, 5, [PK_ROW]]
+] + [
+    ("SELECT i_title, i_cost FROM item WHERE i_id = 5", []),
+    ("SELECT * FROM item WHERE i_id = ?", [PK_ROW]),
+    ("SELECT i.i_title FROM item i WHERE i.i_id = ?", [PK_NEW]),
+]
+
+#: The same key with something the probe must not skip: a residual that
+#: drops the row, ORDER BY, LIMIT 0, an aggregate, a second key condition.
+PK_NOT_PROBE_QUERIES = [
+    ("SELECT i_id, i_title FROM item WHERE i_id = ? AND i_cost > ?", [PK_ROW, 1e9]),
+    ("SELECT i_id, i_title FROM item WHERE i_id = ? AND i_cost < ?", [PK_ROW, 1e9]),
+    ("SELECT i_id FROM item WHERE i_id = ? ORDER BY i_title DESC", [PK_ROW]),
+    ("SELECT i_id FROM item WHERE i_id = ? LIMIT 0", [PK_ROW]),
+    ("SELECT COUNT(*) AS n FROM item WHERE i_id = ?", [PK_ROW]),
+    ("SELECT i_id FROM item WHERE i_id = ? AND i_id = ?", [PK_ROW, 5]),
+    ("SELECT i.i_id, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id "
+     "WHERE i.i_id = ?", [PK_ROW]),
+]
+
+
+def _assert_equivalent_or_same_error(databases, sql, params):
+    """Same result from both executors, or the same exception type."""
+    errors = []
+    for database in databases:
+        try:
+            database.execute(sql, list(params))
+        except Exception as error:  # whichever type: both must raise the same
+            errors.append(type(error))
+    if errors:
+        assert len(errors) == 2 and errors[0] is errors[1], (sql, params, errors)
+    else:
+        assert_equivalent(databases, sql, params)
+
+
+def _insert_pk_new(database):
+    database.execute(
+        "INSERT INTO item (i_id, i_title, i_a_id, i_subject, i_srp, i_cost) "
+        "VALUES (?, ?, ?, ?, ?, ?)",
+        [PK_NEW, "Book Title new", 1, SUBJECTS[0], 9.5, 3.0],
+    )
+
+
+def _retitle_pk_rows(database):
+    for i_id in (PK_ROW, 5, PK_NEW):
+        assert database.execute(
+            "UPDATE item SET i_title = ?, i_srp = ? WHERE i_id = ?", [f"retitled {i_id}", 0.5, i_id]
+        ).rowcount == 1
+
+
+def _delete_pk_row(database):
+    assert database.execute("DELETE FROM item WHERE i_id = ?", [PK_ROW]).rowcount == 1
+
+
+def test_pk_probe_equivalent_with_writes_between():
+    databases = _database_pair()
+    for write in [None, _insert_pk_new, _retitle_pk_rows, _delete_pk_row]:
+        if write is not None:
+            write(databases[0])
+        for sql, params in PK_PROBE_QUERIES + PK_NOT_PROBE_QUERIES:
+            _assert_equivalent_or_same_error(databases, sql, params)
+
+
+def test_pk_probe_taken_only_by_single_key_reads():
+    planned_db, _ = _database_pair()
+    for queries, takes_probe in ((PK_PROBE_QUERIES, True), (PK_NOT_PROBE_QUERIES, False)):
+        for sql, params in queries:
+            if params != [[PK_ROW]]:  # the unhashable key raises (below)
+                planned_db.execute(sql, params)
+            assert _plan(planned_db, sql).pk_probe is takes_probe, sql
+    # The probe charges one index lookup and the row it finds.
+    found = planned_db.execute(PK_READ, [PK_ROW])
+    missing = planned_db.execute(PK_READ, [PK_NEW])
+    assert (found.rowcount, found.rows_scanned) == (1, 1)
+    assert (missing.rowcount, missing.rows_scanned) == (0, 0)
+    model = planned_db.cost_model
+    assert missing.cost_seconds == model.base_seconds + model.per_index_lookup
+    with pytest.raises(TypeError):
+        planned_db.execute(PK_READ, [[PK_ROW]])
 
 
 def test_servlet_repertoire_equivalent_at_paper_scale():

@@ -198,6 +198,17 @@ class TestCapacityResource:
             resource.acquire(1.0, 1.0)
         assert resource.rejected == 1
 
+    def test_queue_bound_refuses_past_capacity_plus_queue(self):
+        resource = CapacityResource(2, max_queue=1)
+        for _ in range(3):  # two served, one waiting
+            resource.acquire(0.0, 10.0)
+        with pytest.raises(ResourceBusyError):
+            resource.acquire(0.0, 10.0)
+        assert resource.rejected == 1
+        # Once the first two finish, only the waiting one is unfinished.
+        assert resource.acquire(10.0, 1.0) == (10.0, 11.0)
+        assert resource.rejected == 1
+
     def test_utilization(self):
         resource = CapacityResource(2)
         resource.acquire(0.0, 10.0)
