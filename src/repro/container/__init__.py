@@ -8,8 +8,8 @@ Provides the J2EE-ish component model the paper instruments:
   simulated heap objects, so session bloat is measurable).
 * :mod:`repro.container.webapp`     -- web application assembly (servlet
   registry + URL mappings + filters, i.e. the deployment descriptor).
-* :mod:`repro.container.dispatcher` -- URL-to-servlet dispatch and the
-  filter chain.
+* :mod:`repro.container.dispatcher` -- dispatch of a resolved request
+  through the filter chain to its servlet.
 * :mod:`repro.container.threadpool` -- worker thread pool.
 * :mod:`repro.container.server`     -- the application server facade that
   executes a request end-to-end in virtual time and reports per-request

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence
 
-from repro.container.servlet import (
-    HttpServletRequest,
-    HttpServletResponse,
-    ServletException,
-)
+from repro.container.servlet import HttpServletRequest, HttpServletResponse
 from repro.container.session import SessionManager
 from repro.container.webapp import ServletRegistration, WebApplication
 
@@ -30,8 +26,8 @@ class ServletFilter:
 class FilterChain:
     """Runs the configured filters and finally the target servlet."""
 
-    def __init__(self, filters: List[ServletFilter], terminal: Callable[[HttpServletRequest, HttpServletResponse], None]) -> None:
-        self._filters = list(filters)
+    def __init__(self, filters: Sequence[ServletFilter], terminal: Callable[[HttpServletRequest, HttpServletResponse], None]) -> None:
+        self._filters = tuple(filters)
         self._terminal = terminal
         self._index = 0
 
@@ -46,14 +42,15 @@ class FilterChain:
 
 
 class RequestDispatcher:
-    """Maps request URIs to servlets and runs the filter chain.
+    """Runs a resolved request through the filter chain to its servlet.
 
     Parameters
     ----------
     application:
         The deployed web application.
     session_manager:
-        Used to attach a session factory to every request.
+        Attached to every dispatched request, so its servlet can ask for
+        the session.
     """
 
     def __init__(self, application: WebApplication, session_manager: SessionManager) -> None:
@@ -67,45 +64,36 @@ class RequestDispatcher:
         #: low-priority page classes under worker-pool pressure.
         self.load_shedder = None
 
-    def resolve(self, uri: str) -> Optional[ServletRegistration]:
-        """The registration serving ``uri`` (or ``None``)."""
-        return self.application.find_by_uri(uri)
-
     def dispatch(
         self,
+        registration: Optional[ServletRegistration],
         request: HttpServletRequest,
         response: HttpServletResponse,
         timestamp: float = 0.0,
     ) -> HttpServletResponse:
-        """Route a request to its servlet through the filter chain.
+        """Run a request through the filter chain to ``registration``'s servlet.
 
-        Unknown URIs produce a 404; a :class:`ServletException` or any other
-        exception escaping the servlet produces a 500 (and is recorded but
-        not propagated — the container isolates request failures, as Tomcat
-        does).
+        ``registration`` is what :meth:`WebApplication.find_by_uri` resolved
+        for the request's URI; ``None`` (an unknown URI) produces a 404.  A
+        :class:`ServletException` or any other exception escaping the
+        servlet produces a 500 (and is recorded but not propagated — the
+        container isolates request failures, as Tomcat does).
         """
-        registration = self.resolve(request.uri)
         if registration is None:
-            response.set_status(HttpServletResponse.SC_NOT_FOUND)
+            response.status = HttpServletResponse.SC_NOT_FOUND
             self.not_found_count += 1
             return response
 
-        request._session_factory = (
-            lambda session_id, create: self.session_manager.get_session(session_id, create, timestamp)
-        )
+        request._session_manager = self.session_manager
         request.arrival_time = timestamp
-
-        def terminal(req: HttpServletRequest, resp: HttpServletResponse) -> None:
-            registration.servlet.service(req, resp)
-
-        chain = FilterChain(self.application.filters, terminal)
+        filters = self.application.filters
         try:
-            chain.do_filter(request, response)
+            if filters:
+                FilterChain(filters, registration.servlet.service).do_filter(request, response)
+            else:
+                registration.servlet.service(request, response)
             self.dispatched_count += 1
-        except ServletException:
-            response.set_status(HttpServletResponse.SC_INTERNAL_SERVER_ERROR)
-            self.error_count += 1
         except Exception:
-            response.set_status(HttpServletResponse.SC_INTERNAL_SERVER_ERROR)
+            response.status = HttpServletResponse.SC_INTERNAL_SERVER_ERROR
             self.error_count += 1
         return response

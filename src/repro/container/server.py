@@ -19,7 +19,7 @@ server" follows Table I of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.container.dispatcher import RequestDispatcher
@@ -63,7 +63,10 @@ class ServerConfig:
 
 @dataclass
 class RequestOutcome:
-    """Everything the harness wants to know about one completed request."""
+    """Everything the harness wants to know about one completed request.
+
+    The server builds it positionally, in field order.
+    """
 
     request: HttpServletRequest
     response: HttpServletResponse
@@ -151,8 +154,9 @@ class ApplicationServer:
         #: Active / future outage windows: ``(start, end, component-or-None)``.
         #: A ``None`` component means the whole server is down (full restart);
         #: otherwise only requests routed to that component are refused
-        #: (micro-reboot).  Installed by the rejuvenation controller.
-        self._outages: List[tuple] = []
+        #: (micro-reboot).  Installed by the rejuvenation controller;
+        #: :meth:`outage_for` prunes the expired ones.
+        self.outages: List[tuple] = []
         self._refused_by_outage = 0
         self._refused_by_shedding = 0
         #: Record per-component response-time series (see
@@ -180,17 +184,17 @@ class ApplicationServer:
         """
         if end <= start:
             raise ValueError(f"outage must have positive duration, got [{start}, {end})")
-        self._outages.append((float(start), float(end), component))
+        self.outages.append((float(start), float(end), component))
 
     def outage_for(self, now: float, servlet_name: Optional[str] = None) -> Optional[tuple]:
         """The outage window covering ``now`` for ``servlet_name``, if any.
 
         Expired windows are pruned as a side effect so the list stays small.
         """
-        if not self._outages:
+        if not self.outages:
             return None
-        self._outages = [entry for entry in self._outages if entry[1] > now]
-        for entry in self._outages:
+        self.outages = [entry for entry in self.outages if entry[1] > now]
+        for entry in self.outages:
             start, end, component = entry
             if start <= now < end and (component is None or component == servlet_name):
                 return entry
@@ -238,48 +242,24 @@ class ApplicationServer:
             raise TypeError("external cost provider must be callable")
         self.external_cost_providers.append(provider)
 
-    def _drain_external_cost(self) -> float:
-        total = 0.0
-        for provider in self.external_cost_providers:
-            value = float(provider())
-            if value < 0:
-                raise ValueError("external cost providers must return non-negative values")
-            total += value
-        return total
-
-    def _cpu_demand_for(self, servlet, request: HttpServletRequest) -> float:
-        mean = float(getattr(servlet, "base_cpu_demand_seconds", self.config.default_cpu_demand))
-        if self.streams is None or self.config.service_time_cv <= 0:
-            return mean
-        return self.streams.lognormal_service_time(
-            "container.service-time", mean, self.config.service_time_cv
-        )
-
     # ------------------------------------------------------------------ #
     def handle(self, request: HttpServletRequest, arrival_time: float) -> RequestOutcome:
         """Process one request arriving at ``arrival_time`` (virtual seconds)."""
         response = HttpServletResponse()
-        registration = self.dispatcher.resolve(request.uri)
+        registration = self.application.find_by_uri(request.uri)
         servlet_name = registration.name if registration is not None else ""
 
         # A server (or component) down for rejuvenation refuses up front:
         # the servlet never executes, so no SQL runs, no heap is allocated
         # and no injected fault fires while the component is being recycled.
-        outage = self._outages and self.outage_for(arrival_time, servlet_name)
+        outage = self.outages and self.outage_for(arrival_time, servlet_name)
         if outage:
-            response.set_status(HttpServletResponse.SC_SERVICE_UNAVAILABLE)
+            response.status = HttpServletResponse.SC_SERVICE_UNAVAILABLE
             self._rejected += 1
             self._refused_by_outage += 1
             return RequestOutcome(
-                request=request,
-                response=response,
-                arrival_time=arrival_time,
-                completion_time=arrival_time,
-                response_time=0.0,
-                servlet_name=servlet_name,
-                rejected=True,
-                refused_by_outage=True,
-                retry_after=outage[1],
+                request, response, arrival_time, arrival_time, 0.0, servlet_name,
+                rejected=True, refused_by_outage=True, retry_after=outage[1],
             )
 
         # Graceful degradation: under pool pressure the dispatcher's load
@@ -291,37 +271,52 @@ class ApplicationServer:
             servlet_name, self.pool_occupancy(arrival_time)
         ):
             shedder.record_shed(servlet_name)
-            response.set_status(HttpServletResponse.SC_SERVICE_UNAVAILABLE)
+            response.status = HttpServletResponse.SC_SERVICE_UNAVAILABLE
             self._rejected += 1
             self._refused_by_shedding += 1
             return RequestOutcome(
-                request=request,
-                response=response,
-                arrival_time=arrival_time,
-                completion_time=arrival_time,
-                response_time=0.0,
-                servlet_name=servlet_name,
-                rejected=True,
-                refused_by_shedding=True,
+                request, response, arrival_time, arrival_time, 0.0, servlet_name,
+                rejected=True, refused_by_shedding=True,
                 retry_after=arrival_time + shedder.retry_after_seconds,
             )
 
         # Execute the servlet code (real Python execution, simulated resources).
-        db_cost_before = self.datasource.total_cost_seconds
-        self.dispatcher.dispatch(request, response, timestamp=arrival_time)
-        db_seconds = (self.datasource.total_cost_seconds - db_cost_before) * self.config.db_speed_factor
+        datasource = self.datasource
+        config = self.config
+        db_cost_before = datasource.total_cost_seconds
+        self.dispatcher.dispatch(registration, request, response, arrival_time)
+        db_seconds = (datasource.total_cost_seconds - db_cost_before) * config.db_speed_factor
 
-        servlet = registration.servlet if registration is not None else None
-        cpu_seconds = self._cpu_demand_for(servlet, request) if servlet is not None else 0.002
-        monitoring_overhead = self._drain_external_cost()
-        gc_pause = self.runtime.consume_pending_gc_pause()
+        runtime = self.runtime
+        if registration is not None:
+            servlet = registration.servlet
+            # Servlet CPU time: lognormal noise around the servlet's mean.
+            cpu_seconds = float(
+                getattr(servlet, "base_cpu_demand_seconds", config.default_cpu_demand)
+            )
+            cv = config.service_time_cv
+            if self.streams is not None and cv > 0:
+                cpu_seconds = self.streams.lognormal_service_time(
+                    "container.service-time", cpu_seconds, cv
+                )
+        else:
+            servlet = None
+            cpu_seconds = 0.002
+        # Pending monitoring overhead (the framework's account registers here).
+        monitoring_overhead = 0.0
+        for provider in self.external_cost_providers:
+            value = float(provider())
+            if value < 0:
+                raise ValueError("external cost providers must return non-negative values")
+            monitoring_overhead += value
+        gc_pause = runtime.consume_pending_gc_pause()
         drain_fault_latency = getattr(servlet, "drain_fault_latency", None)
         fault_latency = drain_fault_latency() if drain_fault_latency is not None else 0.0
 
         if servlet is not None:
-            self.runtime.record_cpu_time(servlet_name, cpu_seconds)
+            runtime.record_cpu_time(servlet_name, cpu_seconds)
         if monitoring_overhead > 0:
-            self.runtime.record_cpu_time("monitoring-framework", monitoring_overhead)
+            runtime.record_cpu_time("monitoring-framework", monitoring_overhead)
 
         app_demand = cpu_seconds + monitoring_overhead + gc_pause + fault_latency
 
@@ -329,16 +324,10 @@ class ApplicationServer:
         try:
             thread_start, _ = self.thread_pool.book(arrival_time, app_demand + db_seconds)
         except ResourceBusyError:
-            response.set_status(HttpServletResponse.SC_SERVICE_UNAVAILABLE)
+            response.status = HttpServletResponse.SC_SERVICE_UNAVAILABLE
             self._rejected += 1
             return RequestOutcome(
-                request=request,
-                response=response,
-                arrival_time=arrival_time,
-                completion_time=arrival_time,
-                response_time=0.0,
-                servlet_name=servlet_name,
-                rejected=True,
+                request, response, arrival_time, arrival_time, 0.0, servlet_name, rejected=True
             )
 
         _, cpu_finish = self.app_cpu.acquire(thread_start, app_demand)
@@ -358,17 +347,17 @@ class ApplicationServer:
             series.record(arrival_time, response_time)
 
         return RequestOutcome(
-            request=request,
-            response=response,
-            arrival_time=arrival_time,
-            completion_time=completion,
-            response_time=response_time,
-            servlet_name=servlet_name,
-            cpu_seconds=cpu_seconds,
-            db_seconds=db_seconds,
-            gc_pause_seconds=gc_pause,
-            monitoring_overhead_seconds=monitoring_overhead,
-            fault_latency_seconds=fault_latency,
+            request,
+            response,
+            arrival_time,
+            completion,
+            response_time,
+            servlet_name,
+            cpu_seconds,
+            db_seconds,
+            gc_pause,
+            monitoring_overhead,
+            fault_latency,
         )
 
     # ------------------------------------------------------------------ #

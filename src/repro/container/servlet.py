@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.container.session import HttpSession
+    from repro.container.session import HttpSession, SessionManager
     from repro.container.webapp import WebApplication
 
 
@@ -93,19 +93,20 @@ class HttpServletRequest:
         session_id: Optional[str] = None,
         client_id: Optional[int] = None,
     ) -> None:
-        method = method.upper()
-        if method not in ("GET", "POST"):
-            raise ValueError(f"unsupported HTTP method {method!r}")
+        if method != "GET" and method != "POST":
+            method = method.upper()
+            if method not in ("GET", "POST"):
+                raise ValueError(f"unsupported HTTP method {method!r}")
         self.uri = uri
         self.method = method
-        self._parameters = dict(parameters or {})
+        self._parameters = dict(parameters) if parameters else {}
         self.session_id = session_id
         self.client_id = client_id
         self._attributes: Dict[str, Any] = {}
         self._session: Optional["HttpSession"] = None
-        #: Filled by the dispatcher so servlets can ask for their session.
-        self._session_factory = None
-        #: Simulated arrival timestamp; set by the application server.
+        #: Set by the dispatcher so servlets can ask for their session.
+        self._session_manager: Optional["SessionManager"] = None
+        #: Simulated arrival timestamp; set by the dispatcher.
         self.arrival_time: float = 0.0
 
     # -- parameters ------------------------------------------------------ #
@@ -132,22 +133,32 @@ class HttpServletRequest:
 
     # -- session ---------------------------------------------------------- #
     def get_session(self, create: bool = True) -> Optional["HttpSession"]:
-        """The request's session, creating one when ``create`` is true."""
+        """The request's session, creating one when ``create`` is true.
+
+        A session found is touched, and a session created is stamped, at
+        the request's arrival time.
+        """
         if self._session is not None:
             return self._session
-        if self._session_factory is None:
+        manager = self._session_manager
+        if manager is None:
             raise ServletException("request is not attached to a session manager")
-        self._session = self._session_factory(self.session_id, create)
-        if self._session is not None:
-            self.session_id = self._session.session_id
-        return self._session
+        session = self._session = manager.get_session(self.session_id, create, self.arrival_time)
+        if session is not None:
+            self.session_id = session.session_id
+        return session
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HttpServletRequest({self.method} {self.uri})"
 
 
 class HttpServletResponse:
-    """The response a servlet builds."""
+    """The response a servlet builds.
+
+    A page rendered with :meth:`render` keeps its title and model; its
+    markup is built on the first read of :attr:`body` or
+    :attr:`content_length`, in its place among the written parts.
+    """
 
     SC_OK = 200
     SC_NOT_FOUND = 404
@@ -157,8 +168,8 @@ class HttpServletResponse:
     def __init__(self) -> None:
         self.status = self.SC_OK
         self.content_type = "text/html"
-        self._body_parts: List[str] = []
-        self._headers: Dict[str, str] = {}
+        #: Written text, and ``(title, model)`` for each page not yet marked up.
+        self._body_parts: List[Any] = []
         #: Model data the servlet produced (the "rendered page" payload).
         self.model: Dict[str, Any] = {}
 
@@ -166,32 +177,53 @@ class HttpServletResponse:
         """Set the HTTP status code."""
         self.status = int(status)
 
-    def set_header(self, name: str, value: str) -> None:
-        """Set a response header."""
-        self._headers[name] = value
-
-    def get_header(self, name: str) -> Optional[str]:
-        """Read back a response header."""
-        return self._headers.get(name)
-
     def write(self, text: str) -> None:
         """Append body text (the page markup)."""
         self._body_parts.append(text)
 
+    def render(self, title: str, model: Dict[str, Any]) -> None:
+        """Attach a page: its title, and its model merged into :attr:`model`.
+
+        The page's markup, a title and one line per model entry, is built
+        when the body is first read.
+        """
+        self.model.update(model)
+        self._body_parts.append((title, model))
+
+    def _parts(self) -> List[str]:
+        """The body parts, with every pending page marked up."""
+        parts = self._body_parts
+        for index, part in enumerate(parts):
+            if type(part) is tuple:
+                parts[index] = _page_markup(*part)
+        return parts
+
     @property
     def body(self) -> str:
         """The accumulated body."""
-        return "".join(self._body_parts)
+        return "".join(self._parts())
 
     @property
     def content_length(self) -> int:
         """Length of the accumulated body in characters."""
-        return sum(len(part) for part in self._body_parts)
+        return sum(len(part) for part in self._parts())
 
     @property
     def is_error(self) -> bool:
         """Whether the status signals an error."""
         return self.status >= 400
+
+
+def _page_markup(title: str, model: Dict[str, Any]) -> str:
+    """A small HTML page: the title, then each model entry (a list by its length)."""
+    parts = [f"<html><head><title>{title}</title></head><body>"]
+    for key, value in model.items():
+        if isinstance(value, list):
+            parts.append(f"<h2>{key} ({len(value)})</h2>")
+        else:
+            parts.append(f"<p>{key}: {value}</p>")
+    parts.append("</body></html>")
+    return "".join(parts)
 
 
 class HttpServlet:

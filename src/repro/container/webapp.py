@@ -11,7 +11,7 @@ claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.container.servlet import HttpServlet, ServletConfig, ServletContext
 
@@ -44,7 +44,8 @@ class WebApplication:
         self.context = ServletContext(self)
         self._registrations: Dict[str, ServletRegistration] = {}
         self._by_url: Dict[str, ServletRegistration] = {}
-        self._filters: List = []
+        #: The filter chain, in application order (see :meth:`add_filter`).
+        self.filters: Tuple = ()
 
     # ------------------------------------------------------------------ #
     # Deployment
@@ -80,7 +81,7 @@ class WebApplication:
 
     def add_filter(self, servlet_filter) -> None:
         """Append a filter to the chain (applied to every request, in order)."""
-        self._filters.append(servlet_filter)
+        self.filters += (servlet_filter,)
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -103,11 +104,6 @@ class WebApplication:
     def find_by_uri(self, uri: str) -> Optional[ServletRegistration]:
         """Resolve a request URI to a registration (exact match on pattern)."""
         return self._by_url.get(uri)
-
-    @property
-    def filters(self) -> List:
-        """The filter chain, in application order."""
-        return list(self._filters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WebApplication(name={self.name!r}, servlets={len(self._registrations)})"

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.db.sql import (
-    Aggregate,
     ColumnRef,
     Condition,
     DeleteStatement,
@@ -133,12 +132,11 @@ class Database:
         self.cost_model = cost_model or CostModel()
         self._tables: Dict[str, Table] = {}
         self.stats = QueryStats()
-        #: Bumped on DDL (create/drop table); compiled plans validate against
-        #: it (plus each referenced table's ``schema_version``).
-        self._schema_epoch = 0
         #: ``id(statement) -> (statement, CompiledSelect)``.  The statement is
         #: pinned so a recycled ``id`` can never alias a different statement;
-        #: keyed like the ``parse_sql`` cache, one plan per shared AST.
+        #: keyed like the ``parse_sql`` cache, one plan per shared AST.  A
+        #: schema change drops what it may affect: DDL clears it, an index
+        #: declared on a table drops the plans that read that table.
         self._plan_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
@@ -148,9 +146,8 @@ class Database:
         """Create a table; raises if the name is taken."""
         if name in self._tables:
             raise SqlExecutionError(f"table {name!r} already exists")
-        table = Table(name, columns)
+        table = Table(name, columns, on_schema_change=self._drop_plans_over)
         self._tables[name] = table
-        self._schema_epoch += 1
         self._plan_cache.clear()
         return table
 
@@ -159,8 +156,13 @@ class Database:
         if name not in self._tables:
             raise SqlExecutionError(f"no such table: {name!r}")
         del self._tables[name]
-        self._schema_epoch += 1
         self._plan_cache.clear()
+
+    def _drop_plans_over(self, table: Table) -> None:
+        """Drop the cached plans that read ``table`` (an index was declared on it)."""
+        cache = self._plan_cache
+        for key in [key for key, (_, plan) in cache.items() if table in plan.tables]:
+            del cache[key]
 
     def table(self, name: str) -> Table:
         """Look up a table by name."""
@@ -289,16 +291,16 @@ class Database:
         into a pipeline of specialised operators — declared-index lookups,
         lazy hash-index joins, tuple intermediate rows and a top-k ORDER
         BY + LIMIT selector — and re-run directly on subsequent executions.
-        Plans are invalidated by DDL (``_schema_epoch``) and per-table schema
-        changes (``Table.schema_version``); data mutations never invalidate
-        a plan (the hash indexes are maintained incrementally), they
-        invalidate or extend its join memo and its candidate probes' groups
-        and sorted keys.  Rows, row order and the
+        A schema change (DDL, a declared index) drops the plans it may
+        affect, so a cached plan is always current; data mutations never
+        invalidate a plan (the hash indexes are maintained incrementally),
+        they invalidate or extend its join memo and its candidate probes'
+        groups and sorted keys.  Rows, row order and the
         scanned/lookup accounting are bit-identical to the interpreting
         executor this replaced (see the planner's equivalence suite).
         """
         entry = self._plan_cache.get(id(statement))
-        if entry is not None and entry[0] is statement and entry[1].is_valid(self):
+        if entry is not None and entry[0] is statement:
             plan = entry[1]
         else:
             from repro.db.planner import compile_select
@@ -322,99 +324,6 @@ class Database:
             if item.alias == ref.name:
                 return item.alias
         return ref.name
-
-    def _resolve(self, ref: ColumnRef, exec_row: Dict[str, Dict[str, Any]]) -> Any:
-        if ref.table is not None:
-            row = exec_row.get(ref.table)
-            if row is None:
-                raise SqlExecutionError(f"unknown table qualifier {ref.table!r}")
-            if ref.name not in row:
-                raise SqlExecutionError(f"unknown column {ref}")
-            return row[ref.name]
-        matches = [row for row in exec_row.values() if ref.name in row]
-        if not matches:
-            raise SqlExecutionError(f"unknown column {ref.name!r}")
-        return matches[0][ref.name]
-
-    def _project_row(
-        self, statement: SelectStatement, exec_row: Dict[str, Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        if statement.star:
-            merged: Dict[str, Any] = {}
-            for row in exec_row.values():
-                merged.update(row)
-            return merged
-        out: Dict[str, Any] = {}
-        for item in statement.items:
-            if isinstance(item.expression, Aggregate):  # pragma: no cover - guarded by caller
-                raise SqlExecutionError("aggregate outside aggregation context")
-            name = item.alias or item.expression.name
-            out[name] = self._resolve(item.expression, exec_row)
-        return out
-
-    def _project_aggregates(
-        self, statement: SelectStatement, exec_rows: List[Dict[str, Dict[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        if statement.star:
-            raise SqlExecutionError("SELECT * cannot be combined with aggregates")
-
-        def group_key(exec_row: Dict[str, Dict[str, Any]]) -> Tuple:
-            return tuple(self._resolve(ref, exec_row) for ref in statement.group_by)
-
-        groups: Dict[Tuple, List[Dict[str, Dict[str, Any]]]] = {}
-        for exec_row in exec_rows:
-            groups.setdefault(group_key(exec_row), []).append(exec_row)
-        if not statement.group_by and not groups:
-            groups[()] = []
-
-        result: List[Dict[str, Any]] = []
-        for key, members in groups.items():
-            out: Dict[str, Any] = {}
-            for item in statement.items:
-                expression = item.expression
-                if isinstance(expression, ColumnRef):
-                    name = item.alias or expression.name
-                    out[name] = self._resolve(expression, members[0]) if members else None
-                    # Plain columns in an aggregate query must be group keys.
-                    if statement.group_by and expression.name not in [
-                        ref.name for ref in statement.group_by
-                    ]:
-                        raise SqlExecutionError(
-                            f"column {expression.name!r} must appear in GROUP BY"
-                        )
-                else:
-                    name = item.alias or expression.default_name()
-                    out[name] = self._evaluate_aggregate(expression, members)
-            result.append(out)
-        return result
-
-    def _evaluate_aggregate(
-        self, aggregate: Aggregate, members: List[Dict[str, Dict[str, Any]]]
-    ) -> Any:
-        if aggregate.function == "COUNT":
-            if aggregate.argument is None:
-                return len(members)
-            return sum(
-                1 for m in members if self._resolve(aggregate.argument, m) is not None
-            )
-        if aggregate.argument is None:
-            raise SqlExecutionError(f"{aggregate.function} requires a column argument")
-        values = [
-            value
-            for value in (self._resolve(aggregate.argument, m) for m in members)
-            if value is not None
-        ]
-        if not values:
-            return None
-        if aggregate.function == "SUM":
-            return sum(values)
-        if aggregate.function == "AVG":
-            return sum(values) / len(values)
-        if aggregate.function == "MIN":
-            return min(values)
-        if aggregate.function == "MAX":
-            return max(values)
-        raise SqlExecutionError(f"unsupported aggregate {aggregate.function!r}")
 
     # ------------------------------------------------------------------ #
     # INSERT / UPDATE / DELETE

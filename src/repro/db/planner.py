@@ -171,12 +171,6 @@ class CompiledSelect:
         self._compare = database._compare
         self._order_key_name = database._order_key_name
         self._compile(database, statement)
-        # Validity stamp: any schema change (table created/dropped, index
-        # declared) recompiles the plan.
-        self.schema_epoch = database._schema_epoch
-        self.table_versions = tuple(
-            (table, table.schema_version) for table in self._tables
-        )
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -195,7 +189,9 @@ class CompiledSelect:
         base_table = database.table(statement.table)
         base_qualifier = statement.alias or statement.table
         self.base_table = base_table
-        self._tables: List[Table] = [base_table]
+        #: The tables the plan reads, base first; an index declared on any
+        #: of them drops the plan from its database's cache.
+        self.tables: List[Table] = [base_table]
 
         # Qualifier bookkeeping mirrors the interpreter's execution-row dict:
         # a duplicate join qualifier overwrites in place (keeps its original
@@ -272,7 +268,7 @@ class CompiledSelect:
             )
             tables_by_qualifier[join_qualifier] = join_table
             positions[join_qualifier] = len(self.join_steps)
-            self._tables.append(join_table)
+            self.tables.append(join_table)
 
         self.joined = bool(self.join_steps)
         self._joined_layout = self.joined  # row tuples vs. plain row dicts
@@ -286,7 +282,7 @@ class CompiledSelect:
         #: Both sides' join-key columns; an update to one rebuilds the memo.
         self._join_keys: List[Tuple[Table, str]] = []
         for step in self.join_steps:
-            self._join_keys.append((self._tables[step.old_pos], step.old_name))
+            self._join_keys.append((self.tables[step.old_pos], step.old_name))
             self._join_keys.append((step.table, step.new_name))
 
         # Residual filters -> one compiled predicate.  Parameters/literals
@@ -563,18 +559,6 @@ class CompiledSelect:
         )
 
     # ------------------------------------------------------------------ #
-    # Validity
-    # ------------------------------------------------------------------ #
-    def is_valid(self, database) -> bool:
-        """Whether the compiled plan still matches the database schema."""
-        if database._schema_epoch != self.schema_epoch:
-            return False
-        for table, version in self.table_versions:
-            if table.schema_version != version:
-                return False
-        return True
-
-    # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, params: Sequence[Any]) -> Tuple[List[Dict[str, Any]], int, int]:
@@ -765,7 +749,7 @@ class CompiledSelect:
         base_table = self.base_table
         stamp = (
             base_table.deletes,
-            tuple(table.rows_version for table in self._tables[1:]),
+            tuple(table.rows_version for table in self.tables[1:]),
             tuple(table.column_versions.get(name, 0) for table, name in self._join_keys),
         )
         memo = self._join_memo

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class ColumnType(enum.Enum):
@@ -81,7 +81,12 @@ class Table:
     maintenance, data versions and validation stay in one place.
     """
 
-    def __init__(self, name: str, columns: List[Column]) -> None:
+    def __init__(
+        self,
+        name: str,
+        columns: List[Column],
+        on_schema_change: Optional[Callable[["Table"], None]] = None,
+    ) -> None:
         if not columns:
             raise ValueError(f"table {name!r} must have at least one column")
         names = [c.name for c in columns]
@@ -108,9 +113,9 @@ class Table:
         #: to the ascending keys, stamped with ``(rows_version, column
         #: version)`` and rebuilt on first demand after either moves.
         self._sorted_keys: Dict[str, Tuple[Tuple[int, int], List[str], List[int]]] = {}
-        #: Bumped whenever the *schema* changes (currently: index creation);
-        #: cached query plans validate against it.
-        self.schema_version = 0
+        #: Called with the table when an index is declared on it (the owning
+        #: database drops the cached plans that read it).
+        self._on_schema_change = on_schema_change
         #: Data versions, read by the planner's join memo: ``rows_version``
         #: moves on every insert and delete, ``deletes`` on deletes only (so
         #: "only appends happened" is visible), and ``column_versions`` per
@@ -149,7 +154,8 @@ class Table:
             for row_id, row in self._rows.items():
                 index.add(row.get(column_name), row_id)
         self._secondary[column_name] = index
-        self.schema_version += 1
+        if self._on_schema_change is not None:
+            self._on_schema_change(self)
 
     def has_index(self, column_name: str) -> bool:
         """Whether a *declared* equality index exists on the column.

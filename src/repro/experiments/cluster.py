@@ -160,6 +160,7 @@ class LoadBalancer:
             raise ValueError("a load balancer needs at least one shard")
         self.policy = policy
         self.shards = list(shards)
+        self._servers = [shard.deployment.server for shard in self.shards]
         self._uri_components = dict(uri_components or {})
         self._bindings: Dict[str, ShardHandle] = {}
         self._cursor = 0
@@ -170,7 +171,16 @@ class LoadBalancer:
         self.routed_while_all_down = 0
 
     # ------------------------------------------------------------------ #
-    def _healthy(self, now: float, component: Optional[str]) -> List[ShardHandle]:
+    def _healthy(self, now: float, uri: str) -> List[ShardHandle]:
+        """The shards no outage window covers for a request to ``uri``
+        (``shards`` itself when no server has a window; callers must not
+        change the list)."""
+        for server in self._servers:
+            if server.outages:
+                break
+        else:
+            return self.shards
+        component = self._uri_components.get(uri)
         return [
             shard
             for shard in self.shards
@@ -190,8 +200,7 @@ class LoadBalancer:
 
     def route(self, request: "HttpServletRequest", now: float) -> ShardHandle:
         """Pick the shard serving ``request`` at ``now``."""
-        component = self._uri_components.get(request.uri)
-        healthy = self._healthy(now, component)
+        healthy = self._healthy(now, request.uri)
         if not healthy:
             self.routed_while_all_down += 1
         if self.policy == "sticky":
@@ -249,13 +258,14 @@ class ClusterGateway:
 
     def __init__(self, cluster: "SimulatedCluster") -> None:
         self._cluster = cluster
+        self._balancer = cluster.balancer
 
     def handle(self, request: "HttpServletRequest", arrival_time: float) -> "RequestOutcome":
         """Route ``request`` to a shard and serve it there."""
-        cluster = self._cluster
-        shard = cluster.balancer.route(request, arrival_time)
+        balancer = self._balancer
+        shard = balancer.route(request, arrival_time)
         outcome = shard.deployment.server.handle(request, arrival_time)
-        cluster.balancer.observe(request, shard)
+        balancer.observe(request, shard)
         return outcome
 
     @property

@@ -84,11 +84,3 @@ class GarbageCollector:
         self.stats.total_bytes_reclaimed += reclaimed_bytes
         self.stats.total_objects_reclaimed += len(garbage)
         return pause
-
-    def should_collect(self, occupancy_threshold: float = 0.7) -> bool:
-        """Heuristic used by the runtime: collect when occupancy exceeds the threshold."""
-        if not 0.0 < occupancy_threshold <= 1.0:
-            raise ValueError(
-                f"occupancy_threshold must be in (0, 1], got {occupancy_threshold}"
-            )
-        return self.heap.used_bytes >= occupancy_threshold * self.heap.capacity_bytes

@@ -25,8 +25,8 @@ class JvmRuntime:
     heap_bytes:
         Maximum heap size (defaults to the paper's 1 GB Tomcat heap).
     gc_occupancy_threshold:
-        Heap occupancy fraction above which an allocation triggers a
-        collection before retrying.
+        Heap occupancy fraction (in ``(0, 1]``) at or above which an
+        allocation first runs a collection.
     thread_capacity:
         Maximum live threads (OS/ulimit analogue); ``None`` = unlimited.
     """
@@ -37,6 +37,10 @@ class JvmRuntime:
         gc_occupancy_threshold: float = 0.7,
         thread_capacity: Optional[int] = None,
     ) -> None:
+        if not 0.0 < gc_occupancy_threshold <= 1.0:
+            raise ValueError(
+                f"gc_occupancy_threshold must be in (0, 1], got {gc_occupancy_threshold}"
+            )
         self.heap = Heap(capacity_bytes=heap_bytes)
         self.collector = GarbageCollector(self.heap)
         self.threads = ThreadRegistry(capacity=thread_capacity, heap=self.heap)
@@ -70,22 +74,23 @@ class JvmRuntime:
     ) -> JavaObject:
         """Allocate an object, running the collector once under memory pressure.
 
+        A collection runs first when the heap's occupancy is at or above
+        :attr:`gc_occupancy_threshold`, and again if the object still does
+        not fit.
+
         Raises
         ------
         OutOfMemoryError
             If the allocation still does not fit after a full collection.
         """
-        if self.collector.should_collect(self.gc_occupancy_threshold):
+        heap = self.heap
+        if heap.used_bytes >= self.gc_occupancy_threshold * heap.capacity_bytes:
             self._pending_gc_pause += self.collector.collect()
         try:
-            return self.heap.allocate(
-                class_name, shallow_size, owner=owner, timestamp=timestamp, root=root
-            )
+            return heap.allocate(class_name, shallow_size, owner, timestamp, root)
         except OutOfMemoryError:
             self._pending_gc_pause += self.collector.collect()
-            return self.heap.allocate(
-                class_name, shallow_size, owner=owner, timestamp=timestamp, root=root
-            )
+            return heap.allocate(class_name, shallow_size, owner, timestamp, root)
 
     def reclaim_owned(self, owner: str, keep_roots: bool = True) -> Tuple[int, int]:
         """Free the objects attributed to ``owner`` (component micro-reboot).

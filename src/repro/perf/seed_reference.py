@@ -417,6 +417,99 @@ def make_seed_row_database_class():
     from typing import Any, Dict, List, Sequence, Tuple
 
     class SeedRowHandlingDatabase(Database):
+        def _resolve(self, ref: ColumnRef, exec_row: Dict[str, Dict[str, Any]]) -> Any:
+            if ref.table is not None:
+                row = exec_row.get(ref.table)
+                if row is None:
+                    raise SqlExecutionError(f"unknown table qualifier {ref.table!r}")
+                if ref.name not in row:
+                    raise SqlExecutionError(f"unknown column {ref}")
+                return row[ref.name]
+            matches = [row for row in exec_row.values() if ref.name in row]
+            if not matches:
+                raise SqlExecutionError(f"unknown column {ref.name!r}")
+            return matches[0][ref.name]
+
+        def _project_row(
+            self, statement: SelectStatement, exec_row: Dict[str, Dict[str, Any]]
+        ) -> Dict[str, Any]:
+            if statement.star:
+                merged: Dict[str, Any] = {}
+                for row in exec_row.values():
+                    merged.update(row)
+                return merged
+            out: Dict[str, Any] = {}
+            for item in statement.items:
+                if isinstance(item.expression, Aggregate):  # pragma: no cover - guarded by caller
+                    raise SqlExecutionError("aggregate outside aggregation context")
+                name = item.alias or item.expression.name
+                out[name] = self._resolve(item.expression, exec_row)
+            return out
+
+        def _project_aggregates(
+            self, statement: SelectStatement, exec_rows: List[Dict[str, Dict[str, Any]]]
+        ) -> List[Dict[str, Any]]:
+            if statement.star:
+                raise SqlExecutionError("SELECT * cannot be combined with aggregates")
+
+            def group_key(exec_row: Dict[str, Dict[str, Any]]) -> Tuple:
+                return tuple(self._resolve(ref, exec_row) for ref in statement.group_by)
+
+            groups: Dict[Tuple, List[Dict[str, Dict[str, Any]]]] = {}
+            for exec_row in exec_rows:
+                groups.setdefault(group_key(exec_row), []).append(exec_row)
+            if not statement.group_by and not groups:
+                groups[()] = []
+
+            result: List[Dict[str, Any]] = []
+            for key, members in groups.items():
+                out: Dict[str, Any] = {}
+                for item in statement.items:
+                    expression = item.expression
+                    if isinstance(expression, ColumnRef):
+                        name = item.alias or expression.name
+                        out[name] = self._resolve(expression, members[0]) if members else None
+                        # Plain columns in an aggregate query must be group keys.
+                        if statement.group_by and expression.name not in [
+                            ref.name for ref in statement.group_by
+                        ]:
+                            raise SqlExecutionError(
+                                f"column {expression.name!r} must appear in GROUP BY"
+                            )
+                    else:
+                        name = item.alias or expression.default_name()
+                        out[name] = self._evaluate_aggregate(expression, members)
+                result.append(out)
+            return result
+
+        def _evaluate_aggregate(
+            self, aggregate: Aggregate, members: List[Dict[str, Dict[str, Any]]]
+        ) -> Any:
+            if aggregate.function == "COUNT":
+                if aggregate.argument is None:
+                    return len(members)
+                return sum(
+                    1 for m in members if self._resolve(aggregate.argument, m) is not None
+                )
+            if aggregate.argument is None:
+                raise SqlExecutionError(f"{aggregate.function} requires a column argument")
+            values = [
+                value
+                for value in (self._resolve(aggregate.argument, m) for m in members)
+                if value is not None
+            ]
+            if not values:
+                return None
+            if aggregate.function == "SUM":
+                return sum(values)
+            if aggregate.function == "AVG":
+                return sum(values) / len(values)
+            if aggregate.function == "MIN":
+                return min(values)
+            if aggregate.function == "MAX":
+                return max(values)
+            raise SqlExecutionError(f"unsupported aggregate {aggregate.function!r}")
+
         def _execute_select(self, statement, params):  # noqa: C901
             scanned = 0
             index_lookups = 0

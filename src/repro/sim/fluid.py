@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.jvm.heap import OutOfMemoryError
 from repro.jvm.threads import ThreadLimitError
 from repro.slo.analytic import capped_exponential_mean, closed_loop_rate
 from repro.tpcw.workload import MAX_THINK_TIME, WorkloadPhase
@@ -133,6 +134,9 @@ class FluidReport:
     bulk_completions: float = 0.0
     #: Bulk-driven fault firings by kind.
     amplified_injections: Dict[str, int] = field(default_factory=dict)
+    #: Bulk-driven firings dropped by kind because the heap was full (each is
+    #: a request the discrete path would have failed with a 500).
+    dropped_injections: Dict[str, int] = field(default_factory=dict)
     #: Cumulative bulk visits per component, summed over shards.
     component_visits: Dict[str, float] = field(default_factory=dict)
     #: Bulk demand (browser-seconds) that arrived while the target shard was
@@ -354,7 +358,10 @@ class FluidProcess:
         average; the fluid limit accrues ``visits / (N/2 + 1)`` expected
         firings per tick and fires the integer part through the *real*
         ``_inject`` path, so the leak lands in the actual runtime state the
-        monitoring agents size.
+        monitoring agents size.  A full heap drops the tick's remaining
+        firings (the discrete path fails such a request and moves on); the
+        next tick fires again, since a collection or a micro-reboot may have
+        made room.
         """
         for component, fault in state.shard.injector.injected:
             if fault.kind not in AMPLIFIED_FAULT_KINDS:
@@ -387,6 +394,10 @@ class FluidProcess:
                 # (the tracers keep observing the failure mode).
                 state.saturated_faults.add(key)
                 fired += 1
+            except OutOfMemoryError:
+                self.report.dropped_injections[fault.kind] = (
+                    self.report.dropped_injections.get(fault.kind, 0) + firings - fired
+                )
             if fired:
                 self.report.amplified_injections[fault.kind] = (
                     self.report.amplified_injections.get(fault.kind, 0) + fired

@@ -84,7 +84,8 @@ class TimeSeries:
                 f"timestamps must be non-decreasing: got {timestamp} "
                 f"after {float(self._times_buf[n - 1])}"
             )
-        self._reserve(1)
+        if n >= len(self._times_buf):
+            self._reserve(1)
         self._times_buf[n] = timestamp
         self._values_buf[n] = float(value)
         self._length = n + 1

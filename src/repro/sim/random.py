@@ -15,7 +15,7 @@ unmonitored run of the same workload, as the paper's Fig. 3 does).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +30,10 @@ class _DrawBuffer:
     for ``generator.exponential(mean, size=k)`` as for ``k`` successive
     scalar calls, so serving scalar draws out of a batch array is
     bit-identical to the unbuffered path — it only amortises the per-call
-    numpy dispatch overhead.  The parameters are pinned at registration:
-    a draw with different parameters would silently consume the wrong
+    numpy dispatch overhead.  Each batch is kept as ``ndarray.tolist()``:
+    the same Python floats ``float(values[i])`` gives, without a numpy
+    scalar per draw.  The parameters are pinned at registration: a draw
+    with different parameters would silently consume the wrong
     distribution, so it raises instead.
     """
 
@@ -48,21 +50,22 @@ class _DrawBuffer:
         self.kind = kind
         self.params = params
         self.batch = batch
-        self._values = np.empty(0)
+        self._values: List[float] = []
         self._index = 0
 
     def next(self) -> float:
-        if self._index >= self._values.shape[0]:
+        """The next draw of the stream (refilling the batch when spent)."""
+        index = self._index
+        values = self._values
+        if index == len(values):
             if self.kind == "exponential":
-                self._values = self.generator.exponential(self.params[0], size=self.batch)
+                batch = self.generator.exponential(self.params[0], size=self.batch)
             else:  # uniform
-                self._values = self.generator.uniform(
-                    self.params[0], self.params[1], size=self.batch
-                )
-            self._index = 0
-        value = self._values[self._index]
-        self._index += 1
-        return float(value)
+                batch = self.generator.uniform(self.params[0], self.params[1], size=self.batch)
+            values = self._values = batch.tolist()
+            index = 0
+        self._index = index + 1
+        return values[index]
 
 
 class RandomStreams:
@@ -80,6 +83,8 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
         self._buffers: Dict[str, _DrawBuffer] = {}
+        #: ``(name, mean, cv) -> (bound lognormal, mu, sigma)``.
+        self._lognormals: Dict[Tuple[str, float, float], tuple] = {}
 
     @property
     def seed(self) -> int:
@@ -112,7 +117,7 @@ class RandomStreams:
         kind: str,
         params: Sequence[float],
         batch: int = DEFAULT_DRAW_BATCH,
-    ) -> None:
+    ) -> Callable[[], float]:
         """Serve ``name``'s scalar draws from bulk batches of ``batch`` draws.
 
         Only streams whose distribution parameters never vary may be
@@ -121,6 +126,10 @@ class RandomStreams:
         parameters raises ``ValueError`` rather than silently consuming a
         mismatched batch.  Buffered draws are bit-identical to unbuffered
         ones — numpy's sized draws consume the same underlying bit stream.
+
+        Returns the buffer's draw function: calling it is the scalar draw
+        with the pinned parameters, minus the per-call name lookup and
+        parameter check (callers bind it once, when they are built).
         """
         if kind not in ("exponential", "uniform"):
             raise ValueError(f"cannot buffer draws of kind {kind!r}")
@@ -136,8 +145,9 @@ class RandomStreams:
                 raise ValueError(
                     f"stream {name!r} already buffered as {existing.kind}{existing.params}"
                 )
-            return
-        self._buffers[name] = _DrawBuffer(self.stream(name), kind, params, int(batch))
+            return existing.next
+        buffer = self._buffers[name] = _DrawBuffer(self.stream(name), kind, params, int(batch))
+        return buffer.next
 
     def _buffer_mismatch(self, name: str, kind: str, params: Tuple[float, ...]) -> ValueError:
         buffer = self._buffers[name]
@@ -221,17 +231,24 @@ class RandomStreams:
 
         Service times in the container are modelled as lognormal (strictly
         positive, right-skewed) which matches observed servlet latencies far
-        better than a normal distribution.
+        better than a normal distribution.  The distribution's ``mu`` and
+        ``sigma`` and the stream's bound ``lognormal`` are computed once per
+        ``(name, mean, cv)``; every later draw is one numpy call.
         """
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        if cv < 0:
-            raise ValueError(f"coefficient of variation must be >= 0, got {cv}")
-        if cv == 0:
-            return float(mean)
-        sigma2 = np.log(1.0 + cv * cv)
-        mu = np.log(mean) - sigma2 / 2.0
-        return float(self.stream(name).lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+        key = (name, mean, cv)
+        draw = self._lognormals.get(key)
+        if draw is None:
+            if mean <= 0:
+                raise ValueError(f"mean must be positive, got {mean}")
+            if cv < 0:
+                raise ValueError(f"coefficient of variation must be >= 0, got {cv}")
+            if cv == 0:
+                return float(mean)
+            sigma2 = np.log(1.0 + cv * cv)
+            mu = np.log(mean) - sigma2 / 2.0
+            draw = self._lognormals[key] = (self.stream(name).lognormal, mu, np.sqrt(sigma2))
+        lognormal, mu, sigma = draw
+        return float(lognormal(mu, sigma))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={len(self._streams)})"

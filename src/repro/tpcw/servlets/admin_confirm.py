@@ -54,8 +54,7 @@ class AdminConfirmServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Admin Confirm",
             {"item_id": item_id, "new_cost": float(new_cost), "related": related_ids[:5]},
         )

@@ -41,4 +41,4 @@ class AdminRequestServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(response, "Admin Request", {"book": book})
+        response.render("Admin Request", {"book": book})

@@ -64,6 +64,8 @@ class TpcwServlet(HttpServlet):
         self._error_count = 0
         self._pending_fault_latency = 0.0
         self._cached_item_count: Optional[int] = None
+        #: ``random_stream`` generators by suffix.
+        self._random_streams: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -74,6 +76,7 @@ class TpcwServlet(HttpServlet):
         self._runtime = context.get_attribute(RUNTIME_ATTRIBUTE)
         self._datasource = context.get_attribute(DATASOURCE_ATTRIBUTE)
         self._streams = context.get_attribute(STREAMS_ATTRIBUTE)
+        self._random_streams = {}
         self._clock = context.get_attribute(CLOCK_ATTRIBUTE)
         if self._runtime is None or self._datasource is None:
             raise ServletException(
@@ -165,19 +168,18 @@ class TpcwServlet(HttpServlet):
 
     def random_stream(self, suffix: str):
         """A component-scoped random generator (deterministic per seed)."""
-        if self._streams is None:
-            raise ServletException(f"{type(self).__name__} has no random streams configured")
-        return self._streams.stream(f"servlet.{self.component_name}.{suffix}")
+        generator = self._random_streams.get(suffix)
+        if generator is None:
+            if self._streams is None:
+                raise ServletException(f"{type(self).__name__} has no random streams configured")
+            generator = self._random_streams[suffix] = self._streams.stream(
+                f"servlet.{self.component_name}.{suffix}"
+            )
+        return generator
 
     # ------------------------------------------------------------------ #
     # Memory helpers
     # ------------------------------------------------------------------ #
-    def allocate_transient(self, class_name: str, size_bytes: int) -> JavaObject:
-        """Allocate request-scoped data (immediately collectable garbage)."""
-        return self.runtime.allocate(
-            class_name, shallow_size=size_bytes, owner=None, timestamp=self._now()
-        )
-
     def retain_in_component_state(self, obj: JavaObject) -> None:
         """Make the servlet's instance state reference ``obj`` (it leaks until removed)."""
         self.instance_root.add_reference(obj)
@@ -222,33 +224,32 @@ class TpcwServlet(HttpServlet):
     # Request handling
     # ------------------------------------------------------------------ #
     def service(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
-        """Count the visit, run the interaction, then run injected faults."""
+        """Count the visit, run the interaction, then run injected faults.
+
+        Dispatches on the method itself (as :meth:`HttpServlet.service`
+        does), so a request makes one call here whatever wraps it.
+        """
         self._request_count += 1
         try:
-            super().service(request, response)
+            if not self._initialized:
+                raise ServletException(
+                    f"servlet {type(self).__name__} received a request before init()"
+                )
+            if request.method == "GET":
+                self.do_get(request, response)
+            else:
+                self.do_post(request, response)
         except Exception:
             self._error_count += 1
             raise
         finally:
             # The paper's modified TPC-W injects its aging error on every
             # servlet visit, independent of whether the page rendered fine.
-            for fault in list(self._injected_faults):
-                fault.on_request(self, request)
-        # Simulated page buffer for the rendered markup.
-        self.allocate_transient(
-            "java.lang.StringBuilder", self.transient_bytes_per_request
+            if self._injected_faults:
+                for fault in list(self._injected_faults):
+                    fault.on_request(self, request)
+        # Simulated page buffer for the rendered markup (request-scoped,
+        # immediately collectable garbage).
+        self._runtime.allocate(
+            "java.lang.StringBuilder", self.transient_bytes_per_request, None, self._now()
         )
-
-    # ------------------------------------------------------------------ #
-    # Rendering helper
-    # ------------------------------------------------------------------ #
-    def render(self, response: HttpServletResponse, title: str, model: Dict[str, Any]) -> None:
-        """Produce a small HTML body and attach the model data."""
-        response.model.update(model)
-        response.write(f"<html><head><title>{title}</title></head><body>")
-        for key, value in model.items():
-            if isinstance(value, list):
-                response.write(f"<h2>{key} ({len(value)})</h2>")
-            else:
-                response.write(f"<p>{key}: {value}</p>")
-        response.write("</body></html>")

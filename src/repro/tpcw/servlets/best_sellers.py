@@ -58,8 +58,7 @@ class BestSellersServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             f"Best Sellers: {subject}",
             {"subject": subject, "best_sellers": best_sellers},
         )

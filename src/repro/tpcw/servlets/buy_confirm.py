@@ -127,8 +127,7 @@ class BuyConfirmServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Buy Confirm",
             {"order_id": order_id, "total": total, "lines": len(cart_lines)},
         )

@@ -68,8 +68,7 @@ class BuyRequestServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Buy Request",
             {
                 "customer": customer,

@@ -58,8 +58,7 @@ class CustomerRegistrationServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Customer Registration",
             {"returning": bool(customer), "customer": customer},
         )

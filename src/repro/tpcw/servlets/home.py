@@ -74,4 +74,4 @@ class HomeServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(response, "TPC-W Home", model)
+        response.render("TPC-W Home", model)

@@ -53,4 +53,4 @@ class NewProductsServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(response, f"New Products: {subject}", {"subject": subject, "books": books})
+        response.render(f"New Products: {subject}", {"subject": subject, "books": books})

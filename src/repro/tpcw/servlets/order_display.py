@@ -61,4 +61,4 @@ class OrderDisplayServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(response, "Order Display", {"order": order, "lines": lines})
+        response.render("Order Display", {"order": order, "lines": lines})

@@ -23,4 +23,4 @@ class OrderInquiryServlet(TpcwServlet):
             customer_id = session.get_attribute("customer_id")
             if customer_id is not None:
                 username = f"user{customer_id}"
-        self.render(response, "Order Inquiry", {"uname": username})
+        response.render("Order Inquiry", {"uname": username})

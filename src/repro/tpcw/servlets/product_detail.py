@@ -54,4 +54,4 @@ class ProductDetailServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(response, "Product Detail", {"book": book})
+        response.render("Product Detail", {"book": book})

@@ -37,8 +37,7 @@ class SearchRequestServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Search Request",
             {
                 "search_types": list(SEARCH_TYPES),

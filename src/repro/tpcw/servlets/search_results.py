@@ -75,8 +75,7 @@ class SearchResultsServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Search Results",
             {"search_type": search_type, "term": used_term, "books": books},
         )

@@ -98,8 +98,7 @@ class ShoppingCartServlet(TpcwServlet):
         finally:
             connection.close()
 
-        self.render(
-            response,
+        response.render(
             "Shopping Cart",
             {"cart_id": cart_id, "lines": cart_lines, "subtotal": round(subtotal, 2)},
         )

@@ -15,7 +15,8 @@ the real closed-loop harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.container.resilience import BackoffSchedule, CircuitBreaker, ResilienceConfig
@@ -46,6 +47,18 @@ class WorkloadPhase:
             raise ValueError(f"phase start_time must be >= 0, got {self.start_time}")
         if self.eb_count < 0:
             raise ValueError(f"phase eb_count must be >= 0, got {self.eb_count}")
+
+
+class _UriTable(dict):
+    """Interaction -> request URI, asking the deployment once per interaction."""
+
+    def __init__(self, deployment) -> None:
+        super().__init__()
+        self._url_for = deployment.url_for
+
+    def __missing__(self, interaction: str) -> str:
+        uri = self[interaction] = self._url_for(interaction)
+        return uri
 
 
 class EmulatedBrowser:
@@ -91,17 +104,14 @@ class EmulatedBrowser:
     def _begin_session(self, at_time: float) -> None:
         self.session_id = None
         self.current_interaction = "home"
-        duration = self._generator.streams.exponential(
-            "workload.session-duration", self._generator.session_duration_mean
-        )
-        self.session_deadline = at_time + duration
+        self.session_deadline = at_time + self._generator._session_draw()
 
     # ------------------------------------------------------------------ #
     def _issue_request(self) -> None:
         if not self.active:
             return
         generator = self._generator
-        now = generator.engine.now
+        now = generator._clock.now
         if now >= self.session_deadline:
             self._begin_session(now)
             self.retry_attempt = 0
@@ -110,18 +120,15 @@ class EmulatedBrowser:
         if resilience is not None and not self._breaker_admits(now):
             return
 
+        interaction = self.current_interaction
         request = HttpServletRequest(
-            uri=generator.deployment.url_for(self.current_interaction),
-            method="GET",
-            parameters={},
-            session_id=self.session_id,
-            client_id=self.browser_id,
+            generator._uris[interaction], "GET", None, self.session_id, self.browser_id
         )
-        outcome = generator.deployment.server.handle(request, now)
+        outcome = generator._handle(request, now)
         self.requests_issued += 1
         generator.issued_requests += 1
         self.session_id = request.session_id
-        generator._record_outcome(self.current_interaction, outcome)
+        generator._record_outcome(interaction, outcome, now)
 
         if outcome.refused:
             # The server refused the request — a rejuvenation outage window
@@ -139,8 +146,9 @@ class EmulatedBrowser:
             if resilience is not None and self._handle_resilient_completion(outcome, now):
                 return
             # Choose the next interaction and schedule it after think time.
-            draw = generator.streams.uniform("workload.mix-transition", 0.0, 1.0)
-            self.current_interaction = generator.mix.next_interaction(self.current_interaction, draw)
+            self.current_interaction = generator.mix.next_interaction(
+                interaction, generator._mix_draw()
+            )
             think = generator.think_time()
             next_time = max(outcome.completion_time, now) + think
         self._schedule_next(next_time)
@@ -173,8 +181,9 @@ class EmulatedBrowser:
         else:
             generator.gave_up_requests += 1
             self.retry_attempt = 0
-            draw = generator.streams.uniform("workload.mix-transition", 0.0, 1.0)
-            self.current_interaction = generator.mix.next_interaction(self.current_interaction, draw)
+            self.current_interaction = generator.mix.next_interaction(
+                self.current_interaction, generator._mix_draw()
+            )
             self._schedule_next(now + generator.think_time())
         return False
 
@@ -258,8 +267,13 @@ class WorkloadGenerator:
         resilience: Optional[ResilienceConfig] = None,
         batch_draws: bool = True,
     ) -> None:
+        # The draws bound below skip the per-draw parameter checks.
         if think_time_mean <= 0:
             raise ValueError(f"think_time_mean must be positive, got {think_time_mean}")
+        if session_duration_mean <= 0:
+            raise ValueError(
+                f"session_duration_mean must be positive, got {session_duration_mean}"
+            )
         self.engine = engine
         self.deployment = deployment
         self.mix = mix or shopping_mix()
@@ -270,16 +284,28 @@ class WorkloadGenerator:
         #: vary (think time, mix transition, session duration) are served
         #: from bulk batches.  Bit-identical to scalar draws (numpy sized
         #: draws consume the same bit stream); ``batch_draws=False`` keeps
-        #: the scalar path for A/B testing.
+        #: the scalar path for A/B testing.  Either way each stream's draw
+        #: is bound here, once.
         self.batch_draws = bool(batch_draws)
+        streams = self.streams
+        draws = (
+            ("workload.think-time", "exponential", (self.think_time_mean,)),
+            ("workload.mix-transition", "uniform", (0.0, 1.0)),
+            ("workload.session-duration", "exponential", (self.session_duration_mean,)),
+        )
         if self.batch_draws:
-            self.streams.buffer_stream(
-                "workload.think-time", "exponential", (self.think_time_mean,)
-            )
-            self.streams.buffer_stream("workload.mix-transition", "uniform", (0.0, 1.0))
-            self.streams.buffer_stream(
-                "workload.session-duration", "exponential", (self.session_duration_mean,)
-            )
+            bound = [streams.buffer_stream(name, kind, params) for name, kind, params in draws]
+        else:
+            bound = [
+                functools.partial(getattr(streams, kind), name, *params)
+                for name, kind, params in draws
+            ]
+        self._think_draw, self._mix_draw, self._session_draw = bound
+        #: Interaction -> request URI, resolved once per interaction, and
+        #: the server's request entry, bound once per run.
+        self._uris = _UriTable(deployment)
+        self._handle = deployment.server.handle
+        self._clock = engine.clock
         self.end_time: Optional[float] = None
         self._browsers: List[EmulatedBrowser] = []
         self._next_browser_id = 1
@@ -321,8 +347,7 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------ #
     def think_time(self) -> float:
         """One TPC-W think-time draw (exponential, capped)."""
-        value = self.streams.exponential("workload.think-time", self.think_time_mean)
-        return min(value, MAX_THINK_TIME)
+        return min(self._think_draw(), MAX_THINK_TIME)
 
     def _retry_delay(self, attempt: int) -> float:
         """Client turnaround before retry ``attempt`` (0-based)."""
@@ -345,7 +370,8 @@ class WorkloadGenerator:
         """Per-component circuit breakers instantiated so far."""
         return dict(self._breakers)
 
-    def _record_outcome(self, interaction: str, outcome: RequestOutcome) -> None:
+    def _record_outcome(self, interaction: str, outcome: RequestOutcome, now: float) -> None:
+        """Count one server answer to a request issued at ``now``."""
         if outcome.refused:
             # Counted (never silently dropped), but not as a completion: the
             # server was deliberately down or shed the request.  Observers
@@ -365,7 +391,7 @@ class WorkloadGenerator:
         self.throughput.mark(outcome.completion_time)
         # Recorded at issue time (monotonic in event order); completions can
         # finish out of order, so the completion time is not a valid series axis.
-        self.response_times.record(self.engine.now, outcome.response_time)
+        self.response_times.record(now, outcome.response_time)
         if self.on_request is not None:
             self.on_request(interaction, outcome)
 

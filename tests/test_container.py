@@ -139,24 +139,29 @@ class TestDispatcher:
         runtime = JvmRuntime()
         return application, RequestDispatcher(application, SessionManager(runtime))
 
+    @staticmethod
+    def _dispatch(application, dispatcher, request, timestamp=0.0):
+        registration = application.find_by_uri(request.uri)
+        return dispatcher.dispatch(registration, request, HttpServletResponse(), timestamp)
+
     def test_dispatch_to_servlet(self):
-        _, dispatcher = self._make_app()
-        response = dispatcher.dispatch(
-            HttpServletRequest("/app/echo", parameters={"msg": "x"}), HttpServletResponse()
+        application, dispatcher = self._make_app()
+        response = self._dispatch(
+            application, dispatcher, HttpServletRequest("/app/echo", parameters={"msg": "x"})
         )
         assert response.status == 200
         assert response.body == "echo:x"
         assert dispatcher.dispatched_count == 1
 
     def test_unknown_uri_is_404(self):
-        _, dispatcher = self._make_app()
-        response = dispatcher.dispatch(HttpServletRequest("/app/missing"), HttpServletResponse())
+        application, dispatcher = self._make_app()
+        response = self._dispatch(application, dispatcher, HttpServletRequest("/app/missing"))
         assert response.status == 404
         assert dispatcher.not_found_count == 1
 
     def test_servlet_exception_becomes_500(self):
-        _, dispatcher = self._make_app()
-        response = dispatcher.dispatch(HttpServletRequest("/app/fail"), HttpServletResponse())
+        application, dispatcher = self._make_app()
+        response = self._dispatch(application, dispatcher, HttpServletRequest("/app/fail"))
         assert response.status == 500
         assert dispatcher.error_count == 1
 
@@ -178,21 +183,33 @@ class TestDispatcher:
 
         application.add_filter(Tagger("first"))
         application.add_filter(Tagger("second"))
-        response = dispatcher.dispatch(HttpServletRequest("/app/echo"), HttpServletResponse())
+        response = self._dispatch(application, dispatcher, HttpServletRequest("/app/echo"))
         assert order == ["first", "second"]
         assert response.status == 200
 
         application.add_filter(Tagger("blocker", block=True))
-        blocked = dispatcher.dispatch(HttpServletRequest("/app/echo"), HttpServletResponse())
+        blocked = self._dispatch(application, dispatcher, HttpServletRequest("/app/echo"))
         assert blocked.status == 503
 
     def test_session_attached_to_request(self):
-        _, dispatcher = self._make_app()
+        application, dispatcher = self._make_app()
         request = HttpServletRequest("/app/echo")
-        dispatcher.dispatch(request, HttpServletResponse(), timestamp=5.0)
+        self._dispatch(application, dispatcher, request, timestamp=5.0)
         session = request.get_session()
         assert session is not None
         assert request.session_id == session.session_id
+        assert session.created_at == 5.0
+
+    def test_session_touched_at_the_arrival_time(self):
+        application, dispatcher = self._make_app()
+        first = HttpServletRequest("/app/echo")
+        self._dispatch(application, dispatcher, first, timestamp=5.0)
+        session = first.get_session()
+        again = HttpServletRequest("/app/echo", session_id=session.session_id)
+        self._dispatch(application, dispatcher, again, timestamp=9.0)
+        assert again.get_session() is session
+        assert (session.created_at, session.last_accessed) == (5.0, 9.0)
+        assert dispatcher.session_manager.created_count == 1
 
 
 class TestWebApplication:

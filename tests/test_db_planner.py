@@ -7,10 +7,11 @@ import pytest
 from repro.db.engine import Database, SqlExecutionError
 from repro.db.sql import parse_sql
 from repro.db.table import Column, ColumnType
+from repro.perf.seed_reference import make_seed_row_database_class
 
 
-def build_database() -> Database:
-    database = Database("planner")
+def build_database(database_class=Database) -> Database:
+    database = database_class("planner")
     database.create_table(
         "item",
         [
@@ -73,10 +74,43 @@ class TestPlanCache:
         database.table("item").create_index("i_cost")
         after = database.execute(statement, [2.0])
         plan_after = database._plan_cache[id(statement)][1]
-        assert plan_after is not plan_before  # schema_version bump recompiled
+        assert plan_after is not plan_before  # create_index dropped the plan
         assert after.rows == before.rows
         # Declared index now prunes -> accounting changes like the interpreter's.
         assert after.rows_scanned == len(after.rows)
+
+    def test_create_index_on_joined_table_recompiles_join_plan(self):
+        planned = build_database()
+        seed = build_database(make_seed_row_database_class())
+        sql = (
+            "SELECT a.a_lname, i.i_id FROM author a JOIN item i ON a.a_id = i.i_a_id "
+            "WHERE a_lname = ? ORDER BY i_id"
+        )
+        statement = parse_sql(sql)
+
+        def both(params):
+            result = planned.execute(statement, params)
+            reference = seed.execute(statement, params)
+            assert (result.rows, result.rows_scanned, result.cost_seconds) == (
+                reference.rows,
+                reference.rows_scanned,
+                reference.cost_seconds,
+            )
+            return result
+
+        before = both(["SMITH"])
+        plan_before = planned._plan_cache[id(statement)][1]
+        # i_a_id is unindexed: each author row scans the whole item table.
+        assert before.rows_scanned == 3 + 3 * 12
+        for database in (planned, seed):
+            database.table("item").create_index("i_a_id")
+        assert not planned._plan_cache
+        after = both(["SMITH"])
+        assert planned._plan_cache[id(statement)][1] is not plan_before
+        assert after.rows == before.rows
+        # The recompiled join probes the declared index: 4 items per author.
+        assert after.rows_scanned == 3 + 3 * 4
+        assert both(["JONES"]).rows_scanned == 3 + 3 * 4
 
     def test_statements_executed_directly_still_work(self):
         database = build_database()

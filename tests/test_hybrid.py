@@ -14,13 +14,18 @@ Three families:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.scenarios import fig_scale
 from repro.faults.injector import FaultSpec
+from repro.faults.memory_leak import MemoryLeakFault
+from repro.jvm.heap import OutOfMemoryError
 from repro.sim.engine import SimulationEngine
-from repro.sim.fluid import split_phases
+from repro.sim.fluid import _FluidRequest, split_phases
 from repro.slo.analytic import HYBRID_THROUGHPUT_TOLERANCE, within_tolerance
 from repro.tpcw.application import build_deployment
 from repro.tpcw.population import PopulationScale
@@ -102,6 +107,35 @@ def test_hybrid_fluid_report_populated():
     assert fluid.amplified_injections.get("memory-leak", 0) > 0
     # Visits follow the stationary mix: the faulted component is among them.
     assert fluid.component_visits.get(COMPONENT, 0.0) > 0.0
+
+
+def test_hybrid_run_whose_heap_fills_completes(monkeypatch):
+    """The scale comparison's hybrid run without rejuvenation fills its heap.
+
+    The run completes: the bulk's firings on a full heap are dropped and
+    counted, as the discrete path fails such a request, and later ticks fire
+    again (a micro-reboot could have freed the heap in between).
+    """
+    fluid_oom_ticks = set()
+    inject = MemoryLeakFault._inject
+
+    def recording_inject(fault, servlet, request):
+        try:
+            inject(fault, servlet, request)
+        except OutOfMemoryError:
+            if isinstance(request, _FluidRequest):
+                fluid_oom_ticks.add(request.arrival_time)
+            raise
+
+    monkeypatch.setattr(MemoryLeakFault, "_inject", recording_inject)
+    comparison = fig_scale(duration_scale=0.1, seed=42, scale=PopulationScale.tiny())
+    config = replace(comparison.configs["hybrid"], rejuvenation=None)
+    config.validate()
+    result = run_experiment(config)
+    assert result.fluid.dropped_injections.get("memory-leak", 0) >= len(fluid_oom_ticks) > 1
+    assert result.fluid.amplified_injections.get("memory-leak", 0) > 0
+    # The tracers' requests meet the same full heap and fail.
+    assert result.error_count > 0
 
 
 def test_unknown_simulation_mode_rejected():

@@ -118,15 +118,6 @@ class TestGarbageCollector:
         assert collector.stats.total_objects_reclaimed == 10
         assert collector.stats.total_bytes_reclaimed == 500
 
-    def test_should_collect_threshold(self):
-        heap = Heap(1000)
-        collector = GarbageCollector(heap)
-        assert not collector.should_collect(0.5)
-        heap.allocate("A", 600)
-        assert collector.should_collect(0.5)
-        with pytest.raises(ValueError):
-            collector.should_collect(0.0)
-
     def test_pause_grows_with_reclaimed_bytes(self):
         heap = Heap(200 * 1024 * 1024)
         collector = GarbageCollector(heap)
@@ -182,6 +173,18 @@ class TestJvmRuntime:
         assert runtime.total_memory() == 10_000
         assert runtime.used_memory() == 1000
         assert runtime.free_memory() == 9000
+
+    def test_collects_at_the_occupancy_threshold(self):
+        with pytest.raises(ValueError):
+            JvmRuntime(heap_bytes=1000, gc_occupancy_threshold=0.0)
+        with pytest.raises(ValueError):
+            JvmRuntime(heap_bytes=1000, gc_occupancy_threshold=1.5)
+        runtime = JvmRuntime(heap_bytes=1000, gc_occupancy_threshold=0.5)
+        runtime.allocate("A", 400)
+        runtime.allocate("B", 100)  # 400 B used before it: below the threshold
+        assert runtime.collector.stats.collections == 0
+        runtime.allocate("C", 10)  # 500 B used before it: at the threshold
+        assert runtime.collector.stats.collections == 1
 
     def test_allocation_triggers_gc_under_pressure(self):
         runtime = JvmRuntime(heap_bytes=1000, gc_occupancy_threshold=0.5)

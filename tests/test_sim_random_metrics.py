@@ -59,6 +59,45 @@ class TestRandomStreams:
     def test_lognormal_zero_cv_is_deterministic(self):
         assert RandomStreams(0).lognormal_service_time("s", 0.2, cv=0.0) == 0.2
 
+    def test_lognormal_service_time_draws_the_uncached_floats(self):
+        """Each draw is the float the per-call formula gives, whatever the
+        order and repetition of (stream, mean, cv) keys."""
+        keys = [
+            ("s", 0.1, 0.25), ("s", 0.22, 0.25), ("t", 0.1, 0.25), ("s", 0.1, 0.25),
+            ("s", 0.05, 0.5), ("t", 0.1, 0.25), ("s", 0.22, 0.25), ("s", 1.0, 1e-3),
+        ] * 3
+        streams = RandomStreams(11)
+        reference = RandomStreams(11)
+        for name, mean, cv in keys:
+            sigma2 = np.log(1.0 + cv * cv)
+            expected = float(
+                reference.stream(name).lognormal(
+                    mean=np.log(mean) - sigma2 / 2.0, sigma=np.sqrt(sigma2)
+                )
+            )
+            assert streams.lognormal_service_time(name, mean, cv) == expected
+        # Bad arguments still raise, also for a stream already drawn from,
+        # and cv = 0 returns the mean without consuming the stream.
+        for mean, cv in ((0.0, 0.25), (-0.1, 0.25), (0.1, -0.25)):
+            with pytest.raises(ValueError):
+                streams.lognormal_service_time("s", mean, cv)
+        assert streams.lognormal_service_time("s", 0.1, 0.0) == 0.1
+        assert streams.stream("s").random() == reference.stream("s").random()
+
+    def test_buffered_draws_equal_scalar_draws_across_refills(self):
+        buffered = RandomStreams(5)
+        think = buffered.buffer_stream("think", "exponential", (7.0,), batch=4)
+        mix = buffered.buffer_stream("mix", "uniform", (0.0, 1.0), batch=3)
+        scalar = RandomStreams(5)
+        for _ in range(11):  # several refills of both batches
+            value = think()
+            assert type(value) is float
+            assert value == float(scalar.stream("think").exponential(7.0))
+            assert mix() == float(scalar.stream("mix").uniform(0.0, 1.0))
+        # The named draw serves the same buffer.
+        assert buffered.exponential("think", 7.0) == float(scalar.stream("think").exponential(7.0))
+        assert buffered.buffer_stream("think", "exponential", (7.0,)) == think
+
     def test_invalid_seed_type(self):
         with pytest.raises(TypeError):
             RandomStreams("not-a-seed")  # type: ignore[arg-type]

@@ -92,6 +92,38 @@ class TestMixes:
             mix_by_name("unknown")
 
 
+#: Each page's title, formatted with its model.
+PAGE_TITLES = {
+    "home": "TPC-W Home",
+    "new_products": "New Products: {subject}",
+    "best_sellers": "Best Sellers: {subject}",
+    "product_detail": "Product Detail",
+    "search_request": "Search Request",
+    "search_results": "Search Results",
+    "shopping_cart": "Shopping Cart",
+    "customer_registration": "Customer Registration",
+    "buy_request": "Buy Request",
+    "buy_confirm": "Buy Confirm",
+    "order_inquiry": "Order Inquiry",
+    "order_display": "Order Display",
+    "admin_request": "Admin Request",
+    "admin_confirm": "Admin Confirm",
+}
+
+
+def _eager_markup(interaction, model):
+    """A page's markup as it was written part by part when rendered."""
+    title = PAGE_TITLES[interaction].format(**model)
+    parts = [f"<html><head><title>{title}</title></head><body>"]
+    for key, value in model.items():
+        if isinstance(value, list):
+            parts.append(f"<h2>{key} ({len(value)})</h2>")
+        else:
+            parts.append(f"<p>{key}: {value}</p>")
+    parts.append("</body></html>")
+    return "".join(parts)
+
+
 class TestServlets:
     def test_every_interaction_has_a_servlet_class(self):
         assert set(SERVLET_CLASSES) == set(INTERACTIONS)
@@ -107,6 +139,24 @@ class TestServlets:
             assert outcome.ok, f"{interaction} failed with {outcome.response.status}"
             assert outcome.response.content_length > 0
             assert outcome.servlet_name == interaction
+
+    def test_page_markup_is_the_eager_markup(self, tiny_deployment):
+        """Each page's body is the markup ``render`` used to write at once,
+        built from its title and model; a write after it lands after it."""
+        app = TpcwApplication(tiny_deployment)
+        tail = "<!-- tail -->"
+        for interaction in tiny_deployment.interaction_names():
+            read_first = app.visit(interaction).response
+            expected = _eager_markup(interaction, read_first.model)
+            assert read_first.content_length == len(expected)
+            assert read_first.body == expected
+            read_first.write(tail)
+            assert read_first.body == expected + tail
+            written_first = app.visit(interaction).response
+            written_first.write(tail)
+            expected = _eager_markup(interaction, written_first.model)
+            assert written_first.body == expected + tail
+            assert written_first.content_length == len(expected + tail)
 
     def test_servlet_request_counters(self, tiny_deployment):
         app = TpcwApplication(tiny_deployment)
