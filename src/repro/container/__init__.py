@@ -7,9 +7,9 @@ Provides the J2EE-ish component model the paper instruments:
 * :mod:`repro.container.session`    -- HTTP session manager (sessions hold
   simulated heap objects, so session bloat is measurable).
 * :mod:`repro.container.webapp`     -- web application assembly (servlet
-  registry + URL mappings + filters, i.e. the deployment descriptor).
-* :mod:`repro.container.dispatcher` -- dispatch of a resolved request
-  through the filter chain to its servlet.
+  registry + URL mappings, i.e. the deployment descriptor).
+* :mod:`repro.container.dispatcher` -- dispatch of a resolved request to
+  its servlet.
 * :mod:`repro.container.threadpool` -- worker thread pool.
 * :mod:`repro.container.server`     -- the application server facade that
   executes a request end-to-end in virtual time and reports per-request
@@ -19,7 +19,7 @@ Provides the J2EE-ish component model the paper instruments:
 
 from __future__ import annotations
 
-from repro.container.dispatcher import FilterChain, RequestDispatcher, ServletFilter
+from repro.container.dispatcher import RequestDispatcher
 from repro.container.server import ApplicationServer, RequestOutcome, ServerConfig
 from repro.container.servlet import (
     HttpServlet,
@@ -45,8 +45,6 @@ __all__ = [
     "WebApplication",
     "ServletRegistration",
     "RequestDispatcher",
-    "ServletFilter",
-    "FilterChain",
     "WorkerThreadPool",
     "ApplicationServer",
     "ServerConfig",

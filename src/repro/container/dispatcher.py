@@ -1,60 +1,25 @@
-"""Request dispatch and the servlet filter chain."""
+"""Request dispatch: a resolved request to its servlet."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.container.servlet import HttpServletRequest, HttpServletResponse
 from repro.container.session import SessionManager
-from repro.container.webapp import ServletRegistration, WebApplication
-
-
-class ServletFilter:
-    """Base class for servlet filters (``javax.servlet.Filter`` analogue).
-
-    Subclasses override :meth:`do_filter` and must call
-    ``chain.do_filter(request, response)`` to continue processing.
-    """
-
-    filter_name: str = "filter"
-
-    def do_filter(self, request: HttpServletRequest, response: HttpServletResponse, chain: "FilterChain") -> None:
-        """Process the request and pass it down the chain."""
-        chain.do_filter(request, response)
-
-
-class FilterChain:
-    """Runs the configured filters and finally the target servlet."""
-
-    def __init__(self, filters: Sequence[ServletFilter], terminal: Callable[[HttpServletRequest, HttpServletResponse], None]) -> None:
-        self._filters = tuple(filters)
-        self._terminal = terminal
-        self._index = 0
-
-    def do_filter(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
-        """Invoke the next element of the chain."""
-        if self._index < len(self._filters):
-            current = self._filters[self._index]
-            self._index += 1
-            current.do_filter(request, response, self)
-        else:
-            self._terminal(request, response)
+from repro.container.webapp import ServletRegistration
 
 
 class RequestDispatcher:
-    """Runs a resolved request through the filter chain to its servlet.
+    """Runs a resolved request through its servlet.
 
     Parameters
     ----------
-    application:
-        The deployed web application.
     session_manager:
         Attached to every dispatched request, so its servlet can ask for
         the session.
     """
 
-    def __init__(self, application: WebApplication, session_manager: SessionManager) -> None:
-        self.application = application
+    def __init__(self, session_manager: SessionManager) -> None:
         self.session_manager = session_manager
         self.dispatched_count = 0
         self.not_found_count = 0
@@ -71,7 +36,7 @@ class RequestDispatcher:
         response: HttpServletResponse,
         timestamp: float = 0.0,
     ) -> HttpServletResponse:
-        """Run a request through the filter chain to ``registration``'s servlet.
+        """Run a request through ``registration``'s servlet.
 
         ``registration`` is what :meth:`WebApplication.find_by_uri` resolved
         for the request's URI; ``None`` (an unknown URI) produces a 404.  A
@@ -86,12 +51,8 @@ class RequestDispatcher:
 
         request._session_manager = self.session_manager
         request.arrival_time = timestamp
-        filters = self.application.filters
         try:
-            if filters:
-                FilterChain(filters, registration.servlet.service).do_filter(request, response)
-            else:
-                registration.servlet.service(request, response)
+            registration.servlet.service(request, response)
             self.dispatched_count += 1
         except Exception:
             response.status = HttpServletResponse.SC_INTERNAL_SERVER_ERROR

@@ -2,9 +2,9 @@
 
 :class:`ApplicationServer` executes one request end-to-end in virtual time:
 
-1. the dispatcher routes the request through the filter chain to the target
-   servlet, which *really executes* (issuing SQL against the data tier and
-   allocating simulated heap objects);
+1. the dispatcher hands the request to the target servlet, which *really
+   executes* (issuing SQL against the data tier and allocating simulated
+   heap objects);
 2. the server then derives the request's simulated resource demands —
    servlet CPU time, accumulated database cost, GC pauses triggered by the
    allocations, and any *external* cost charged by the monitoring framework
@@ -139,7 +139,7 @@ class ApplicationServer:
         )
         self.streams = streams
         self.sessions = SessionManager(self.runtime)
-        self.dispatcher = RequestDispatcher(application, self.sessions)
+        self.dispatcher = RequestDispatcher(self.sessions)
         self.thread_pool = WorkerThreadPool(
             self.runtime, max_threads=self.config.max_threads, max_queue=self.config.accept_queue
         )

@@ -1,7 +1,7 @@
 """Web application assembly (the deployment descriptor).
 
 A :class:`WebApplication` is the unit the paper calls "the application": a
-set of named servlets with URL mappings, shared context, and filters.  The
+set of named servlets with URL mappings and a shared context.  The
 Aspect Component weaver walks :meth:`WebApplication.servlets` to find the
 components to instrument — no application code is modified, mirroring the
 paper's "inject the solution at runtime over third-party applications"
@@ -11,7 +11,7 @@ claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.container.servlet import HttpServlet, ServletConfig, ServletContext
 
@@ -44,8 +44,6 @@ class WebApplication:
         self.context = ServletContext(self)
         self._registrations: Dict[str, ServletRegistration] = {}
         self._by_url: Dict[str, ServletRegistration] = {}
-        #: The filter chain, in application order (see :meth:`add_filter`).
-        self.filters: Tuple = ()
 
     # ------------------------------------------------------------------ #
     # Deployment
@@ -78,10 +76,6 @@ class WebApplication:
             raise KeyError(f"no servlet deployed under name {name!r}")
         self._by_url.pop(registration.url_pattern, None)
         registration.servlet.destroy()
-
-    def add_filter(self, servlet_filter) -> None:
-        """Append a filter to the chain (applied to every request, in order)."""
-        self.filters += (servlet_filter,)
 
     # ------------------------------------------------------------------ #
     # Lookup

@@ -11,8 +11,8 @@ the TPC-W servlets run against:
   aggregates, GROUP BY / ORDER BY / LIMIT, INSERT, UPDATE, DELETE,
   positional ``?`` parameters).
 * :mod:`repro.db.jdbc`    -- a JDBC-like API (DataSource, Connection,
-  PreparedStatement, ResultSet) with a bounded connection pool; the pool is
-  a leakable resource used by the connection-leak extension fault.
+  ResultSet) with a bounded connection pool; the pool is a leakable
+  resource used by the connection-leak extension fault.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.db.jdbc import (
     Connection,
     ConnectionPoolExhaustedError,
     DataSource,
-    PreparedStatement,
     ResultSet,
     SQLError,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SqlSyntaxError",
     "DataSource",
     "Connection",
-    "PreparedStatement",
     "ResultSet",
     "SQLError",
     "ConnectionPoolExhaustedError",

@@ -288,16 +288,17 @@ class Database:
         """Execute a SELECT through the compiled-plan cache.
 
         Each distinct statement AST is compiled once (:mod:`repro.db.planner`)
-        into a pipeline of specialised operators — declared-index lookups,
-        lazy hash-index joins, tuple intermediate rows and a top-k ORDER
-        BY + LIMIT selector — and re-run directly on subsequent executions.
-        A schema change (DDL, a declared index) drops the plans it may
-        affect, so a cached plan is always current; data mutations never
-        invalidate a plan (the hash indexes are maintained incrementally),
-        they invalidate or extend its join memo and its candidate probes'
-        groups and sorted keys.  Rows, row order and the
-        scanned/lookup accounting are bit-identical to the interpreting
-        executor this replaced (see the planner's equivalence suite).
+        into a pipeline of specialised operators — a primary-key probe,
+        declared-index lookups and joins, tuple intermediate rows, a join
+        memo and a top-k ORDER BY + LIMIT selector — and re-run directly on
+        subsequent executions.  A schema change (DDL, a declared index)
+        drops the plans it may affect, so a cached plan is always current;
+        data mutations never invalidate a plan (the declared indexes are
+        maintained incrementally), they invalidate or extend its join memo
+        and its candidate probes' groups and sorted keys.  Rows, row order
+        and the scanned/lookup accounting are bit-identical to the
+        interpreting executor this replaced (see the planner's equivalence
+        suite).
         """
         entry = self._plan_cache.get(id(statement))
         if entry is not None and entry[0] is statement:

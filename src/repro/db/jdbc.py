@@ -1,8 +1,8 @@
 """JDBC-like access layer with a bounded connection pool.
 
-The TPC-W servlets obtain connections from a :class:`DataSource`, prepare
-statements, execute them and iterate :class:`ResultSet`s — mirroring the
-structure of the original TPC-W Java servlet code.  Two behaviours matter
+The TPC-W servlets obtain connections from a :class:`DataSource`, execute
+parameterised statements on them and iterate :class:`ResultSet`s — mirroring
+the structure of the original TPC-W Java servlet code.  Two behaviours matter
 for the reproduction:
 
 * every executed statement reports the engine's *simulated cost*, which the
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.db.engine import Database
-from repro.db.sql import Statement, parse_sql
+from repro.db.sql import Statement
 
 
 class SQLError(RuntimeError):
@@ -94,45 +94,6 @@ class ResultSet:
         return len(self._rows)
 
 
-class PreparedStatement:
-    """A parameterised statement bound to a connection."""
-
-    def __init__(self, connection: "Connection", sql: str) -> None:
-        self._connection = connection
-        self.sql = sql
-        self._params: Dict[int, Any] = {}
-        #: Parsed AST, resolved on first execution and reused afterwards so
-        #: re-executing a prepared statement skips even the parse-cache
-        #: lookup (and hits the engine's per-statement plan cache directly).
-        self._statement: Optional[Statement] = None
-
-    def set(self, index: int, value: Any) -> None:
-        """Bind the 1-based parameter ``index`` (JDBC convention) to ``value``."""
-        if index < 1:
-            raise SQLError(f"parameter indexes are 1-based, got {index}")
-        self._params[index - 1] = value
-
-    def _ordered_params(self) -> Sequence[Any]:
-        if not self._params:
-            return ()
-        size = max(self._params) + 1
-        return tuple(self._params.get(i) for i in range(size))
-
-    def _parsed(self) -> Statement:
-        statement = self._statement
-        if statement is None:
-            statement = self._statement = parse_sql(self.sql)
-        return statement
-
-    def execute_query(self) -> ResultSet:
-        """Execute a SELECT and return a :class:`ResultSet`."""
-        return self._connection.execute_query(self._parsed(), self._ordered_params())
-
-    def execute_update(self) -> int:
-        """Execute an INSERT/UPDATE/DELETE and return the affected row count."""
-        return self._connection.execute_update(self._parsed(), self._ordered_params())
-
-
 class Connection:
     """A pooled database connection."""
 
@@ -149,12 +110,6 @@ class Connection:
     # Each statement is one ``Database.execute`` call; its cost, aged by the
     # data source's latency inflation, accrues to the data source, which the
     # container reads around each request.
-    def prepare_statement(self, sql: str) -> PreparedStatement:
-        """Create a prepared statement on this connection."""
-        if self._closed:
-            raise SQLError(f"connection {self.connection_id} is closed")
-        return PreparedStatement(self, sql)
-
     def execute_query(self, sql: Union[str, Statement], params: Sequence[Any] = ()) -> ResultSet:
         """Execute a SELECT directly (SQL text or a pre-parsed statement)."""
         if self._closed:

@@ -1,4 +1,4 @@
-"""Compiled SELECT plans: hash-index joins, top-k ORDER BY + LIMIT, tuple rows.
+"""Compiled SELECT plans: index joins, top-k ORDER BY + LIMIT, tuple rows.
 
 The executor in :mod:`repro.db.engine` used to interpret the SELECT AST
 afresh on every call: name resolution per statement, a ``{qualifier: row}``
@@ -21,9 +21,6 @@ Operator highlights:
   direction, ``heapq.nsmallest``/``nlargest`` select the LIMIT rows without
   sorting (or projecting) the full candidate set.  Both are stable in the
   ``sorted(...)[:n]`` sense, so ties order exactly like the full sort.
-* **Lazy hash-index joins** — join/WHERE equality columns without a declared
-  index get an auto-maintained hash index built on first demand
-  (:meth:`repro.db.table.Table.ensure_hash_index`).
 * **Compiled row functions** — projections, group keys, filters and order
   keys are generated as tiny lambdas over the execution rows, so the
   per-row inner loops carry no interpretive dispatch.  A ``LIKE`` pattern
@@ -51,9 +48,9 @@ Operator highlights:
   rows grouped by the ``=`` column's value (the column may sit on any side
   of the join), in memo order: a catch-up appends its tail to the groups,
   and an update of the column — which leaves the memo's stamp valid —
-  regroups it.  A single-table scan with no declared-index condition and no
-  lazy lookup probes a ``LIKE`` pattern's literal prefix (its characters
-  before the first ``%`` or ``_``) in the table's sorted ``str()`` keys
+  regroups it.  A single-table scan with no declared-index condition probes
+  a ``LIKE`` pattern's literal prefix (its characters before the first
+  ``%`` or ``_``) in the table's sorted ``str()`` keys
   (:meth:`repro.db.table.Table.prefix_row_ids`), which are stamped with the
   table's row-set version and the column's version.  Both yield their
   candidates in scan order; a pattern with no literal prefix scans.
@@ -67,19 +64,17 @@ Operator highlights:
 **Cost-model neutrality.**  The engine's simulated latency model charges the
 *declared* access plan (what the paper-era MySQL would have done with the
 schema's indexes), and experiment trajectories depend on those simulated
-costs.  Lazy planner indexes therefore never change the accounting: where
-the interpreter would have scanned, the plan still charges a full scan
-(``scanned += len(table)`` per probe) while physically probing the hash
-index — and it emits rows in ascending row-id order, which is exactly the
-interpreter's scan order.  Declared-index paths reproduce the interpreter's
-set-intersection lookups verbatim.  The join memo charges what a fresh scan
-and join would: its rows and counters are exactly those, in the same order,
-for the data its stamp names.  The candidate probes charge the same: the
-``scanned``/``index_lookups`` of the scan or memo they narrow, whatever rows
-they skip.  As a result every query returns
-bit-identical rows, row order, ``rows_scanned``/``index_lookups`` counters
-and simulated cost — asserted by the planner equivalence suite, with writes
-between executions included.
+costs.  An equality or join on a column without a declared index is a full
+scan, and the plan runs it as one, in ascending row-id order: the
+interpreter's scan, charged ``len(table)`` rows per scan.  Declared-index
+paths reproduce the interpreter's set-intersection lookups verbatim.  The
+join memo charges what a fresh scan and join would: its rows and counters
+are exactly those, in the same order, for the data its stamp names.  The
+candidate probes charge the same: the ``scanned``/``index_lookups`` of the
+scan or memo they narrow, whatever rows they skip.  As a result every query
+returns bit-identical rows, row order, ``rows_scanned``/``index_lookups``
+counters and simulated cost — asserted by the planner equivalence suite,
+with writes between executions included.
 """
 
 from __future__ import annotations
@@ -87,17 +82,11 @@ from __future__ import annotations
 import heapq
 import re
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.engine import SqlExecutionError, like_matcher
 from repro.db.sql import Aggregate, ColumnRef, Condition, Parameter, SelectStatement
-from repro.db.table import Table, _SecondaryIndex
-
-#: Evaluate GROUP BY aggregates by streaming folds (one pass, per-group
-#: accumulators) instead of materialising per-group member lists.  Both
-#: paths produce identical rows, order and errors; the flag exists for the
-#: ``group_by`` A/B benchmark and as an escape hatch.
-STREAMING_AGGREGATES = True
+from repro.db.table import Table
 
 #: A ``LIKE`` pattern's literal prefix: its characters before the first
 #: wildcard.
@@ -107,28 +96,19 @@ _LIKE_PREFIX = re.compile(r"[^%_]*")
 class _JoinStep:
     """One compiled join: where the probe value comes from and how to match."""
 
-    __slots__ = ("table", "new_name", "old_pos", "old_name", "use_index", "lazy_index")
+    __slots__ = ("table", "new_name", "old_pos", "old_name", "use_index")
 
     def __init__(
-        self,
-        table: Table,
-        new_name: str,
-        old_pos: int,
-        old_name: str,
-        use_index: bool,
-        lazy_index: Optional[_SecondaryIndex],
+        self, table: Table, new_name: str, old_pos: int, old_name: str, use_index: bool
     ) -> None:
         self.table = table
         self.new_name = new_name
         self.old_pos = old_pos
         self.old_name = old_name
         #: Declared index on the join key: probe via ``lookup_ids`` and charge
-        #: index lookups, exactly like the interpreter.
+        #: index lookups, exactly like the interpreter.  Otherwise the join
+        #: scans the table per row, as the interpreter does.
         self.use_index = use_index
-        #: Planner-built hash index replacing the interpreter's full scan
-        #: (``None`` when the join column does not exist — then the
-        #: interpreter's ``row.get`` scan semantics are reproduced literally).
-        self.lazy_index = lazy_index
 
 
 class _JoinMemo:
@@ -251,19 +231,14 @@ class CompiledSelect:
                 raise SqlExecutionError(
                     f"cannot determine join sides for ON {join.left} = {join.right}"
                 )
-            use_index = join_table.has_index(new_ref.name)
             old_qualifier = resolve_qualifier(old_ref)
-            lazy_index: Optional[_SecondaryIndex] = None
-            if not use_index and join_table.has_column(new_ref.name):
-                lazy_index = join_table.ensure_hash_index(new_ref.name)
             self.join_steps.append(
                 _JoinStep(
                     table=join_table,
                     new_name=new_ref.name,
                     old_pos=positions[old_qualifier],
                     old_name=old_ref.name,
-                    use_index=use_index,
-                    lazy_index=lazy_index,
+                    use_index=join_table.has_index(new_ref.name),
                 )
             )
             tables_by_qualifier[join_qualifier] = join_table
@@ -294,7 +269,6 @@ class CompiledSelect:
         #: ``(rhs node, is a LIKE pattern)`` pairs bound per execution.
         self._residual_nodes: List[Tuple[Any, bool]] = []
         predicate_terms: List[str] = []
-        lazy_candidates: List[Tuple[str, Any, int]] = []
         group_term: Optional[Tuple[int, Table, str, int]] = None
         like_term: Optional[Tuple[str, Any]] = None
         for condition in residual:
@@ -311,10 +285,6 @@ class CompiledSelect:
                 rhs_expr = f"bound[{bound_index}]"
             if condition.op == "=":
                 predicate_terms.append(f"({lhs_expr} == {rhs_expr})")
-                if bound_index is not None and base_table.has_column(condition.lhs.name):
-                    lazy_candidates.append(
-                        (condition.lhs.name, condition.rhs, len(predicate_terms) - 1)
-                    )
                 if bound_index is not None and group_term is None:
                     group_term = (
                         lhs_pos, tables_by_qualifier[lhs_qualifier], condition.lhs.name,
@@ -333,25 +303,6 @@ class CompiledSelect:
             else:
                 predicate_terms.append(f"_cmp({condition.op!r}, {lhs_expr}, {rhs_expr})")
 
-        # Lazy single-table acceleration: equality residuals on an unindexed
-        # column probe a planner hash index instead of scanning — but only
-        # when there are no joins (pre-filtering the outer side would change
-        # the interpreter's join scan accounting) and no declared-index
-        # conditions (those dictate the interpreter's candidate iteration
-        # order, which the residual predicate preserves more cheaply).
-        self.lazy_base_lookups: List[Tuple[_SecondaryIndex, Any]] = []
-        remaining_terms = predicate_terms
-        if not self.joined and not self.index_conditions and lazy_candidates:
-            consumed = set()
-            for column_name, rhs_node, term_index in lazy_candidates:
-                self.lazy_base_lookups.append(
-                    (base_table.ensure_hash_index(column_name), rhs_node)
-                )
-                consumed.add(term_index)
-            remaining_terms = [
-                term for index, term in enumerate(predicate_terms) if index not in consumed
-            ]
-
         # Candidate probes: the full predicate still decides on a superset
         # of the matching rows, in scan order, and the full scan is charged.
         #: ``(tuple position, table, column, bound slot)`` of a memoised
@@ -360,38 +311,26 @@ class CompiledSelect:
         #: ``(column, pattern node)`` of a plain full scan's first bound
         #: ``col LIKE ?`` residual; its literal prefix probes sorted keys.
         self._like_probe = (
-            like_term
-            if not (self.joined or self.index_conditions or self.lazy_base_lookups)
-            else None
+            like_term if not (self.joined or self.index_conditions) else None
         )
 
-        def make_predicate(terms: List[str]) -> Optional[Callable]:
-            if not terms:
-                return None
-            namespace = {"_cmp": self._compare, "_like": database._like_match}
-            return self._make_fn(f"lambda row, bound: {' and '.join(terms)}", namespace)
-
-        #: Full residual predicate (used on declared-index / scan bases).
-        self._predicate = make_predicate(predicate_terms)
-        #: Residual predicate minus the index-consumed equalities (used when
-        #: the base row set came from the lazy hash-index lookups).
-        self._lazy_predicate = (
-            make_predicate(remaining_terms) if self.lazy_base_lookups else None
-        )
+        #: The residual predicate, ``None`` without residual conditions.
+        self._predicate: Optional[Callable] = None
+        if predicate_terms:
+            self._predicate = self._make_fn(
+                f"lambda row, bound: {' and '.join(predicate_terms)}",
+                {"_cmp": self._compare, "_like": database._like_match},
+            )
 
         # Projection.
-        self.has_aggregates = (
-            statement.has_aggregates
-            if statement.has_aggregates is not None
-            else any(isinstance(item.expression, Aggregate) for item in statement.items)
-        )
-        self.is_aggregate = self.has_aggregates or bool(statement.group_by)
+        has_aggregates = any(isinstance(item.expression, Aggregate) for item in statement.items)
+        self.is_aggregate = has_aggregates or bool(statement.group_by)
         self.star = statement.star
 
         projection: List[Tuple[str, int, str]] = []
         projected_by_name: Dict[str, Tuple[int, str]] = {}
         if self.star:
-            if self.has_aggregates:
+            if has_aggregates:
                 raise SqlExecutionError("SELECT * cannot be combined with aggregates")
             # ``merged.update(row)`` semantics: first-seen name keeps its slot,
             # the last qualifier supplies the value.
@@ -422,10 +361,15 @@ class CompiledSelect:
             )
             self._project = self._make_fn(f"lambda row: {{{body}}}")
 
-        # Aggregation.
+        # Aggregation: one streaming fold pass with per-group accumulators.
         self._group_key: Optional[Callable] = None
-        self._aggregate_items: List[Tuple[str, str, Any]] = []
+        #: Result names of the select items, in select-list order.
+        self._aggregate_names: List[str] = []
+        #: Per-item ``(mode, column accessor source)`` of the fold.
         stream_specs: List[Tuple[str, Optional[str]]] = []
+        #: The first plain column missing from GROUP BY (raised at execution,
+        #: matching the interpreter).
+        self._invalid_group_column: Optional[str] = None
         if self.is_aggregate:
             if self.star:
                 raise SqlExecutionError("SELECT * cannot be combined with aggregates")
@@ -440,48 +384,33 @@ class CompiledSelect:
             for item in statement.items:
                 expression = item.expression
                 if isinstance(expression, ColumnRef):
-                    name = item.alias or expression.name
+                    self._aggregate_names.append(item.alias or expression.name)
                     source = self._accessor(
                         positions[resolve_qualifier(expression)], expression.name
                     )
-                    extractor = self._make_fn("lambda row: " + source)
-                    valid = not statement.group_by or expression.name in group_names
-                    self._aggregate_items.append(
-                        ("column", name, (extractor, valid, expression.name))
-                    )
                     stream_specs.append(("column", source))
+                    if (
+                        statement.group_by
+                        and expression.name not in group_names
+                        and self._invalid_group_column is None
+                    ):
+                        self._invalid_group_column = expression.name
                 else:
-                    name = item.alias or expression.default_name()
+                    self._aggregate_names.append(item.alias or expression.default_name())
                     if expression.argument is None:
                         if expression.function != "COUNT":
                             raise SqlExecutionError(
                                 f"{expression.function} requires a column argument"
                             )
-                        extractor = None
                         stream_specs.append(("count_star", None))
                     else:
                         source = self._accessor(
                             positions[resolve_qualifier(expression.argument)],
                             expression.argument.name,
                         )
-                        extractor = self._make_fn("lambda row: " + source)
                         stream_specs.append((expression.function.lower(), source))
-                    self._aggregate_items.append(
-                        ("aggregate", name, (expression.function, extractor))
-                    )
-        # Streaming-fold companions of ``_aggregate_items``: per-item
-        # accumulator modes for the finalise pass, the first invalid plain
-        # column (raised at execution, matching the interpreter), and the
-        # code-generated first-row/fold functions with the accessors inlined
-        # — a per-row interpretive dispatch loop loses to the materialised
-        # path's builtin passes, inlining wins it back.
+        #: Per-item accumulator modes, read by the finalise pass.
         self._stream_modes: List[str] = [mode for mode, _ in stream_specs]
-        self._invalid_group_column: Optional[str] = None
-        for kind, _name, spec in self._aggregate_items:
-            if kind == "column":
-                _extractor, valid, column_name = spec
-                if not valid and self._invalid_group_column is None:
-                    self._invalid_group_column = column_name
         self._new_state_fn, self._fold_fn = self._compile_stream_fold(stream_specs)
 
         # ORDER BY keys (non-aggregate path; aggregate ordering runs over the
@@ -570,7 +499,6 @@ class CompiledSelect:
         index_lookups = 0
 
         # ---- base rows ------------------------------------------------ #
-        use_lazy_base = False
         if self.index_conditions:
             # Declared-index pruning, verbatim interpreter semantics (set
             # copies + set.intersection keep the exact candidate order).
@@ -582,26 +510,6 @@ class CompiledSelect:
             stored = base_table._rows
             rows: List[Any] = [stored[rid] for rid in row_ids]
             scanned += len(rows)
-        elif self.lazy_base_lookups:
-            # Physically probe the lazy hash index; charge the scan the
-            # interpreter would have paid and keep its row order (ascending
-            # row id == insertion order == scan order).
-            use_lazy_base = True
-            ids: Optional[Set[int]] = None
-            for index, rhs_node in self.lazy_base_lookups:
-                value = bind(rhs_node, params)
-                if value != value:  # NaN probe: a scan's ``==`` matches nothing
-                    ids = set()
-                    break
-                try:
-                    bucket = index.lookup(value)
-                except TypeError:  # unhashable: equal to no stored scalar
-                    ids = set()
-                    break
-                ids = bucket if ids is None else (ids & bucket)
-            stored = base_table._rows
-            rows = [stored[rid] for rid in sorted(ids or ())]
-            scanned += len(base_table)
         elif self.memoises_join:
             rows, scanned, index_lookups = self._memoised_join()
         else:
@@ -616,11 +524,8 @@ class CompiledSelect:
             index_lookups += join_lookups
 
         # ---- residual filter ------------------------------------------ #
-        predicate = self._lazy_predicate if use_lazy_base else self._predicate
+        predicate = self._predicate
         if predicate is not None:
-            # Binding covers every residual rhs node (missing-parameter
-            # errors surface exactly like the interpreter's, even for
-            # conditions the lazy index lookups already consumed).
             bound = tuple(
                 like_matcher(bind(node, params)) if is_like else bind(node, params)
                 for node, is_like in self._residual_nodes
@@ -631,8 +536,6 @@ class CompiledSelect:
                 rows = self._prefix_candidates(bind(self._like_probe[1], params))
             filtered = [row for row in rows if predicate(row, bound)]
         else:
-            # No residual predicate left; any node-bearing equalities were
-            # consumed — and therefore bound — by the lazy base lookups.
             # ``rows`` may be the join memo's list: everything below only
             # reads it.
             filtered = rows
@@ -706,21 +609,9 @@ class CompiledSelect:
                     scanned += len(ids)
                     for rid in ids:
                         out.append(current + (stored[rid],))
-            elif step.lazy_index is not None:
-                table_size = len(step.table)
-                lookup = step.lazy_index.lookup
-                for current in rows:
-                    value = current[old_pos][old_name]
-                    scanned += table_size
-                    if value != value:  # NaN: scan semantics match nothing
-                        continue
-                    ids = lookup(value)
-                    if ids:
-                        for rid in sorted(ids):
-                            out.append(current + (stored[rid],))
             else:
-                # Join column missing from the table: reproduce the
-                # interpreter's ``row.get`` scan literally.
+                # No declared index (or no such column): the interpreter's
+                # ``row.get`` scan, literally.
                 new_name = step.new_name
                 join_rows = list(step.table._rows.values())
                 for current in rows:
@@ -813,19 +704,11 @@ class CompiledSelect:
     def _aggregate_rows(self, filtered: List[Any]) -> List[Dict[str, Any]]:
         """GROUP BY + aggregate evaluation over the filtered rows.
 
-        Streams by default (:data:`STREAMING_AGGREGATES`): one fold pass
-        maintaining per-group accumulators instead of materialising a member
-        list per group.  Result rows, their order (first-seen group order)
-        and every error are identical to the materialised evaluation, which
-        is preserved for A/B benchmarking.
+        One fold pass keeps an accumulator per group; result rows come in
+        first-seen group order.
         """
-        if STREAMING_AGGREGATES:
-            return self._aggregate_rows_streaming(filtered)
-        return self._aggregate_rows_materialized(filtered)
-
-    def _aggregate_rows_streaming(self, filtered: List[Any]) -> List[Dict[str, Any]]:
         group_key = self._group_key
-        # The materialised path raises for a non-grouped plain column while
+        # The interpreter raises for a non-grouped plain column while
         # building the first group's result row — i.e. whenever at least one
         # group exists (always, without GROUP BY: the implicit ``()`` group).
         if self._invalid_group_column is not None and (group_key is None or filtered):
@@ -854,7 +737,7 @@ class CompiledSelect:
             states[()] = state if state is not None else self._empty_group_state()
 
         result: List[Dict[str, Any]] = []
-        names = [name for _, name, _ in self._aggregate_items]
+        names = self._aggregate_names
         for state in states.values():
             out: Dict[str, Any] = {}
             for index, mode in enumerate(self._stream_modes):
@@ -937,57 +820,6 @@ class CompiledSelect:
             else:  # column / min / max over no rows
                 state.append(None)
         return state
-
-    def _aggregate_rows_materialized(self, filtered: List[Any]) -> List[Dict[str, Any]]:
-        group_key = self._group_key
-        groups: Dict[Tuple, List[Any]] = {}
-        if group_key is not None:
-            setdefault = groups.setdefault
-            for row in filtered:
-                setdefault(group_key(row), []).append(row)
-        else:
-            # No GROUP BY: one global group (the interpreter's implicit
-            # ``groups[()] = []`` for the empty case included).
-            groups[()] = filtered
-
-        result: List[Dict[str, Any]] = []
-        for members in groups.values():
-            out: Dict[str, Any] = {}
-            for kind, name, spec in self._aggregate_items:
-                if kind == "column":
-                    extractor, valid, column_name = spec
-                    if not valid:
-                        raise SqlExecutionError(
-                            f"column {column_name!r} must appear in GROUP BY"
-                        )
-                    out[name] = extractor(members[0]) if members else None
-                else:
-                    function, extractor = spec
-                    out[name] = self._evaluate_aggregate(function, extractor, members)
-            result.append(out)
-        return result
-
-    def _evaluate_aggregate(
-        self, function: str, extractor: Optional[Callable], members: List[Any]
-    ) -> Any:
-        if extractor is None:  # COUNT(*)
-            return len(members)
-        if function == "COUNT":
-            return sum(1 for member in members if extractor(member) is not None)
-        values = [
-            value for value in (extractor(member) for member in members) if value is not None
-        ]
-        if not values:
-            return None
-        if function == "SUM":
-            return sum(values)
-        if function == "AVG":
-            return sum(values) / len(values)
-        if function == "MIN":
-            return min(values)
-        if function == "MAX":
-            return max(values)
-        raise SqlExecutionError(f"unsupported aggregate {function!r}")  # pragma: no cover
 
 
 def compile_select(database, statement: SelectStatement) -> CompiledSelect:

@@ -118,11 +118,6 @@ class SelectStatement:
     group_by: List[ColumnRef] = field(default_factory=list)
     order_by: List[OrderBy] = field(default_factory=list)
     limit: Optional[int] = None
-    #: Parse-time shape hint: whether the select list contains an aggregate.
-    #: The executor's fast-path dispatch consults it on every execution, so
-    #: the parser computes it once; ``None`` (hand-built statements) falls
-    #: back to a per-call scan.
-    has_aggregates: Optional[bool] = field(default=None, compare=False)
     #: The parser's count of ``?`` markers (every statement kind records
     #: it); ``None`` on a hand-built statement, which
     #: :func:`count_parameters` counts instead.
@@ -449,7 +444,6 @@ class _SqlParser:
             group_by=group_by,
             order_by=order_by,
             limit=limit,
-            has_aggregates=any(isinstance(item.expression, Aggregate) for item in items),
         )
 
     def _parse_optional_alias(self) -> Optional[str]:

@@ -103,11 +103,6 @@ class Table:
         self._next_row_id = 1
         self._pk_index: Dict[Any, int] = {}
         self._secondary: Dict[str, _SecondaryIndex] = {}
-        #: Planner-built hash indexes.  Unlike :attr:`_secondary` they are an
-        #: invisible physical acceleration: :meth:`has_index` does not report
-        #: them, so the engine's simulated cost model still charges the
-        #: declared-index plan (see ``repro.db.planner``).
-        self._lazy: Dict[str, _SecondaryIndex] = {}
         #: Planner-built sorted ``str()`` keys per column, for ``LIKE``
         #: prefix probes: ``(stamp, keys, row ids)`` with the row ids aligned
         #: to the ascending keys, stamped with ``(rows_version, column
@@ -147,54 +142,24 @@ class Table:
         self.column(column_name)
         if column_name in self._secondary:
             return
-        # A previously built lazy index is promoted instead of rebuilt.
-        index = self._lazy.pop(column_name, None)
-        if index is None:
-            index = _SecondaryIndex(column_name)
-            for row_id, row in self._rows.items():
-                index.add(row.get(column_name), row_id)
+        index = _SecondaryIndex(column_name)
+        for row_id, row in self._rows.items():
+            index.add(row.get(column_name), row_id)
         self._secondary[column_name] = index
         if self._on_schema_change is not None:
             self._on_schema_change(self)
 
     def has_index(self, column_name: str) -> bool:
-        """Whether a *declared* equality index exists on the column.
-
-        Planner-built lazy indexes are deliberately excluded: they are a
-        physical optimisation that must not change the simulated cost model.
-        """
+        """Whether a declared equality index (or the primary key) covers the column."""
         return column_name in self._secondary or column_name == self.primary_key
-
-    def has_hash_index(self, column_name: str) -> bool:
-        """Whether any hash index (declared or lazy) covers the column."""
-        return column_name in self._lazy or self.has_index(column_name)
-
-    def ensure_hash_index(self, column_name: str) -> _SecondaryIndex:
-        """Get-or-build a lazily maintained hash index over ``column_name``.
-
-        Built once (O(rows)) on first demand by the query planner, then kept
-        up to date by the normal mutation paths like a declared index.  The
-        column must exist; declared indexes are returned as-is.
-        """
-        index = self._secondary.get(column_name)
-        if index is not None:
-            return index
-        index = self._lazy.get(column_name)
-        if index is None:
-            self.column(column_name)
-            index = _SecondaryIndex(column_name)
-            for row_id, row in self._rows.items():
-                index.add(row.get(column_name), row_id)
-            self._lazy[column_name] = index
-        return index
 
     def prefix_row_ids(self, column_name: str, prefix: str) -> List[int]:
         """Ascending ids of the rows whose non-NULL ``str()`` value starts with ``prefix``.
 
         Bisects the column's sorted ``str()`` keys, which are built on first
         demand and rebuilt when a row is inserted or deleted or the column
-        is updated.  Like the lazy hash indexes it is a physical
-        acceleration only: the planner still charges the full scan.
+        is updated.  It is a physical acceleration only: the planner still
+        charges the full scan.
         """
         stamp = (self.rows_version, self.column_versions.get(column_name, 0))
         entry = self._sorted_keys.get(column_name)
@@ -257,8 +222,6 @@ class Table:
             self._pk_index[row[self.primary_key]] = row_id
         for column_name, index in self._secondary.items():
             index.add(row.get(column_name), row_id)
-        for column_name, index in self._lazy.items():
-            index.add(row.get(column_name), row_id)
         self.rows_version += 1
         return row_id
 
@@ -279,11 +242,10 @@ class Table:
             if row is None:
                 continue
             for column_name, value in changes.items():
-                for indexes in (self._secondary, self._lazy):
-                    index = indexes.get(column_name)
-                    if index is not None:
-                        index.remove(row.get(column_name), row_id)
-                        index.add(value, row_id)
+                index = self._secondary.get(column_name)
+                if index is not None:
+                    index.remove(row.get(column_name), row_id)
+                    index.add(value, row_id)
                 row[column_name] = value
             count += 1
         if count:
@@ -301,8 +263,6 @@ class Table:
             if self.primary_key is not None:
                 self._pk_index.pop(row.get(self.primary_key), None)
             for column_name, index in self._secondary.items():
-                index.remove(row.get(column_name), row_id)
-            for column_name, index in self._lazy.items():
                 index.remove(row.get(column_name), row_id)
             count += 1
         if count:

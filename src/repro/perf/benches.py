@@ -883,7 +883,9 @@ def bench_obs_overhead(options: BenchOptions) -> BenchResult:
 # --------------------------------------------------------------------------- #
 # Planner: streaming GROUP BY aggregates
 # --------------------------------------------------------------------------- #
-def _build_group_by_database(items: int, authors: int, subjects: int, lines: int):
+def _build_group_by_database(
+    database_class, items: int, authors: int, subjects: int, lines: int
+):
     """The join_topk population plus an order_line fact table.
 
     Gives the ``best_sellers`` statement — double join, GROUP BY over four
@@ -891,10 +893,9 @@ def _build_group_by_database(items: int, authors: int, subjects: int, lines: int
     group cardinality (items/subjects groups per probe, several order lines
     per item).
     """
-    from repro.db.engine import Database
     from repro.db.table import Column, ColumnType
 
-    database = _build_join_topk_database(Database, items, authors, subjects)
+    database = _build_join_topk_database(database_class, items, authors, subjects)
     database.create_table(
         "order_line",
         [
@@ -916,28 +917,27 @@ def _build_group_by_database(items: int, authors: int, subjects: int, lines: int
     return database
 
 
-#: The streaming fold must at minimum not lose to the materialized path.
-GROUP_BY_TARGET = 1.0
+#: The planner's aggregate path against the seed's interpreted one.
+GROUP_BY_TARGET = 3.0
 
 
 @microbench("group_by")
 def bench_group_by(options: BenchOptions) -> BenchResult:
-    """Streaming GROUP BY fold vs. materialised group lists (live A/B).
+    """Planned GROUP BY aggregates vs. the seed executor (live A/B).
 
-    Both sides run the same two statements against the same database and
-    compiled plans; the only difference is the ``STREAMING_AGGREGATES``
-    dispatch in ``_aggregate_rows`` (one code-generated fold pass with
-    per-group accumulators vs. materialising a member-row list per group and
-    evaluating each aggregate over it).  The equivalence suite asserts the
-    two paths return identical rows.  The statements cover both production
-    shapes: the literal ``best_sellers`` servlet query (double join + GROUP
-    BY) and a fact-table scan (``SUM/COUNT/MIN/MAX`` over order_line,
-    aggregation-dominated — where the fold is the whole story).
-    The data does not change between probes, so the ``best_sellers`` side
-    reuses its plan's memoised join after the first probe: both sides time
-    the subject filter and the aggregation over the joined rows.
+    Both sides run the same two statements against identically populated
+    databases, interleaved: the planner (memoised join, compiled streaming
+    fold with per-group accumulators) against the seed's interpreter
+    (wrapper-dict rows, a member list per group, each aggregate evaluated
+    over it).  The equivalence suite asserts the rows match.  The statements
+    cover both production shapes: the literal ``best_sellers`` servlet query
+    (double join + GROUP BY) and a fact-table scan (``SUM/COUNT/MIN/MAX``
+    over order_line, aggregation-dominated — where the fold is the whole
+    story).  The data does not change between probes, so the planner's
+    ``best_sellers`` plan reuses its memoised join after the first probe.
     """
-    import repro.db.planner as planner_module
+    from repro.db.engine import Database
+    from repro.perf.seed_reference import make_seed_row_database_class
     from repro.tpcw.servlets.best_sellers import _BEST_SELLERS_SQL
 
     scan_sql = (
@@ -949,39 +949,34 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
         (2_000, 100, 10, 8_000) if options.tiny else (10_000, 400, 10, 40_000)
     )
     queries = 20 if options.tiny else 60
-    database = _build_group_by_database(items, authors, subjects, lines)
 
-    def make_runner(streaming: bool) -> Callable[[], int]:
+    def make_runner(database) -> Callable[[], int]:
         def run() -> int:
-            previous = planner_module.STREAMING_AGGREGATES
-            planner_module.STREAMING_AGGREGATES = streaming
-            try:
-                for index in range(queries):
-                    database.execute(_BEST_SELLERS_SQL, [f"SUBJECT{index % subjects}"])
-                    database.execute(scan_sql, [])
-            finally:
-                planner_module.STREAMING_AGGREGATES = previous
+            for index in range(queries):
+                database.execute(_BEST_SELLERS_SQL, [f"SUBJECT{index % subjects}"])
+                database.execute(scan_sql, [])
             return 2 * queries
 
         return run
 
-    rates = measure_rates_interleaved(
-        {"streaming": make_runner(True), "materialized": make_runner(False)}
+    current_db = _build_group_by_database(Database, items, authors, subjects, lines)
+    seed_db = _build_group_by_database(
+        make_seed_row_database_class(), items, authors, subjects, lines
     )
-    streaming, materialized = rates["streaming"], rates["materialized"]
+    rates = measure_rates_interleaved(
+        {"current": make_runner(current_db), "seed": make_runner(seed_db)}
+    )
+    current, seed = rates["current"], rates["seed"]
     return BenchResult(
         name="group_by",
         metrics={
-            "queries_per_second_streaming": streaming,
-            "queries_per_second_materialized": materialized,
+            "queries_per_second": current,
+            "seed_queries_per_second": seed,
             "groups_per_probe": items // subjects,
             "order_lines": lines,
             "queries": 2 * queries,
         },
-        speedup_vs_seed=streaming / materialized,
-        # The commitment is "streaming never loses to materialized"; the
-        # measured ratio (1.1-1.4x depending on machine load) rides above it,
-        # and the compare gate only fails a drop that also breaks the target.
+        speedup_vs_seed=current / seed,
         target_speedup=GROUP_BY_TARGET,
         config={"tiny": options.tiny},
     )

@@ -202,47 +202,6 @@ class SimulationEngine:
         """Request the run loop to stop before executing the next event."""
         self._stopped = True
 
-    def _pop_live(self) -> Optional[tuple]:
-        """Pop the next non-cancelled entry, or ``None`` when drained.
-
-        Entries are ``(time, priority, seq, Event-or-callable)`` tuples; bare
-        callables come from :meth:`schedule_callback` and cannot be cancelled.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[3]
-            if event.__class__ is Event:
-                if event.cancelled:
-                    continue
-                event._engine = None
-            self._live -= 1
-            return entry
-        return None
-
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns
-        -------
-        bool
-            ``True`` if an event was executed, ``False`` if the queue is empty.
-        """
-        entry = self._pop_live()
-        if entry is None:
-            return False
-        event = entry[3]
-        self.clock.advance_to(entry[0])
-        if event.__class__ is Event:
-            if self._trace_enabled and event.name:
-                self._trace.append(event.name)
-            callback = event.callback
-        else:
-            callback = event
-        self._executed += 1
-        callback()
-        return True
-
     def run_until(self, end_time: float) -> int:
         """Run events with ``time <= end_time``; leave the clock at ``end_time``.
 

@@ -224,32 +224,35 @@ class TpcwServlet(HttpServlet):
     # Request handling
     # ------------------------------------------------------------------ #
     def service(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
-        """Count the visit, run the interaction, then run injected faults.
+        """Count the visit, run the interaction and its faults, buffer the page.
 
         Dispatches on the method itself (as :meth:`HttpServlet.service`
-        does), so a request makes one call here whatever wraps it.
+        does), so a request makes one call here whatever wraps it.  Every
+        exception that escapes — from the interaction, a fault or the page
+        buffer's allocation — counts once in :attr:`error_count`.
         """
         self._request_count += 1
         try:
-            if not self._initialized:
-                raise ServletException(
-                    f"servlet {type(self).__name__} received a request before init()"
-                )
-            if request.method == "GET":
-                self.do_get(request, response)
-            else:
-                self.do_post(request, response)
+            try:
+                if not self._initialized:
+                    raise ServletException(
+                        f"servlet {type(self).__name__} received a request before init()"
+                    )
+                if request.method == "GET":
+                    self.do_get(request, response)
+                else:
+                    self.do_post(request, response)
+            finally:
+                # The paper's modified TPC-W injects its aging error on every
+                # servlet visit, independent of whether the page rendered fine.
+                if self._injected_faults:
+                    for fault in list(self._injected_faults):
+                        fault.on_request(self, request)
+            # Simulated page buffer for the rendered markup (request-scoped,
+            # immediately collectable garbage).
+            self._runtime.allocate(
+                "java.lang.StringBuilder", self.transient_bytes_per_request, None, self._now()
+            )
         except Exception:
             self._error_count += 1
             raise
-        finally:
-            # The paper's modified TPC-W injects its aging error on every
-            # servlet visit, independent of whether the page rendered fine.
-            if self._injected_faults:
-                for fault in list(self._injected_faults):
-                    fault.on_request(self, request)
-        # Simulated page buffer for the rendered markup (request-scoped,
-        # immediately collectable garbage).
-        self._runtime.allocate(
-            "java.lang.StringBuilder", self.transient_bytes_per_request, None, self._now()
-        )

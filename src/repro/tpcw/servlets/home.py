@@ -30,11 +30,10 @@ class HomeServlet(TpcwServlet):
         connection = self.get_connection()
         try:
             if customer_id is not None:
-                statement = connection.prepare_statement(
-                    "SELECT c_fname, c_lname, c_discount FROM customer WHERE c_id = ?"
+                result = connection.execute_query(
+                    "SELECT c_fname, c_lname, c_discount FROM customer WHERE c_id = ?",
+                    [int(customer_id)],
                 )
-                statement.set(1, int(customer_id))
-                result = statement.execute_query()
                 if result.next():
                     model["customer"] = {
                         "first_name": result.get_string("c_fname"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.container.dispatcher import RequestDispatcher, ServletFilter
+from repro.container.dispatcher import RequestDispatcher
 from repro.container.server import ApplicationServer, ServerConfig
 from repro.container.servlet import (
     HttpServlet,
@@ -137,7 +137,7 @@ class TestDispatcher:
         application.deploy(_EchoServlet(), name="echo", url_pattern="/app/echo")
         application.deploy(_FailingServlet(), name="failing", url_pattern="/app/fail")
         runtime = JvmRuntime()
-        return application, RequestDispatcher(application, SessionManager(runtime))
+        return application, RequestDispatcher(SessionManager(runtime))
 
     @staticmethod
     def _dispatch(application, dispatcher, request, timestamp=0.0):
@@ -165,31 +165,15 @@ class TestDispatcher:
         assert response.status == 500
         assert dispatcher.error_count == 1
 
-    def test_filters_run_in_order_and_can_short_circuit(self):
+    def test_each_request_counts_under_one_outcome(self):
         application, dispatcher = self._make_app()
-        order = []
-
-        class Tagger(ServletFilter):
-            def __init__(self, tag, block=False):
-                self.tag = tag
-                self.block = block
-
-            def do_filter(self, request, response, chain):
-                order.append(self.tag)
-                if self.block:
-                    response.set_status(503)
-                    return
-                chain.do_filter(request, response)
-
-        application.add_filter(Tagger("first"))
-        application.add_filter(Tagger("second"))
-        response = self._dispatch(application, dispatcher, HttpServletRequest("/app/echo"))
-        assert order == ["first", "second"]
-        assert response.status == 200
-
-        application.add_filter(Tagger("blocker", block=True))
-        blocked = self._dispatch(application, dispatcher, HttpServletRequest("/app/echo"))
-        assert blocked.status == 503
+        for uri in ("/app/echo", "/app/fail", "/app/missing", "/app/echo"):
+            self._dispatch(application, dispatcher, HttpServletRequest(uri))
+        assert (
+            dispatcher.dispatched_count,
+            dispatcher.error_count,
+            dispatcher.not_found_count,
+        ) == (2, 1, 1)
 
     def test_session_attached_to_request(self):
         application, dispatcher = self._make_app()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.db.engine import CostModel, Database
 from repro.db.jdbc import ConnectionPoolExhaustedError, DataSource, SQLError
+from repro.db.sql import parse_sql
 from repro.db.table import Column, ColumnType
 
 
@@ -62,23 +63,27 @@ class TestResultSetAndStatements:
             result.get("missing")
         connection.close()
 
-    def test_prepared_statement_parameter_binding(self, datasource):
+    def test_query_binds_positional_parameters(self, datasource):
         connection = datasource.get_connection()
-        statement = connection.prepare_statement("SELECT name FROM t WHERE id = ?")
-        statement.set(1, 3)
-        result = statement.execute_query()
-        assert result.next() and result.get_string("name") == "row3"
-        with pytest.raises(SQLError):
-            statement.set(0, 1)
+        sql = "SELECT id, name FROM t WHERE id > ? AND id < ? ORDER BY id ASC"
+        result = connection.execute_query(sql, [1, 4])
+        ids = []
+        while result.next():
+            ids.append(result.get_int("id"))
+        assert ids == [2, 3]
+        # A pre-parsed statement binds the same parameters the same way.
+        parsed = connection.execute_query(parse_sql(sql), (1, 4))
+        assert parsed.next() and parsed.get_string("name") == "row2"
         connection.close()
 
-    def test_prepared_statement_update(self, datasource):
+    def test_update_binds_positional_parameters(self, datasource):
         connection = datasource.get_connection()
-        statement = connection.prepare_statement("UPDATE t SET name = ? WHERE id = ?")
-        statement.set(1, "renamed")
-        statement.set(2, 2)
-        assert statement.execute_update() == 1
+        assert connection.execute_update("UPDATE t SET name = ? WHERE id = ?", ["renamed", 2]) == 1
+        result = connection.execute_query("SELECT name FROM t WHERE id = ?", [2])
+        assert result.next() and result.get_string("name") == "renamed"
         connection.close()
+        with pytest.raises(SQLError, match="is closed"):
+            connection.execute_update("DELETE FROM t WHERE id = ?", [2])
 
 
 class TestConnectionPool:

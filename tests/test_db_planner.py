@@ -1,4 +1,4 @@
-"""Unit tests for the query planner: plan cache, lazy indexes, operators."""
+"""Unit tests for the query planner: plan cache, scans, operators."""
 
 from __future__ import annotations
 
@@ -120,20 +120,18 @@ class TestPlanCache:
         assert [row["a_lname"] for row in result.rows] == ["SMITH", "JONES"]
 
 
-class TestLazyHashIndexes:
-    def test_lazy_index_is_invisible_to_cost_model(self):
+class TestUnindexedScans:
+    def test_unindexed_equality_scans_the_table(self):
         database = build_database()
         table = database.table("item")
         sql = "SELECT i_id FROM item WHERE i_subject = ? ORDER BY i_id LIMIT 4"
         result = database.execute(sql, ["ARTS"])
-        # The planner built a lazy hash index for the equality residual...
-        assert table.has_hash_index("i_subject")
-        # ...but the declared-plan accounting still reports a full scan.
+        # No declared index: the plan charges (and runs) a full scan.
         assert not table.has_index("i_subject")
         assert result.rows_scanned == 12
         assert [row["i_id"] for row in result.rows] == [2, 4, 6, 8]
 
-    def test_lazy_index_is_maintained_by_mutations(self):
+    def test_scan_sees_mutations(self):
         database = build_database()
         sql = "SELECT i_id FROM item WHERE i_subject = ? ORDER BY i_id LIMIT 20"
         assert [r["i_id"] for r in database.execute(sql, ["ARTS"]).rows] == [2, 4, 6, 8, 10, 12]
@@ -154,29 +152,33 @@ class TestLazyHashIndexes:
             99,
         ]
 
-    def test_declared_index_promotes_lazy_index(self):
+    def test_join_on_unindexed_key_scans_per_row(self):
         database = build_database()
-        table = database.table("item")
-        index = table.ensure_hash_index("i_subject")
-        table.create_index("i_subject")
-        assert table.has_index("i_subject")
-        # Promoted, not rebuilt: the same index object now serves lookups.
-        assert table._secondary["i_subject"] is index
-
-    def test_join_on_unindexed_key_uses_lazy_index(self):
-        database = build_database()
-        # i_a_id is unindexed: the interpreter would scan item per author row.
+        # i_a_id is unindexed: the join scans item per author row.
         result = database.execute(
             "SELECT a.a_lname, i.i_id FROM author a "
             "JOIN item i ON i.i_a_id = a.a_id WHERE a_lname = ? ORDER BY i_id LIMIT 3",
             ["SMITH"],
         )
-        assert database.table("item").has_hash_index("i_a_id")
         # Interpreter accounting: author full scan (3 rows) + a full item scan
         # (12 rows) per author row — the a_lname filter is residual, applied
         # after the join, so all three author rows probe.
         assert result.rows_scanned == 3 + 3 * 12
         assert [row["i_id"] for row in result.rows] == [3, 6, 9]
+
+    def test_join_on_missing_column_scans_like_the_seed(self):
+        planned = build_database()
+        seed = build_database(make_seed_row_database_class())
+        sql = (
+            "SELECT a.a_lname, i.i_id FROM author a "
+            "JOIN item i ON i.i_missing = a.a_id ORDER BY i_id"
+        )
+        result = planned.execute(sql)
+        reference = seed.execute(sql)
+        # No row has the column: every author row scans item and matches none.
+        assert result.rows == reference.rows == []
+        assert result.rows_scanned == reference.rows_scanned == 3 + 3 * 12
+        assert result.cost_seconds == reference.cost_seconds
 
 
 class TestTopK:

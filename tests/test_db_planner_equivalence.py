@@ -15,10 +15,10 @@ storage and asserts exactly that, for
 * both of those again after each of a sequence of writes (inserts, deletes,
   key and non-key updates, an index declared), which drive the plans' join
   memos through hits, catch-ups and rebuilds,
-* the candidate probes (the join memo's groups for ``col = ?``, the sorted
-  keys for ``col LIKE 'prefix%'`` and the lazy hash lookup) over rows that
-  hold edge values, with writes to the probed columns between executions,
-  and
+* the candidate probes (the join memo's groups for ``col = ?`` and the
+  sorted keys for ``col LIKE 'prefix%'``) and the scan of an unindexed
+  ``col = ?`` over rows that hold edge values, with writes to the probed
+  columns between executions, and
 * the servlet repertoire once more on a standard (paper-scale) population.
 
 The reference implementation is ``perf/seed_reference``'s
@@ -193,7 +193,7 @@ FK_EDGES = [
 ]
 
 #: Columns worth filtering/ordering on per table (mixed types, some indexed,
-#: some not — unindexed equality exercises the lazy hash-index path).
+#: some not — an unindexed equality or join exercises the scan path).
 INTERESTING_COLUMNS = {
     "item": ["i_subject", "i_a_id", "i_cost", "i_srp", "i_stock", "i_title", "i_pub_date"],
     "author": ["a_lname", "a_fname"],
@@ -410,11 +410,24 @@ def test_randomized_statement_corpus_equivalent(databases, corpus_seed):
         assert_equivalent(databases, sql, params)
 
 
-def test_corpus_exercises_topk_and_lazy_paths(databases):
-    """Sanity: the generated corpus actually hits the specialised operators."""
+def _scans_unindexed(plan):
+    """Whether a plan scans for a bound equality or a join without a declared index."""
+    base = plan.base_table
+    unindexed_equality = any(
+        condition.op == "="
+        and not isinstance(condition.rhs, ColumnRef)
+        and base.has_column(condition.lhs.name)
+        and not base.has_index(condition.lhs.name)
+        for condition in plan.statement.where
+    )
+    return unindexed_equality or any(not step.use_index for step in plan.join_steps)
+
+
+def test_corpus_exercises_topk_and_unindexed_paths(databases):
+    """Sanity: the generated corpus hits top-k and the unindexed scans."""
     planned_db, _ = databases
     rng = np.random.default_rng(42)
-    topk = lazy = 0
+    topk = unindexed = 0
     for _ in range(120):
         sql, params = _random_statement(rng, planned_db)
         planned_db.execute(sql, params)
@@ -423,11 +436,9 @@ def test_corpus_exercises_topk_and_lazy_paths(databases):
             continue
         plan = entry[1]
         topk += bool(plan.topk_eligible)
-        lazy += bool(plan.lazy_base_lookups) or any(
-            step.lazy_index is not None for step in plan.join_steps
-        )
+        unindexed += _scans_unindexed(plan)
     assert topk > 5
-    assert lazy > 5
+    assert unindexed > 5
 
 
 @pytest.mark.parametrize("corpus_seed", [13, 99, 1234])
@@ -437,27 +448,6 @@ def test_randomized_aggregate_corpus_equivalent(databases, corpus_seed):
     for _ in range(80):
         sql, params = _random_aggregate_statement(rng, planned_db)
         assert_equivalent(databases, sql, params)
-
-
-def test_streaming_aggregates_match_materialized(databases):
-    """A/B the streaming fold against the retained materialized path."""
-    import repro.db.planner as planner_module
-
-    planned_db, _ = databases
-    rng = np.random.default_rng(11)
-    statements = [_random_aggregate_statement(rng, planned_db) for _ in range(60)]
-    statements.extend(
-        (sql, params) for sql, params in SERVLET_QUERIES if "GROUP BY" in sql or "(" in sql
-    )
-    original = planner_module.STREAMING_AGGREGATES
-    try:
-        planner_module.STREAMING_AGGREGATES = False
-        expected = [planned_db.execute(sql, params).rows for sql, params in statements]
-        planner_module.STREAMING_AGGREGATES = True
-        actual = [planned_db.execute(sql, params).rows for sql, params in statements]
-    finally:
-        planner_module.STREAMING_AGGREGATES = original
-    assert actual == expected
 
 
 def test_aggregate_corpus_exercises_group_by(databases):
@@ -484,8 +474,8 @@ def mutable_databases():
 
 BEST_SELLERS = next(query for query in SERVLET_QUERIES if "SUM(ol.ol_qty)" in query[0])
 
-#: A join whose new side is unindexed (a lazy hash-index join until
-#: ``c_addr_id`` gets a declared index).
+#: A join whose new side is unindexed (a scan per row until ``c_addr_id``
+#: gets a declared index).
 REVERSE_JOIN = (
     "SELECT c.c_id, c.c_uname, a.addr_city FROM address a "
     "JOIN customer c ON a.addr_id = c.c_addr_id WHERE c.c_discount > ? "
@@ -634,7 +624,7 @@ def test_write_sequence_reaches_hit_catch_up_and_rebuild(mutable_databases):
     assert _plan(planned_db, BEST_SELLERS[0]).memoises_join
     planned_db.execute(*REVERSE_JOIN)
     reverse_plan = _plan(planned_db, REVERSE_JOIN[0])
-    assert reverse_plan.join_steps[0].lazy_index is not None
+    assert not reverse_plan.join_steps[0].use_index
     for mutate, expected in MUTATIONS:
         mutate(planned_db)
         assert _next_memo_outcome(planned_db, *BEST_SELLERS) == expected, mutate.__name__
@@ -705,7 +695,7 @@ PROBE_QUERIES = (
         ("SELECT i.i_id FROM item i JOIN author a ON i.i_a_id = a.a_id "
          "WHERE i.i_a_id = a.a_id AND i.i_srp = ? ORDER BY i.i_id DESC LIMIT 3", [0.0]),
     ]
-    # The lazy hash lookup on a single table.
+    # An unindexed equality on a single table: a scan.
     + [("SELECT i_id, i_srp FROM item WHERE i_srp = ?", [value]) for value in EQ_PROBES]
     # The LIKE prefix probe: on text, on numbers, beside other terms.
     + [("SELECT i_id, i_title FROM item WHERE i_title LIKE ?", [value])

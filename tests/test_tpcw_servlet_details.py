@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.jvm.heap import OutOfMemoryError
 from repro.tpcw.application import TpcwApplication
 from repro.tpcw.schema import SUBJECTS
 
@@ -177,3 +178,39 @@ class TestServletResourceBehaviour:
         }
         assert demands["best_sellers"] > demands["home"] > demands["order_inquiry"]
         assert all(0.01 <= value <= 1.0 for value in demands.values())
+
+
+class _RaisingFault:
+    """A fault whose own work fails on every visit."""
+
+    def on_request(self, servlet, request):
+        raise OutOfMemoryError("Java heap space")
+
+
+class TestServletErrorCounts:
+    def test_page_buffer_out_of_memory_counts_once(self, app, tiny_deployment):
+        home = tiny_deployment.servlet("home")
+        assert home.transient_bytes_per_request > 20 * 1024
+        # Leave 20 KB of the heap free, held by a live root object.
+        runtime = tiny_deployment.runtime
+        runtime.gc()
+        runtime.allocate("test.Ballast", runtime.free_memory() - 20 * 1024, root=True)
+        outcome = app.visit("home")
+        # The page rendered, then its buffer did not fit.
+        assert outcome.response.status == 500
+        assert outcome.response.model["promotions"]
+        assert home.error_count == app.server.dispatcher.error_count == 1
+
+    def test_fault_failure_counts_once(self, app, tiny_deployment):
+        home = tiny_deployment.servlet("home")
+        home.attach_fault(_RaisingFault())
+        # The page rendered, then the fault's own work failed.
+        assert app.visit("home").response.status == 500
+        assert home.error_count == app.server.dispatcher.error_count == 1
+        # The page fails (no connection left), and its fault fails too.
+        datasource = tiny_deployment.datasource
+        held = [datasource.get_connection() for _ in range(datasource.pool_size)]
+        assert app.visit("home").response.status == 500
+        assert home.error_count == app.server.dispatcher.error_count == 2
+        for connection in held:
+            connection.close()
