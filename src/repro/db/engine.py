@@ -80,7 +80,12 @@ class QueryStats:
 
 
 class QueryResult:
-    """The outcome of executing one statement."""
+    """The outcome of executing one statement.
+
+    ``rows`` is a new list, but its dicts are read-only: a SELECT's plan
+    keeps them in its result memo and hands them to every repeat, as
+    :meth:`repro.db.table.Table.rows` hands out the stored rows.
+    """
 
     __slots__ = ("rows", "rowcount", "cost_seconds", "rows_scanned")
 
@@ -290,15 +295,18 @@ class Database:
         Each distinct statement AST is compiled once (:mod:`repro.db.planner`)
         into a pipeline of specialised operators — a primary-key probe,
         declared-index lookups and joins, tuple intermediate rows, a join
-        memo and a top-k ORDER BY + LIMIT selector — and re-run directly on
-        subsequent executions.  A schema change (DDL, a declared index)
-        drops the plans it may affect, so a cached plan is always current;
-        data mutations never invalidate a plan (the declared indexes are
-        maintained incrementally), they invalidate or extend its join memo
-        and its candidate probes' groups and sorted keys.  Rows, row order
-        and the scanned/lookup accounting are bit-identical to the
-        interpreting executor this replaced (see the planner's equivalence
-        suite).
+        memo, a top-k ORDER BY + LIMIT selector and a result memo per
+        parameter tuple — and re-run directly on subsequent executions.  A
+        schema change (DDL, a declared index) drops the plans it may affect,
+        so a cached plan is always current; data mutations never invalidate
+        a plan (the declared indexes are maintained incrementally), they
+        invalidate or extend its result memo's entries and aggregate fold
+        states, its join memo and its candidate probes' groups and sorted
+        keys.  A repeat over unchanged data returns the kept rows, whose
+        dicts are read-only, and charges what their execution charged.
+        Rows, row order and the scanned/lookup accounting are bit-identical
+        to the interpreting executor this replaced (see the planner's
+        equivalence suite).
         """
         entry = self._plan_cache.get(id(statement))
         if entry is not None and entry[0] is statement:

@@ -35,11 +35,33 @@ Operator highlights:
   columns on both sides.  A matching stamp reuses the memo; if the base
   only grew by appends, its new tail is joined and appended; any other
   change rebuilds the memo from row 0.  The residual filter, aggregation,
-  ORDER BY/LIMIT and projection still run on every execution over the live
-  row dicts, so an update to a non-key column shows without invalidating
-  anything.  A base narrowed by declared-index conditions depends on the
-  parameters and is joined afresh each time.  The memo lives and dies with
-  its plan.
+  ORDER BY/LIMIT and projection run over the live row dicts, so an update to
+  a non-key column leaves the join memo valid.  A base narrowed by
+  declared-index conditions depends on the parameters and is joined afresh
+  each time.  The memo lives and dies with its plan.
+* **Result memo** — every plan but the primary-key probe keeps its result
+  per parameter tuple: the result rows and the ``scanned``/``index_lookups``
+  their execution charged, stamped with the data versions they were read
+  from.  The stamp holds the row-set version of every table the plan reads,
+  the base's delete count, and the version of every column the statement
+  names (select list, WHERE, JOIN ON, GROUP BY, ORDER BY and aggregate
+  arguments; every column for ``SELECT *``).  A repeat whose stamp matches
+  (a *hit*) returns a new list of the kept row dicts, which callers only
+  read, with the kept counters.  Only ``int``, ``str`` and NULL values are
+  keys: ``1``, ``1.0`` and ``True`` are one dict key but ``LIKE`` binds
+  their distinct ``str()``, so a statement binding another type runs without
+  the memo.  An execution that raises keeps nothing, ``_MEMO_LIMIT`` entries
+  bound each plan's memo, and the memo lives and dies with its plan.
+* **Aggregates** — one streaming fold pass keeps a compiled accumulator per
+  group, in first-seen group order, in the result memo's entry.  While only
+  base appends happened since (the stamp past the base's row-set version
+  holds), a miss folds just the candidates past those it folded: a memoised
+  join's new group rows or a single-table scan's new base rows, after the
+  earlier ones, as a fresh fold would, so float sums, MIN/MAX ties and group
+  order stay bit-identical (a *catch-up*).  Any other change refolds, and an
+  index-narrowed aggregate folds afresh on every miss.  A GROUP BY whose
+  ORDER BY keys all run one way picks its LIMIT states with the top-k
+  selector over the sort's keys and builds result dicts for those only.
 * **Candidate probes** — a full-scan plan visits only the rows that can
   match its first bound ``col = ?`` or ``col LIKE ?`` residual, and the
   full compiled predicate still decides on each of them, so NULL, NaN,
@@ -71,10 +93,12 @@ paths reproduce the interpreter's set-intersection lookups verbatim.  The
 join memo charges what a fresh scan and join would: its rows and counters
 are exactly those, in the same order, for the data its stamp names.  The
 candidate probes charge the same: the ``scanned``/``index_lookups`` of the
-scan or memo they narrow, whatever rows they skip.  As a result every query
-returns bit-identical rows, row order, ``rows_scanned``/``index_lookups``
-counters and simulated cost — asserted by the planner equivalence suite,
-with writes between executions included.
+scan or memo they narrow, whatever rows they skip.  A result-memo hit
+charges what its miss charged, for the data its stamp names, and a fold
+catch-up charges the whole scan and join it stands for, not the rows it
+folds.  As a result every query returns bit-identical rows, row order,
+``rows_scanned``/``index_lookups`` counters and simulated cost — asserted by
+the planner equivalence suite, with writes between executions included.
 """
 
 from __future__ import annotations
@@ -91,6 +115,17 @@ from repro.db.table import Table
 #: A ``LIKE`` pattern's literal prefix: its characters before the first
 #: wildcard.
 _LIKE_PREFIX = re.compile(r"[^%_]*")
+
+#: Parameter types whose equal values bind identically.  ``1``, ``1.0`` and
+#: ``True`` are one dict key, and so are ``0.0`` and ``-0.0``, but ``LIKE``
+#: binds their distinct ``str()``; a statement binding any other type runs
+#: without the result memo.
+_KEYABLE = frozenset((int, str, type(None)))
+
+#: Result-memo entries per plan.  The servlets bind a few dozen distinct
+#: values per listing statement; an overflow means ad-hoc churn, so the
+#: memo starts over (like the database's plan cache).
+_MEMO_LIMIT = 256
 
 
 class _JoinStep:
@@ -115,17 +150,16 @@ class _JoinMemo:
     """A plan's joined rows over a full-scan base, and what they charged."""
 
     __slots__ = (
-        "stamp", "base_version", "base_count", "rows", "scanned", "index_lookups",
+        "stamp", "next_row_id", "rows", "scanned", "index_lookups",
         "groups", "grouped", "group_version",
     )
 
     def __init__(self, stamp: Tuple) -> None:
         #: The versions the rows were built from (see ``_memoised_join``).
         self.stamp = stamp
-        #: The base's row-set version last caught up to (-1: not yet).
-        self.base_version = -1
-        #: Base rows joined so far, a prefix of the base in row-id order.
-        self.base_count = 0
+        #: The base's next row id when last caught up (0: not yet).  The
+        #: stamp admits no delete, so the rows since are the ids from here.
+        self.next_row_id = 0
         self.rows: List[Tuple[Dict[str, Any], ...]] = []
         self.scanned = 0
         self.index_lookups = 0
@@ -136,6 +170,28 @@ class _JoinMemo:
         self.grouped = 0
         #: The group column's version the groups were built at (-1: never).
         self.group_version = -1
+
+
+class _MemoEntry:
+    """One parameter tuple's kept result, and an aggregate's fold states.
+
+    ``rows`` is never handed out: a hit returns a new list of its dicts.
+    """
+
+    __slots__ = ("stamp", "rows", "scanned", "index_lookups", "states", "folded")
+
+    def __init__(self) -> None:
+        #: The plan's data stamp when ``rows`` was built (see ``_compile_stamp``).
+        self.stamp: Tuple = ()
+        self.rows: List[Dict[str, Any]] = []
+        self.scanned = 0
+        self.index_lookups = 0
+        #: An aggregate's fold states by group key, in first-seen order
+        #: (``None``: the plan folds afresh on every miss).
+        self.states: Optional[Dict[Tuple, List[Any]]] = None
+        #: Candidate rows folded into ``states``: a prefix of the memoised
+        #: join's candidates, or of a single-table scan's base rows.
+        self.folded = 0
 
 
 class CompiledSelect:
@@ -409,15 +465,39 @@ class CompiledSelect:
                             expression.argument.name,
                         )
                         stream_specs.append((expression.function.lower(), source))
-        #: Per-item accumulator modes, read by the finalise pass.
+        #: Per-item accumulator modes.
         self._stream_modes: List[str] = [mode for mode, _ in stream_specs]
         self._new_state_fn, self._fold_fn = self._compile_stream_fold(stream_specs)
+        #: Each item's result value read off a fold state, as source.
+        state_values = [
+            f"(state[{index}][0] if state[{index}][1] else None)" if mode == "sum"
+            else f"(state[{index}][0] / state[{index}][1] if state[{index}][1] else None)"
+            if mode == "avg"
+            else f"state[{index}]"
+            for index, mode in enumerate(self._stream_modes)
+        ]
+        #: Compiled fold state -> result dict (a repeated name keeps its
+        #: first slot and its last value, as assignment in item order does).
+        self._finalize: Optional[Callable] = None
+        if self.is_aggregate:
+            body = ", ".join(
+                f"{name!r}: {value}" for name, value in zip(self._aggregate_names, state_values)
+            )
+            self._finalize = self._make_fn(f"lambda state: {{{body}}}")
 
-        # ORDER BY keys (non-aggregate path; aggregate ordering runs over the
-        # small result dicts exactly like the interpreter).
+        # ORDER BY keys.  An aggregate orders its result dicts like the
+        # interpreter, or picks its LIMIT fold states by the same keys.
         self._order_key_fns: List[Tuple[Callable, bool]] = []
         directions = set()
-        if not self.is_aggregate:
+        if self.is_aggregate:
+            state_keys = []
+            for position, order in enumerate(statement.order_by):
+                key_name = self._order_key_name(order, statement, [])
+                slots = [i for i, name in enumerate(self._aggregate_names) if name == key_name]
+                value = state_values[slots[-1]] if slots else "None"
+                state_keys.append(f"((_v{position} := {value}) is None, _v{position})")
+                directions.add(order.descending)
+        else:
             for order in statement.order_by:
                 key_name = self._order_key_name(order, statement, [])
                 expr: Optional[str] = None
@@ -436,14 +516,20 @@ class CompiledSelect:
                     key_fn = self._make_fn(f"lambda row: ((_v := {expr}) is None, _v)")
                 self._order_key_fns.append((key_fn, order.descending))
                 directions.add(order.descending)
+        # Top-k: a GROUP BY picks fold states, any other aggregate has one
+        # row, a plain SELECT picks execution rows.
         self.topk_eligible = (
-            not self.is_aggregate
-            and bool(self._order_key_fns)
+            bool(statement.order_by)
             and statement.limit is not None
             and len(directions) == 1
+            and (bool(statement.group_by) or not self.is_aggregate)
         )
+        self._topk_descending = statement.order_by[0].descending if statement.order_by else False
         self._topk_key: Optional[Callable] = None
-        if self.topk_eligible:
+        if self.topk_eligible and self.is_aggregate:
+            body = state_keys[0] if len(state_keys) == 1 else f"({', '.join(state_keys)})"
+            self._topk_key = self._make_fn(f"lambda state: {body}")
+        elif self.topk_eligible:
             if len(self._order_key_fns) == 1:
                 self._topk_key = self._order_key_fns[0][0]
             else:
@@ -465,6 +551,71 @@ class CompiledSelect:
         )
         if self.pk_probe:
             self.execute = self._compile_pk_probe(self.index_conditions[0][1])
+            return
+
+        # Result memo: parameter tuple -> _MemoEntry.  An aggregate over a
+        # memoised join or a single-table scan catches its fold states up
+        # with appended base rows; any other plan folds afresh.
+        self._memo: Dict[Tuple, _MemoEntry] = {}
+        self._catches_up = self.is_aggregate and (
+            self.memoises_join or not (self.joined or self.index_conditions)
+        )
+        bound_nodes = [rhs for _, rhs in self.index_conditions]
+        bound_nodes += [node for node, _ in self._residual_nodes]
+        self._memo_key = self._compile_memo_key(
+            sorted({node.index for node in bound_nodes if isinstance(node, Parameter)})
+        )
+        self._stamp = self._compile_stamp(statement)
+
+    def _compile_memo_key(self, slots: List[int]) -> Callable:
+        """Parameters -> the memo key: the bound values, or ``None`` if one is not keyable."""
+        if not slots:
+            return self._make_fn("lambda params: ()")
+        values = "".join(f"params[{slot}], " for slot in slots)
+        keyable = " and ".join(f"type(params[{slot}]) in _keyable" for slot in slots)
+        return self._make_fn(
+            f"lambda params: ({values}) if {keyable} else None", {"_keyable": _KEYABLE}
+        )
+
+    def _compile_stamp(self, statement: SelectStatement) -> Callable:
+        """The reader of the data versions the plan's result depends on.
+
+        The stamp is the base's row-set version and delete count, every
+        joined table's row-set version, then the version of every column the
+        statement names (select list, WHERE, JOIN ON, GROUP BY, ORDER BY and
+        aggregate arguments; every column for ``SELECT *``) in each table
+        that has a column by that name.  Equal stamps mean equal results.
+        Equal stamps past the first element mean the base only grew by
+        appends, which an aggregate's fold states can catch up with.
+        """
+        refs: List[Any] = []
+        for item in statement.items:
+            expression = item.expression
+            refs.append(expression.argument if isinstance(expression, Aggregate) else expression)
+        for condition in statement.where:
+            refs += [condition.lhs, condition.rhs]
+        for join in statement.joins:
+            refs += [join.left, join.right]
+        refs += statement.group_by
+        refs += [order.expression for order in statement.order_by]
+        names = {ref.name for ref in refs if isinstance(ref, ColumnRef)}
+        names.update(ref for ref in refs if isinstance(ref, str))
+        namespace: Dict[str, Any] = {}
+        terms = ["_t0.rows_version", "_t0.deletes"]
+        columns = []
+        for position, table in enumerate(self.tables):
+            namespace[f"_t{position}"] = table
+            if position:
+                terms.append(f"_t{position}.rows_version")
+            if table in self.tables[:position]:
+                continue
+            namespace[f"_c{position}"] = table.column_versions
+            columns += [
+                f"_c{position}[{name!r}]"
+                for name in table.column_names()
+                if self.star or name in names
+            ]
+        return self._make_fn(f"lambda: ({', '.join(terms + columns)},)", namespace)
 
     def _compile_pk_probe(self, rhs_node: Any) -> Callable:
         """The plan of a primary-key read: one ``_pk_index`` probe, replacing ``execute``.
@@ -491,12 +642,47 @@ class CompiledSelect:
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, params: Sequence[Any]) -> Tuple[List[Dict[str, Any]], int, int]:
-        """Run the plan; returns ``(result_rows, rows_scanned, index_lookups)``."""
+        """Run the plan; returns ``(result_rows, rows_scanned, index_lookups)``.
+
+        A repeat over unchanged data (same memo key, same stamp) returns the
+        kept rows and the counters their execution charged.  An execution
+        that raises keeps nothing.
+        """
+        key = self._memo_key(params)
+        if key is None:
+            return self._run(params, None, ())
+        stamp = self._stamp()
+        memo = self._memo
+        entry = memo.get(key)
+        if entry is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            entry = memo[key] = _MemoEntry()
+        elif entry.stamp == stamp:
+            return list(entry.rows), entry.scanned, entry.index_lookups
+        try:
+            rows, scanned, index_lookups = self._run(params, entry, stamp)
+        except BaseException:
+            memo.pop(key, None)
+            raise
+        entry.stamp, entry.rows = stamp, rows
+        entry.scanned, entry.index_lookups = scanned, index_lookups
+        return list(rows), scanned, index_lookups
+
+    def _run(
+        self, params: Sequence[Any], entry: Optional[_MemoEntry], stamp: Tuple
+    ) -> Tuple[List[Dict[str, Any]], int, int]:
+        """Execute the pipeline; an aggregate folds into ``entry``'s states."""
         statement = self.statement
         bind = self._bind
         base_table = self.base_table
         scanned = 0
         index_lookups = 0
+        # The fold states catch up when nothing but base appends happened
+        # since they were folded.
+        catch_up = (
+            entry is not None and entry.states is not None and entry.stamp[1:] == stamp[1:]
+        )
 
         # ---- base rows ------------------------------------------------ #
         if self.index_conditions:
@@ -508,14 +694,13 @@ class CompiledSelect:
                 index_lookups += 1
             row_ids = set.intersection(*row_id_sets)
             stored = base_table._rows
-            rows: List[Any] = [stored[rid] for rid in row_ids]
-            scanned += len(rows)
+            rows: Iterable[Any] = [stored[rid] for rid in row_ids]
+            scanned += len(row_ids)
         elif self.memoises_join:
             rows, scanned, index_lookups = self._memoised_join()
         else:
             scanned += len(base_table)
-            # A ``LIKE`` prefix probe picks its candidate rows once bound.
-            rows = [] if self._like_probe is not None else list(base_table._rows.values())
+            rows = base_table._rows.values()
 
         # ---- joins (tuple rows) --------------------------------------- #
         if self.joined and not self.memoises_join:
@@ -523,8 +708,11 @@ class CompiledSelect:
             scanned += join_scanned
             index_lookups += join_lookups
 
-        # ---- residual filter ------------------------------------------ #
+        # ---- candidate probes ----------------------------------------- #
+        # ``rows`` may be the join memo's list or a view of the table's
+        # rows: everything below only reads it.
         predicate = self._predicate
+        bound: Tuple = ()
         if predicate is not None:
             bound = tuple(
                 like_matcher(bind(node, params)) if is_like else bind(node, params)
@@ -532,47 +720,35 @@ class CompiledSelect:
             )
             if self._group_probe is not None:
                 rows = self._group_candidates(bound[self._group_probe[3]])
-            elif self._like_probe is not None:
+            elif self._like_probe is not None and not catch_up:
                 rows = self._prefix_candidates(bind(self._like_probe[1], params))
-            filtered = [row for row in rows if predicate(row, bound)]
-        else:
-            # ``rows`` may be the join memo's list: everything below only
-            # reads it.
-            filtered = rows
 
         # ---- aggregate pipeline --------------------------------------- #
         if self.is_aggregate:
-            result_rows = self._aggregate_rows(filtered)
-            for order in reversed(statement.order_by):
-                key_name = self._order_key_name(order, statement, result_rows)
-                result_rows.sort(
-                    key=lambda row: (row.get(key_name) is None, row.get(key_name)),
-                    reverse=order.descending,
-                )
-            if statement.limit is not None:
-                result_rows = result_rows[: statement.limit]
-            return result_rows, scanned, index_lookups
+            return self._aggregate_rows(rows, bound, entry, catch_up), scanned, index_lookups
+
+        # ---- residual filter ------------------------------------------ #
+        if predicate is not None:
+            rows = [row for row in rows if predicate(row, bound)]
 
         # ---- ORDER BY / LIMIT ----------------------------------------- #
         if self._topk_key is not None:
-            select = heapq.nlargest if self._order_key_fns[0][1] else heapq.nsmallest
-            selected = select(statement.limit, filtered, key=self._topk_key)
+            select = heapq.nlargest if self._topk_descending else heapq.nsmallest
+            rows = select(statement.limit, rows, key=self._topk_key)
         elif self._order_key_fns:
             # Interpreter-faithful multi-pass stable sort (handles mixed
             # ASC/DESC).
-            selected = list(filtered)
+            rows = list(rows)
             for key_fn, descending in reversed(self._order_key_fns):
-                selected.sort(key=key_fn, reverse=descending)
+                rows.sort(key=key_fn, reverse=descending)
             if statement.limit is not None:
-                selected = selected[: statement.limit]
+                rows = rows[: statement.limit]
         elif statement.limit is not None:
-            selected = filtered[: statement.limit]
-        else:
-            selected = filtered
+            rows = islice(rows, statement.limit)
 
         # ---- projection (only surviving rows) ------------------------- #
         project = self._project
-        return [project(row) for row in selected], scanned, index_lookups
+        return [project(row) for row in rows], scanned, index_lookups
 
     # ------------------------------------------------------------------ #
     def _join(self, base_rows: Iterable[Dict[str, Any]]) -> Tuple[List[Tuple], int, int]:
@@ -628,14 +804,14 @@ class CompiledSelect:
 
         The memo is stamped with what its rows were built from: the base's
         delete count, every joined table's row-set version and both sides'
-        join-key column versions.  If the stamp matches and the base's
-        row-set version too, the memo is reused as is (a *hit*).  If only
-        the base's row-set version moved, the base grew by appends alone:
-        its new tail (the rows past the memo's count, in row-id order) is
-        joined and appended (a *catch-up*).  Any other change starts a new
-        memo and catches it up from row 0 (a *rebuild*).  The charge is the
-        one a fresh scan and join would pay, because the memo holds exactly
-        the rows and probes those would make.
+        join-key column versions.  If the stamp matches and no base row was
+        inserted since, the memo is reused as is (a *hit*).  If base rows
+        were inserted, the base grew by appends alone: its new tail (the
+        rows from the memo's next row id on, in row-id order) is joined and
+        appended (a *catch-up*).  Any other change starts a new memo and
+        catches it up from row 0 (a *rebuild*).  The charge is the one a
+        fresh scan and join would pay, because the memo holds exactly the
+        rows and probes those would make.
         """
         base_table = self.base_table
         stamp = (
@@ -646,14 +822,17 @@ class CompiledSelect:
         memo = self._join_memo
         if memo is None or memo.stamp != stamp:
             memo = self._join_memo = _JoinMemo(stamp)
-        if memo.base_version != base_table.rows_version:
-            tail = list(islice(base_table._rows.values(), memo.base_count, None))
+        if memo.next_row_id != base_table._next_row_id:
+            stored = base_table._rows
+            if memo.next_row_id:
+                tail = [stored[rid] for rid in range(memo.next_row_id, base_table._next_row_id)]
+            else:
+                tail = list(stored.values())
             joined, scanned, index_lookups = self._join(tail)
             memo.rows.extend(joined)
-            memo.base_count += len(tail)
+            memo.next_row_id = base_table._next_row_id
             memo.scanned += len(tail) + scanned
             memo.index_lookups += index_lookups
-            memo.base_version = base_table.rows_version
         return memo.rows, memo.scanned, memo.index_lookups
 
     def _group_candidates(self, value: Any) -> Sequence[Tuple[Dict[str, Any], ...]]:
@@ -676,7 +855,7 @@ class CompiledSelect:
         rows = memo.rows
         if memo.grouped < len(rows):
             setdefault = memo.groups.setdefault
-            for row in islice(rows, memo.grouped, None):
+            for row in rows[memo.grouped:]:
                 setdefault(row[pos][name], []).append(row)
             memo.grouped = len(rows)
         try:
@@ -701,26 +880,52 @@ class CompiledSelect:
         ]
 
     # ------------------------------------------------------------------ #
-    def _aggregate_rows(self, filtered: List[Any]) -> List[Dict[str, Any]]:
-        """GROUP BY + aggregate evaluation over the filtered rows.
+    def _aggregate_rows(
+        self,
+        candidates: Iterable[Any],
+        bound: Tuple,
+        entry: Optional[_MemoEntry],
+        catch_up: bool,
+    ) -> List[Dict[str, Any]]:
+        """GROUP BY + aggregate evaluation over the candidates that pass the filter.
 
         One fold pass keeps an accumulator per group; result rows come in
-        first-seen group order.
+        first-seen group order.  A plan that catches up keeps its states in
+        ``entry``: while only base appends happened since, it folds just the
+        candidates past the ones folded, after them, as a fresh fold would.
+        A GROUP BY with a top-k ORDER BY + LIMIT builds result dicts for the
+        states it keeps only.
         """
-        group_key = self._group_key
+        if self.memoises_join:
+            # The join memo's candidates grow only by appends while the
+            # stamp past the base's row-set version holds.
+            total = len(candidates)
+            if catch_up:
+                candidates = candidates[entry.folded:]
+        else:
+            total = len(self.base_table)
+            if catch_up:
+                candidates = islice(self.base_table._rows.values(), entry.folded, None)
+        predicate = self._predicate
+        rows = candidates
+        if predicate is not None:
+            rows = [row for row in candidates if predicate(row, bound)]
+        states: Dict[Tuple, List[Any]] = entry.states if catch_up else {}
         # The interpreter raises for a non-grouped plain column while
-        # building the first group's result row — i.e. whenever at least one
-        # group exists (always, without GROUP BY: the implicit ``()`` group).
-        if self._invalid_group_column is not None and (group_key is None or filtered):
-            raise SqlExecutionError(
-                f"column {self._invalid_group_column!r} must appear in GROUP BY"
-            )
+        # building the first group's result row, i.e. whenever a group
+        # exists.  Such a plan never keeps a state, so only new rows count.
+        if self._invalid_group_column is not None:
+            rows = list(rows)
+            if rows:
+                raise SqlExecutionError(
+                    f"column {self._invalid_group_column!r} must appear in GROUP BY"
+                )
         new_state = self._new_state_fn
         fold = self._fold_fn
-        states: Dict[Tuple, List[Any]] = {}
+        group_key = self._group_key
         if group_key is not None:
             get = states.get
-            for row in filtered:
+            for row in rows:
                 key = group_key(row)
                 state = get(key)
                 if state is None:
@@ -728,27 +933,32 @@ class CompiledSelect:
                 else:
                     fold(state, row)
         else:
-            state = None
-            for row in filtered:
+            state = states.get(())
+            for row in rows:
                 if state is None:
-                    state = new_state(row)
+                    state = states[()] = new_state(row)
                 else:
                     fold(state, row)
-            states[()] = state if state is not None else self._empty_group_state()
+        if self._catches_up and entry is not None:
+            entry.states, entry.folded = states, total
 
-        result: List[Dict[str, Any]] = []
-        names = self._aggregate_names
-        for state in states.values():
-            out: Dict[str, Any] = {}
-            for index, mode in enumerate(self._stream_modes):
-                value = state[index]
-                if mode == "sum":
-                    out[names[index]] = value[0] if value[1] else None
-                elif mode == "avg":
-                    out[names[index]] = value[0] / value[1] if value[1] else None
-                else:  # column / count_star / count / min / max
-                    out[names[index]] = value
-            result.append(out)
+        kept: Iterable[List[Any]] = states.values()
+        if group_key is None and not states:
+            kept = [self._empty_group_state()]
+        statement = self.statement
+        finalize = self._finalize
+        if self._topk_key is not None:
+            select = heapq.nlargest if self._topk_descending else heapq.nsmallest
+            return [finalize(state) for state in select(statement.limit, kept, key=self._topk_key)]
+        result = [finalize(state) for state in kept]
+        for order in reversed(statement.order_by):
+            key_name = self._order_key_name(order, statement, result)
+            result.sort(
+                key=lambda row: (row.get(key_name) is None, row.get(key_name)),
+                reverse=order.descending,
+            )
+        if statement.limit is not None:
+            result = result[: statement.limit]
         return result
 
     @staticmethod

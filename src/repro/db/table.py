@@ -111,13 +111,13 @@ class Table:
         #: Called with the table when an index is declared on it (the owning
         #: database drops the cached plans that read it).
         self._on_schema_change = on_schema_change
-        #: Data versions, read by the planner's join memo: ``rows_version``
+        #: Data versions, read by the planner's memos: ``rows_version``
         #: moves on every insert and delete, ``deletes`` on deletes only (so
         #: "only appends happened" is visible), and ``column_versions`` per
-        #: column that :meth:`update_rows` assigned.
+        #: column each time :meth:`update_rows` assigns it.
         self.rows_version = 0
         self.deletes = 0
-        self.column_versions: Dict[str, int] = {}
+        self.column_versions: Dict[str, int] = dict.fromkeys(names, 0)
 
     # ------------------------------------------------------------------ #
     # Schema
@@ -229,6 +229,10 @@ class Table:
         """Apply ``changes`` to the given rows; returns the number updated."""
         for column_name, value in changes.items():
             column = self.column(column_name)
+            if value is None and not column.nullable and not column.primary_key:
+                raise ValueError(
+                    f"column {column_name!r} of table {self.name!r} is not nullable"
+                )
             if not column.type.validate(value):
                 raise TypeError(
                     f"value {value!r} is not valid for column {column_name!r} "
@@ -250,7 +254,7 @@ class Table:
             count += 1
         if count:
             for column_name in changes:
-                self.column_versions[column_name] = self.column_versions.get(column_name, 0) + 1
+                self.column_versions[column_name] += 1
         return count
 
     def delete_rows(self, row_ids: Iterable[int]) -> int:

@@ -571,6 +571,9 @@ def bench_join_topk(options: BenchOptions) -> BenchResult:
     indexed WHERE, ``ORDER BY ... DESC LIMIT 50`` — the remaining SQL hot
     spot ROADMAP's perf item named.  Both sides run identically populated
     databases in one process; the equivalence suite asserts the rows match.
+    Before each probe both sides update one item's ``i_pub_date``, a column
+    the plan reads, so every probe misses the plan's result memo and runs
+    the join and the top-k.
     """
     from repro.db.engine import Database
     from repro.perf.seed_reference import make_seed_row_database_class
@@ -580,10 +583,12 @@ def bench_join_topk(options: BenchOptions) -> BenchResult:
     queries = 20 if options.tiny else 60
     # The literal servlet statement: the bench measures what production runs.
     sql = NEW_PRODUCTS_SQL
+    touch_sql = "UPDATE item SET i_pub_date = ? WHERE i_id = ?"
 
     def make_runner(database) -> Callable[[], int]:
         def run() -> int:
             for index in range(queries):
+                database.execute(touch_sql, [float(index), 1 + index])
                 database.execute(sql, [f"SUBJECT{index % subjects}"])
             return queries
 
@@ -933,8 +938,9 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
     cover both production shapes: the literal ``best_sellers`` servlet query
     (double join + GROUP BY) and a fact-table scan (``SUM/COUNT/MIN/MAX``
     over order_line, aggregation-dominated — where the fold is the whole
-    story).  The data does not change between probes, so the planner's
-    ``best_sellers`` plan reuses its memoised join after the first probe.
+    story).  Before each probe both sides append one order line, as
+    ``buy_confirm`` does, so the planner's plans miss their result memos and
+    fold the appended line into their kept states, as in ``paper_leak``.
     """
     from repro.db.engine import Database
     from repro.perf.seed_reference import make_seed_row_database_class
@@ -949,11 +955,21 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
         (2_000, 100, 10, 8_000) if options.tiny else (10_000, 400, 10, 40_000)
     )
     queries = 20 if options.tiny else 60
+    append_sql = "INSERT INTO order_line (ol_id, ol_i_id, ol_qty) VALUES (?, ?, ?)"
 
     def make_runner(database) -> Callable[[], int]:
+        next_line = [lines + 1]
+
+        def append_line() -> None:
+            line_id = next_line[0]
+            next_line[0] += 1
+            database.execute(append_sql, [line_id, 1 + (line_id * 17) % items, 1 + line_id % 9])
+
         def run() -> int:
             for index in range(queries):
+                append_line()
                 database.execute(_BEST_SELLERS_SQL, [f"SUBJECT{index % subjects}"])
+                append_line()
                 database.execute(scan_sql, [])
             return 2 * queries
 

@@ -18,7 +18,11 @@ storage and asserts exactly that, for
 * the candidate probes (the join memo's groups for ``col = ?`` and the
   sorted keys for ``col LIKE 'prefix%'``) and the scan of an unindexed
   ``col = ?`` over rows that hold edge values, with writes to the probed
-  columns between executions, and
+  columns between executions,
+* the result memo: every check executes twice, so the repeat is a hit; a
+  write to a column in any role a statement reads makes the next execution
+  a miss; appends make the aggregates fold only the new rows and deletes
+  make them refold; equal values that bind differently keep apart, and
 * the servlet repertoire once more on a standard (paper-scale) population.
 
 The reference implementation is ``perf/seed_reference``'s
@@ -39,16 +43,33 @@ from repro.tpcw.population import PopulationScale, populate_database
 from repro.tpcw.schema import SUBJECTS, create_tpcw_schema
 
 
+def _recording_index_lookups(database):
+    """``database``, with each statement's index lookups kept as it is charged."""
+    account = database._account
+
+    def recording(kind, rows, rowcount, scanned, index_lookups, inserts=0):
+        database.last_index_lookups = index_lookups
+        return account(kind, rows, rowcount, scanned, index_lookups, inserts)
+
+    database._account = recording
+    return database
+
+
+def _pair_over(planned):
+    """``planned`` and a seed-reference database sharing its tables."""
+    seed = make_seed_row_database_class()("tpcw")
+    # Sharing the Table objects guarantees identical data (and identical
+    # internal row ids / index sets) on both sides, writes included.
+    seed._tables = planned._tables
+    return _recording_index_lookups(planned), _recording_index_lookups(seed)
+
+
 def _database_pair():
     """(planned, seed-reference) databases sharing one populated table set."""
     planned = Database("tpcw")
     create_tpcw_schema(planned)
     populate_database(planned, scale=PopulationScale.tiny(), streams=RandomStreams(42))
-    seed = make_seed_row_database_class()("tpcw")
-    # Sharing the Table objects guarantees identical data (and identical
-    # internal row ids / index sets) on both sides, writes included.
-    seed._tables = planned._tables
-    return planned, seed
+    return _pair_over(planned)
 
 
 @pytest.fixture(scope="module")
@@ -57,17 +78,25 @@ def databases():
     return _database_pair()
 
 
+def _outcome(database, sql, params):
+    """Everything an execution reports: rows in order, counts and cost."""
+    result = database.execute(sql, list(params))
+    return (
+        result.rows, result.rowcount, result.rows_scanned, database.last_index_lookups,
+        result.cost_seconds,
+    )
+
+
 def assert_equivalent(databases, sql, params=()):
+    """The planned database reports what the seed does, twice running.
+
+    The second execution is a plan-cache hit and, when the plan keeps a
+    result memo and its parameters are keyable, a memo hit.
+    """
     planned_db, seed_db = databases
-    planned = planned_db.execute(sql, list(params))
-    reference = seed_db.execute(sql, list(params))
-    assert planned.rows == reference.rows, sql
-    assert planned.rowcount == reference.rowcount, sql
-    assert planned.rows_scanned == reference.rows_scanned, sql
-    assert planned.cost_seconds == reference.cost_seconds, sql
-    # Second execution exercises the plan-cache hit path.
-    again = planned_db.execute(sql, list(params))
-    assert again.rows == reference.rows, sql
+    reference = _outcome(seed_db, sql, params)
+    for _ in range(2):
+        assert _outcome(planned_db, sql, params) == reference, sql
 
 
 # --------------------------------------------------------------------------- #
@@ -586,6 +615,10 @@ def _assert_repertoire_equivalent(databases):
     for _ in range(120):
         sql, params = _random_statement(rng, planned_db)
         assert_equivalent(databases, sql, params)
+    rng = np.random.default_rng(13)
+    for _ in range(80):
+        sql, params = _random_aggregate_statement(rng, planned_db)
+        assert_equivalent(databases, sql, params)
 
 
 def test_writes_interleaved_with_selects_equivalent(mutable_databases):
@@ -608,12 +641,12 @@ def _next_memo_outcome(database, sql, params):
     """
     plan = _plan(database, sql)
     memo = plan._join_memo if plan is not None else None
-    base_count = memo.base_count if memo is not None else None
+    next_row_id = memo.next_row_id if memo is not None else None
     database.execute(sql, list(params))
     after = _plan(database, sql)._join_memo
     if after is not memo:
         return "rebuild"
-    return "hit" if after.base_count == base_count else "catch_up"
+    return "hit" if after.next_row_id == next_row_id else "catch_up"
 
 
 def test_write_sequence_reaches_hit_catch_up_and_rebuild(mutable_databases):
@@ -1001,10 +1034,250 @@ def test_servlet_repertoire_equivalent_at_paper_scale():
     planned = Database("tpcw")
     create_tpcw_schema(planned)
     populate_database(planned, scale=PopulationScale.standard(), streams=RandomStreams(1))
-    seed = make_seed_row_database_class()("tpcw")
-    seed._tables = planned._tables
+    databases = _pair_over(planned)
     for sql, params in SERVLET_QUERIES:
-        assert_equivalent((planned, seed), sql, params)
+        assert_equivalent(databases, sql, params)
     # A best-sellers group holds a small share of the memo's rows.
     memo = _plan(planned, BEST_SELLERS[0])._join_memo
     assert len(memo.groups[BEST_SELLERS[1][0]]) * 10 < len(memo.rows)
+
+
+# --------------------------------------------------------------------------- #
+# The result memo and the aggregates' fold catch-up
+# --------------------------------------------------------------------------- #
+ADMIN_CONFIRM = next(query for query in SERVLET_QUERIES if "GROUP BY ol_i_id" in query[0])
+
+
+def _counting_runs(plan):
+    """Count the executions of ``plan`` that miss its result memo."""
+    runs = []
+    run = plan._run
+
+    def counting(*args):
+        runs.append(args)
+        return run(*args)
+
+    plan._run = counting
+    return runs
+
+
+def _counting_folds(plan):
+    """Count the rows ``plan`` folds into its aggregate states."""
+    folded = []
+    new_state, fold = plan._new_state_fn, plan._fold_fn
+
+    def counting_new_state(row):
+        folded.append(row)
+        return new_state(row)
+
+    def counting_fold(state, row):
+        folded.append(row)
+        fold(state, row)
+
+    plan._new_state_fn, plan._fold_fn = counting_new_state, counting_fold
+    return folded
+
+
+def _executed_plan(database, sql, params):
+    database.execute(sql, list(params))
+    return _plan(database, sql)
+
+
+def test_repeats_over_unchanged_data_are_memo_hits(mutable_databases):
+    planned_db, _ = mutable_databases
+    for sql, params in SERVLET_QUERIES:
+        plan = _executed_plan(planned_db, sql, params)
+        if plan.pk_probe:
+            continue
+        runs = _counting_runs(plan)
+        assert_equivalent(mutable_databases, sql, params)
+        assert runs == [], sql
+
+
+def _item_ids(database, sql, params):
+    return [row["i_id"] for row in database.execute(sql, list(params)).rows]
+
+
+ROLE_SUBJECT = "COOKING"
+
+#: One statement per role a column plays, and a write to that column only
+#: which changes the statement's result.  ``(role, sql, params, write)``.
+ROLE_PROBES = [
+    (
+        "projected",
+        "SELECT i_id, i_stock FROM item WHERE i_subject = ? ORDER BY i_id LIMIT 20",
+        [ROLE_SUBJECT],
+        lambda db: db.execute(
+            "UPDATE item SET i_stock = ? WHERE i_id = ?",
+            [9_999, _item_ids(db, "SELECT i_id FROM item WHERE i_subject = ?", [ROLE_SUBJECT])[0]],
+        ),
+    ),
+    (
+        "filtered",
+        "SELECT i_id, i_title FROM item WHERE i_srp > ? ORDER BY i_id",
+        [50],
+        lambda db: db.execute(
+            "UPDATE item SET i_srp = ? WHERE i_id = ?",
+            [1e6, _item_ids(db, "SELECT i_id FROM item WHERE i_srp <= ? ORDER BY i_id", [50])[0]],
+        ),
+    ),
+    (
+        "ordered by",
+        "SELECT i_id FROM item WHERE i_subject = ? ORDER BY i_pub_date DESC LIMIT 2",
+        [ROLE_SUBJECT],
+        lambda db: db.execute(
+            "UPDATE item SET i_pub_date = ? WHERE i_id = ?",
+            [
+                2e9,
+                _item_ids(
+                    db, "SELECT i_id FROM item WHERE i_subject = ? ORDER BY i_pub_date LIMIT 1",
+                    [ROLE_SUBJECT],
+                )[0],
+            ],
+        ),
+    ),
+    (
+        "grouped by",
+        "SELECT COUNT(*) AS n FROM order_line GROUP BY ol_discount",
+        [],
+        lambda db: db.execute("UPDATE order_line SET ol_discount = ? WHERE ol_id = ?", [0.25, 1]),
+    ),
+    (
+        "aggregated",
+        ADMIN_CONFIRM[0],
+        ADMIN_CONFIRM[1],
+        lambda db: db.execute("UPDATE order_line SET ol_qty = ? WHERE ol_id = ?", [1_000, 2]),
+    ),
+    (
+        "join key",
+        "SELECT i.i_id, a.a_fname FROM item i JOIN author a ON i.i_a_id = a.a_id "
+        "ORDER BY i.i_id LIMIT 10",
+        [],
+        lambda db: db.execute(
+            "UPDATE item SET i_a_id = ? WHERE i_id = ?",
+            [_item_ids(db, "SELECT i_a_id AS i_id FROM item WHERE i_id = ?", [2])[0], 1],
+        ),
+    ),
+]
+
+
+def _insert_order_lines(database, item_ids, quantity=3):
+    """Append one order line per item id, as ``buy_confirm`` does."""
+    next_id = _one(database, "SELECT MAX(ol_id) AS m FROM order_line")["m"] + 1
+    for offset, item_id in enumerate(item_ids):
+        database.execute(
+            "INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount, ol_comments) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            [next_id + offset, 1, item_id, quantity, 0.0, "appended"],
+        )
+
+
+def test_an_update_of_any_column_shows_in_every_statement(mutable_databases):
+    """Each interesting column updated in turn, the repertoire checked after each."""
+    planned_db, _ = mutable_databases
+    rng = np.random.default_rng(11)
+    _assert_repertoire_equivalent(mutable_databases)
+    for table_name, columns in INTERESTING_COLUMNS.items():
+        table = planned_db.table(table_name)
+        rows = list(table.rows())
+        for column in columns if rows else ():
+            target = rows[int(rng.integers(0, len(rows)))][table.primary_key]
+            planned_db.execute(
+                f"UPDATE {table_name} SET {column} = ? WHERE {table.primary_key} = ?",
+                [_sample_value(rng, table, column), target],
+            )
+            _assert_repertoire_equivalent(mutable_databases)
+
+
+def test_a_write_to_a_read_column_misses_and_the_repeat_hits(mutable_databases):
+    """Each role a column plays moves the stamp; the next repeat hits again."""
+    planned_db, seed_db = mutable_databases
+    for role, sql, params, write in ROLE_PROBES:
+        before = _outcome(seed_db, sql, params)
+        assert_equivalent(mutable_databases, sql, params)
+        runs = _counting_runs(_plan(planned_db, sql))
+        write(planned_db)
+        assert _outcome(seed_db, sql, params) != before, role  # the write shows
+        assert_equivalent(mutable_databases, sql, params)
+        assert len(runs) == 1, role
+
+
+def test_aggregates_catch_up_after_an_insert_and_refold_after_a_delete(mutable_databases):
+    """Both aggregate shapes: the memoised join and the single-table scan."""
+    planned_db, _ = mutable_databases
+    for sql, params in (BEST_SELLERS, ADMIN_CONFIRM):
+        assert_equivalent(mutable_databases, sql, params)
+        entry = _plan(planned_db, sql)._memo[tuple(params)]
+        states, folded = entry.states, entry.folded
+        _insert_order_lines(planned_db, [_best_seller_item(planned_db)["i_id"]] * 2)
+        assert_equivalent(mutable_databases, sql, params)
+        assert entry.states is states and entry.folded == folded + 2, sql  # caught up
+        _delete_order_line(planned_db)
+        assert_equivalent(mutable_databases, sql, params)
+        assert entry.states is not states, sql  # refolded
+
+
+def test_best_sellers_folds_only_the_appended_group_rows(mutable_databases):
+    planned_db, _ = mutable_databases
+    subject = BEST_SELLERS[1][0]
+    item = _best_seller_item(planned_db)["i_id"]
+    other = _one(planned_db, "SELECT i_id FROM item WHERE i_subject != ? LIMIT 1", [subject])
+    plan = _executed_plan(planned_db, *BEST_SELLERS)
+    folded = _counting_folds(plan)
+    counts = []
+    for _ in range(3):
+        # Three lines in the group, two outside it.
+        _insert_order_lines(planned_db, [item, other["i_id"], item, other["i_id"], item])
+        del folded[:]
+        assert_equivalent(mutable_databases, *BEST_SELLERS)
+        counts.append(len(folded))
+    assert counts == [3, 3, 3]
+    # The scan aggregate folds every appended line, and only those.
+    plan = _executed_plan(planned_db, *ADMIN_CONFIRM)
+    folded = _counting_folds(plan)
+    _insert_order_lines(planned_db, [item, other["i_id"]])
+    assert_equivalent(mutable_databases, *ADMIN_CONFIRM)
+    assert len(folded) == 2
+
+
+#: Values that compare equal but bind differently to ``LIKE``: each is bound
+#: twice, in one sequence, so a memo keyed on ``==`` alone would answer the
+#: later ones with an earlier one's rows.
+EQUAL_BUT_DISTINCT = [1, 1.0, True, 1, 0.0, -0.0, 0.0, "1", 1]
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT i_id, i_srp FROM item WHERE i_srp LIKE ?",
+        "SELECT i_id, i_srp FROM item WHERE i_srp = ?",
+        "SELECT i.i_id, i.i_srp, a.a_lname FROM item i "
+        "JOIN author a ON i.i_a_id = a.a_id WHERE i.i_srp = ?",
+        "SELECT COUNT(*) AS n, SUM(i_cost) AS cost FROM item WHERE i_srp LIKE ?",
+    ],
+)
+def test_equal_values_that_bind_differently_share_no_memo_entry(sql):
+    databases = _edge_databases()
+    for value in EQUAL_BUT_DISTINCT:
+        assert_equivalent(databases, sql, [value])
+    keys = set(_plan(databases[0], sql)._memo)
+    assert keys == {(1,), ("1",)}
+
+
+def test_a_plans_memo_stays_within_its_bound(mutable_databases):
+    from repro.db.planner import _MEMO_LIMIT
+
+    planned_db, _ = mutable_databases
+    sql = "SELECT i_id, i_title FROM item WHERE i_title LIKE ? ORDER BY i_title LIMIT 5"
+    for index in range(_MEMO_LIMIT + 40):
+        assert_equivalent(mutable_databases, sql, [f"Book {index}%"])
+        assert 0 < len(_plan(planned_db, sql)._memo) <= _MEMO_LIMIT
+
+
+def test_an_execution_that_raises_keeps_nothing(mutable_databases):
+    planned_db, _ = mutable_databases
+    sql = "SELECT ol_i_id, ol_qty, COUNT(*) AS n FROM order_line GROUP BY ol_i_id"
+    for _ in range(2):
+        with pytest.raises(SqlExecutionError, match="must appear in GROUP BY"):
+            planned_db.execute(sql)
+        assert _plan(planned_db, sql)._memo == {}

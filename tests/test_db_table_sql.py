@@ -75,6 +75,31 @@ class TestTable:
         with pytest.raises(ValueError):
             table.update_rows([row_id], {"id": 2})
 
+    def test_update_to_null_of_a_not_nullable_column_changes_nothing(self):
+        database = Database("t")
+        database.create_table(
+            "t",
+            [
+                Column("id", ColumnType.INTEGER, primary_key=True),
+                Column("name", ColumnType.VARCHAR, nullable=False),
+                Column("note", ColumnType.VARCHAR),
+            ],
+        )
+        database.execute("INSERT INTO t (id, name, note) VALUES (?, ?, ?)", [1, "Ann", "x"])
+        table = database.table("t")
+        versions = (table.rows_version, table.deletes, dict(table.column_versions))
+        message = "column 'name' of table 't' is not nullable"
+        with pytest.raises(ValueError, match=message):
+            database.execute("INSERT INTO t (id, name, note) VALUES (?, ?, ?)", [2, None, "y"])
+        # The same NULL in an UPDATE is refused alike, before any row moves,
+        # including the nullable column assigned beside it.
+        with pytest.raises(ValueError, match=message):
+            database.execute("UPDATE t SET note = ?, name = ? WHERE id = ?", ["z", None, 1])
+        assert database.execute("SELECT name, note FROM t WHERE id = 1").rows == [
+            {"name": "Ann", "note": "x"}
+        ]
+        assert (table.rows_version, table.deletes, dict(table.column_versions)) == versions
+
     def test_duplicate_column_definition_rejected(self):
         with pytest.raises(ValueError):
             Table("t", [Column("a", ColumnType.INTEGER), Column("a", ColumnType.INTEGER)])
