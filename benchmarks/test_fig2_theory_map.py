@@ -28,13 +28,15 @@ def _build_theory_map() -> ResourceComponentMap:
         size = 2048.0
         for visit in range(visits):
             size += leak / 100.0  # the paper's N=100 average injection rate
-            resource_map.add_sample(
-                ComponentSample(
-                    component,
-                    timestamp=float(visit * 9),
-                    deltas={"object_size": leak / 100.0},
-                    values={"object_size": size},
-                )
+            resource_map.add_samples(
+                [
+                    ComponentSample(
+                        component,
+                        timestamp=float(visit * 9),
+                        deltas={"object_size": leak / 100.0},
+                        values={"object_size": size},
+                    )
+                ]
             )
     return resource_map
 

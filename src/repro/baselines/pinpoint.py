@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
-import numpy as np
-
 
 @dataclass
 class PinpointReport:
@@ -47,7 +45,6 @@ class PinpointAnalyzer:
     """Collects request traces and correlates components with failures."""
 
     def __init__(self) -> None:
-        self._participation: Dict[str, np.ndarray] = {}
         self._component_counts: Dict[str, int] = {}
         self._component_failures: Dict[str, int] = {}
         self._total = 0

@@ -113,7 +113,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compare:
         return _cmd_bench_compare(args.compare[0], args.compare[1])
 
-    options = BenchOptions.from_environment()
+    try:
+        options = BenchOptions.from_environment()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.seed is not None:
         options.seed = args.seed
     if args.duration_scale is not None:

@@ -81,8 +81,6 @@ class HttpServletRequest:
         Query/form parameters.
     session_id:
         The client's session id (``None`` for a fresh session).
-    client_id:
-        The emulated browser that issued the request (workload bookkeeping).
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class HttpServletRequest:
         method: str = "GET",
         parameters: Optional[Dict[str, Any]] = None,
         session_id: Optional[str] = None,
-        client_id: Optional[int] = None,
     ) -> None:
         if method != "GET" and method != "POST":
             method = method.upper()
@@ -101,7 +98,6 @@ class HttpServletRequest:
         self.method = method
         self._parameters = dict(parameters) if parameters else {}
         self.session_id = session_id
-        self.client_id = client_id
         self._attributes: Dict[str, Any] = {}
         self._session: Optional["HttpSession"] = None
         #: Set by the dispatcher so servlets can ask for their session.
@@ -167,7 +163,6 @@ class HttpServletResponse:
 
     def __init__(self) -> None:
         self.status = self.SC_OK
-        self.content_type = "text/html"
         #: Written text, and ``(title, model)`` for each page not yet marked up.
         self._body_parts: List[Any] = []
         #: Model data the servlet produced (the "rendered page" payload).

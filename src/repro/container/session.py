@@ -103,7 +103,6 @@ class SessionManager:
         self._session_objects: Dict[str, Any] = {}
         self._counter = 0
         self.created_count = 0
-        self.expired_count = 0
 
     # ------------------------------------------------------------------ #
     def new_session(self, timestamp: float) -> HttpSession:
@@ -176,7 +175,6 @@ class SessionManager:
         ]
         for session in expired:
             session.invalidate()
-            self.expired_count += 1
         return len(expired)
 
     @property

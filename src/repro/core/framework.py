@@ -93,7 +93,6 @@ class MonitoringFramework:
         self.agents: List[MonitoringAgent] = []
         self.aspect_components: Dict[str, AspectComponent] = {}
         self._installed = False
-        self._overhead_provider_registered = False
 
     # ------------------------------------------------------------------ #
     # Installation / removal
@@ -153,7 +152,6 @@ class MonitoringFramework:
 
         # Fold monitoring overhead into the container's request costs.
         deployment.server.add_external_cost_provider(self.overhead.consume_pending)
-        self._overhead_provider_registered = True
 
         # Remote management level.
         self.frontend = MonitoringFrontEnd(self.connector)

@@ -279,7 +279,6 @@ class RejuvenationController:
             channel.name: self._start_time for channel in self.channels
         }
         self._alert_check_pending = False
-        self._checks_run = 0
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -350,7 +349,6 @@ class RejuvenationController:
     def check(self, timestamp: Optional[float] = None) -> Optional[RejuvenationEvent]:
         """Consult the policy once per channel; execute and return the last action."""
         now = timestamp if timestamp is not None else self.engine.now
-        self._checks_run += 1
         executed: Optional[RejuvenationEvent] = None
         for channel in self.channels:
             if self._last_action_end is not None and now < self._last_action_end:
@@ -480,11 +478,6 @@ class RejuvenationController:
     def total_downtime_seconds(self) -> float:
         """Accumulated downtime across all executed actions."""
         return sum(event.downtime_seconds for event in self.events)
-
-    @property
-    def checks_run(self) -> int:
-        """How many times the policy was consulted."""
-        return self._checks_run
 
     def report(self) -> RejuvenationReport:
         """Summarise the controller's activity."""

@@ -61,10 +61,6 @@ class ComponentStats:
         self.last_values[metric] = value
         self.series_for(metric).record(timestamp, value)
 
-    def add_delta(self, metric: str, delta: float) -> None:
-        """Accumulate one execution's delta of ``metric``."""
-        self.cumulative_deltas[metric] = self.cumulative_deltas.get(metric, 0.0) + delta
-
     def consumption(self, metric: str = DEFAULT_METRIC) -> float:
         """Accumulated consumption of ``metric``.
 
@@ -110,24 +106,16 @@ class ResourceComponentMap:
         if self._last_timestamp is None or timestamp > self._last_timestamp:
             self._last_timestamp = timestamp
 
-    def add_sample(self, sample: ComponentSample) -> None:
-        """Fold one Aspect-Component sample into the map."""
-        stats = self.stats(sample.component)
-        stats.invocations += 1
-        for metric, delta in sample.deltas.items():
-            stats.add_delta(metric, delta)
-        for metric, value in sample.values.items():
-            stats.observe(metric, sample.timestamp, value)
-        self._sample_count += 1
-        self._note_time(sample.timestamp)
-
     def add_samples(self, samples: Sequence[ComponentSample]) -> None:
-        """Fold a batch of samples at once (the manager's buffered intake).
+        """Fold Aspect-Component samples into the map, in order.
 
-        Equivalent to calling :meth:`add_sample` per element — per-component
-        sample order, and therefore every accumulation, is preserved — but
-        series appends happen as one bulk extend per (component, metric)
-        instead of one list append + cache invalidation per observation.
+        The one fold path: the manager's buffered intake passes a batch, and
+        ``add_samples([sample])`` folds a single sample.  Per-component
+        sample order is preserved, so any split of a sequence into
+        consecutive batches gives the same invocations, values and series;
+        delta sums agree up to float rounding.  Series appends happen as one
+        bulk extend per (component, metric).  A sample may carry any subset
+        of its component's delta and value metrics.
         """
         if not samples:
             return

@@ -126,5 +126,5 @@ class ComponentSizeCache:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Cache hit/miss counters (for the perf harness and tests)."""
+        """Cache hit/miss counters; only tests read them."""
         return {"hits": self._hits, "misses": self._misses}

@@ -169,7 +169,6 @@ class DataSource:
         self.pool_size = int(pool_size)
         self._next_id = 1
         self._in_use: Dict[int, Connection] = {}
-        self.total_borrowed = 0
         #: Simulated query cost accumulated by every connection (read by the
         #: container around each request).
         self.total_cost_seconds = 0.0
@@ -203,7 +202,6 @@ class DataSource:
         connection = Connection(self, self._next_id, owner=owner)
         self._next_id += 1
         self._in_use[connection.connection_id] = connection
-        self.total_borrowed += 1
         return connection
 
     def _release(self, connection: Connection) -> None:

@@ -26,6 +26,7 @@ outputs are bit-identical per seed to the pre-cluster harness.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -213,8 +214,8 @@ class ExperimentConfig:
                 )
         for name in ("duration", "snapshot_interval", "think_time_mean"):
             value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # NaN fails too: a NaN end never stops the loop
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.mix_name.lower() not in MIXES:

@@ -12,6 +12,7 @@ without running anything, and :data:`COMPARISONS` lists the registered ones.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import tempfile
@@ -300,8 +301,8 @@ def _base_config(
 
 def _run_length(duration_scale: float) -> float:
     """Seconds of a comparison run: ``duration_scale`` of the paper's hour."""
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
+    if not 0 < duration_scale < math.inf:
+        raise ValueError(f"duration_scale must be positive and finite, got {duration_scale}")
     return 3600.0 * duration_scale
 
 

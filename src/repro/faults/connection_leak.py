@@ -30,7 +30,6 @@ class ConnectionLeakFault(TriggeredFault):
             raise ValueError(f"max_leaked must be positive, got {max_leaked}")
         self.max_leaked = int(max_leaked)
         self._held: List[object] = []
-        self.pool_exhausted_hits = 0
 
     def _inject(self, servlet, request) -> None:
         # Connections force-closed by a rejuvenation recycle drop out of the
@@ -43,7 +42,6 @@ class ConnectionLeakFault(TriggeredFault):
         try:
             connection = servlet.datasource.get_connection(owner=servlet.component_name)
         except ConnectionPoolExhaustedError:
-            self.pool_exhausted_hits += 1
             return
         # Keep the connection referenced forever; it is never closed.
         self._held.append(connection)

@@ -60,8 +60,6 @@ class SlowDownstreamFault(TriggeredFault):
         self.max_shared_multiplier = float(max_shared_multiplier)
         #: Degradation depth (one level per trigger).
         self.degradation_level = 0
-        self.current_multiplier = 1.0
-        self.injected_latency_seconds = 0.0
 
     def current_extra_seconds(self) -> float:
         """Extra downstream wait each visit pays at the current depth."""
@@ -78,13 +76,12 @@ class SlowDownstreamFault(TriggeredFault):
             self._inject(servlet, request)
         extra = self.current_extra_seconds()
         if extra > 0:
-            self.injected_latency_seconds += extra
             servlet.charge_fault_latency(extra)
 
     def _inject(self, servlet, request) -> None:
         self.degradation_level += 1
         if self.shared_multiplier_step > 0:
-            self.current_multiplier = servlet.datasource.inflate_latency(
+            servlet.datasource.inflate_latency(
                 self.shared_multiplier_step,
                 max_multiplier=self.max_shared_multiplier,
             )

@@ -42,8 +42,6 @@ class Heap:
         self._objects: Dict[int, JavaObject] = {}
         self._roots: Set[int] = set()
         self._used_bytes = 0
-        self._allocation_count = 0
-        self._freed_count = 0
         self._peak_used = 0
         self._liveness_epoch = 0
 
@@ -82,7 +80,6 @@ class Heap:
         )
         self._objects[obj.object_id] = obj
         self._used_bytes += shallow_size
-        self._allocation_count += 1
         if root:
             self._roots.add(obj.object_id)
         if self._used_bytes > self._peak_used:
@@ -95,7 +92,6 @@ class Heap:
         if stored is None:
             raise KeyError(f"object {obj.object_id} is not live on this heap")
         self._used_bytes -= stored.shallow_size
-        self._freed_count += 1
         self._liveness_epoch += 1
         self._roots.discard(obj.object_id)
         stored.alive = False
@@ -164,16 +160,6 @@ class Heap:
     def live_object_count(self) -> int:
         """Number of live objects."""
         return len(self._objects)
-
-    @property
-    def allocation_count(self) -> int:
-        """Total number of allocations performed."""
-        return self._allocation_count
-
-    @property
-    def freed_count(self) -> int:
-        """Total number of objects freed."""
-        return self._freed_count
 
     @property
     def liveness_epoch(self) -> int:

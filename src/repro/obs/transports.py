@@ -41,7 +41,6 @@ class JsonlMetricsStream:
         self.registry = registry
         self.path = path
         self._file = None
-        self.records_written = 0
 
     def emit(self, at: Optional[float] = None) -> None:
         """Write one snapshot record (opens the file on first use)."""
@@ -49,7 +48,6 @@ class JsonlMetricsStream:
             self._file = open(self.path, "w", encoding="utf-8")
         self._file.write(self.registry.snapshot_json(at=at) + "\n")
         self._file.flush()
-        self.records_written += 1
 
     def schedule(
         self, engine: "SimulationEngine", duration: float, interval: float

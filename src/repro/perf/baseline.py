@@ -32,19 +32,6 @@ RECORDED_E2E_SECONDS: Dict[str, Dict[str, object]] = {
     },
 }
 
-#: Informational only: seed-commit rates measured on the machine above
-#: (the microbench speedups are computed live against
-#: :mod:`repro.perf.seed_reference`, not against these numbers).
-RECORDED_MICRO_RATES: Dict[str, float] = {
-    "event_loop_events_per_second": 290_876.0,
-    "woven_dispatch_calls_per_second": 652_028.0,
-    "snapshot_sizing_samples_per_second": 6_595.0,
-}
-
-#: Seed-commit tier-1 suite wall-clock (pytest tests/ + benchmarks/), for
-#: the ROADMAP trajectory.
-RECORDED_TIER1_SECONDS = 149.6
-
 
 def recorded_e2e_seconds(name: str, config: Dict[str, object]) -> Optional[float]:
     """The recorded seed wall-clock for ``name``, if ``config`` matches."""

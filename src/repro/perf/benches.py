@@ -1,6 +1,7 @@
 """The microbenchmark suite behind ``repro bench``.
 
-Coverage, mirroring the hottest layers of the reproduction stack:
+Each bench is kept because a speed target, a CI step or a ROADMAP claim
+reads it.  Coverage, in registration order:
 
 ``event_loop``
     Discrete-event engine throughput on a realistic mix (a closed-loop
@@ -10,15 +11,9 @@ Coverage, mirroring the hottest layers of the reproduction stack:
     Woven method call overhead (the Aspect Component shape: one ``before`` +
     one ``after``), current compiled dispatch vs. the seed's closure chain —
     measured with monitoring enabled and disabled.
-``snapshot_sizing``
-    Per-component one-level size sampling with the dirty-flag cache vs. the
-    seed's full re-walk, under a leak-style mutation pattern.
 ``fig3_e2e`` / ``fig4_e2e``
     End-to-end wall-clock of the paper experiments (vs. wall-clock recorded
     at the seed commit — only comparable on similar hardware).
-``manager_intake``
-    Manager-agent sample intake: buffered/batched folding vs. the seed's
-    per-sample fold, re-measured live in the same process.
 ``rejuvenation_e2e``
     End-to-end wall-clock of the three-policy live rejuvenation scenario
     (no action / time-based full restarts / proactive micro-reboots), plus
@@ -32,10 +27,6 @@ Coverage, mirroring the hottest layers of the reproduction stack:
     query) on a large synthetic item/author population: compiled plan with
     tuple rows and heap top-k vs. the seed's merged-wrapper-dict join with
     full sort, re-measured live.
-``timeseries_store``
-    Monitoring series intake and analysis access: the numpy-backed
-    ``TimeSeries`` (preallocated doubling buffers, O(1) prefix views) vs.
-    the list-backed store (arrays rebuilt per post-append access).
 ``adaptive_e2e``
     End-to-end wall-clock of the adaptive rejuvenation & SLA comparison
     (four policies x three leak workloads), plus its headline verdict
@@ -49,11 +40,22 @@ Coverage, mirroring the hottest layers of the reproduction stack:
     simultaneous vs. no-action rejuvenation at four shards behind the load
     balancer), plus its headline verdicts (per-mode SLA cost, rolling
     minimum capacity, whether rolling wins).
+``obs_overhead``
+    Cost of the observability plane as a share of the Fig. 3 e2e run.
+``group_by``
+    The planner's GROUP BY aggregates (the ``best_sellers`` statement and a
+    fact-table scan) vs. the seed executor, re-measured live.
+``hybrid_e2e``
+    Discrete-event reduction of the hybrid engine on the scale scenario.
+
+The live A/B benches (``request_path``, ``join_topk``, ``group_by``) time
+both sides back to back in each round and report the median of the
+per-round ratios (:func:`~repro.perf.timer.measure_rates_interleaved`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.perf.baseline import RECORDED_ON, recorded_e2e_seconds
 from repro.perf.registry import BenchOptions, BenchResult, microbench
@@ -223,77 +225,6 @@ def bench_woven_dispatch(options: BenchOptions) -> BenchResult:
 
 
 # --------------------------------------------------------------------------- #
-# Snapshot sizing
-# --------------------------------------------------------------------------- #
-def _build_component_heap(components: int, children: int):
-    from repro.jvm.heap import Heap
-
-    heap = Heap()
-    roots: Dict[str, List[object]] = {}
-    for index in range(components):
-        root = heap.allocate(f"org.tpcw.Component{index}", 128, root=True)
-        for child_index in range(children):
-            child = heap.allocate("java.util.HashMap$Node", 64)
-            root.add_reference(child)
-        roots[f"component{index}"] = [root]
-    return heap, roots
-
-
-@microbench("snapshot_sizing")
-def bench_snapshot_sizing(options: BenchOptions) -> BenchResult:
-    """Cached component sizing vs. the seed's full reference-graph re-walk.
-
-    Every tenth sample mutates one component's root (the leak-injection
-    pattern), so the cache's dirty-flag revalidation is part of the measured
-    path rather than an unrealistic 100 % hit rate.  Each timed run builds
-    its own fresh heap: sharing one would let earlier runs' leaked children
-    inflate later runs' walk cost and bias the comparison (the shared setup
-    cost slightly *understates* the cache win, which is the safe direction).
-    """
-    components, children = (4, 100) if options.tiny else (10, 500)
-    samples = 2_000 if options.tiny else 10_000
-
-    from repro.core.sizing import ComponentSizeCache, retained_component_size
-
-    def run_cached() -> int:
-        heap, roots = _build_component_heap(components, children)
-        names = sorted(roots)
-        cache = ComponentSizeCache(heap=heap)
-        leak_root = roots[names[0]][0]
-        for index in range(samples):
-            if index % 10 == 9:
-                leak_root.add_reference(heap.allocate("byte[]", 1024))  # type: ignore[attr-defined]
-            cache.component_size(names[index % components], roots[names[index % components]])
-        return samples
-
-    def run_uncached() -> int:
-        heap, roots = _build_component_heap(components, children)
-        names = sorted(roots)
-        leak_root = roots[names[0]][0]
-        for index in range(samples):
-            if index % 10 == 9:
-                leak_root.add_reference(heap.allocate("byte[]", 1024))  # type: ignore[attr-defined]
-            retained_component_size(roots[names[index % components]], heap=heap)
-        return samples
-
-    cached = float(measure_rate(run_cached)["best_ops_per_second"])  # type: ignore[arg-type]
-    uncached = float(measure_rate(run_uncached)["best_ops_per_second"])  # type: ignore[arg-type]
-    return BenchResult(
-        name="snapshot_sizing",
-        metrics={
-            "samples_per_second_cached": cached,
-            "samples_per_second_uncached": uncached,
-            "components": components,
-            "children_per_component": children,
-            "samples": samples,
-        },
-        speedup_vs_seed=cached / uncached,
-        target_speedup=None,
-        config={"tiny": options.tiny},
-    )
-
-
-# --------------------------------------------------------------------------- #
 # End-to-end experiments
 # --------------------------------------------------------------------------- #
 def _e2e_config(options: BenchOptions) -> Dict[str, object]:
@@ -354,62 +285,6 @@ def bench_fig3_e2e(options: BenchOptions) -> BenchResult:
         }
 
     return _run_e2e("fig3_e2e", runner, options)
-
-
-# --------------------------------------------------------------------------- #
-# Manager sample intake
-# --------------------------------------------------------------------------- #
-@microbench("manager_intake")
-def bench_manager_intake(options: BenchOptions) -> BenchResult:
-    """Buffered manager intake vs. the seed's per-sample fold (live A/B)."""
-    from repro.core.manager_agent import ManagerAgent
-    from repro.core.resource_map import ComponentSample
-    from repro.jmx.mbean_server import MBeanServer
-
-    count = 10_000 if options.tiny else 50_000
-    samples = [
-        ComponentSample(
-            component=f"c{index % 14}",
-            timestamp=float(index),
-            deltas={"object_size": 1.0},
-            values={"object_size": float(index), "heap_used": 1e6, "heap_free": 2e6},
-        )
-        for index in range(count)
-    ]
-
-    class _SeedIntakeManager(ManagerAgent):
-        """The pre-batching intake: fold + alert check per sample."""
-
-        def record_sample(self, sample):  # type: ignore[override]
-            if sample.component not in self._known_components:
-                self._known_components.append(sample.component)
-            self._map.add_sample(sample)
-            self._check_alert(sample.component)
-
-    def run_with(manager_class) -> Callable[[], int]:
-        def run() -> int:
-            manager = manager_class(MBeanServer())
-            record = manager.record_sample
-            for sample in samples:
-                record(sample)
-            manager._flush_samples()
-            return count
-
-        return run
-
-    current = float(measure_rate(run_with(ManagerAgent))["best_ops_per_second"])  # type: ignore[arg-type]
-    seed = float(measure_rate(run_with(_SeedIntakeManager))["best_ops_per_second"])  # type: ignore[arg-type]
-    return BenchResult(
-        name="manager_intake",
-        metrics={
-            "samples_per_second_batched": current,
-            "samples_per_second_seed": seed,
-            "samples": count,
-        },
-        speedup_vs_seed=current / seed,
-        target_speedup=None,
-        config={"tiny": options.tiny},
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -482,19 +357,16 @@ def bench_request_path(options: BenchOptions) -> BenchResult:
         return run
 
     seed_database = make_seed_row_database_class()("tpcw")
-    rates = measure_rates_interleaved(
-        {"current": make_runner(), "seed": make_runner(database=seed_database)}
-    )
-    current, seed = rates["current"], rates["seed"]
+    rates = measure_rates_interleaved(make_runner(), make_runner(database=seed_database))
     return BenchResult(
         name="request_path",
         metrics={
-            "requests_per_second": current,
-            "seed_requests_per_second": seed,
+            "requests_per_second": rates["current"],
+            "seed_requests_per_second": rates["seed"],
             "requests": requests,
             "interactions": interactions,
         },
-        speedup_vs_seed=current / seed,
+        speedup_vs_seed=rates["speedup"],
         # Cumulative SQL row-handling gain over the seed (ISSUE 4); only
         # asserted at full scale — tiny runs are CI smoke on noisy runners.
         target_speedup=None if options.tiny else REQUEST_PATH_TARGET,
@@ -580,7 +452,7 @@ def bench_join_topk(options: BenchOptions) -> BenchResult:
     from repro.tpcw.servlets.new_products import NEW_PRODUCTS_SQL
 
     items, authors, subjects = (4_000, 100, 10) if options.tiny else (20_000, 400, 10)
-    queries = 20 if options.tiny else 60
+    queries = 50 if options.tiny else 60
     # The literal servlet statement: the bench measures what production runs.
     sql = NEW_PRODUCTS_SQL
     touch_sql = "UPDATE item SET i_pub_date = ? WHERE i_id = ?"
@@ -598,85 +470,20 @@ def bench_join_topk(options: BenchOptions) -> BenchResult:
     seed_db = _build_join_topk_database(
         make_seed_row_database_class(), items, authors, subjects
     )
-    rates = measure_rates_interleaved(
-        {"current": make_runner(current_db), "seed": make_runner(seed_db)}
-    )
-    current, seed = rates["current"], rates["seed"]
+    rates = measure_rates_interleaved(make_runner(current_db), make_runner(seed_db))
     return BenchResult(
         name="join_topk",
         metrics={
-            "queries_per_second": current,
-            "seed_queries_per_second": seed,
+            "queries_per_second": rates["current"],
+            "seed_queries_per_second": rates["seed"],
             "items": items,
             "rows_per_probe": items // subjects,
             "limit": 50,
         },
-        speedup_vs_seed=current / seed,
+        speedup_vs_seed=rates["speedup"],
         # Asserted at full scale only; tiny runs are CI smoke on noisy
         # runners (the compare gate still bounds their drift).
         target_speedup=None if options.tiny else JOIN_TOPK_TARGET,
-        config={"tiny": options.tiny},
-    )
-
-
-# --------------------------------------------------------------------------- #
-# TimeSeries backing store
-# --------------------------------------------------------------------------- #
-@microbench("timeseries_store")
-def bench_timeseries_store(options: BenchOptions) -> BenchResult:
-    """Numpy-backed ``TimeSeries`` vs. the list-backed store (live A/B).
-
-    The workload is the monitoring pattern of a long rejuvenation run:
-    bulk ``record_many`` flushes from the manager's buffered intake,
-    interleaved single appends (snapshot pollers), and periodic analysis
-    reads (``times``/``values`` arrays, trend-style ``window``,
-    ``value_at``) that the list store pays an O(n) rebuild for.
-    """
-    from repro.perf.seed_reference import SeedTimeSeries
-    from repro.sim.metrics import TimeSeries
-
-    batches = 150 if options.tiny else 600
-    batch_size = 64
-    # Pre-built batches so both sides time storage, not list construction.
-    prepared = []
-    t = 0.0
-    for _ in range(batches):
-        stamps = [t + 0.25 * i for i in range(batch_size)]
-        prepared.append((stamps, [float(i % 32) for i in range(batch_size)]))
-        t = stamps[-1] + 1.0
-
-    def make_runner(series_class) -> Callable[[], int]:
-        def run() -> int:
-            series = series_class("bench")
-            count = 0
-            for index, (stamps, values) in enumerate(prepared):
-                series.record_many(stamps, values)
-                series.record(stamps[-1] + 0.5, 1.0)
-                count += batch_size + 1
-                if index % 4 == 3:
-                    # Analysis-style reads between appends.
-                    _ = series.times
-                    _ = series.values
-                    series.window(0.0, stamps[-1])
-                    series.value_at(stamps[0])
-            return count
-
-        return run
-
-    rates = measure_rates_interleaved(
-        {"current": make_runner(TimeSeries), "seed": make_runner(SeedTimeSeries)}
-    )
-    current, seed = rates["current"], rates["seed"]
-    return BenchResult(
-        name="timeseries_store",
-        metrics={
-            "samples_per_second": current,
-            "seed_samples_per_second": seed,
-            "batches": batches,
-            "batch_size": batch_size,
-        },
-        speedup_vs_seed=current / seed,
-        target_speedup=None,
         config={"tiny": options.tiny},
     )
 
@@ -954,7 +761,7 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
     items, authors, subjects, lines = (
         (2_000, 100, 10, 8_000) if options.tiny else (10_000, 400, 10, 40_000)
     )
-    queries = 20 if options.tiny else 60
+    queries = 5
     append_sql = "INSERT INTO order_line (ol_id, ol_i_id, ol_qty) VALUES (?, ?, ?)"
 
     def make_runner(database) -> Callable[[], int]:
@@ -979,20 +786,17 @@ def bench_group_by(options: BenchOptions) -> BenchResult:
     seed_db = _build_group_by_database(
         make_seed_row_database_class(), items, authors, subjects, lines
     )
-    rates = measure_rates_interleaved(
-        {"current": make_runner(current_db), "seed": make_runner(seed_db)}
-    )
-    current, seed = rates["current"], rates["seed"]
+    rates = measure_rates_interleaved(make_runner(current_db), make_runner(seed_db))
     return BenchResult(
         name="group_by",
         metrics={
-            "queries_per_second": current,
-            "seed_queries_per_second": seed,
+            "queries_per_second": rates["current"],
+            "seed_queries_per_second": rates["seed"],
             "groups_per_probe": items // subjects,
             "order_lines": lines,
             "queries": 2 * queries,
         },
-        speedup_vs_seed=current / seed,
+        speedup_vs_seed=rates["speedup"],
         target_speedup=GROUP_BY_TARGET,
         config={"tiny": options.tiny},
     )

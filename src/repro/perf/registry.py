@@ -9,6 +9,7 @@ bench``) runs them through :func:`run_benches` and persists the results with
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
@@ -28,12 +29,30 @@ class BenchOptions:
 
     @classmethod
     def from_environment(cls) -> "BenchOptions":
-        """Resolve options from ``REPRO_BENCH_*`` variables."""
-        return cls(
-            seed=int(os.environ.get("REPRO_BENCH_SEED", "42")),
-            duration_scale=float(os.environ.get("REPRO_BENCH_DURATION_SCALE", "0.05")),
-            tiny=os.environ.get("REPRO_BENCH_TINY", "0") == "1",
-        )
+        """Resolve options from ``REPRO_BENCH_*`` variables.
+
+        Raises ``ValueError``, naming the variable, for a seed that is not an
+        integer, a duration scale that is not positive and finite, or a
+        ``REPRO_BENCH_TINY`` other than ``0`` or ``1``.
+        """
+        seed = os.environ.get("REPRO_BENCH_SEED", "42")
+        scale = os.environ.get("REPRO_BENCH_DURATION_SCALE", "0.05")
+        tiny = os.environ.get("REPRO_BENCH_TINY", "0")
+        try:
+            seed_value = int(seed)
+        except ValueError:
+            raise ValueError(f"REPRO_BENCH_SEED must be an integer, got {seed!r}") from None
+        try:
+            scale_value = float(scale)
+        except ValueError:
+            scale_value = math.nan
+        if not 0 < scale_value < math.inf:
+            raise ValueError(
+                f"REPRO_BENCH_DURATION_SCALE must be a positive number, got {scale!r}"
+            )
+        if tiny not in ("0", "1"):
+            raise ValueError(f"REPRO_BENCH_TINY must be 0 or 1, got {tiny!r}")
+        return cls(seed=seed_value, duration_scale=scale_value, tiny=tiny == "1")
 
 
 @dataclass

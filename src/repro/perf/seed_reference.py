@@ -301,105 +301,6 @@ def _seed_wrap_around(
 
 
 # --------------------------------------------------------------------------- #
-# Seed TimeSeries (parallel Python lists, arrays rebuilt per post-append access)
-# --------------------------------------------------------------------------- #
-class SeedTimeSeries:
-    """The pre-PR 4 list-backed ``TimeSeries``, preserved for live A/B timing.
-
-    Parallel Python lists of boxed floats; the cached numpy arrays are
-    invalidated by every append and rebuilt O(n) from the lists on the next
-    ``times``/``values`` access — the conversion cost the numpy-backed store
-    (growable preallocated buffers + O(1) prefix views) removed.
-    """
-
-    __slots__ = ("name", "_times", "_values", "_times_arr", "_values_arr")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-        self._times_arr = None
-        self._values_arr = None
-
-    def record(self, timestamp: float, value: float) -> None:
-        if self._times and timestamp < self._times[-1]:
-            raise ValueError(
-                f"timestamps must be non-decreasing: got {timestamp} after {self._times[-1]}"
-            )
-        self._times.append(float(timestamp))
-        self._values.append(float(value))
-        self._times_arr = None
-        self._values_arr = None
-
-    def record_many(self, timestamps: List[float], values: List[float]) -> None:
-        if not timestamps:
-            return
-        if len(timestamps) != len(values):
-            raise ValueError(
-                f"timestamps and values must have equal length "
-                f"({len(timestamps)} vs {len(values)})"
-            )
-        batch_times = [float(t) for t in timestamps]
-        if self._times and batch_times[0] < self._times[-1]:
-            raise ValueError(
-                f"timestamps must be non-decreasing: got {batch_times[0]} "
-                f"after {self._times[-1]}"
-            )
-        if sorted(batch_times) != batch_times:
-            raise ValueError("timestamps must be non-decreasing within the batch")
-        self._times.extend(batch_times)
-        self._values.extend(float(v) for v in values)
-        self._times_arr = None
-        self._values_arr = None
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self):
-        import numpy as np
-
-        arr = self._times_arr
-        if arr is None:
-            arr = self._times_arr = np.asarray(self._times, dtype=float)
-        return arr
-
-    @property
-    def values(self):
-        import numpy as np
-
-        arr = self._values_arr
-        if arr is None:
-            arr = self._values_arr = np.asarray(self._values, dtype=float)
-        return arr
-
-    def value_at(self, timestamp: float) -> float:
-        import numpy as np
-
-        if not self._times:
-            raise ValueError(f"time series {self.name!r} is empty")
-        idx = int(np.searchsorted(self.times, timestamp, side="right")) - 1
-        if idx < 0:
-            return self._values[0]
-        return self._values[idx]
-
-    def window(self, start: float, end: float) -> "SeedTimeSeries":
-        import numpy as np
-
-        if end < start:
-            raise ValueError(f"invalid window [{start}, {end}]")
-        out = SeedTimeSeries(self.name)
-        if not self._times:
-            return out
-        times = self.times
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="right"))
-        out._times = self._times[lo:hi]
-        out._values = self._values[lo:hi]
-        return out
-
-
-# --------------------------------------------------------------------------- #
 # Seed SELECT row handling (wrapper dicts + per-row column resolution)
 # --------------------------------------------------------------------------- #
 def make_seed_row_database_class():

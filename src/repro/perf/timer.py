@@ -4,11 +4,13 @@ Wall-clock measurement on a laptop/CI box is noisy; the helpers here follow
 the standard microbenchmark playbook: warm up once, repeat the measurement a
 few times, and report the *best* observation (the run least disturbed by the
 OS scheduler / allocator), plus the raw repeats so the JSON artifact keeps
-the evidence.
+the evidence.  A live A/B (:func:`measure_rates_interleaved`) reports the
+median of its per-round ratios instead.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Callable, Dict, List
 
@@ -51,33 +53,39 @@ def measure_seconds(
 
 
 def measure_rates_interleaved(
-    fns: Dict[str, Callable[[], int]], repeats: int = 3, warmup: bool = True
+    current: Callable[[], int],
+    seed: Callable[[], int],
+    rounds: int = 21,
+    warmup: bool = True,
 ) -> Dict[str, float]:
-    """Best ops/second for several runners, measured **interleaved**.
+    """Live A/B of ``current`` against ``seed``: each side's rate and the speedup.
 
-    Live A/B benchmarks that time one side to completion and then the other
-    are exposed to slow machine drift (thermal/cgroup throttling, a noisy
-    neighbour starting mid-run) landing entirely on one side.  Interleaving
-    the repeats round-robin places both sides in every drift window, so the
-    best-of-N ratio stays honest on noisy single-core runners.
+    Each round times ``current`` and then ``seed`` back to back, so both
+    sides of a round share its slice of machine drift (thermal or cgroup
+    throttling, a noisy neighbour starting mid-run).  The speedup is the
+    median of the per-round ratios: the ratio of two best-of-N rates picks
+    an outlier on each side, and moved by more than 10 % between runs on a
+    2-vCPU host.  Each side's best rate (operations per second) is kept for
+    information.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     if warmup:
-        for fn in fns.values():
-            fn()
-    best: Dict[str, float] = {name: 0.0 for name in fns}
-    for _ in range(repeats):
-        for name, fn in fns.items():
+        current()
+        seed()
+    best = {"current": 0.0, "seed": 0.0}
+    ratios: List[float] = []
+    for _ in range(rounds):
+        rates: Dict[str, float] = {}
+        for name, fn in (("current", current), ("seed", seed)):
             with BenchTimer() as timer:
                 count = fn()
-            if timer.seconds > 0 and count > 0:
-                rate = count / timer.seconds
-                if rate > best[name]:
-                    best[name] = rate
-    if any(rate <= 0 for rate in best.values()):
-        raise RuntimeError("benchmark produced no measurable work")
-    return best
+            if timer.seconds <= 0 or count <= 0:
+                raise RuntimeError("benchmark produced no measurable work")
+            rates[name] = count / timer.seconds
+            best[name] = max(best[name], rates[name])
+        ratios.append(rates["current"] / rates["seed"])
+    return dict(best, speedup=statistics.median(ratios))
 
 
 def measure_rate(

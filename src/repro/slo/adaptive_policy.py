@@ -122,7 +122,6 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
         #: Per-resource snapshot of the predictor stats at the last
         #: cross-run recording (see :meth:`take_unrecorded_stats`).
         self._recorded_stats: Dict[str, PredictionErrorStats] = {}
-        self.adaptations = 0
         #: Whether a previous run's calibration seeded the horizons.
         self.warm_started = False
         if warm_start is not None:
@@ -295,5 +294,4 @@ class AdaptiveRejuvenationPolicy(RejuvenationPolicy):
             # where the adaptive policy saves recycles a fixed horizon pays.
             horizon /= 1.0 + self.gain
         self._horizons[resource] = min(self.max_horizon, max(self.min_horizon, horizon))
-        self.adaptations += 1
 

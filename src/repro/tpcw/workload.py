@@ -121,9 +121,7 @@ class EmulatedBrowser:
             return
 
         interaction = self.current_interaction
-        request = HttpServletRequest(
-            generator._uris[interaction], "GET", None, self.session_id, self.browser_id
-        )
+        request = HttpServletRequest(generator._uris[interaction], "GET", None, self.session_id)
         outcome = generator._handle(request, now)
         self.requests_issued += 1
         generator.issued_requests += 1

@@ -195,6 +195,18 @@ class TestBenchCompareCli:
         assert "c[tiny]" not in summary[0]
 
 
+class TestBenchEnvironmentCli:
+    def test_bad_environment_value_exits_2_with_one_line(self, monkeypatch, capsys):
+        # Used to end in a traceback from int("abc").
+        monkeypatch.setenv("REPRO_BENCH_SEED", "abc")
+        assert main(["bench", "--only", "event_loop", "--tiny"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and "REPRO_BENCH_SEED" in error_lines[0]
+
+
 class TestScenarioRegistry:
     def test_every_registered_scenario_gets_a_subparser(self):
         from repro.cli import SCENARIO_COMMANDS

@@ -22,7 +22,12 @@ from repro.experiments.cluster import BALANCER_POLICIES, FLEET_REJUVENATION_MODE
 from repro.experiments.deploy import ComponentVersion, RolloutPlan
 from repro.experiments.reporting import accounting_sanity_check
 from repro.experiments.runner import SIMULATION_MODES, ExperimentConfig, run_experiment
-from repro.experiments.scenarios import Comparison, client_observation, fig_learning
+from repro.experiments.scenarios import (
+    Comparison,
+    client_observation,
+    fig4_single_leak,
+    fig_learning,
+)
 from repro.faults.injector import FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.tpcw.population import PopulationScale
@@ -62,6 +67,14 @@ LATE_FAILURES = {
         dict(monitored=False, shards=2, rollout=_rollout("canary", 2)), "ruled stage"
     ),
     "zero-snapshot-interval": (dict(snapshot_interval=0.0), "snapshot_interval"),
+    # Used to pass: NaN fails no `<= 0` check, and a run whose end time is
+    # NaN never stops (`time > nan` is never true).
+    "nan-duration": (dict(duration=float("nan")), "duration must be positive"),
+    "inf-duration": (dict(duration=float("inf")), "duration must be positive"),
+    "nan-snapshot-interval": (
+        dict(snapshot_interval=float("nan")), "snapshot_interval must be positive"
+    ),
+    "nan-think-time": (dict(think_time_mean=float("nan")), "think_time_mean must be positive"),
     "fault-on-unknown-component": (
         dict(faults=[FaultSpec("nosuch", "memory-leak")]), "unknown component 'nosuch'"
     ),
@@ -141,6 +154,14 @@ def test_bad_config_fails_in_validate_before_anything_is_built(case, monkeypatch
             caption="c",
             columns=("mode",),
         )
+
+
+@pytest.mark.parametrize("duration_scale", [float("nan"), float("inf")])
+def test_scenario_builder_refuses_a_non_finite_duration_scale(duration_scale):
+    # Used to build a config with duration=nan, which validated and then ran
+    # without end.
+    with pytest.raises(ValueError, match="duration_scale must be positive"):
+        fig4_single_leak(duration_scale=duration_scale, scale=TINY)
 
 
 def test_pool_refuses_configs_a_run_writes_back_into(tmp_path):

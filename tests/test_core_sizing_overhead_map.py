@@ -83,7 +83,7 @@ class TestResourceComponentMap:
     def test_samples_accumulate_usage_and_consumption(self):
         resource_map = ResourceComponentMap()
         for index in range(10):
-            resource_map.add_sample(self._sample("home", float(index), 1000.0 + 100 * index))
+            resource_map.add_samples([self._sample("home", float(index), 1000.0 + 100 * index)])
         stats = resource_map.stats("home")
         assert stats.invocations == 10
         assert resource_map.consumption("home") == pytest.approx(900.0)
@@ -100,7 +100,7 @@ class TestResourceComponentMap:
     def test_consumption_falls_back_to_positive_deltas(self):
         resource_map = ResourceComponentMap()
         sample = ComponentSample("cart", 1.0, deltas={"heap_used": 300.0}, values={})
-        resource_map.add_sample(sample)
+        resource_map.add_samples([sample])
         assert resource_map.consumption("cart", "heap_used") == pytest.approx(300.0)
 
     def test_quadrants_classification(self):
@@ -108,11 +108,11 @@ class TestResourceComponentMap:
         # A: high usage + high consumption, B: high usage only,
         # C: low usage + high consumption, D: neither.
         for index in range(20):
-            resource_map.add_sample(self._sample("A", float(index), 1000.0 * index))
-            resource_map.add_sample(self._sample("B", float(index), 100.0))
-        resource_map.add_sample(self._sample("C", 0.0, 0.0))
-        resource_map.add_sample(self._sample("C", 19.0, 30000.0))
-        resource_map.add_sample(self._sample("D", 10.0, 10.0))
+            resource_map.add_samples([self._sample("A", float(index), 1000.0 * index)])
+            resource_map.add_samples([self._sample("B", float(index), 100.0)])
+        resource_map.add_samples([self._sample("C", 0.0, 0.0)])
+        resource_map.add_samples([self._sample("C", 19.0, 30000.0)])
+        resource_map.add_samples([self._sample("D", 10.0, 10.0)])
         quadrants = resource_map.quadrants()
         assert "most suspicious" in quadrants["A"]
         assert quadrants["B"] == "high-usage / low-consumption"
@@ -128,7 +128,7 @@ class TestResourceComponentMap:
 
     def test_to_rows_contains_expected_columns(self):
         resource_map = ResourceComponentMap()
-        resource_map.add_sample(self._sample("home", 0.0, 10.0))
+        resource_map.add_samples([self._sample("home", 0.0, 10.0)])
         rows = resource_map.to_rows()
         assert rows[0]["component"] == "home"
         assert {"invocations", "usage_per_second", "object_size_consumed", "quadrant"} <= set(rows[0])
@@ -164,10 +164,94 @@ def test_property_map_invocations_match_sample_counts(samples):
     resource_map = ResourceComponentMap()
     expected = {}
     for index, (component, size) in enumerate(samples):
-        resource_map.add_sample(
-            ComponentSample(component, float(index), values={"object_size": size})
+        resource_map.add_samples(
+            [ComponentSample(component, float(index), values={"object_size": size})]
         )
         expected[component] = expected.get(component, 0) + 1
     for component, count in expected.items():
         assert resource_map.stats(component).invocations == count
     assert resource_map.sample_count == len(samples)
+
+
+@st.composite
+def _sample_runs(draw):
+    """Samples over 2-4 components, each carrying a random subset of a 2-3
+    name pool of delta metrics and of value metrics, plus consecutive batch
+    cut points.  Values are integer-valued floats, so every sum is exact in
+    any order; timestamps never decrease, ties included."""
+    components = draw(st.lists(st.sampled_from("ABCD"), min_size=2, max_size=4, unique=True))
+    delta_pool = draw(
+        st.lists(
+            st.sampled_from(["object_size", "threads", "connections"]),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    value_pool = draw(
+        st.lists(
+            st.sampled_from(["object_size", "heap_used", "heap_free"]),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    numbers = st.integers(min_value=-1_000, max_value=1_000).map(float)
+    samples = []
+    timestamp = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        timestamp += draw(st.integers(min_value=0, max_value=3))
+        deltas = draw(st.lists(st.sampled_from(delta_pool), unique=True))
+        values = draw(st.lists(st.sampled_from(value_pool), unique=True))
+        samples.append(
+            ComponentSample(
+                draw(st.sampled_from(components)),
+                timestamp,
+                deltas={metric: draw(numbers) for metric in deltas},
+                values={metric: draw(numbers) for metric in values},
+            )
+        )
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=max(1, len(samples) - 1)))))
+    return samples, cuts
+
+
+def _map_state(resource_map):
+    components = resource_map.components()
+    state = {
+        "components": components,
+        "sample_count": resource_map.sample_count,
+        "window": resource_map.observation_window(),
+    }
+    for name in components:
+        stats = resource_map.stats(name)
+        state[name] = (
+            stats.invocations,
+            dict(stats.cumulative_deltas),
+            dict(stats.first_values),
+            dict(stats.last_values),
+            {
+                metric: (list(series.times), list(series.values))
+                for metric, series in stats.series.items()
+            },
+        )
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sample_runs())
+def test_property_fold_is_the_same_in_any_consecutive_batches(run):
+    """One batch, one sample at a time, and random consecutive batches fold
+    to the same map, also when the samples of one batch carry different
+    delta and value metrics (the fold's per-metric fallbacks)."""
+    samples, cuts = run
+    whole = ResourceComponentMap()
+    whole.add_samples(samples)
+    single = ResourceComponentMap()
+    for sample in samples:
+        single.add_samples([sample])
+    batched = ResourceComponentMap()
+    bounds = [0, *cuts, len(samples)]
+    for start, end in zip(bounds, bounds[1:]):
+        batched.add_samples(samples[start:end])
+    assert _map_state(whole) == _map_state(single) == _map_state(batched)
+    assert whole.sample_count == len(samples)

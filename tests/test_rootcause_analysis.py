@@ -26,12 +26,14 @@ def _map_with_components(growths: dict, points: int = 30, noise: float = 0.0, se
             value = 2048.0 + total_growth * index / (points - 1)
             if noise:
                 value += rng.normal(0.0, noise)
-            resource_map.add_sample(
-                ComponentSample(
-                    component,
-                    timestamp=float(index * 60),
-                    values={"object_size": value},
-                )
+            resource_map.add_samples(
+                [
+                    ComponentSample(
+                        component,
+                        timestamp=float(index * 60),
+                        values={"object_size": value},
+                    )
+                ]
             )
     return resource_map
 
@@ -104,8 +106,8 @@ class TestStrategies:
         resource_map = ResourceComponentMap()
         for component, invocations in [("busy", 50), ("quiet", 5)]:
             for index in range(invocations):
-                resource_map.add_sample(
-                    ComponentSample(component, float(index), values={"object_size": 1000.0})
+                resource_map.add_samples(
+                    [ComponentSample(component, float(index), values={"object_size": 1000.0})]
                 )
         report = PaperMapStrategy().analyze(resource_map)
         assert report.ranking()[0] == "busy"
