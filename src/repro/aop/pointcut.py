@@ -45,6 +45,10 @@ class PointcutSyntaxError(ValueError):
 # --------------------------------------------------------------------------- #
 # Pattern compilation
 # --------------------------------------------------------------------------- #
+# Both compilers are cached per pattern string, as :func:`parse_pointcut` is:
+# every deployment's Aspect Components build their pointcuts from the same
+# patterns as the last deployment's, and a compiled regex is immutable.
+@functools.lru_cache(maxsize=512)
 def _compile_type_pattern(pattern: str) -> "re.Pattern[str]":
     """Compile a type pattern (``*`` stays within a segment, ``..`` crosses)."""
     if not pattern:
@@ -70,6 +74,7 @@ def _compile_type_pattern(pattern: str) -> "re.Pattern[str]":
     return re.compile("^" + "".join(out) + "$")
 
 
+@functools.lru_cache(maxsize=512)
 def _compile_method_pattern(pattern: str) -> "re.Pattern[str]":
     """Compile a method-name pattern (only ``*`` wildcards)."""
     if not pattern:

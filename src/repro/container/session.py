@@ -117,7 +117,6 @@ class SessionManager:
             "org.apache.catalina.session.StandardSession",
             shallow_size=128 + sizeof_string(session_id),
             owner=self.COMPONENT_NAME,
-            timestamp=timestamp,
             root=True,
         )
         self._session_objects[session_id] = backing
@@ -144,7 +143,6 @@ class SessionManager:
             "java.util.HashMap$Entry",
             shallow_size=size,
             owner=self.COMPONENT_NAME,
-            timestamp=session.last_accessed,
         )
         backing.set_field(name, attribute_object)
 

@@ -35,7 +35,7 @@ class WorkerThreadPool:
         self.max_threads = int(max_threads)
         self._resource = CapacityResource(max_threads, name="worker-threads", max_queue=max_queue)
         self._threads = [
-            runtime.threads.spawn(f"http-worker-{index}", owner=self.COMPONENT_NAME, daemon=True)
+            runtime.threads.spawn(f"http-worker-{index}", owner=self.COMPONENT_NAME)
             for index in range(max_threads)
         ]
 

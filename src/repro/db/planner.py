@@ -103,9 +103,11 @@ the planner equivalence suite, with writes between executions included.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import re
 from itertools import islice
+from types import CodeType
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.engine import SqlExecutionError, like_matcher
@@ -126,6 +128,17 @@ _KEYABLE = frozenset((int, str, type(None)))
 #: values per listing statement; an overflow means ad-hoc churn, so the
 #: memo starts over (like the database's plan cache).
 _MEMO_LIMIT = 256
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan_code(source: str, mode: str) -> CodeType:
+    """The code object of one generated plan function (cached per source).
+
+    Plans over one schema generate the same sources in every database, as
+    :func:`~repro.db.sql.parse_sql` sees the same SQL strings; each database
+    still runs the shared code in its own namespace.
+    """
+    return compile(source, "<plan>", mode)
 
 
 class _JoinStep:
@@ -219,7 +232,7 @@ class CompiledSelect:
 
     @staticmethod
     def _make_fn(source: str, namespace: Optional[Dict[str, Any]] = None) -> Callable:
-        return eval(source, namespace if namespace is not None else {})
+        return eval(_plan_code(source, "eval"), namespace if namespace is not None else {})
 
     def _compile(self, database, statement: SelectStatement) -> None:
         base_table = database.table(statement.table)
@@ -1016,7 +1029,7 @@ class CompiledSelect:
         if len(fold_lines) == 1:
             fold_lines.append("    pass")
         namespace: Dict[str, Any] = {}
-        exec("\n".join(new_lines + fold_lines), namespace)
+        exec(_plan_code("\n".join(new_lines + fold_lines), "exec"), namespace)
         return namespace["_new_state"], namespace["_fold"]
 
     def _empty_group_state(self) -> List[Any]:

@@ -484,7 +484,10 @@ class _SqlParser:
         self._expect_punct("(")
         columns: List[str] = []
         while True:
-            columns.append(self._expect_ident())
+            column = self._expect_ident()
+            if column in columns:
+                raise SqlSyntaxError(f"column {column!r} specified twice in {self.sql!r}")
+            columns.append(column)
             if not self._match_punct(","):
                 break
         self._expect_punct(")")

@@ -34,6 +34,19 @@ class ColumnType(enum.Enum):
         return False  # pragma: no cover - exhaustive enum
 
 
+#: Per column type, the exact classes whose every value :meth:`ColumnType.validate`
+#: accepts.  A row check takes a value of one of them without the call; any
+#: other value (``True`` in a numeric column, ``numpy.float64``, an
+#: ``IntEnum``) still goes through ``validate``.
+_EXACT_CLASSES: Dict[ColumnType, Tuple[type, ...]] = {
+    ColumnType.INTEGER: (int,),
+    ColumnType.FLOAT: (int, float),
+    ColumnType.VARCHAR: (str,),
+    ColumnType.DATE: (int, float),
+    ColumnType.BOOLEAN: (bool,),
+}
+
+
 @dataclass(frozen=True)
 class Column:
     """A table column definition."""
@@ -98,6 +111,12 @@ class Table:
         self.name = name
         self.columns = list(columns)
         self._columns_by_name = {c.name: c for c in columns}
+        #: One entry per column, in declaration order, for :meth:`_validate_row`:
+        #: ``(name, refuses NULL, exact classes, type)``.
+        self._row_checks = tuple(
+            (c.name, not c.nullable and not c.primary_key, _EXACT_CLASSES[c.type], c.type)
+            for c in columns
+        )
         self.primary_key: Optional[str] = primary[0].name if primary else None
         self._rows: Dict[int, Dict[str, Any]] = {}
         self._next_row_id = 1
@@ -187,20 +206,20 @@ class Table:
     # ------------------------------------------------------------------ #
     def _validate_row(self, values: Dict[str, Any]) -> Dict[str, Any]:
         row: Dict[str, Any] = {}
-        for column in self.columns:
-            value = values.get(column.name)
-            if value is None and not column.nullable and not column.primary_key:
-                raise ValueError(
-                    f"column {column.name!r} of table {self.name!r} is not nullable"
-                )
-            if not column.type.validate(value):
+        get = values.get
+        for name, refuses_null, exact, column_type in self._row_checks:
+            value = get(name)
+            if value is None:
+                if refuses_null:
+                    raise ValueError(f"column {name!r} of table {self.name!r} is not nullable")
+            elif type(value) not in exact and not column_type.validate(value):
                 raise TypeError(
-                    f"value {value!r} is not valid for column {column.name!r} "
-                    f"({column.type.value}) of table {self.name!r}"
+                    f"value {value!r} is not valid for column {name!r} "
+                    f"({column_type.value}) of table {self.name!r}"
                 )
-            row[column.name] = value
-        unknown = set(values) - set(self._columns_by_name)
-        if unknown:
+            row[name] = value
+        if not values.keys() <= self._columns_by_name.keys():
+            unknown = set(values) - set(self._columns_by_name)
             raise KeyError(f"unknown columns {sorted(unknown)} for table {self.name!r}")
         return row
 

@@ -126,7 +126,6 @@ class CorrelatedCascadeFault(TriggeredFault):
             f"{servlet.java_class_name}$SharedCachePressure",
             shallow_size=self.leak_bytes,
             owner=servlet.component_name,
-            timestamp=getattr(request, "arrival_time", 0.0),
         )
         servlet.retain_in_component_state(leak_object)
         self.leaked_bytes_total += self.leak_bytes

@@ -46,7 +46,6 @@ class MemoryLeakFault(TriggeredFault):
             f"{servlet.java_class_name}$LeakedBuffer",
             shallow_size=self.leak_bytes,
             owner=servlet.component_name,
-            timestamp=getattr(request, "arrival_time", 0.0),
         )
         # Retained by the component's long-lived state: the collector can
         # never reclaim it, exactly like a reference parked in a static list.

@@ -49,8 +49,6 @@ class ThreadLeakFault(TriggeredFault):
             servlet.runtime.threads.spawn(
                 name=f"{servlet.component_name}-leaked-{self.leaked_threads}",
                 owner=servlet.component_name,
-                daemon=False,
-                created_at=getattr(request, "arrival_time", 0.0),
                 stack_bytes=self.stack_bytes,
                 pin_stack=True,
             )

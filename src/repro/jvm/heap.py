@@ -53,7 +53,6 @@ class Heap:
         class_name: str,
         shallow_size: int,
         owner: Optional[str] = None,
-        timestamp: float = 0.0,
         root: bool = False,
     ) -> JavaObject:
         """Allocate a new object.
@@ -72,12 +71,7 @@ class Heap:
                 f"Java heap space: used={self._used_bytes}, requested={shallow_size}, "
                 f"capacity={self.capacity_bytes}"
             )
-        obj = JavaObject(
-            class_name=class_name,
-            shallow_size=shallow_size,
-            owner=owner,
-            allocated_at=timestamp,
-        )
+        obj = JavaObject(class_name=class_name, shallow_size=shallow_size, owner=owner)
         self._objects[obj.object_id] = obj
         self._used_bytes += shallow_size
         if root:
@@ -94,7 +88,6 @@ class Heap:
         self._used_bytes -= stored.shallow_size
         self._liveness_epoch += 1
         self._roots.discard(obj.object_id)
-        stored.alive = False
 
     def reclaim_owned(self, owner: str, keep_roots: bool = True) -> Tuple[int, int]:
         """Free every live object attributed to ``owner``; return ``(count, bytes)``.

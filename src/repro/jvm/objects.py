@@ -30,8 +30,6 @@ class JavaObject:
     owner:
         Logical owning component (servlet name) used for attribution when the
         object is a component field; ``None`` for transient request data.
-    allocated_at:
-        Simulated allocation timestamp.
     """
 
     _ids = itertools.count(1)
@@ -41,10 +39,8 @@ class JavaObject:
         "class_name",
         "shallow_size",
         "owner",
-        "allocated_at",
         "_references",
         "_fields",
-        "alive",
         "version",
     )
 
@@ -53,7 +49,6 @@ class JavaObject:
         class_name: str,
         shallow_size: int = OBJECT_HEADER_BYTES,
         owner: Optional[str] = None,
-        allocated_at: float = 0.0,
     ) -> None:
         if shallow_size < 0:
             raise ValueError(f"shallow_size must be non-negative, got {shallow_size}")
@@ -61,10 +56,8 @@ class JavaObject:
         self.class_name = class_name
         self.shallow_size = int(shallow_size)
         self.owner = owner
-        self.allocated_at = float(allocated_at)
         self._references: List["JavaObject"] = []
         self._fields: Dict[str, "JavaObject"] = {}
-        self.alive = True
         #: Bumped on every outgoing-reference mutation; lets size caches
         #: detect that an object's one-level reference set changed without
         #: re-walking it (see :mod:`repro.core.sizing`).

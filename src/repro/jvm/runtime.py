@@ -69,7 +69,6 @@ class JvmRuntime:
         class_name: str,
         shallow_size: int,
         owner: Optional[str] = None,
-        timestamp: float = 0.0,
         root: bool = False,
     ) -> JavaObject:
         """Allocate an object, running the collector once under memory pressure.
@@ -87,10 +86,10 @@ class JvmRuntime:
         if heap.used_bytes >= self.gc_occupancy_threshold * heap.capacity_bytes:
             self._pending_gc_pause += self.collector.collect()
         try:
-            return heap.allocate(class_name, shallow_size, owner, timestamp, root)
+            return heap.allocate(class_name, shallow_size, owner, root)
         except OutOfMemoryError:
             self._pending_gc_pause += self.collector.collect()
-            return heap.allocate(class_name, shallow_size, owner, timestamp, root)
+            return heap.allocate(class_name, shallow_size, owner, root)
 
     def reclaim_owned(self, owner: str, keep_roots: bool = True) -> Tuple[int, int]:
         """Free the objects attributed to ``owner`` (component micro-reboot).

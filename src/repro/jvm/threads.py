@@ -51,8 +51,6 @@ class JvmThread:
         "name",
         "owner",
         "state",
-        "daemon",
-        "created_at",
         "stack_bytes",
         "stack_object",
         "_registry",
@@ -62,8 +60,6 @@ class JvmThread:
         self,
         name: str,
         owner: Optional[str] = None,
-        daemon: bool = False,
-        created_at: float = 0.0,
         stack_bytes: int = 512 * 1024,
         registry: Optional["ThreadRegistry"] = None,
     ) -> None:
@@ -73,8 +69,6 @@ class JvmThread:
         self.name = name
         self.owner = owner
         self.state = ThreadState.NEW
-        self.daemon = daemon
-        self.created_at = float(created_at)
         self.stack_bytes = int(stack_bytes)
         #: Heap object pinning this thread's stack memory (``None`` unless
         #: the registry was asked to account the stack on the heap).
@@ -146,8 +140,6 @@ class ThreadRegistry:
         self,
         name: str,
         owner: Optional[str] = None,
-        daemon: bool = False,
-        created_at: float = 0.0,
         stack_bytes: int = 512 * 1024,
         pin_stack: bool = False,
     ) -> JvmThread:
@@ -168,8 +160,6 @@ class ThreadRegistry:
         thread = JvmThread(
             name=name,
             owner=owner,
-            daemon=daemon,
-            created_at=created_at,
             stack_bytes=stack_bytes,
             registry=self,
         )
@@ -178,7 +168,6 @@ class ThreadRegistry:
                 "java.lang.Thread[stack]",
                 shallow_size=stack_bytes,
                 owner=owner,
-                timestamp=created_at,
                 root=True,
             )
         thread.start()

@@ -26,7 +26,6 @@ from repro.tpcw.population import PopulationScale, populate_database
 from repro.tpcw.schema import create_tpcw_schema
 from repro.tpcw.servlets import SERVLET_CLASSES
 from repro.tpcw.servlets.base import (
-    CLOCK_ATTRIBUTE,
     DATASOURCE_ATTRIBUTE,
     RUNTIME_ATTRIBUTE,
     STREAMS_ATTRIBUTE,
@@ -123,7 +122,6 @@ def build_deployment(
     application.context.set_attribute(RUNTIME_ATTRIBUTE, runtime)
     application.context.set_attribute(DATASOURCE_ATTRIBUTE, datasource)
     application.context.set_attribute(STREAMS_ATTRIBUTE, streams)
-    application.context.set_attribute(CLOCK_ATTRIBUTE, clock)
 
     servlets: Dict[str, TpcwServlet] = {}
     for interaction in INTERACTIONS:

@@ -35,7 +35,6 @@ from repro.sim.random import RandomStreams
 RUNTIME_ATTRIBUTE = "jvm.runtime"
 DATASOURCE_ATTRIBUTE = "jdbc.datasource"
 STREAMS_ATTRIBUTE = "random.streams"
-CLOCK_ATTRIBUTE = "sim.clock"
 
 
 class TpcwServlet(HttpServlet):
@@ -57,7 +56,6 @@ class TpcwServlet(HttpServlet):
         self._runtime: Optional[JvmRuntime] = None
         self._datasource: Optional[DataSource] = None
         self._streams: Optional[RandomStreams] = None
-        self._clock = None
         self._instance_root: Optional[JavaObject] = None
         self._injected_faults: List[Any] = []
         self._request_count = 0
@@ -77,7 +75,6 @@ class TpcwServlet(HttpServlet):
         self._datasource = context.get_attribute(DATASOURCE_ATTRIBUTE)
         self._streams = context.get_attribute(STREAMS_ATTRIBUTE)
         self._random_streams = {}
-        self._clock = context.get_attribute(CLOCK_ATTRIBUTE)
         if self._runtime is None or self._datasource is None:
             raise ServletException(
                 f"{type(self).__name__} requires {RUNTIME_ATTRIBUTE!r} and "
@@ -88,7 +85,6 @@ class TpcwServlet(HttpServlet):
             self.java_class_name,
             shallow_size=self.instance_state_bytes,
             owner=self.component_name,
-            timestamp=self._now(),
             root=True,
         )
 
@@ -135,9 +131,6 @@ class TpcwServlet(HttpServlet):
     def error_count(self) -> int:
         """Requests that raised an exception inside this component."""
         return self._error_count
-
-    def _now(self) -> float:
-        return float(getattr(self._clock, "now", 0.0)) if self._clock is not None else 0.0
 
     def get_connection(self) -> Connection:
         """Borrow a pooled JDBC connection, tagged with this component.
@@ -250,9 +243,7 @@ class TpcwServlet(HttpServlet):
                         fault.on_request(self, request)
             # Simulated page buffer for the rendered markup (request-scoped,
             # immediately collectable garbage).
-            self._runtime.allocate(
-                "java.lang.StringBuilder", self.transient_bytes_per_request, None, self._now()
-            )
+            self._runtime.allocate("java.lang.StringBuilder", self.transient_bytes_per_request)
         except Exception:
             self._error_count += 1
             raise

@@ -10,12 +10,13 @@ require re-weaving.
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from repro.aop.aspect import Aspect, after, after_returning, after_throwing, around, before
 from repro.aop.joinpoint import JoinPoint, Signature, compile_join_point_class
-from repro.aop.pointcut import PointcutSyntaxError, parse_pointcut
+from repro.aop.pointcut import ExecutionPointcut, PointcutSyntaxError, parse_pointcut
 from repro.aop.weaver import Weaver
 from repro.perf.seed_reference import SeedWeaver
 
@@ -97,6 +98,22 @@ class TestPointcutParserEdgeCases:
         second = parse_pointcut("execution(cacheprobe.unique.B.m)")
         assert first is second  # shared immutable tree
         assert second.matches_signature("cacheprobe.unique.B", "m")
+
+    def test_execution_pointcuts_share_compiled_patterns(self, monkeypatch):
+        """Each Aspect Component builds its own pointcut; a pattern compiles once."""
+        first = ExecutionPointcut("cacheprobe.shared.*Servlet", "do*")
+        compiled = []
+        real_compile = re.compile
+        monkeypatch.setattr(
+            re, "compile", lambda *args: compiled.append(args) or real_compile(*args)
+        )
+        second = ExecutionPointcut("cacheprobe.shared.*Servlet", "do*")
+        assert compiled == []
+        assert second is not first
+        assert second._type_re is first._type_re
+        assert second._method_re is first._method_re
+        assert second.matches_signature("cacheprobe.shared.HomeServlet", "doGet")
+        assert not second.matches_signature("cacheprobe.shared.sub.HomeServlet", "doGet")
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.db.engine import Database, SqlExecutionError
@@ -53,6 +55,48 @@ class TestPlanCache:
         entry = database._plan_cache[id(statement)]
         database.execute(statement, ["HISTORY"])
         assert database._plan_cache[id(statement)] is entry  # same plan object
+
+    def test_databases_with_one_schema_share_plan_code(self):
+        """Each plan's generated functions share code objects across databases,
+        and each database still runs them over its own tables."""
+        first, second = build_database(), build_database()
+        statements = [
+            parse_sql(
+                "SELECT i_subject, SUM(i_cost) AS total, COUNT(*) AS n FROM item "
+                "WHERE i_cost > ? GROUP BY i_subject ORDER BY total DESC LIMIT 5"
+            ),
+            parse_sql(
+                "SELECT i.i_id, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id "
+                "WHERE i.i_subject = ? ORDER BY i.i_cost DESC LIMIT 3"
+            ),
+            parse_sql("SELECT i_title FROM item WHERE i_id = ?"),
+        ]
+        params = [[0.5], ["ARTS"], [2]]
+        before = [first.execute(s, p).rows for s, p in zip(statements, params)]
+        assert [second.execute(s, p).rows for s, p in zip(statements, params)] == before
+        for statement in statements:
+            plans = [db._plan_cache[id(statement)][1] for db in (first, second)]
+            functions = [
+                {
+                    name: value
+                    for name, value in vars(plan).items()
+                    if isinstance(value, types.FunctionType)
+                    and value.__code__.co_filename == "<plan>"
+                }
+                for plan in plans
+            ]
+            assert functions[0] and functions[0].keys() == functions[1].keys()
+            for name, function in functions[0].items():
+                other = functions[1][name]
+                assert function.__code__ is other.__code__
+                assert function is not other and function.__globals__ is not other.__globals__
+        first.table("item").insert(
+            {"i_id": 13, "i_title": "Book 13", "i_subject": "ARTS", "i_cost": 9.0, "i_a_id": 1}
+        )
+        first.execute("UPDATE item SET i_title = ? WHERE i_id = ?", ["Renamed", 2])
+        after = [first.execute(s, p).rows for s, p in zip(statements, params)]
+        assert all(new != old for new, old in zip(after, before))
+        assert [second.execute(s, p).rows for s, p in zip(statements, params)] == before
 
     def test_ddl_invalidates_plans(self):
         database = build_database()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import enum
+
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,11 +156,14 @@ class TestSqlParser:
             "SELECT FROM t",
             "SELECT a FROM t WHERE",
             "INSERT INTO t (a) VALUES (1, 2)",
+            "INSERT INTO t (a, b, b, c) VALUES (1, 'x', 'y', 1.0)",
             "SELECT a FROM t LIMIT x",
             "SELECT a FROM t JOIN u ON a > b",
         ]:
             with pytest.raises(SqlSyntaxError):
                 parse_sql(bad)
+        with pytest.raises(SqlSyntaxError, match="column 'b' specified twice"):
+            parse_sql("INSERT INTO t (a, b, b, c) VALUES (1, 'x', 'y', 1.0)")
 
     def test_null_and_boolean_literals(self):
         statement = parse_sql("SELECT a FROM t WHERE b = NULL AND c = TRUE")
@@ -298,6 +304,137 @@ def test_property_where_filter_matches_python_filter(rows):
     result = database.execute("SELECT id FROM people WHERE age >= 50")
     expected = {row_id for row_id, age in rows if age >= 50}
     assert {row["id"] for row in result.rows} == expected
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str):
+    """A ``str`` subclass: a VARCHAR column accepts it and stores it as passed."""
+
+
+def _reference_validate_row(table: Table, values):
+    """The row check column by column through ``ColumnType.validate``: the reference."""
+    row = {}
+    for column in table.columns:
+        value = values.get(column.name)
+        if value is None and not column.nullable and not column.primary_key:
+            raise ValueError(
+                f"column {column.name!r} of table {table.name!r} is not nullable"
+            )
+        if not column.type.validate(value):
+            raise TypeError(
+                f"value {value!r} is not valid for column {column.name!r} "
+                f"({column.type.value}) of table {table.name!r}"
+            )
+        row[column.name] = value
+    unknown = set(values) - set(table._columns_by_name)
+    if unknown:
+        raise KeyError(f"unknown columns {sorted(unknown)} for table {table.name!r}")
+    return row
+
+
+def _reference_insert(table: Table, keys: set, values):
+    """``Table.insert``'s checks in their order: the row, a NULL key, a duplicate key."""
+    row = _reference_validate_row(table, values)
+    if table.primary_key is not None:
+        pk_value = row[table.primary_key]
+        if pk_value is None:
+            raise ValueError(f"primary key {table.primary_key!r} must not be NULL")
+        if pk_value in keys:
+            raise UniqueViolationError(
+                f"duplicate primary key {pk_value!r} in table {table.name!r}"
+            )
+        keys.add(pk_value)
+    return row
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(list(_Level)),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan"), float("inf")]),
+    st.floats(allow_nan=True),
+    st.sampled_from([0.0, -0.0, 1.0, float("nan")]).map(numpy.float64),
+)
+#: Values each column type accepts (NULL aside).
+_ACCEPTED = {
+    ColumnType.INTEGER: st.one_of(
+        st.integers(min_value=-2, max_value=2), st.sampled_from(list(_Level))
+    ),
+    ColumnType.FLOAT: _NUMBERS,
+    ColumnType.DATE: _NUMBERS,
+    ColumnType.VARCHAR: st.one_of(st.text(max_size=2), st.text(max_size=2).map(_Name)),
+    ColumnType.BOOLEAN: st.booleans(),
+}
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    _NUMBERS,
+    st.integers(min_value=-2, max_value=2).map(numpy.int64),
+    st.booleans().map(numpy.bool_),
+    st.text(max_size=2),
+    st.text(max_size=2).map(_Name),
+    st.binary(max_size=2),
+)
+
+
+@st.composite
+def _schema_and_rows(draw):
+    """Every column type, nullable or not, plus a primary key; rows to insert in turn."""
+    columns = [
+        Column(f"c{index}", column_type, nullable=draw(st.booleans()))
+        for index, column_type in enumerate(draw(st.permutations(list(ColumnType))))
+    ]
+    key = Column("pk", draw(st.sampled_from(list(ColumnType))), primary_key=True)
+    columns.insert(draw(st.integers(min_value=0, max_value=len(columns))), key)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        values = {}
+        for column in columns:
+            kind = draw(st.integers(min_value=0, max_value=19))
+            if kind == 0:
+                continue  # the key is missing
+            if kind == 1:
+                values[column.name] = None
+            elif kind == 2:
+                values[column.name] = draw(_ANY_VALUE)
+            else:
+                values[column.name] = draw(_ACCEPTED[column.type])
+        for name in draw(st.lists(st.sampled_from(["extra", "zz", 7]), max_size=2, unique=True)):
+            values[name] = 0
+        order = draw(st.permutations(list(values)))
+        rows.append({name: values[name] for name in order})
+    return columns, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schema_and_rows())
+def test_property_insert_checks_rows_like_the_reference(case):
+    """``Table.insert`` keeps or refuses each row exactly as the reference check does.
+
+    A kept row has the reference's keys in declaration order and holds each
+    passed value object itself; a refused row raises the reference's exception
+    type with its message, and leaves the table as it was.
+    """
+    columns, rows = case
+    table = Table("t", columns)
+    keys: set = set()
+    for values in rows:
+        try:
+            expected = _reference_insert(table, keys, values)
+        except (ValueError, TypeError, KeyError) as error:
+            before = len(table)
+            with pytest.raises(type(error)) as raised:
+                table.insert(values)
+            assert type(raised.value) is type(error)
+            assert str(raised.value) == str(error)
+            assert len(table) == before
+            continue
+        row = table.row_by_id(table.insert(values))
+        assert list(row) == list(expected) == [column.name for column in columns]
+        assert all(row[name] is expected[name] for name in expected)
 
 
 @settings(max_examples=40, deadline=None)

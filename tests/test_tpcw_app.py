@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.container.servlet import HttpServletRequest
 from repro.db.engine import Database
+from repro.db.table import ColumnType
 from repro.sim.engine import SimulationEngine
 from repro.sim.random import RandomStreams
 from repro.tpcw.application import TpcwApplication, build_deployment
@@ -57,6 +60,54 @@ class TestSchemaAndPopulation:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             PopulationScale(num_items=0)
+
+    @pytest.mark.parametrize(
+        "scale, seed, expected",
+        [
+            (
+                PopulationScale.standard(),
+                1,
+                "63a87f7e290f9e90e0fd5da099b84a453b85cd57f82f2d2da1e9f309385127ec",
+            ),
+            (
+                PopulationScale.tiny(),
+                42,
+                "aa31c02b0898c2f6778263c8f2e7c5d80f71360809453a009e583601cf3fe166",
+            ),
+        ],
+        ids=["standard-seed-1", "tiny-seed-42"],
+    )
+    def test_store_digest(self, scale, seed, expected):
+        """sha256 over every table's rows, in row-id order, as ``repr`` of their items.
+
+        The ``repr`` pins each value's class and key order too: a store whose
+        rows held ``numpy.float64`` or came out in another column order would
+        change it.
+        """
+        database = Database("t")
+        create_tpcw_schema(database)
+        populate_database(database, scale, RandomStreams(seed))
+        digest = hashlib.sha256()
+        for name in database.table_names():
+            for _, row in sorted(database.table(name).rows_with_ids()):
+                digest.update(repr(tuple(row.items())).encode())
+        assert digest.hexdigest() == expected
+
+    def test_standard_population_takes_every_value_without_validate(self, monkeypatch):
+        """Each value the population draws is of a class its column takes as is."""
+        calls = []
+        validate = ColumnType.validate
+
+        def counting_validate(column_type, value):
+            calls.append((column_type, value))
+            return validate(column_type, value)
+
+        monkeypatch.setattr(ColumnType, "validate", counting_validate)
+        database = Database("t")
+        create_tpcw_schema(database)
+        populate_database(database, PopulationScale.standard(), RandomStreams(1))
+        assert sum(len(database.table(name)) for name in database.table_names()) == 8820
+        assert calls == []
 
 
 class TestMixes:
