@@ -86,7 +86,8 @@ class AspectComponent(Aspect):
         self.component_name = component_name
         self.java_class_name = java_class_name
         self._server = mbean_server
-        self._overhead = overhead
+        #: Bound once: every non-empty agent sample charges through it.
+        self._charge_sample = overhead.charge_sample if overhead is not None else None
         self._clock = clock
         self.method_pattern = method_pattern
         self.agent_pattern = agent_pattern
@@ -123,9 +124,6 @@ class AspectComponent(Aspect):
     # ------------------------------------------------------------------ #
     # Agent access
     # ------------------------------------------------------------------ #
-    def _now(self) -> float:
-        return float(getattr(self._clock, "now", 0.0)) if self._clock is not None else 0.0
-
     def _bind(self) -> None:
         """Resolve the agents' and the manager's operations by pattern."""
         server = self._server
@@ -140,19 +138,25 @@ class AspectComponent(Aspect):
         self._bound_epoch = server.epoch
 
     def _sample_agents(self) -> Dict[str, float]:
-        """Query every registered monitoring agent for this component."""
+        """Query every registered monitoring agent for this component.
+
+        One pass: each agent's values are copied in as floats (a metric two
+        agents report keeps its first position and the later value), and
+        each non-empty sample is charged in agent order.
+        """
         if self._bound_epoch != self._server.epoch:
             self._bind()
         measurements: Dict[str, float] = {}
         component = self.component_name
-        overhead = self._overhead
+        charge_sample = self._charge_sample
         for sample in self._agent_samplers:
             values = sample(component)
             if not values:
                 continue
-            measurements.update({metric: float(value) for metric, value in values.items()})
-            if overhead is not None:
-                overhead.charge_sample(component)
+            for metric, value in values.items():
+                measurements[metric] = float(value)
+            if charge_sample is not None:
+                charge_sample(component)
         return measurements
 
     # ------------------------------------------------------------------ #
@@ -166,23 +170,22 @@ class AspectComponent(Aspect):
         """Re-sample, attribute the deltas and report to the manager."""
         before_values = join_point.context.get("ac.before", {})
         after_values = self._sample_agents()
-        deltas = {
-            metric: after_values[metric] - before_values.get(metric, after_values[metric])
-            for metric in after_values
-        }
+        deltas: Dict[str, float] = {}
+        for metric, value in after_values.items():
+            deltas[metric] = value - before_values.get(metric, value)
         self._invocations += 1
         self._last_deltas = deltas
         self._last_values = after_values
 
-        sample = ComponentSample(
-            component=self.component_name,
-            timestamp=self._now() or join_point.timestamp,
-            deltas=deltas,
-            values=after_values,
-        )
+        clock = self._clock
+        now = float(getattr(clock, "now", 0.0)) if clock is not None else 0.0
         record_sample = self._record_sample
         if record_sample is not None:
-            record_sample(sample)
+            record_sample(
+                ComponentSample(
+                    self.component_name, now or join_point.timestamp, deltas, after_values
+                )
+            )
             self._samples_sent += 1
 
     # ------------------------------------------------------------------ #

@@ -102,9 +102,9 @@ class ManagerAgent(MBean, NotificationBroadcaster):
     def record_sample(self, sample: ComponentSample) -> None:
         """Buffer one Aspect-Component sample (folded into the map in batches).
 
-        ACs deliver two samples per intercepted request; buffering them and
-        folding in bulk replaces per-sample series appends on the hottest
-        monitoring path.  Every read of the map flushes first, so buffering
+        An AC delivers one sample per intercepted request, from its after
+        advice; buffering them and folding in bulk replaces per-sample
+        series appends on the hottest monitoring path.  Every read of the map flushes first, so buffering
         is invisible to consumers.
         """
         if not isinstance(sample, ComponentSample):
@@ -144,12 +144,11 @@ class ManagerAgent(MBean, NotificationBroadcaster):
             return
         self._pending_samples = []
         self._pending_growth.clear()
-        touched = dict.fromkeys(sample.component for sample in pending)
+        touched = self._map.add_samples(pending)
         for component in touched:
             if component not in self._known_set:
                 self._known_set.add(component)
                 self._known_components.append(component)
-        self._map.add_samples(pending)
         for component in touched:
             if component in self._alerted:
                 continue

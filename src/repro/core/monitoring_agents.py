@@ -179,10 +179,11 @@ class HeapAgent(MonitoringAgent):
         return float(self._runtime.heap.live_reachable_bytes())
 
     def _measure(self, component: str) -> Dict[str, float]:
-        return {
-            "heap_used": float(self._runtime.used_memory()),
-            "heap_free": float(self._runtime.free_memory()),
-        }
+        # One read of the used bytes; free is capacity minus used, the ints
+        # ``used_memory()`` and ``free_memory()`` return.
+        heap = self._runtime.heap
+        used = heap.used_bytes
+        return {"heap_used": float(used), "heap_free": float(heap.capacity_bytes - used)}
 
 
 class CpuAgent(MonitoringAgent):

@@ -12,6 +12,7 @@ it entirely.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 
@@ -26,9 +27,9 @@ class OverheadAccount:
     """
 
     def __init__(self, sample_cost_seconds: float = 2.5e-3) -> None:
-        if sample_cost_seconds < 0:
+        if not 0 <= sample_cost_seconds < math.inf:
             raise ValueError(
-                f"sample_cost_seconds must be non-negative, got {sample_cost_seconds}"
+                f"sample_cost_seconds must be non-negative and finite, got {sample_cost_seconds}"
             )
         self.sample_cost_seconds = float(sample_cost_seconds)
         self._pending = 0.0
@@ -42,17 +43,12 @@ class OverheadAccount:
         if samples < 0:
             raise ValueError(f"samples must be non-negative, got {samples}")
         cost = samples * self.sample_cost_seconds
-        self.charge(component, cost)
+        self._pending += cost
+        self._total += cost
+        by_component = self._by_component
+        by_component[component] = by_component.get(component, 0.0) + cost
         self._samples += samples
         return cost
-
-    def charge(self, component: str, seconds: float) -> None:
-        """Charge an arbitrary amount of overhead to ``component``."""
-        if seconds < 0:
-            raise ValueError(f"overhead seconds must be non-negative, got {seconds}")
-        self._pending += seconds
-        self._total += seconds
-        self._by_component[component] = self._by_component.get(component, 0.0) + seconds
 
     # ------------------------------------------------------------------ #
     def consume_pending(self) -> float:

@@ -9,13 +9,19 @@ into the most-suspicious quadrant.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence
 
 from repro.sim.metrics import TimeSeries
 
 #: The metric the paper's case study tracks.
 DEFAULT_METRIC = "object_size"
+
+_DELTAS = attrgetter("deltas")
+_VALUES = attrgetter("values")
+_TIMESTAMP = attrgetter("timestamp")
 
 #: Quadrant labels (usage, consumption).
 QUADRANT_LABELS = {
@@ -106,7 +112,7 @@ class ResourceComponentMap:
         if self._last_timestamp is None or timestamp > self._last_timestamp:
             self._last_timestamp = timestamp
 
-    def add_samples(self, samples: Sequence[ComponentSample]) -> None:
+    def add_samples(self, samples: Sequence[ComponentSample]) -> List[str]:
         """Fold Aspect-Component samples into the map, in order.
 
         The one fold path: the manager's buffered intake passes a batch, and
@@ -115,52 +121,51 @@ class ResourceComponentMap:
         consecutive batches gives the same invocations, values and series;
         delta sums agree up to float rounding.  Series appends happen as one
         bulk extend per (component, metric).  A sample may carry any subset
-        of its component's delta and value metrics.
+        of its component's delta and value metrics.  Returns the components
+        folded, in first-seen order.
         """
         if not samples:
-            return
-        by_component: Dict[str, List[ComponentSample]] = {}
+            return []
+        by_component: Dict[str, List[ComponentSample]] = defaultdict(list)
         for sample in samples:
-            group = by_component.get(sample.component)
-            if group is None:
-                group = by_component[sample.component] = []
-            group.append(sample)
+            by_component[sample.component].append(sample)
         for component, group in by_component.items():
             stats = self.stats(component)
             stats.invocations += len(group)
             delta_totals = stats.cumulative_deltas
-            delta_metrics = set().union(*(sample.deltas.keys() for sample in group))
-            for metric in sorted(delta_metrics):
+            deltas = list(map(_DELTAS, group))
+            for metric in sorted(set().union(*deltas)):
                 try:
-                    # C-level comprehension; AC samples of one component
-                    # virtually always carry the same metric keys.
-                    total = sum([sample.deltas[metric] for sample in group])
+                    # AC samples of one component virtually always carry the
+                    # same metric keys.
+                    total = sum([sample_deltas[metric] for sample_deltas in deltas])
                 except KeyError:
-                    total = sum(sample.deltas.get(metric, 0.0) for sample in group)
+                    total = sum([sample_deltas.get(metric, 0.0) for sample_deltas in deltas])
                 delta_totals[metric] = delta_totals.get(metric, 0.0) + total
-            value_metrics = set().union(*(sample.values.keys() for sample in group))
-            if value_metrics:
-                metric_times = None
-                for metric in sorted(value_metrics):
-                    try:
-                        metric_values = [sample.values[metric] for sample in group]
-                        if metric_times is None:
-                            metric_times = [sample.timestamp for sample in group]
-                        times = metric_times
-                    except KeyError:
-                        pairs = [
-                            (sample.timestamp, sample.values[metric])
-                            for sample in group
-                            if metric in sample.values
-                        ]
-                        times = [pair[0] for pair in pairs]
-                        metric_values = [pair[1] for pair in pairs]
-                    stats.first_values.setdefault(metric, metric_values[0])
-                    stats.last_values[metric] = metric_values[-1]
-                    stats.series_for(metric).record_many(times, metric_values)
+            values = list(map(_VALUES, group))
+            group_times = None
+            for metric in sorted(set().union(*values)):
+                try:
+                    metric_values = [sample_values[metric] for sample_values in values]
+                    if group_times is None:
+                        group_times = list(map(_TIMESTAMP, group))
+                    times = group_times
+                except KeyError:
+                    pairs = [
+                        (sample.timestamp, sample.values[metric])
+                        for sample in group
+                        if metric in sample.values
+                    ]
+                    times = [pair[0] for pair in pairs]
+                    metric_values = [pair[1] for pair in pairs]
+                stats.first_values.setdefault(metric, metric_values[0])
+                stats.last_values[metric] = metric_values[-1]
+                stats.series_for(metric).record_many(times, metric_values)
         self._sample_count += len(samples)
-        self._note_time(min(sample.timestamp for sample in samples))
-        self._note_time(max(sample.timestamp for sample in samples))
+        stamps = list(map(_TIMESTAMP, samples))
+        self._note_time(min(stamps))
+        self._note_time(max(stamps))
+        return list(by_component)
 
     def record_observation(self, component: str, metric: str, timestamp: float, value: float) -> None:
         """Record a polled (snapshot) observation for a component."""

@@ -98,22 +98,23 @@ class ComponentSizeCache:
 
     def __init__(self, heap: Optional[Heap] = None) -> None:
         self._heap = heap
-        #: component -> (liveness epoch, ((root id, root version), ...), size)
-        self._cache: Dict[str, Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
+        #: component -> ([liveness epoch, root id, root version, ...], size)
+        self._cache: Dict[str, Tuple[List[int], int]] = {}
         self._hits = 0
         self._misses = 0
 
     def component_size(self, component: str, roots: List[JavaObject]) -> int:
         """Cached one-level size of ``component``'s root set."""
         heap = self._heap
-        epoch = heap.liveness_epoch if heap is not None else 0
-        stamp = tuple((root.object_id, root.version) for root in roots)
+        stamp = [heap.liveness_epoch if heap is not None else 0]
+        for root in roots:
+            stamp += (root.object_id, root.version)
         entry = self._cache.get(component)
-        if entry is not None and entry[0] == epoch and entry[1] == stamp:
+        if entry is not None and entry[0] == stamp:
             self._hits += 1
-            return entry[2]
+            return entry[1]
         size = retained_component_size(roots, heap=heap)
-        self._cache[component] = (epoch, stamp, size)
+        self._cache[component] = (stamp, size)
         self._misses += 1
         return size
 

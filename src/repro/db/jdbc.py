@@ -65,13 +65,18 @@ class ResultSet:
             ) from None
 
     # The typed getters read the current row themselves; ``get`` only
-    # words the error of a missing column.
+    # words the error of a missing column.  A value whose class is exactly
+    # the getter's type is returned as it is: it is the very object the
+    # conversion would return.  Every other value (``bool``, numpy scalars,
+    # subclasses, NULL) converts.
     def get_int(self, column: str) -> int:
         """Integer value of ``column`` (NULL maps to 0, JDBC-style)."""
         try:
             value = self._row[column]
         except KeyError:
             value = self.get(column)
+        if type(value) is int:
+            return value
         return int(value) if value is not None else 0
 
     def get_float(self, column: str) -> float:
@@ -80,6 +85,8 @@ class ResultSet:
             value = self._row[column]
         except KeyError:
             value = self.get(column)
+        if type(value) is float:
+            return value
         return float(value) if value is not None else 0.0
 
     def get_string(self, column: str) -> Optional[str]:
@@ -88,6 +95,8 @@ class ResultSet:
             value = self._row[column]
         except KeyError:
             value = self.get(column)
+        if type(value) is str:
+            return value
         return None if value is None else str(value)
 
     def __len__(self) -> int:

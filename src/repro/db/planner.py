@@ -959,11 +959,10 @@ class CompiledSelect:
         if group_key is None and not states:
             kept = [self._empty_group_state()]
         statement = self.statement
-        finalize = self._finalize
         if self._topk_key is not None:
             select = heapq.nlargest if self._topk_descending else heapq.nsmallest
-            return [finalize(state) for state in select(statement.limit, kept, key=self._topk_key)]
-        result = [finalize(state) for state in kept]
+            return self._result_rows(select(statement.limit, kept, key=self._topk_key))
+        result = self._result_rows(kept)
         for order in reversed(statement.order_by):
             key_name = self._order_key_name(order, statement, result)
             result.sort(
@@ -973,6 +972,23 @@ class CompiledSelect:
         if statement.limit is not None:
             result = result[: statement.limit]
         return result
+
+    def _result_rows(self, states: Iterable[List[Any]]) -> List[Dict[str, Any]]:
+        """Each state's result dict, finalized once and kept in the state.
+
+        A state's last slot holds its finalized dict until a fold changes the
+        state (the fold clears it), so a catch-up finalizes again only the
+        groups it folded into.  The kept dicts are read-only, like every
+        memoised row.
+        """
+        finalize = self._finalize
+        rows = []
+        for state in states:
+            row = state[-1]
+            if row is None:
+                row = state[-1] = finalize(state)
+            rows.append(row)
+        return rows
 
     @staticmethod
     def _compile_stream_fold(
@@ -1025,9 +1041,11 @@ class CompiledSelect:
                 fold_lines.append(f"            state[{index}] = v{index}")
             else:  # pragma: no cover - parser admits only the modes above
                 raise SqlExecutionError(f"unsupported aggregate {mode.upper()!r}")
+        # The last slot keeps the finalized result dict (see
+        # ``_result_rows``); a fold changes the state, so it clears it.
+        new_lines.append("    state.append(None)")
         new_lines.append("    return state")
-        if len(fold_lines) == 1:
-            fold_lines.append("    pass")
+        fold_lines.append(f"    state[{len(specs)}] = None")
         namespace: Dict[str, Any] = {}
         exec(_plan_code("\n".join(new_lines + fold_lines), "exec"), namespace)
         return namespace["_new_state"], namespace["_fold"]
@@ -1042,6 +1060,7 @@ class CompiledSelect:
                 state.append([0, 0])
             else:  # column / min / max over no rows
                 state.append(None)
+        state.append(None)  # no finalized result dict yet
         return state
 
 

@@ -216,6 +216,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too: a NaN end never stops the loop
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.sample_cost_seconds < math.inf:  # a NaN cost dies mid-run
+            raise ValueError(
+                f"sample_cost_seconds must be non-negative and finite, "
+                f"got {self.sample_cost_seconds}"
+            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.mix_name.lower() not in MIXES:

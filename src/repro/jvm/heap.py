@@ -43,7 +43,13 @@ class Heap:
         self._roots: Set[int] = set()
         self._used_bytes = 0
         self._peak_used = 0
-        self._liveness_epoch = 0
+        #: Counter bumped whenever an object stops being live.  Size caches
+        #: (see :mod:`repro.core.sizing`) read it as a cheap dirty flag:
+        #: one-level component sizes can only change when a referenced object
+        #: dies or a root's reference set mutates, never on unrelated
+        #: allocations.  A plain attribute, read on every size sample; only
+        #: :meth:`free` writes it.
+        self.liveness_epoch = 0
 
     # ------------------------------------------------------------------ #
     # Allocation / deallocation
@@ -86,7 +92,7 @@ class Heap:
         if stored is None:
             raise KeyError(f"object {obj.object_id} is not live on this heap")
         self._used_bytes -= stored.shallow_size
-        self._liveness_epoch += 1
+        self.liveness_epoch += 1
         self._roots.discard(obj.object_id)
 
     def reclaim_owned(self, owner: str, keep_roots: bool = True) -> Tuple[int, int]:
@@ -153,17 +159,6 @@ class Heap:
     def live_object_count(self) -> int:
         """Number of live objects."""
         return len(self._objects)
-
-    @property
-    def liveness_epoch(self) -> int:
-        """Counter bumped whenever an object stops being live.
-
-        Size caches (see :mod:`repro.core.sizing`) use this as a cheap
-        dirty flag: one-level component sizes can only change when a
-        referenced object dies or a root's reference set mutates, never on
-        unrelated allocations.
-        """
-        return self._liveness_epoch
 
     def live_objects(self) -> Iterable[JavaObject]:
         """Iterate over live objects (order: allocation id)."""

@@ -8,7 +8,7 @@ store parallel Python lists and convert to numpy arrays only on demand.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,35 +92,41 @@ class TimeSeries:
         self._times_arr = None
         self._values_arr = None
 
-    def record_many(self, timestamps: List[float], values: List[float]) -> None:
+    def record_many(self, timestamps: Sequence[float], values: Sequence[float]) -> None:
         """Append a batch of observations with one cache invalidation.
 
         The manager agent folds buffered Aspect-Component samples in bulk;
         one sliced buffer write per flush replaces per-sample ``record``
         calls on the hottest monitoring path.  Timestamps must be
         non-decreasing within the batch and relative to the existing series.
+        The order is checked over the given sequences (a later stamp may not
+        be smaller; equal and NaN stamps pass) and numpy converts them as it
+        writes the buffer slices, so a flush's few values build no arrays.
         """
-        if not len(timestamps):
+        count = len(timestamps)
+        if not count:
             return
-        if len(timestamps) != len(values):
+        if count != len(values):
             raise ValueError(
                 f"timestamps and values must have equal length "
-                f"({len(timestamps)} vs {len(values)})"
+                f"({count} vs {len(values)})"
             )
-        batch_times = np.asarray(timestamps, dtype=np.float64)
-        batch_values = np.asarray(values, dtype=np.float64)
         n = self._length
-        if n and batch_times[0] < self._times_buf[n - 1]:
+        previous = timestamps[0]
+        if n and previous < self._times_buf[n - 1]:
             raise ValueError(
-                f"timestamps must be non-decreasing: got {float(batch_times[0])} "
+                f"timestamps must be non-decreasing: got {float(previous)} "
                 f"after {float(self._times_buf[n - 1])}"
             )
-        if len(batch_times) > 1 and bool((np.diff(batch_times) < 0).any()):
-            raise ValueError("timestamps must be non-decreasing within the batch")
-        self._reserve(len(batch_times))
-        end = n + len(batch_times)
-        self._times_buf[n:end] = batch_times
-        self._values_buf[n:end] = batch_values
+        for timestamp in timestamps:
+            if timestamp < previous:
+                raise ValueError("timestamps must be non-decreasing within the batch")
+            previous = timestamp
+        end = n + count
+        if end > len(self._times_buf):
+            self._reserve(count)
+        self._times_buf[n:end] = timestamps
+        self._values_buf[n:end] = values
         self._length = end
         self._times_arr = None
         self._values_arr = None

@@ -49,6 +49,8 @@ def _rollout(kind: str, shards: int):
     )
 
 
+_COST = "sample_cost_seconds must be non-negative and finite"
+
 #: One case per config that used to fail only after the cluster was built
 #: (or, for the mix and the fault kind, with a ``KeyError``; or, for the
 #: monitored components and the hybrid fault, not at all): overrides -> the
@@ -75,6 +77,11 @@ LATE_FAILURES = {
         dict(snapshot_interval=float("nan")), "snapshot_interval must be positive"
     ),
     "nan-think-time": (dict(think_time_mean=float("nan")), "think_time_mean must be positive"),
+    # Used to pass and die in the event loop (``WindowedRate.mark`` cannot
+    # index a NaN or infinite completion time).
+    "nan-sample-cost": (dict(sample_cost_seconds=float("nan")), _COST),
+    "inf-sample-cost": (dict(sample_cost_seconds=float("inf")), _COST),
+    "negative-sample-cost": (dict(sample_cost_seconds=-1e-3), _COST),
     "fault-on-unknown-component": (
         dict(faults=[FaultSpec("nosuch", "memory-leak")]), "unknown component 'nosuch'"
     ),

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import enum
+
+import numpy as np
 import pytest
 
 from repro.db.engine import CostModel, Database
-from repro.db.jdbc import ConnectionPoolExhaustedError, DataSource, SQLError
+from repro.db.jdbc import ConnectionPoolExhaustedError, DataSource, ResultSet, SQLError
 from repro.db.sql import parse_sql
 from repro.db.table import Column, ColumnType
 
@@ -54,6 +57,33 @@ class TestResultSetAndStatements:
         assert result.get_string("name") is None
         assert result.get_int("name") == 0
         connection.close()
+
+    def test_typed_getters_convert_every_value_class_as_the_conversion_does(self):
+        class Shade(enum.IntEnum):
+            DARK = 3
+
+        class Label(str):
+            pass
+
+        values = [7, 2.5, "42", True, np.int64(5), np.float64(1.25), Shade.DARK, Label("9"), None]
+        # Each getter's conversion, written out: a value of the getter's own
+        # class must come back as the object itself, every other one converts.
+        conversions = {
+            "get_int": lambda value: int(value) if value is not None else 0,
+            "get_float": lambda value: float(value) if value is not None else 0.0,
+            "get_string": lambda value: None if value is None else str(value),
+        }
+        result = ResultSet([{"v": value} for value in values])
+        for value in values:
+            assert result.next()
+            for getter, convert in conversions.items():
+                expected = convert(value)
+                got = getattr(result, getter)("v")
+                assert type(got) is type(expected) and got == expected, (getter, value)
+                if type(value) is type(expected):
+                    assert got is value, (getter, value)
+                with pytest.raises(SQLError, match=r"no column 'missing' \(columns: \['v'\]\)"):
+                    getattr(result, getter)("missing")
 
     def test_unknown_column_raises(self, datasource):
         connection = datasource.get_connection()

@@ -1240,6 +1240,44 @@ def test_best_sellers_folds_only_the_appended_group_rows(mutable_databases):
     assert len(folded) == 2
 
 
+def test_best_sellers_catch_up_finalizes_only_the_groups_it_folded_into(mutable_databases):
+    """Appends touch a kept group, start a new one, tie two sums, miss the subject."""
+    planned_db, _ = mutable_databases
+    subject = BEST_SELLERS[1][0]
+    kept = _best_seller_item(planned_db)["i_id"]
+    sold = {row["i_id"]: row["sold"] for row in planned_db.execute(*BEST_SELLERS).rows}
+    fresh = next(
+        row["i_id"]
+        for row in planned_db.execute("SELECT i_id FROM item WHERE i_subject = ?", [subject]).rows
+        if row["i_id"] not in sold
+    )
+    other = _one(planned_db, "SELECT i_id FROM item WHERE i_subject != ? LIMIT 1", [subject])
+    plan = _executed_plan(planned_db, *BEST_SELLERS)
+    finalized = []
+    finalize = plan._finalize
+
+    def counting_finalize(state):
+        finalized.append(state)
+        return finalize(state)
+
+    plan._finalize = counting_finalize
+    appends = [
+        ([kept], 3, 1),  # folds into a kept group
+        ([fresh], 2, 1),  # starts a new group
+        ([fresh], sold[kept] + 1, 1),  # ties the two groups' sums
+        ([other["i_id"]], 4, 0),  # outside the subject: no group changes
+    ]
+    for item_ids, quantity, refinalized in appends:
+        _insert_order_lines(planned_db, item_ids, quantity)
+        del finalized[:]
+        assert_equivalent(mutable_databases, *BEST_SELLERS)
+        assert len(finalized) == refinalized, (item_ids, quantity)
+    rows = planned_db.execute(*BEST_SELLERS).rows
+    # The tie keeps first-seen group order, as the seed executor's stable sort.
+    assert [row["i_id"] for row in rows[:2]] == [kept, fresh]
+    assert rows[0]["sold"] == rows[1]["sold"]
+
+
 #: Values that compare equal but bind differently to ``LIKE``: each is bound
 #: twice, in one sequence, so a memo keyed on ``==`` alone would answer the
 #: later ones with an earlier one's rows.

@@ -180,6 +180,35 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             series.record_many([6.0], [1.0, 2.0])
 
+    def test_record_many_accepts_equal_and_nan_stamps(self):
+        series = TimeSeries()
+        series.record(1.0, 0.0)
+        nan = float("nan")
+        # Only a later stamp smaller than the one before it is refused: an
+        # equal stamp, and a NaN on either side of a pair, pass.
+        series.record_many([1.0, 1.0, nan, 0.5, 2.0, 2.0], [1, 2, 3, 4, 5, 6])
+        series.record_many(np.array([3.0, 3.0]), np.array([7.0, 8.0]))
+        assert len(series) == 9
+        assert series.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        assert series.times.tobytes() == np.array(
+            [1.0, 1.0, 1.0, nan, 0.5, 2.0, 2.0, 3.0, 3.0]
+        ).tobytes()
+
+    def test_record_many_refusals_keep_their_messages(self):
+        series = TimeSeries()
+        with pytest.raises(ValueError, match="^timestamps must be non-decreasing within the batch$"):
+            series.record_many([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+        series.record(5.0, 1.0)
+        with pytest.raises(
+            ValueError, match=r"^timestamps must be non-decreasing: got 4\.0 after 5\.0$"
+        ):
+            series.record_many([4, 6], [1.0, 1.0])
+        with pytest.raises(
+            ValueError, match=r"^timestamps and values must have equal length \(1 vs 2\)$"
+        ):
+            series.record_many([6.0], [1.0, 2.0])
+        assert len(series) == 1 and series.last() == (5.0, 1.0)
+
     def test_to_rows_and_value_at_return_python_floats(self):
         series = TimeSeries()
         series.record_many([0.0, 10.0], [1.5, 2.5])
