@@ -45,15 +45,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of an int > 0."""
+def _int_at_least(text: str, minimum: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of an int > 0."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of an int >= 0 (a seed)."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _population(args: argparse.Namespace) -> PopulationScale:
@@ -433,7 +442,7 @@ UTILITY_COMMANDS: List[ScenarioCommand] = [
             ("--json", dict(metavar="PATH", help="write a BENCH_perf.json artifact")),
             ("--only", dict(metavar="NAMES", help="comma-separated benchmark names")),
             ("--list", dict(action="store_true", help="list benchmark names and exit")),
-            ("--seed", dict(type=int, default=None, help="override REPRO_BENCH_SEED")),
+            ("--seed", dict(type=_non_negative_int, default=None, help="override REPRO_BENCH_SEED")),
             ("--duration-scale", dict(type=_positive_float, default=None, help="override REPRO_BENCH_DURATION_SCALE")),
             ("--tiny", dict(action="store_true", help="tiny iteration counts (CI smoke; REPRO_BENCH_TINY=1)")),
             (
@@ -532,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in UTILITY_COMMANDS + SCENARIO_COMMANDS:
         sub = subparsers.add_parser(command.name, help=command.help)
         if command.common:
-            sub.add_argument("--seed", type=int, default=42, help="master random seed")
+            sub.add_argument("--seed", type=_non_negative_int, default=42, help="master random seed")
             sub.add_argument(
                 "--duration-scale",
                 type=_positive_float,

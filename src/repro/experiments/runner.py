@@ -221,6 +221,8 @@ class ExperimentConfig:
                 f"sample_cost_seconds must be non-negative and finite, "
                 f"got {self.sample_cost_seconds}"
             )
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.mix_name.lower() not in MIXES:

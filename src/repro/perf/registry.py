@@ -31,9 +31,9 @@ class BenchOptions:
     def from_environment(cls) -> "BenchOptions":
         """Resolve options from ``REPRO_BENCH_*`` variables.
 
-        Raises ``ValueError``, naming the variable, for a seed that is not an
-        integer, a duration scale that is not positive and finite, or a
-        ``REPRO_BENCH_TINY`` other than ``0`` or ``1``.
+        Raises ``ValueError``, naming the variable, for a seed that is not a
+        non-negative integer, a duration scale that is not positive and
+        finite, or a ``REPRO_BENCH_TINY`` other than ``0`` or ``1``.
         """
         seed = os.environ.get("REPRO_BENCH_SEED", "42")
         scale = os.environ.get("REPRO_BENCH_DURATION_SCALE", "0.05")
@@ -41,7 +41,9 @@ class BenchOptions:
         try:
             seed_value = int(seed)
         except ValueError:
-            raise ValueError(f"REPRO_BENCH_SEED must be an integer, got {seed!r}") from None
+            seed_value = -1
+        if seed_value < 0:
+            raise ValueError(f"REPRO_BENCH_SEED must be a non-negative integer, got {seed!r}")
         try:
             scale_value = float(scale)
         except ValueError:

@@ -99,7 +99,8 @@ def populate_database(
     """Fill a TPC-W schema with synthetic data; returns the scale used."""
     scale = scale or PopulationScale()
     streams = streams or RandomStreams(0)
-    rng = streams.stream("population")
+    draws = streams.engine("population")
+    integers, uniform = draws.integers, draws.uniform
 
     countries = database.table("country")
     for index, (name, exchange, currency) in enumerate(_COUNTRIES, start=1):
@@ -112,11 +113,11 @@ def populate_database(
         addresses.insert(
             {
                 "addr_id": addr_id,
-                "addr_street1": f"{int(rng.integers(1, 9999))} Main Street",
-                "addr_city": f"City{int(rng.integers(1, 200))}",
-                "addr_state": f"ST{int(rng.integers(1, 50)):02d}",
-                "addr_zip": f"{int(rng.integers(10000, 99999))}",
-                "addr_co_id": int(rng.integers(1, len(_COUNTRIES) + 1)),
+                "addr_street1": f"{integers(1, 9999)} Main Street",
+                "addr_city": f"City{integers(1, 200)}",
+                "addr_state": f"ST{integers(1, 50):02d}",
+                "addr_zip": f"{integers(10000, 99999)}",
+                "addr_co_id": integers(1, len(_COUNTRIES) + 1),
             }
         )
 
@@ -125,38 +126,38 @@ def populate_database(
         authors.insert(
             {
                 "a_id": a_id,
-                "a_fname": _FIRST_NAMES[int(rng.integers(0, len(_FIRST_NAMES)))],
-                "a_lname": _LAST_NAMES[int(rng.integers(0, len(_LAST_NAMES)))],
+                "a_fname": _FIRST_NAMES[integers(0, len(_FIRST_NAMES))],
+                "a_lname": _LAST_NAMES[integers(0, len(_LAST_NAMES))],
                 "a_bio": f"Author biography {a_id}",
             }
         )
 
     items = database.table("item")
     for i_id in range(1, scale.num_items + 1):
-        cost = round(float(rng.uniform(5.0, 80.0)), 2)
+        cost = round(uniform(5.0, 80.0), 2)
         items.insert(
             {
                 "i_id": i_id,
                 "i_title": f"Book Title {i_id}",
-                "i_a_id": int(rng.integers(1, scale.num_authors + 1)),
-                "i_pub_date": float(rng.uniform(0.0, 1.0e9)),
-                "i_publisher": _PUBLISHERS[int(rng.integers(0, len(_PUBLISHERS)))],
-                "i_subject": SUBJECTS[int(rng.integers(0, len(SUBJECTS)))],
+                "i_a_id": integers(1, scale.num_authors + 1),
+                "i_pub_date": uniform(0.0, 1.0e9),
+                "i_publisher": _PUBLISHERS[integers(0, len(_PUBLISHERS))],
+                "i_subject": SUBJECTS[integers(0, len(SUBJECTS))],
                 "i_desc": f"Description of book {i_id}",
-                "i_related1": int(rng.integers(1, scale.num_items + 1)),
-                "i_related2": int(rng.integers(1, scale.num_items + 1)),
-                "i_related3": int(rng.integers(1, scale.num_items + 1)),
-                "i_related4": int(rng.integers(1, scale.num_items + 1)),
-                "i_related5": int(rng.integers(1, scale.num_items + 1)),
+                "i_related1": integers(1, scale.num_items + 1),
+                "i_related2": integers(1, scale.num_items + 1),
+                "i_related3": integers(1, scale.num_items + 1),
+                "i_related4": integers(1, scale.num_items + 1),
+                "i_related5": integers(1, scale.num_items + 1),
                 "i_thumbnail": f"img/thumb_{i_id}.gif",
                 "i_image": f"img/image_{i_id}.gif",
                 "i_srp": round(cost * 1.25, 2),
                 "i_cost": cost,
-                "i_avail": float(rng.uniform(0.0, 1.0e9)),
-                "i_stock": int(rng.integers(10, 30)),
+                "i_avail": uniform(0.0, 1.0e9),
+                "i_stock": integers(10, 30),
                 "i_isbn": f"ISBN-{i_id:09d}",
-                "i_page": int(rng.integers(20, 9999)),
-                "i_backing": _BACKINGS[int(rng.integers(0, len(_BACKINGS)))],
+                "i_page": integers(20, 9999),
+                "i_backing": _BACKINGS[integers(0, len(_BACKINGS))],
             }
         )
 
@@ -167,16 +168,16 @@ def populate_database(
                 "c_id": c_id,
                 "c_uname": f"user{c_id}",
                 "c_passwd": f"pwd{c_id}",
-                "c_fname": _FIRST_NAMES[int(rng.integers(0, len(_FIRST_NAMES)))],
-                "c_lname": _LAST_NAMES[int(rng.integers(0, len(_LAST_NAMES)))],
-                "c_addr_id": int(rng.integers(1, scale.num_addresses + 1)),
-                "c_phone": f"+1-555-{int(rng.integers(1000, 9999))}",
+                "c_fname": _FIRST_NAMES[integers(0, len(_FIRST_NAMES))],
+                "c_lname": _LAST_NAMES[integers(0, len(_LAST_NAMES))],
+                "c_addr_id": integers(1, scale.num_addresses + 1),
+                "c_phone": f"+1-555-{integers(1000, 9999)}",
                 "c_email": f"user{c_id}@example.com",
-                "c_since": float(rng.uniform(0.0, 1.0e9)),
-                "c_last_login": float(rng.uniform(1.0e9, 1.2e9)),
-                "c_discount": round(float(rng.uniform(0.0, 0.5)), 2),
+                "c_since": uniform(0.0, 1.0e9),
+                "c_last_login": uniform(1.0e9, 1.2e9),
+                "c_discount": round(uniform(0.0, 0.5), 2),
                 "c_balance": 0.0,
-                "c_ytd_pmt": round(float(rng.uniform(0.0, 1000.0)), 2),
+                "c_ytd_pmt": round(uniform(0.0, 1000.0), 2),
                 "c_data": f"customer data {c_id}",
             }
         )
@@ -186,26 +187,26 @@ def populate_database(
     cc_xacts = database.table("cc_xacts")
     next_order_line_id = 1
     for o_id in range(1, scale.num_orders + 1):
-        customer_id = int(rng.integers(1, scale.num_customers + 1))
-        line_count = int(rng.integers(1, scale.max_order_lines + 1))
+        customer_id = integers(1, scale.num_customers + 1)
+        line_count = integers(1, scale.max_order_lines + 1)
         subtotal = 0.0
         for _ in range(line_count):
-            item_id = int(rng.integers(1, scale.num_items + 1))
-            quantity = int(rng.integers(1, 5))
+            item_id = integers(1, scale.num_items + 1)
+            quantity = integers(1, 5)
             order_lines.insert(
                 {
                     "ol_id": next_order_line_id,
                     "ol_o_id": o_id,
                     "ol_i_id": item_id,
                     "ol_qty": quantity,
-                    "ol_discount": round(float(rng.uniform(0.0, 0.3)), 2),
+                    "ol_discount": round(uniform(0.0, 0.3), 2),
                     "ol_comments": f"order line {next_order_line_id}",
                 }
             )
             next_order_line_id += 1
             subtotal += quantity * 20.0
         tax = round(subtotal * 0.0825, 2)
-        order_date = float(rng.uniform(0.9e9, 1.2e9))
+        order_date = uniform(0.9e9, 1.2e9)
         orders.insert(
             {
                 "o_id": o_id,
@@ -214,23 +215,23 @@ def populate_database(
                 "o_sub_total": round(subtotal, 2),
                 "o_tax": tax,
                 "o_total": round(subtotal + tax + 4.0, 2),
-                "o_ship_type": SHIP_TYPES[int(rng.integers(0, len(SHIP_TYPES)))],
-                "o_ship_date": order_date + float(rng.uniform(3600, 7 * 86400)),
-                "o_bill_addr_id": int(rng.integers(1, scale.num_addresses + 1)),
-                "o_ship_addr_id": int(rng.integers(1, scale.num_addresses + 1)),
-                "o_status": ORDER_STATUSES[int(rng.integers(0, len(ORDER_STATUSES)))],
+                "o_ship_type": SHIP_TYPES[integers(0, len(SHIP_TYPES))],
+                "o_ship_date": order_date + uniform(3600.0, 7 * 86400.0),
+                "o_bill_addr_id": integers(1, scale.num_addresses + 1),
+                "o_ship_addr_id": integers(1, scale.num_addresses + 1),
+                "o_status": ORDER_STATUSES[integers(0, len(ORDER_STATUSES))],
             }
         )
         cc_xacts.insert(
             {
                 "cx_o_id": o_id,
-                "cx_type": CARD_TYPES[int(rng.integers(0, len(CARD_TYPES)))],
-                "cx_num": f"{int(rng.integers(10**15, 10**16 - 1))}",
+                "cx_type": CARD_TYPES[integers(0, len(CARD_TYPES))],
+                "cx_num": f"{integers(10**15, 10**16 - 1)}",
                 "cx_name": "CARD HOLDER",
                 "cx_expire": order_date + 3.0e7,
                 "cx_xact_amt": round(subtotal + tax + 4.0, 2),
                 "cx_xact_date": order_date,
-                "cx_co_id": int(rng.integers(1, len(_COUNTRIES) + 1)),
+                "cx_co_id": integers(1, len(_COUNTRIES) + 1),
             }
         )
 

@@ -22,7 +22,7 @@ class AdminConfirmServlet(TpcwServlet):
     def do_get(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
         item_id = request.get_parameter("i_id")
         if item_id is None:
-            item_id = int(self.random_stream("item").integers(1, 100))
+            item_id = self.random_stream("item").integers(1, 100)
         item_id = int(item_id)
         new_cost = request.get_parameter("cost")
         rng = self.random_stream("update")
@@ -30,7 +30,7 @@ class AdminConfirmServlet(TpcwServlet):
         connection = self.get_connection()
         try:
             if new_cost is None:
-                new_cost = round(float(rng.uniform(5.0, 80.0)), 2)
+                new_cost = round(rng.uniform(5.0, 80.0), 2)
             connection.execute_update(
                 "UPDATE item SET i_cost = ?, i_image = ?, i_thumbnail = ? WHERE i_id = ?",
                 [float(new_cost), f"img/image_{item_id}_v2.gif", f"img/thumb_{item_id}_v2.gif", item_id],

@@ -22,7 +22,7 @@ class AdminRequestServlet(TpcwServlet):
     def do_get(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
         item_id = request.get_parameter("i_id")
         if item_id is None:
-            item_id = int(self.random_stream("item").integers(1, 100))
+            item_id = self.random_stream("item").integers(1, 100)
 
         connection = self.get_connection()
         try:

@@ -29,7 +29,7 @@ from repro.container.servlet import (
 from repro.db.jdbc import Connection, DataSource
 from repro.jvm.objects import JavaObject
 from repro.jvm.runtime import JvmRuntime
-from repro.sim.random import RandomStreams
+from repro.sim.random import DrawEngine, RandomStreams
 
 #: Context attribute names under which the deployment publishes shared services.
 RUNTIME_ATTRIBUTE = "jvm.runtime"
@@ -62,8 +62,8 @@ class TpcwServlet(HttpServlet):
         self._error_count = 0
         self._pending_fault_latency = 0.0
         self._cached_item_count: Optional[int] = None
-        #: ``random_stream`` generators by suffix.
-        self._random_streams: Dict[str, Any] = {}
+        #: ``random_stream`` draw engines by suffix.
+        self._random_streams: Dict[str, DrawEngine] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -159,16 +159,16 @@ class TpcwServlet(HttpServlet):
         self._cached_item_count = count
         return count
 
-    def random_stream(self, suffix: str):
-        """A component-scoped random generator (deterministic per seed)."""
-        generator = self._random_streams.get(suffix)
-        if generator is None:
+    def random_stream(self, suffix: str) -> DrawEngine:
+        """A component-scoped draw engine (deterministic per seed)."""
+        engine = self._random_streams.get(suffix)
+        if engine is None:
             if self._streams is None:
                 raise ServletException(f"{type(self).__name__} has no random streams configured")
-            generator = self._random_streams[suffix] = self._streams.stream(
+            engine = self._random_streams[suffix] = self._streams.engine(
                 f"servlet.{self.component_name}.{suffix}"
             )
-        return generator
+        return engine
 
     # ------------------------------------------------------------------ #
     # Memory helpers

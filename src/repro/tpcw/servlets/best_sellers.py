@@ -40,7 +40,7 @@ class BestSellersServlet(TpcwServlet):
     def do_get(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
         subject = request.get_parameter("subject")
         if subject not in SUBJECTS:
-            subject = SUBJECTS[int(self.random_stream("subject").integers(0, len(SUBJECTS)))]
+            subject = SUBJECTS[self.random_stream("subject").integers(0, len(SUBJECTS))]
 
         connection = self.get_connection()
         try:

@@ -36,7 +36,7 @@ class BuyConfirmServlet(TpcwServlet):
 
     def do_get(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
         session = request.get_session(create=True)
-        customer_id = session.get_attribute("customer_id") or int(
+        customer_id = session.get_attribute("customer_id") or (
             self.random_stream("customer").integers(1, 200)
         )
         cart_id = session.get_attribute("cart_id")
@@ -61,7 +61,7 @@ class BuyConfirmServlet(TpcwServlet):
                         )
                     )
             if not cart_lines:
-                item_id = int(rng.integers(1, 100))
+                item_id = rng.integers(1, 100)
                 cart_lines = [(item_id, 1, 25.0)]
 
             subtotal = sum(quantity * cost for _, quantity, cost in cart_lines)
@@ -80,8 +80,8 @@ class BuyConfirmServlet(TpcwServlet):
                     round(subtotal, 2),
                     tax,
                     total,
-                    SHIP_TYPES[int(rng.integers(0, len(SHIP_TYPES)))],
-                    request.arrival_time + float(rng.uniform(3600, 7 * 86400)),
+                    SHIP_TYPES[rng.integers(0, len(SHIP_TYPES))],
+                    request.arrival_time + rng.uniform(3600.0, 7 * 86400.0),
                     1,
                     1,
                     "PENDING",
@@ -110,13 +110,13 @@ class BuyConfirmServlet(TpcwServlet):
                 "cx_xact_amt, cx_xact_date, cx_co_id) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 [
                     order_id,
-                    CARD_TYPES[int(rng.integers(0, len(CARD_TYPES)))],
-                    f"{int(rng.integers(10**15, 10**16 - 1))}",
+                    CARD_TYPES[rng.integers(0, len(CARD_TYPES))],
+                    f"{rng.integers(10**15, 10**16 - 1)}",
                     "CARD HOLDER",
                     request.arrival_time + 3.0e7,
                     total,
                     request.arrival_time,
-                    int(rng.integers(1, 10)),
+                    rng.integers(1, 10),
                 ],
             )
             # Empty the cart.

@@ -26,7 +26,7 @@ class CustomerRegistrationServlet(TpcwServlet):
         session = request.get_session(create=True)
         username = request.get_parameter("uname")
         returning = username is not None or (
-            float(self.random_stream("returning").uniform(0.0, 1.0))
+            self.random_stream("returning").uniform(0.0, 1.0)
             < self.RETURNING_CUSTOMER_FRACTION
         )
 
@@ -35,7 +35,7 @@ class CustomerRegistrationServlet(TpcwServlet):
         try:
             if returning:
                 if username is None:
-                    customer_id = int(self.random_stream("customer").integers(1, 200))
+                    customer_id = self.random_stream("customer").integers(1, 200)
                     username = f"user{customer_id}"
                 result = connection.execute_query(
                     "SELECT c_id, c_fname, c_lname, c_discount, c_addr_id "

@@ -43,7 +43,7 @@ class HomeServlet(TpcwServlet):
 
             # Promotional items: pick an anchor item and show its related items,
             # as the Java implementation does.
-            anchor_id = int(self.random_stream("promotions").integers(1, self._item_count() + 1))
+            anchor_id = self.random_stream("promotions").integers(1, self._item_count() + 1)
             anchor = connection.execute_query(
                 "SELECT i_related1, i_related2, i_related3, i_related4, i_related5 "
                 "FROM item WHERE i_id = ?",

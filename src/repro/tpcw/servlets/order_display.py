@@ -28,7 +28,7 @@ class OrderDisplayServlet(TpcwServlet):
                 )
                 customer_id = customer_result.get_int("c_id") if customer_result.next() else None
             else:
-                customer_id = int(self.random_stream("customer").integers(1, 200))
+                customer_id = self.random_stream("customer").integers(1, 200)
 
             order = None
             lines = []

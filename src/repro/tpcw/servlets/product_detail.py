@@ -21,7 +21,7 @@ class ProductDetailServlet(TpcwServlet):
     def do_get(self, request: HttpServletRequest, response: HttpServletResponse) -> None:
         item_id = request.get_parameter("i_id")
         if item_id is None:
-            item_id = int(self.random_stream("item").integers(1, self._item_count() + 1))
+            item_id = self.random_stream("item").integers(1, self._item_count() + 1)
 
         connection = self.get_connection()
         try:

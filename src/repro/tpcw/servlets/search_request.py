@@ -24,7 +24,7 @@ class SearchRequestServlet(TpcwServlet):
         # The form needs the subject list and a promotional banner item.
         connection = self.get_connection()
         try:
-            banner_id = int(self.random_stream("banner").integers(1, 50) )
+            banner_id = self.random_stream("banner").integers(1, 50)
             banner = connection.execute_query(
                 "SELECT i_id, i_title, i_thumbnail FROM item WHERE i_id = ?", [banner_id]
             )

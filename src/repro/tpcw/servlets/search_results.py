@@ -42,7 +42,7 @@ class SearchResultsServlet(TpcwServlet):
         search_type = request.get_parameter("search_type")
         if search_type not in SEARCH_TYPES:
             search_type = SEARCH_TYPES[
-                int(self.random_stream("type").integers(0, len(SEARCH_TYPES)))
+                self.random_stream("type").integers(0, len(SEARCH_TYPES))
             ]
         search_string = request.get_parameter("search_string")
 
@@ -50,7 +50,7 @@ class SearchResultsServlet(TpcwServlet):
         try:
             if search_type == "SUBJECT":
                 subject = search_string if search_string in SUBJECTS else SUBJECTS[
-                    int(self.random_stream("subject").integers(0, len(SUBJECTS)))
+                    self.random_stream("subject").integers(0, len(SUBJECTS))
                 ]
                 result = connection.execute_query(SUBJECT_SEARCH_SQL, [subject])
                 used_term = subject
@@ -59,7 +59,7 @@ class SearchResultsServlet(TpcwServlet):
                 result = connection.execute_query(AUTHOR_SEARCH_SQL, [last_name])
                 used_term = last_name
             else:  # TITLE
-                prefix = search_string or f"Book Title {int(self.random_stream('title').integers(1, 100))}"
+                prefix = search_string or f"Book Title {self.random_stream('title').integers(1, 100)}"
                 result = connection.execute_query(TITLE_SEARCH_SQL, [f"{prefix}%"])
                 used_term = prefix
 

@@ -55,7 +55,7 @@ class ShoppingCartServlet(TpcwServlet):
             cart_id = self._session_cart_id(request, connection)
 
             if item_id is None and request.get_parameter("add_random", True):
-                item_id = int(self.random_stream("item").integers(1, 100))
+                item_id = self.random_stream("item").integers(1, 100)
 
             if item_id is not None:
                 existing = connection.execute_query(

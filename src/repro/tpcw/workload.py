@@ -16,6 +16,7 @@ the real closed-loop harness.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -104,7 +105,10 @@ class EmulatedBrowser:
     def _begin_session(self, at_time: float) -> None:
         self.session_id = None
         self.current_interaction = "home"
-        self.session_deadline = at_time + self._generator._session_draw()
+        generator = self._generator
+        self.session_deadline = (
+            at_time + generator.session_duration_mean * generator._session_draw()
+        )
 
     # ------------------------------------------------------------------ #
     def _issue_request(self) -> None:
@@ -263,42 +267,29 @@ class WorkloadGenerator:
         session_duration_mean: float = DEFAULT_SESSION_DURATION_MEAN,
         throughput_window: float = 30.0,
         resilience: Optional[ResilienceConfig] = None,
-        batch_draws: bool = True,
     ) -> None:
         # The draws bound below skip the per-draw parameter checks.
-        if think_time_mean <= 0:
-            raise ValueError(f"think_time_mean must be positive, got {think_time_mean}")
-        if session_duration_mean <= 0:
-            raise ValueError(
-                f"session_duration_mean must be positive, got {session_duration_mean}"
-            )
+        for name, mean in (
+            ("think_time_mean", think_time_mean),
+            ("session_duration_mean", session_duration_mean),
+        ):
+            if not 0 < mean < math.inf:  # a NaN mean fails too
+                raise ValueError(f"{name} must be positive and finite, got {mean}")
         self.engine = engine
         self.deployment = deployment
         self.mix = mix or shopping_mix()
         self.streams = streams or deployment.streams
         self.think_time_mean = float(think_time_mean)
         self.session_duration_mean = float(session_duration_mean)
-        #: Vectorised RNG: the per-request streams whose parameters never
-        #: vary (think time, mix transition, session duration) are served
-        #: from bulk batches.  Bit-identical to scalar draws (numpy sized
-        #: draws consume the same bit stream); ``batch_draws=False`` keeps
-        #: the scalar path for A/B testing.  Either way each stream's draw
-        #: is bound here, once.
-        self.batch_draws = bool(batch_draws)
+        #: The per-request draws, each bound here to its stream's draw
+        #: engine: a think time or session duration is ``mean * z`` over a
+        #: standard exponential, numpy's ``exponential(mean)``.
         streams = self.streams
-        draws = (
-            ("workload.think-time", "exponential", (self.think_time_mean,)),
-            ("workload.mix-transition", "uniform", (0.0, 1.0)),
-            ("workload.session-duration", "exponential", (self.session_duration_mean,)),
+        self._think_draw = streams.engine("workload.think-time").standard_exponential
+        self._mix_draw = functools.partial(
+            streams.engine("workload.mix-transition").uniform, 0.0, 1.0
         )
-        if self.batch_draws:
-            bound = [streams.buffer_stream(name, kind, params) for name, kind, params in draws]
-        else:
-            bound = [
-                functools.partial(getattr(streams, kind), name, *params)
-                for name, kind, params in draws
-            ]
-        self._think_draw, self._mix_draw, self._session_draw = bound
+        self._session_draw = streams.engine("workload.session-duration").standard_exponential
         #: Interaction -> request URI, resolved once per interaction, and
         #: the server's request entry, bound once per run.
         self._uris = _UriTable(deployment)
@@ -345,7 +336,7 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------ #
     def think_time(self) -> float:
         """One TPC-W think-time draw (exponential, capped)."""
-        return min(self._think_draw(), MAX_THINK_TIME)
+        return min(self.think_time_mean * self._think_draw(), MAX_THINK_TIME)
 
     def _retry_delay(self, attempt: int) -> float:
         """Client turnaround before retry ``attempt`` (0-based)."""
@@ -425,23 +416,14 @@ class WorkloadGenerator:
         if to_add <= 0:
             return
         # Stagger arrivals across one mean think time to avoid a thundering
-        # herd.  One bulk draw covers the whole ramp (bit-identical to the
-        # former per-browser scalar draws — same stream, same order).
-        if self.batch_draws:
-            offsets = self.streams.uniform_array(
-                "workload.start-stagger", 0.0, self.think_time_mean, to_add
-            )
-        else:
-            offsets = [
-                self.streams.uniform("workload.start-stagger", 0.0, self.think_time_mean)
-                for _ in range(to_add)
-            ]
+        # herd.
+        stagger = self.streams.engine("workload.start-stagger").uniform
         start_base = max(when, self.engine.now)
-        for index in range(to_add):
+        for _ in range(to_add):
             browser = EmulatedBrowser(self._next_browser_id, self)
             self._next_browser_id += 1
             self._browsers.append(browser)
-            browser.start(start_base + float(offsets[index]))
+            browser.start(start_base + stagger(0.0, self.think_time_mean))
 
     def schedule_phases(self, phases: List[WorkloadPhase]) -> None:
         """Schedule EB-population changes for each phase."""

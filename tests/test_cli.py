@@ -266,6 +266,9 @@ class TestScenarioRegistry:
             (["bench", "--duration-scale", "0"], "must be a positive number"),
             (["ablate", "--duration-scale", "0"], "must be a positive number"),
             (["ablate", "--jobs", "0"], "must be a positive integer"),
+            # Used to end in a traceback from numpy's SeedSequence.
+            (["fig4", "--tiny", "--seed", "-1"], "must be a non-negative integer"),
+            (["bench", "--seed", "-1"], "must be a non-negative integer"),
             # A non-string argument is a manifest's JSON content, written to
             # a file whose path takes its place.
             (["ablate", "--manifest", {"duration_scale": "0.05"}], "duration_scale must be a positive number"),

@@ -69,6 +69,8 @@ LATE_FAILURES = {
         dict(monitored=False, shards=2, rollout=_rollout("canary", 2)), "ruled stage"
     ),
     "zero-snapshot-interval": (dict(snapshot_interval=0.0), "snapshot_interval"),
+    # Used to pass and die in numpy's SeedSequence while building the store.
+    "negative-seed": (dict(seed=-1), "seed must be non-negative"),
     # Used to pass: NaN fails no `<= 0` check, and a run whose end time is
     # NaN never stops (`time > nan` is never true).
     "nan-duration": (dict(duration=float("nan")), "duration must be positive"),

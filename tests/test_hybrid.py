@@ -15,17 +15,20 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Tuple
 
 import numpy as np
 import pytest
 
+from repro.container.resilience import ResilienceConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scenarios import fig_scale
-from repro.faults.injector import FaultSpec
+from repro.faults.injector import FaultInjector, FaultSpec
 from repro.faults.memory_leak import MemoryLeakFault
 from repro.jvm.heap import OutOfMemoryError
 from repro.sim.engine import SimulationEngine
 from repro.sim.fluid import _FluidRequest, split_phases
+from repro.sim.random import RandomStreams
 from repro.slo.analytic import HYBRID_THROUGHPUT_TOLERANCE, within_tolerance
 from repro.tpcw.application import build_deployment
 from repro.tpcw.population import PopulationScale
@@ -185,14 +188,22 @@ def test_split_phases_conserves_population():
 
 
 # --------------------------------------------------------------------------- #
-# Vectorised generation bit-identity
+# Engine draws bit-identity
 # --------------------------------------------------------------------------- #
-def _run_generator(batch_draws: bool) -> WorkloadGenerator:
+def _run_generator(streams: RandomStreams) -> Tuple[WorkloadGenerator, int]:
+    """A run over every draw site; returns its generator and leak count."""
     engine = SimulationEngine()
     deployment = build_deployment(
-        scale=PopulationScale.tiny(), seed=123, clock=engine.clock
+        scale=PopulationScale.tiny(), streams=streams, clock=engine.clock
     )
-    generator = WorkloadGenerator(engine, deployment, batch_draws=batch_draws)
+    # Besides the store, servlets, service times and workload: the fault's
+    # countdown and the resilient client's jittered backoff.
+    leak = FaultInjector(deployment).inject_spec(
+        FaultSpec("product_detail", "memory-leak", {"period_n": 5})
+    )
+    generator = WorkloadGenerator(
+        engine, deployment, resilience=ResilienceConfig(timeout_seconds=0.02, max_attempts=3)
+    )
     generator.schedule_phases(
         [
             WorkloadPhase(start_time=0.0, eb_count=15),
@@ -201,12 +212,15 @@ def _run_generator(batch_draws: bool) -> WorkloadGenerator:
         ]
     )
     generator.run(180.0)
-    return generator
+    return generator, leak.trigger_count
 
 
-def test_batched_draws_bit_identical_to_scalar():
-    batched = _run_generator(batch_draws=True)
-    scalar = _run_generator(batch_draws=False)
+def test_batched_draws_bit_identical_to_scalar(numpy_scalar_streams):
+    """The draw engine's batched draws against one numpy scalar call per draw."""
+    batched, batched_leaks = _run_generator(RandomStreams(123))
+    scalar, scalar_leaks = _run_generator(numpy_scalar_streams(123))
+    assert batched.retry_attempts > 0 and batched_leaks > 0
+    assert (batched.retry_attempts, batched_leaks) == (scalar.retry_attempts, scalar_leaks)
     assert batched.completed_requests == scalar.completed_requests
     assert batched.error_count == scalar.error_count
     assert batched.issued_requests == scalar.issued_requests

@@ -90,6 +90,7 @@ class TestRegistry:
             ("REPRO_BENCH_DURATION_SCALE", "-1"),
             ("REPRO_BENCH_DURATION_SCALE", "fast"),
             ("REPRO_BENCH_SEED", "abc"),
+            ("REPRO_BENCH_SEED", "-1"),  # used to resolve; numpy refuses it mid-bench
             ("REPRO_BENCH_TINY", "yes"),
         ],
     )

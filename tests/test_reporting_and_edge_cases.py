@@ -126,11 +126,13 @@ class TestWorkloadPopulationControl:
         deployment = build_deployment(scale=PopulationScale.tiny(), seed=21, clock=engine.clock)
         with pytest.raises(ValueError):
             WorkloadGenerator(engine, deployment, think_time_mean=0.0)
-        for batch_draws in (True, False):
-            with pytest.raises(ValueError):
-                WorkloadGenerator(
-                    engine, deployment, session_duration_mean=0.0, batch_draws=batch_draws
-                )
+        with pytest.raises(ValueError):
+            WorkloadGenerator(engine, deployment, session_duration_mean=0.0)
+        for mean in (float("nan"), float("inf")):  # used to run with NaN or inf draws
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                WorkloadGenerator(engine, deployment, think_time_mean=mean)
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                WorkloadGenerator(engine, deployment, session_duration_mean=mean)
         generator = WorkloadGenerator(engine, deployment)
         with pytest.raises(ValueError):
             generator.set_active_browsers(-1)

@@ -41,15 +41,6 @@ class TestRandomStreams:
         draws = {streams.uniform_int("n", 0, 3) for _ in range(200)}
         assert draws == {0, 1, 2, 3}
 
-    def test_choice_weighted_never_picks_zero_weight(self):
-        streams = RandomStreams(5)
-        picks = {streams.choice("c", ["a", "b"], [1.0, 0.0]) for _ in range(50)}
-        assert picks == {"a"}
-
-    def test_choice_validates_lengths(self):
-        with pytest.raises(ValueError):
-            RandomStreams(0).choice("c", ["a", "b"], [1.0])
-
     def test_lognormal_service_time_mean(self):
         streams = RandomStreams(11)
         draws = [streams.lognormal_service_time("s", 0.1, cv=0.3) for _ in range(5000)]
@@ -84,23 +75,34 @@ class TestRandomStreams:
         assert streams.lognormal_service_time("s", 0.1, 0.0) == 0.1
         assert streams.stream("s").random() == reference.stream("s").random()
 
-    def test_buffered_draws_equal_scalar_draws_across_refills(self):
-        buffered = RandomStreams(5)
-        think = buffered.buffer_stream("think", "exponential", (7.0,), batch=4)
-        mix = buffered.buffer_stream("mix", "uniform", (0.0, 1.0), batch=3)
-        scalar = RandomStreams(5)
-        for _ in range(11):  # several refills of both batches
-            value = think()
-            assert type(value) is float
-            assert value == float(scalar.stream("think").exponential(7.0))
-            assert mix() == float(scalar.stream("mix").uniform(0.0, 1.0))
-        # The named draw serves the same buffer.
-        assert buffered.exponential("think", 7.0) == float(scalar.stream("think").exponential(7.0))
-        assert buffered.buffer_stream("think", "exponential", (7.0,)) == think
-
     def test_invalid_seed_type(self):
         with pytest.raises(TypeError):
             RandomStreams("not-a-seed")  # type: ignore[arg-type]
+
+    def test_empty_names_and_ranges_raise(self):
+        streams = RandomStreams(0)
+        with pytest.raises(ValueError, match="non-empty"):
+            streams.uniform("")
+        with pytest.raises(ValueError, match="empty range"):
+            streams.uniform_int("n", 3, 2)
+        with pytest.raises(ValueError, match="empty range"):
+            streams.uniform("u", 1.0, 0.5)
+
+    def test_negative_seed_fails_fast(self):
+        # Used to construct, and die in numpy's SeedSequence on the first draw.
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            RandomStreams(-1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_draw_parameters_raise(self, bad):
+        # NaN passes `<= 0` and `< 0` checks: these used to return NaN or inf.
+        streams = RandomStreams(0)
+        with pytest.raises(ValueError, match="mean must be positive and finite"):
+            streams.exponential("x", bad)
+        with pytest.raises(ValueError, match="mean must be positive and finite"):
+            streams.lognormal_service_time("s", bad, 0.3)
+        with pytest.raises(ValueError, match="coefficient of variation"):
+            streams.lognormal_service_time("s", 0.1, bad)
 
 
 class TestTimeSeries:
